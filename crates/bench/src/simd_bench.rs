@@ -10,10 +10,16 @@
 //! bit-identical function (enforced by `tests/simd_parity.rs`), so the
 //! ratio is pure instruction-selection speedup.
 //!
+//! The CRC32 under every artifact, snapshot section and wire frame gets
+//! its own rows ([`crc_rows`]): MB/s of the table-driven bytewise loop
+//! (what the repo ran before the kernel was dispatched), the slice-by-8
+//! scalar twin and the dispatched kernel, at a small frame (64 B), a
+//! lookup reply (16 KiB, 128 KiB) and a partition-sized buffer (8 MiB).
+//!
 //! The scaling binaries embed [`primitive_report`] as the `"simd"`
 //! section of `BENCH_training.json` / `BENCH_eval.json`.
 
-use pkgm_core::simd::SimdDispatch;
+use pkgm_core::simd::{self, scalar, SimdDispatch};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -129,6 +135,49 @@ fn time_table(table: &SimdDispatch, passes: usize) -> Vec<(&'static str, f64)> {
     rows
 }
 
+/// Buffer sizes of the CRC rows: a control frame, two lookup replies
+/// (batch 32 and batch 256 at d = 64) and one out-of-core partition.
+const CRC_SIZES: [usize; 4] = [64, 16 << 10, 128 << 10, 8 << 20];
+
+/// MB/s of each CRC32 kernel at each of [`CRC_SIZES`]: the bytewise table
+/// loop, the slice-by-8 scalar twin and the dispatched kernel (carry-less
+/// multiply folding where the host has it, else the scalar twin again).
+pub fn crc_rows(passes: usize) -> Vec<serde_json::Value> {
+    let mut rng = SmallRng::seed_from_u64(0xC4C3_2B3C);
+    let buf: Vec<u8> = (0..CRC_SIZES[CRC_SIZES.len() - 1])
+        .map(|_| rng.gen_range(0..=u8::MAX))
+        .collect();
+    let kernels: [fn(u32, &[u8]) -> u32; 3] = [
+        scalar::crc32_update_bytewise,
+        scalar::crc32_update,
+        simd::crc32_update,
+    ];
+    CRC_SIZES
+        .iter()
+        .map(|&size| {
+            let data = &buf[..size];
+            // About 32 KiB of input per pass, at least one call.
+            let calls = ((32 << 10) / size).max(1);
+            let [bytewise, scalar, dispatched] = kernels.map(|kernel| {
+                let ns = bench_ns(passes, calls, || {
+                    let mut state = !0u32;
+                    for _ in 0..calls {
+                        state = kernel(state, black_box(data));
+                    }
+                    black_box(state);
+                });
+                size as f64 / ns * 1e3
+            });
+            serde_json::json!({
+                "bytes": size,
+                "bytewise_mb_per_s": bytewise,
+                "scalar_mb_per_s": scalar,
+                "dispatched_mb_per_s": dispatched,
+            })
+        })
+        .collect()
+}
+
 /// Per-primitive scalar-vs-detected timing report (the `"simd"` section
 /// of the `BENCH_*.json` files). `passes` scales the measurement length;
 /// the binaries use [`primitive_report`]'s default.
@@ -155,6 +204,7 @@ pub fn primitive_report_with(passes: usize) -> serde_json::Value {
         "candidates_per_pass": CANDIDATES,
         "reps_best_of": REPS,
         "primitives": primitives,
+        "crc32": crc_rows(passes),
     })
 }
 
@@ -165,9 +215,10 @@ pub fn primitive_report() -> serde_json::Value {
 }
 
 /// One-line `name 1.23×, …` digest of a [`primitive_report`] value, for
-/// the binaries' progress logs.
+/// the binaries' progress logs; the CRC entry is dispatched ÷ bytewise at
+/// the largest buffer.
 pub fn summary_line(report: &serde_json::Value) -> String {
-    report
+    let mut parts: Vec<String> = report
         .get("primitives")
         .and_then(|p| p.as_array())
         .map(|rows| {
@@ -179,10 +230,23 @@ pub fn summary_line(report: &serde_json::Value) -> String {
                         r.get("speedup").and_then(|v| v.as_f64()).unwrap_or(0.0)
                     )
                 })
-                .collect::<Vec<_>>()
-                .join(", ")
+                .collect()
         })
-        .unwrap_or_default()
+        .unwrap_or_default();
+    let mb_per_s = |row: &serde_json::Value, key: &str| row.get(key).and_then(|v| v.as_f64());
+    if let Some(row) = report
+        .get("crc32")
+        .and_then(|c| c.as_array())
+        .and_then(|rows| rows.last())
+    {
+        if let (Some(fast), Some(slow)) = (
+            mb_per_s(row, "dispatched_mb_per_s"),
+            mb_per_s(row, "bytewise_mb_per_s"),
+        ) {
+            parts.push(format!("crc32 {:.2}×", fast / slow));
+        }
+    }
+    parts.join(", ")
 }
 
 #[cfg(test)]
@@ -215,7 +279,22 @@ mod tests {
         }
         let level = report.get("detected_level").unwrap().as_str().unwrap();
         assert!(["scalar", "sse4.1", "avx2"].contains(&level));
+        let crc = report.get("crc32").unwrap().as_array().unwrap();
+        let sizes: Vec<u64> = crc
+            .iter()
+            .map(|r| r.get("bytes").unwrap().as_u64().unwrap())
+            .collect();
+        assert_eq!(sizes, [64, 16 << 10, 128 << 10, 8 << 20]);
+        for row in crc {
+            for field in [
+                "bytewise_mb_per_s",
+                "scalar_mb_per_s",
+                "dispatched_mb_per_s",
+            ] {
+                assert!(row.get(field).unwrap().as_f64().unwrap() > 0.0);
+            }
+        }
         let line = summary_line(&report);
-        assert!(line.contains("sad_i8") && line.contains("×"));
+        assert!(line.contains("sad_i8") && line.contains("crc32") && line.contains("×"));
     }
 }

@@ -14,6 +14,10 @@
 //!    (magic, format version, payload kind, payload length, CRC32 of the
 //!    payload); [`decode`] rejects truncation, tail garbage, bit flips and
 //!    kind confusion with typed [`ArtifactError`]s instead of panicking.
+//!    Writers of large payloads build the frame in place instead
+//!    ([`frame_begin`] → append → [`frame_seal`], which is also all
+//!    [`encode`] does), so a payload is serialized, checksummed and written
+//!    from one buffer.
 //!
 //! All I/O goes through the [`ArtifactIo`] trait so the fault-injection
 //! harness in [`crate::fault`] can deterministically simulate crashes and
@@ -31,6 +35,8 @@
 use std::fmt;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+
+use crate::simd;
 
 /// Leading bytes of every framed artifact file.
 pub const ARTIFACT_MAGIC: &[u8; 8] = b"PKGMAF1\0";
@@ -220,28 +226,6 @@ impl std::error::Error for ArtifactError {
 
 // --- CRC32 (IEEE 802.3, reflected) -----------------------------------------
 
-const CRC_TABLE: [u32; 256] = build_crc_table();
-
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            bit += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
 /// CRC32 (IEEE) of `bytes`. Detects all single-bit flips and all burst
 /// errors shorter than 32 bits — sufficient for torn-write and bit-rot
 /// detection on model artifacts.
@@ -252,26 +236,48 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// Incremental CRC32: feed chunks into `state` (start from `!0u32`) and
 /// finish with a final bitwise-not. Lets the streaming snapshot writer
 /// checksum sections it never holds in memory at once;
-/// `crc32(b) == !crc32_update(!0, b)`.
+/// `crc32(b) == !crc32_update(!0, b)`. The arithmetic lives in
+/// [`crate::simd`] (slice-by-8 scalar twin, carry-less-multiply folding
+/// where the CPU has it); the value is the same on every path.
 pub fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
-    let mut c = state;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c
+    simd::crc32_update(state, bytes)
 }
 
 // --- framing ----------------------------------------------------------------
 
+/// Start a frame in `buf`: clear it, reserve room for `payload_len` payload
+/// bytes and leave [`HEADER_LEN`] placeholder bytes at the front. The
+/// caller appends the payload directly behind them, then calls
+/// [`frame_seal`] — the payload is never copied into a second buffer.
+pub fn frame_begin(buf: &mut Vec<u8>, payload_len: usize) {
+    buf.clear();
+    buf.reserve(HEADER_LEN + payload_len);
+    buf.resize(HEADER_LEN, 0);
+}
+
+/// Seal the frame [`frame_begin`] started: checksum the payload where it
+/// lies (`frame[HEADER_LEN..]`) and write the header over the placeholder.
+/// Only a sealed frame may be handed to [`ArtifactIo::write_atomic`].
+///
+/// # Panics
+/// If `frame` is shorter than the header [`frame_begin`] reserves.
+pub fn frame_seal(kind: ArtifactKind, frame: &mut [u8]) {
+    let (header, payload) = frame
+        .split_first_chunk_mut::<HEADER_LEN>()
+        .expect("frame_begin reserved the header");
+    header[..8].copy_from_slice(ARTIFACT_MAGIC);
+    header[8..12].copy_from_slice(&ARTIFACT_VERSION.to_le_bytes());
+    header[12..16].copy_from_slice(&kind.as_u32().to_le_bytes());
+    header[16..24].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    header[24..28].copy_from_slice(&crc32(payload).to_le_bytes());
+}
+
 /// Frame `payload` with the versioned, checksummed artifact header.
 pub fn encode(kind: ArtifactKind, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(ARTIFACT_MAGIC);
-    out.extend_from_slice(&ARTIFACT_VERSION.to_le_bytes());
-    out.extend_from_slice(&kind.as_u32().to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    let mut out = Vec::new();
+    frame_begin(&mut out, payload.len());
     out.extend_from_slice(payload);
+    frame_seal(kind, &mut out);
     out
 }
 
@@ -433,9 +439,10 @@ pub fn read_artifact(
     path: &Path,
     kind: ArtifactKind,
 ) -> Result<Vec<u8>, ArtifactError> {
-    let bytes = io.read(path)?;
-    let payload = decode(path, kind, &bytes)?;
-    Ok(payload.to_vec())
+    let mut bytes = io.read(path)?;
+    decode(path, kind, &bytes)?;
+    bytes.drain(..HEADER_LEN);
+    Ok(bytes)
 }
 
 #[cfg(test)]

@@ -83,6 +83,7 @@ pub mod eval;
 pub mod eval_kernels;
 pub mod fault;
 pub mod kernels;
+mod le;
 pub mod mmap;
 pub mod model;
 pub mod negative;

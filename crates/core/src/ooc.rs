@@ -42,6 +42,14 @@
 //! * `ooc-manifest.pkgm` — static config (model/train hyper-parameters,
 //!   the partition plan) as JSON.
 //!
+//! Partition and resident files are framed **in place**: the trainer keeps
+//! one commit buffer, serializes a payload straight behind a reserved
+//! artifact header ([`artifact::frame_begin`]), checksums it where it lies
+//! ([`artifact::frame_seal`]) and hands that buffer to `write_atomic` —
+//! the same bytes [`artifact::encode`] would produce, without a second and
+//! third copy of every block's state. Loading verifies the frame on the
+//! bytes as read and decodes straight into the block's tables.
+//!
 //! A crash between a partition write and the resident commit leaves that
 //! partition stamped one generation ahead; [`OocTrainer::resume`] detects
 //! the mismatch at load time and refuses to silently re-apply the block.
@@ -57,11 +65,12 @@ use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use crate::artifact::{self, ArtifactError, ArtifactKind, StdIo};
+use crate::artifact::{self, ArtifactError, ArtifactIo, ArtifactKind, StdIo};
 use crate::kernels::{fused_chunk_grads, ChunkGrads, ScratchPool};
+use crate::le;
 use crate::model::{PkgmConfig, PkgmModel};
 use crate::negative::{CorruptedPair, Corruption};
-use crate::snapshot::ShardSpec;
+use crate::snapshot::{ShardSpec, BUILD_CHUNK};
 use crate::snapshot3::{shard_ranges, Ss3DenseWriter};
 use crate::trainer::{diverged, EpochStats, TrainConfig, Trainer};
 use pkgm_store::{EntityId, KeyRelationSelector, RelationId, Triple, TripleStore};
@@ -426,13 +435,6 @@ impl OocSampler {
     }
 }
 
-#[derive(Debug)]
-struct PartitionState {
-    ent: Vec<f32>,
-    m: Vec<f32>,
-    v: Vec<f32>,
-}
-
 /// The out-of-core trainer: an entity-range partitioned embedding table on
 /// disk, block-scheduled training under [`OocConfig::mem_budget`], and
 /// per-block warm-start checkpointing. See the module docs for the
@@ -457,6 +459,9 @@ pub struct OocTrainer {
     m_mat: Vec<f32>,
     v_mat: Vec<f32>,
     pool: ScratchPool,
+    /// The one buffer every partition and resident commit is framed in
+    /// (see the module docs); released when [`OocTrainer::train`] returns.
+    commit_buf: Vec<u8>,
 }
 
 impl OocTrainer {
@@ -491,6 +496,7 @@ impl OocTrainer {
             m_mat: Vec::new(),
             v_mat: Vec::new(),
             pool: ScratchPool::new(),
+            commit_buf: Vec::new(),
         };
 
         // Streamed init: same single RNG and draw order as PkgmModel::new.
@@ -552,9 +558,10 @@ impl OocTrainer {
             0
         };
 
-        let bytes =
-            artifact::read_artifact(&StdIo, &dir.join(RESIDENT_FILE), ArtifactKind::Checkpoint)?;
-        let mut r = Reader::new(&bytes, dir.join(RESIDENT_FILE));
+        let resident_path = dir.join(RESIDENT_FILE);
+        let bytes = StdIo.read(&resident_path)?;
+        let payload = artifact::decode(&resident_path, ArtifactKind::Checkpoint, &bytes)?;
+        let mut r = Reader::new(payload, &resident_path);
         let gen = r.u64()?;
         let t = r.u64()?;
         let epochs_done = r.u64()? as usize;
@@ -588,6 +595,7 @@ impl OocTrainer {
             m_mat,
             v_mat,
             pool: ScratchPool::new(),
+            commit_buf: Vec::new(),
         })
     }
 
@@ -654,6 +662,7 @@ impl OocTrainer {
             self.blocks_done = 0;
             self.save_resident()?;
         }
+        self.commit_buf = Vec::new();
         Ok(OocReport {
             epochs,
             n_partitions: self.parts.len(),
@@ -760,26 +769,35 @@ impl OocTrainer {
             BlockSpace::two(si, li, sj, lj)
         };
 
-        let mut st = self.load_partition(pi)?;
-        if pj != pi {
-            let other = self.load_partition(pj)?;
-            st.ent.extend_from_slice(&other.ent);
-            st.m.extend_from_slice(&other.m);
-            st.v.extend_from_slice(&other.v);
-        }
         let block_entities = space.n_local() as usize;
+        let ni = li as usize * d;
+        let mut ent = vec![0.0f32; block_entities * d];
+        let mut m_ent = vec![0.0f32; block_entities * d];
+        let mut v_ent = vec![0.0f32; block_entities * d];
+        self.load_partition_into(
+            pi,
+            &mut ent[..ni],
+            Some((&mut m_ent[..ni], &mut v_ent[..ni])),
+        )?;
+        if pj != pi {
+            self.load_partition_into(
+                pj,
+                &mut ent[ni..],
+                Some((&mut m_ent[ni..], &mut v_ent[ni..])),
+            )?;
+        }
 
         let mut model = PkgmModel {
             cfg: self.cfg.model.clone(),
             n_entities: block_entities,
             n_relations: self.n_relations as usize,
-            ent: st.ent,
+            ent,
             rel: mem::take(&mut self.rel),
             mats: mem::take(&mut self.mats),
         };
-        let mut bt = Trainer::new(&model, self.cfg.train.clone());
-        bt.m_ent = st.m;
-        bt.v_ent = st.v;
+        let mut bt = Trainer::without_state(self.cfg.train.clone());
+        bt.m_ent = m_ent;
+        bt.v_ent = v_ent;
         bt.m_rel = mem::take(&mut self.m_rel);
         bt.v_rel = mem::take(&mut self.v_rel);
         bt.m_mat = mem::take(&mut self.m_mat);
@@ -822,7 +840,6 @@ impl OocTrainer {
         self.rel = mem::take(&mut model.rel);
         self.mats = mem::take(&mut model.mats);
 
-        let ni = li as usize * d;
         self.write_partition_raw(
             pi,
             next_gen,
@@ -851,10 +868,10 @@ impl OocTrainer {
     /// evaluation and tests; requires the whole table to fit in RAM.
     pub fn assemble_model(&self) -> Result<PkgmModel, OocError> {
         let d = self.cfg.model.dim;
-        let mut ent = Vec::with_capacity(self.n_entities as usize * d);
-        for k in 0..self.parts.len() {
-            let st = self.load_partition(k)?;
-            ent.extend_from_slice(&st.ent);
+        let mut ent = vec![0.0f32; self.n_entities as usize * d];
+        for (k, &(start, len)) in self.parts.iter().enumerate() {
+            let rows = start as usize * d..(start + len) as usize * d;
+            self.load_partition_into(k, &mut ent[rows], None)?;
         }
         Ok(PkgmModel {
             cfg: self.cfg.model.clone(),
@@ -886,9 +903,6 @@ impl OocTrainer {
         let d = self.cfg.model.dim;
         let kf = selector.k() as f32;
         let n_shards = self.parts.len() as u32;
-        let mut t_buf = vec![0.0f32; d];
-        let mut r_buf = vec![0.0f32; d];
-        let mut row = vec![0.0f32; 2 * d];
         let mut out_paths = Vec::with_capacity(self.parts.len());
         let mut block = PkgmModel {
             cfg: self.cfg.model.clone(),
@@ -898,10 +912,35 @@ impl OocTrainer {
             rel: self.rel.clone(),
             mats: self.mats.clone(),
         };
+        // One partition's condensed rows: with its entity rows, the whole
+        // resident partition state during emission.
+        let mut rows: Vec<f32> = Vec::new();
         for (k, &(start, len)) in self.parts.iter().enumerate() {
-            let st = self.load_partition(k)?;
-            block.ent = st.ent;
+            block.ent.resize(len as usize * d, 0.0);
+            self.load_partition_into(k, &mut block.ent, None)?;
             block.n_entities = len as usize;
+            // Rows are independent, so they fan out across the pool; each
+            // row's arithmetic (and so its bits) is the serial loop's.
+            rows.clear();
+            rows.resize(len as usize * 2 * d, 0.0);
+            rows.par_chunks_mut(2 * d * BUILD_CHUNK)
+                .enumerate()
+                .for_each(|(ci, chunk)| {
+                    let mut t_buf = vec![0.0f32; d];
+                    let mut r_buf = vec![0.0f32; d];
+                    for (j, row) in chunk.chunks_exact_mut(2 * d).enumerate() {
+                        let local = ci * BUILD_CHUNK + j;
+                        let gid = (start + local as u64) as u32;
+                        for &r in selector.for_item(EntityId(gid)) {
+                            block.service_t_into(EntityId(local as u32), r, &mut t_buf);
+                            block.service_r_into(EntityId(local as u32), r, &mut r_buf);
+                            for i in 0..d {
+                                row[i] += t_buf[i] / kf;
+                                row[d + i] += r_buf[i] / kf;
+                            }
+                        }
+                    }
+                });
             let path = shard_file_path(base, k as u32, n_shards);
             let spec = ShardSpec {
                 n_shards,
@@ -909,19 +948,7 @@ impl OocTrainer {
                 row_start: start,
             };
             let mut w = Ss3DenseWriter::create(&path, d, selector.k(), len, spec)?;
-            for local in 0..len as usize {
-                let gid = (start + local as u64) as u32;
-                row.fill(0.0);
-                for &r in selector.for_item(EntityId(gid)) {
-                    block.service_t_into(EntityId(local as u32), r, &mut t_buf);
-                    block.service_r_into(EntityId(local as u32), r, &mut r_buf);
-                    for i in 0..d {
-                        row[i] += t_buf[i] / kf;
-                        row[d + i] += r_buf[i] / kf;
-                    }
-                }
-                w.write_rows(&row)?;
-            }
+            w.write_rows(&rows)?;
             w.finish()?;
             out_paths.push(path);
         }
@@ -936,7 +963,7 @@ impl OocTrainer {
 
     #[allow(clippy::too_many_arguments)]
     fn write_partition_raw(
-        &self,
+        &mut self,
         k: usize,
         gen: u64,
         start: u64,
@@ -945,28 +972,33 @@ impl OocTrainer {
         m: &[f32],
         v: &[f32],
     ) -> Result<(), OocError> {
-        let d = self.cfg.model.dim;
-        let mut payload = Vec::with_capacity(32 + (ent.len() + m.len() + v.len()) * 4);
-        push_u64(&mut payload, gen);
-        push_u64(&mut payload, start);
-        push_u64(&mut payload, len);
-        push_u64(&mut payload, d as u64);
-        push_f32s(&mut payload, ent);
-        push_f32s(&mut payload, m);
-        push_f32s(&mut payload, v);
-        artifact::write_artifact(
-            &StdIo,
-            &self.partition_path(k),
-            ArtifactKind::Checkpoint,
-            &payload,
-        )?;
-        Ok(())
+        let path = self.partition_path(k);
+        let buf = &mut self.commit_buf;
+        artifact::frame_begin(buf, 32 + (ent.len() + m.len() + v.len()) * 4);
+        for stamp in [gen, start, len, self.cfg.model.dim as u64] {
+            buf.extend_from_slice(&stamp.to_le_bytes());
+        }
+        le::extend(buf, ent);
+        le::extend(buf, m);
+        le::extend(buf, v);
+        commit_frame(&path, buf)
     }
 
-    fn load_partition(&self, k: usize) -> Result<PartitionState, OocError> {
+    /// Read partition `k`, verify its frame, plan stamps and generation,
+    /// and decode its entity rows into `ent` — and its Adam moments into
+    /// `moments` when given (evaluation and snapshot emission need only the
+    /// rows). The checksum covers the whole file either way, and is
+    /// verified before a single value is decoded.
+    fn load_partition_into(
+        &self,
+        k: usize,
+        ent: &mut [f32],
+        moments: Option<(&mut [f32], &mut [f32])>,
+    ) -> Result<(), OocError> {
         let path = self.partition_path(k);
-        let bytes = artifact::read_artifact(&StdIo, &path, ArtifactKind::Checkpoint)?;
-        let mut r = Reader::new(&bytes, path.clone());
+        let bytes = StdIo.read(&path)?;
+        let payload = artifact::decode(&path, ArtifactKind::Checkpoint, &bytes)?;
+        let mut r = Reader::new(payload, &path);
         let gen = r.u64()?;
         let start = r.u64()?;
         let len = r.u64()?;
@@ -987,12 +1019,22 @@ impl OocTrainer {
                 self.gen
             )));
         }
-        let n = len as usize * self.cfg.model.dim;
-        let ent = r.f32s(n)?;
-        let m = r.f32s(n)?;
-        let v = r.f32s(n)?;
-        r.done()?;
-        Ok(PartitionState { ent, m, v })
+        assert_eq!(
+            ent.len(),
+            len as usize * self.cfg.model.dim,
+            "destination must hold exactly the partition's rows"
+        );
+        r.f32s_into(ent)?;
+        match moments {
+            Some((m, v)) => {
+                r.f32s_into(m)?;
+                r.f32s_into(v)?;
+            }
+            None => {
+                r.take(ent.len().saturating_mul(8))?;
+            }
+        }
+        r.done()
     }
 
     fn write_manifest(&self) -> Result<(), OocError> {
@@ -1016,34 +1058,38 @@ impl OocTrainer {
         Ok(())
     }
 
-    fn save_resident(&self) -> Result<(), OocError> {
-        let mut payload = Vec::with_capacity(
-            32 + (self.rel.len()
-                + self.mats.len()
-                + self.m_rel.len()
-                + self.v_rel.len()
-                + self.m_mat.len()
-                + self.v_mat.len())
-                * 4,
-        );
-        push_u64(&mut payload, self.gen);
-        push_u64(&mut payload, self.t);
-        push_u64(&mut payload, self.epochs_done as u64);
-        push_u64(&mut payload, self.blocks_done as u64);
-        push_f32s(&mut payload, &self.rel);
-        push_f32s(&mut payload, &self.mats);
-        push_f32s(&mut payload, &self.m_rel);
-        push_f32s(&mut payload, &self.v_rel);
-        push_f32s(&mut payload, &self.m_mat);
-        push_f32s(&mut payload, &self.v_mat);
-        artifact::write_artifact(
-            &StdIo,
-            &self.cfg.dir.join(RESIDENT_FILE),
-            ArtifactKind::Checkpoint,
-            &payload,
-        )?;
-        Ok(())
+    fn save_resident(&mut self) -> Result<(), OocError> {
+        let tables = [
+            &self.rel,
+            &self.mats,
+            &self.m_rel,
+            &self.v_rel,
+            &self.m_mat,
+            &self.v_mat,
+        ];
+        let buf = &mut self.commit_buf;
+        artifact::frame_begin(buf, 32 + tables.iter().map(|t| t.len() * 4).sum::<usize>());
+        for cursor in [
+            self.gen,
+            self.t,
+            self.epochs_done as u64,
+            self.blocks_done as u64,
+        ] {
+            buf.extend_from_slice(&cursor.to_le_bytes());
+        }
+        for table in tables {
+            le::extend(buf, table);
+        }
+        commit_frame(&self.cfg.dir.join(RESIDENT_FILE), buf)
     }
+}
+
+/// Seal the checkpoint frame built in `frame` (see
+/// [`artifact::frame_begin`]) and publish it atomically at `path`.
+fn commit_frame(path: &Path, frame: &mut [u8]) -> Result<(), OocError> {
+    artifact::frame_seal(ArtifactKind::Checkpoint, frame);
+    StdIo.write_atomic(path, frame)?;
+    Ok(())
 }
 
 /// The block-local twin of the resident trainer's `batch_gradients`: same
@@ -1104,52 +1150,47 @@ fn block_batch_gradients<S: TripleSource + ?Sized>(
         .fold(ChunkGrads::empty(), ChunkGrads::merge)
 }
 
-fn push_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_f32s(buf: &mut Vec<u8>, xs: &[f32]) {
-    buf.reserve(xs.len() * 4);
-    for &x in xs {
-        buf.extend_from_slice(&x.to_le_bytes());
-    }
-}
-
 struct Reader<'a> {
     buf: &'a [u8],
     off: usize,
-    path: PathBuf,
+    path: &'a Path,
 }
 
 impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8], path: PathBuf) -> Self {
+    fn new(buf: &'a [u8], path: &'a Path) -> Self {
         Self { buf, off: 0, path }
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], OocError> {
-        if self.off + n > self.buf.len() {
-            return Err(OocError::State(format!(
-                "{}: truncated payload ({} of {} bytes)",
-                self.path.display(),
-                self.buf.len(),
-                self.off + n
-            )));
-        }
-        let s = &self.buf[self.off..self.off + n];
-        self.off += n;
+        let end = self
+            .off
+            .checked_add(n)
+            .filter(|&end| end <= self.buf.len())
+            .ok_or_else(|| {
+                OocError::State(format!(
+                    "{}: truncated payload ({} bytes, {n} more wanted at {})",
+                    self.path.display(),
+                    self.buf.len(),
+                    self.off
+                ))
+            })?;
+        let s = &self.buf[self.off..end];
+        self.off = end;
         Ok(s)
     }
 
     fn u64(&mut self) -> Result<u64, OocError> {
         let b = self.take(8)?;
-        Ok(u64::from_le_bytes(b.try_into().unwrap()))
+        Ok(u64::from_le_bytes(b.try_into().expect("took 8 bytes")))
     }
 
     fn f32s(&mut self, n: usize) -> Result<Vec<f32>, OocError> {
-        let b = self.take(n * 4)?;
-        Ok(b.chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
+        Ok(le::to_vec(self.take(n.saturating_mul(4))?))
+    }
+
+    fn f32s_into(&mut self, dst: &mut [f32]) -> Result<(), OocError> {
+        le::copy_from(dst, self.take(dst.len().saturating_mul(4))?);
+        Ok(())
     }
 
     fn done(&self) -> Result<(), OocError> {
@@ -1376,7 +1417,7 @@ mod tests {
     fn stale_generation_is_detected() {
         let s = store(30, 3);
         let dir = tmp_dir("gen");
-        let ooc = OocTrainer::new(
+        let mut ooc = OocTrainer::new(
             &s,
             OocConfig {
                 model: PkgmConfig::new(8).with_seed(3),
@@ -1388,11 +1429,14 @@ mod tests {
         .unwrap();
         // Forge a partition stamped one generation ahead of the resident
         // commit — the signature of a block interrupted mid-commit.
-        let st = ooc.load_partition(0).unwrap();
         let (start, len) = ooc.parts[0];
-        ooc.write_partition_raw(0, ooc.gen + 1, start, len, &st.ent, &st.m, &st.v)
+        let n = len as usize * 8;
+        let (mut ent, mut m, mut v) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+        ooc.load_partition_into(0, &mut ent, Some((&mut m, &mut v)))
             .unwrap();
-        let err = ooc.load_partition(0).unwrap_err();
+        ooc.write_partition_raw(0, ooc.gen + 1, start, len, &ent, &m, &v)
+            .unwrap();
+        let err = ooc.load_partition_into(0, &mut ent, None).unwrap_err();
         assert!(matches!(err, OocError::State(_)), "got {err}");
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -62,6 +62,7 @@
 //! lookup was **not** served, but only `Overloaded` invites a retry.
 
 use crate::artifact::crc32;
+use crate::le;
 use std::io::{self, Read, Write};
 
 /// Bit set in the length prefix of v2 frames: the frame carries a CRC32
@@ -352,10 +353,7 @@ fn decode_lookup_items(payload: &mut &[u8]) -> Result<Vec<u32>, ProtocolError> {
             "lookup id bytes disagree with the declared count",
         ));
     }
-    Ok(payload
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().expect("chunks_exact yields 4 bytes")))
-        .collect())
+    Ok(le::to_vec(payload))
 }
 
 /// Decode a request body (tag + payload, no length prefix).
@@ -405,38 +403,31 @@ pub fn decode_request(body: &[u8]) -> Result<Request, ProtocolError> {
 
 /// Encode a request into a full frame (length prefix included).
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut body = Vec::new();
     match req {
         Request::Lookup(items) => {
-            body.push(op::LOOKUP);
-            body.extend_from_slice(&(items.len() as u32).to_le_bytes());
-            for id in items {
-                body.extend_from_slice(&id.to_le_bytes());
-            }
+            let mut out = begin_frame(op::LOOKUP, 4 + items.len() * 4);
+            out.extend_from_slice(&(items.len() as u32).to_le_bytes());
+            le::extend(&mut out, items);
+            seal_frame(out)
         }
         Request::LookupDeadline {
             budget_micros,
             items,
         } => {
-            body.push(op::LOOKUP_DL);
-            body.extend_from_slice(&budget_micros.to_le_bytes());
-            body.extend_from_slice(&(items.len() as u32).to_le_bytes());
-            for id in items {
-                body.extend_from_slice(&id.to_le_bytes());
-            }
+            let mut out = begin_frame(op::LOOKUP_DL, 12 + items.len() * 4);
+            out.extend_from_slice(&budget_micros.to_le_bytes());
+            out.extend_from_slice(&(items.len() as u32).to_le_bytes());
+            le::extend(&mut out, items);
+            seal_frame(out)
         }
-        Request::Ping => body.push(op::PING),
-        Request::Stats => body.push(op::STATS),
-        Request::Health => body.push(op::HEALTH),
-        Request::Ready => body.push(op::READY),
-        Request::ShardMap => body.push(op::SHARD_MAP),
-        Request::Reload(path) => {
-            body.push(op::RELOAD);
-            body.extend_from_slice(path.as_bytes());
-        }
-        Request::Shutdown => body.push(op::SHUTDOWN),
+        Request::Ping => tagged_frame(op::PING, &[]),
+        Request::Stats => tagged_frame(op::STATS, &[]),
+        Request::Health => tagged_frame(op::HEALTH, &[]),
+        Request::Ready => tagged_frame(op::READY, &[]),
+        Request::ShardMap => tagged_frame(op::SHARD_MAP, &[]),
+        Request::Reload(path) => tagged_frame(op::RELOAD, path.as_bytes()),
+        Request::Shutdown => tagged_frame(op::SHUTDOWN, &[]),
     }
-    frame(body)
 }
 
 /// Decode a response body (tag + payload, no length prefix).
@@ -481,16 +472,10 @@ pub fn decode_response(body: &[u8]) -> Result<Response, ProtocolError> {
                     rows: Vec::new(),
                 });
             }
-            let mut rows = Vec::with_capacity(n as usize);
-            for row in payload.chunks_exact(row_len as usize * 4) {
-                rows.push(
-                    row.chunks_exact(4)
-                        .map(|c| {
-                            f32::from_le_bytes(c.try_into().expect("chunks_exact yields 4 bytes"))
-                        })
-                        .collect(),
-                );
-            }
+            let rows = payload
+                .chunks_exact(row_len as usize * 4)
+                .map(le::to_vec)
+                .collect();
             Ok(Response::Rows { row_len, rows })
         }
         status::OVERLOADED => {
@@ -553,37 +538,18 @@ pub fn decode_response(body: &[u8]) -> Result<Response, ProtocolError> {
 
 /// Encode a response into a full frame (length prefix included).
 pub fn encode_response(resp: &Response) -> Vec<u8> {
-    let mut body = Vec::new();
     match resp {
         Response::Rows { row_len, rows } => {
-            body.push(status::OK_ROWS);
-            body.extend_from_slice(&(rows.len() as u32).to_le_bytes());
-            body.extend_from_slice(&row_len.to_le_bytes());
-            for row in rows {
-                debug_assert_eq!(row.len(), *row_len as usize);
-                for x in row {
-                    body.extend_from_slice(&x.to_le_bytes());
-                }
-            }
+            encode_rows_response(*row_len, rows.iter().map(Vec::as_slice))
         }
-        Response::Empty => body.push(status::OK),
-        Response::Json(json) => {
-            body.push(status::OK_JSON);
-            body.extend_from_slice(json.as_bytes());
-        }
-        Response::Overloaded => body.push(status::OVERLOADED),
+        Response::Empty => tagged_frame(status::OK, &[]),
+        Response::Json(json) => tagged_frame(status::OK_JSON, json.as_bytes()),
+        Response::Overloaded => tagged_frame(status::OVERLOADED, &[]),
         Response::DeadlineExceeded(stage) => {
-            body.push(status::DEADLINE_EXCEEDED);
-            body.push(*stage as u8);
+            tagged_frame(status::DEADLINE_EXCEEDED, &[*stage as u8])
         }
-        Response::BadRequest(msg) => {
-            body.push(status::BAD_REQUEST);
-            body.extend_from_slice(msg.as_bytes());
-        }
-        Response::ServerError(msg) => {
-            body.push(status::SERVER_ERROR);
-            body.extend_from_slice(msg.as_bytes());
-        }
+        Response::BadRequest(msg) => tagged_frame(status::BAD_REQUEST, msg.as_bytes()),
+        Response::ServerError(msg) => tagged_frame(status::SERVER_ERROR, msg.as_bytes()),
         Response::WrongShard {
             id,
             shard_id,
@@ -591,15 +557,15 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             row_start,
             n_rows,
         } => {
-            body.push(status::WRONG_SHARD);
-            body.extend_from_slice(&id.to_le_bytes());
-            body.extend_from_slice(&shard_id.to_le_bytes());
-            body.extend_from_slice(&n_shards.to_le_bytes());
-            body.extend_from_slice(&row_start.to_le_bytes());
-            body.extend_from_slice(&n_rows.to_le_bytes());
+            let mut out = begin_frame(status::WRONG_SHARD, 28);
+            out.extend_from_slice(&id.to_le_bytes());
+            out.extend_from_slice(&shard_id.to_le_bytes());
+            out.extend_from_slice(&n_shards.to_le_bytes());
+            out.extend_from_slice(&row_start.to_le_bytes());
+            out.extend_from_slice(&n_rows.to_le_bytes());
+            seal_frame(out)
         }
     }
-    frame(body)
 }
 
 /// Encode an `Ok` rows response directly from borrowed rows — the daemon's
@@ -609,38 +575,61 @@ pub fn encode_rows_response<'a>(
     row_len: u32,
     rows: impl ExactSizeIterator<Item = &'a [f32]>,
 ) -> Vec<u8> {
-    let mut body = Vec::with_capacity(ROWS_HEADER_LEN + rows.len() * row_len as usize * 4);
-    body.push(status::OK_ROWS);
-    body.extend_from_slice(&(rows.len() as u32).to_le_bytes());
-    body.extend_from_slice(&row_len.to_le_bytes());
+    let mut out = begin_frame(
+        status::OK_ROWS,
+        ROWS_HEADER_LEN - 1 + rows.len() * row_len as usize * 4,
+    );
+    out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
+    out.extend_from_slice(&row_len.to_le_bytes());
     for row in rows {
         debug_assert_eq!(row.len(), row_len as usize);
-        for x in row {
-            body.extend_from_slice(&x.to_le_bytes());
-        }
+        le::extend(&mut out, row);
     }
-    frame(body)
+    seal_frame(out)
 }
 
-/// Prefix `body` with its CRC-flagged length and CRC32 trailer (a v2
-/// frame). Decoders that predate the flag reject it with `FrameTooLarge`;
-/// [`downgrade_frame`] exists for talking to them.
+/// Bytes of a v2 frame before its body: the CRC-flagged length prefix and
+/// the CRC32 trailer.
+const FRAME_PREFIX_LEN: usize = 8;
+
+/// Start a v2 frame whose body is `tag` plus `payload_len` further bytes:
+/// the prefix is reserved (zeroed) and the caller appends the payload
+/// right behind the tag, so the body is built where it will be sent from.
+fn begin_frame(tag: u8, payload_len: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(FRAME_PREFIX_LEN + 1 + payload_len);
+    out.resize(FRAME_PREFIX_LEN, 0);
+    out.push(tag);
+    out
+}
+
+/// A whole frame whose payload is one byte string.
+fn tagged_frame(tag: u8, payload: &[u8]) -> Vec<u8> {
+    let mut out = begin_frame(tag, payload.len());
+    out.extend_from_slice(payload);
+    seal_frame(out)
+}
+
+/// Finish a frame [`begin_frame`] started: checksum the body in place and
+/// patch the reserved prefix with its CRC-flagged length and CRC32 trailer
+/// (a v2 frame). Decoders that predate the flag reject it with
+/// `FrameTooLarge`; [`downgrade_frame`] exists for talking to them.
 ///
 /// # Panics
 /// If the body exceeds [`MAX_FRAME_LEN`] — a backstop, enforced in every
 /// build: callers bound their payloads up front ([`MAX_LOOKUP_ITEMS`],
 /// [`MAX_RELOAD_PATH_LEN`], [`max_lookup_items_for_row_len`]) so a frame
 /// the peer would reject is a caller bug, not a runtime condition.
-fn frame(body: Vec<u8>) -> Vec<u8> {
+fn seal_frame(mut out: Vec<u8>) -> Vec<u8> {
+    let (prefix, body) = out
+        .split_first_chunk_mut::<FRAME_PREFIX_LEN>()
+        .expect("begin_frame reserved the prefix");
     assert!(
         body.len() <= MAX_FRAME_LEN as usize,
         "frame body of {} bytes exceeds the {MAX_FRAME_LEN}-byte cap",
         body.len()
     );
-    let mut out = Vec::with_capacity(8 + body.len());
-    out.extend_from_slice(&(body.len() as u32 | FRAME_FLAG_CRC).to_le_bytes());
-    out.extend_from_slice(&crc32(&body).to_le_bytes());
-    out.extend(body);
+    prefix[..4].copy_from_slice(&(body.len() as u32 | FRAME_FLAG_CRC).to_le_bytes());
+    prefix[4..].copy_from_slice(&crc32(body).to_le_bytes());
     out
 }
 
@@ -810,6 +799,48 @@ mod tests {
     }
 
     #[test]
+    fn frames_are_prefix_trailer_body_with_per_value_little_endian_payloads() {
+        // The layout from the module docs, rebuilt value by value.
+        let reference = |body: Vec<u8>| {
+            let mut out = (body.len() as u32 | FRAME_FLAG_CRC).to_le_bytes().to_vec();
+            out.extend_from_slice(&crc32(&body).to_le_bytes());
+            out.extend(body);
+            out
+        };
+        let rows = vec![vec![1.0f32, -2.5, f32::MIN_POSITIVE], vec![0.0, -0.0, 7e9]];
+        let mut body = vec![status::OK_ROWS];
+        body.extend_from_slice(&2u32.to_le_bytes());
+        body.extend_from_slice(&3u32.to_le_bytes());
+        for x in rows.iter().flatten() {
+            body.extend_from_slice(&x.to_le_bytes());
+        }
+        let want = reference(body);
+        assert_eq!(
+            encode_rows_response(3, rows.iter().map(Vec::as_slice)),
+            want
+        );
+        assert_eq!(encode_response(&Response::Rows { row_len: 3, rows }), want);
+
+        let ids = [0u32, 0x0102_0304, u32::MAX];
+        let mut body = vec![op::LOOKUP_DL];
+        body.extend_from_slice(&2_500u64.to_le_bytes());
+        body.extend_from_slice(&3u32.to_le_bytes());
+        for id in ids {
+            body.extend_from_slice(&id.to_le_bytes());
+        }
+        let request = Request::LookupDeadline {
+            budget_micros: 2_500,
+            items: ids.to_vec(),
+        };
+        assert_eq!(encode_request(&request), reference(body));
+        assert_eq!(
+            encode_response(&Response::Json("{}".into())),
+            reference(vec![status::OK_JSON, b'{', b'}'])
+        );
+        assert_eq!(encode_request(&Request::Ping), reference(vec![op::PING]));
+    }
+
+    #[test]
     fn malformed_wrong_shard_payloads_are_rejected() {
         let good = Response::WrongShard {
             id: 5,
@@ -912,7 +943,7 @@ mod tests {
         assert!(worst > MAX_FRAME_LEN as u64, "cap must be tight");
         let fits = ROWS_HEADER_LEN as u64 + cap as u64 * 1024 * 4;
         assert!(fits <= MAX_FRAME_LEN as u64, "cap-sized response must fit");
-        // A cap-sized response really frames (no panic in `frame`); v2
+        // A cap-sized response really frames (no panic in `seal_frame`); v2
         // overhead is the 4-byte prefix plus the 4-byte CRC trailer.
         let row = vec![0.0f32; 1024];
         let framed = encode_rows_response(1024, (0..cap as usize).map(|_| row.as_slice()));

@@ -2,15 +2,19 @@
 //!
 //! Every hot primitive — the eight-lane dot ([`kernel_dot`]), the blocked
 //! L1 distances ([`blocked_l1`] / [`blocked_l1_translation`]), their
-//! early-exit comparators ([`l1_beats`] / [`translation_beats`]) and the
-//! int8 absolute-difference sum behind `quant::prunes` ([`sad_i8`]) — has
-//! exactly one **scalar twin** (in [`scalar`]) and, on x86-64, explicit
-//! `std::arch` implementations selected once at runtime:
+//! early-exit comparators ([`l1_beats`] / [`translation_beats`]), the
+//! int8 absolute-difference sum behind `quant::prunes` ([`sad_i8`]) and
+//! the CRC32 under every artifact, snapshot section and wire frame
+//! ([`crc32_update`]) — has exactly one **scalar twin** (in [`scalar`])
+//! and, on x86-64, explicit `std::arch` implementations selected once at
+//! runtime:
 //!
 //! * **AVX2** when `is_x86_feature_detected!("avx2")`;
 //! * **SSE4.1** when only `is_x86_feature_detected!("sse4.1")`;
 //! * the portable scalar twins otherwise, on non-x86 targets, or when the
-//!   `PKGM_FORCE_SCALAR` environment variable is set (any value but `0`).
+//!   `PKGM_FORCE_SCALAR` environment variable is set (any value but `0`);
+//! * independently of the float level, the CRC entry is the carry-less
+//!   multiply folding kernel when `is_x86_feature_detected!("pclmulqdq")`.
 //!
 //! The binary itself stays portable: it builds for the baseline x86-64
 //! target (no `-C target-cpu=native`) and lights up the wide paths only on
@@ -40,6 +44,12 @@
 //! (`_mm256_sad_epu8` over sign-flipped bytes — `|a−b|` is translation
 //! invariant, so XOR with `0x80` maps signed SAD onto the unsigned
 //! instruction); any summation order gives the same `u32`.
+//!
+//! The CRC is exact too: the folding kernel only ever replaces a block of
+//! message bits by a shorter block that is congruent to it modulo the IEEE
+//! polynomial (see [`CRC_FOLD_KEYS`]), then hands the last 16 bytes and the
+//! tail to the scalar twin — the remainder, and with it every checksum on
+//! disk and on the wire, is the same `u32` at every level.
 //!
 //! ## What stays scalar on purpose
 //!
@@ -109,6 +119,8 @@ pub struct SimdDispatch {
     pub translation_beats: TranslationBeatsFn,
     /// Exact `Σ |a_i − b_i|` over i8 slices (the quantized scan's block sum).
     pub sad_i8: fn(&[i8], &[i8]) -> u32,
+    /// Raw IEEE CRC32 state update (see [`crc32_update`]).
+    pub crc32_update: fn(u32, &[u8]) -> u32,
 }
 
 static SCALAR: SimdDispatch = SimdDispatch {
@@ -119,6 +131,7 @@ static SCALAR: SimdDispatch = SimdDispatch {
     l1_beats: scalar::l1_beats,
     translation_beats: scalar::translation_beats,
     sad_i8: scalar::sad_i8,
+    crc32_update: scalar::crc32_update,
 };
 
 impl SimdDispatch {
@@ -132,16 +145,27 @@ impl SimdDispatch {
     /// compares this against [`SimdDispatch::scalar`] even when the test
     /// run itself is forced scalar.
     pub fn detected() -> &'static SimdDispatch {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                return &x86::AVX2;
+        static DETECTED: OnceLock<SimdDispatch> = OnceLock::new();
+        DETECTED.get_or_init(|| {
+            #[cfg(target_arch = "x86_64")]
+            {
+                let mut table = if std::arch::is_x86_feature_detected!("avx2") {
+                    x86::AVX2
+                } else if std::arch::is_x86_feature_detected!("sse4.1") {
+                    x86::SSE41
+                } else {
+                    SCALAR
+                };
+                if std::arch::is_x86_feature_detected!("pclmulqdq") {
+                    // SAFETY: the kernel's only requirement is the
+                    // `pclmulqdq` feature, detected on the line above.
+                    table.crc32_update = |state, bytes| unsafe { x86::crc32_fold(state, bytes) };
+                }
+                table
             }
-            if std::arch::is_x86_feature_detected!("sse4.1") {
-                return &x86::SSE41;
-            }
-        }
-        &SCALAR
+            #[cfg(not(target_arch = "x86_64"))]
+            SCALAR
+        })
     }
 }
 
@@ -175,7 +199,7 @@ pub fn active() -> &'static SimdDispatch {
 
 /// The one-line dispatch report the daemon, the benches and `pkgm simd`
 /// print (and CI's `simd-smoke` job asserts on):
-/// `simd dispatch: avx2 (avx2=yes, sse4.1=yes, forced_scalar=no)`.
+/// `simd dispatch: avx2 (avx2=yes, sse4.1=yes, forced_scalar=no, pclmulqdq=yes)`.
 pub fn describe() -> String {
     fn yn(b: bool) -> &'static str {
         if b {
@@ -185,18 +209,20 @@ pub fn describe() -> String {
         }
     }
     #[cfg(target_arch = "x86_64")]
-    let (avx2, sse41) = (
+    let (avx2, sse41, pclmulqdq) = (
         std::arch::is_x86_feature_detected!("avx2"),
         std::arch::is_x86_feature_detected!("sse4.1"),
+        std::arch::is_x86_feature_detected!("pclmulqdq"),
     );
     #[cfg(not(target_arch = "x86_64"))]
-    let (avx2, sse41) = (false, false);
+    let (avx2, sse41, pclmulqdq) = (false, false, false);
     format!(
-        "simd dispatch: {} (avx2={}, sse4.1={}, forced_scalar={})",
+        "simd dispatch: {} (avx2={}, sse4.1={}, forced_scalar={}, pclmulqdq={})",
         active().level.name(),
         yn(avx2),
         yn(sse41),
-        yn(force_scalar_requested())
+        yn(force_scalar_requested()),
+        yn(pclmulqdq)
     )
 }
 
@@ -260,6 +286,56 @@ pub fn translation_beats(h: &[f32], r: &[f32], t: &[f32], extra: f32, bound: f32
 pub fn sad_i8(a: &[i8], b: &[i8]) -> u32 {
     (active().sad_i8)(a, b)
 }
+
+/// Raw IEEE 802.3 CRC32 state update (reflected polynomial
+/// `0xEDB88320`), dispatched: feed chunks into `state` starting from
+/// `!0u32` and finish with a bitwise not. `crate::artifact::crc32` /
+/// `crc32_update` are this function; every dispatch level returns the
+/// identical `u32` for every input.
+#[inline]
+pub fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
+    (active().crc32_update)(state, bytes)
+}
+
+/// The reflected IEEE CRC32 polynomial `P` (without its `x³²` term).
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// `xⁿ mod P` in the reflected representation (bit 31 is `x⁰`, bit 0 is
+/// `x³¹`): start from `1` and multiply by `x` — a right shift, reduced by
+/// `P` whenever `x³¹` would become `x³²` — `n` times.
+pub const fn crc_xpow_mod_p(n: u32) -> u32 {
+    let mut c = 0x8000_0000u32;
+    let mut i = 0;
+    while i < n {
+        c = if c & 1 != 0 {
+            (c >> 1) ^ CRC_POLY
+        } else {
+            c >> 1
+        };
+        i += 1;
+    }
+    c
+}
+
+/// The folding kernel's multipliers `[k1, k2, k3, k4]`, derived from `P`.
+///
+/// A 128-bit register of message bytes is `L(x)·x⁶⁴ + H(x)` (low qword =
+/// earlier bytes = higher powers). Moving it `D` bits up the message
+/// multiplies it by `x^D`, and modulo `P`
+/// `L·x^(D+64) + H·x^D ≡ L·(x^(D+64) mod P) + H·(x^D mod P)` — two
+/// carry-less multiplies whose 96-bit products fit the register. A 32-bit
+/// reflected remainder sitting in a 64-bit operand reads as `r(x)·x³²`, and
+/// a carry-less multiply of two reflected operands lands one bit low
+/// (`×x`), which the `<< 1` pre-shift cancels (`÷x`); so the operand for
+/// `x^e` is `(x^(e−32) mod P) << 1`. `k1`/`k2` fold across the four
+/// registers of a 64-byte step (`D = 512`), `k3`/`k4` across one
+/// (`D = 128`).
+pub const CRC_FOLD_KEYS: [u64; 4] = [
+    (crc_xpow_mod_p(4 * 128 + 32) as u64) << 1,
+    (crc_xpow_mod_p(4 * 128 - 32) as u64) << 1,
+    (crc_xpow_mod_p(128 + 32) as u64) << 1,
+    (crc_xpow_mod_p(128 - 32) as u64) << 1,
+];
 
 /// `Σ_i |a[i] − b[i]|` in index order — the crate's single serial L1
 /// distance, **pinned to scalar** (see the module docs): its contract is
@@ -412,6 +488,75 @@ pub mod scalar {
         (combine8(&acc) + tail) + extra < bound
     }
 
+    /// Slice-by-8 lookup tables: `CRC_TABLES[0]` is the classic bytewise
+    /// table (`crc` of the single byte `i`), and `CRC_TABLES[k][i]` is that
+    /// byte's contribution after `k` further zero bytes, so eight input
+    /// bytes are absorbed with eight independent lookups.
+    static CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
+
+    const fn build_crc_tables() -> [[u32; 256]; 8] {
+        let mut t = [[0u32; 256]; 8];
+        let mut i = 0;
+        while i < 256 {
+            let mut c = i as u32;
+            let mut bit = 0;
+            while bit < 8 {
+                c = if c & 1 != 0 {
+                    super::CRC_POLY ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+                bit += 1;
+            }
+            t[0][i] = c;
+            i += 1;
+        }
+        let mut k = 1;
+        while k < 8 {
+            let mut i = 0;
+            while i < 256 {
+                let prev = t[k - 1][i];
+                t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+                i += 1;
+            }
+            k += 1;
+        }
+        t
+    }
+
+    /// The table-driven bytewise CRC32 state update — the textbook
+    /// definition the faster kernels are checked against, and the tail
+    /// loop of [`crc32_update`].
+    #[inline]
+    pub fn crc32_update_bytewise(state: u32, bytes: &[u8]) -> u32 {
+        let mut c = state;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c
+    }
+
+    /// Scalar twin of [`super::crc32_update`]: slice-by-8, then the
+    /// bytewise loop over the last `len % 8` bytes.
+    pub fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
+        let t = &CRC_TABLES;
+        let mut c = state;
+        let mut chunks = bytes.chunks_exact(8);
+        for w in &mut chunks {
+            let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ c;
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            c = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
+        }
+        crc32_update_bytewise(c, chunks.remainder())
+    }
+
     /// Scalar twin of [`super::sad_i8`]: block sums fit u32 trivially
     /// (the scan blocks are ≤ 32 bytes of ≤ 254 each); `u8::abs_diff`
     /// keeps the lanes narrow for the autovectorizer.
@@ -437,7 +582,7 @@ pub mod scalar {
 /// the calls sound.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{scalar, SimdDispatch, SimdLevel, EXIT_STRIDE};
+    use super::{scalar, SimdDispatch, SimdLevel, CRC_FOLD_KEYS, EXIT_STRIDE};
     use core::arch::x86_64::*;
 
     pub(super) static AVX2: SimdDispatch = SimdDispatch {
@@ -450,6 +595,9 @@ mod x86 {
             translation_beats_avx2(h, r, t, extra, bound)
         },
         sad_i8: |a, b| unsafe { sad_i8_avx2(a, b) },
+        // `SimdDispatch::detected` swaps in `crc32_fold` where the host
+        // has `pclmulqdq`, which AVX2 does not imply.
+        crc32_update: scalar::crc32_update,
     };
 
     pub(super) static SSE41: SimdDispatch = SimdDispatch {
@@ -462,6 +610,8 @@ mod x86 {
             translation_beats_sse41(h, r, t, extra, bound)
         },
         sad_i8: |a, b| unsafe { sad_i8_sse41(a, b) },
+        // As for `AVX2`: replaced in `SimdDispatch::detected`.
+        crc32_update: scalar::crc32_update,
     };
 
     /// Clear the sign bit of every lane — bit-identical to `f32::abs`
@@ -805,6 +955,76 @@ mod x86 {
         }
         total as u32 + rest
     }
+
+    /// Multiply both qwords of `x` up the message by the distance `keys`
+    /// encodes (see [`CRC_FOLD_KEYS`]) and add them: the result is
+    /// congruent, modulo the CRC polynomial, to `x` shifted that far.
+    ///
+    /// # Safety
+    /// The CPU must support `pclmulqdq`.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq")]
+    unsafe fn fold(x: __m128i, keys: __m128i) -> __m128i {
+        _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x00>(x, keys),
+            _mm_clmulepi64_si128::<0x11>(x, keys),
+        )
+    }
+
+    /// Unaligned load of `block[..16]`.
+    ///
+    /// # Panics
+    /// If `block` is shorter than 16 bytes.
+    #[inline]
+    fn load16(block: &[u8]) -> __m128i {
+        let lane: &[u8; 16] = block.first_chunk().expect("a whole 16-byte lane");
+        // SAFETY: `lane` is 16 readable bytes, the load has no alignment
+        // requirement, and SSE2 is part of the x86-64 baseline.
+        unsafe { _mm_loadu_si128(lane.as_ptr().cast()) }
+    }
+
+    /// CRC32 state update by carry-less-multiply folding: four 128-bit
+    /// registers absorb 64 bytes per iteration, fold into one, absorb the
+    /// remaining whole 16-byte blocks, and the last register — 16 bytes
+    /// congruent to everything consumed so far — goes through the scalar
+    /// twin from a zero state, which performs the final reduction. The
+    /// tail (< 16 bytes) and inputs under 64 bytes are the scalar twin's.
+    ///
+    /// # Safety
+    /// The CPU must support `pclmulqdq` (SSE2 is baseline on x86-64).
+    #[target_feature(enable = "pclmulqdq")]
+    pub(super) unsafe fn crc32_fold(state: u32, bytes: &[u8]) -> u32 {
+        let mut steps = bytes.chunks_exact(64);
+        let Some(first) = steps.next() else {
+            return scalar::crc32_update(state, bytes);
+        };
+        let [k1, k2, k3, k4] = CRC_FOLD_KEYS;
+        // The running state enters exactly as the scalar twin's first
+        // step takes it in: XORed into the first four message bytes.
+        let mut x0 = _mm_xor_si128(load16(first), _mm_cvtsi32_si128(state as i32));
+        let mut x1 = load16(&first[16..]);
+        let mut x2 = load16(&first[32..]);
+        let mut x3 = load16(&first[48..]);
+        let by_64 = _mm_set_epi64x(k2 as i64, k1 as i64);
+        for step in &mut steps {
+            x0 = _mm_xor_si128(fold(x0, by_64), load16(step));
+            x1 = _mm_xor_si128(fold(x1, by_64), load16(&step[16..]));
+            x2 = _mm_xor_si128(fold(x2, by_64), load16(&step[32..]));
+            x3 = _mm_xor_si128(fold(x3, by_64), load16(&step[48..]));
+        }
+        let by_16 = _mm_set_epi64x(k4 as i64, k3 as i64);
+        let mut x = _mm_xor_si128(fold(x0, by_16), x1);
+        x = _mm_xor_si128(fold(x, by_16), x2);
+        x = _mm_xor_si128(fold(x, by_16), x3);
+        let mut blocks = steps.remainder().chunks_exact(16);
+        for block in &mut blocks {
+            x = _mm_xor_si128(fold(x, by_16), load16(block));
+        }
+        let mut last = [0u8; 16];
+        // 16 writable bytes; the store has no alignment requirement.
+        _mm_storeu_si128(last.as_mut_ptr().cast(), x);
+        scalar::crc32_update(scalar::crc32_update(0, &last), blocks.remainder())
+    }
 }
 
 #[cfg(test)]
@@ -829,6 +1049,7 @@ mod tests {
             "{line}"
         );
         assert!(line.contains("forced_scalar="), "{line}");
+        assert!(line.contains("pclmulqdq="), "{line}");
     }
 
     #[test]

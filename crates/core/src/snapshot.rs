@@ -29,7 +29,7 @@ use pkgm_store::EntityId;
 use rayon::prelude::*;
 
 /// Rows per rayon task when building the table.
-const BUILD_CHUNK: usize = 128;
+pub(crate) const BUILD_CHUNK: usize = 128;
 
 /// Cap on verbatim f32 rows kept by [`ServiceSnapshot::quantize`], as a
 /// divisor of the row count: at most `n_rows / EXACT_ROW_DIVISOR` rows.

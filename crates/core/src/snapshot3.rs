@@ -44,12 +44,14 @@
 //! break page alignment relative to the file start); the magic keeps
 //! loaders unambiguous.
 
+use std::borrow::Cow;
 use std::fs::File;
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use crate::artifact::{crc32, crc32_update, ArtifactError};
+use crate::le;
 use crate::mmap::MmapRegion;
 use crate::quant::{self, QuantTable};
 use crate::serialize::SerializeError;
@@ -496,28 +498,6 @@ impl MappedQuant {
 // One-shot writer (bytes in memory)
 // ---------------------------------------------------------------------------
 
-fn push_f32s_le(out: &mut Vec<u8>, xs: &[f32]) {
-    #[cfg(target_endian = "little")]
-    out.extend_from_slice(unsafe {
-        std::slice::from_raw_parts(xs.as_ptr() as *const u8, xs.len() * 4)
-    });
-    #[cfg(not(target_endian = "little"))]
-    for &x in xs {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-}
-
-fn push_u32s_le(out: &mut Vec<u8>, xs: &[u32]) {
-    #[cfg(target_endian = "little")]
-    out.extend_from_slice(unsafe {
-        std::slice::from_raw_parts(xs.as_ptr() as *const u8, xs.len() * 4)
-    });
-    #[cfg(not(target_endian = "little"))]
-    for &x in xs {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-}
-
 fn i8s_as_bytes(xs: &[i8]) -> &[u8] {
     unsafe { std::slice::from_raw_parts(xs.as_ptr() as *const u8, xs.len()) }
 }
@@ -528,29 +508,22 @@ pub fn snapshot_to_ss3_bytes(snapshot: &ServiceSnapshot) -> Result<Vec<u8>, Seri
     if snapshot.n_rows() == 0 {
         return Err(corrupt("refusing to write a zero-row PKGMSS3 shard"));
     }
-    let mut fallback = Vec::new();
-    push_f32s_le(&mut fallback, snapshot.fallback_row());
-    let bodies: Vec<(u32, Vec<u8>)> = if let Some(q) = snapshot.quant_slices() {
-        let mut scales = Vec::new();
-        push_f32s_le(&mut scales, q.scales);
-        let mut errs = Vec::new();
-        push_f32s_le(&mut errs, q.row_errs);
-        let mut ids = Vec::new();
-        push_u32s_le(&mut ids, q.exact_ids);
-        let mut exact = Vec::new();
-        push_f32s_le(&mut exact, q.exact_rows);
+    let fallback = le::as_bytes(snapshot.fallback_row());
+    let bodies: Vec<(u32, Cow<'_, [u8]>)> = if let Some(q) = snapshot.quant_slices() {
         vec![
-            (SEC_QDATA_I8, i8s_as_bytes(q.data).to_vec()),
-            (SEC_SCALES_F32, scales),
-            (SEC_ROWERR_F32, errs),
-            (SEC_EXACT_IDS_U32, ids),
-            (SEC_EXACT_ROWS_F32, exact),
+            (SEC_QDATA_I8, Cow::Borrowed(i8s_as_bytes(q.data))),
+            (SEC_SCALES_F32, le::as_bytes(q.scales)),
+            (SEC_ROWERR_F32, le::as_bytes(q.row_errs)),
+            (SEC_EXACT_IDS_U32, le::as_bytes(q.exact_ids)),
+            (SEC_EXACT_ROWS_F32, le::as_bytes(q.exact_rows)),
             (SEC_FALLBACK_F32, fallback),
         ]
     } else {
-        let mut table = Vec::new();
-        push_f32s_le(&mut table, snapshot.dense_table().expect("dense snapshot"));
-        vec![(SEC_DENSE_F32, table), (SEC_FALLBACK_F32, fallback)]
+        let table = snapshot.dense_table().expect("dense snapshot");
+        vec![
+            (SEC_DENSE_F32, le::as_bytes(table)),
+            (SEC_FALLBACK_F32, fallback),
+        ]
     };
 
     let mut sections = Vec::with_capacity(bodies.len());
@@ -591,18 +564,8 @@ pub fn snapshot_to_ss3_bytes(snapshot: &ServiceSnapshot) -> Result<Vec<u8>, Seri
 // Resident decode (full verification)
 // ---------------------------------------------------------------------------
 
-fn read_f32s_le(bytes: &[u8], s: &Section) -> Vec<f32> {
-    bytes[s.offset as usize..(s.offset + s.len) as usize]
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
-        .collect()
-}
-
-fn read_u32s_le(bytes: &[u8], s: &Section) -> Vec<u32> {
-    bytes[s.offset as usize..(s.offset + s.len) as usize]
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
-        .collect()
+fn read_words<T: le::Word>(bytes: &[u8], s: &Section) -> Vec<T> {
+    le::to_vec(&bytes[s.offset as usize..(s.offset + s.len) as usize])
 }
 
 /// Decode `PKGMSS3` bytes into a fully resident snapshot, verifying the
@@ -611,7 +574,7 @@ fn read_u32s_le(bytes: &[u8], s: &Section) -> Vec<u32> {
 pub(crate) fn snapshot_from_ss3_bytes(bytes: &[u8]) -> Result<ServiceSnapshot, SerializeError> {
     let header = parse_header(bytes)?;
     verify_section_crcs(bytes, &header, None)?;
-    let fallback = read_f32s_le(bytes, header.section(SEC_FALLBACK_F32));
+    let fallback = read_words(bytes, header.section(SEC_FALLBACK_F32));
     let dim = header.dim as usize;
     let k = header.k as usize;
     let snap = if header.quantized {
@@ -620,16 +583,16 @@ pub(crate) fn snapshot_from_ss3_bytes(bytes: &[u8]) -> Result<ServiceSnapshot, S
             .iter()
             .map(|&b| b as i8)
             .collect();
-        let scales = read_f32s_le(bytes, header.section(SEC_SCALES_F32));
-        let errs = read_f32s_le(bytes, header.section(SEC_ROWERR_F32));
-        let ids = read_u32s_le(bytes, header.section(SEC_EXACT_IDS_U32));
-        let exact_rows = read_f32s_le(bytes, header.section(SEC_EXACT_ROWS_F32));
+        let scales = read_words(bytes, header.section(SEC_SCALES_F32));
+        let errs = read_words(bytes, header.section(SEC_ROWERR_F32));
+        let ids = read_words(bytes, header.section(SEC_EXACT_IDS_U32));
+        let exact_rows = read_words(bytes, header.section(SEC_EXACT_ROWS_F32));
         let table =
             QuantTable::from_parts(header.row_len(), header.block as usize, data, scales, errs)
                 .map_err(corrupt)?;
         ServiceSnapshot::from_quantized_parts(dim, k, table, ids, exact_rows).map_err(corrupt)?
     } else {
-        let rows = read_f32s_le(bytes, header.section(SEC_DENSE_F32));
+        let rows = read_words(bytes, header.section(SEC_DENSE_F32));
         ServiceSnapshot::from_parts(dim, k, rows)
     };
     Ok(snap.with_shard_and_fallback(header.shard, fallback))
@@ -669,7 +632,7 @@ pub fn open_mapped_snapshot(
     let header = parse_header(region.bytes()).map_err(|e| corrupt_at(path, e))?;
     verify_section_crcs(region.bytes(), &header, Some(SS3_EAGER_CRC_LIMIT))
         .map_err(|e| corrupt_at(path, e))?;
-    let fallback = read_f32s_le(region.bytes(), header.section(SEC_FALLBACK_F32));
+    let fallback = read_words(region.bytes(), header.section(SEC_FALLBACK_F32));
     let dim = header.dim as usize;
     let k = header.k as usize;
     let row_len = header.row_len();
@@ -837,8 +800,7 @@ impl Ss3DenseWriter {
                 format!("shard declared {} rows, writing more", self.n_rows),
             ));
         }
-        let mut bytes = Vec::with_capacity(rows.len() * 4);
-        push_f32s_le(&mut bytes, rows);
+        let bytes = le::as_bytes(rows);
         self.file
             .as_mut()
             .expect("writer not finished")
@@ -873,8 +835,7 @@ impl Ss3DenseWriter {
         for m in &mut fallback {
             *m /= self.n_rows as f32;
         }
-        let mut fb_bytes = Vec::with_capacity(fallback.len() * 4);
-        push_f32s_le(&mut fb_bytes, &fallback);
+        let fb_bytes = le::as_bytes(&fallback);
         file.seek(SeekFrom::Start(fb_off))?;
         file.write_all(&fb_bytes)?;
         let header = Header {
@@ -963,6 +924,9 @@ pub struct Ss3QuantWriter {
     scales: Vec<f32>,
     /// Per-row measured error (inflated), the escape-selection input.
     row_errs: Vec<f32>,
+    /// Quantized bytes of the `write_rows` call in flight, kept between
+    /// calls so a row-at-a-time caller does not allocate per row.
+    qbuf: Vec<u8>,
     finished: bool,
 }
 
@@ -1038,6 +1002,7 @@ impl Ss3QuantWriter {
             crc_state: !0u32,
             scales: Vec::with_capacity((n_rows as usize).saturating_mul(nb)),
             row_errs: Vec::with_capacity(n_rows as usize),
+            qbuf: Vec::new(),
             finished: false,
         })
     }
@@ -1061,7 +1026,9 @@ impl Ss3QuantWriter {
                 format!("shard declared {} rows, writing more", self.n_rows),
             ));
         }
-        let mut bytes = Vec::with_capacity(rows.len());
+        let mut bytes = std::mem::take(&mut self.qbuf);
+        bytes.clear();
+        bytes.reserve(rows.len());
         for row in rows.chunks_exact(self.row_len) {
             let mut err = 0.0f32;
             for chunk in row.chunks(self.block) {
@@ -1085,6 +1052,7 @@ impl Ss3QuantWriter {
             .expect("writer not finished")
             .write_all(&bytes)?;
         self.crc_state = crc32_update(self.crc_state, &bytes);
+        self.qbuf = bytes;
         self.rows_written += n;
         Ok(())
     }
@@ -1174,16 +1142,11 @@ impl Ss3QuantWriter {
         }
 
         // Metadata sections, laid out exactly like the one-shot writer.
-        let mut scales_b = Vec::with_capacity(self.scales.len() * 4);
-        push_f32s_le(&mut scales_b, &self.scales);
-        let mut errs_b = Vec::with_capacity(self.row_errs.len() * 4);
-        push_f32s_le(&mut errs_b, &self.row_errs);
-        let mut ids_b = Vec::with_capacity(escapes.len() * 4);
-        push_u32s_le(&mut ids_b, &escapes);
-        let mut exact_b = Vec::with_capacity(exact_rows.len() * 4);
-        push_f32s_le(&mut exact_b, &exact_rows);
-        let mut fb_b = Vec::with_capacity(mean.len() * 4);
-        push_f32s_le(&mut fb_b, &mean);
+        let scales_b = le::as_bytes(&self.scales);
+        let errs_b = le::as_bytes(&self.row_errs);
+        let ids_b = le::as_bytes(&escapes);
+        let exact_b = le::as_bytes(&exact_rows);
+        let fb_b = le::as_bytes(&mean);
 
         let qdata_len = self.n_rows * row_len as u64;
         let mut sections = vec![Section {

@@ -237,13 +237,29 @@ impl Trainer {
     /// Allocate optimizer state sized to `model`.
     pub fn new(model: &PkgmModel, cfg: TrainConfig) -> Self {
         Self {
-            cfg,
             m_ent: vec![0.0; model.ent.len()],
             v_ent: vec![0.0; model.ent.len()],
             m_rel: vec![0.0; model.rel.len()],
             v_rel: vec![0.0; model.rel.len()],
             m_mat: vec![0.0; model.mats.len()],
             v_mat: vec![0.0; model.mats.len()],
+            ..Self::without_state(cfg)
+        }
+    }
+
+    /// A trainer with no optimizer state allocated: the out-of-core block
+    /// trainer ([`crate::ooc`]) moves a block's paged-in moments and step
+    /// counter into the crate-visible fields instead of zero-filling
+    /// buffers it would overwrite.
+    pub(crate) fn without_state(cfg: TrainConfig) -> Self {
+        Self {
+            cfg,
+            m_ent: Vec::new(),
+            v_ent: Vec::new(),
+            m_rel: Vec::new(),
+            v_rel: Vec::new(),
+            m_mat: Vec::new(),
+            v_mat: Vec::new(),
             t: 0,
             epochs_done: 0,
             kernel: GradKernel::default(),

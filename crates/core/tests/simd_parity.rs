@@ -17,19 +17,26 @@
 //!   across lengths straddling the 32- and 16-byte SIMD steps;
 //! * rayon-sliced `rank_*` fan-out vs the serial reference for slice
 //!   counts 1, 2, 3, 7 and 16 — candidate-range decomposition must be
-//!   invisible in the ranks.
+//!   invisible in the ranks;
+//! * the CRC32 kernels — carry-less-multiply folding, the slice-by-8
+//!   scalar twin and the table-driven bytewise loop — against the
+//!   bit-at-a-time definition, at every length 0..=1024 × 16 start
+//!   alignments (every combination of 64-byte steps, 16-byte blocks and
+//!   tail), on 1 MiB buffers, and chained across every split point; plus
+//!   the fold multipliers re-derived in the unreflected domain.
 //!
 //! When the suite itself runs under `PKGM_FORCE_SCALAR=1` (the CI matrix
 //! leg), `detected()` still names the host's best table — the comparison
 //! is always SIMD-vs-scalar wherever the host has SIMD at all.
 
+use pkgm_core::artifact;
 use pkgm_core::eval_kernels::{
     fused_rank_heads_sliced, fused_rank_relations_sliced, fused_rank_tails_sliced,
     quantized_rank_heads_with_stats_sliced, quantized_rank_relations_with_stats_sliced,
     quantized_rank_tails_with_stats_sliced, reference_rank_heads, reference_rank_relations,
     reference_rank_tails, QuantEvalModel,
 };
-use pkgm_core::simd::{scalar, SimdDispatch, SimdLevel};
+use pkgm_core::simd::{self, scalar, SimdDispatch, SimdLevel};
 use pkgm_core::{PkgmConfig, PkgmModel};
 use pkgm_store::{EntityId, RelationId, StoreBuilder, Triple, TripleStore};
 use proptest::prelude::*;
@@ -353,4 +360,132 @@ fn dispatch_level_is_consistent_with_host() {
     #[cfg(not(target_arch = "x86_64"))]
     assert_eq!(detected.level, SimdLevel::Scalar);
     assert_eq!(SimdDispatch::scalar().level, SimdLevel::Scalar);
+}
+
+// ---------------------------------------------------------------------------
+// CRC32
+// ---------------------------------------------------------------------------
+
+/// The definition: one message bit per step through the reflected IEEE
+/// polynomial. No tables, nothing shared with the kernels under test.
+fn crc32_bitwise(state: u32, bytes: &[u8]) -> u32 {
+    let mut c = state;
+    for &b in bytes {
+        c ^= u32::from(b);
+        for _ in 0..8 {
+            c = if c & 1 != 0 {
+                (c >> 1) ^ 0xEDB8_8320
+            } else {
+                c >> 1
+            };
+        }
+    }
+    c
+}
+
+/// Assert that every CRC kernel maps `(state, bytes)` to `want`.
+fn assert_crc_kernels(state: u32, bytes: &[u8], want: u32, what: &str) {
+    let got = [
+        ("bytewise", scalar::crc32_update_bytewise(state, bytes)),
+        ("slice-by-8", scalar::crc32_update(state, bytes)),
+        (
+            "detected",
+            (SimdDispatch::detected().crc32_update)(state, bytes),
+        ),
+        ("dispatched", simd::crc32_update(state, bytes)),
+        ("artifact", artifact::crc32_update(state, bytes)),
+    ];
+    for (kernel, value) in got {
+        assert_eq!(value, want, "{kernel} kernel, {what}");
+    }
+}
+
+fn random_bytes(seed: u64, n: usize) -> Vec<u8> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    (0..n).map(|_| rng.gen_range(0..=u8::MAX)).collect()
+}
+
+#[test]
+fn crc32_check_value() {
+    assert_eq!(artifact::crc32(b"123456789"), 0xCBF4_3926);
+    assert_eq!(artifact::crc32(b""), 0);
+    assert_crc_kernels(!0, b"123456789", !0xCBF4_3926, "check value");
+}
+
+#[test]
+fn crc32_kernels_match_the_definition_at_every_length_and_alignment() {
+    let buf = random_bytes(0xC4C_0001, 1024 + 32);
+    let base = buf.as_ptr().align_offset(16);
+    for align in 0..16 {
+        for len in 0..=1024usize {
+            let bytes = &buf[base + align..base + align + len];
+            // The fresh state, and a mid-stream one (a nonzero state that
+            // is not all ones exercises the state's entry into the fold).
+            for state in [!0u32, 0x1234_5678 ^ len as u32] {
+                let want = crc32_bitwise(state, bytes);
+                assert_crc_kernels(state, bytes, want, &format!("len {len} align {align}"));
+            }
+        }
+    }
+}
+
+#[test]
+fn crc32_kernels_match_the_definition_on_large_buffers() {
+    for seed in 0..3u64 {
+        // Odd sizes around 1 MiB: many 64-byte steps, then blocks and tail.
+        let buf = random_bytes(0xB16_0000 + seed, (1 << 20) + 16 * seed as usize + 7);
+        assert_crc_kernels(!0, &buf, crc32_bitwise(!0, &buf), "1 MiB buffer");
+        assert_eq!(artifact::crc32(&buf), !crc32_bitwise(!0, &buf));
+    }
+}
+
+#[test]
+fn crc32_update_chains_across_every_split_point() {
+    let buf = random_bytes(0x5711_7000, 4096);
+    let whole = crc32_bitwise(!0, &buf);
+    let tables = [
+        SimdDispatch::scalar(),
+        SimdDispatch::detected(),
+        simd::active(),
+    ];
+    for split in 0..=buf.len() {
+        let (a, b) = buf.split_at(split);
+        for t in tables {
+            let chained = (t.crc32_update)((t.crc32_update)(!0, a), b);
+            assert_eq!(chained, whole, "{} table, split at {split}", t.level.name());
+        }
+    }
+}
+
+/// The fold multipliers are `x^n mod P`. Recompute them in the
+/// *unreflected* domain (polynomial `0x04C11DB7`, shifts go the other
+/// way), reflect, pre-shift — a derivation that shares nothing with
+/// `simd::crc_xpow_mod_p` — and also pin the values the literature
+/// (Gopal et al., Intel 2009) lists for this polynomial.
+#[test]
+fn crc32_fold_keys_are_x_powers_mod_p() {
+    fn xpow_mod_p_unreflected(n: u32) -> u32 {
+        let mut r = 1u32;
+        for _ in 0..n {
+            let carry = r & 0x8000_0000 != 0;
+            r <<= 1;
+            if carry {
+                r ^= 0x04C1_1DB7;
+            }
+        }
+        r
+    }
+    let exponents = [4 * 128 + 32, 4 * 128 - 32, 128 + 32, 128 - 32];
+    for (key, n) in simd::CRC_FOLD_KEYS.iter().zip(exponents) {
+        let want = u64::from(xpow_mod_p_unreflected(n).reverse_bits()) << 1;
+        assert_eq!(*key, want, "x^{n} mod P");
+        assert_eq!(
+            simd::crc_xpow_mod_p(n),
+            xpow_mod_p_unreflected(n).reverse_bits()
+        );
+    }
+    assert_eq!(
+        simd::CRC_FOLD_KEYS,
+        [0x1_5444_2BD4, 0x1_C6E4_1596, 0x1_7519_97D0, 0x0_CCAA_009E]
+    );
 }
