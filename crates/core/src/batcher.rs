@@ -1,14 +1,19 @@
 //! Dynamic request batching with admission control.
 //!
 //! The daemon's connection handlers are thread-per-connection, but the
-//! compute layer is most efficient when lookups arrive in batches (the
-//! rayon batch APIs on [`CachedService`] amortize thread dispatch and use
-//! per-thread scratch). The [`DynamicBatcher`] bridges the two: handlers
-//! [`DynamicBatcher::submit`] their item lists into a bounded queue and
-//! block on a per-request completion slot; a small pool of batch workers
-//! drains the queue, **coalescing whatever is pending** — across
-//! connections — into one `condensed_service_batch` call, then fans the
-//! rows back out to the waiting handlers.
+//! compute layer is most efficient when lookups arrive in batches
+//! ([`CachedService::condensed_rows_into`] fills one buffer per call and
+//! fans live computation out over rayon). The [`DynamicBatcher`] bridges
+//! the two: handlers [`DynamicBatcher::submit`] their item lists into a
+//! bounded queue and block on a per-request completion slot; a small pool
+//! of batch workers drains the queue, **coalescing whatever is pending** —
+//! across connections — into one `condensed_rows_into` call.
+//!
+//! A coalesced batch's rows are **one flat `Vec<f32>`**; each request gets
+//! a [`BatchRows`] view — the shared buffer plus its own range — so fanning
+//! the rows back out allocates nothing per row and a handler encodes its
+//! response straight from the batch buffer. The buffer is freed when the
+//! last request of the batch drops its view.
 //!
 //! Admission control is shed-not-stall: when the queue already holds
 //! `queue_capacity` items, `submit` fails immediately with
@@ -29,6 +34,7 @@
 use crate::protocol::DeadlineStage;
 use crate::serving::CachedService;
 use std::collections::VecDeque;
+use std::ops::{Deref, Range};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -95,7 +101,7 @@ impl std::error::Error for SubmitError {}
 pub enum WaitError {
     /// The request's deadline expired at this pipeline stage.
     DeadlineExceeded(DeadlineStage),
-    /// The batch worker failed the request (shutdown, panic, short batch).
+    /// The batch worker failed the request (shutdown, panic).
     Failed(String),
 }
 
@@ -112,10 +118,27 @@ impl std::fmt::Display for WaitError {
 
 impl std::error::Error for WaitError {}
 
+/// One request's condensed rows: its range of the flat row-major buffer
+/// its coalesced batch filled. Dereferences to the request's floats —
+/// `rows.chunks_exact(2 * dim)` yields its rows in submission order.
+#[derive(Debug, Default)]
+pub struct BatchRows {
+    flat: Arc<Vec<f32>>,
+    range: Range<usize>,
+}
+
+impl Deref for BatchRows {
+    type Target = [f32];
+
+    fn deref(&self) -> &[f32] {
+        &self.flat[self.range.clone()]
+    }
+}
+
 /// Completion state of one submitted request.
 enum SlotState {
     Pending,
-    Done(Vec<Arc<Vec<f32>>>),
+    Done(BatchRows),
     Failed(String),
     /// The deadline expired at this stage; the rows (if any were computed)
     /// were discarded.
@@ -144,13 +167,14 @@ impl std::fmt::Debug for Ticket {
 
 impl Ticket {
     /// Block until a batch worker completes this request. Returns the
-    /// condensed rows in submission order, or a typed [`WaitError`].
+    /// condensed rows in submission order (a view into the batch's shared
+    /// buffer), or a typed [`WaitError`].
     ///
     /// A ticket with a deadline never blocks past it: if no worker has
     /// delivered by then — every worker wedged or dead — the wait returns
     /// `DeadlineExceeded(Queued)` and the eventual delivery (if any) goes
     /// to an abandoned slot.
-    pub fn wait(self) -> Result<Vec<Arc<Vec<f32>>>, WaitError> {
+    pub fn wait(self) -> Result<BatchRows, WaitError> {
         let mut state = lock_recover(&self.slot.state);
         loop {
             match std::mem::replace(&mut *state, SlotState::Pending) {
@@ -324,7 +348,7 @@ impl DynamicBatcher {
             done: Condvar::new(),
         });
         if items.is_empty() {
-            *lock_recover(&slot.state) = SlotState::Done(Vec::new());
+            *lock_recover(&slot.state) = SlotState::Done(BatchRows::default());
             return Ok(Ticket {
                 slot,
                 deadline: None,
@@ -437,23 +461,26 @@ impl DynamicBatcher {
         self.items.fetch_add(ids.len() as u64, Ordering::Relaxed);
         self.max_batch
             .fetch_max(ids.len() as u64, Ordering::Relaxed);
-        let rows = service().condensed_service_batch(&ids);
+        let mut flat = Vec::new();
+        service().condensed_rows_into(&ids, &mut flat);
+        // Queued requests are never empty, so neither is `ids`.
+        let (row_len, flat) = (flat.len() / ids.len(), Arc::new(flat));
         let batch = std::mem::take(&mut guard.batch);
         drop(guard);
         let done = Instant::now();
-        let mut cursor = rows.into_iter();
+        let mut start = 0;
         for p in batch {
-            let took: Vec<Arc<Vec<f32>>> = cursor.by_ref().take(p.items.len()).collect();
-            let state = if took.len() != p.items.len() {
-                SlotState::Failed("batch result shorter than request".into())
-            } else if p.expired(done) {
+            let range = start..start + p.items.len() * row_len;
+            start = range.end;
+            let state = if p.expired(done) {
                 // The rows exist, but the caller's budget ran out while we
                 // computed them: deliver the expiry, not a dead-on-arrival
                 // success.
                 self.expired_executing.fetch_add(1, Ordering::Relaxed);
                 SlotState::Expired(DeadlineStage::Executing)
             } else {
-                SlotState::Done(took)
+                let flat = Arc::clone(&flat);
+                SlotState::Done(BatchRows { flat, range })
             };
             deliver(&p.slot, state);
         }
@@ -564,9 +591,10 @@ mod tests {
         let batcher = Arc::new(DynamicBatcher::new(1024, 64));
         with_worker(&batcher, &svc, || {
             let rows = batcher.submit(vec![0, 3, 7]).unwrap().wait().unwrap();
-            assert_eq!(rows.len(), 3);
-            for (i, id) in [0u32, 3, 7].into_iter().enumerate() {
-                assert_eq!(*rows[i], *svc.condensed_service(EntityId(id)));
+            let row_len = 2 * svc.inner().dim();
+            assert_eq!(rows.len(), 3 * row_len);
+            for (row, id) in rows.chunks_exact(row_len).zip([0u32, 3, 7]) {
+                assert_eq!(row, &svc.condensed_service(EntityId(id))[..]);
             }
         });
     }
@@ -613,8 +641,10 @@ mod tests {
                         for round in 0..50u32 {
                             let ids = vec![(t + round) % 8, (t + round + 1) % 8];
                             let rows = batcher.submit(ids.clone()).unwrap().wait().unwrap();
-                            for (i, &id) in ids.iter().enumerate() {
-                                assert_eq!(*rows[i], *svc.condensed_service(EntityId(id)));
+                            let row_len = 2 * svc.inner().dim();
+                            assert_eq!(rows.len(), ids.len() * row_len);
+                            for (row, &id) in rows.chunks_exact(row_len).zip(&ids) {
+                                assert_eq!(row, &svc.condensed_service(EntityId(id))[..]);
                             }
                         }
                     });
@@ -665,7 +695,7 @@ mod tests {
             // A fresh request forces the worker through the queue; the
             // expired one in front of it must be skipped, not served.
             let rows = batcher.submit(vec![2]).unwrap().wait().unwrap();
-            assert_eq!(rows.len(), 1);
+            assert_eq!(rows.len(), 2 * svc.inner().dim());
         });
         assert_eq!(
             t.wait().unwrap_err(),
@@ -755,7 +785,7 @@ mod tests {
         // A replacement worker serves the still-queued request.
         with_worker(&batcher, &svc, || {
             let rows = t.wait().unwrap();
-            assert_eq!(*rows[0], *svc.condensed_service(EntityId(4)));
+            assert_eq!(&rows[..], &svc.condensed_service(EntityId(4))[..]);
         });
     }
 }

@@ -4,8 +4,10 @@
 //! frame format. Connection handlers never compute service vectors
 //! themselves: lookups go through the [`DynamicBatcher`], which coalesces
 //! concurrent requests — across connections — into single
-//! [`CachedService::condensed_service_batch`] calls executed by a small
-//! pool of batch workers. Admission control sheds (typed `Overloaded`
+//! [`CachedService::condensed_rows_into`] calls executed by a small pool
+//! of batch workers; a handler encodes its response frame straight from
+//! its range of the batch's flat row buffer, so a served row is never
+//! allocated on its own. Admission control sheds (typed `Overloaded`
 //! response) instead of stalling, so an overloaded daemon keeps answering
 //! pings, stats, and reloads.
 //!
@@ -46,8 +48,8 @@ use std::time::{Duration, Instant};
 /// Daemon tuning knobs.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
-    /// Batch worker threads draining the queue (each call fans out over
-    /// rayon internally, so a handful saturates a host).
+    /// Batch worker threads draining the queue (live computation fans out
+    /// over rayon internally, so a handful saturates a host).
     pub workers: usize,
     /// Max items coalesced into one service call.
     pub max_batch_items: usize,
@@ -239,7 +241,7 @@ struct DaemonCounters {
 struct Shared {
     holder: ServiceHolder,
     batcher: DynamicBatcher,
-    /// Master copy used to build each reload's [`CachedService`].
+    /// Builds each reload's [`CachedService`]; clones share the model.
     master: KnowledgeService,
     cfg: DaemonConfig,
     addr: SocketAddr,
@@ -454,12 +456,26 @@ pub struct Daemon {
 impl Daemon {
     /// Bind `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and start
     /// serving `service`, optionally backed by a precomputed `snapshot`.
+    /// A zero `cache_capacity`, `queue_capacity` or `max_batch_items` is
+    /// rejected as `InvalidInput` naming the field.
     pub fn start(
         addr: &str,
         service: KnowledgeService,
         snapshot: Option<ServiceSnapshot>,
         cfg: DaemonConfig,
     ) -> io::Result<Daemon> {
+        for (field, value) in [
+            ("cache_capacity", cfg.cache_capacity),
+            ("queue_capacity", cfg.queue_capacity),
+            ("max_batch_items", cfg.max_batch_items),
+        ] {
+            if value == 0 {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!("daemon config: {field} must be positive"),
+                ));
+            }
+        }
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let cached = match snapshot {
@@ -940,7 +956,9 @@ fn serve_lookup(items: Vec<u32>, deadline: Option<Instant>, shared: &Arc<Shared>
     shared.counters.lookups.fetch_add(1, Ordering::Relaxed);
     match shared.batcher.submit_with_deadline(items, deadline) {
         Ok(ticket) => match ticket.wait() {
-            Ok(rows) => protocol::encode_rows_response(row_len, rows.iter().map(|r| r.as_slice())),
+            Ok(rows) => {
+                protocol::encode_rows_response(row_len, rows.chunks_exact(row_len as usize))
+            }
             Err(WaitError::DeadlineExceeded(stage)) => {
                 protocol::encode_response(&Response::DeadlineExceeded(stage))
             }
@@ -1466,6 +1484,23 @@ mod tests {
                 "reader must sample totals"
             );
         });
+    }
+
+    #[test]
+    fn daemon_rejects_a_zero_capacity_with_a_typed_error_naming_the_field() {
+        for field in ["cache_capacity", "queue_capacity", "max_batch_items"] {
+            let mut cfg = DaemonConfig::default();
+            match field {
+                "cache_capacity" => cfg.cache_capacity = 0,
+                "queue_capacity" => cfg.queue_capacity = 0,
+                _ => cfg.max_batch_items = 0,
+            }
+            let err = Daemon::start("127.0.0.1:0", master(), None, cfg)
+                .err()
+                .unwrap_or_else(|| panic!("zero {field} must be rejected"));
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+            assert!(err.to_string().contains(field), "{err}");
+        }
     }
 
     #[test]

@@ -102,7 +102,7 @@ pub mod snapshot3;
 pub mod trainer;
 
 pub use artifact::{ArtifactError, ArtifactIo, ArtifactKind, StdIo};
-pub use batcher::{BatchStats, DynamicBatcher, SubmitError, WaitError};
+pub use batcher::{BatchRows, BatchStats, DynamicBatcher, SubmitError, WaitError};
 pub use daemon::{ClientError, Daemon, DaemonClient, DaemonConfig, ServiceHolder, ShardRedirect};
 pub use eval::{LinkPredictionReport, RelationExistenceReport};
 pub use eval_kernels::{EvalError, EvalScratch, EvalScratchPool, PruneStats, QuantEvalModel};

@@ -21,6 +21,7 @@ use crate::model::PkgmModel;
 use pkgm_store::{EntityId, KeyRelationSelector, RelationId};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Items per rayon task in the batch entry points: large enough to amortize
 /// thread dispatch, small enough to balance uneven per-item work.
@@ -73,10 +74,15 @@ impl ServiceScratch {
 /// // Completion works even for missing (h, r) pairs.
 /// assert_eq!(service.predict_tail(EntityId(0), pkgm_store::RelationId(1), 3).len(), 3);
 /// ```
+///
+/// Both parts are frozen after pre-training and held behind `Arc`, so
+/// `clone()` is O(1) and every clone shares one copy of the parameters —
+/// the serving daemon builds a new cache generation per snapshot reload
+/// without copying the model.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct KnowledgeService {
-    model: PkgmModel,
-    selector: KeyRelationSelector,
+    model: Arc<PkgmModel>,
+    selector: Arc<KeyRelationSelector>,
 }
 
 impl KnowledgeService {
@@ -89,7 +95,10 @@ impl KnowledgeService {
             model.cfg.relation_module,
             "KnowledgeService requires the relation module (use PkgmConfig::new)"
         );
-        Self { model, selector }
+        Self {
+            model: Arc::new(model),
+            selector: Arc::new(selector),
+        }
     }
 
     /// Number of key relations per item (the paper's k = 10).
@@ -419,5 +428,16 @@ mod tests {
             PkgmConfig::transe(8),
         );
         let _ = KnowledgeService::new(transe, svc.selector().clone());
+    }
+
+    #[test]
+    fn clones_share_the_parameter_storage() {
+        let (_, svc) = setup();
+        let copy = svc.clone();
+        assert!(std::ptr::eq(
+            svc.model().ent(EntityId(0)),
+            copy.model().ent(EntityId(0))
+        ));
+        assert!(std::ptr::eq(svc.selector(), copy.selector()));
     }
 }

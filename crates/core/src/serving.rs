@@ -7,16 +7,41 @@
 //! `O(k·d²)` relation-module matvecs into a hash lookup for hot items.
 //!
 //! The cache is **sharded**: items are distributed over up to
-//! [`MAX_SHARDS`] independent `RwLock`-protected maps keyed by a
-//! multiplicative hash of the item id. Hits take a single shard read lock
-//! (shared, so concurrent readers never serialize); misses compute outside
-//! any lock and take one shard write lock to publish. Counters are relaxed
-//! atomics, so the hot path never contends on a global statistics lock.
+//! [`MAX_SHARDS`] independent `RwLock`-protected shards keyed by a
+//! multiplicative hash of the item id. Counters are atomics, so the hot
+//! path never contends on a global statistics lock.
+//!
+//! Condensed rows — the shape the daemon serves — live in a **slab** per
+//! shard: an `id → slot` index beside one flat `Vec<f32>` holding slot
+//! `s`'s row at `[s·2d, (s+1)·2d)`. A served row costs one probe and two
+//! `memcpy`s and no heap allocation:
+//!
+//! * a **hit** copies the row out of the slab into the caller's buffer
+//!   *under the shard read lock* (shared, so readers never serialize; the
+//!   copy is what makes a concurrent flush unable to tear the row);
+//! * a **miss** the attached snapshot covers reads the snapshot row
+//!   straight into the caller's buffer outside any lock, then takes the
+//!   shard write lock once to publish it (`extend_from_slice`) — flushing
+//!   the shard first when it is full (`index.clear(); rows.clear()`: no
+//!   per-entry free, capacity kept);
+//! * misses the snapshot does **not** cover (no snapshot, or an id outside
+//!   an entity-range shard) need `O(k·d²)` matvecs, so a batch computes
+//!   them together, fanned out over rayon with per-thread scratch, and
+//!   publishes them afterwards. A snapshot row read is tens of
+//!   nanoseconds — not worth a thread — so those are copied inline.
+//!
+//! [`CachedService::condensed_rows_into`] is the one implementation; the
+//! `Arc`-returning [`CachedService::condensed_service`] and
+//! [`CachedService::condensed_service_batch`] are adapters that copy its
+//! rows out into per-row allocations. The daemon must not go through them:
+//! 32–256 `Arc<Vec<f32>>` per batch, allocated on the batch worker and
+//! freed on a connection handler, measured −26 % lookups/s on `serve-hot`
+//! (EXPERIMENTS.md, "Rows without allocations").
 
 use crate::service::{KnowledgeService, ServiceScratch};
 use crate::snapshot::ServiceSnapshot;
 use parking_lot::RwLock;
-use pkgm_store::fxhash::{FxHashMap, FxHashSet};
+use pkgm_store::fxhash::FxHashMap;
 use pkgm_store::EntityId;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -26,7 +51,7 @@ use std::sync::Arc;
 /// holds a useful number of entries.
 pub const MAX_SHARDS: usize = 16;
 
-/// Items per rayon task when computing batch misses.
+/// Items per rayon task when computing a batch's live misses.
 const MISS_CHUNK: usize = 32;
 
 /// Cache statistics.
@@ -84,14 +109,33 @@ impl std::ops::AddAssign for CacheStats {
 
 /// A cached sequence service (`2k` vectors) behind a shared pointer.
 type SequenceVectors = Arc<Vec<Vec<f32>>>;
-/// A cached condensed service (one `2d` vector) behind a shared pointer.
-type CondensedVector = Arc<Vec<f32>>;
 
-/// One cache shard: independent maps per service shape.
+/// One shard's cached condensed rows. Invariant: `index` holds the slots
+/// `0..index.len()` and `rows.len() == index.len() * 2d`; slot `s`'s row is
+/// `rows[s * 2d..(s + 1) * 2d]`. Grows on demand, never pre-sized.
+#[derive(Default)]
+struct CondensedSlab {
+    index: FxHashMap<u32, u32>,
+    rows: Vec<f32>,
+}
+
+impl CondensedSlab {
+    /// Copy `key`'s row into `out` (one `2d` row); `false` if not cached.
+    fn copy_row(&self, key: u32, out: &mut [f32]) -> bool {
+        let Some(&slot) = self.index.get(&key) else {
+            return false;
+        };
+        let at = slot as usize * out.len();
+        out.copy_from_slice(&self.rows[at..at + out.len()]);
+        true
+    }
+}
+
+/// One cache shard: independent storage per service shape.
 #[derive(Default)]
 struct Shard {
     sequences: RwLock<FxHashMap<u32, SequenceVectors>>,
-    condensed: RwLock<FxHashMap<u32, CondensedVector>>,
+    condensed: RwLock<CondensedSlab>,
 }
 
 /// A memoizing, thread-safe wrapper around [`KnowledgeService`].
@@ -111,9 +155,9 @@ pub struct CachedService {
     shards: Vec<Shard>,
     /// Capacity bound applied independently to each shard (per shape).
     shard_capacity: usize,
-    /// Shared zero fallbacks, returned (not cached) for degraded requests.
+    /// Shared zero fallback, returned (not cached) for degraded sequence
+    /// requests; degraded condensed rows are zero-filled in place.
     fallback_sequence: SequenceVectors,
-    fallback_condensed: CondensedVector,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -136,7 +180,6 @@ impl CachedService {
             shards: (0..n_shards).map(|_| Shard::default()).collect(),
             shard_capacity: capacity / n_shards,
             fallback_sequence: Arc::new(vec![vec![0.0; d]; 2 * k]),
-            fallback_condensed: Arc::new(vec![0.0; 2 * d]),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -171,18 +214,6 @@ impl CachedService {
     /// The attached condensed-table snapshot, if any.
     pub fn snapshot(&self) -> Option<&ServiceSnapshot> {
         self.snapshot.as_ref()
-    }
-
-    /// Serve a condensed miss from the attached snapshot when it covers
-    /// `id` (shard-aware); `false` means the caller must compute live.
-    fn snapshot_condensed_into(&self, id: u32, out: &mut Vec<f32>) -> bool {
-        match &self.snapshot {
-            Some(snap) if snap.covers(id) => {
-                snap.lookup_exact(EntityId(id), out);
-                true
-            }
-            _ => false,
-        }
     }
 
     /// Number of shards the cache was built with.
@@ -235,160 +266,131 @@ impl CachedService {
         fresh
     }
 
-    /// Cached condensed service (`2d` vector, Fig. 3 shape).
+    /// Cached condensed services (`2d` vectors, Fig. 3 shape) for a batch,
+    /// written as `items.len()` consecutive rows into `out` (cleared first)
+    /// — the single implementation behind every condensed entry point; see
+    /// the module docs for the per-row cost and lock discipline.
     ///
-    /// Unknown or out-of-range items return a shared all-zero fallback and
-    /// increment [`CacheStats::degraded`].
-    pub fn condensed_service(&self, item: EntityId) -> Arc<Vec<f32>> {
-        if self.is_degraded(item) {
-            self.degraded.fetch_add(1, Ordering::Release);
-            return Arc::clone(&self.fallback_condensed);
-        }
-        let shard = self.shard_of(item.0);
-        if let Some(hit) = shard.condensed.read().get(&item.0) {
-            self.hits.fetch_add(1, Ordering::Release);
-            return Arc::clone(hit);
-        }
-        self.misses.fetch_add(1, Ordering::Release);
-        let mut v = Vec::new();
-        let fresh = if self.snapshot_condensed_into(item.0, &mut v) {
-            Arc::new(v)
-        } else {
-            Arc::new(self.inner.condensed_service(item))
-        };
-        self.publish_condensed(item.0, &fresh);
-        fresh
-    }
-
-    fn publish_condensed(&self, key: u32, value: &Arc<Vec<f32>>) {
-        let mut map = self.shard_of(key).condensed.write();
-        if !map.contains_key(&key) && map.len() >= self.shard_capacity {
-            self.evictions
-                .fetch_add(map.len() as u64, Ordering::Release);
-            map.clear();
-        }
-        map.insert(key, Arc::clone(value));
-    }
-
-    /// Cached sequence services for a batch, order preserved. Hits resolve
-    /// with shard read locks; unique misses are computed in parallel, then
-    /// published.
-    pub fn sequence_service_batch(&self, items: &[EntityId]) -> Vec<Arc<Vec<Vec<f32>>>> {
-        let mut out: Vec<Option<Arc<Vec<Vec<f32>>>>> = Vec::with_capacity(items.len());
-        let mut missing: Vec<u32> = Vec::new();
-        let mut seen = FxHashSet::default();
-        for &item in items {
+    /// Unknown or out-of-range items get an all-zero row and increment
+    /// [`CacheStats::degraded`]. Items are resolved in order, each probe
+    /// seeing the rows published before it, so an id repeated within one
+    /// batch is one miss followed by hits.
+    pub fn condensed_rows_into(&self, items: &[EntityId], out: &mut Vec<f32>) {
+        let row_len = 2 * self.inner.dim();
+        out.clear();
+        out.resize(items.len() * row_len, 0.0);
+        let snapshot = self.snapshot.as_ref();
+        // (id, position) of the misses that must be computed live.
+        let mut live: Vec<(u32, usize)> = Vec::new();
+        for (pos, (&item, row)) in items.iter().zip(out.chunks_exact_mut(row_len)).enumerate() {
             if self.is_degraded(item) {
                 self.degraded.fetch_add(1, Ordering::Release);
-                out.push(Some(Arc::clone(&self.fallback_sequence)));
-                continue;
-            }
-            let shard = self.shard_of(item.0);
-            match shard.sequences.read().get(&item.0) {
-                Some(hit) => {
-                    self.hits.fetch_add(1, Ordering::Release);
-                    out.push(Some(Arc::clone(hit)));
-                }
-                None => {
-                    self.misses.fetch_add(1, Ordering::Release);
-                    out.push(None);
-                    if seen.insert(item.0) {
-                        missing.push(item.0);
-                    }
-                }
+            } else if self.shard_of(item.0).condensed.read().copy_row(item.0, row) {
+                self.hits.fetch_add(1, Ordering::Release);
+            } else if snapshot.is_some_and(|s| s.row_into(item, row)) {
+                self.misses.fetch_add(1, Ordering::Release);
+                self.publish_condensed(item.0, row);
+            } else {
+                // Not counted yet: by the time the batch's live rows are
+                // published an earlier repeat may have turned this one
+                // into a hit.
+                live.push((item.0, pos));
             }
         }
-        if !missing.is_empty() {
-            let computed = self.compute_sequences(&missing);
-            return fill_batch(out, items, &computed);
+        if !live.is_empty() {
+            self.compute_live(&live, out);
         }
-        out.into_iter()
-            .map(|s| s.expect("all slots resolved"))
+    }
+
+    /// Compute the distinct ids of `live` in parallel with per-thread
+    /// scratch, copy each row to its positions in `out`, and publish. The
+    /// first occurrence of an id counts as the miss; a repeat (or a row
+    /// another thread published meanwhile) counts as a hit.
+    fn compute_live(&self, live: &[(u32, usize)], out: &mut [f32]) {
+        let d = self.inner.dim();
+        let row_len = 2 * d;
+        let mut ids: Vec<u32> = live.iter().map(|&(id, _)| id).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        let mut fresh = vec![0.0f32; ids.len() * row_len];
+        fresh
+            .par_chunks_mut(row_len * MISS_CHUNK)
+            .enumerate()
+            .for_each(|(c, block)| {
+                let mut scratch = ServiceScratch::new(d);
+                let chunk_ids = &ids[c * MISS_CHUNK..];
+                for (&id, row) in chunk_ids.iter().zip(block.chunks_exact_mut(row_len)) {
+                    self.inner
+                        .condensed_service_into(EntityId(id), &mut scratch, row);
+                }
+            });
+        for &(id, pos) in live {
+            let at = ids.binary_search(&id).expect("every live id was collected") * row_len;
+            let row = &fresh[at..at + row_len];
+            out[pos * row_len..(pos + 1) * row_len].copy_from_slice(row);
+            let counter = if self.publish_condensed(id, row) {
+                &self.misses
+            } else {
+                &self.hits
+            };
+            counter.fetch_add(1, Ordering::Release);
+        }
+    }
+
+    /// Append `row` to `key`'s shard under its write lock, flushing the
+    /// shard first when it is full. Returns `false` (nothing changed) when
+    /// the key is already cached — a concurrent miss published it first.
+    fn publish_condensed(&self, key: u32, row: &[f32]) -> bool {
+        let mut slab = self.shard_of(key).condensed.write();
+        if slab.index.contains_key(&key) {
+            return false;
+        }
+        if slab.index.len() >= self.shard_capacity {
+            self.evictions
+                .fetch_add(slab.index.len() as u64, Ordering::Release);
+            slab.index.clear();
+            slab.rows.clear();
+        }
+        let slot = slab.index.len() as u32;
+        slab.index.insert(key, slot);
+        slab.rows.extend_from_slice(row);
+        true
+    }
+
+    /// [`CachedService::condensed_rows_into`] for one item, copied into its
+    /// own allocation.
+    pub fn condensed_service(&self, item: EntityId) -> Arc<Vec<f32>> {
+        let mut row = Vec::new();
+        self.condensed_rows_into(&[item], &mut row);
+        Arc::new(row)
+    }
+
+    /// [`CachedService::condensed_rows_into`] with every row copied into
+    /// its own allocation, order preserved. Allocates per row — batch
+    /// consumers on a hot path should take the flat rows instead.
+    pub fn condensed_service_batch(&self, items: &[EntityId]) -> Vec<Arc<Vec<f32>>> {
+        let mut flat = Vec::new();
+        self.condensed_rows_into(items, &mut flat);
+        flat.chunks_exact(2 * self.inner.dim())
+            .map(|row| Arc::new(row.to_vec()))
             .collect()
     }
 
-    fn compute_sequences(&self, missing: &[u32]) -> FxHashMap<u32, SequenceVectors> {
-        let fresh: Vec<Vec<(u32, SequenceVectors)>> = missing
+    /// Cached sequence services for a batch, order preserved: the per-item
+    /// path fanned out over rayon.
+    pub fn sequence_service_batch(&self, items: &[EntityId]) -> Vec<Arc<Vec<Vec<f32>>>> {
+        items
             .par_chunks(MISS_CHUNK)
             .map(|chunk| {
                 chunk
                     .iter()
-                    .map(|&id| (id, Arc::new(self.inner.sequence_service(EntityId(id)))))
+                    .map(|&item| self.sequence_service(item))
                     .collect::<Vec<_>>()
             })
-            .collect();
-        let mut computed = FxHashMap::default();
-        for (id, value) in fresh.into_iter().flatten() {
-            let mut map = self.shard_of(id).sequences.write();
-            if !map.contains_key(&id) && map.len() >= self.shard_capacity {
-                self.evictions
-                    .fetch_add(map.len() as u64, Ordering::Release);
-                map.clear();
-            }
-            map.insert(id, Arc::clone(&value));
-            drop(map);
-            computed.insert(id, value);
-        }
-        computed
-    }
-
-    /// Cached condensed services for a batch, order preserved. Unique misses
-    /// are computed in parallel with per-thread scratch buffers.
-    pub fn condensed_service_batch(&self, items: &[EntityId]) -> Vec<Arc<Vec<f32>>> {
-        let mut out: Vec<Option<Arc<Vec<f32>>>> = Vec::with_capacity(items.len());
-        let mut missing: Vec<u32> = Vec::new();
-        let mut seen = FxHashSet::default();
-        for &item in items {
-            if self.is_degraded(item) {
-                self.degraded.fetch_add(1, Ordering::Release);
-                out.push(Some(Arc::clone(&self.fallback_condensed)));
-                continue;
-            }
-            let shard = self.shard_of(item.0);
-            match shard.condensed.read().get(&item.0) {
-                Some(hit) => {
-                    self.hits.fetch_add(1, Ordering::Release);
-                    out.push(Some(Arc::clone(hit)));
-                }
-                None => {
-                    self.misses.fetch_add(1, Ordering::Release);
-                    out.push(None);
-                    if seen.insert(item.0) {
-                        missing.push(item.0);
-                    }
-                }
-            }
-        }
-        if missing.is_empty() {
-            return out
-                .into_iter()
-                .map(|s| s.expect("all slots resolved"))
-                .collect();
-        }
-        let d = self.inner.dim();
-        let fresh: Vec<Vec<(u32, CondensedVector)>> = missing
-            .par_chunks(MISS_CHUNK)
-            .map(|chunk| {
-                let mut scratch = ServiceScratch::new(d);
-                chunk
-                    .iter()
-                    .map(|&id| {
-                        let mut v = vec![0.0f32; 2 * d];
-                        if !self.snapshot_condensed_into(id, &mut v) {
-                            self.inner
-                                .condensed_service_into(EntityId(id), &mut scratch, &mut v);
-                        }
-                        (id, Arc::new(v))
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        let mut computed = FxHashMap::default();
-        for (id, value) in fresh.into_iter().flatten() {
-            self.publish_condensed(id, &value);
-            computed.insert(id, value);
-        }
-        fill_batch(out, items, &computed)
+            .collect::<Vec<_>>()
+            .into_iter()
+            .flatten()
+            .collect()
     }
 
     /// Snapshot of hit/miss/eviction/degraded counters.
@@ -410,36 +412,22 @@ impl CachedService {
     }
 }
 
-/// Resolve remaining `None` slots from the freshly computed map.
-fn fill_batch<T>(
-    slots: Vec<Option<Arc<T>>>,
-    items: &[EntityId],
-    computed: &FxHashMap<u32, Arc<T>>,
-) -> Vec<Arc<T>> {
-    slots
-        .into_iter()
-        .zip(items)
-        .map(|(slot, item)| match slot {
-            Some(v) => v,
-            None => Arc::clone(&computed[&item.0]),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::{PkgmConfig, PkgmModel};
     use pkgm_store::{KeyRelationSelector, StoreBuilder};
 
-    fn service() -> KnowledgeService {
+    /// Items `0..n`, then three value entities (in the embedding table,
+    /// never registered as items: degraded).
+    fn service_n(n: u32) -> KnowledgeService {
         let mut b = StoreBuilder::new();
-        for i in 0..8u32 {
-            b.add_raw(i, 0, 8 + i % 2);
-            b.add_raw(i, 1, 10);
+        for i in 0..n {
+            b.add_raw(i, 0, n + i % 2);
+            b.add_raw(i, 1, n + 2);
         }
         let store = b.build();
-        let pairs: Vec<(EntityId, u32)> = (0..8).map(|i| (EntityId(i), 0)).collect();
+        let pairs: Vec<(EntityId, u32)> = (0..n).map(|i| (EntityId(i), 0)).collect();
         let sel = KeyRelationSelector::build(&store, &pairs, 1, 2);
         let model = PkgmModel::new(
             store.n_entities() as usize,
@@ -447,6 +435,14 @@ mod tests {
             PkgmConfig::new(8).with_seed(1),
         );
         KnowledgeService::new(model, sel)
+    }
+
+    fn service() -> KnowledgeService {
+        service_n(8)
+    }
+
+    fn bits(row: &[f32]) -> Vec<u32> {
+        row.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]
@@ -518,11 +514,10 @@ mod tests {
             assert_eq!(*cond[i], cached.inner().condensed_service(item));
             assert_eq!(*seq[i], cached.inner().sequence_service(item));
         }
+        // Each shape saw 16 requests over 8 unique ids: the first
+        // occurrence of an id is the miss, its repeat in the batch a hit.
         let stats = cached.stats();
-        // Each shape saw 16 requests over 8 unique ids; duplicates within one
-        // batch resolve from the computed set, counted as misses.
-        assert_eq!(stats.hits + stats.misses, 32);
-        assert!(stats.misses >= 16);
+        assert_eq!((stats.hits, stats.misses), (16, 16));
         // A second batch is all hits.
         let before = cached.stats().hits;
         cached.condensed_service_batch(&items);
@@ -648,5 +643,236 @@ mod tests {
         let stats = cached.stats();
         assert!(stats.hits > 0, "stress run should hit the cache: {stats:?}");
         assert!(stats.misses > 0);
+    }
+    /// The documented cache, item by item: probe the id's shard; on a miss
+    /// flush the shard if it is full, then insert.
+    struct FlushSim {
+        shards: Vec<Vec<u32>>,
+        shard_capacity: usize,
+        stats: CacheStats,
+    }
+
+    impl FlushSim {
+        fn new(capacity: usize) -> Self {
+            let n_shards = (capacity / 4).clamp(1, MAX_SHARDS);
+            Self {
+                shards: vec![Vec::new(); n_shards],
+                shard_capacity: capacity / n_shards,
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn request(&mut self, id: u32, degraded: bool) {
+            if degraded {
+                self.stats.degraded += 1;
+                return;
+            }
+            let n_shards = self.shards.len();
+            let shard = &mut self.shards[(id.wrapping_mul(0x9E37_79B1) >> 16) as usize % n_shards];
+            if shard.contains(&id) {
+                self.stats.hits += 1;
+                return;
+            }
+            self.stats.misses += 1;
+            if shard.len() >= self.shard_capacity {
+                self.stats.evictions += shard.len() as u64;
+                shard.clear();
+            }
+            shard.push(id);
+        }
+    }
+
+    #[test]
+    fn counters_follow_the_reference_flush_cache_batch_by_batch() {
+        const N: u32 = 96;
+        let svc = service_n(N);
+        let snap = ServiceSnapshot::build(&svc);
+        let cached = CachedService::with_snapshot(svc, 24, snap);
+        let mut sim = FlushSim::new(24);
+        assert_eq!(cached.n_shards(), sim.shards.len());
+        let (mut state, mut out) = (7u32, Vec::new());
+        for _ in 0..400 {
+            // 16 distinct ids per batch: a stride walk modulo a prime that
+            // also reaches value entities (96..99) and ids past the table.
+            state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            let (start, stride) = (state >> 8, 1 + (state >> 20) % 100);
+            let items: Vec<EntityId> = (0..16)
+                .map(|j| EntityId((start + j * stride) % 101))
+                .collect();
+            cached.condensed_rows_into(&items, &mut out);
+            for item in &items {
+                sim.request(item.0, item.0 >= N);
+            }
+            assert_eq!(cached.stats(), sim.stats);
+        }
+        let stats = cached.stats();
+        assert!(stats.hits > 0 && stats.evictions > 0 && stats.degraded > 0);
+    }
+
+    #[test]
+    fn a_repeat_within_one_batch_is_one_miss_then_hits() {
+        let svc = service();
+        let snap = ServiceSnapshot::build(&svc);
+        let items = [5, 5, 7, 5].map(EntityId);
+        for cached in [
+            CachedService::with_snapshot(svc.clone(), 16, snap),
+            CachedService::new(svc, 16),
+        ] {
+            let rows = cached.condensed_service_batch(&items);
+            assert_eq!(rows[0], rows[1]);
+            assert_eq!(rows[0], rows[3]);
+            let stats = cached.stats();
+            assert_eq!((stats.misses, stats.hits), (2, 2));
+        }
+    }
+
+    /// Every condensed entry point — the flat rows (as misses, then as
+    /// hits), both `Arc` adapters and a batcher ticket — serves `ids` with
+    /// exactly `expect`'s bits.
+    fn assert_every_path_serves(
+        cached: CachedService,
+        ids: &[u32],
+        expect: impl Fn(u32) -> Vec<f32>,
+    ) {
+        let cached = Arc::new(cached);
+        let row_len = 2 * cached.inner().dim();
+        let items: Vec<EntityId> = ids.iter().map(|&i| EntityId(i)).collect();
+        let want: Vec<u32> = ids.iter().flat_map(|&i| bits(&expect(i))).collect();
+        let mut flat = Vec::new();
+        for pass in ["misses", "hits"] {
+            cached.condensed_rows_into(&items, &mut flat);
+            assert_eq!(bits(&flat), want, "condensed_rows_into ({pass})");
+        }
+        let batch = cached.condensed_service_batch(&items);
+        assert_eq!(batch.len(), ids.len());
+        for (i, &item) in items.iter().enumerate() {
+            let one = &want[i * row_len..(i + 1) * row_len];
+            assert_eq!(bits(&batch[i]), one, "condensed_service_batch");
+            assert_eq!(
+                bits(&cached.condensed_service(item)),
+                one,
+                "condensed_service"
+            );
+        }
+        let batcher = crate::batcher::DynamicBatcher::new(1024, 64);
+        std::thread::scope(|s| {
+            s.spawn(|| batcher.run_worker(|| Arc::clone(&cached)));
+            let rows = batcher.submit(ids.to_vec()).unwrap().wait().unwrap();
+            batcher.stop();
+            assert_eq!(bits(&rows), want, "Ticket::wait");
+        });
+    }
+
+    #[test]
+    fn every_path_serves_the_snapshot_row_bits_for_every_backing() {
+        use crate::snapshot::{ShardSpec, SnapshotBacking};
+        let svc = service_n(200);
+        let dense = ServiceSnapshot::build(&svc);
+        let exact = |snap: &ServiceSnapshot, id: u32| {
+            let mut row = Vec::new();
+            assert!(snap.lookup_exact(EntityId(id), &mut row));
+            row
+        };
+        let ids = [0, 199, 17, 17, 64];
+        // Dense, resident.
+        let cached = CachedService::with_snapshot(svc.clone(), 16, dense.clone());
+        assert_every_path_serves(cached, &ids, |id| exact(&dense, id));
+        // Dense, mapped PKGMSS3.
+        let path = std::env::temp_dir().join(format!("pkgm-serving-{}.ss3", std::process::id()));
+        crate::serialize::write_snapshot_ss3_file(&crate::StdIo, &path, &dense).unwrap();
+        let mapped = crate::serialize::open_snapshot_file(&path).unwrap();
+        assert_eq!(mapped.backing(), SnapshotBacking::Mapped);
+        let cached = CachedService::with_snapshot(svc.clone(), 16, mapped.clone());
+        assert_every_path_serves(cached, &ids, |id| exact(&mapped, id));
+        drop(mapped);
+        std::fs::remove_file(&path).unwrap();
+        // Quantized: a verbatim escape row and dequantized rows.
+        let (escape, plain) = (17u32, 18u32);
+        let table = dense.dense_table().expect("dense snapshot");
+        let row_len = 2 * svc.dim();
+        let quant = ServiceSnapshot::from_quantized_parts(
+            svc.dim(),
+            svc.k(),
+            crate::quant::QuantTable::quantize_table(table, row_len),
+            vec![escape],
+            table[escape as usize * row_len..][..row_len].to_vec(),
+        )
+        .unwrap();
+        assert_eq!(bits(&exact(&quant, escape)), bits(&exact(&dense, escape)));
+        assert_ne!(bits(&exact(&quant, plain)), bits(&exact(&dense, plain)));
+        let cached = CachedService::with_snapshot(svc.clone(), 16, quant.clone());
+        assert_every_path_serves(cached, &[escape, plain, 3, escape], |id| exact(&quant, id));
+        // Entity-range shard: covered ids are snapshot rows, the rest are
+        // computed live (the same bits `build` stored in the whole table).
+        let spec = ShardSpec {
+            n_shards: 2,
+            shard_id: 1,
+            row_start: 100,
+        };
+        let shard = dense.shard_slice(spec, 100).unwrap();
+        let cached = CachedService::with_snapshot(svc.clone(), 16, shard.clone());
+        let mixed = [150, 3, 100, 99, 3, 199];
+        assert_every_path_serves(cached, &mixed, |id| {
+            if shard.covers(id) {
+                exact(&shard, id)
+            } else {
+                svc.condensed_service(EntityId(id))
+            }
+        });
+        for id in mixed {
+            assert_eq!(
+                bits(&exact(&dense, id)),
+                bits(&svc.condensed_service(EntityId(id)))
+            );
+        }
+        // Unknown (a value entity) and out-of-range ids: the all-zero
+        // fallback, counted as degraded, never cached.
+        let cached = CachedService::with_snapshot(svc.clone(), 16, dense.clone());
+        let d = svc.dim();
+        cached.condensed_service_batch(&[200, u32::MAX, 5].map(EntityId));
+        assert_eq!(cached.stats().degraded, 2);
+        assert_every_path_serves(cached, &[200, 5, u32::MAX], |id| {
+            if id == 5 {
+                exact(&dense, 5)
+            } else {
+                vec![0.0; 2 * d]
+            }
+        });
+    }
+
+    #[test]
+    fn no_row_is_torn_across_a_flush() {
+        // 4 readers × 12 500 batches over a 64-entry cache in front of a
+        // 200-row table: shards flush constantly while other threads copy
+        // rows out of them.
+        let svc = service_n(200);
+        let snap = ServiceSnapshot::build(&svc);
+        let cached = CachedService::with_snapshot(svc, 64, snap.clone());
+        let table = snap.dense_table().expect("dense snapshot");
+        let row_len = 2 * snap.dim();
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for t in 0..4u32 {
+                let (cached, start) = (&cached, &start);
+                s.spawn(move || {
+                    let (mut state, mut out) = (t + 1, Vec::new());
+                    start.wait();
+                    for _ in 0..12_500 {
+                        state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                        let items: Vec<EntityId> = (0..8)
+                            .map(|j| EntityId(((state >> 8) + j * 37) % 200))
+                            .collect();
+                        cached.condensed_rows_into(&items, &mut out);
+                        for (item, row) in items.iter().zip(out.chunks_exact(row_len)) {
+                            let at = item.0 as usize * row_len;
+                            assert_eq!(bits(row), bits(&table[at..at + row_len]));
+                        }
+                    }
+                });
+            }
+        });
+        let stats = cached.stats();
+        assert_eq!(stats.total_requests(), 4 * 12_500 * 8);
+        assert!(stats.hits > 0 && stats.evictions > 0, "{stats:?}");
     }
 }

@@ -588,8 +588,17 @@ impl ServiceSnapshot {
     /// a pure function of the snapshot's stored parts, so a `PKGMSS2`
     /// round-trip reproduces them bit-for-bit.
     pub fn lookup_exact(&self, item: EntityId, out: &mut Vec<f32>) -> bool {
+        out.resize(2 * self.dim, 0.0);
+        self.row_into(item, out)
+    }
+
+    /// [`ServiceSnapshot::lookup_exact`] into a caller-owned `2d` slice —
+    /// the serving cache reads rows straight into a batch's result buffer.
+    ///
+    /// # Panics
+    /// If `out.len() != 2 * self.dim()`.
+    pub fn row_into(&self, item: EntityId, out: &mut [f32]) -> bool {
         let row_len = 2 * self.dim;
-        out.resize(row_len, 0.0);
         let id = match self.local_row(item.0) {
             Some(local) => local,
             None => {

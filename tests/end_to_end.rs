@@ -87,6 +87,68 @@ fn service_roundtrips_through_binary_snapshot() {
 }
 
 #[test]
+fn trained_table_is_served_bit_exact_through_a_mapped_daemon() {
+    use pkgm::core::{Daemon, DaemonClient, DaemonConfig, SnapshotBacking, StdIo};
+    let catalog = Catalog::generate(&CatalogConfig::tiny(8));
+    let train_cfg = TrainConfig {
+        epochs: 2,
+        ..quick_train_cfg()
+    };
+    let service = pkgm::pretrain(&catalog, PkgmConfig::new(8).with_seed(8), train_cfg, 3);
+    let path = std::env::temp_dir().join(format!("pkgm-e2e-{}.pkgmss3", std::process::id()));
+    serialize::write_snapshot_ss3_file(&StdIo, &path, &ServiceSnapshot::build(&service))
+        .expect("write snapshot");
+    let table = serialize::open_snapshot_file(&path).expect("open snapshot");
+    assert_eq!(table.backing(), SnapshotBacking::Mapped);
+
+    let cfg = DaemonConfig {
+        cache_capacity: 16,
+        ..DaemonConfig::default()
+    };
+    let daemon = Daemon::start("127.0.0.1:0", service, Some(table.clone()), cfg).expect("start");
+    let mut client = DaemonClient::connect(&daemon.local_addr().to_string()).expect("connect");
+
+    // A repeated id, an id past the table, enough distinct ids to flush
+    // every shard of the 16-entry cache, then ids the flush evicted.
+    let past = table.n_rows() as u32 + 5;
+    let sweep: Vec<u32> = (0..catalog.n_items() as u32).collect();
+    let batches = [vec![0, 1, 2, 1, 0], vec![3, past, 4], sweep, vec![0, 1, 2]];
+    let bits = |r: &[f32]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let (mut sent, mut want) = (0, Vec::new());
+    for items in &batches {
+        let rows = client.lookup(items).expect("lookup");
+        assert_eq!(rows.len(), items.len());
+        for (&id, row) in items.iter().zip(&rows) {
+            // Past the table the daemon serves the documented all-zero row.
+            if !table.lookup_exact(EntityId(id), &mut want) {
+                want.fill(0.0);
+            }
+            assert_eq!(bits(row), bits(&want), "row of id {id}");
+        }
+        sent += items.len() as u64;
+    }
+    let stats = client.stats().expect("stats");
+    let cache = |name: &str| {
+        let counter = stats.get("cache").and_then(|c| c.get(name));
+        counter.and_then(|v| v.as_u64()).expect("cache counter")
+    };
+    assert_eq!(cache("hits") + cache("misses") + cache("degraded"), sent);
+    assert_eq!(cache("degraded"), 1);
+    assert!(
+        cache("hits") >= 2,
+        "the repeats in the first batch are hits"
+    );
+    assert!(
+        cache("evictions") > 0,
+        "60 distinct ids must flush 16 entries"
+    );
+
+    client.shutdown().expect("shutdown");
+    daemon.wait();
+    std::fs::remove_file(&path).expect("remove snapshot");
+}
+
+#[test]
 fn same_product_items_get_similar_service_vectors() {
     // Items of the same product share attribute values, so their condensed
     // triple-service vectors should be closer than cross-product pairs.
