@@ -22,9 +22,7 @@
 
 pub mod ablations;
 pub mod figures;
-pub mod report;
 pub mod scale;
-pub mod simd_bench;
 pub mod tables;
 pub mod world;
 

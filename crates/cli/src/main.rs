@@ -32,7 +32,6 @@
 //! pkgm router route  --addrs a:1,b:2 --items 0,1,2   # split/merge, bit-identical
 //! pkgm router map    --addrs a:1,b:2                 # assembled shard topology
 //! pkgm router supervise --snapshot base --service svc.bin [--items 0,1]
-//! pkgm bench-qps  --preset tiny [--clients 4] [--requests 300] [--out qps.json]
 //! ```
 //!
 //! All artifacts are written atomically (temp file + fsync + rename) inside a
@@ -44,9 +43,9 @@ mod args;
 use args::Args;
 use pkgm_core::{
     eval, fault, load_latest_checkpoint, serialize, CheckpointConfig, Daemon, DaemonClient,
-    DaemonConfig, GradKernel, KnowledgeService, OocConfig, OocReport, OocTrainer, PkgmConfig,
-    PkgmModel, RetryPolicy, ServiceSnapshot, ShardRouter, StdIo, Supervisor, SyntheticTriples,
-    TrainConfig, Trainer, TripleSource,
+    DaemonConfig, KnowledgeService, OocConfig, OocReport, OocTrainer, PkgmConfig, PkgmModel,
+    RetryPolicy, ServiceSnapshot, ShardRouter, StdIo, Supervisor, SyntheticTriples, TrainConfig,
+    Trainer, TripleSource,
 };
 use pkgm_store::{EntityId, KgStats};
 use pkgm_synth::{Catalog, CatalogConfig};
@@ -91,9 +90,6 @@ fn run(argv: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
         "eval" => evaluate(&args),
         "faultcheck" => faultcheck(&args),
         "netcheck" => netcheck(&args),
-        "bench-train" => bench_train(&args),
-        "bench-eval" => bench_eval(&args),
-        "bench-qps" => bench_qps(&args),
         "simd" => simd_info(),
         other => Err(format!("unknown subcommand: {other}").into()),
     }
@@ -721,384 +717,6 @@ fn run_ooc<S: TripleSource + ?Sized>(
     Ok(report)
 }
 
-/// Quick before/after training-throughput check: one timed run per gradient
-/// kernel over the same catalog, same seeds, same corruption streams.
-fn bench_train(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
-    let catalog = catalog_from(args)?;
-    let seed: u64 = args.get_or("seed", 42)?;
-    let dim: usize = args.get_or("dim", 64)?;
-    let epochs: usize = args.get_or("epochs", 1)?;
-    let negatives: usize = args.get_or("negatives", 1)?;
-    let parallel: bool = args.get_or("parallel", false)?;
-
-    let mut rows = Vec::new();
-    let mut rates = Vec::new();
-    println!("| kernel | pairs | wall (s) | pairs/sec |");
-    println!("|---|---|---|---|");
-    for kernel in [GradKernel::Baseline, GradKernel::Fused] {
-        let mut model = PkgmModel::new(
-            catalog.store.n_entities() as usize,
-            catalog.store.n_relations() as usize,
-            PkgmConfig::new(dim).with_seed(seed),
-        );
-        let cfg = TrainConfig {
-            epochs,
-            negatives,
-            seed,
-            parallel,
-            chunk_size: args.get("chunk-size").map(str::parse).transpose()?,
-            ..TrainConfig::default()
-        };
-        let mut trainer = Trainer::new(&model, cfg);
-        trainer.set_kernel(kernel);
-        let name = match kernel {
-            GradKernel::Fused => "fused",
-            GradKernel::Baseline => "baseline",
-        };
-        let start = std::time::Instant::now();
-        let mut pairs = 0usize;
-        for epoch in 0..epochs {
-            pairs += trainer
-                .train_epoch(&mut model, &catalog.store, epoch as u64)
-                .pairs;
-        }
-        let wall = start.elapsed().as_secs_f64();
-        let pps = pairs as f64 / wall;
-        println!("| {name} | {pairs} | {wall:.3} | {pps:.0} |");
-        rows.push(serde_json::json!({
-            "kernel": name,
-            "pairs": pairs,
-            "wall_secs": wall,
-            "pairs_per_sec": pps,
-        }));
-        rates.push(pps);
-    }
-    let speedup = rates[1] / rates[0]; // [baseline, fused] run order
-
-    println!("\nfused vs baseline: {speedup:.2}×");
-    if let Some(out) = args.get("out") {
-        let report = serde_json::json!({
-            "benchmark": "bench-train",
-            "dim": dim,
-            "epochs": epochs,
-            "negatives": negatives,
-            "parallel": parallel,
-            "results": rows,
-            "fused_vs_baseline": speedup,
-        });
-        std::fs::write(out, serde_json::to_string_pretty(&report)?)?;
-        eprintln!("[pkgm] wrote {out}");
-    }
-    Ok(())
-}
-
-/// Quick before/after evaluation-throughput check: rank the same held-out
-/// facts with the pre-kernel baseline and the fused ranking kernels. Fused
-/// ranks are bit-identical to the reference scan (parity-suite contract);
-/// only the wall clock should move. With `--quantized true`, the int8
-/// two-phase kernel runs as a third column (also bit-identical) and the
-/// report gains prune-rate and scanned-bytes fields.
-fn bench_eval(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
-    use pkgm_core::eval_kernels::{
-        baseline_rank_heads, baseline_rank_tails, fused_rank_heads, fused_rank_tails,
-        quantized_rank_heads_with_stats, quantized_rank_tails_with_stats,
-    };
-    let catalog = catalog_from(args)?;
-    let seed: u64 = args.get_or("seed", 42)?;
-    let dim: usize = args.get_or("dim", 64)?;
-    let epochs: usize = args.get_or("epochs", 1)?;
-    let n_tails: usize = args.get_or("tails", 128)?;
-    let n_heads: usize = args.get_or("heads", 32)?;
-    let quantized: bool = args.get_or("quantized", false)?;
-    // `--threads N` pins the rayon pool for the candidate-slice fan-out;
-    // it must be set before the first rayon call builds the global pool.
-    let threads: Option<usize> = args.get("threads").map(str::parse).transpose()?;
-    if let Some(n) = threads {
-        std::env::set_var("RAYON_NUM_THREADS", n.to_string());
-    }
-    eprintln!("[pkgm] {}", pkgm_core::simd::describe());
-    let ks = [1usize, 10];
-
-    let mut model = PkgmModel::new(
-        catalog.store.n_entities() as usize,
-        catalog.store.n_relations() as usize,
-        PkgmConfig::new(dim).with_seed(seed),
-    );
-    // A short warm-up puts true triples near the top of the ranking, which
-    // is the regime the fused kernels' early exit sees after real training.
-    let cfg = TrainConfig {
-        epochs,
-        seed,
-        ..TrainConfig::default()
-    };
-    Trainer::new(&model, cfg).train(&mut model, &catalog.store);
-
-    let tails_test: Vec<pkgm_store::Triple> =
-        catalog.heldout.iter().copied().take(n_tails).collect();
-    let heads_test: Vec<pkgm_store::Triple> =
-        catalog.heldout.iter().copied().take(n_heads).collect();
-    let qmodel = quantized.then(|| pkgm_core::QuantEvalModel::build(&model));
-    let kernels: &[&str] = if quantized {
-        &["baseline", "fused", "quantized"]
-    } else {
-        &["baseline", "fused"]
-    };
-
-    let mut rows = Vec::new();
-    let mut speedups = Vec::new();
-    let mut quant_speedups = Vec::new();
-    println!("| mode | kernel | triples | wall (s) | triples/sec | MRR |");
-    println!("|---|---|---|---|---|---|");
-    for (mode, test) in [("tails", &tails_test), ("heads", &heads_test)] {
-        let mut rates = Vec::new();
-        for &kernel in kernels {
-            let mut prune_stats = None;
-            let start = std::time::Instant::now();
-            let report = match (mode, kernel) {
-                ("tails", "baseline") => {
-                    baseline_rank_tails(&model, test, Some(&catalog.store), &ks)
-                }
-                ("tails", "fused") => eval::summarize_ranks(
-                    &fused_rank_tails(&model, test, Some(&catalog.store))?,
-                    &ks,
-                ),
-                ("tails", "quantized") => {
-                    let (ranks, stats) = quantized_rank_tails_with_stats(
-                        &model,
-                        qmodel.as_ref().expect("quantized flag set"),
-                        test,
-                        Some(&catalog.store),
-                    )?;
-                    prune_stats = Some(stats);
-                    eval::summarize_ranks(&ranks, &ks)
-                }
-                ("heads", "baseline") => {
-                    baseline_rank_heads(&model, test, Some(&catalog.store), &ks)
-                }
-                ("heads", "quantized") => {
-                    let (ranks, stats) = quantized_rank_heads_with_stats(
-                        &model,
-                        qmodel.as_ref().expect("quantized flag set"),
-                        test,
-                        Some(&catalog.store),
-                    )?;
-                    prune_stats = Some(stats);
-                    eval::summarize_ranks(&ranks, &ks)
-                }
-                _ => eval::summarize_ranks(
-                    &fused_rank_heads(&model, test, Some(&catalog.store))?,
-                    &ks,
-                ),
-            };
-            let wall = start.elapsed().as_secs_f64();
-            let tps = report.n as f64 / wall;
-            println!(
-                "| {mode} | {kernel} | {} | {wall:.3} | {tps:.1} | {:.3} |",
-                report.n, report.mrr
-            );
-            let mut row = serde_json::json!({
-                "mode": mode,
-                "kernel": kernel,
-                "triples": report.n,
-                "wall_secs": wall,
-                "triples_per_sec": tps,
-                "mrr": report.mrr,
-            });
-            if let Some(s) = &prune_stats {
-                let extra = serde_json::json!({
-                    "candidates": s.candidates,
-                    "survivors": s.survivors,
-                    "prune_rate": s.prune_rate(),
-                    "scanned_bytes": s.scanned_bytes,
-                    "scanned_bytes_per_candidate": s.bytes_per_candidate(),
-                });
-                if let (serde_json::Value::Object(pairs), serde_json::Value::Object(more)) =
-                    (&mut row, extra)
-                {
-                    pairs.extend(more);
-                }
-            }
-            rows.push(row);
-            rates.push(tps);
-        }
-        let speedup = rates[1] / rates[0]; // [baseline, fused, quantized?] run order
-        println!("\nfused vs baseline ({mode}, filtered): {speedup:.2}×");
-        speedups.push((mode, speedup));
-        if quantized {
-            let qs = rates[2] / rates[1];
-            println!("quantized vs fused ({mode}, filtered): {qs:.2}×");
-            quant_speedups.push(qs);
-        }
-        println!();
-    }
-    if let Some(out) = args.get("out") {
-        let mut report = serde_json::json!({
-            "benchmark": "bench-eval",
-            "dim": dim,
-            "epochs": epochs,
-            "quantized": quantized,
-            "threads": threads.unwrap_or_else(rayon::current_num_threads),
-            "simd": pkgm_core::simd::active().level.name(),
-            "results": rows,
-            "fused_vs_baseline_tails": speedups[0].1,
-            "fused_vs_baseline_heads": speedups[1].1,
-        });
-        if quantized {
-            let extra = serde_json::json!({
-                "quantized_vs_fused_tails": quant_speedups[0],
-                "quantized_vs_fused_heads": quant_speedups[1],
-            });
-            if let (serde_json::Value::Object(pairs), serde_json::Value::Object(more)) =
-                (&mut report, extra)
-            {
-                pairs.extend(more);
-            }
-        }
-        std::fs::write(out, serde_json::to_string_pretty(&report)?)?;
-        eprintln!("[pkgm] wrote {out}");
-    }
-    Ok(())
-}
-
-/// Nearest-rank percentile of an ascending-sorted latency sample.
-fn percentile_ns(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((p / 100.0) * (sorted.len() as f64 - 1.0)).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
-}
-
-/// Self-contained QPS smoke: an in-process daemon on an ephemeral port,
-/// closed-loop clients, and one snapshot hot-swap mid-run. The untrained
-/// model is deliberate — network + batching throughput does not depend on
-/// the embedding values, and skipping training keeps this runnable in CI.
-/// The deep sweep lives in `pkgm-bench`'s `qps_scale` binary.
-fn bench_qps(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
-    let catalog = catalog_from(args)?;
-    let seed: u64 = args.get_or("seed", 42)?;
-    let dim: usize = args.get_or("dim", 32)?;
-    let k: usize = args.get_or("k", 4)?;
-    let clients: usize = args.get_or("clients", 4)?;
-    let requests: usize = args.get_or("requests", 300)?;
-    let batch: usize = args.get_or("batch", 16)?;
-
-    let model = PkgmModel::new(
-        catalog.store.n_entities() as usize,
-        catalog.store.n_relations() as usize,
-        PkgmConfig::new(dim).with_seed(seed),
-    );
-    let service = KnowledgeService::new(model, catalog.key_relation_selector(k));
-    let snap = ServiceSnapshot::build(&service);
-    let dir = std::env::temp_dir().join(format!("pkgm-bench-qps-{}", std::process::id()));
-    std::fs::create_dir_all(&dir)?;
-    let snap_path = dir.join("reload.pkgmss");
-    serialize::write_snapshot_file(&StdIo, &snap_path, &snap)?;
-
-    let daemon = Daemon::start("127.0.0.1:0", service, Some(snap), DaemonConfig::default())?;
-    let addr = daemon.local_addr().to_string();
-    let n_items = catalog.items.len().max(1) as u32;
-    eprintln!(
-        "[pkgm] bench-qps: {clients} closed-loop clients × {requests} lookups × {batch} items \
-         against {addr}"
-    );
-
-    let start = std::time::Instant::now();
-    let latencies: Vec<Vec<u64>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                let addr = addr.clone();
-                s.spawn(move || -> Result<Vec<u64>, String> {
-                    let mut client = DaemonClient::connect(&addr).map_err(|e| e.to_string())?;
-                    let mut lat = Vec::with_capacity(requests);
-                    for r in 0..requests {
-                        let items: Vec<u32> = (0..batch)
-                            .map(|i| ((c * 31 + r * 7 + i) as u32) % n_items)
-                            .collect();
-                        let t = std::time::Instant::now();
-                        let rows = client
-                            .lookup(&items)
-                            .map_err(|e| format!("client {c} request {r}: {e}"))?;
-                        lat.push(t.elapsed().as_nanos() as u64);
-                        if rows.len() != items.len() {
-                            return Err(format!("client {c} request {r}: row count mismatch"));
-                        }
-                    }
-                    Ok(lat)
-                })
-            })
-            .collect();
-        // One hot-swap while the clients are mid-run.
-        std::thread::sleep(std::time::Duration::from_millis(5));
-        let reload = DaemonClient::connect(&addr)
-            .and_then(|mut c| c.reload(snap_path.to_str().expect("utf-8 temp path")));
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .expect("client thread panicked")
-                    .map_err(|e| -> Box<dyn std::error::Error> { e.into() })
-            })
-            .collect::<Result<Vec<_>, _>>()
-            .and_then(|lats| reload.map(|_| lats).map_err(|e| e.into()))
-    })?;
-    let wall = start.elapsed().as_secs_f64();
-
-    let mut all: Vec<u64> = latencies.into_iter().flatten().collect();
-    all.sort_unstable();
-    let total_lookups = all.len() as f64;
-    let qps = total_lookups / wall;
-    let swaps = daemon.swaps();
-    let stats = DaemonClient::connect(&addr)?.stats()?;
-    let protocol_errors = stats
-        .get("protocol_errors")
-        .and_then(|v| v.as_u64())
-        .unwrap_or(u64::MAX);
-    daemon.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let ms = |ns: u64| ns as f64 / 1e6;
-    let (p50, p99, p999) = (
-        ms(percentile_ns(&all, 50.0)),
-        ms(percentile_ns(&all, 99.0)),
-        ms(percentile_ns(&all, 99.9)),
-    );
-    println!("| clients | lookups | wall (s) | QPS | items/s | p50 (ms) | p99 (ms) | p99.9 (ms) |");
-    println!("|---|---|---|---|---|---|---|---|");
-    println!(
-        "| {clients} | {total_lookups:.0} | {wall:.3} | {qps:.0} | {:.0} | {p50:.3} | {p99:.3} | {p999:.3} |",
-        qps * batch as f64
-    );
-    println!("\nhot-swaps completed mid-run: {swaps}, protocol errors: {protocol_errors}");
-    if swaps < 1 {
-        return Err("bench-qps: no hot-swap completed under load".into());
-    }
-    if protocol_errors != 0 {
-        return Err(format!("bench-qps: {protocol_errors} protocol errors").into());
-    }
-    if let Some(out) = args.get("out") {
-        let report = serde_json::json!({
-            "benchmark": "bench-qps",
-            "dim": dim,
-            "clients": clients,
-            "requests_per_client": requests,
-            "batch": batch,
-            "total_lookups": total_lookups,
-            "wall_secs": wall,
-            "qps": qps,
-            "items_per_sec": qps * batch as f64,
-            "p50_ms": p50,
-            "p99_ms": p99,
-            "p999_ms": p999,
-            "hot_swaps": swaps,
-            "protocol_errors": protocol_errors,
-        });
-        std::fs::write(out, serde_json::to_string_pretty(&report)?)?;
-        eprintln!("[pkgm] wrote {out}");
-    }
-    Ok(())
-}
-
 fn load_service(args: &Args) -> Result<KnowledgeService, Box<dyn std::error::Error>> {
     let path = args.require("service")?;
     Ok(serialize::read_service_file(
@@ -1487,16 +1105,6 @@ fn print_help() {
          \u{20}              proxy drops/truncates/delays/corrupts/slowloris-writes frames\n\
          \u{20}              between a real client and daemon; asserts bit-exact successes,\n\
          \u{20}              typed failures, no double-execution, watchdog recovery\n\
-         \u{20}  bench-train --preset P [--dim 64] [--epochs 1] [--negatives 1]\n\
-         \u{20}              [--parallel true] [--out bench.json] — fused vs baseline\n\
-         \u{20}              gradient-kernel throughput on identical corruption streams\n\
-         \u{20}  bench-eval  --preset P [--dim 64] [--epochs 1] [--tails 128] [--heads 32]\n\
-         \u{20}              [--quantized true] [--threads N  # pin the rayon pool for\n\
-         \u{20}              the candidate-slice fan-out] [--out bench.json] — fused vs\n\
-         \u{20}              baseline ranking-kernel throughput on the same held-out facts;\n\
-         \u{20}              with --quantized also times the int8 two-phase kernel and\n\
-         \u{20}              reports prune rate + scanned bytes (all ranks bit-identical\n\
-         \u{20}              to the reference scan; see eval_kernels)\n\
          \u{20}  simd        — print the runtime kernel dispatch line (detected\n\
          \u{20}              AVX2/SSE4.1 level; PKGM_FORCE_SCALAR=1 pins the scalar twins)\n\
          \u{20}  daemon      serve --service service.bin [--addr 127.0.0.1:7071]\n\
@@ -1527,9 +1135,6 @@ fn print_help() {
          \u{20}  router supervise --snapshot base --service svc.bin [--items 0,1,2]\n\
          \u{20}              [--addrs-out f] — spawn one daemon per base.shardKofN\n\
          \u{20}              file, gate on readiness; with --items route one batch\n\
-         \u{20}              and exit, else supervise until stdin closes\n\
-         \u{20}  bench-qps   --preset P [--clients 4] [--requests 300] [--batch 16]\n\
-         \u{20}              [--out qps.json] — closed-loop QPS smoke against an\n\
-         \u{20}              in-process daemon, with one hot-swap mid-run\n"
+         \u{20}              and exit, else supervise until stdin closes\n"
     );
 }

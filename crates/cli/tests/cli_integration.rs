@@ -428,141 +428,6 @@ fn missing_required_flag_is_reported() {
 }
 
 #[test]
-fn bench_eval_reports_speedup_and_writes_json() {
-    let dir = tmpdir("bench_eval");
-    let json = dir.join("bench_eval.json");
-    let out = pkgm()
-        .args([
-            "bench-eval",
-            "--preset",
-            "tiny",
-            "--seed",
-            "7",
-            "--dim",
-            "16",
-            "--epochs",
-            "1",
-            "--tails",
-            "16",
-            "--heads",
-            "8",
-            "--out",
-            json.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "stdout: {}\nstderr: {}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("fused vs baseline (tails, filtered)"));
-    assert!(text.contains("fused vs baseline (heads, filtered)"));
-    let report: serde_json::Value =
-        serde_json::from_str(&std::fs::read_to_string(&json).unwrap()).unwrap();
-    assert_eq!(
-        report.get("benchmark").unwrap().as_str().unwrap(),
-        "bench-eval"
-    );
-    assert_eq!(report.get("results").unwrap().as_array().unwrap().len(), 4);
-    assert!(
-        report
-            .get("fused_vs_baseline_tails")
-            .unwrap()
-            .as_f64()
-            .unwrap()
-            > 0.0
-    );
-    std::fs::remove_dir_all(dir).ok();
-}
-
-#[test]
-fn bench_eval_quantized_adds_kernel_rows_and_prune_stats() {
-    let dir = tmpdir("bench_eval_quant");
-    let json = dir.join("bench_eval.json");
-    let out = pkgm()
-        .args([
-            "bench-eval",
-            "--preset",
-            "tiny",
-            "--seed",
-            "7",
-            "--dim",
-            "16",
-            "--epochs",
-            "1",
-            "--tails",
-            "16",
-            "--heads",
-            "8",
-            "--quantized",
-            "true",
-            "--out",
-            json.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "stdout: {}\nstderr: {}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("quantized vs fused (tails, filtered)"));
-    assert!(text.contains("quantized vs fused (heads, filtered)"));
-    let report: serde_json::Value =
-        serde_json::from_str(&std::fs::read_to_string(&json).unwrap()).unwrap();
-    let results = report.get("results").unwrap().as_array().unwrap();
-    assert_eq!(results.len(), 6, "baseline/fused/quantized × tails/heads");
-    let quant_rows: Vec<_> = results
-        .iter()
-        .filter(|r| r.get("kernel").unwrap().as_str().unwrap() == "quantized")
-        .collect();
-    assert_eq!(quant_rows.len(), 2);
-    for row in &quant_rows {
-        assert!(row.get("prune_rate").unwrap().as_f64().unwrap() >= 0.0);
-        assert!(row.get("candidates").unwrap().as_f64().unwrap() > 0.0);
-        assert!(
-            row.get("scanned_bytes_per_candidate")
-                .unwrap()
-                .as_f64()
-                .unwrap()
-                > 0.0
-        );
-    }
-    // The quantized kernel must agree with fused on the ranking metrics —
-    // two-phase pruning is exact.
-    for mode in ["tails", "heads"] {
-        let mrr = |kernel: &str| {
-            results
-                .iter()
-                .find(|r| {
-                    r.get("kernel").unwrap().as_str().unwrap() == kernel
-                        && r.get("mode").unwrap().as_str().unwrap() == mode
-                })
-                .unwrap()
-                .get("mrr")
-                .unwrap()
-                .as_f64()
-                .unwrap()
-        };
-        assert_eq!(mrr("quantized"), mrr("fused"), "{mode} MRR must match");
-    }
-    assert!(
-        report
-            .get("quantized_vs_fused_tails")
-            .unwrap()
-            .as_f64()
-            .unwrap()
-            > 0.0
-    );
-    std::fs::remove_dir_all(dir).ok();
-}
-
-#[test]
 fn quantized_snapshot_roundtrip_and_legacy_serving() {
     let dir = tmpdir("quant_snap");
     let svc = dir.join("svc.bin");
@@ -688,7 +553,6 @@ fn daemon_help_and_action_errors() {
     let out = pkgm().arg("help").output().unwrap();
     let text = String::from_utf8_lossy(&out.stderr);
     assert!(text.contains("daemon"));
-    assert!(text.contains("bench-qps"));
     assert!(text.contains("hot-swap"));
 
     let out = pkgm().args(["daemon", "frobnicate"]).output().unwrap();
@@ -704,47 +568,6 @@ fn daemon_help_and_action_errors() {
     let out = pkgm().args(["daemon", "serve"]).output().unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("missing required flag --service"));
-}
-
-#[test]
-fn bench_qps_smoke_reports_swaps_and_zero_errors() {
-    let dir = tmpdir("bench-qps");
-    let report_path = dir.join("qps.json");
-    let out = pkgm()
-        .args([
-            "bench-qps",
-            "--preset",
-            "tiny",
-            "--seed",
-            "9",
-            "--dim",
-            "8",
-            "--clients",
-            "2",
-            "--requests",
-            "60",
-            "--batch",
-            "8",
-            "--out",
-            report_path.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let report: serde_json::Value =
-        serde_json::from_str(&std::fs::read_to_string(&report_path).unwrap()).unwrap();
-    assert!(report.get("qps").and_then(|v| v.as_f64()).unwrap() > 0.0);
-    assert!(report.get("p999_ms").and_then(|v| v.as_f64()).unwrap() > 0.0);
-    assert_eq!(
-        report.get("protocol_errors").and_then(|v| v.as_u64()),
-        Some(0)
-    );
-    assert!(report.get("hot_swaps").and_then(|v| v.as_u64()).unwrap() >= 1);
-    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]

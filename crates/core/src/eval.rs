@@ -3,9 +3,8 @@
 //!
 //! Ranking runs on the fused kernels in [`crate::eval_kernels`]
 //! (candidate-blocked scans, exact early exit, relation-grouped head
-//! ranking, sorted-merge filtering); the pre-kernel scan survives there as
-//! `baseline_rank_*` for benchmarking, and a bit-exact `reference_rank_*`
-//! twin pins the contract under the parity suite.
+//! ranking, sorted-merge filtering); a bit-exact `reference_rank_*` twin
+//! there pins the contract under the parity suite.
 
 use crate::eval_kernels::{fused_rank_heads, fused_rank_relations, fused_rank_tails, EvalError};
 use crate::model::PkgmModel;

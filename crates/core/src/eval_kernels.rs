@@ -2,7 +2,7 @@
 //!
 //! PR 3 gave training its fused kernels; this module does the same for the
 //! evaluation protocol in [`crate::eval`], the last untouched hot path. The
-//! design mirrors [`crate::kernels`] exactly — one fast path, two twins:
+//! design mirrors [`crate::kernels`] exactly — one fast path, one oracle:
 //!
 //! * **Fused** ([`fused_rank_tails`] / [`fused_rank_heads`] /
 //!   [`fused_rank_relations`]) — candidate-blocked scans over the entity
@@ -15,11 +15,6 @@
 //!   compute, per-candidate `binary_search` filtering, no grouping, no
 //!   early exit, but the *same* summation orders as the fused path. The
 //!   parity suite asserts fused ≡ reference per-triple ranks **exactly**.
-//! * **Baseline** ([`baseline_rank_tails`] / [`baseline_rank_heads`] /
-//!   [`baseline_rank_relations`]) — the pre-kernel evaluation path
-//!   preserved verbatim (per-triple `vec!`, `PkgmModel::score`, serial L1),
-//!   kept as the cost model every `BENCH_eval.json` speedup is measured
-//!   against.
 //!
 //! ## Why the early exit is exact, not approximate
 //!
@@ -35,15 +30,14 @@
 //!
 //! ## Cost of head ranking
 //!
-//! The baseline scores every head candidate with a fresh `M_r·h′` mat-vec:
+//! Scoring every head candidate with a fresh `M_r·h′` mat-vec costs
 //! O(|test|·|E|·d²). Fused head ranking groups test triples by relation,
 //! computes each candidate's relation-module score `‖M_r·h′ − r‖₁` once
 //! per (relation group, candidate tile) — with an early exit against the
 //! group's *maximum* true score — and shares it across every test triple
 //! of that relation: O(|R_test|·|E|·d²) + O(|test|·|E|·d).
 
-use crate::eval::{summarize_ranks, LinkPredictionReport};
-use crate::kernels::{kernel_dot, l1_dist};
+use crate::kernels::kernel_dot;
 use crate::model::PkgmModel;
 use crate::quant::{QuantScanTable, F32_EPS};
 use crate::simd::{blocked_l1, blocked_l1_translation, l1_beats, translation_beats};
@@ -505,7 +499,7 @@ fn tail_chunk_better(
 /// caches every candidate's relation-module score per tile (with an exact
 /// early exit against the group's maximum true score), sharing it across
 /// all test triples of the relation — O(|R_test|·|E|·d²) + O(|test|·|E|·d)
-/// instead of the baseline's O(|test|·|E|·d²).
+/// instead of O(|test|·|E|·d²).
 pub fn fused_rank_heads(
     model: &PkgmModel,
     test: &[Triple],
@@ -775,7 +769,7 @@ fn relation_group_better(
 /// phase-2 survivor (full rows — early exits inside the rescore only make
 /// the true traffic lower). The fused f32 kernels touch `4·d` bytes per
 /// candidate, so `4·d / (scanned_bytes / candidates)` is the measured
-/// bytes-per-candidate reduction `BENCH_eval.json` reports.
+/// bytes-per-candidate reduction.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PruneStats {
     /// Candidates that reached the phase-1 int8 scan (after filtering and
@@ -1482,124 +1476,6 @@ pub fn reference_rank_relations(
             better + 1
         })
         .collect())
-}
-
-// ---------------------------------------------------------------------------
-// Baseline twins (the pre-kernel evaluation path, preserved verbatim)
-// ---------------------------------------------------------------------------
-
-/// The pre-kernel `rank_tails`, preserved verbatim as the cost model for
-/// `BENCH_eval.json`: per-triple `vec!` allocation, serial L1, and
-/// per-candidate `binary_search` filtering.
-///
-/// Scores differ from the fused/reference twins in the last f32 bits (the
-/// baseline sums L1 terms serially, the kernels in eight-lane blocked
-/// order), so baseline ranks are compared on metrics, not bitwise — the
-/// same contract split as the training kernels.
-pub fn baseline_rank_tails(
-    model: &PkgmModel,
-    test: &[Triple],
-    filter: Option<&TripleStore>,
-    ks: &[usize],
-) -> LinkPredictionReport {
-    let d = model.dim();
-    let n_entities = model.n_entities();
-
-    let ranks: Vec<usize> = test
-        .par_iter()
-        .map(|&t| {
-            let mut base = vec![0.0f32; d];
-            model.service_t_into(t.head, t.relation, &mut base);
-            let true_score = l1_dist(&base, model.ent(t.tail));
-            let known = filter.map(|s| s.tails(t.head, t.relation));
-            // rank = 1 + number of candidates scoring strictly better.
-            let mut better = 0usize;
-            for c in 0..n_entities as u32 {
-                if c == t.tail.0 {
-                    continue;
-                }
-                if let Some(known) = known {
-                    if known.binary_search(&EntityId(c)).is_ok() {
-                        continue;
-                    }
-                }
-                if l1_dist(&base, model.ent(EntityId(c))) < true_score {
-                    better += 1;
-                }
-            }
-            better + 1
-        })
-        .collect();
-
-    summarize_ranks(&ranks, ks)
-}
-
-/// The pre-kernel `rank_heads`, preserved verbatim: a fresh
-/// `PkgmModel::score` (one O(d²) projection) per candidate per triple.
-pub fn baseline_rank_heads(
-    model: &PkgmModel,
-    test: &[Triple],
-    filter: Option<&TripleStore>,
-    ks: &[usize],
-) -> LinkPredictionReport {
-    let n_entities = model.n_entities() as u32;
-    let ranks: Vec<usize> = test
-        .par_iter()
-        .map(|&t| {
-            let true_score = model.score(t);
-            let known = filter.map(|s| s.heads(t.relation, t.tail));
-            let mut better = 0usize;
-            for c in 0..n_entities {
-                if c == t.head.0 {
-                    continue;
-                }
-                if let Some(known) = known {
-                    if known.binary_search(&EntityId(c)).is_ok() {
-                        continue;
-                    }
-                }
-                let cand = Triple::new(EntityId(c), t.relation, t.tail);
-                if model.score(cand) < true_score {
-                    better += 1;
-                }
-            }
-            better + 1
-        })
-        .collect();
-    summarize_ranks(&ranks, ks)
-}
-
-/// The pre-kernel `rank_relations`, preserved verbatim.
-pub fn baseline_rank_relations(
-    model: &PkgmModel,
-    test: &[Triple],
-    filter: Option<&TripleStore>,
-    ks: &[usize],
-) -> LinkPredictionReport {
-    let n_relations = model.n_relations() as u32;
-    let ranks: Vec<usize> = test
-        .par_iter()
-        .map(|&t| {
-            let true_score = model.score(t);
-            let mut better = 0usize;
-            for c in 0..n_relations {
-                if c == t.relation.0 {
-                    continue;
-                }
-                let cand = Triple::new(t.head, RelationId(c), t.tail);
-                if let Some(s) = filter {
-                    if s.contains(cand) {
-                        continue;
-                    }
-                }
-                if model.score(cand) < true_score {
-                    better += 1;
-                }
-            }
-            better + 1
-        })
-        .collect();
-    summarize_ranks(&ranks, ks)
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! Fused, relation-blocked score + gradient kernels for the training inner
 //! loop.
 //!
-//! The naive pair loop (see [`baseline_chunk_grads`], kept verbatim for
-//! before/after benchmarking) pays four avoidable costs per training pair:
+//! The naive pair loop (two `model.score` calls and one backward pass per
+//! pair) pays four avoidable costs per training pair:
 //!
 //! 1. `model.score(pos)` is recomputed for every negative of the same
 //!    positive, and every `score` call performs a fresh `d×d` matvec
@@ -49,24 +49,22 @@
 //!   This is exact, not approximate — the violated set, every loss term,
 //!   and every gradient are unchanged — and it is what keeps the fused
 //!   path fast late in training, when most pairs already satisfy the
-//!   margin and the baseline still pays two full `d²` matvecs per pair.
+//!   margin and a naive loop would still pay two full `d²` matvecs per pair.
 //!
 //! ## Numerical contract
 //!
-//! [`fused_chunk_grads`] and [`reference_chunk_grads`] produce **bit-equal**
-//! results: the reference twin recomputes every matvec from scratch, per
-//! pair, into fresh allocations, but applies the same per-destination-row
-//! operation order and the same [`kernel_dot`] lane order, which pins every
-//! f32 summation. The proptest parity suite (`tests/kernel_parity.rs`)
-//! asserts exact equality. [`baseline_chunk_grads`] is the pre-kernel
-//! implementation — mathematically equivalent but with `pkgm_dot` score
-//! order and a different accumulation order, so it matches only
-//! approximately; it exists to measure the speedup honestly and to
-//! cross-check the kernel math against an independent implementation.
+//! Each kernel has two implementations: the fused one production runs and
+//! a reference oracle. [`fused_chunk_grads`] and [`reference_chunk_grads`]
+//! produce **bit-equal** results: the reference twin recomputes every
+//! matvec from scratch, per pair, into fresh allocations, but applies the
+//! same per-destination-row operation order and the same [`kernel_dot`]
+//! lane order, which pins every f32 summation. The proptest parity suite
+//! (`tests/kernel_parity.rs`) asserts exact equality, and cross-checks the
+//! loss and violated set against [`PkgmModel::score`] (`pkgm_dot` order,
+//! so ulp-approximate).
 
-use crate::model::{pkgm_dot, PkgmModel};
+use crate::model::PkgmModel;
 use crate::negative::{CorruptedPair, Corruption};
-use pkgm_store::fxhash::FxHashMap;
 
 /// Sparse gradients for one chunk of training pairs, index-sorted.
 ///
@@ -312,7 +310,7 @@ pub fn relation_blocked_order_into(pairs: &[CorruptedPair], order: &mut Vec<u32>
 /// Eight-lane multi-accumulator dot product with a **fixed** combine order,
 /// runtime-dispatched to the widest instruction set the host offers.
 ///
-/// [`pkgm_dot`]'s single-accumulator reduction is a serial f32 dependency
+/// `pkgm_dot`'s single-accumulator reduction is a serial f32 dependency
 /// chain the compiler cannot reassociate (float addition is not
 /// associative), so at `d = 64` every projection row stalls on add latency.
 /// Eight independent lane accumulators break the chain and the fixed
@@ -322,9 +320,6 @@ pub fn relation_blocked_order_into(pairs: &[CorruptedPair], order: &mut Vec<u32>
 ///
 /// Used by [`fused_chunk_grads`] and [`reference_chunk_grads`] — both twins
 /// share this ordering, which is what keeps them bit-equal.
-/// [`baseline_chunk_grads`] keeps `pkgm_dot` (it is the pre-kernel cost
-/// model, preserved verbatim), so fused-vs-baseline score comparisons are
-/// ulp-approximate, exactly like its gradient comparisons.
 pub(crate) use crate::simd::kernel_dot;
 
 /// Row-major `d×d` matrix–vector product via [`kernel_dot`], the kernels'
@@ -363,9 +358,8 @@ fn l1_translation(a: &[f32], b: &[f32], c: &[f32]) -> f32 {
 /// `Σ_i |a[i] − b[i]|` in index order — the crate's single serial L1
 /// distance, pinned to scalar in [`crate::simd`]. As the residual
 /// `Σ_i |proj[i] − rv[i]|` over a cached projection it is bit-identical to
-/// [`PkgmModel::score_relation`]; the evaluation baselines
-/// ([`crate::eval_kernels`]) and the serving layer's tail completion reuse
-/// it so eval, trainer and serving score with one implementation.
+/// [`PkgmModel::score_relation`]; the serving layer's tail completion
+/// reuses it so trainer and serving score with one implementation.
 pub(crate) use crate::simd::l1_dist;
 
 /// Corrupted-side relation-module score with a sound early exit.
@@ -921,102 +915,6 @@ pub fn reference_chunk_grads(
     }
 }
 
-/// The pre-kernel training inner loop, preserved verbatim for before/after
-/// benchmarking (`training_scale` / `pkgm bench-train`): per-pair
-/// `model.score` calls (the positive rescored for every negative), a fresh
-/// matvec per sign vector, and hash-map gradient accumulation with per-pair
-/// allocations. Mathematically equivalent to the fused kernel but with a
-/// different f32 accumulation order, so comparisons are approximate.
-pub fn baseline_chunk_grads(model: &PkgmModel, pairs: &[CorruptedPair], margin: f32) -> ChunkGrads {
-    let d = model.dim();
-    let mut ent: FxHashMap<u32, Vec<f32>> = FxHashMap::default();
-    let mut rel: FxHashMap<u32, Vec<f32>> = FxHashMap::default();
-    let mut mat: FxHashMap<u32, Vec<f32>> = FxHashMap::default();
-    let mut loss = 0.0f64;
-    let mut violations = 0usize;
-
-    let mut accumulate = |model: &PkgmModel, triple: pkgm_store::Triple, sign: f32| {
-        let h = model.ent(triple.head);
-        let r = model.rel(triple.relation);
-        let t = model.ent(triple.tail);
-        let ge = ent.entry(triple.head.0).or_insert_with(|| vec![0.0; d]);
-        let mut s = vec![0.0f32; d];
-        for i in 0..d {
-            s[i] = sign * sgn(h[i] + r[i] - t[i]);
-            ge[i] += s[i];
-        }
-        let gr = rel.entry(triple.relation.0).or_insert_with(|| vec![0.0; d]);
-        for i in 0..d {
-            gr[i] += s[i];
-        }
-        let gt = ent.entry(triple.tail.0).or_insert_with(|| vec![0.0; d]);
-        for i in 0..d {
-            gt[i] -= s[i];
-        }
-        if model.cfg.relation_module {
-            let m = model.mat(triple.relation);
-            let mut u = vec![0.0f32; d];
-            for i in 0..d {
-                u[i] = sign * sgn(pkgm_dot(&m[i * d..(i + 1) * d], h) - r[i]);
-            }
-            let gr = rel.entry(triple.relation.0).or_insert_with(|| vec![0.0; d]);
-            for i in 0..d {
-                gr[i] -= u[i];
-            }
-            let ge = ent.entry(triple.head.0).or_insert_with(|| vec![0.0; d]);
-            for i in 0..d {
-                if u[i] == 0.0 {
-                    continue;
-                }
-                let row = &m[i * d..(i + 1) * d];
-                for j in 0..d {
-                    ge[j] += u[i] * row[j];
-                }
-            }
-            let gm = mat
-                .entry(triple.relation.0)
-                .or_insert_with(|| vec![0.0; d * d]);
-            for i in 0..d {
-                if u[i] == 0.0 {
-                    continue;
-                }
-                let dst = &mut gm[i * d..(i + 1) * d];
-                for (g, &hv) in dst.iter_mut().zip(h) {
-                    *g += u[i] * hv;
-                }
-            }
-        }
-    };
-
-    for &CorruptedPair { pos, neg, .. } in pairs {
-        // The loop-invariant positive score is deliberately *not* hoisted
-        // here: this is the cost model the fused kernels replaced.
-        let f_pos = model.score(pos);
-        let f_neg = model.score(neg);
-        let viol = f_pos + margin - f_neg;
-        if viol > 0.0 {
-            loss += viol as f64;
-            violations += 1;
-            accumulate(model, pos, 1.0);
-            accumulate(model, neg, -1.0);
-        }
-    }
-
-    let sorted = |m: FxHashMap<u32, Vec<f32>>| -> Vec<(u32, Vec<f32>)> {
-        let mut v: Vec<_> = m.into_iter().collect();
-        v.sort_unstable_by_key(|&(k, _)| k);
-        v
-    };
-    ChunkGrads {
-        ent: sorted(ent),
-        rel: sorted(rel),
-        mat: sorted(mat),
-        loss,
-        violations,
-        pairs: pairs.len(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1083,38 +981,6 @@ mod tests {
         // Scratch reuse across chunks must not leak state.
         let fused2 = fused_chunk_grads(&model, &mut scratch, &pairs, 4.0);
         assert_grads_bitwise_eq(&fused2, &reference);
-    }
-
-    #[test]
-    fn fused_matches_baseline_numerically() {
-        // The baseline accumulates in a different order — agreement within a
-        // small tolerance cross-checks the kernel math against the
-        // independent pre-kernel implementation.
-        let store = toy_store();
-        let model = PkgmModel::new(
-            store.n_entities() as usize,
-            store.n_relations() as usize,
-            PkgmConfig::new(8).with_seed(4),
-        );
-        let pairs = pairs_for(&store, 11, 2);
-        let mut scratch = TrainScratch::new(&model);
-        let fused = fused_chunk_grads(&model, &mut scratch, &pairs, 4.0);
-        let base = baseline_chunk_grads(&model, &pairs, 4.0);
-        assert_eq!(fused.violations, base.violations);
-        assert!((fused.loss - base.loss).abs() < 1e-6 * base.loss.abs().max(1.0));
-        for (xs, ys) in [(&fused.ent, &base.ent), (&fused.rel, &base.rel)] {
-            // The fused path may record exact-zero rows the baseline merges
-            // away (or vice versa); compare only co-touched rows.
-            let by_id: std::collections::BTreeMap<u32, &Vec<f32>> =
-                ys.iter().map(|(k, v)| (*k, v)).collect();
-            for (k, g) in xs {
-                if let Some(gb) = by_id.get(k) {
-                    for (x, y) in g.iter().zip(gb.iter()) {
-                        assert!((x - y).abs() < 1e-4, "row {k}: {x} vs {y}");
-                    }
-                }
-            }
-        }
     }
 
     #[test]

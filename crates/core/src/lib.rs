@@ -21,15 +21,15 @@
 //! * [`negative`] — the paper's uniform h/t/r corruption sampler, with a
 //!   batch API reporting which slot each corruption replaced;
 //! * [`kernels`] — fused, relation-blocked score+gradient kernels with
-//!   preallocated scratch accumulation (plus bit-exact reference and
-//!   pre-kernel baseline twins for parity tests and benchmarking);
+//!   preallocated scratch accumulation (plus the bit-exact reference
+//!   twin the parity tests compare against);
 //! * [`trainer`] — margin-loss training with hand-derived gradients, lazy
 //!   row-wise Adam, rayon data-parallel minibatches over the fused kernels;
 //! * [`eval`] — filtered/raw link prediction (MRR, Hits@k, mean rank) and
 //!   relation-existence AUC (evaluating the relation module);
 //! * [`eval_kernels`] — fused, candidate-blocked ranking kernels with
 //!   exact early exit, relation-grouped head ranking and sorted-merge
-//!   filtering (plus bit-exact reference and pre-kernel baseline twins),
+//!   filtering (plus the bit-exact reference twins),
 //!   and the int8 two-phase quantized kernels built on [`quant`];
 //! * [`quant`] — blockwise symmetric int8 quantization with certified L1
 //!   lower bounds: prune candidates in the i8 domain, rescore survivors
@@ -124,6 +124,6 @@ pub use snapshot3::{
     open_mapped_snapshot, shard_ranges, snapshot_to_ss3_bytes, Ss3DenseWriter, Ss3QuantWriter,
 };
 pub use trainer::{
-    load_latest_checkpoint, CheckpointConfig, CheckpointScan, GradKernel, ResumeState, TrainConfig,
-    TrainError, TrainReport, Trainer,
+    load_latest_checkpoint, CheckpointConfig, CheckpointScan, ResumeState, TrainConfig, TrainError,
+    TrainReport, Trainer,
 };

@@ -252,12 +252,8 @@ fn pump(
             break;
         }
         let word = u32::from_le_bytes(prefix);
-        let (len, trailer) = if word & FRAME_FLAG_CRC != 0 {
-            (word & !FRAME_FLAG_CRC, 4u32)
-        } else {
-            (word, 0u32)
-        };
-        if len > MAX_FRAME_LEN {
+        let len = word & !FRAME_FLAG_CRC;
+        if word & FRAME_FLAG_CRC == 0 || len > MAX_FRAME_LEN {
             // Garbage prefix (hostile peer): forward it for the daemon to
             // reject, then degrade to an unframed byte pipe.
             if dst.write_all(&prefix).is_err() {
@@ -275,7 +271,7 @@ fn pump(
                 }
             }
         }
-        let body_len = (len + trailer) as usize;
+        let body_len = len as usize + 4; // CRC trailer + body
         let mut frame = vec![0u8; 4 + body_len];
         frame[..4].copy_from_slice(&prefix);
         let got = match read_some(&mut src, &mut frame[4..]) {
@@ -308,8 +304,9 @@ fn pump(
                 break;
             }
             Some(NetFault::CorruptByte { byte, bit }) => {
-                // Flip past the prefix so the frame still routes to the CRC
-                // check (prefix flips can re-route between v1/v2 framing).
+                // Flip past the prefix so the CRC check sees it at once (a
+                // prefix flip that lengthens the frame is only detected when
+                // the stream ends).
                 let off = 4 + byte % (frame.len() - 4);
                 frame[off] ^= 1 << (bit & 7);
                 if dst.write_all(&frame).is_err() {

@@ -1,20 +1,20 @@
 //! Wire protocol for the serving daemon: length-prefixed binary frames.
 //!
-//! Every message — request or response — is one **frame**. The current
-//! (v2) frame carries a CRC32 trailer flagged in the length prefix:
+//! Every message — request or response — is one **frame**, and every frame
+//! carries a CRC32 trailer flagged in the length prefix:
 //!
 //! ```text
 //! [ len|FRAME_FLAG_CRC: u32 LE ][ crc32(body): u32 LE ][ body: len bytes ]
 //! body = [ tag: u8 ][ payload: len − 1 bytes ]
 //! ```
 //!
-//! Bit 31 of the length prefix is the version flag ([`FRAME_FLAG_CRC`]):
-//! set, the four bytes after the prefix are an IEEE CRC32 of the body and
-//! the decoder rejects any mismatch with a typed
-//! [`ProtocolError::CrcMismatch`] — a flipped bit anywhere in the checksum
-//! or body is *detected*, never served as silently-wrong floats. Clear,
-//! the frame is a tagless v1 frame (`[len][body]`, no checksum) and still
-//! decodes — old clients keep working against a new daemon and vice versa.
+//! Bit 31 of the length prefix ([`FRAME_FLAG_CRC`]) is always set: the
+//! four bytes after the prefix are an IEEE CRC32 of the body and the
+//! decoder rejects any mismatch with a typed
+//! [`ProtocolError::CrcMismatch`]. A prefix without the flag is refused
+//! before another byte is read, so there is no unchecked way in: a flipped
+//! bit anywhere in a frame — prefix, checksum or body — is *detected*,
+//! never served as silently-wrong floats.
 //! Frame bodies are capped at [`MAX_FRAME_LEN`] (far below bit 31, so the
 //! flag can never collide with a legal length); a larger prefix is
 //! rejected *before* any allocation, so a hostile client cannot make the
@@ -65,7 +65,7 @@ use crate::artifact::crc32;
 use crate::le;
 use std::io::{self, Read, Write};
 
-/// Bit set in the length prefix of v2 frames: the frame carries a CRC32
+/// Bit set in the length prefix of every frame: the frame carries a CRC32
 /// trailer between the prefix and the body. [`MAX_FRAME_LEN`] keeps legal
 /// lengths far below this bit, so flag and length can never collide.
 pub const FRAME_FLAG_CRC: u32 = 1 << 31;
@@ -280,7 +280,7 @@ pub enum ProtocolError {
     Malformed(&'static str),
     /// A lookup asked for more than [`MAX_LOOKUP_ITEMS`] items.
     TooManyItems { n: u32, max: u32 },
-    /// A v2 frame's CRC32 trailer disagreed with its body — the frame was
+    /// A frame's CRC32 trailer disagreed with its body — the frame was
     /// corrupted in flight.
     CrcMismatch { expected: u32, got: u32 },
     /// Underlying socket error.
@@ -588,11 +588,11 @@ pub fn encode_rows_response<'a>(
     seal_frame(out)
 }
 
-/// Bytes of a v2 frame before its body: the CRC-flagged length prefix and
+/// Bytes of a frame before its body: the CRC-flagged length prefix and
 /// the CRC32 trailer.
 const FRAME_PREFIX_LEN: usize = 8;
 
-/// Start a v2 frame whose body is `tag` plus `payload_len` further bytes:
+/// Start a frame whose body is `tag` plus `payload_len` further bytes:
 /// the prefix is reserved (zeroed) and the caller appends the payload
 /// right behind the tag, so the body is built where it will be sent from.
 fn begin_frame(tag: u8, payload_len: usize) -> Vec<u8> {
@@ -610,9 +610,7 @@ fn tagged_frame(tag: u8, payload: &[u8]) -> Vec<u8> {
 }
 
 /// Finish a frame [`begin_frame`] started: checksum the body in place and
-/// patch the reserved prefix with its CRC-flagged length and CRC32 trailer
-/// (a v2 frame). Decoders that predate the flag reject it with
-/// `FrameTooLarge`; [`downgrade_frame`] exists for talking to them.
+/// patch the reserved prefix with its CRC-flagged length and CRC32 trailer.
 ///
 /// # Panics
 /// If the body exceeds [`MAX_FRAME_LEN`] — a backstop, enforced in every
@@ -633,29 +631,13 @@ fn seal_frame(mut out: Vec<u8>) -> Vec<u8> {
     out
 }
 
-/// Re-encode a v2 frame as a v1 (tagless, no-CRC) frame, for exercising
-/// the backward-compatible decode path and for clients of pre-CRC daemons.
-pub fn downgrade_frame(framed: &[u8]) -> Vec<u8> {
-    let Some((head, rest)) = framed.split_first_chunk::<4>() else {
-        return framed.to_vec();
-    };
-    let len = u32::from_le_bytes(*head);
-    if len & FRAME_FLAG_CRC == 0 || rest.len() < 4 {
-        return framed.to_vec();
-    }
-    let mut out = Vec::with_capacity(framed.len() - 4);
-    out.extend_from_slice(&(len & !FRAME_FLAG_CRC).to_le_bytes());
-    out.extend_from_slice(&rest[4..]);
-    out
-}
-
-/// Read one frame body from `r`, accepting both v2 (CRC-flagged) and
-/// legacy v1 (tagless) frames.
+/// Read one frame body from `r`.
 ///
 /// `Ok(None)` means the peer closed the connection cleanly *between*
 /// frames (EOF at the first header byte); EOF anywhere else is a
-/// [`ProtocolError::Truncated`]. The length prefix is validated against
-/// [`MAX_FRAME_LEN`] before the body buffer is allocated, and a flagged
+/// [`ProtocolError::Truncated`]. A prefix without [`FRAME_FLAG_CRC`] is
+/// refused before anything behind it is read, the length is validated
+/// against [`MAX_FRAME_LEN`] before the body buffer is allocated, and a
 /// frame whose CRC32 trailer disagrees with its body is rejected as
 /// [`ProtocolError::CrcMismatch`] — corruption is detected, never decoded.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, ProtocolError> {
@@ -666,7 +648,11 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, ProtocolError> {
         got => return Err(ProtocolError::Truncated { expected: 4, got }),
     }
     let prefix = u32::from_le_bytes(header);
-    let checked = prefix & FRAME_FLAG_CRC != 0;
+    if prefix & FRAME_FLAG_CRC == 0 {
+        return Err(ProtocolError::Malformed(
+            "length prefix lacks the CRC flag (unchecksummed frames are not accepted)",
+        ));
+    }
     let len = prefix & !FRAME_FLAG_CRC;
     if len > MAX_FRAME_LEN {
         return Err(ProtocolError::FrameTooLarge {
@@ -677,19 +663,15 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, ProtocolError> {
     if len == 0 {
         return Err(ProtocolError::EmptyFrame);
     }
-    let expected_crc = if checked {
-        let mut trailer = [0u8; 4];
-        let got = read_exact_or_eof(r, &mut trailer)?;
-        if got != 4 {
-            return Err(ProtocolError::Truncated {
-                expected: len as usize + 4,
-                got,
-            });
-        }
-        Some(u32::from_le_bytes(trailer))
-    } else {
-        None
-    };
+    let mut trailer = [0u8; 4];
+    let got = read_exact_or_eof(r, &mut trailer)?;
+    if got != 4 {
+        return Err(ProtocolError::Truncated {
+            expected: len as usize + 4,
+            got,
+        });
+    }
+    let expected = u32::from_le_bytes(trailer);
     let mut body = vec![0u8; len as usize];
     let got = read_exact_or_eof(r, &mut body)?;
     if got != body.len() {
@@ -698,14 +680,12 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, ProtocolError> {
             got,
         });
     }
-    if let Some(expected) = expected_crc {
-        let actual = crc32(&body);
-        if actual != expected {
-            return Err(ProtocolError::CrcMismatch {
-                expected,
-                got: actual,
-            });
-        }
+    let actual = crc32(&body);
+    if actual != expected {
+        return Err(ProtocolError::CrcMismatch {
+            expected,
+            got: actual,
+        });
     }
     Ok(Some(body))
 }
@@ -943,7 +923,7 @@ mod tests {
         assert!(worst > MAX_FRAME_LEN as u64, "cap must be tight");
         let fits = ROWS_HEADER_LEN as u64 + cap as u64 * 1024 * 4;
         assert!(fits <= MAX_FRAME_LEN as u64, "cap-sized response must fit");
-        // A cap-sized response really frames (no panic in `seal_frame`); v2
+        // A cap-sized response really frames (no panic in `seal_frame`); frame
         // overhead is the 4-byte prefix plus the 4-byte CRC trailer.
         let row = vec![0.0f32; 1024];
         let framed = encode_rows_response(1024, (0..cap as usize).map(|_| row.as_slice()));
@@ -970,45 +950,35 @@ mod tests {
     }
 
     #[test]
-    fn legacy_tagless_frames_still_decode() {
-        // A pre-CRC peer sends [len][body] with no flag and no trailer.
-        for req in [
-            Request::Lookup(vec![3, 1, 4]),
-            Request::Ping,
-            Request::Reload("a/b.snap".into()),
-        ] {
-            let legacy = downgrade_frame(&encode_request(&req));
-            let prefix = u32::from_le_bytes(legacy[..4].try_into().unwrap());
-            assert_eq!(prefix & FRAME_FLAG_CRC, 0, "downgraded frame must be v1");
-            let body = read_frame(&mut &legacy[..]).unwrap().unwrap();
-            assert_eq!(decode_request(&body).unwrap(), req);
-        }
-        // Downgrading a v1 frame is the identity.
-        let legacy = downgrade_frame(&encode_request(&Request::Ping));
-        assert_eq!(downgrade_frame(&legacy), legacy);
-    }
-
-    #[test]
-    fn corrupted_v2_frames_are_detected_not_decoded() {
+    fn corrupted_frames_are_detected_not_decoded() {
         let framed = encode_request(&Request::Lookup(vec![10, 20, 30]));
-        // Flip one bit in every byte of the CRC trailer and the body; each
-        // must be caught. (Header corruption can re-route between the v1
-        // and v2 paths, so only the trailer+body region is guaranteed.)
-        for byte in 4..framed.len() {
+        // Flip every bit of the whole frame, prefix included; each must be
+        // a typed error. Bit 31 of the prefix clears the CRC flag, the
+        // other prefix bits change the length (over the cap, past the end
+        // of the stream, or short of the checksummed body), and everything
+        // behind the prefix is under the checksum.
+        for byte in 0..framed.len() {
             for bit in 0..8 {
                 let mut hurt = framed.clone();
                 hurt[byte] ^= 1 << bit;
                 let err = read_frame(&mut &hurt[..]).unwrap_err();
-                assert!(
-                    matches!(err, ProtocolError::CrcMismatch { .. }),
-                    "byte {byte} bit {bit}: expected CrcMismatch, got {err}"
-                );
+                let expected = match (byte, bit) {
+                    (3, 7) => matches!(err, ProtocolError::Malformed(_)),
+                    (0..=3, _) => matches!(
+                        err,
+                        ProtocolError::FrameTooLarge { .. }
+                            | ProtocolError::Truncated { .. }
+                            | ProtocolError::CrcMismatch { .. }
+                    ),
+                    _ => matches!(err, ProtocolError::CrcMismatch { .. }),
+                };
+                assert!(expected, "byte {byte} bit {bit}: got {err}");
             }
         }
     }
 
     #[test]
-    fn v2_frame_truncated_inside_trailer_is_truncated() {
+    fn frame_truncated_inside_trailer_is_truncated() {
         let framed = encode_request(&Request::Ping);
         for cut in 4..8 {
             assert!(matches!(
@@ -1064,7 +1034,9 @@ mod tests {
 
     #[test]
     fn oversized_length_prefix_rejected_before_allocation() {
-        let mut bytes = (MAX_FRAME_LEN + 1).to_le_bytes().to_vec();
+        let mut bytes = ((MAX_FRAME_LEN + 1) | FRAME_FLAG_CRC)
+            .to_le_bytes()
+            .to_vec();
         bytes.push(op::PING);
         assert!(matches!(
             read_frame(&mut &bytes[..]).unwrap_err(),
@@ -1080,7 +1052,7 @@ mod tests {
 
     #[test]
     fn zero_length_frame_rejected() {
-        let bytes = 0u32.to_le_bytes();
+        let bytes = FRAME_FLAG_CRC.to_le_bytes();
         assert!(matches!(
             read_frame(&mut &bytes[..]).unwrap_err(),
             ProtocolError::EmptyFrame

@@ -36,9 +36,7 @@
 //! differently-sized hosts matters.
 
 use crate::artifact::{self, ArtifactError, ArtifactIo, ArtifactKind};
-use crate::kernels::{
-    baseline_chunk_grads, fused_chunk_grads, ChunkGrads, ScratchPool, MIN_CHUNK_SIZE,
-};
+use crate::kernels::{fused_chunk_grads, ChunkGrads, ScratchPool, MIN_CHUNK_SIZE};
 use crate::model::PkgmModel;
 use crate::negative::NegativeSampler;
 use crate::serialize::{model_from_bytes, model_to_bytes, SerializeError};
@@ -189,20 +187,6 @@ impl From<ArtifactError> for TrainError {
     }
 }
 
-/// Which gradient kernel drives the training inner loop. Runtime-only (not
-/// serialized into checkpoints); exists so benchmarks can measure the old
-/// path against the fused one on identical inputs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GradKernel {
-    /// Fused relation-blocked kernels with scratch accumulation
-    /// ([`fused_chunk_grads`]) — the production path.
-    #[default]
-    Fused,
-    /// The pre-kernel per-pair hash-map path ([`baseline_chunk_grads`]),
-    /// kept for before/after throughput comparison.
-    Baseline,
-}
-
 /// Lazy row-wise Adam state for the three parameter blocks.
 pub struct Trainer {
     /// Training hyper-parameters.
@@ -218,8 +202,6 @@ pub struct Trainer {
     pub(crate) v_mat: Vec<f32>,
     pub(crate) t: u64,
     epochs_done: usize,
-    /// Gradient-kernel selector (bench plumbing; defaults to fused).
-    kernel: GradKernel,
     /// Pooled per-worker scratch buffers, reused across batches.
     scratch: ScratchPool,
 }
@@ -262,21 +244,8 @@ impl Trainer {
             v_mat: Vec::new(),
             t: 0,
             epochs_done: 0,
-            kernel: GradKernel::default(),
             scratch: ScratchPool::new(),
         }
-    }
-
-    /// Select the gradient kernel (bench plumbing — see [`GradKernel`]).
-    /// Kernel choice affects throughput and f32 rounding detail, never the
-    /// math: both kernels implement the same subgradients.
-    pub fn set_kernel(&mut self, kernel: GradKernel) {
-        self.kernel = kernel;
-    }
-
-    /// The gradient kernel currently driving training.
-    pub fn kernel(&self) -> GradKernel {
-        self.kernel
     }
 
     /// Adam steps taken so far.
@@ -431,10 +400,7 @@ impl Trainer {
                     &mut rng,
                     &mut pairs,
                 );
-                let out = match self.kernel {
-                    GradKernel::Fused => fused_chunk_grads(model, sc, &pairs, margin),
-                    GradKernel::Baseline => baseline_chunk_grads(model, &pairs, margin),
-                };
+                let out = fused_chunk_grads(model, sc, &pairs, margin);
                 sc.pairs = pairs;
                 out
             })
@@ -604,7 +570,6 @@ impl Trainer {
                 v_mat,
                 t,
                 epochs_done,
-                kernel: GradKernel::default(),
                 scratch: ScratchPool::new(),
             },
         ))

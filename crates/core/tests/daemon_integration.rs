@@ -33,6 +33,17 @@ fn service(seed: u64) -> KnowledgeService {
     KnowledgeService::new(model, sel)
 }
 
+/// Frame a hand-written body the way `protocol` does: flagged length
+/// prefix, CRC32 trailer, body. For bodies no encoder would produce.
+fn hand_framed(body: &[u8]) -> Vec<u8> {
+    let mut framed = (body.len() as u32 | protocol::FRAME_FLAG_CRC)
+        .to_le_bytes()
+        .to_vec();
+    framed.extend_from_slice(&pkgm_core::artifact::crc32(body).to_le_bytes());
+    framed.extend_from_slice(body);
+    framed
+}
+
 fn tmpdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("pkgm-daemon-test-{name}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -217,15 +228,17 @@ fn mid_request_disconnects_and_garbage_leave_the_daemon_healthy() {
     // 1. Disconnect after the length prefix, mid-frame.
     {
         let mut raw = TcpStream::connect(&addr).unwrap();
-        raw.write_all(&64u32.to_le_bytes()).unwrap();
+        raw.write_all(&(64 | protocol::FRAME_FLAG_CRC).to_le_bytes())
+            .unwrap();
         raw.flush().unwrap();
     } // dropped: handler sees a truncated frame
 
     // 2. Disconnect partway through a declared body.
     {
         let mut raw = TcpStream::connect(&addr).unwrap();
-        raw.write_all(&16u32.to_le_bytes()).unwrap();
-        raw.write_all(&[protocol::op::LOOKUP, 1, 2]).unwrap();
+        let mut body = [0u8; 16];
+        body[0] = protocol::op::LOOKUP;
+        raw.write_all(&hand_framed(&body)[..8 + 3]).unwrap();
         raw.flush().unwrap();
     }
 
@@ -246,8 +259,7 @@ fn mid_request_disconnects_and_garbage_leave_the_daemon_healthy() {
     // 4. Valid frame with a garbage opcode: typed BadRequest.
     {
         let mut raw = TcpStream::connect(&addr).unwrap();
-        raw.write_all(&1u32.to_le_bytes()).unwrap();
-        raw.write_all(&[0xEE]).unwrap();
+        raw.write_all(&hand_framed(&[0xEE])).unwrap();
         raw.flush().unwrap();
         let body = protocol::read_frame(&mut raw)
             .unwrap()
@@ -256,6 +268,24 @@ fn mid_request_disconnects_and_garbage_leave_the_daemon_healthy() {
             protocol::decode_response(&body).unwrap(),
             Response::BadRequest(_)
         ));
+    }
+
+    // 5. A well-formed lookup framed without the CRC flag (what a pre-CRC
+    //    client sent): refused on the prefix, typed BadRequest, then close.
+    {
+        let mut raw = TcpStream::connect(&addr).unwrap();
+        let framed = protocol::encode_request(&protocol::Request::Lookup(vec![0, 1]));
+        let len = (framed.len() - 8) as u32;
+        raw.write_all(&len.to_le_bytes()).unwrap();
+        raw.write_all(&framed[8..]).unwrap();
+        raw.flush().unwrap();
+        let body = protocol::read_frame(&mut raw)
+            .unwrap()
+            .expect("daemon answers before closing");
+        match protocol::decode_response(&body).unwrap() {
+            Response::BadRequest(msg) => assert!(msg.contains("CRC flag")),
+            other => panic!("expected BadRequest, got {other:?}"),
+        }
     }
 
     // After all that abuse a well-formed client still gets service, and
@@ -272,12 +302,12 @@ fn mid_request_disconnects_and_garbage_leave_the_daemon_healthy() {
             .get("protocol_errors")
             .and_then(|v| v.as_u64())
             .unwrap();
-        if errors >= 4 {
+        if errors >= 5 {
             break;
         }
         assert!(
             std::time::Instant::now() < deadline,
-            "expected >= 4 protocol errors, daemon reports {errors}"
+            "expected >= 5 protocol errors, daemon reports {errors}"
         );
         std::thread::sleep(std::time::Duration::from_millis(20));
     }
@@ -296,9 +326,7 @@ fn oversized_lookup_is_rejected_without_executing() {
     let mut raw = TcpStream::connect(&addr).unwrap();
     let mut body = vec![protocol::op::LOOKUP];
     body.extend_from_slice(&(protocol::MAX_LOOKUP_ITEMS + 1).to_le_bytes());
-    let mut framed = (body.len() as u32).to_le_bytes().to_vec();
-    framed.extend(body);
-    raw.write_all(&framed).unwrap();
+    raw.write_all(&hand_framed(&body)).unwrap();
     raw.flush().unwrap();
     let resp = protocol::read_frame(&mut raw)
         .unwrap()
@@ -522,38 +550,6 @@ fn watchdog_restart_counters_surface_in_stats_over_the_wire() {
     assert!(
         client.ready().unwrap(),
         "daemon must be ready after recovery"
-    );
-    client.shutdown().unwrap();
-    daemon.wait();
-}
-
-#[test]
-fn legacy_tagless_frames_are_served_alongside_v2() {
-    // An old client frames without the CRC flag; the daemon must serve it
-    // and answer in the current (CRC-tagged) framing.
-    let svc = service(31);
-    let daemon = start_daemon(&svc);
-    let addr = daemon.local_addr().to_string();
-
-    let mut raw = TcpStream::connect(&addr).unwrap();
-    let framed = protocol::encode_request(&protocol::Request::Lookup(vec![0, 1]));
-    let legacy = protocol::downgrade_frame(&framed);
-    raw.write_all(&legacy).unwrap();
-    raw.flush().unwrap();
-    let body = protocol::read_frame(&mut raw)
-        .unwrap()
-        .expect("daemon answers the legacy frame");
-    match protocol::decode_response(&body).unwrap() {
-        Response::Rows { rows, .. } => assert_eq!(rows.len(), 2),
-        other => panic!("expected rows, got {other:?}"),
-    }
-
-    let mut client = DaemonClient::connect(&addr).unwrap();
-    let stats = client.stats().unwrap();
-    assert_eq!(
-        stats.get("protocol_errors").and_then(|v| v.as_u64()),
-        Some(0),
-        "legacy framing must not count as a protocol error"
     );
     client.shutdown().unwrap();
     daemon.wait();

@@ -9,17 +9,17 @@
 //!    ranking modes. Ranks are integers, so "exactly" means `==` — any
 //!    unsound early exit, stale scratch, broken merge cursor or grouping
 //!    bug shifts a rank and fails here.
-//! 2. **Kernel-independent metrics** — the fused path and the pre-kernel
-//!    baseline (`baseline_rank_*`, preserved verbatim, serial L1 sums)
-//!    agree on ranking metrics approximately: their scores differ in the
-//!    last f32 bits, which can only flip a comparison when two candidates
-//!    are ulp-close, so metric drift on random data stays negligible.
+//! 2. **Kernel-independent metrics** — the fused path and a brute-force
+//!    filtered rank over `PkgmModel::score` (serial L1 sums, written out
+//!    below) agree on ranking metrics approximately: their scores differ in
+//!    the last f32 bits, which can only flip a comparison when two
+//!    candidates are ulp-close, so metric drift on random data stays
+//!    negligible.
 
 use pkgm_core::eval::summarize_ranks;
 use pkgm_core::eval_kernels::{
-    baseline_rank_heads, baseline_rank_relations, baseline_rank_tails, fused_rank_heads,
-    fused_rank_relations, fused_rank_tails, reference_rank_heads, reference_rank_relations,
-    reference_rank_tails,
+    fused_rank_heads, fused_rank_relations, fused_rank_tails, reference_rank_heads,
+    reference_rank_relations, reference_rank_tails,
 };
 use pkgm_core::{PkgmConfig, PkgmModel};
 use pkgm_store::{EntityId, RelationId, StoreBuilder, Triple, TripleStore};
@@ -61,6 +61,30 @@ fn random_test_triples(store: &TripleStore, seed: u64, n: usize) -> Vec<Triple> 
                     EntityId(rng.gen_range(0..ne)),
                 )
             }
+        })
+        .collect()
+}
+
+/// Filtered rank of each test triple by brute force: every candidate
+/// `replace(t, c)` is scored through `PkgmModel::score` (serial L1,
+/// `pkgm_dot` projection) and counted if it is strictly better and not
+/// another known triple. Shares no code with the ranking kernels.
+fn brute_force_ranks(
+    model: &PkgmModel,
+    store: &TripleStore,
+    test: &[Triple],
+    n_candidates: usize,
+    replace: impl Fn(Triple, u32) -> Triple,
+) -> Vec<usize> {
+    test.iter()
+        .map(|&t| {
+            let true_score = model.score(t);
+            let better = (0..n_candidates as u32)
+                .map(|c| replace(t, c))
+                .filter(|&cand| cand != t && !store.contains(cand))
+                .filter(|&cand| model.score(cand) < true_score)
+                .count();
+            better + 1
         })
         .collect()
 }
@@ -136,12 +160,12 @@ proptest! {
         assert_all_modes_match(&model, &test, filter)?;
     }
 
-    /// Fused metrics track the verbatim pre-kernel baseline: summation
-    /// orders differ (blocked vs serial), so agreement is approximate, but
-    /// on random data ulp-level score differences essentially never flip a
-    /// strict comparison.
+    /// Fused metrics track a brute-force rank over `model.score`:
+    /// summation orders differ (blocked vs serial), so agreement is
+    /// approximate, but on random data ulp-level score differences
+    /// essentially never flip a strict comparison.
     #[test]
-    fn fused_metrics_track_baseline(
+    fn fused_metrics_track_brute_force_scoring(
         seed in 0u64..1_000_000,
     ) {
         let store = random_store(seed, 20, 4, 8);
@@ -152,32 +176,40 @@ proptest! {
         );
         let test = random_test_triples(&store, seed ^ 0x4C, 24);
         let ks = [1usize, 10];
+        let (ne, nr) = (model.n_entities(), model.n_relations());
         let pairs = [
             (
-                summarize_ranks(&fused_rank_tails(&model, &test, Some(&store)).unwrap(), &ks),
-                baseline_rank_tails(&model, &test, Some(&store), &ks),
+                fused_rank_tails(&model, &test, Some(&store)).unwrap(),
+                brute_force_ranks(&model, &store, &test, ne, |t, c| {
+                    Triple::new(t.head, t.relation, EntityId(c))
+                }),
             ),
             (
-                summarize_ranks(&fused_rank_heads(&model, &test, Some(&store)).unwrap(), &ks),
-                baseline_rank_heads(&model, &test, Some(&store), &ks),
+                fused_rank_heads(&model, &test, Some(&store)).unwrap(),
+                brute_force_ranks(&model, &store, &test, ne, |t, c| {
+                    Triple::new(EntityId(c), t.relation, t.tail)
+                }),
             ),
             (
-                summarize_ranks(&fused_rank_relations(&model, &test, Some(&store)).unwrap(), &ks),
-                baseline_rank_relations(&model, &test, Some(&store), &ks),
+                fused_rank_relations(&model, &test, Some(&store)).unwrap(),
+                brute_force_ranks(&model, &store, &test, nr, |t, c| {
+                    Triple::new(t.head, RelationId(c), t.tail)
+                }),
             ),
         ];
         for (fused, base) in pairs {
+            let (fused, base) = (summarize_ranks(&fused, &ks), summarize_ranks(&base, &ks));
             prop_assert_eq!(fused.n, base.n);
             prop_assert!(
                 (fused.mrr - base.mrr).abs() < 0.05,
-                "mrr diverged: fused {} vs baseline {}",
+                "mrr diverged: fused {} vs brute force {}",
                 fused.mrr,
                 base.mrr
             );
             prop_assert!(
                 (fused.mean_rank - base.mean_rank).abs()
                     < 1.0 + 0.05 * base.mean_rank,
-                "mean rank diverged: fused {} vs baseline {}",
+                "mean rank diverged: fused {} vs brute force {}",
                 fused.mean_rank,
                 base.mean_rank
             );

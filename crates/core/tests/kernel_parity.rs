@@ -11,14 +11,12 @@
 //!    produces bit-identical models and optimizer state: chunk layout is
 //!    computed the same way in both paths and per-chunk gradients merge in
 //!    ascending chunk order.
-//! 3. **Kernel-independent math** — the fused path and the pre-kernel
-//!    baseline agree on loss and violation counts exactly (both are sums of
-//!    identically-computed per-pair scores) even though their gradient
-//!    accumulation orders differ.
+//! 3. **Kernel-independent math** — the fused path's loss and violation
+//!    count agree with the margin loss written out over `PkgmModel::score`
+//!    (`pkgm_dot` order, so ulp-approximate), which shares no code with
+//!    the kernels.
 
-use pkgm_core::kernels::{
-    baseline_chunk_grads, fused_chunk_grads, reference_chunk_grads, ChunkGrads, TrainScratch,
-};
+use pkgm_core::kernels::{fused_chunk_grads, reference_chunk_grads, ChunkGrads, TrainScratch};
 use pkgm_core::serialize::model_to_bytes;
 use pkgm_core::{CorruptedPair, NegativeSampler, PkgmConfig, PkgmModel, TrainConfig, Trainer};
 use pkgm_store::{StoreBuilder, TripleStore};
@@ -134,16 +132,17 @@ proptest! {
         prop_assert!(fused.mat.is_empty());
     }
 
-    /// The two kernels agree on the violated set and, approximately, on the
-    /// loss. Agreement is ulp-approximate, not exact: the fused path scores
-    /// through `kernel_dot` (eight-lane dot) and sums per-pair loss terms in
-    /// relation-blocked order, the baseline scores through `pkgm_dot` and
-    /// sums in original order. Per-pair scores therefore differ in the last
-    /// f32 bits, which shifts each hinge term by ulps; the violated *set*
-    /// still matches on all generated cases because margin boundaries are
-    /// nowhere near ulp-tight on random data.
+    /// The fused kernel agrees with the margin loss `Σ [f(pos) + γ − f(neg)]₊`
+    /// written out over `PkgmModel::score` on the violated set and,
+    /// approximately, on the loss. Agreement is ulp-approximate, not exact:
+    /// the fused path scores through `kernel_dot` (eight-lane dot) and sums
+    /// per-pair loss terms in relation-blocked order, `score` goes through
+    /// `pkgm_dot` and the sum here runs in original order. Per-pair scores
+    /// therefore differ in the last f32 bits, which shifts each hinge term
+    /// by ulps; the violated *set* still matches on all generated cases
+    /// because margin boundaries are nowhere near ulp-tight on random data.
     #[test]
-    fn fused_and_baseline_agree_on_loss(
+    fn fused_loss_matches_margin_loss_over_model_score(
         seed in 0u64..1_000_000,
         negatives in 1usize..3,
     ) {
@@ -156,15 +155,20 @@ proptest! {
         let pairs = random_pairs(&store, seed ^ 0x59, negatives, 0.2);
         let mut scratch = TrainScratch::new(&model);
         let fused = fused_chunk_grads(&model, &mut scratch, &pairs, 4.0);
-        let base = baseline_chunk_grads(&model, &pairs, 4.0);
-        prop_assert_eq!(fused.violations, base.violations);
-        prop_assert_eq!(fused.pairs, base.pairs);
-        let tol = 1e-6 * base.loss.abs().max(1.0);
+        let hinges: Vec<f32> = pairs
+            .iter()
+            .map(|p| model.score(p.pos) + 4.0 - model.score(p.neg))
+            .filter(|&viol| viol > 0.0)
+            .collect();
+        let loss: f64 = hinges.iter().map(|&v| v as f64).sum();
+        prop_assert_eq!(fused.violations, hinges.len());
+        prop_assert_eq!(fused.pairs, pairs.len());
+        let tol = 1e-6 * loss.abs().max(1.0);
         prop_assert!(
-            (fused.loss - base.loss).abs() < tol,
-            "loss diverged: fused {} vs baseline {}",
+            (fused.loss - loss).abs() < tol,
+            "loss diverged: fused {} vs model.score {}",
             fused.loss,
-            base.loss
+            loss
         );
     }
 }

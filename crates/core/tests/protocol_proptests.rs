@@ -7,7 +7,7 @@
 
 use pkgm_core::protocol::{
     self, decode_request, decode_response, encode_request, encode_response, op, read_frame,
-    ProtocolError, Request, Response, MAX_FRAME_LEN, MAX_LOOKUP_ITEMS,
+    ProtocolError, Request, Response, FRAME_FLAG_CRC, MAX_FRAME_LEN, MAX_LOOKUP_ITEMS,
 };
 use proptest::prelude::*;
 
@@ -39,7 +39,7 @@ proptest! {
         let mut cursor = &bytes[..];
         match read_frame(&mut cursor) {
             // A parsed frame must have come entirely from the stream.
-            Ok(Some(body)) => prop_assert!(body.len() + 4 <= bytes.len()),
+            Ok(Some(body)) => prop_assert!(body.len() + 8 <= bytes.len()),
             Ok(None) => prop_assert!(bytes.is_empty()),
             Err(e) => prop_assert!(!e.to_string().is_empty()),
         }
@@ -75,8 +75,8 @@ proptest! {
         excess in 1u32..1_000_000,
         tail in prop::collection::vec(0u16..256, 0..8),
     ) {
-        let len = MAX_FRAME_LEN.saturating_add(excess);
-        let mut bytes = len.to_le_bytes().to_vec();
+        let len = MAX_FRAME_LEN + excess;
+        let mut bytes = (len | FRAME_FLAG_CRC).to_le_bytes().to_vec();
         bytes.extend(as_bytes(tail));
         match read_frame(&mut &bytes[..]) {
             Err(ProtocolError::FrameTooLarge { len: l, max }) => {
@@ -151,42 +151,48 @@ proptest! {
     }
 
     #[test]
-    fn v1_downgraded_frames_decode_identically(
-        items in prop::collection::vec(0u32..4_000_000_000, 0..32),
-        budget in 0u64..10_000_000,
-        which in prop::sample::select(vec![0u8, 1, 2]),
+    fn unflagged_prefixes_are_refused_before_the_body(
+        word in 0u32..FRAME_FLAG_CRC,
+        tail in prop::collection::vec(0u16..256, 0..64),
     ) {
-        let req = match which {
-            0 => Request::Lookup(items),
-            1 => Request::LookupDeadline { budget_micros: budget, items },
-            _ => Request::Stats,
-        };
-        let legacy = protocol::downgrade_frame(&encode_request(&req));
-        let body = read_frame(&mut &legacy[..]).unwrap().unwrap();
-        prop_assert_eq!(decode_request(&body).unwrap(), req);
+        // Whatever length an unchecksummed prefix claims — zero, a real
+        // body's, over the cap — it is refused on the prefix alone: nothing
+        // behind it is read.
+        let mut bytes = word.to_le_bytes().to_vec();
+        bytes.extend(as_bytes(tail));
+        let mut cursor = &bytes[..];
+        prop_assert!(matches!(
+            read_frame(&mut cursor),
+            Err(ProtocolError::Malformed(_))
+        ));
+        prop_assert_eq!(cursor.len(), bytes.len() - 4);
     }
 
     #[test]
-    fn any_single_bitflip_past_the_prefix_is_detected(
+    fn any_single_bitflip_is_detected(
         items in prop::collection::vec(0u32..4_000_000_000, 1..24),
         byte_seed in 0usize..10_000,
         bit in 0u8..8,
     ) {
-        // Header bytes (0..4) can re-route a frame between the v1 and v2
-        // decode paths, so corruption detection is only guaranteed from
-        // the CRC trailer onward — which covers every payload byte a
-        // lookup response would serve.
+        // No bit of a frame is outside the check: bit 31 of the prefix
+        // clears the CRC flag (refused), any other prefix bit changes the
+        // length (over the cap, past the end of the stream, or short of
+        // the checksummed body), and the rest is under the checksum.
         let framed = encode_request(&Request::Lookup(items));
-        let byte = 4 + byte_seed % (framed.len() - 4);
+        let byte = byte_seed % framed.len();
         let mut hurt = framed;
         hurt[byte] ^= 1 << bit;
-        match read_frame(&mut &hurt[..]) {
-            Err(ProtocolError::CrcMismatch { .. }) => {}
-            other => prop_assert!(
-                false,
-                "byte {byte} bit {bit}: expected CrcMismatch, got {other:?}"
-            ),
-        }
+        let got = read_frame(&mut &hurt[..]);
+        let detected = match &got {
+            Err(ProtocolError::CrcMismatch { .. }) => true,
+            Err(
+                ProtocolError::Malformed(_)
+                | ProtocolError::FrameTooLarge { .. }
+                | ProtocolError::Truncated { .. },
+            ) => byte < 4,
+            _ => false,
+        };
+        prop_assert!(detected, "byte {byte} bit {bit}: got {got:?}");
     }
 
     #[test]

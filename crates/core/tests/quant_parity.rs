@@ -255,7 +255,8 @@ fn quantized_ranks_equal_reference_across_many_tiles() {
     }
     // The prune must actually bite, even on this untrained random model —
     // a bound loose enough to keep everything would be correct but
-    // useless. (Trained models prune far harder; see BENCH_eval.json.)
+    // useless. (Trained models prune far harder: `quant.prune_rate` in
+    // the benchmark.)
     let (_, stats) = quantized_rank_tails_with_stats(&model, &qmodel, &test, Some(&store)).unwrap();
     assert!(
         (stats.candidates - stats.survivors) * 10 >= stats.candidates,
