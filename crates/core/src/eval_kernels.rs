@@ -9,12 +9,25 @@
 //!   table in cache-sized tiles, a preallocated [`EvalScratch`] per worker
 //!   (no per-triple allocation), eight-lane fixed-order L1 accumulation,
 //!   exact early exit per candidate, relation-grouped head ranking, and
-//!   sorted-merge filtering.
+//!   sorted-merge filtering. The quantized kernels
+//!   ([`quantized_rank_tails`] …) are the same functions with an int8
+//!   pruning phase in front of the exact scan.
 //! * **Reference** ([`reference_rank_tails`] / [`reference_rank_heads`] /
 //!   [`reference_rank_relations`]) — the contract twin: per-triple fresh
 //!   compute, per-candidate `binary_search` filtering, no grouping, no
 //!   early exit, but the *same* summation orders as the fused path. The
 //!   parity suite asserts fused ≡ reference per-triple ranks **exactly**.
+//!
+//! ## Candidate runs
+//!
+//! Per test triple, each tile of candidates is split at the filtered ids
+//! and at the true id into maximal runs of contiguous candidates, and each
+//! run is one dispatched call into [`crate::simd`]: [`simd::run_beats`]
+//! counts the run's candidates that beat the true score, or, in the
+//! quantized kernels, [`simd::prune_run`] keeps the run's phase-1
+//! survivors and only those are rescored exactly. The SIMD layer sees a
+//! whole run at once — AVX2 decides four candidates per pass — instead of
+//! one indirect call per candidate.
 //!
 //! ## Why the early exit is exact, not approximate
 //!
@@ -30,17 +43,29 @@
 //!
 //! ## Cost of head ranking
 //!
-//! Scoring every head candidate with a fresh `M_r·h′` mat-vec costs
-//! O(|test|·|E|·d²). Fused head ranking groups test triples by relation,
-//! computes each candidate's relation-module score `‖M_r·h′ − r‖₁` once
-//! per (relation group, candidate tile) — with an early exit against the
-//! group's *maximum* true score — and shares it across every test triple
-//! of that relation: O(|R_test|·|E|·d²) + O(|test|·|E|·d).
+//! A head candidate's joint score needs its relation-module score
+//! `‖M_r·h′ − r‖₁`, a `d × d` mat-vec — at d = 64, 64× the work of its
+//! translation score. Paid per test triple that is O(|test|·|E|·d²).
+//! Fused head ranking groups test triples by relation and computes each
+//! candidate's score once per (relation group, candidate tile) with
+//! [`simd::project_run`], capped at the group's *maximum* true score (past
+//! which no triple of the group can count the candidate), and shares it
+//! across every test triple of the relation: O(|R_test|·|E|·d²) +
+//! O(|test|·|E|·d). The projection is still most of a head query's cost,
+//! so it is where the SIMD layer does more than stream rows: AVX2 takes
+//! four rows of `M_r` against two candidates per step, each row load
+//! serving both, and every (candidate, row) dot keeps `kernel_dot`'s lane
+//! order and combine. Pruning on the translation half first does not pay:
+//! on a trained model most candidates' translation score alone stays
+//! below the true head's joint score, so `f_R` has to be computed in full
+//! for nearly all of them anyway (DESIGN.md §11).
 
 use crate::kernels::kernel_dot;
 use crate::model::PkgmModel;
 use crate::quant::{QuantScanTable, F32_EPS};
-use crate::simd::{blocked_l1, blocked_l1_translation, l1_beats, translation_beats};
+use crate::simd::{
+    self, blocked_l1, blocked_l1_translation, l1_beats, translation_beats, Projection, RunScan,
+};
 use pkgm_store::{EntityId, RelationId, Triple, TripleStore};
 use rayon::prelude::*;
 
@@ -54,7 +79,7 @@ const CANDIDATE_TILE: u32 = 256;
 /// chunk instead of once per triple.
 const TRIPLE_CHUNK: usize = 16;
 
-/// A test triple referenced an id outside the model's tables.
+/// Why a ranking call was refused.
 ///
 /// The pre-kernel evaluation path panicked on out-of-range ids (slice
 /// indexing); the kernel path validates up front and returns a clean error.
@@ -78,6 +103,12 @@ pub enum EvalError {
         /// The model's relation-table size.
         n_relations: usize,
     },
+    /// The [`QuantEvalModel`] was built from other entity or relation
+    /// tables than the model's — trained further since, or another model
+    /// altogether. Its pruning bounds would certify distances to rows that
+    /// no longer exist, so ranks could be silently wrong; rebuild it with
+    /// [`QuantEvalModel::build`].
+    StaleQuantModel,
 }
 
 impl std::fmt::Display for EvalError {
@@ -98,6 +129,10 @@ impl std::fmt::Display for EvalError {
             } => write!(
                 f,
                 "test triple {index} references relation {id}, but the model has {n_relations} relations"
+            ),
+            EvalError::StaleQuantModel => write!(
+                f,
+                "the quantized tables were built from other entity/relation tables than the model's; rebuild them"
             ),
         }
     }
@@ -130,21 +165,10 @@ fn validate(model: &PkgmModel, test: &[Triple]) -> Result<(), EvalError> {
     Ok(())
 }
 
-// ---------------------------------------------------------------------------
-// Blocked L1 primitives (the contract arithmetic)
-// ---------------------------------------------------------------------------
-//
-// The eight-lane blocked primitives — `blocked_l1`,
-// `blocked_l1_translation` and the early-exit comparators `l1_beats` /
-// `translation_beats` — live in [`crate::simd`] now, runtime-dispatched to
-// AVX2/SSE4.1 with the scalar twins as the contract arithmetic. Every
-// dispatch level computes the identical deterministic function (same lane
-// order, same fixed combine, same `EXIT_STRIDE` cadence), so the
-// fused ≡ reference bit-identity this module promises is unchanged.
-
 /// Relation-module score `‖M·hv − rv‖₁`: projection rows via
 /// [`kernel_dot`], residual terms accumulated serially in index order —
-/// the same arithmetic as the training kernels' cached-projection score.
+/// the same arithmetic as the training kernels' cached-projection score,
+/// and what [`simd::project_run`] computes for a run of candidates.
 #[inline]
 fn residual(m: &[f32], hv: &[f32], rv: &[f32]) -> f32 {
     let d = rv.len();
@@ -155,26 +179,10 @@ fn residual(m: &[f32], hv: &[f32], rv: &[f32]) -> f32 {
     res
 }
 
-/// [`residual`] with an exact early exit against `cap`, returning
-/// `f32::INFINITY` once the partial residual reaches it.
-///
-/// `cap` is the **maximum** true score of a relation group. If the partial
-/// residual already reaches `cap`, the full residual does too, and for
-/// every test triple of the group the candidate's joint score
-/// `f_T + f_R ≥ f_R ≥ cap ≥ true_score` — so it can never count as
-/// "better" and the `INFINITY` sentinel makes every per-triple
-/// `extra >= bound` pre-check skip it, exactly like the reference.
+/// Rows `[a, b)` of a row-major table of `d`-wide rows.
 #[inline]
-fn residual_capped(m: &[f32], hv: &[f32], rv: &[f32], cap: f32) -> f32 {
-    let d = rv.len();
-    let mut res = 0.0f32;
-    for i in 0..d {
-        res += (kernel_dot(&m[i * d..(i + 1) * d], hv) - rv[i]).abs();
-        if res >= cap {
-            return f32::INFINITY;
-        }
-    }
-    res
+fn rows(table: &[f32], d: usize, a: u32, b: u32) -> &[f32] {
+    &table[a as usize * d..b as usize * d]
 }
 
 // ---------------------------------------------------------------------------
@@ -188,8 +196,9 @@ fn residual_capped(m: &[f32], hv: &[f32], rv: &[f32], cap: f32) -> f32 {
 /// allocation. Mirrors [`crate::kernels::TrainScratch`].
 #[derive(Debug, Default)]
 pub struct EvalScratch {
-    /// `S_T(h, r)` base vectors for a chunk of tail-ranking triples
-    /// (`chunk_len × d`, row-major).
+    /// `S_T(h, r)` base vectors for a chunk of tail-ranking triples, or
+    /// the translation queries of the quantized head/relation kernels
+    /// (`g × d`, row-major).
     bases: Vec<f32>,
     /// Per-triple true scores of the current chunk/group.
     true_scores: Vec<f32>,
@@ -206,12 +215,27 @@ pub struct EvalScratch {
     qbases: Vec<i8>,
     /// Per-triple certified query-side quantization errors.
     qerr: Vec<f32>,
+    /// Phase-1 survivors of one triple's runs, awaiting the exact rescore.
+    survivors: Vec<u32>,
+    /// Candidate relations one relation-ranking triple filters out.
+    blocked: Vec<RelationId>,
 }
 
 impl EvalScratch {
     /// An empty scratch; buffers grow on first use and are then reused.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Zero the `better` counters of `g` triples and start each filter
+    /// cursor at the first known id `>= lo` — for `lo = 0` index 0,
+    /// exactly the serial scan's start.
+    fn start_cursors<K: Id>(&mut self, knowns: &[&[K]], lo: u32) {
+        self.better.clear();
+        self.better.resize(knowns.len(), 0);
+        self.ptr.clear();
+        self.ptr
+            .extend(knowns.iter().map(|k| k.partition_point(|e| e.id() < lo)));
     }
 }
 
@@ -240,7 +264,7 @@ impl EvalScratchPool {
 }
 
 // ---------------------------------------------------------------------------
-// Grouping
+// Grouping and runs
 // ---------------------------------------------------------------------------
 
 /// Stably group test-triple indices by `key` (ascending key, original
@@ -261,6 +285,53 @@ fn grouped_indices(test: &[Triple], key: impl Fn(&Triple) -> u32) -> Vec<Vec<u32
         i = j;
     }
     groups
+}
+
+/// An id of a sorted known-positive list.
+trait Id: Copy {
+    fn id(self) -> u32;
+}
+
+impl Id for EntityId {
+    fn id(self) -> u32 {
+        self.0
+    }
+}
+
+impl Id for RelationId {
+    fn id(self) -> u32 {
+        self.0
+    }
+}
+
+/// Split the candidates `[lo, hi)` into maximal runs that hold neither the
+/// true id `skip` nor an id of `known` (sorted ascending), and call
+/// `scan(a, b)` on each non-empty run `[a, b)`. `cursor` indexes `known`
+/// and only moves forward, so one cursor serves all consecutive tiles of
+/// a triple: filtering costs one comparison per known id, not one per
+/// candidate.
+fn for_each_run<K: Id>(
+    lo: u32,
+    hi: u32,
+    known: &[K],
+    cursor: &mut usize,
+    skip: u32,
+    mut scan: impl FnMut(u32, u32),
+) {
+    let mut a = lo;
+    while a < hi {
+        while *cursor < known.len() && known[*cursor].id() < a {
+            *cursor += 1;
+        }
+        let mut b = known.get(*cursor).map_or(hi, |k| k.id().min(hi));
+        if (a..b).contains(&skip) {
+            b = skip;
+        }
+        if a < b {
+            scan(a, b);
+        }
+        a = b.saturating_add(1);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -391,10 +462,10 @@ where
 ///
 /// Triples are processed in chunks of [`TRIPLE_CHUNK`] so the entity table
 /// streams through cache once per chunk; candidates are scanned in
-/// ascending id order in [`CANDIDATE_TILE`]-sized tiles with the filter
-/// applied by an advancing cursor into the sorted known-tail set. Work
-/// fans out over `chunks × candidate-slices` (one slice per rayon thread),
-/// so all cores contribute even when `|test|` is small.
+/// ascending id order in [`CANDIDATE_TILE`]-sized tiles, each split into
+/// runs at the known tails and the true tail. Work fans out over
+/// `chunks × candidate-slices` (one slice per rayon thread), so all cores
+/// contribute even when `|test|` is small.
 pub fn fused_rank_tails(
     model: &PkgmModel,
     test: &[Triple],
@@ -413,93 +484,122 @@ pub fn fused_rank_tails_sliced(
     n_slices: usize,
 ) -> Result<Vec<usize>, EvalError> {
     validate(model, test)?;
-    let n_entities = model.n_entities() as u32;
-    let (ranks, _) = sliced_chunk_ranks(test, n_entities, n_slices, |scratch, chunk, lo, hi| {
-        (
-            tail_chunk_better(model, chunk, filter, scratch, lo, hi),
-            PruneStats::default(),
-        )
-    });
-    Ok(ranks)
+    Ok(sliced_tails(model, None, test, filter, n_slices).0)
 }
 
-/// Per-triple `better` counts for one chunk over candidates `[lo, hi)`.
+/// Tail ranking over `chunks × candidate-slices`, pruned when `qmodel` is
+/// given.
+fn sliced_tails(
+    model: &PkgmModel,
+    qmodel: Option<&QuantEvalModel>,
+    test: &[Triple],
+    filter: Option<&TripleStore>,
+    n_slices: usize,
+) -> (Vec<usize>, PruneStats) {
+    let n_entities = model.n_entities() as u32;
+    sliced_chunk_ranks(test, n_entities, n_slices, |scratch, chunk, lo, hi| {
+        tail_chunk_better(model, qmodel, chunk, filter, scratch, lo, hi)
+    })
+}
+
+/// Per-triple `better` counts for one chunk over candidates `[lo, hi)`:
+/// each run through [`simd::run_beats`], or with `qmodel` through
+/// [`simd::prune_run`] and an exact rescore of the survivors.
 fn tail_chunk_better(
     model: &PkgmModel,
+    qmodel: Option<&QuantEvalModel>,
     chunk: &[Triple],
     filter: Option<&TripleStore>,
     scratch: &mut EvalScratch,
     lo: u32,
     hi: u32,
-) -> Vec<usize> {
+) -> (Vec<usize>, PruneStats) {
     let d = model.dim();
     let g = chunk.len();
+    let knowns: Vec<&[EntityId]> = chunk
+        .iter()
+        .map(|t| filter.map_or(&[][..], |f| f.tails(t.head, t.relation)))
+        .collect();
+    scratch.start_cursors(&knowns, lo);
     let EvalScratch {
         bases,
         true_scores,
         better,
         ptr,
+        qbases,
+        qerr,
+        survivors,
         ..
     } = scratch;
     bases.resize(g * d, 0.0);
+    qbases.resize(g * d, 0);
+    qerr.clear();
     true_scores.clear();
-    let mut knowns: Vec<&[EntityId]> = Vec::with_capacity(g);
     for (s, &t) in chunk.iter().enumerate() {
         let base = &mut bases[s * d..(s + 1) * d];
         model.service_t_into(t.head, t.relation, base);
         true_scores.push(blocked_l1(base, model.ent(t.tail)));
-        knowns.push(filter.map_or(&[][..], |f| f.tails(t.head, t.relation)));
+        if let Some(qm) = qmodel {
+            // Phase 2 rescores against this very base vector, so the query
+            // carries no formation error — only its own quantization error.
+            qerr.push(
+                qm.ent
+                    .quantize_query(base, &mut qbases[s * d..(s + 1) * d], 0.0),
+            );
+        }
     }
-    better.clear();
-    better.resize(g, 0);
-    ptr.clear();
-    ptr.resize(g, 0);
-    // Filter cursors start at the first known id in this slice's range —
-    // for `lo = 0` this is index 0, exactly the serial scan's start.
-    for s in 0..g {
-        ptr[s] = knowns[s].partition_point(|e| e.0 < lo);
-    }
+    let mut stats = PruneStats::default();
 
     let mut tile_start = lo;
     while tile_start < hi {
         let tile_end = (tile_start + CANDIDATE_TILE).min(hi);
-        for s in 0..g {
-            let t = chunk[s];
+        for (s, t) in chunk.iter().enumerate() {
             let base = &bases[s * d..(s + 1) * d];
-            let known = knowns[s];
             let bound = true_scores[s];
-            let p = &mut ptr[s];
-            let mut b = 0usize;
-            for c in tile_start..tile_end {
-                while *p < known.len() && known[*p].0 < c {
-                    *p += 1;
-                }
-                if *p < known.len() && known[*p].0 == c {
-                    *p += 1;
-                    continue;
-                }
-                if c == t.tail.0 {
-                    continue;
-                }
-                if l1_beats(base, model.ent(EntityId(c)), 0.0, bound) {
-                    b += 1;
+            let mut runs = |scan: &mut dyn FnMut(u32, u32)| {
+                for_each_run(tile_start, tile_end, knowns[s], &mut ptr[s], t.tail.0, scan)
+            };
+            match qmodel {
+                None => runs(&mut |a, b| {
+                    let n = (b - a) as usize;
+                    let scan = RunScan::L1 {
+                        base,
+                        rows: rows(&model.ent, d, a, b),
+                        n,
+                    };
+                    better[s] += simd::run_beats(scan, bound);
+                }),
+                Some(qm) => {
+                    // Phase 1: a candidate whose certified lower bound
+                    // already reaches the true score can never count.
+                    survivors.clear();
+                    let qbase = &qbases[s * d..(s + 1) * d];
+                    runs(&mut |a, b| {
+                        let run = qm.ent.run(qbase, qerr[s], bound, a..b, None);
+                        stats.candidates += simd::prune_run(run, survivors);
+                    });
+                    stats.survivors += survivors.len() as u64;
+                    // Phase 2: the exact fused decision, bit-identical.
+                    better[s] += survivors
+                        .iter()
+                        .filter(|&&c| l1_beats(base, model.ent(EntityId(c)), 0.0, bound))
+                        .count();
                 }
             }
-            better[s] += b;
         }
         tile_start = tile_end;
     }
-    better.clone()
+    (better.clone(), stats.with_scanned_bytes(d))
 }
 
 /// Fused head ranking under the joint score `f_T + f_R`, bit-identical to
 /// [`reference_rank_heads`].
 ///
-/// Test triples are grouped by relation; each group loads `M_r` once and
-/// caches every candidate's relation-module score per tile (with an exact
-/// early exit against the group's maximum true score), sharing it across
-/// all test triples of the relation — O(|R_test|·|E|·d²) + O(|test|·|E|·d)
-/// instead of O(|test|·|E|·d²).
+/// Test triples are grouped by relation; each group computes every
+/// candidate's relation-module score once per tile with
+/// [`simd::project_run`] (capped at the group's maximum true score) and
+/// shares it across all test triples of the relation —
+/// O(|R_test|·|E|·d²) + O(|test|·|E|·d) instead of O(|test|·|E|·d²).
 pub fn fused_rank_heads(
     model: &PkgmModel,
     test: &[Triple],
@@ -517,132 +617,173 @@ pub fn fused_rank_heads_sliced(
     n_slices: usize,
 ) -> Result<Vec<usize>, EvalError> {
     validate(model, test)?;
+    Ok(sliced_heads(model, None, test, filter, n_slices).0)
+}
+
+/// Head ranking over `groups × candidate-slices`, pruned when `qmodel` is
+/// given.
+fn sliced_heads(
+    model: &PkgmModel,
+    qmodel: Option<&QuantEvalModel>,
+    test: &[Triple],
+    filter: Option<&TripleStore>,
+    n_slices: usize,
+) -> (Vec<usize>, PruneStats) {
     let groups = grouped_indices(test, |t| t.relation.0);
     let n_entities = model.n_entities() as u32;
-    let (ranks, _) = sliced_group_ranks(
+    sliced_group_ranks(
         test.len(),
         &groups,
         n_entities,
         n_slices,
         |scratch, idxs, lo, hi| {
-            (
-                head_group_better(model, test, idxs, filter, scratch, lo, hi),
-                PruneStats::default(),
-            )
+            head_group_better(model, qmodel, test, idxs, filter, scratch, lo, hi)
         },
-    );
-    Ok(ranks)
+    )
 }
 
 /// Per-triple `better` counts for one relation group over candidates
-/// `[lo, hi)`.
+/// `[lo, hi)`, each run through [`simd::run_beats`] or, with `qmodel`,
+/// [`simd::prune_run`] and an exact rescore of the survivors.
+#[allow(clippy::too_many_arguments)]
 fn head_group_better(
     model: &PkgmModel,
+    qmodel: Option<&QuantEvalModel>,
     test: &[Triple],
     indices: &[u32],
     filter: Option<&TripleStore>,
     scratch: &mut EvalScratch,
     lo: u32,
     hi: u32,
-) -> Vec<usize> {
+) -> (Vec<usize>, PruneStats) {
+    let d = model.dim();
     let r = test[indices[0] as usize].relation;
-    let rel_on = model.cfg.relation_module;
     let rv = model.rel(r);
     let g = indices.len();
+    let knowns: Vec<&[EntityId]> = indices
+        .iter()
+        .map(|&ti| {
+            let t = test[ti as usize];
+            filter.map_or(&[][..], |f| f.heads(t.relation, t.tail))
+        })
+        .collect();
+    scratch.start_cursors(&knowns, lo);
     let EvalScratch {
+        bases,
         true_scores,
         better,
         ptr,
         fr,
+        qbases,
+        qerr,
+        survivors,
         ..
     } = scratch;
 
+    bases.resize(g * d, 0.0);
+    qbases.resize(g * d, 0);
+    qerr.clear();
     true_scores.clear();
-    let mut knowns: Vec<&[EntityId]> = Vec::with_capacity(g);
     // The group's maximum true score caps the shared candidate residuals;
     // `f32::max` ignores NaN, and a NaN-only group degrades to cap = -inf,
     // which caps every candidate — consistent with the reference, where no
     // candidate can score below a NaN true score either.
     let mut cap = f32::NEG_INFINITY;
-    for &ti in indices {
+    for (s, &ti) in indices.iter().enumerate() {
         let t = test[ti as usize];
-        let h_row = model.ent(t.head);
-        let f_t = blocked_l1_translation(h_row, rv, model.ent(t.tail));
-        let ts = if rel_on {
-            f_t + residual(model.mat(r), h_row, rv)
-        } else {
-            f_t
-        };
+        let ts = kernel_joint_score(model, t.head, r, t.tail);
         cap = cap.max(ts);
         true_scores.push(ts);
-        knowns.push(filter.map_or(&[][..], |f| f.heads(t.relation, t.tail)));
+        if let Some(qm) = qmodel {
+            // Phase 1 bounds the translation part as the distance to the
+            // query `x = fl(t − r)`.
+            let (x, q) = (
+                &mut bases[s * d..(s + 1) * d],
+                &mut qbases[s * d..(s + 1) * d],
+            );
+            qerr.push(quantize_translation_query(
+                &qm.ent,
+                model.ent(t.tail),
+                rv,
+                x,
+                q,
+            ));
+        }
     }
-    better.clear();
-    better.resize(g, 0);
-    ptr.clear();
-    ptr.resize(g, 0);
-    for s in 0..g {
-        ptr[s] = knowns[s].partition_point(|e| e.0 < lo);
-    }
+    // f_R per candidate of the current tile; zero without the relation
+    // module, where the joint score is the translation score alone.
     fr.clear();
     fr.resize(CANDIDATE_TILE as usize, 0.0);
+    let mut stats = PruneStats::default();
 
     let mut tile_start = lo;
     while tile_start < hi {
         let tile_end = (tile_start + CANDIDATE_TILE).min(hi);
-        if rel_on {
-            let m = model.mat(r);
-            for c in tile_start..tile_end {
-                fr[(c - tile_start) as usize] = residual_capped(m, model.ent(EntityId(c)), rv, cap);
-            }
+        let tile_rows = rows(&model.ent, d, tile_start, tile_end);
+        let tile_fr = &mut fr[..(tile_end - tile_start) as usize];
+        if model.cfg.relation_module {
+            let p = Projection::SharedMatrix {
+                m: model.mat(r),
+                r: rv,
+                hs: tile_rows,
+            };
+            simd::project_run(p, cap, tile_fr);
         }
-        for s in 0..g {
-            let t = test[indices[s] as usize];
+        let tile_fr = &*tile_fr;
+        let extra = |a: u32, b: u32| &tile_fr[(a - tile_start) as usize..(b - tile_start) as usize];
+        for (s, &ti) in indices.iter().enumerate() {
+            let t = test[ti as usize];
             let t_row = model.ent(t.tail);
-            let known = knowns[s];
             let bound = true_scores[s];
-            let p = &mut ptr[s];
-            let mut b = 0usize;
-            for c in tile_start..tile_end {
-                while *p < known.len() && known[*p].0 < c {
-                    *p += 1;
-                }
-                if *p < known.len() && known[*p].0 == c {
-                    *p += 1;
-                    continue;
-                }
-                if c == t.head.0 {
-                    continue;
-                }
-                let extra = if rel_on {
-                    fr[(c - tile_start) as usize]
-                } else {
-                    0.0
-                };
-                // Exact pre-check: f_T + f_R ≥ f_R, so f_R ≥ bound already
-                // rules the candidate out (and absorbs the ∞ sentinel).
-                if extra >= bound {
-                    continue;
-                }
-                if translation_beats(model.ent(EntityId(c)), rv, t_row, extra, bound) {
-                    b += 1;
+            let mut runs = |scan: &mut dyn FnMut(u32, u32)| {
+                for_each_run(tile_start, tile_end, knowns[s], &mut ptr[s], t.head.0, scan)
+            };
+            match qmodel {
+                None => runs(&mut |a, b| {
+                    let scan = RunScan::Translation {
+                        a: rv,
+                        b: t_row,
+                        extra: extra(a, b),
+                        rows: rows(&model.ent, d, a, b),
+                    };
+                    better[s] += simd::run_beats(scan, bound);
+                }),
+                Some(qm) => {
+                    // Phase 1 on the joint score: the translation part
+                    // alone must close the gap the relation module leaves
+                    // open, so each candidate is pruned against
+                    // `bound − f_R` (the rearranged rounding sits inside
+                    // the scan table's SUM_SHAVE).
+                    survivors.clear();
+                    let qbase = &qbases[s * d..(s + 1) * d];
+                    runs(&mut |a, b| {
+                        let run = qm.ent.run(qbase, qerr[s], bound, a..b, Some(extra(a, b)));
+                        stats.candidates += simd::prune_run(run, survivors);
+                    });
+                    stats.survivors += survivors.len() as u64;
+                    better[s] += survivors
+                        .iter()
+                        .filter(|&&c| {
+                            let f_r = tile_fr[(c - tile_start) as usize];
+                            translation_beats(model.ent(EntityId(c)), rv, t_row, f_r, bound)
+                        })
+                        .count();
                 }
             }
-            better[s] += b;
         }
         tile_start = tile_end;
     }
-    better.clone()
+    (better.clone(), stats.with_scanned_bytes(d))
 }
 
 /// Fused relation ranking under the joint score, bit-identical to
 /// [`reference_rank_relations`].
 ///
 /// Test triples are grouped by head; each group computes every candidate
-/// relation's module score `‖M_r·h − r‖₁` once (with the capped early
-/// exit) and shares it across the group's triples. The filter walks the
-/// head's sorted relation list with an advancing cursor and only consults
-/// the tail set for relations the head actually has.
+/// relation's module score `‖M_r·h − r‖₁` once ([`simd::project_run`],
+/// capped) and shares it across the group's triples. A candidate is
+/// filtered only when the head has it in the store *and* its tail set
+/// holds the triple's tail.
 pub fn fused_rank_relations(
     model: &PkgmModel,
     test: &[Triple],
@@ -662,100 +803,153 @@ pub fn fused_rank_relations_sliced(
     n_slices: usize,
 ) -> Result<Vec<usize>, EvalError> {
     validate(model, test)?;
+    Ok(sliced_relations(model, None, test, filter, n_slices).0)
+}
+
+/// Relation ranking over `groups × candidate-slices`, pruned when
+/// `qmodel` is given.
+fn sliced_relations(
+    model: &PkgmModel,
+    qmodel: Option<&QuantEvalModel>,
+    test: &[Triple],
+    filter: Option<&TripleStore>,
+    n_slices: usize,
+) -> (Vec<usize>, PruneStats) {
     let groups = grouped_indices(test, |t| t.head.0);
     let n_relations = model.n_relations() as u32;
-    let (ranks, _) = sliced_group_ranks(
+    sliced_group_ranks(
         test.len(),
         &groups,
         n_relations,
         n_slices,
         |scratch, idxs, lo, hi| {
-            (
-                relation_group_better(model, test, idxs, filter, scratch, lo, hi),
-                PruneStats::default(),
-            )
+            relation_group_better(model, qmodel, test, idxs, filter, scratch, lo, hi)
         },
-    );
-    Ok(ranks)
+    )
 }
 
 /// Per-triple `better` counts for one head group over candidate relations
-/// `[lo, hi)`.
+/// `[lo, hi)`, each run through [`simd::run_beats`] or, with `qmodel`,
+/// [`simd::prune_run`] and an exact rescore of the survivors.
+#[allow(clippy::too_many_arguments)]
 fn relation_group_better(
     model: &PkgmModel,
+    qmodel: Option<&QuantEvalModel>,
     test: &[Triple],
     indices: &[u32],
     filter: Option<&TripleStore>,
     scratch: &mut EvalScratch,
     lo: u32,
     hi: u32,
-) -> Vec<usize> {
+) -> (Vec<usize>, PruneStats) {
+    let d = model.dim();
     let h = test[indices[0] as usize].head;
-    let rel_on = model.cfg.relation_module;
     let h_row = model.ent(h);
+    let g = indices.len();
     let EvalScratch {
-        true_scores, fr, ..
+        bases,
+        true_scores,
+        fr,
+        qbases,
+        qerr,
+        survivors,
+        blocked,
+        ..
     } = scratch;
 
+    bases.resize(g * d, 0.0);
+    qbases.resize(g * d, 0);
+    qerr.clear();
     true_scores.clear();
     let mut cap = f32::NEG_INFINITY;
-    for &ti in indices {
+    for (s, &ti) in indices.iter().enumerate() {
         let t = test[ti as usize];
-        let rv = model.rel(t.relation);
-        let f_t = blocked_l1_translation(h_row, rv, model.ent(t.tail));
-        let ts = if rel_on {
-            f_t + residual(model.mat(t.relation), h_row, rv)
-        } else {
-            f_t
-        };
+        let ts = kernel_joint_score(model, h, t.relation, t.tail);
         cap = cap.max(ts);
         true_scores.push(ts);
+        if let Some(qm) = qmodel {
+            // Candidate relations r′ score `fl(fl(h + r′) − t)`, bounded
+            // below via the query `x = fl(t − h)` against the relation
+            // scan table.
+            let (x, q) = (
+                &mut bases[s * d..(s + 1) * d],
+                &mut qbases[s * d..(s + 1) * d],
+            );
+            qerr.push(quantize_translation_query(
+                &qm.rel,
+                model.ent(t.tail),
+                h_row,
+                x,
+                q,
+            ));
+        }
     }
 
     fr.clear();
     fr.resize((hi - lo) as usize, 0.0);
-    if rel_on {
-        for c in lo..hi {
-            let rc = RelationId(c);
-            fr[(c - lo) as usize] = residual_capped(model.mat(rc), h_row, model.rel(rc), cap);
-        }
+    if model.cfg.relation_module {
+        let dd = d * d;
+        let p = Projection::SharedVector {
+            h: h_row,
+            ms: &model.mats[lo as usize * dd..hi as usize * dd],
+            rs: rows(&model.rel, d, lo, hi),
+        };
+        simd::project_run(p, cap, fr);
     }
+    let fr = &*fr;
+    let extra = |a: u32, b: u32| &fr[(a - lo) as usize..(b - lo) as usize];
     let known_rels: &[RelationId] = filter.map_or(&[][..], |f| f.relations_of(h));
+    let known_rels = &known_rels[known_rels.partition_point(|e| e.0 < lo)..];
+    let mut stats = PruneStats::default();
 
-    let mut out = Vec::with_capacity(indices.len());
+    let mut out = Vec::with_capacity(g);
     for (s, &ti) in indices.iter().enumerate() {
         let t = test[ti as usize];
         let t_row = model.ent(t.tail);
         let bound = true_scores[s];
-        let mut p = known_rels.partition_point(|e| e.0 < lo);
+        blocked.clear();
+        if let Some(f) = filter {
+            blocked.extend(
+                known_rels
+                    .iter()
+                    .take_while(|c| c.0 < hi)
+                    .filter(|&&c| f.tails(h, c).binary_search(&t.tail).is_ok()),
+            );
+        }
+        let runs = |scan: &mut dyn FnMut(u32, u32)| {
+            for_each_run(lo, hi, blocked, &mut 0, t.relation.0, scan)
+        };
         let mut better = 0usize;
-        for c in lo..hi {
-            while p < known_rels.len() && known_rels[p].0 < c {
-                p += 1;
-            }
-            if c == t.relation.0 {
-                continue;
-            }
-            if p < known_rels.len() && known_rels[p].0 == c {
-                // The head has relation c in the filter store; skip the
-                // candidate iff (h, c, t.tail) is a known positive.
-                if let Some(f) = filter {
-                    if f.tails(h, RelationId(c)).binary_search(&t.tail).is_ok() {
-                        continue;
-                    }
-                }
-            }
-            let extra = if rel_on { fr[(c - lo) as usize] } else { 0.0 };
-            if extra >= bound {
-                continue;
-            }
-            if translation_beats(h_row, model.rel(RelationId(c)), t_row, extra, bound) {
-                better += 1;
+        match qmodel {
+            None => runs(&mut |a, b| {
+                let scan = RunScan::Translation {
+                    a: h_row,
+                    b: t_row,
+                    extra: extra(a, b),
+                    rows: rows(&model.rel, d, a, b),
+                };
+                better += simd::run_beats(scan, bound);
+            }),
+            Some(qm) => {
+                survivors.clear();
+                let qbase = &qbases[s * d..(s + 1) * d];
+                runs(&mut |a, b| {
+                    let run = qm.rel.run(qbase, qerr[s], bound, a..b, Some(extra(a, b)));
+                    stats.candidates += simd::prune_run(run, survivors);
+                });
+                stats.survivors += survivors.len() as u64;
+                better = survivors
+                    .iter()
+                    .filter(|&&c| {
+                        let f_r = fr[(c - lo) as usize];
+                        translation_beats(h_row, model.rel(RelationId(c)), t_row, f_r, bound)
+                    })
+                    .count();
             }
         }
         out.push(better);
     }
-    out
+    (out, stats.with_scanned_bytes(d))
 }
 
 // ---------------------------------------------------------------------------
@@ -807,16 +1001,36 @@ impl PruneStats {
             self.scanned_bytes as f64 / self.candidates as f64
         }
     }
+
+    /// Set `scanned_bytes` from the counts at dimension `d`.
+    fn with_scanned_bytes(mut self, d: usize) -> Self {
+        self.scanned_bytes = self.candidates * d as u64 + self.survivors * 4 * d as u64;
+        self
+    }
 }
 
 /// The int8 companion of a [`PkgmModel`]: entity and relation tables
 /// quantized with table-wide per-block scales ([`QuantScanTable`]) for the
 /// phase-1 pruning scans. Build once, share across evaluations — the
-/// tables are immutable snapshots of the model at build time.
+/// tables are immutable snapshots of the model at build time, and every
+/// quantized ranking call checks that the model still has those tables.
 #[derive(Debug, Clone)]
 pub struct QuantEvalModel {
     ent: QuantScanTable,
     rel: QuantScanTable,
+    /// [`tables_crc`] of the model the tables were built from.
+    tables_crc: u32,
+}
+
+/// CRC32 of a model's entity then relation table bytes — what the
+/// quantized tables were built from.
+fn tables_crc(model: &PkgmModel) -> u32 {
+    use crate::artifact::crc32_update;
+    use crate::le::as_bytes;
+    !crc32_update(
+        crc32_update(!0, &as_bytes(&model.ent)),
+        &as_bytes(&model.rel),
+    )
 }
 
 impl QuantEvalModel {
@@ -826,6 +1040,7 @@ impl QuantEvalModel {
         Self {
             ent: QuantScanTable::from_rows(&model.ent, d),
             rel: QuantScanTable::from_rows(&model.rel, d),
+            tables_crc: tables_crc(model),
         }
     }
 
@@ -835,19 +1050,18 @@ impl QuantEvalModel {
         self.ent.storage_bytes() + self.rel.storage_bytes()
     }
 
-    /// Check the tables still describe `model`'s shape.
-    fn check(&self, model: &PkgmModel) {
-        assert_eq!(self.ent.row_len(), model.dim(), "quant model dim mismatch");
-        assert_eq!(
-            self.ent.n_rows(),
-            model.n_entities(),
-            "quant model entity-table mismatch"
-        );
-        assert_eq!(
-            self.rel.n_rows(),
-            model.n_relations(),
-            "quant model relation-table mismatch"
-        );
+    /// Check the tables were built from `model`'s current entity and
+    /// relation tables: same shapes and same bytes (one dispatched CRC32
+    /// pass over both, ≈ 25 GB/s on a `pclmulqdq` host).
+    fn check(&self, model: &PkgmModel) -> Result<(), EvalError> {
+        let same_shape = self.ent.row_len() == model.dim()
+            && self.ent.n_rows() == model.n_entities()
+            && self.rel.n_rows() == model.n_relations();
+        if same_shape && self.tables_crc == tables_crc(model) {
+            Ok(())
+        } else {
+            Err(EvalError::StaleQuantModel)
+        }
     }
 }
 
@@ -866,10 +1080,30 @@ fn translation_query_err(a: &[f32], b: &[f32]) -> f32 {
     2.0 * F32_EPS * sum
 }
 
+/// Form the translation query `x = fl(a − b)` (heads: `t − r`; relations:
+/// `t − h`), quantize it into `q` against `table`, and return its
+/// certified error including the formation slack of
+/// [`translation_query_err`].
+fn quantize_translation_query(
+    table: &QuantScanTable,
+    a: &[f32],
+    b: &[f32],
+    x: &mut [f32],
+    q: &mut [i8],
+) -> f32 {
+    for ((x, &ai), &bi) in x.iter_mut().zip(a).zip(b) {
+        *x = ai - bi;
+    }
+    table.quantize_query(x, q, translation_query_err(a, b))
+}
+
 /// Quantized two-phase tail ranking with pruning telemetry: ranks are
 /// bit-identical to [`fused_rank_tails`] / [`reference_rank_tails`] (the
 /// `quant_parity` suite enforces this), but most candidates are rejected
 /// by a certified int8 lower bound before their f32 row is ever touched.
+///
+/// Returns [`EvalError::StaleQuantModel`] if `qmodel` was not built from
+/// `model`'s current tables.
 pub fn quantized_rank_tails_with_stats(
     model: &PkgmModel,
     qmodel: &QuantEvalModel,
@@ -896,16 +1130,8 @@ pub fn quantized_rank_tails_with_stats_sliced(
     n_slices: usize,
 ) -> Result<(Vec<usize>, PruneStats), EvalError> {
     validate(model, test)?;
-    qmodel.check(model);
-    let n_entities = model.n_entities() as u32;
-    Ok(sliced_chunk_ranks(
-        test,
-        n_entities,
-        n_slices,
-        |scratch, chunk, lo, hi| {
-            quant_tail_chunk_better(model, qmodel, chunk, filter, scratch, lo, hi)
-        },
-    ))
+    qmodel.check(model)?;
+    Ok(sliced_tails(model, Some(qmodel), test, filter, n_slices))
 }
 
 /// [`quantized_rank_tails_with_stats`] without the telemetry.
@@ -918,101 +1144,10 @@ pub fn quantized_rank_tails(
     quantized_rank_tails_with_stats(model, qmodel, test, filter).map(|(r, _)| r)
 }
 
-fn quant_tail_chunk_better(
-    model: &PkgmModel,
-    qmodel: &QuantEvalModel,
-    chunk: &[Triple],
-    filter: Option<&TripleStore>,
-    scratch: &mut EvalScratch,
-    lo: u32,
-    hi: u32,
-) -> (Vec<usize>, PruneStats) {
-    let d = model.dim();
-    let g = chunk.len();
-    let EvalScratch {
-        bases,
-        true_scores,
-        better,
-        ptr,
-        qbases,
-        qerr,
-        ..
-    } = scratch;
-    bases.resize(g * d, 0.0);
-    qbases.resize(g * d, 0);
-    qerr.clear();
-    true_scores.clear();
-    let mut knowns: Vec<&[EntityId]> = Vec::with_capacity(g);
-    for (s, &t) in chunk.iter().enumerate() {
-        let base = &mut bases[s * d..(s + 1) * d];
-        model.service_t_into(t.head, t.relation, base);
-        true_scores.push(blocked_l1(base, model.ent(t.tail)));
-        // Phase 2 rescores against this very base vector, so the query
-        // carries no formation error — only its own quantization error.
-        qerr.push(
-            qmodel
-                .ent
-                .quantize_query(base, &mut qbases[s * d..(s + 1) * d], 0.0),
-        );
-        knowns.push(filter.map_or(&[][..], |f| f.tails(t.head, t.relation)));
-    }
-    better.clear();
-    better.resize(g, 0);
-    ptr.clear();
-    ptr.resize(g, 0);
-    for s in 0..g {
-        ptr[s] = knowns[s].partition_point(|e| e.0 < lo);
-    }
-    let mut stats = PruneStats::default();
-
-    let mut tile_start = lo;
-    while tile_start < hi {
-        let tile_end = (tile_start + CANDIDATE_TILE).min(hi);
-        for s in 0..g {
-            let t = chunk[s];
-            let base = &bases[s * d..(s + 1) * d];
-            let qbase = &qbases[s * d..(s + 1) * d];
-            let query_err = qerr[s];
-            let known = knowns[s];
-            let bound = true_scores[s];
-            let p = &mut ptr[s];
-            let mut b = 0usize;
-            for c in tile_start..tile_end {
-                while *p < known.len() && known[*p].0 < c {
-                    *p += 1;
-                }
-                if *p < known.len() && known[*p].0 == c {
-                    *p += 1;
-                    continue;
-                }
-                if c == t.tail.0 {
-                    continue;
-                }
-                stats.candidates += 1;
-                // Phase 1: if even the certified lower bound reaches the
-                // true score, the exact blocked L1 would too — the
-                // candidate can never count as better.
-                if qmodel.ent.prunes(qbase, c, query_err, bound) {
-                    continue;
-                }
-                stats.survivors += 1;
-                // Phase 2: the exact fused decision, bit-identical.
-                if l1_beats(base, model.ent(EntityId(c)), 0.0, bound) {
-                    b += 1;
-                }
-            }
-            better[s] += b;
-        }
-        tile_start = tile_end;
-    }
-    stats.scanned_bytes = stats.candidates * d as u64 + stats.survivors * 4 * d as u64;
-    (better.clone(), stats)
-}
-
 /// Quantized two-phase head ranking, bit-identical to
 /// [`fused_rank_heads`] / [`reference_rank_heads`].
 ///
-/// The relation-module part (`f_R` via [`residual_capped`]) still reads
+/// The relation-module part (`f_R` via [`simd::project_run`]) still reads
 /// f32 rows — it is an O(d²) mat-vec per candidate per relation group and
 /// dominates regardless — so quantization prunes only the translation
 /// scan; `scanned_bytes` counts that scan.
@@ -1041,18 +1176,8 @@ pub fn quantized_rank_heads_with_stats_sliced(
     n_slices: usize,
 ) -> Result<(Vec<usize>, PruneStats), EvalError> {
     validate(model, test)?;
-    qmodel.check(model);
-    let groups = grouped_indices(test, |t| t.relation.0);
-    let n_entities = model.n_entities() as u32;
-    Ok(sliced_group_ranks(
-        test.len(),
-        &groups,
-        n_entities,
-        n_slices,
-        |scratch, idxs, lo, hi| {
-            quant_head_group_better(model, qmodel, test, idxs, filter, scratch, lo, hi)
-        },
-    ))
+    qmodel.check(model)?;
+    Ok(sliced_heads(model, Some(qmodel), test, filter, n_slices))
 }
 
 /// [`quantized_rank_heads_with_stats`] without the telemetry.
@@ -1063,134 +1188,6 @@ pub fn quantized_rank_heads(
     filter: Option<&TripleStore>,
 ) -> Result<Vec<usize>, EvalError> {
     quantized_rank_heads_with_stats(model, qmodel, test, filter).map(|(r, _)| r)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn quant_head_group_better(
-    model: &PkgmModel,
-    qmodel: &QuantEvalModel,
-    test: &[Triple],
-    indices: &[u32],
-    filter: Option<&TripleStore>,
-    scratch: &mut EvalScratch,
-    lo: u32,
-    hi: u32,
-) -> (Vec<usize>, PruneStats) {
-    let d = model.dim();
-    let r = test[indices[0] as usize].relation;
-    let rel_on = model.cfg.relation_module;
-    let rv = model.rel(r);
-    let g = indices.len();
-    let EvalScratch {
-        bases,
-        true_scores,
-        better,
-        ptr,
-        fr,
-        qbases,
-        qerr,
-    } = scratch;
-
-    bases.resize(g * d, 0.0);
-    qbases.resize(g * d, 0);
-    qerr.clear();
-    true_scores.clear();
-    let mut knowns: Vec<&[EntityId]> = Vec::with_capacity(g);
-    let mut cap = f32::NEG_INFINITY;
-    for (s, &ti) in indices.iter().enumerate() {
-        let t = test[ti as usize];
-        let h_row = model.ent(t.head);
-        let t_row = model.ent(t.tail);
-        let f_t = blocked_l1_translation(h_row, rv, t_row);
-        let ts = if rel_on {
-            f_t + residual(model.mat(r), h_row, rv)
-        } else {
-            f_t
-        };
-        cap = cap.max(ts);
-        true_scores.push(ts);
-        // Phase 1 bounds the translation part as the distance to the query
-        // `x = fl(t − r)`; the formation slack covers the gap between this
-        // form and phase 2's `fl(fl(h′ + r) − t)` arithmetic.
-        let x = &mut bases[s * d..(s + 1) * d];
-        for i in 0..d {
-            x[i] = t_row[i] - rv[i];
-        }
-        let extra = translation_query_err(t_row, rv);
-        qerr.push(
-            qmodel
-                .ent
-                .quantize_query(x, &mut qbases[s * d..(s + 1) * d], extra),
-        );
-        knowns.push(filter.map_or(&[][..], |f| f.heads(t.relation, t.tail)));
-    }
-    better.clear();
-    better.resize(g, 0);
-    ptr.clear();
-    ptr.resize(g, 0);
-    for s in 0..g {
-        ptr[s] = knowns[s].partition_point(|e| e.0 < lo);
-    }
-    fr.clear();
-    fr.resize(CANDIDATE_TILE as usize, 0.0);
-    let mut stats = PruneStats::default();
-
-    let mut tile_start = lo;
-    while tile_start < hi {
-        let tile_end = (tile_start + CANDIDATE_TILE).min(hi);
-        if rel_on {
-            let m = model.mat(r);
-            for c in tile_start..tile_end {
-                fr[(c - tile_start) as usize] = residual_capped(m, model.ent(EntityId(c)), rv, cap);
-            }
-        }
-        for s in 0..g {
-            let t = test[indices[s] as usize];
-            let t_row = model.ent(t.tail);
-            let qbase = &qbases[s * d..(s + 1) * d];
-            let query_err = qerr[s];
-            let known = knowns[s];
-            let bound = true_scores[s];
-            let p = &mut ptr[s];
-            let mut b = 0usize;
-            for c in tile_start..tile_end {
-                while *p < known.len() && known[*p].0 < c {
-                    *p += 1;
-                }
-                if *p < known.len() && known[*p].0 == c {
-                    *p += 1;
-                    continue;
-                }
-                if c == t.head.0 {
-                    continue;
-                }
-                let extra = if rel_on {
-                    fr[(c - tile_start) as usize]
-                } else {
-                    0.0
-                };
-                if extra >= bound {
-                    continue;
-                }
-                stats.candidates += 1;
-                // Phase 1 on the joint score: the translation part alone
-                // must close the gap the relation module leaves open, so
-                // prune against `bound − extra` (`extra < bound` held
-                // above; the rearranged rounding sits inside SUM_SHAVE).
-                if qmodel.ent.prunes(qbase, c, query_err, bound - extra) {
-                    continue;
-                }
-                stats.survivors += 1;
-                if translation_beats(model.ent(EntityId(c)), rv, t_row, extra, bound) {
-                    b += 1;
-                }
-            }
-            better[s] += b;
-        }
-        tile_start = tile_end;
-    }
-    stats.scanned_bytes = stats.candidates * d as u64 + stats.survivors * 4 * d as u64;
-    (better.clone(), stats)
 }
 
 /// Quantized two-phase relation ranking, bit-identical to
@@ -1223,17 +1220,13 @@ pub fn quantized_rank_relations_with_stats_sliced(
     n_slices: usize,
 ) -> Result<(Vec<usize>, PruneStats), EvalError> {
     validate(model, test)?;
-    qmodel.check(model);
-    let groups = grouped_indices(test, |t| t.head.0);
-    let n_relations = model.n_relations() as u32;
-    Ok(sliced_group_ranks(
-        test.len(),
-        &groups,
-        n_relations,
+    qmodel.check(model)?;
+    Ok(sliced_relations(
+        model,
+        Some(qmodel),
+        test,
+        filter,
         n_slices,
-        |scratch, idxs, lo, hi| {
-            quant_relation_group_better(model, qmodel, test, idxs, filter, scratch, lo, hi)
-        },
     ))
 }
 
@@ -1245,116 +1238,6 @@ pub fn quantized_rank_relations(
     filter: Option<&TripleStore>,
 ) -> Result<Vec<usize>, EvalError> {
     quantized_rank_relations_with_stats(model, qmodel, test, filter).map(|(r, _)| r)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn quant_relation_group_better(
-    model: &PkgmModel,
-    qmodel: &QuantEvalModel,
-    test: &[Triple],
-    indices: &[u32],
-    filter: Option<&TripleStore>,
-    scratch: &mut EvalScratch,
-    lo: u32,
-    hi: u32,
-) -> (Vec<usize>, PruneStats) {
-    let d = model.dim();
-    let h = test[indices[0] as usize].head;
-    let rel_on = model.cfg.relation_module;
-    let h_row = model.ent(h);
-    let g = indices.len();
-    let EvalScratch {
-        bases,
-        true_scores,
-        fr,
-        qbases,
-        qerr,
-        ..
-    } = scratch;
-
-    bases.resize(g * d, 0.0);
-    qbases.resize(g * d, 0);
-    qerr.clear();
-    true_scores.clear();
-    let mut cap = f32::NEG_INFINITY;
-    for (s, &ti) in indices.iter().enumerate() {
-        let t = test[ti as usize];
-        let rv = model.rel(t.relation);
-        let t_row = model.ent(t.tail);
-        let f_t = blocked_l1_translation(h_row, rv, t_row);
-        let ts = if rel_on {
-            f_t + residual(model.mat(t.relation), h_row, rv)
-        } else {
-            f_t
-        };
-        cap = cap.max(ts);
-        true_scores.push(ts);
-        // Candidate relations r′ score `fl(fl(h + r′) − t)` elementwise —
-        // bounded below via the query `x = fl(t − h)` against the relation
-        // scan table, with the same formation slack as head ranking.
-        let x = &mut bases[s * d..(s + 1) * d];
-        for i in 0..d {
-            x[i] = t_row[i] - h_row[i];
-        }
-        let extra = translation_query_err(t_row, h_row);
-        qerr.push(
-            qmodel
-                .rel
-                .quantize_query(x, &mut qbases[s * d..(s + 1) * d], extra),
-        );
-    }
-
-    fr.clear();
-    fr.resize((hi - lo) as usize, 0.0);
-    if rel_on {
-        for c in lo..hi {
-            let rc = RelationId(c);
-            fr[(c - lo) as usize] = residual_capped(model.mat(rc), h_row, model.rel(rc), cap);
-        }
-    }
-    let known_rels: &[RelationId] = filter.map_or(&[][..], |f| f.relations_of(h));
-    let mut stats = PruneStats::default();
-
-    let mut out = Vec::with_capacity(indices.len());
-    for (s, &ti) in indices.iter().enumerate() {
-        let t = test[ti as usize];
-        let t_row = model.ent(t.tail);
-        let qbase = &qbases[s * d..(s + 1) * d];
-        let query_err = qerr[s];
-        let bound = true_scores[s];
-        let mut p = known_rels.partition_point(|e| e.0 < lo);
-        let mut better = 0usize;
-        for c in lo..hi {
-            while p < known_rels.len() && known_rels[p].0 < c {
-                p += 1;
-            }
-            if c == t.relation.0 {
-                continue;
-            }
-            if p < known_rels.len() && known_rels[p].0 == c {
-                if let Some(f) = filter {
-                    if f.tails(h, RelationId(c)).binary_search(&t.tail).is_ok() {
-                        continue;
-                    }
-                }
-            }
-            let extra = if rel_on { fr[(c - lo) as usize] } else { 0.0 };
-            if extra >= bound {
-                continue;
-            }
-            stats.candidates += 1;
-            if qmodel.rel.prunes(qbase, c, query_err, bound - extra) {
-                continue;
-            }
-            stats.survivors += 1;
-            if translation_beats(h_row, model.rel(RelationId(c)), t_row, extra, bound) {
-                better += 1;
-            }
-        }
-        out.push(better);
-    }
-    stats.scanned_bytes = stats.candidates * d as u64 + stats.survivors * 4 * d as u64;
-    (out, stats)
 }
 
 // ---------------------------------------------------------------------------
@@ -1536,25 +1419,34 @@ mod tests {
         }
     }
 
-    /// `residual_capped` returns the exact residual below the cap and the
-    /// ∞ sentinel at or above it.
+    /// Runs cover exactly the candidates that are neither known nor the
+    /// true id, and a cursor carried across tiles ends up where a fresh
+    /// one would.
     #[test]
-    fn residual_capped_is_exact_or_sentinel() {
-        let mut rng = SmallRng::seed_from_u64(13);
-        for d in [2usize, 5, 16] {
-            for _ in 0..100 {
-                let m = random_vec(&mut rng, d * d);
-                let hv = random_vec(&mut rng, d);
-                let rv = random_vec(&mut rng, d);
-                let full = residual(&m, &hv, &rv);
-                let below = residual_capped(&m, &hv, &rv, full * 2.0 + 1.0);
-                assert_eq!(below.to_bits(), full.to_bits());
-                assert_eq!(residual_capped(&m, &hv, &rv, full * 0.5), f32::INFINITY);
-                assert_eq!(
-                    residual_capped(&m, &hv, &rv, f32::NEG_INFINITY),
-                    f32::INFINITY
-                );
-            }
+    fn runs_split_at_known_ids_and_the_true_id() {
+        let known: Vec<EntityId> = [2u32, 3, 3, 7, 11, 20].map(EntityId).to_vec();
+        let collect = |lo, hi, cursor: &mut usize, skip| {
+            let mut runs = Vec::new();
+            for_each_run(lo, hi, &known, cursor, skip, |a, b| runs.push((a, b)));
+            runs
+        };
+        let mut cursor = 0;
+        assert_eq!(
+            collect(0, 10, &mut cursor, 5),
+            vec![(0, 2), (4, 5), (6, 7), (8, 10)]
+        );
+        assert_eq!(collect(10, 12, &mut cursor, 99), vec![(10, 11)]);
+        assert_eq!(collect(12, 22, &mut cursor, 21), vec![(12, 20)]);
+        assert_eq!(collect(0, 2, &mut 0, 0), vec![(1, 2)]);
+        assert_eq!(collect(3, 3, &mut 0, 3), vec![]);
+        for lo in 0..22 {
+            let mut carried = 0;
+            collect(0, lo, &mut carried, 99);
+            let mut fresh = known.partition_point(|e| e.0 < lo);
+            assert_eq!(
+                collect(lo, 22, &mut carried, 99),
+                collect(lo, 22, &mut fresh, 99)
+            );
         }
     }
 

@@ -61,6 +61,8 @@
 //! rescore — correct by construction, and rare enough not to matter for
 //! throughput.
 
+use std::ops::Range;
+
 /// Dimensions per quantization block. At 32 a d = 64 row carries two
 /// scales (8 bytes) next to 64 i8 payload bytes — ~12% overhead — and a
 /// block's integer absolute-difference sum stays well inside i16/i32.
@@ -79,7 +81,7 @@ pub(crate) const ERR_INFLATE: f32 = 1.0001;
 /// Relative shave applied to the accumulated quantized sum, covering its
 /// own accumulation rounding *and* the rounding deficit of the f32
 /// `blocked_l1` it lower-bounds.
-const SUM_SHAVE: f32 = 2e-4;
+pub(crate) const SUM_SHAVE: f32 = 2e-4;
 
 /// Deflation applied to the accumulated clamp bonus (distance a query
 /// coordinate is guaranteed to keep from every in-range candidate, see
@@ -478,40 +480,161 @@ impl QuantScanTable {
         (sum - sum * SUM_SHAVE - row_err) - query_err
     }
 
-    /// Early-exit form of [`Self::lower_bound`] for the hot pruning loop:
-    /// `true` iff the certified lower bound on the blocked L1 between the
-    /// query and `row` reaches `bound`. Per-block partial sums only grow,
-    /// so the scan stops at the first block whose running total already
-    /// proves the bound — on trained models most candidates are decided by
-    /// the first block, halving the bytes touched at d = 64.
+    /// Early-exit form of [`Self::lower_bound`] — the per-candidate
+    /// decision of the pruning scan: `true` iff the certified lower bound
+    /// on the blocked L1 between the query and `row` reaches `bound`.
+    /// Per-block partial sums only grow, so the scan stops at the first
+    /// block whose running total already proves the bound — on trained
+    /// models most candidates are decided by the first block, halving the
+    /// bytes touched at d = 64.
     ///
     /// The test is algebraically `lower_bound(q, row, query_err) ≥ bound`,
     /// rearranged so the threshold is precomputed and each block can
     /// decide. The rearrangement adds a couple of f32 roundings (~ε·bound),
     /// orders of magnitude inside the [`SUM_SHAVE`] budget, so a `true`
     /// still certifies that the exact blocked L1 reaches `bound`.
-    #[inline]
+    ///
+    /// The kernels decide whole runs through `simd::prune_run`; this is
+    /// that entry's per-candidate twin.
     pub fn prunes(&self, q: &[i8], row: u32, query_err: f32, bound: f32) -> bool {
-        let row_err = self.row_err[row as usize];
+        self.run(q, query_err, bound, row..row + 1, None)
+            .prunes_with(0, bound, crate::simd::sad_i8)
+    }
+
+    /// The phase-1 scan of candidates `ids` against the quantized query
+    /// `(q, query_err)` and `bound`, for `simd::prune_run`. With `extra`
+    /// (one value per candidate, the relation-module score) a candidate
+    /// whose `extra` reaches `bound` is skipped and not counted, and the
+    /// others are pruned against `bound − extra`.
+    ///
+    /// # Panics
+    /// If `ids` leaves the table or `q` is not one row; the scan panics if
+    /// `extra` is not one value per candidate.
+    pub fn run<'a>(
+        &'a self,
+        q: &'a [i8],
+        query_err: f32,
+        bound: f32,
+        ids: Range<u32>,
+        extra: Option<&'a [f32]>,
+    ) -> PruneRun<'a> {
+        assert_eq!(q.len(), self.row_len, "query must be one row");
+        let (lo, hi) = (ids.start as usize, ids.end as usize);
+        PruneRun {
+            q,
+            query_err,
+            bound,
+            first: ids.start,
+            rows: &self.data[lo * self.row_len..hi * self.row_len],
+            row_err: &self.row_err[lo..hi],
+            scales: &self.scales,
+            block: self.block,
+            extra,
+        }
+    }
+}
+
+/// A contiguous run of candidates of a [`QuantScanTable`] with one
+/// quantized query — the argument of `simd::prune_run`, built by
+/// [`QuantScanTable::run`].
+#[derive(Debug, Clone, Copy)]
+pub struct PruneRun<'a> {
+    pub(crate) q: &'a [i8],
+    pub(crate) query_err: f32,
+    pub(crate) bound: f32,
+    /// Id of the run's first candidate.
+    pub(crate) first: u32,
+    /// The candidates' quantized rows, row-major.
+    pub(crate) rows: &'a [i8],
+    /// The candidates' row errors (`+∞` = escape).
+    pub(crate) row_err: &'a [f32],
+    pub(crate) scales: &'a [f32],
+    pub(crate) block: usize,
+    pub(crate) extra: Option<&'a [f32]>,
+}
+
+impl PruneRun<'_> {
+    /// Candidates in the run, after checking every slice against the
+    /// query's length — what makes the vector body's unchecked loads
+    /// sound.
+    pub(crate) fn checked_len(&self) -> usize {
+        let (n, d) = (self.row_err.len(), self.q.len());
+        assert_eq!(self.rows.len(), n * d, "run rows must be n × d");
+        assert_eq!(
+            self.scales.len(),
+            d.div_ceil(self.block),
+            "one scale per block"
+        );
+        if let Some(extra) = self.extra {
+            assert_eq!(extra.len(), n, "one extra per candidate");
+        }
+        n
+    }
+
+    /// The run without its first `i` candidates.
+    #[cfg(target_arch = "x86_64")]
+    pub(crate) fn skip(&self, i: usize) -> Self {
+        Self {
+            first: self.first + i as u32,
+            rows: &self.rows[i * self.q.len()..],
+            row_err: &self.row_err[i..],
+            extra: self.extra.map(|e| &e[i..]),
+            ..*self
+        }
+    }
+
+    /// [`QuantScanTable::prunes`] for candidate `i` of the run against
+    /// `bound`, the per-block integer SAD supplied by the dispatch level
+    /// (exact at every level).
+    #[inline]
+    pub(crate) fn prunes_with(
+        &self,
+        i: usize,
+        bound: f32,
+        sad: impl Fn(&[i8], &[i8]) -> u32,
+    ) -> bool {
+        let row_err = self.row_err[i];
         if row_err == f32::INFINITY {
             // Escape row: never pruned, skip the scan entirely.
             return false;
         }
-        let target = bound + query_err + row_err;
-        let cand = self.row(row);
+        let target = bound + self.query_err + row_err;
+        let d = self.q.len();
+        let cand = &self.rows[i * d..(i + 1) * d];
         let mut sum = 0.0f32;
         for (b, &scale) in self.scales.iter().enumerate() {
-            // Same dispatched integer SAD as `lower_bound`; the per-block
-            // early-exit cadence is unchanged.
             let start = b * self.block;
-            let end = (start + self.block).min(self.row_len);
-            let d = crate::simd::sad_i8(&cand[start..end], &q[start..end]);
-            sum += scale * d as f32;
+            let end = (start + self.block).min(d);
+            sum += scale * sad(&cand[start..end], &self.q[start..end]) as f32;
             if sum - sum * SUM_SHAVE >= target {
                 return true;
             }
         }
         false
+    }
+
+    /// The contract of `simd::prune_run`: [`Self::prunes_with`] over the
+    /// run, survivors' ids appended in order; returns the candidates
+    /// counted (those not skipped by `extra ≥ bound`).
+    #[inline]
+    pub(crate) fn survivors_with(
+        &self,
+        survivors: &mut Vec<u32>,
+        sad: impl Fn(&[i8], &[i8]) -> u32,
+    ) -> u64 {
+        let mut candidates = 0u64;
+        for i in 0..self.checked_len() {
+            let bound = match self.extra {
+                Some(extra) if extra[i] >= self.bound => continue,
+                Some(extra) => self.bound - extra[i],
+                None => self.bound,
+            };
+            candidates += 1;
+            if !self.prunes_with(i, bound, &sad) {
+                survivors.push(self.first + i as u32);
+            }
+        }
+        candidates
     }
 }
 

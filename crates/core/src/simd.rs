@@ -5,9 +5,27 @@
 //! early-exit comparators ([`l1_beats`] / [`translation_beats`]), the
 //! int8 absolute-difference sum behind `quant::prunes` ([`sad_i8`]) and
 //! the CRC32 under every artifact, snapshot section and wire frame
-//! ([`crc32_update`]) — has exactly one **scalar twin** (in [`scalar`])
-//! and, on x86-64, explicit `std::arch` implementations selected once at
-//! runtime:
+//! ([`crc32_update`]) — has exactly one **scalar twin** (in [`scalar`]).
+//!
+//! The link-prediction kernels do not call those primitives once per
+//! candidate. They call three **run entries**, once per contiguous run of
+//! unfiltered candidates:
+//!
+//! * [`run_beats`] — how many rows of a run beat a bound under
+//!   [`l1_beats`] (tails) or [`translation_beats`] (heads, relations);
+//! * [`prune_run`] — the survivors of `QuantScanTable::prunes` over a run;
+//! * [`project_run`] — the capped relation-module residual
+//!   `‖M·h − r‖₁` of every candidate of a run, each row a [`kernel_dot`].
+//!
+//! A run entry's scalar twin is the loop over its per-candidate twin, and
+//! that loop is the contract: the run form may interleave candidates,
+//! share row loads and combine four accumulators at once, but every
+//! (candidate, row) accumulator keeps its own lane order and combine tree
+//! and every decision its early-exit cadence, so each count, survivor and
+//! residual equals the loop's bit for bit.
+//!
+//! Every entry, primitive or run, has, on x86-64, explicit `std::arch`
+//! implementations selected once at runtime:
 //!
 //! * **AVX2** when `is_x86_feature_detected!("avx2")`;
 //! * **SSE4.1** when only `is_x86_feature_detected!("sse4.1")`;
@@ -29,18 +47,26 @@
 //! `vmulps`/`vaddps`/`vsubps`/`vandps` perform the identical IEEE-754
 //! operation per lane in the identical order (no FMA contraction — the
 //! intrinsics say `mul` then `add`, exactly like the scalar source), and
-//! the horizontal reduction extracts the lanes and evaluates the same
-//! fixed tree in scalar f32. The SSE4.1 path splits the eight lanes across
+//! the horizontal reduction evaluates the same fixed tree in registers:
+//! two `hadd`s form `(a₀+a₁)+(a₂+a₃)` in the low half and
+//! `(a₄+a₅)+(a₆+a₇)` in the high half, one add joins them. IEEE addition
+//! is commutative, so `hadd`'s `a₁+a₀` is the scalar `a₀+a₁` bit for bit.
+//! Three `hadd`s combine four accumulators into one `f32x4` the same way,
+//! which is how the run entries reduce four candidates (or four matrix
+//! rows) per exit check. The SSE4.1 path splits the eight lanes across
 //! two `f32x4` registers — same per-lane order again. So for every input
 //! the SIMD result is the *same deterministic function* as the scalar
-//! twin, bit for bit; `tests/simd_parity.rs` enforces this across
+//! twin, bit for bit; `tests/simd_parity.rs` enforces this at every level
+//! the host supports ([`SimdDispatch::all_supported`]) across
 //! non-lane-multiple dims, subnormals, and early-exit abandon points.
 //!
 //! The early-exit comparators keep their cadence: the partial lane sums
 //! are combined and compared against the bound every
 //! [`EXIT_STRIDE`] chunks, exactly where the scalar twin checks, so the
 //! *decisions* (not just final values) are identical and ranks stay
-//! bit-identical. The i8 scan is exact integer arithmetic
+//! bit-identical. (A coarser cadence would be exact too — a partial sum
+//! only grows, so a check that fires proves the final comparison fails —
+//! but the run entries keep this one.) The i8 scan is exact integer arithmetic
 //! (`_mm256_sad_epu8` over sign-flipped bytes — `|a−b|` is translation
 //! invariant, so XOR with `0x80` maps signed SAD onto the unsigned
 //! instruction); any summation order gives the same `u32`.
@@ -61,6 +87,7 @@
 //! every trained model byte). It routes through this module so there is
 //! one implementation, but both dispatch entries are the same scalar code.
 
+use crate::quant::PruneRun;
 use std::sync::OnceLock;
 
 /// Early-exit cadence in eight-lane chunks: the comparators combine the
@@ -92,17 +119,75 @@ impl SimdLevel {
     }
 }
 
-/// A resolved table of kernel entry points, all computing the same
-/// deterministic functions (see the module docs).
-///
-/// The crate's hot paths call the free functions ([`kernel_dot`],
-/// [`blocked_l1`], …), which route through [`active`]; benches and the
-/// parity suite grab [`SimdDispatch::scalar`] / [`SimdDispatch::detected`]
-/// to compare implementations explicitly.
 /// Entry type of [`SimdDispatch::translation_beats`]:
 /// `(h, r, t, extra, bound) → beats`.
 pub type TranslationBeatsFn = fn(&[f32], &[f32], &[f32], f32, f32) -> bool;
 
+/// A contiguous run of candidate rows for [`run_beats`], with the query
+/// every row is compared against. `d` is the query's length and `rows`
+/// holds the run's candidates as `d`-wide rows, row-major.
+#[derive(Debug, Clone, Copy)]
+pub enum RunScan<'a> {
+    /// Tails: row `c` beats when `l1_beats(base, c, 0.0, bound)`.
+    L1 {
+        /// The query vector `S_T(h, r)`.
+        base: &'a [f32],
+        /// `n × d` candidate rows.
+        rows: &'a [f32],
+        /// Candidates in the run.
+        n: usize,
+    },
+    /// Heads (`a = r`, `b = t`) and relations (`a = h`, `b = t`): row `i`
+    /// beats when `translation_beats(c_i, a, b, extra[i], bound)`. The
+    /// relation twin is `translation_beats(h, c_i, t, …)`; `c + h` and
+    /// `h + c` are the same IEEE sum, so the two decide alike.
+    Translation {
+        /// Added to each candidate row.
+        a: &'a [f32],
+        /// Subtracted from each sum.
+        b: &'a [f32],
+        /// Per-candidate addend (the relation-module score); its length is
+        /// the run length.
+        extra: &'a [f32],
+        /// `extra.len() × d` candidate rows.
+        rows: &'a [f32],
+    },
+}
+
+/// The candidates of a run for [`project_run`]: `out[i]` becomes
+/// `Σ_row |kernel_dot(M_row, h) − r_row|`, summed serially in row order,
+/// or `f32::INFINITY` once a partial sum reaches the cap.
+#[derive(Debug, Clone, Copy)]
+pub enum Projection<'a> {
+    /// Heads: one `M` (`d × d`, row-major) and `r`; candidate `i` is row
+    /// `i` of `hs` (`n × d`).
+    SharedMatrix {
+        /// The relation's transfer matrix.
+        m: &'a [f32],
+        /// The relation's embedding.
+        r: &'a [f32],
+        /// Candidate head rows.
+        hs: &'a [f32],
+    },
+    /// Relations: one `h`; candidate `i` is matrix `i` of `ms`
+    /// (`n × d × d`) with row `i` of `rs` (`n × d`).
+    SharedVector {
+        /// The head's embedding.
+        h: &'a [f32],
+        /// Candidate transfer matrices.
+        ms: &'a [f32],
+        /// Candidate relation rows.
+        rs: &'a [f32],
+    },
+}
+
+/// A resolved table of kernel entry points, all computing the same
+/// deterministic functions (see the module docs).
+///
+/// The crate's hot paths call the free functions ([`kernel_dot`],
+/// [`run_beats`], …), which route through [`active`]; the parity suite
+/// grabs [`SimdDispatch::all_supported`] / [`SimdDispatch::scalar`] to
+/// compare implementations explicitly.
 #[derive(Debug, Clone, Copy)]
 pub struct SimdDispatch {
     /// Which instruction set this table's entries use.
@@ -121,6 +206,13 @@ pub struct SimdDispatch {
     pub sad_i8: fn(&[i8], &[i8]) -> u32,
     /// Raw IEEE CRC32 state update (see [`crc32_update`]).
     pub crc32_update: fn(u32, &[u8]) -> u32,
+    /// Count the rows of a run that beat the bound (see [`run_beats`]).
+    pub run_beats: fn(RunScan<'_>, f32) -> usize,
+    /// Append a run's phase-1 survivors; returns its candidate count (see
+    /// [`prune_run`]).
+    pub prune_run: fn(PruneRun<'_>, &mut Vec<u32>) -> u64,
+    /// Capped relation-module residuals of a run (see [`project_run`]).
+    pub project_run: fn(Projection<'_>, f32, &mut [f32]),
 }
 
 static SCALAR: SimdDispatch = SimdDispatch {
@@ -132,12 +224,32 @@ static SCALAR: SimdDispatch = SimdDispatch {
     translation_beats: scalar::translation_beats,
     sad_i8: scalar::sad_i8,
     crc32_update: scalar::crc32_update,
+    run_beats: scalar::run_beats,
+    prune_run: scalar::prune_run,
+    project_run: scalar::project_run,
 };
 
 impl SimdDispatch {
     /// The portable scalar table (every entry is a scalar twin).
     pub fn scalar() -> &'static SimdDispatch {
         &SCALAR
+    }
+
+    /// Every table this host can run, scalar first and
+    /// [`SimdDispatch::detected`] last — on an AVX2 host that is scalar,
+    /// SSE4.1 and AVX2, so the parity suite compares the SSE4.1 bodies too
+    /// although nothing else here would ever select them.
+    pub fn all_supported() -> Vec<&'static SimdDispatch> {
+        let mut tables = vec![SimdDispatch::scalar()];
+        let best = SimdDispatch::detected();
+        #[cfg(target_arch = "x86_64")]
+        if best.level == SimdLevel::Avx2 && std::arch::is_x86_feature_detected!("sse4.1") {
+            tables.push(&x86::SSE41);
+        }
+        if best.level != SimdLevel::Scalar {
+            tables.push(best);
+        }
+        tables
     }
 
     /// The best table the host supports, ignoring `PKGM_FORCE_SCALAR` —
@@ -297,6 +409,39 @@ pub fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
     (active().crc32_update)(state, bytes)
 }
 
+/// How many rows of `scan` beat `bound` — the per-candidate comparator of
+/// the [`RunScan`] variant applied to every row, dispatched once for the
+/// whole run. AVX2 decides four candidates per pass and reduces all four
+/// partial sums with one `hadd` tree at each [`EXIT_STRIDE`] check.
+///
+/// # Panics
+/// If the row slice is not exactly the run's candidates.
+#[inline]
+pub fn run_beats(scan: RunScan<'_>, bound: f32) -> usize {
+    (active().run_beats)(scan, bound)
+}
+
+/// Append to `survivors` the ids of `run`'s candidates that
+/// `QuantScanTable::prunes` cannot rule out, skipping (and not counting)
+/// candidates whose `extra` already reaches the bound; returns how many
+/// candidates it counted. Dispatched once per run, the block SAD inlined.
+#[inline]
+pub fn prune_run(run: PruneRun<'_>, survivors: &mut Vec<u32>) -> u64 {
+    (active().prune_run)(run, survivors)
+}
+
+/// Fill `out[i]` with candidate `i`'s relation-module residual
+/// `‖M·h − r‖₁` (see [`Projection`]), or `f32::INFINITY` once its partial
+/// sum reaches `cap`, dispatched once per run. AVX2 computes four matrix
+/// rows per step against up to two candidates, sharing each row load.
+///
+/// # Panics
+/// If the slices do not hold `out.len()` candidates of one dimension.
+#[inline]
+pub fn project_run(p: Projection<'_>, cap: f32, out: &mut [f32]) {
+    (active().project_run)(p, cap, out)
+}
+
 /// The reflected IEEE CRC32 polynomial `P` (without its `x³²` term).
 const CRC_POLY: u32 = 0xEDB8_8320;
 
@@ -351,6 +496,60 @@ pub fn l1_dist(a: &[f32], b: &[f32]) -> f32 {
     s
 }
 
+/// Row `i` of a row-major table of `d`-wide rows.
+#[inline]
+fn row(rows: &[f32], d: usize, i: usize) -> &[f32] {
+    &rows[i * d..(i + 1) * d]
+}
+
+impl RunScan<'_> {
+    /// Candidates in the run, after checking every slice against the
+    /// query's length — what makes the vector bodies' unchecked row
+    /// loads sound.
+    fn checked_len(&self) -> usize {
+        match *self {
+            RunScan::L1 { base, rows, n } => {
+                assert_eq!(rows.len(), n * base.len(), "run rows must be n × d");
+                n
+            }
+            RunScan::Translation { a, b, extra, rows } => {
+                assert_eq!(a.len(), b.len(), "translation operands differ in length");
+                assert_eq!(rows.len(), extra.len() * a.len(), "run rows must be n × d");
+                extra.len()
+            }
+        }
+    }
+}
+
+impl Projection<'_> {
+    /// The dimension, after checking every slice against `n` candidates.
+    fn checked_dim(&self, n: usize) -> usize {
+        match *self {
+            Projection::SharedMatrix { m, r, hs } => {
+                let d = r.len();
+                assert_eq!(m.len(), d * d, "transfer matrix must be d × d");
+                assert_eq!(hs.len(), n * d, "candidate rows must be n × d");
+                d
+            }
+            Projection::SharedVector { h, ms, rs } => {
+                let d = h.len();
+                assert_eq!(ms.len(), n * d * d, "candidate matrices must be n × d × d");
+                assert_eq!(rs.len(), n * d, "candidate rows must be n × d");
+                d
+            }
+        }
+    }
+
+    /// Candidate `i`'s `(M, h, r)`.
+    #[inline]
+    fn candidate(&self, i: usize, d: usize) -> (&[f32], &[f32], &[f32]) {
+        match *self {
+            Projection::SharedMatrix { m, r, hs } => (m, row(hs, d, i), r),
+            Projection::SharedVector { h, ms, rs } => (row(ms, d * d, i), h, row(rs, d, i)),
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Scalar twins (the portable contract arithmetic)
 // ---------------------------------------------------------------------------
@@ -361,7 +560,7 @@ pub fn l1_dist(a: &[f32], b: &[f32]) -> f32 {
 /// `quant.rs` now route here), kept `pub` so parity tests and benches can
 /// name them explicitly.
 pub mod scalar {
-    use super::EXIT_STRIDE;
+    use super::{Projection, PruneRun, RunScan, EXIT_STRIDE};
 
     /// The fixed tree-shaped lane combine shared by every eight-lane
     /// primitive (and reproduced by the SIMD horizontal reductions).
@@ -488,6 +687,72 @@ pub mod scalar {
         (combine8(&acc) + tail) + extra < bound
     }
 
+    /// The contract of [`super::run_beats`]: the per-candidate comparators
+    /// a dispatch level supplies, applied to every row of the run.
+    #[inline]
+    pub(crate) fn run_beats_by(
+        scan: RunScan<'_>,
+        bound: f32,
+        l1_beats: impl Fn(&[f32], &[f32], f32, f32) -> bool,
+        translation_beats: impl Fn(&[f32], &[f32], &[f32], f32, f32) -> bool,
+    ) -> usize {
+        let n = scan.checked_len();
+        match scan {
+            RunScan::L1 { base, rows, .. } => (0..n)
+                .filter(|&i| l1_beats(base, super::row(rows, base.len(), i), 0.0, bound))
+                .count(),
+            RunScan::Translation { a, b, extra, rows } => extra
+                .iter()
+                .enumerate()
+                .filter(|&(i, &e)| translation_beats(super::row(rows, a.len(), i), a, b, e, bound))
+                .count(),
+        }
+    }
+
+    /// Scalar twin of [`super::run_beats`]: [`l1_beats`] or
+    /// [`translation_beats`] on every row.
+    pub fn run_beats(scan: RunScan<'_>, bound: f32) -> usize {
+        run_beats_by(scan, bound, l1_beats, translation_beats)
+    }
+
+    /// The contract of [`super::project_run`]: per candidate, each matrix
+    /// row's dot (the level's [`kernel_dot`]) minus `r_row`, absolute
+    /// values summed serially in row order, the cap checked after every
+    /// row.
+    #[inline]
+    pub(crate) fn project_run_by(
+        p: Projection<'_>,
+        cap: f32,
+        out: &mut [f32],
+        dot: impl Fn(&[f32], &[f32]) -> f32,
+    ) {
+        let d = p.checked_dim(out.len());
+        for (i, o) in out.iter_mut().enumerate() {
+            let (m, h, r) = p.candidate(i, d);
+            let mut res = 0.0f32;
+            *o = 'rows: {
+                for (k, &rk) in r.iter().enumerate() {
+                    res += (dot(super::row(m, d, k), h) - rk).abs();
+                    if res >= cap {
+                        break 'rows f32::INFINITY;
+                    }
+                }
+                res
+            };
+        }
+    }
+
+    /// Scalar twin of [`super::project_run`]: [`kernel_dot`] per row.
+    pub fn project_run(p: Projection<'_>, cap: f32, out: &mut [f32]) {
+        project_run_by(p, cap, out, kernel_dot)
+    }
+
+    /// Scalar twin of [`super::prune_run`]: `QuantScanTable::prunes` per
+    /// candidate, block sums by [`sad_i8`].
+    pub fn prune_run(run: PruneRun<'_>, survivors: &mut Vec<u32>) -> u64 {
+        run.survivors_with(survivors, sad_i8)
+    }
+
     /// Slice-by-8 lookup tables: `CRC_TABLES[0]` is the classic bytewise
     /// table (`crc` of the single byte `i`), and `CRC_TABLES[k][i]` is that
     /// byte's contribution after `k` further zero bytes, so eight input
@@ -582,7 +847,10 @@ pub mod scalar {
 /// the calls sound.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{scalar, SimdDispatch, SimdLevel, CRC_FOLD_KEYS, EXIT_STRIDE};
+    use super::{
+        scalar, Projection, PruneRun, RunScan, SimdDispatch, SimdLevel, CRC_FOLD_KEYS, EXIT_STRIDE,
+    };
+    use crate::quant::SUM_SHAVE;
     use core::arch::x86_64::*;
 
     pub(super) static AVX2: SimdDispatch = SimdDispatch {
@@ -598,8 +866,15 @@ mod x86 {
         // `SimdDispatch::detected` swaps in `crc32_fold` where the host
         // has `pclmulqdq`, which AVX2 does not imply.
         crc32_update: scalar::crc32_update,
+        // SAFETY (all three): this table is only handed out after
+        // `is_x86_feature_detected!("avx2")`, the bodies' one requirement.
+        run_beats: |scan, bound| unsafe { run_beats_avx2(scan, bound) },
+        prune_run: |run, survivors| unsafe { prune_run_avx2(run, survivors) },
+        project_run: |p, cap, out| unsafe { project_run_avx2(p, cap, out) },
     };
 
+    /// The SSE4.1 run entries are the contract loops over this level's
+    /// per-candidate bodies.
     pub(super) static SSE41: SimdDispatch = SimdDispatch {
         level: SimdLevel::Sse41,
         kernel_dot: |a, b| unsafe { kernel_dot_sse41(a, b) },
@@ -612,6 +887,22 @@ mod x86 {
         sad_i8: |a, b| unsafe { sad_i8_sse41(a, b) },
         // As for `AVX2`: replaced in `SimdDispatch::detected`.
         crc32_update: scalar::crc32_update,
+        // SAFETY (all three): this table is only handed out after
+        // `is_x86_feature_detected!("sse4.1")`, the bodies' one requirement.
+        run_beats: |scan, bound| {
+            scalar::run_beats_by(
+                scan,
+                bound,
+                |a, b, extra, bound| unsafe { l1_beats_sse41(a, b, extra, bound) },
+                |h, r, t, extra, bound| unsafe { translation_beats_sse41(h, r, t, extra, bound) },
+            )
+        },
+        prune_run: |run, survivors| {
+            run.survivors_with(survivors, |a, b| unsafe { sad_i8_sse41(a, b) })
+        },
+        project_run: |p, cap, out| {
+            scalar::project_run_by(p, cap, out, |a, b| unsafe { kernel_dot_sse41(a, b) })
+        },
     };
 
     /// Clear the sign bit of every lane — bit-identical to `f32::abs`
@@ -622,14 +913,37 @@ mod x86 {
         _mm256_and_ps(v, _mm256_castsi256_ps(_mm256_set1_epi32(0x7fff_ffff)))
     }
 
-    /// Extract the eight lane accumulators and evaluate the scalar fixed
-    /// tree combine on them — the same expression as `scalar::combine8`.
+    /// The scalar fixed tree combine of the eight lanes, in registers:
+    /// `hadd` twice leaves `(a₀+a₁)+(a₂+a₃)` in the low half and
+    /// `(a₄+a₅)+(a₆+a₇)` in the high half, one add joins them —
+    /// `scalar::combine8`'s operand order (`hadd` adds `a₁+a₀`, the same
+    /// IEEE sum).
     #[inline]
     #[target_feature(enable = "avx2")]
     unsafe fn combine256(v: __m256) -> f32 {
-        let mut lanes = [0.0f32; 8];
-        _mm256_storeu_ps(lanes.as_mut_ptr(), v);
-        scalar::combine8(&lanes)
+        let pairs = _mm256_hadd_ps(v, v);
+        let quads = _mm256_hadd_ps(pairs, pairs);
+        _mm_cvtss_f32(_mm_add_ss(
+            _mm256_castps256_ps128(quads),
+            _mm256_extractf128_ps::<1>(quads),
+        ))
+    }
+
+    /// [`combine256`] of four accumulators at once: lane `k` of the result
+    /// is `scalar::combine8` of `v[k]`. Three `hadd`s and one add replace
+    /// four separate trees.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn combine256x4(v: [__m256; 4]) -> __m128 {
+        // Per 128-bit half: [v0 pairs, v1 pairs] and [v2 pairs, v3 pairs].
+        let p01 = _mm256_hadd_ps(v[0], v[1]);
+        let p23 = _mm256_hadd_ps(v[2], v[3]);
+        // Low half: lane k = (a₀+a₁)+(a₂+a₃) of v[k]; high: (a₄+a₅)+(a₆+a₇).
+        let quads = _mm256_hadd_ps(p01, p23);
+        _mm_add_ps(
+            _mm256_castps256_ps128(quads),
+            _mm256_extractf128_ps::<1>(quads),
+        )
     }
 
     #[target_feature(enable = "avx2")]
@@ -750,6 +1064,7 @@ mod x86 {
     /// operands into u8 (translation-invariant for `|a − b|`), then the
     /// unsigned SAD instruction sums 32 absolute differences into four
     /// u64 lanes per step. Integer arithmetic — exact in any order.
+    #[inline]
     #[target_feature(enable = "avx2")]
     unsafe fn sad_i8_avx2(a: &[i8], b: &[i8]) -> u32 {
         let n = a.len().min(b.len());
@@ -777,15 +1092,343 @@ mod x86 {
         total as u32 + rest
     }
 
-    /// Extract both four-lane accumulators (lanes 0–3 and 4–7) and
-    /// evaluate the scalar fixed tree combine.
+    /// Decide four candidates `c[k]` in one pass: `l1_beats(a, c[k],
+    /// extra[k], bound)`, or with `TRANSLATION`
+    /// `translation_beats(c[k], a, b, extra[k], bound)`. Every candidate
+    /// keeps its own eight-lane accumulator and serial tail; every
+    /// [`EXIT_STRIDE`] chunks one [`combine256x4`] checks all four, and the
+    /// pass ends once all four are out. A candidate whose `extra` alone
+    /// reaches the bound starts out — its L1 part is ≥ 0, so the
+    /// comparator would reject it at any check. Returns a 4-bit mask of
+    /// the candidates that beat the bound.
+    ///
+    /// # Safety
+    /// AVX2; `a`, `b` and every `c[k]` readable for `d` floats.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn beats4_avx2<const TRANSLATION: bool>(
+        a: *const f32,
+        b: *const f32,
+        c: [*const f32; 4],
+        d: usize,
+        extra: __m128,
+        bound: f32,
+    ) -> i32 {
+        let bound4 = _mm_set1_ps(bound);
+        let mut out = _mm_movemask_ps(_mm_cmp_ps::<_CMP_GE_OQ>(extra, bound4));
+        if out == 0xF {
+            return 0;
+        }
+        let chunks = d / 8;
+        let mut acc = [_mm256_setzero_ps(); 4];
+        let mut pending = 0usize;
+        for i in 0..chunks {
+            let va = _mm256_loadu_ps(a.add(i * 8));
+            let vb = _mm256_loadu_ps(b.add(i * 8));
+            for (acc, &ck) in acc.iter_mut().zip(&c) {
+                let vc = _mm256_loadu_ps(ck.add(i * 8));
+                let diff = if TRANSLATION {
+                    _mm256_sub_ps(_mm256_add_ps(vc, va), vb)
+                } else {
+                    _mm256_sub_ps(va, vc)
+                };
+                *acc = _mm256_add_ps(*acc, abs256(diff));
+            }
+            pending += 1;
+            if pending == EXIT_STRIDE {
+                pending = 0;
+                let partial = _mm_add_ps(combine256x4(acc), extra);
+                out |= _mm_movemask_ps(_mm_cmp_ps::<_CMP_GE_OQ>(partial, bound4));
+                if out == 0xF {
+                    return 0;
+                }
+            }
+        }
+        let mut tail = [0.0f32; 4];
+        for (t, &ck) in tail.iter_mut().zip(&c) {
+            for i in chunks * 8..d {
+                let (x, y) = (*a.add(i), *ck.add(i));
+                *t += if TRANSLATION {
+                    (y + x - *b.add(i)).abs()
+                } else {
+                    (x - y).abs()
+                };
+            }
+        }
+        let total = _mm_add_ps(
+            _mm_add_ps(combine256x4(acc), _mm_loadu_ps(tail.as_ptr())),
+            extra,
+        );
+        _mm_movemask_ps(_mm_cmp_ps::<_CMP_LT_OQ>(total, bound4)) & !out
+    }
+
+    /// `super::run_beats`: [`beats4_avx2`] over the run four candidates at
+    /// a time, the last `n % 4` through the per-candidate bodies.
+    ///
+    /// # Safety
+    /// AVX2. (Every row pointer is within the slices
+    /// `RunScan::checked_len` verifies on entry.)
+    #[target_feature(enable = "avx2")]
+    unsafe fn run_beats_avx2(scan: RunScan<'_>, bound: f32) -> usize {
+        let n = scan.checked_len();
+        let (a, b, rows, extra) = match scan {
+            RunScan::L1 { base, rows, .. } => (base, base, rows, None),
+            RunScan::Translation { a, b, extra, rows } => (a, b, rows, Some(extra)),
+        };
+        let d = a.len();
+        let p = rows.as_ptr();
+        let mut count = 0usize;
+        let mut i = 0usize;
+        while i + 4 <= n {
+            let c = [
+                p.add(i * d),
+                p.add((i + 1) * d),
+                p.add((i + 2) * d),
+                p.add((i + 3) * d),
+            ];
+            let beats = match extra {
+                Some(e) => {
+                    let e = _mm_loadu_ps(e.as_ptr().add(i));
+                    beats4_avx2::<true>(a.as_ptr(), b.as_ptr(), c, d, e, bound)
+                }
+                None => beats4_avx2::<false>(a.as_ptr(), b.as_ptr(), c, d, _mm_setzero_ps(), bound),
+            };
+            count += beats.count_ones() as usize;
+            i += 4;
+        }
+        for j in i..n {
+            let c = super::row(rows, d, j);
+            count += match extra {
+                Some(e) => translation_beats_avx2(c, a, b, e[j], bound),
+                None => l1_beats_avx2(a, c, 0.0, bound),
+            } as usize;
+        }
+        count
+    }
+
+    /// `super::prune_run`. When every block is a full 32 bytes (the
+    /// scan tables' block at any `d` that is a multiple of 32) four
+    /// candidates go per pass: one `vpsadbw` per candidate and block, one
+    /// `hadd` tree turning the four block sums into an `f32x4`, and each
+    /// lane then runs `QuantScanTable::prunes`' own f32 sequence — block
+    /// sums scaled and added in block order, the shaved total compared
+    /// with `(bound − extra + query_err) + row_err` after every block. An
+    /// escape row's `+∞` error makes its threshold unreachable, which is
+    /// the twin's "never pruned". Other shapes, and the last `n % 4`
+    /// candidates, take the contract loop with [`sad_i8_avx2`] inlined.
+    ///
+    /// # Safety
+    /// AVX2. (Every load is within the slices `PruneRun::checked_len`
+    /// verifies on entry.)
+    #[target_feature(enable = "avx2")]
+    unsafe fn prune_run_avx2(run: PruneRun<'_>, survivors: &mut Vec<u32>) -> u64 {
+        let n = run.checked_len();
+        let d = run.q.len();
+        let whole = if run.block == 32 && d.is_multiple_of(32) {
+            n / 4 * 4
+        } else {
+            0
+        };
+        let flip = _mm256_set1_epi8(-128);
+        let bound = _mm_set1_ps(run.bound);
+        let query_err = _mm_set1_ps(run.query_err);
+        let shave = _mm_set1_ps(SUM_SHAVE);
+        let (q, rows) = (run.q.as_ptr(), run.rows.as_ptr());
+        let mut candidates = 0u64;
+        for i in (0..whole).step_by(4) {
+            let (bound, counted) = match run.extra {
+                Some(extra) => {
+                    let extra = _mm_loadu_ps(extra.as_ptr().add(i));
+                    let out = _mm_movemask_ps(_mm_cmp_ps::<_CMP_GE_OQ>(extra, bound));
+                    (_mm_sub_ps(bound, extra), !out & 0xF)
+                }
+                None => (bound, 0xF),
+            };
+            candidates += u64::from(counted.count_ones());
+            let target = _mm_add_ps(
+                _mm_add_ps(bound, query_err),
+                _mm_loadu_ps(run.row_err.as_ptr().add(i)),
+            );
+            let mut sum = _mm_setzero_ps();
+            let mut pruned = 0;
+            for (b, &scale) in run.scales.iter().enumerate() {
+                let vq = _mm256_xor_si256(_mm256_loadu_si256(q.add(b * 32).cast()), flip);
+                let sad = |k: usize| {
+                    let c = _mm256_loadu_si256(rows.add((i + k) * d + b * 32).cast());
+                    _mm256_sad_epu8(_mm256_xor_si256(c, flip), vq)
+                };
+                let (s0, s1, s2, s3) = (sad(0), sad(1), sad(2), sad(3));
+                // Each SAD is four u64 partial sums below 2¹⁶; as i32 lanes
+                // [p₀, 0, p₁, 0 | p₂, 0, p₃, 0]. Two rounds of `hadd` and a
+                // fold of the halves leave candidate k's total in lane k.
+                let s = _mm256_hadd_epi32(_mm256_hadd_epi32(s0, s1), _mm256_hadd_epi32(s2, s3));
+                let s = _mm_add_epi32(_mm256_castsi256_si128(s), _mm256_extracti128_si256::<1>(s));
+                sum = _mm_add_ps(sum, _mm_mul_ps(_mm_set1_ps(scale), _mm_cvtepi32_ps(s)));
+                let shaved = _mm_sub_ps(sum, _mm_mul_ps(sum, shave));
+                pruned |= _mm_movemask_ps(_mm_cmp_ps::<_CMP_GE_OQ>(shaved, target));
+                if pruned & counted == counted {
+                    break;
+                }
+            }
+            let keep = counted & !pruned;
+            for k in 0..4 {
+                if keep & (1 << k) != 0 {
+                    survivors.push(run.first + (i + k) as u32);
+                }
+            }
+        }
+        candidates
+            + run
+                .skip(whole)
+                .survivors_with(survivors, |a, b| sad_i8_avx2(a, b))
+    }
+
+    /// Four rows of one matrix (`m`, row stride `d`) against `K` vectors:
+    /// lane `r` of result `k` is `kernel_dot(M_r, h[k])`. Every (row,
+    /// vector) pair keeps its own eight-lane accumulator and serial tail;
+    /// each row load serves all `K` vectors and [`combine256x4`] reduces
+    /// the four rows of a vector at once.
+    ///
+    /// # Safety
+    /// AVX2; `m` readable for `4·d` floats and every `h[k]` for `d`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn dot4_avx2<const K: usize>(
+        m: *const f32,
+        d: usize,
+        h: [*const f32; K],
+    ) -> [__m128; K] {
+        let chunks = d / 8;
+        let mut acc = [[_mm256_setzero_ps(); 4]; K];
+        for i in 0..chunks {
+            let rows = [
+                _mm256_loadu_ps(m.add(i * 8)),
+                _mm256_loadu_ps(m.add(d + i * 8)),
+                _mm256_loadu_ps(m.add(2 * d + i * 8)),
+                _mm256_loadu_ps(m.add(3 * d + i * 8)),
+            ];
+            for (acc, &hk) in acc.iter_mut().zip(&h) {
+                let vh = _mm256_loadu_ps(hk.add(i * 8));
+                for (acc, &row) in acc.iter_mut().zip(&rows) {
+                    *acc = _mm256_add_ps(*acc, _mm256_mul_ps(row, vh));
+                }
+            }
+        }
+        let mut dots = [_mm_setzero_ps(); K];
+        for ((dot, acc), &hk) in dots.iter_mut().zip(acc).zip(&h) {
+            let mut tail = [0.0f32; 4];
+            for (r, t) in tail.iter_mut().enumerate() {
+                for j in chunks * 8..d {
+                    *t += *m.add(r * d + j) * *hk.add(j);
+                }
+            }
+            *dot = _mm_add_ps(combine256x4(acc), _mm_loadu_ps(tail.as_ptr()));
+        }
+        dots
+    }
+
+    /// Add `terms` to a residual still under the cap, serially, checking
+    /// after each term; a residual that reaches the cap goes out.
+    #[inline]
+    fn add_capped(res: &mut f32, live: &mut bool, terms: &[f32], cap: f32) {
+        if !*live {
+            return;
+        }
+        for &t in terms {
+            *res += t;
+            if *res >= cap {
+                *live = false;
+                return;
+            }
+        }
+    }
+
+    /// Capped residuals `‖M·h[k] − r‖₁` of `K` vectors under one matrix:
+    /// four rows per [`dot4_avx2`] step and the rows left over by
+    /// [`kernel_dot_avx2`], every term added in row order with the cap
+    /// checked after each — the contract loop's arithmetic and exits.
+    ///
+    /// # Safety
+    /// AVX2; `m` holds `d × d` floats and every `h[k]` `d`, `d = r.len()`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn residuals_avx2<const K: usize>(
+        m: &[f32],
+        r: &[f32],
+        h: [&[f32]; K],
+        cap: f32,
+    ) -> [f32; K] {
+        let d = r.len();
+        debug_assert!(m.len() == d * d && h.iter().all(|h| h.len() == d));
+        let hp = h.map(<[f32]>::as_ptr);
+        let mut res = [0.0f32; K];
+        let mut live = [true; K];
+        let mut row = 0usize;
+        while row + 4 <= d && live.contains(&true) {
+            let dots = dot4_avx2::<K>(m.as_ptr().add(row * d), d, hp);
+            let rv = _mm_loadu_ps(r.as_ptr().add(row));
+            for ((res, live), dot) in res.iter_mut().zip(&mut live).zip(dots) {
+                let mut terms = [0.0f32; 4];
+                _mm_storeu_ps(terms.as_mut_ptr(), abs128(_mm_sub_ps(dot, rv)));
+                add_capped(res, live, &terms, cap);
+            }
+            row += 4;
+        }
+        while row < d && live.contains(&true) {
+            for ((res, live), hk) in res.iter_mut().zip(&mut live).zip(h) {
+                let term = (kernel_dot_avx2(super::row(m, d, row), hk) - r[row]).abs();
+                add_capped(res, live, &[term], cap);
+            }
+            row += 1;
+        }
+        for (res, live) in res.iter_mut().zip(live) {
+            if !live {
+                *res = f32::INFINITY;
+            }
+        }
+        res
+    }
+
+    /// `super::project_run`: heads in pairs of candidates sharing every
+    /// `M` row load, relations one candidate matrix at a time.
+    ///
+    /// # Safety
+    /// AVX2. (Every slice handed to [`residuals_avx2`] has the length
+    /// `Projection::checked_dim` verifies on entry.)
+    #[target_feature(enable = "avx2")]
+    unsafe fn project_run_avx2(p: Projection<'_>, cap: f32, out: &mut [f32]) {
+        let n = out.len();
+        let d = p.checked_dim(n);
+        match p {
+            Projection::SharedMatrix { m, r, hs } => {
+                let mut pairs = out.chunks_exact_mut(2);
+                for (i, pair) in (&mut pairs).enumerate() {
+                    let h = [super::row(hs, d, 2 * i), super::row(hs, d, 2 * i + 1)];
+                    pair.copy_from_slice(&residuals_avx2(m, r, h, cap));
+                }
+                if let [last] = pairs.into_remainder() {
+                    [*last] = residuals_avx2(m, r, [super::row(hs, d, n - 1)], cap);
+                }
+            }
+            Projection::SharedVector { .. } => {
+                for (i, o) in out.iter_mut().enumerate() {
+                    let (m, h, r) = p.candidate(i, d);
+                    [*o] = residuals_avx2(m, r, [h], cap);
+                }
+            }
+        }
+    }
+
+    /// The scalar fixed tree combine of both four-lane accumulators
+    /// (lanes 0–3 and 4–7), in registers: `hadd` gives the four pair sums,
+    /// a second `hadd` `(a₀+a₁)+(a₂+a₃)` and `(a₄+a₅)+(a₆+a₇)`, one add
+    /// joins them (see [`combine256`]).
     #[inline]
     #[target_feature(enable = "sse4.1")]
     unsafe fn combine128(lo: __m128, hi: __m128) -> f32 {
-        let mut lanes = [0.0f32; 8];
-        _mm_storeu_ps(lanes.as_mut_ptr(), lo);
-        _mm_storeu_ps(lanes.as_mut_ptr().add(4), hi);
-        scalar::combine8(&lanes)
+        let pairs = _mm_hadd_ps(lo, hi);
+        let halves = _mm_hadd_ps(pairs, pairs);
+        _mm_cvtss_f32(_mm_add_ss(halves, _mm_movehdup_ps(halves)))
     }
 
     /// Clear the sign bit of every lane (the 128-bit [`abs256`]).

@@ -18,10 +18,11 @@
 
 use pkgm_core::eval::summarize_ranks;
 use pkgm_core::eval_kernels::{
-    fused_rank_heads, fused_rank_relations, fused_rank_tails, reference_rank_heads,
-    reference_rank_relations, reference_rank_tails,
+    fused_rank_heads, fused_rank_relations, fused_rank_tails, quantized_rank_heads,
+    quantized_rank_relations, quantized_rank_tails, reference_rank_heads, reference_rank_relations,
+    reference_rank_tails,
 };
-use pkgm_core::{PkgmConfig, PkgmModel};
+use pkgm_core::{PkgmConfig, PkgmModel, QuantEvalModel};
 use pkgm_store::{EntityId, RelationId, StoreBuilder, Triple, TripleStore};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -244,6 +245,60 @@ fn fused_ranks_equal_reference_across_many_tiles() {
             fused_rank_relations(&model, &test, filter).unwrap(),
             reference_rank_relations(&model, &test, filter).unwrap()
         );
+    }
+}
+
+/// Known positives packed around the true id split the second candidate
+/// tile into runs of every short length — empty between adjacent known
+/// ids, a single candidate between two ids one apart, and the true id
+/// itself in the middle of the packed stretch — in all three modes,
+/// fused and quantized alike.
+#[test]
+fn packed_known_ids_split_tiles_into_empty_and_single_runs() {
+    let mut b = StoreBuilder::new();
+    // Tails of (0, r0): true tail 302 among 300, 301, 303, 305, 306.
+    for t in [300u32, 301, 302, 303, 305, 306] {
+        b.add_raw(0, 0, t);
+    }
+    // Heads of (r1, 400): true head 12 among 10, 11, 13, 15, 16.
+    for h in [10u32, 11, 12, 13, 15, 16] {
+        b.add_raw(h, 1, 400);
+    }
+    // Relations of (20, ·, 450): true relation 3 among 1, 2, 4, 6.
+    for r in [1u32, 2, 3, 4, 6] {
+        b.add_raw(20, r, 450);
+    }
+    b.add_raw(21, 7, 600);
+    let store = b.build();
+    let test = [
+        Triple::new(EntityId(0), RelationId(0), EntityId(302)),
+        Triple::new(EntityId(12), RelationId(1), EntityId(400)),
+        Triple::new(EntityId(20), RelationId(3), EntityId(450)),
+    ];
+    let model = PkgmModel::new(
+        store.n_entities() as usize,
+        store.n_relations() as usize,
+        PkgmConfig::new(13).with_seed(3),
+    );
+    let qmodel = QuantEvalModel::build(&model);
+    for filter in [None, Some(&store)] {
+        let want = [
+            reference_rank_tails(&model, &test, filter).unwrap(),
+            reference_rank_heads(&model, &test, filter).unwrap(),
+            reference_rank_relations(&model, &test, filter).unwrap(),
+        ];
+        let fused = [
+            fused_rank_tails(&model, &test, filter).unwrap(),
+            fused_rank_heads(&model, &test, filter).unwrap(),
+            fused_rank_relations(&model, &test, filter).unwrap(),
+        ];
+        let quantized = [
+            quantized_rank_tails(&model, &qmodel, &test, filter).unwrap(),
+            quantized_rank_heads(&model, &qmodel, &test, filter).unwrap(),
+            quantized_rank_relations(&model, &qmodel, &test, filter).unwrap(),
+        ];
+        assert_eq!(fused, want, "filtered: {}", filter.is_some());
+        assert_eq!(quantized, want, "filtered: {}", filter.is_some());
     }
 }
 

@@ -1,6 +1,6 @@
 //! Parity suite for the int8 quantized pruning layer.
 //!
-//! Three contracts, each load-bearing for the two-phase evaluation path
+//! Five contracts, each load-bearing for the two-phase evaluation path
 //! and the `PKGMSS2` serving snapshots:
 //!
 //! 1. **Certified lower bound** — for arbitrary tables and queries, the
@@ -15,15 +15,20 @@
 //! 3. **Snapshot round-trips** — dense → quantize → `PKGMSS2` bytes →
 //!    load reproduces every `lookup_exact` answer bitwise, at a fraction
 //!    of the dense payload, while legacy `PKGMSS1` bytes keep loading.
+//! 4. **Pinned accounting** — `PruneStats` on fixed seed models equal
+//!    golden counts, so a change in which candidates reach or survive
+//!    phase 1 is seen even when ranks stay exact.
+//! 5. **Fresh tables only** — a `QuantEvalModel` built before the model
+//!    changed is refused with a typed error, never used.
 
 use pkgm_core::eval_kernels::{
-    quantized_rank_heads, quantized_rank_relations, quantized_rank_tails,
-    quantized_rank_tails_with_stats, reference_rank_heads, reference_rank_relations,
-    reference_rank_tails,
+    quantized_rank_heads, quantized_rank_heads_with_stats, quantized_rank_relations,
+    quantized_rank_relations_with_stats, quantized_rank_tails, quantized_rank_tails_with_stats,
+    reference_rank_heads, reference_rank_relations, reference_rank_tails,
 };
 use pkgm_core::{
-    serialize, KnowledgeService, PkgmConfig, PkgmModel, QuantEvalModel, QuantScanTable,
-    ServiceSnapshot,
+    serialize, EvalError, KnowledgeService, PkgmConfig, PkgmModel, QuantEvalModel, QuantScanTable,
+    ServiceSnapshot, TrainConfig, Trainer,
 };
 use pkgm_store::{EntityId, KeyRelationSelector, RelationId, StoreBuilder, Triple, TripleStore};
 use proptest::prelude::*;
@@ -261,6 +266,136 @@ fn quantized_ranks_equal_reference_across_many_tiles() {
     assert!(
         (stats.candidates - stats.survivors) * 10 >= stats.candidates,
         "prune rate too weak to matter: {stats:?}"
+    );
+}
+
+/// The prune accounting is pinned, not just self-consistent: on fixed
+/// seed models the three `PruneStats` counts of every mode equal the
+/// values the per-candidate kernels produced before candidates were
+/// scanned in runs. A change in which candidates reach phase 1 (filtering,
+/// the `f_R ≥ bound` skip) or survive it shows up here even when ranks
+/// stay exact.
+#[test]
+fn prune_stats_match_golden_counts() {
+    type Golden = [(u64, u64, u64); 3];
+    let store = random_store(4242, 600, 6, 40);
+    let test = random_test_triples(&store, 99, 48);
+    let cases: [(PkgmConfig, Golden, Golden); 3] = [
+        (
+            PkgmConfig::new(13).with_seed(77),
+            [
+                (30672, 13678, 1109992),
+                (30672, 14816, 1169168),
+                (240, 131, 9932),
+            ],
+            [
+                (30661, 13674, 1109641),
+                (30531, 14740, 1163383),
+                (238, 131, 9906),
+            ],
+        ),
+        (
+            PkgmConfig::new(64).with_seed(77),
+            [
+                (30672, 15618, 5961216),
+                (30672, 14927, 5784320),
+                (240, 157, 55552),
+            ],
+            [
+                (30661, 15611, 5958720),
+                (30531, 14858, 5757632),
+                (238, 156, 55168),
+            ],
+        ),
+        (
+            PkgmConfig::transe(16).with_seed(77),
+            [
+                (30672, 16501, 1546816),
+                (30672, 17051, 1582016),
+                (240, 136, 12544),
+            ],
+            [
+                (30661, 16495, 1546256),
+                (30531, 16980, 1575216),
+                (238, 134, 12384),
+            ],
+        ),
+    ];
+    for (cfg, raw, filtered) in cases {
+        let dim = cfg.dim;
+        let model = PkgmModel::new(
+            store.n_entities() as usize,
+            store.n_relations() as usize,
+            cfg,
+        );
+        let qmodel = QuantEvalModel::build(&model);
+        for (filter, golden) in [(None, raw), (Some(&store), filtered)] {
+            let got = [
+                quantized_rank_tails_with_stats(&model, &qmodel, &test, filter),
+                quantized_rank_heads_with_stats(&model, &qmodel, &test, filter),
+                quantized_rank_relations_with_stats(&model, &qmodel, &test, filter),
+            ]
+            .map(|r| {
+                let (_, s) = r.unwrap();
+                (s.candidates, s.survivors, s.scanned_bytes)
+            });
+            assert_eq!(
+                got,
+                golden,
+                "dim {dim}, filtered {}: [tails, heads, relations]",
+                filter.is_some()
+            );
+        }
+    }
+}
+
+/// Tables built before more training describe rows the model no longer
+/// has; their bounds would certify distances to stale rows. Every
+/// quantized ranking call refuses them with a typed error — shapes alone
+/// cannot tell, since training changes values, not sizes.
+#[test]
+fn quant_model_built_before_more_training_is_a_typed_error() {
+    let store = random_store(5, 40, 4, 12);
+    let mut model = PkgmModel::new(
+        store.n_entities() as usize,
+        store.n_relations() as usize,
+        PkgmConfig::new(8).with_seed(5),
+    );
+    let qmodel = QuantEvalModel::build(&model);
+    let test = random_test_triples(&store, 6, 8);
+    assert!(quantized_rank_tails(&model, &qmodel, &test, Some(&store)).is_ok());
+    let cfg = TrainConfig {
+        epochs: 1,
+        batch_size: 64,
+        seed: 5,
+        ..TrainConfig::default()
+    };
+    Trainer::new(&model, cfg).train(&mut model, &store);
+    let stale = Err(EvalError::StaleQuantModel);
+    assert_eq!(
+        quantized_rank_tails(&model, &qmodel, &test, Some(&store)),
+        stale
+    );
+    assert_eq!(
+        quantized_rank_heads(&model, &qmodel, &test, Some(&store)),
+        stale
+    );
+    assert_eq!(
+        quantized_rank_relations(&model, &qmodel, &test, Some(&store)),
+        stale
+    );
+    // A different model of the same shape is just as stale.
+    let other = PkgmModel::new(
+        store.n_entities() as usize,
+        store.n_relations() as usize,
+        PkgmConfig::new(8).with_seed(6),
+    );
+    assert_eq!(quantized_rank_tails(&other, &qmodel, &test, None), stale);
+    // Rebuilt from the trained model, the tables are current again.
+    let fresh = QuantEvalModel::build(&model);
+    assert_eq!(
+        quantized_rank_tails(&model, &fresh, &test, Some(&store)).unwrap(),
+        reference_rank_tails(&model, &test, Some(&store)).unwrap()
     );
 }
 

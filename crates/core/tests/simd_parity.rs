@@ -36,8 +36,8 @@ use pkgm_core::eval_kernels::{
     quantized_rank_tails_with_stats_sliced, reference_rank_heads, reference_rank_relations,
     reference_rank_tails, QuantEvalModel,
 };
-use pkgm_core::simd::{self, scalar, SimdDispatch, SimdLevel};
-use pkgm_core::{PkgmConfig, PkgmModel};
+use pkgm_core::simd::{self, scalar, Projection, RunScan, SimdDispatch, SimdLevel};
+use pkgm_core::{PkgmConfig, PkgmModel, QuantScanTable};
 use pkgm_store::{EntityId, RelationId, StoreBuilder, Triple, TripleStore};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -121,12 +121,13 @@ proptest! {
     ) {
         let subnormal = subnormal_q == 1;
         let mut rng = SmallRng::seed_from_u64(seed);
-        let simd = SimdDispatch::detected();
         for &d in DIMS {
             let a = random_vec(&mut rng, d, subnormal);
             let b = random_vec(&mut rng, d, subnormal);
             let c = random_vec(&mut rng, d, subnormal);
-            assert_primitives_match(simd, &a, &b, &c)?;
+            for simd in SimdDispatch::all_supported() {
+                assert_primitives_match(simd, &a, &b, &c)?;
+            }
         }
     }
 
@@ -139,7 +140,6 @@ proptest! {
         extra in 0.0f32..2.0,
     ) {
         let mut rng = SmallRng::seed_from_u64(seed ^ 0xBEA7);
-        let simd = SimdDispatch::detected();
         for &d in DIMS {
             let a = random_vec(&mut rng, d, false);
             let b = random_vec(&mut rng, d, false);
@@ -153,17 +153,20 @@ proptest! {
                 bounds.push(exact_l1 * (k as f32 * 0.1));
                 bounds.push(exact_tr * (k as f32 * 0.1));
             }
-            for &bound in &bounds {
-                prop_assert!(
-                    (simd.l1_beats)(&a, &b, extra, bound)
-                        == scalar::l1_beats(&a, &b, extra, bound),
-                    "l1_beats diverged at d={} bound={}", d, bound
-                );
-                prop_assert!(
-                    (simd.translation_beats)(&a, &b, &c, extra, bound)
-                        == scalar::translation_beats(&a, &b, &c, extra, bound),
-                    "translation_beats diverged at d={} bound={}", d, bound
-                );
+            for simd in SimdDispatch::all_supported() {
+                for &bound in &bounds {
+                    prop_assert!(
+                        (simd.l1_beats)(&a, &b, extra, bound)
+                            == scalar::l1_beats(&a, &b, extra, bound),
+                        "{} l1_beats diverged at d={} bound={}", simd.level.name(), d, bound
+                    );
+                    prop_assert!(
+                        (simd.translation_beats)(&a, &b, &c, extra, bound)
+                            == scalar::translation_beats(&a, &b, &c, extra, bound),
+                        "{} translation_beats diverged at d={} bound={}",
+                        simd.level.name(), d, bound
+                    );
+                }
             }
         }
     }
@@ -173,19 +176,334 @@ proptest! {
     #[test]
     fn sad_i8_matches_scalar(seed in 0u64..1_000_000) {
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x5AD);
-        let simd = SimdDispatch::detected();
         for &d in DIMS {
             let a = random_i8(&mut rng, d);
             let b = random_i8(&mut rng, d);
-            prop_assert!(
-                (simd.sad_i8)(&a, &b) == scalar::sad_i8(&a, &b),
-                "sad_i8 diverged at d={}", d
-            );
+            for simd in SimdDispatch::all_supported() {
+                prop_assert!(
+                    (simd.sad_i8)(&a, &b) == scalar::sad_i8(&a, &b),
+                    "{} sad_i8 diverged at d={}", simd.level.name(), d
+                );
+            }
         }
         // All-extreme vectors: maximal per-byte differences.
         let lo = vec![i8::MIN; 100];
         let hi = vec![i8::MAX; 100];
-        prop_assert_eq!((simd.sad_i8)(&lo, &hi), 255 * 100);
+        for simd in SimdDispatch::all_supported() {
+            prop_assert_eq!((simd.sad_i8)(&lo, &hi), 255 * 100);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Run entries ≡ the loop over their per-candidate scalar twins
+// ---------------------------------------------------------------------------
+
+/// Run lengths: empty, every length around the four-candidate step, and
+/// one whole candidate tile.
+const RUN_LENS: &[usize] = &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 256];
+
+/// Bounds probing a run whose candidates score `exact`: ties with a few
+/// candidates (the `<` vs `>=` edge), fractions of them that abandon at
+/// every exit check, and the non-finite and zero bounds.
+fn run_bounds(exact: &[f32]) -> Vec<f32> {
+    let mut bounds = vec![f32::INFINITY, f32::NAN, 0.0, -0.0, f32::NEG_INFINITY];
+    let n = exact.len();
+    for k in [0, n / 2, n.saturating_sub(1)] {
+        if let Some(&e) = exact.get(k) {
+            bounds.extend([e, e * 0.25, e * 0.5, e * 0.9, e * 1.1]);
+        }
+    }
+    bounds
+}
+
+/// Per-candidate addends: mostly ordinary relation-module scores, plus
+/// zeros, values at or past any bound (`+∞` is the capped sentinel) and
+/// NaN.
+fn random_extras(rng: &mut SmallRng, n: usize) -> Vec<f32> {
+    (0..n)
+        .map(|_| match rng.gen_range(0..10u32) {
+            0 => 0.0,
+            1 => f32::INFINITY,
+            2 => 1e4,
+            3 => f32::NAN,
+            _ => rng.gen_range(0.0f32..3.0),
+        })
+        .collect()
+}
+
+/// `run_beats` at every level ≡ the loop over `scalar::l1_beats` (tails)
+/// and `scalar::translation_beats` (heads: `c + r − t`; relations: the
+/// twin's `h + c − t`, the same IEEE sums) for one run of `n` rows.
+fn check_run_beats(
+    rng: &mut SmallRng,
+    d: usize,
+    n: usize,
+    subnormal: bool,
+) -> Result<(), TestCaseError> {
+    let (a, b) = (random_vec(rng, d, subnormal), random_vec(rng, d, subnormal));
+    let rows = random_vec(rng, n * d, subnormal);
+    let extra = random_extras(rng, n);
+    let row = |i: usize| &rows[i * d..(i + 1) * d];
+    let l1: Vec<f32> = (0..n).map(|i| scalar::blocked_l1(&a, row(i))).collect();
+    let tr: Vec<f32> = (0..n)
+        .map(|i| scalar::blocked_l1_translation(row(i), &a, &b) + extra[i])
+        .collect();
+    let bounds = [run_bounds(&l1), run_bounds(&tr)].concat();
+    for bound in bounds {
+        let want_l1 = (0..n)
+            .filter(|&i| scalar::l1_beats(&a, row(i), 0.0, bound))
+            .count();
+        let want_heads = (0..n)
+            .filter(|&i| scalar::translation_beats(row(i), &a, &b, extra[i], bound))
+            .count();
+        let want_relations = (0..n)
+            .filter(|&i| scalar::translation_beats(&a, row(i), &b, extra[i], bound))
+            .count();
+        prop_assert!(want_heads == want_relations, "c + h ≠ h + c at d={}", d);
+        for simd in SimdDispatch::all_supported() {
+            let l1 = RunScan::L1 {
+                base: &a,
+                rows: &rows,
+                n,
+            };
+            prop_assert!(
+                (simd.run_beats)(l1, bound) == want_l1,
+                "{} L1 run diverged at d={} n={} bound={}",
+                simd.level.name(),
+                d,
+                n,
+                bound
+            );
+            let tr = RunScan::Translation {
+                a: &a,
+                b: &b,
+                extra: &extra,
+                rows: &rows,
+            };
+            prop_assert!(
+                (simd.run_beats)(tr, bound) == want_heads,
+                "{} translation run diverged at d={} n={} bound={}",
+                simd.level.name(),
+                d,
+                n,
+                bound
+            );
+        }
+    }
+    Ok(())
+}
+
+/// The relation-module residual by definition: `Σ |kernel_dot(M_i, h) −
+/// r_i|` in row order, `+∞` once a partial sum reaches `cap`.
+fn capped_residual(m: &[f32], h: &[f32], r: &[f32], cap: f32) -> f32 {
+    let d = r.len();
+    let mut res = 0.0f32;
+    for i in 0..d {
+        res += (scalar::kernel_dot(&m[i * d..(i + 1) * d], h) - r[i]).abs();
+        if res >= cap {
+            return f32::INFINITY;
+        }
+    }
+    res
+}
+
+/// `project_run` at every level ≡ [`capped_residual`] bitwise, for both
+/// the shared-matrix (heads) and shared-vector (relations) forms, with
+/// caps that tie, exit at every row depth, or never fire.
+fn check_projection(
+    rng: &mut SmallRng,
+    d: usize,
+    n: usize,
+    subnormal: bool,
+) -> Result<(), TestCaseError> {
+    let (m, r) = (
+        random_vec(rng, d * d, subnormal),
+        random_vec(rng, d, subnormal),
+    );
+    let hs = random_vec(rng, n * d, subnormal);
+    let h = random_vec(rng, d, subnormal);
+    let (ms, rs) = (
+        random_vec(rng, n * d * d, subnormal),
+        random_vec(rng, n * d, subnormal),
+    );
+    let heads = |i: usize| (&m[..], &hs[i * d..(i + 1) * d], &r[..]);
+    let relations = |i: usize| {
+        (
+            &ms[i * d * d..(i + 1) * d * d],
+            &h[..],
+            &rs[i * d..(i + 1) * d],
+        )
+    };
+    let full = |(m, h, r): (&[f32], &[f32], &[f32])| capped_residual(m, h, r, f32::INFINITY);
+    let uncapped: Vec<f32> = (0..n)
+        .map(|i| full(heads(i)))
+        .chain((0..n).map(|i| full(relations(i))))
+        .collect();
+    for cap in run_bounds(&uncapped) {
+        for simd in SimdDispatch::all_supported() {
+            type Candidate<'a> = &'a dyn Fn(usize) -> (&'a [f32], &'a [f32], &'a [f32]);
+            let forms: [(&str, Projection, Candidate); 2] = [
+                (
+                    "shared-matrix",
+                    Projection::SharedMatrix {
+                        m: &m,
+                        r: &r,
+                        hs: &hs,
+                    },
+                    &heads,
+                ),
+                (
+                    "shared-vector",
+                    Projection::SharedVector {
+                        h: &h,
+                        ms: &ms,
+                        rs: &rs,
+                    },
+                    &relations,
+                ),
+            ];
+            for (form, p, candidate) in forms {
+                let mut out = vec![-1.0f32; n];
+                (simd.project_run)(p, cap, &mut out);
+                for (i, got) in out.iter().enumerate() {
+                    let (m, h, r) = candidate(i);
+                    let want = capped_residual(m, h, r, cap);
+                    prop_assert!(
+                        got.to_bits() == want.to_bits(),
+                        "{} {} diverged at d={} n={} i={} cap={}: {} vs {}",
+                        simd.level.name(),
+                        form,
+                        d,
+                        n,
+                        i,
+                        cap,
+                        got,
+                        want
+                    );
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// A scan table of 300 rows with two outliers, which escape phase 1
+/// (`row_err = +∞`).
+fn scan_table(rng: &mut SmallRng, d: usize) -> (Vec<f32>, QuantScanTable) {
+    let mut rows = random_vec(rng, 300 * d, false);
+    for escape in [7usize, 140] {
+        rows[escape * d..(escape + 1) * d]
+            .iter_mut()
+            .for_each(|x| *x *= 50.0);
+    }
+    let table = QuantScanTable::from_rows(&rows, d);
+    (rows, table)
+}
+
+/// `prune_run` at every level ≡ the loop over `QuantScanTable::prunes`:
+/// same candidate count, same survivors in the same order, appended to
+/// what the buffer already held.
+fn check_prune_run(
+    rng: &mut SmallRng,
+    rows: &[f32],
+    table: &QuantScanTable,
+    n: usize,
+) -> Result<(), TestCaseError> {
+    let d = table.row_len();
+    let lo = rng.gen_range(0..=(300 - n) as u32);
+    let ids = lo..lo + n as u32;
+    let x = random_vec(rng, d, false);
+    let mut q = vec![0i8; d];
+    let query_err = table.quantize_query(&x, &mut q, rng.gen_range(0.0f32..0.1));
+    let exact: Vec<f32> = ids
+        .clone()
+        .map(|c| scalar::blocked_l1(&x, &rows[c as usize * d..(c as usize + 1) * d]))
+        .collect();
+    let extra = random_extras(rng, n);
+    for bound in run_bounds(&exact) {
+        for extra in [None, Some(&extra[..])] {
+            let mut want = vec![u32::MAX];
+            let mut counted = 0u64;
+            for (i, c) in ids.clone().enumerate() {
+                let bound = match extra {
+                    Some(e) if e[i] >= bound => continue,
+                    Some(e) => bound - e[i],
+                    None => bound,
+                };
+                counted += 1;
+                if !table.prunes(&q, c, query_err, bound) {
+                    want.push(c);
+                }
+            }
+            for simd in SimdDispatch::all_supported() {
+                let mut got = vec![u32::MAX];
+                let run = table.run(&q, query_err, bound, ids.clone(), extra);
+                let n_counted = (simd.prune_run)(run, &mut got);
+                prop_assert!(
+                    n_counted == counted && got == want,
+                    "{} prune_run diverged at d={} run {:?} bound={} extra={}",
+                    simd.level.name(),
+                    d,
+                    ids,
+                    bound,
+                    extra.is_some()
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Every run entry at every level ≡ its per-candidate loop, at a
+    /// random dim and every run length.
+    #[test]
+    fn run_entries_match_the_per_candidate_loops(
+        seed in 0u64..1_000_000,
+        d in 0usize..130,
+        subnormal_q in 0u32..2,
+    ) {
+        let subnormal = subnormal_q == 1;
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x7E57);
+        for &n in RUN_LENS {
+            check_run_beats(&mut rng, d, n, subnormal)?;
+        }
+        for n in [0usize, 1, 2, 5, 9] {
+            check_projection(&mut rng, d.min(40), n, subnormal)?;
+        }
+        if d > 0 {
+            let (rows, table) = scan_table(&mut rng, d);
+            for &n in RUN_LENS {
+                check_prune_run(&mut rng, &rows, &table, n)?;
+            }
+        }
+    }
+}
+
+/// The run entries at every dim 0–129 (lane tails, ragged quantization
+/// blocks, projection row remainders), on short runs.
+#[test]
+fn run_entries_match_at_every_dim() {
+    let mut rng = SmallRng::seed_from_u64(0xD1A5);
+    for d in 0..130 {
+        for n in [0, 1, 4, 5, 9] {
+            check_run_beats(&mut rng, d, n, d % 3 == 0).unwrap();
+        }
+        for n in [1, 5] {
+            check_projection(&mut rng, d, n, d % 3 == 0).unwrap();
+        }
+        if d > 0 {
+            let (rows, table) = scan_table(&mut rng, d);
+            // A whole tile where every block is 32 bytes (AVX2's
+            // four-candidate path), short runs everywhere.
+            let tile = if d % 32 == 0 { 256 } else { 9 };
+            for n in [0, 3, 4, tile] {
+                check_prune_run(&mut rng, &rows, &table, n).unwrap();
+            }
+        }
     }
 }
 
