@@ -21,8 +21,9 @@
 //! pkgm eval      --preset small --seed 42 --service svc.bin --max-facts 300
 //! pkgm faultcheck [--dir scratch] [--seed 42]
 //! pkgm netcheck   [--seed 42]                             # network chaos battery
-//! pkgm daemon serve  --service svc.bin [--addr 127.0.0.1:7071] [--snapshot s.snap]
+//! pkgm daemon serve  --snapshot s.snap [--addr 127.0.0.1:7071]   # serves the file alone
 //!                    [--max-conns 1024] [--stall-timeout-ms 2000]
+//! pkgm daemon serve  --service svc.bin …   # builds the snapshot once, drops the model
 //! pkgm daemon reload --addr HOST:PORT --snapshot s.snap   # hot-swap, daemon-local path
 //! pkgm daemon lookup --addr HOST:PORT --items 0,1,2       # rows as bit patterns (CI diff)
 //! pkgm daemon stats  --addr HOST:PORT
@@ -31,7 +32,7 @@
 //! pkgm daemon stop   --addr HOST:PORT
 //! pkgm router route  --addrs a:1,b:2 --items 0,1,2   # split/merge, bit-identical
 //! pkgm router map    --addrs a:1,b:2                 # assembled shard topology
-//! pkgm router supervise --snapshot base --service svc.bin [--items 0,1]
+//! pkgm router supervise --snapshot base [--items 0,1]
 //! ```
 //!
 //! All artifacts are written atomically (temp file + fsync + rename) inside a
@@ -123,34 +124,40 @@ fn daemon_cmd(argv: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
     }
 }
 
+/// A daemon serves one snapshot: `--snapshot FILE` as it is (a given
+/// `--service` is not read), else the table built once from `--service`,
+/// whose model is dropped before the daemon starts.
 fn daemon_serve(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
-    let service = load_service(args)?;
     let addr = args.get("addr").unwrap_or("127.0.0.1:7071");
-    let snapshot = match args.get("snapshot") {
-        Some(path) => {
-            let snap = serialize::open_snapshot_file(std::path::Path::new(path))?;
-            let shard = snap.shard();
-            let shard_note = if shard.is_whole_table() {
-                String::new()
-            } else {
-                format!(
-                    ", shard {} of {} covering ids {}..{}",
-                    shard.shard_id,
-                    shard.n_shards,
-                    shard.row_start,
-                    shard.row_start + snap.n_rows() as u64
-                )
-            };
-            eprintln!(
-                "[pkgm] snapshot {path}: {} rows × {} dims, backing {}{shard_note}",
-                snap.n_rows(),
-                2 * snap.dim(),
-                snap.backing().label()
-            );
-            Some(snap)
+    let (snap, source) = match args.get("snapshot") {
+        Some(path) => (
+            serialize::open_snapshot_file(std::path::Path::new(path))?,
+            path.to_string(),
+        ),
+        None => {
+            let path = args.require("service")?;
+            let built = ServiceSnapshot::build(&load_service(args)?);
+            (built, format!("built from {path}"))
         }
-        None => None,
     };
+    let shard = snap.shard();
+    let shard_note = if shard.is_whole_table() {
+        String::new()
+    } else {
+        format!(
+            ", shard {} of {} covering ids {}..{}",
+            shard.shard_id,
+            shard.n_shards,
+            shard.row_start,
+            shard.row_start + snap.n_rows() as u64
+        )
+    };
+    eprintln!(
+        "[pkgm] snapshot {source}: {} rows × {} dims, backing {}{shard_note}",
+        snap.n_rows(),
+        2 * snap.dim(),
+        snap.backing().label()
+    );
     let defaults = DaemonConfig::default();
     let cfg = DaemonConfig {
         workers: args.get_or("workers", defaults.workers)?,
@@ -164,7 +171,7 @@ fn daemon_serve(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         )?),
     };
     eprintln!("[pkgm] {}", pkgm_core::simd::describe());
-    let daemon = Daemon::start(addr, service, snapshot, cfg.clone())?;
+    let daemon = Daemon::start(addr, snap, cfg.clone())?;
     let local = daemon.local_addr();
     // Scripts and CI start the daemon with `--addr 127.0.0.1:0` and read
     // the resolved ephemeral address back from this file.
@@ -352,14 +359,13 @@ fn router_map(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
 /// stdin closes.
 fn router_supervise(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let base = PathBuf::from(args.require("snapshot")?);
-    let service = PathBuf::from(args.require("service")?);
     let shard_files = pkgm_core::router::discover_shard_files(&base)?;
     eprintln!(
         "[pkgm] supervisor: spawning {} shard daemon(s)…",
         shard_files.len()
     );
     let exe = std::env::current_exe()?;
-    let fleet = Supervisor::spawn(&exe, &service, &shard_files)?;
+    let fleet = Supervisor::spawn(&exe, &shard_files)?;
     let addrs = fleet.addrs();
     for (d, addr) in fleet.daemons().iter().zip(&addrs) {
         eprintln!("[pkgm]   {} → {addr}", d.snapshot.display());
@@ -1107,8 +1113,11 @@ fn print_help() {
          \u{20}              typed failures, no double-execution, watchdog recovery\n\
          \u{20}  simd        — print the runtime kernel dispatch line (detected\n\
          \u{20}              AVX2/SSE4.1 level; PKGM_FORCE_SCALAR=1 pins the scalar twins)\n\
-         \u{20}  daemon      serve --service service.bin [--addr 127.0.0.1:7071]\n\
-         \u{20}              [--snapshot serving.snap] [--workers 2] [--max-batch-items 1024]\n\
+         \u{20}  daemon      serve --snapshot serving.snap | --service service.bin\n\
+         \u{20}              # serves exactly one snapshot: --snapshot as it is (a given\n\
+         \u{20}              --service is accepted and not read), else the table built\n\
+         \u{20}              once from --service, whose model is then dropped\n\
+         \u{20}              [--addr 127.0.0.1:7071] [--workers 2] [--max-batch-items 1024]\n\
          \u{20}              [--queue-capacity 16384] [--cache-capacity 65536]\n\
          \u{20}              [--max-conns 1024  # shed connects past this with Overloaded]\n\
          \u{20}              [--stall-timeout-ms 2000  # watchdog wedge threshold]\n\
@@ -1132,7 +1141,7 @@ fn print_help() {
          \u{20}              redirects via map refresh; output is bit-identical to\n\
          \u{20}              `daemon lookup` against one whole-table daemon\n\
          \u{20}  router map  --addrs a:1,b:2,… — the assembled shard topology as JSON\n\
-         \u{20}  router supervise --snapshot base --service svc.bin [--items 0,1,2]\n\
+         \u{20}  router supervise --snapshot base [--items 0,1,2]\n\
          \u{20}              [--addrs-out f] — spawn one daemon per base.shardKofN\n\
          \u{20}              file, gate on readiness; with --items route one batch\n\
          \u{20}              and exit, else supervise until stdin closes\n"

@@ -609,29 +609,43 @@ fn daemon_serve_reload_stats_stop_across_processes() {
             let _ = self.0.kill();
         }
     }
-    let addr_file = dir.join("addr");
-    let mut daemon = KillOnDrop(
-        pkgm()
-            .args(["daemon", "serve", "--service"])
-            .arg(&svc)
-            .args(["--addr", "127.0.0.1:0", "--addr-file"])
-            .arg(&addr_file)
-            .spawn()
-            .unwrap(),
-    );
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
-    let addr = loop {
-        if let Ok(addr) = std::fs::read_to_string(&addr_file) {
-            if !addr.is_empty() {
-                break addr;
-            }
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "daemon never wrote its address file"
+    let serve = |source: &[&std::ffi::OsStr], name: &str| {
+        let addr_file = dir.join(name);
+        let daemon = KillOnDrop(
+            pkgm()
+                .args(["daemon", "serve"])
+                .args(source)
+                .args(["--addr", "127.0.0.1:0", "--addr-file"])
+                .arg(&addr_file)
+                .spawn()
+                .unwrap(),
         );
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+        loop {
+            if let Ok(addr) = std::fs::read_to_string(&addr_file) {
+                if !addr.is_empty() {
+                    break (daemon, addr);
+                }
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "daemon never wrote its address file"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        }
     };
+    let (mut daemon, addr) = serve(&["--service".as_ref(), svc.as_ref()], "addr");
+    // A --snapshot daemon never opens --service: a path to no file is fine.
+    let missing = dir.join("no-such-service.bin");
+    let (mut from_snap, snap_addr) = serve(
+        &[
+            "--snapshot".as_ref(),
+            snap.as_ref(),
+            "--service".as_ref(),
+            missing.as_ref(),
+        ],
+        "snap-addr",
+    );
 
     let run = |args: &[&str]| {
         let out = pkgm().args(args).output().unwrap();
@@ -647,6 +661,19 @@ fn daemon_serve_reload_stats_stop_across_processes() {
     let stats = run(&["daemon", "stats", "--addr", &addr]);
     let parsed: serde_json::Value = serde_json::from_str(&stats).unwrap();
     assert_eq!(parsed.get("swaps").and_then(|v| v.as_u64()), Some(0));
+
+    // The table built from --service and the --snapshot file serve the same
+    // bytes: items, a value entity, and an id past the table.
+    let rows = parsed
+        .get("snapshot")
+        .and_then(|s| s.get("rows"))
+        .and_then(|v| v.as_u64())
+        .unwrap();
+    let items = format!("0,1,2,{},{}", rows - 1, rows + 5);
+    let lookup = |addr: &str| run(&["daemon", "lookup", "--addr", addr, "--items", &items]);
+    assert_eq!(lookup(&addr), lookup(&snap_addr));
+    run(&["daemon", "stop", "--addr", &snap_addr]);
+    assert!(from_snap.0.wait().unwrap().success());
 
     let reload = run(&[
         "daemon",

@@ -1,11 +1,11 @@
 //! Dynamic request batching with admission control.
 //!
 //! The daemon's connection handlers are thread-per-connection, but the
-//! compute layer is most efficient when lookups arrive in batches
-//! ([`CachedService::condensed_rows_into`] fills one buffer per call and
-//! fans live computation out over rayon). The [`DynamicBatcher`] bridges
-//! the two: handlers [`DynamicBatcher::submit`] their item lists into a
-//! bounded queue and block on a per-request completion slot; a small pool
+//! serving layer is most efficient when lookups arrive in batches
+//! ([`CachedService::condensed_rows_into`] fills one buffer per call). The
+//! [`DynamicBatcher`] bridges the two: handlers [`DynamicBatcher::submit`]
+//! their item lists into a bounded queue and block on a per-request
+//! completion slot; a small pool
 //! of batch workers drains the queue, **coalescing whatever is pending** —
 //! across connections — into one `condensed_rows_into` call.
 //!
@@ -549,6 +549,7 @@ mod tests {
     use super::*;
     use crate::model::{PkgmConfig, PkgmModel};
     use crate::service::KnowledgeService;
+    use crate::snapshot::ServiceSnapshot;
     use pkgm_store::{EntityId, KeyRelationSelector, StoreBuilder};
 
     fn cached() -> Arc<CachedService> {
@@ -565,7 +566,8 @@ mod tests {
             store.n_relations() as usize,
             PkgmConfig::new(8).with_seed(1),
         );
-        Arc::new(CachedService::new(KnowledgeService::new(model, sel), 64))
+        let snapshot = ServiceSnapshot::build(&KnowledgeService::new(model, sel));
+        Arc::new(CachedService::new(snapshot, 64))
     }
 
     /// Run `f` with one live worker thread serving `svc`.
@@ -591,7 +593,7 @@ mod tests {
         let batcher = Arc::new(DynamicBatcher::new(1024, 64));
         with_worker(&batcher, &svc, || {
             let rows = batcher.submit(vec![0, 3, 7]).unwrap().wait().unwrap();
-            let row_len = 2 * svc.inner().dim();
+            let row_len = 2 * svc.snapshot().dim();
             assert_eq!(rows.len(), 3 * row_len);
             for (row, id) in rows.chunks_exact(row_len).zip([0u32, 3, 7]) {
                 assert_eq!(row, &svc.condensed_service(EntityId(id))[..]);
@@ -641,7 +643,7 @@ mod tests {
                         for round in 0..50u32 {
                             let ids = vec![(t + round) % 8, (t + round + 1) % 8];
                             let rows = batcher.submit(ids.clone()).unwrap().wait().unwrap();
-                            let row_len = 2 * svc.inner().dim();
+                            let row_len = 2 * svc.snapshot().dim();
                             assert_eq!(rows.len(), ids.len() * row_len);
                             for (row, &id) in rows.chunks_exact(row_len).zip(&ids) {
                                 assert_eq!(row, &svc.condensed_service(EntityId(id))[..]);
@@ -695,7 +697,7 @@ mod tests {
             // A fresh request forces the worker through the queue; the
             // expired one in front of it must be skipped, not served.
             let rows = batcher.submit(vec![2]).unwrap().wait().unwrap();
-            assert_eq!(rows.len(), 2 * svc.inner().dim());
+            assert_eq!(rows.len(), 2 * svc.snapshot().dim());
         });
         assert_eq!(
             t.wait().unwrap_err(),

@@ -1,5 +1,11 @@
 //! `pkgm daemon` — the network serving front end.
 //!
+//! A daemon is its snapshot: it serves exactly one [`ServiceSnapshot`] at a
+//! time and holds nothing else — no model, no key-relation selector. The
+//! serving dim, each shard's id range and the degraded rule (an id the
+//! snapshot does not cover is an all-zero row) all come from the live
+//! snapshot, so a shard daemon's memory is its shard's.
+//!
 //! A thread-per-connection TCP server speaking the [`crate::protocol`]
 //! frame format. Connection handlers never compute service vectors
 //! themselves: lookups go through the [`DynamicBatcher`], which coalesces
@@ -25,15 +31,15 @@
 //!
 //! A reload is driven over the wire: `pkgm daemon reload --addr …
 //! --snapshot path` sends a [`Request::Reload`] with a **daemon-local**
-//! path, and the daemon loads the `PKGMSS1`/`PKGMSS2` artifact through the
-//! same CRC-validated [`crate::serialize`] machinery used everywhere else
-//! — a corrupt or truncated snapshot is rejected with a typed error and
+//! path, and the daemon loads the `PKGMSS1`/`PKGMSS2`/`PKGMSS3` artifact
+//! through the same CRC-validated [`crate::serialize`] machinery used
+//! everywhere else — a corrupt or truncated snapshot, or one whose dim
+//! differs from the live snapshot's, is rejected with a typed error and
 //! the live table keeps serving.
 
 use crate::batcher::{BatchStats, DynamicBatcher, SubmitError, WaitError};
 use crate::protocol::{self, DeadlineStage, ProtocolError, Request, Response};
 use crate::serialize;
-use crate::service::KnowledgeService;
 use crate::serving::{CacheStats, CachedService};
 use crate::snapshot::ServiceSnapshot;
 use parking_lot::{Mutex, RwLock};
@@ -48,15 +54,15 @@ use std::time::{Duration, Instant};
 /// Daemon tuning knobs.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
-    /// Batch worker threads draining the queue (live computation fans out
-    /// over rayon internally, so a handful saturates a host).
+    /// Batch worker threads draining the queue (a batch is row copies, so
+    /// a handful saturates a host).
     pub workers: usize,
     /// Max items coalesced into one service call.
     pub max_batch_items: usize,
     /// Max items queued before admission control sheds.
     pub queue_capacity: usize,
-    /// Cache capacity (per shape) of each [`CachedService`] generation,
-    /// including the ones built by reloads.
+    /// Cache capacity of each [`CachedService`] generation, including the
+    /// ones built by reloads.
     pub cache_capacity: usize,
     /// Admission cap on concurrent connections: a connect past this is
     /// answered with a typed `Overloaded` frame and closed at accept time,
@@ -241,8 +247,6 @@ struct DaemonCounters {
 struct Shared {
     holder: ServiceHolder,
     batcher: DynamicBatcher,
-    /// Builds each reload's [`CachedService`]; clones share the model.
-    master: KnowledgeService,
     cfg: DaemonConfig,
     addr: SocketAddr,
     counters: DaemonCounters,
@@ -284,19 +288,22 @@ impl Shared {
     /// Load a snapshot artifact and hot-swap it in — `PKGMSS3` files come
     /// up memory-mapped (O(header) open), everything else resident.
     /// Returns a summary for the reload response.
+    ///
+    /// Every reload checks its dim against the live snapshot's, so the
+    /// serving dim is the one the daemon started with for its lifetime.
     fn reload(&self, path: &str) -> Result<serde_json::Value, String> {
         let snap = serialize::open_snapshot_file(std::path::Path::new(path))
             .map_err(|e| format!("cannot load snapshot {path}: {e}"))?;
-        if snap.dim() != self.master.dim() {
+        let dim = self.holder.get().snapshot().dim();
+        if snap.dim() != dim {
             return Err(format!(
-                "snapshot dim {} does not match serving dim {}",
-                snap.dim(),
-                self.master.dim()
+                "snapshot dim {} does not match serving dim {dim}",
+                snap.dim()
             ));
         }
         let summary = snapshot_summary_json(&snap, Some(path));
-        let next = CachedService::with_snapshot(self.master.clone(), self.cfg.cache_capacity, snap);
-        self.holder.swap(next);
+        self.holder
+            .swap(CachedService::new(snap, self.cfg.cache_capacity));
         self.counters.reloads.fetch_add(1, Ordering::Relaxed);
         Ok(serde_json::json!({
             "swaps": self.holder.swaps(),
@@ -333,25 +340,20 @@ impl Shared {
             "swap_wedged": self.holder.wedged(),
             "shutting_down": self.shutting_down.load(Ordering::SeqCst),
             "queued_items": self.batcher.queued_items() as u64,
-            "snapshot": self.holder.get().snapshot().is_some(),
+            "snapshot": true,
         })
     }
 
     /// The JSON answering a `ShardMap` request: the entity-range shard the
     /// live snapshot covers, in the exact shape the router tier consumes.
-    /// A daemon without a snapshot serves the whole id space through the
-    /// compute path, so it reports a single whole-table shard.
     fn shard_map_json(&self) -> serde_json::Value {
         let current = self.holder.get();
-        let snapshot_json = match current.snapshot() {
-            Some(s) => snapshot_summary_json(s, None),
-            None => serde_json::Value::Null,
-        };
+        let snap = current.snapshot();
         serde_json::json!({
-            "dim": self.master.dim(),
+            "dim": snap.dim(),
             "ready": self.is_ready(),
             "swaps": self.holder.swaps(),
-            "snapshot": snapshot_json,
+            "snapshot": snapshot_summary_json(snap, None),
         })
     }
 
@@ -360,6 +362,7 @@ impl Shared {
         let cache = self.holder.cumulative_stats();
         let batch: BatchStats = self.batcher.stats();
         let current = self.holder.get();
+        let snap = current.snapshot();
         let batch_json = serde_json::json!({
             "batches": batch.batches,
             "requests": batch.requests,
@@ -378,13 +381,9 @@ impl Shared {
             "degraded": cache.degraded,
             "total_requests": cache.total_requests(),
         });
-        let snapshot_json = match current.snapshot() {
-            Some(s) => snapshot_summary_json(s, None),
-            None => serde_json::Value::Null,
-        };
         serde_json::json!({
             "uptime_secs": self.started.elapsed().as_secs_f64(),
-            "dim": self.master.dim(),
+            "dim": snap.dim(),
             "workers": self.cfg.workers,
             "connections": self.counters.connections.load(Ordering::Relaxed),
             "frames": self.counters.frames.load(Ordering::Relaxed),
@@ -400,7 +399,7 @@ impl Shared {
             "ready": self.is_ready(),
             "batch": batch_json,
             "cache": cache_json,
-            "snapshot": snapshot_json,
+            "snapshot": snapshot_summary_json(snap, None),
         })
     }
 }
@@ -409,7 +408,7 @@ impl Shared {
 /// responses: row count, quantization, backing mode (resident vs mapped)
 /// and — when the snapshot is an entity-range shard — which slice of the
 /// table it covers.
-fn snapshot_summary_json(snap: &crate::ServiceSnapshot, path: Option<&str>) -> serde_json::Value {
+fn snapshot_summary_json(snap: &ServiceSnapshot, path: Option<&str>) -> serde_json::Value {
     let shard = snap.shard();
     let shard_json = serde_json::json!({
         "shard_id": shard.shard_id,
@@ -455,15 +454,9 @@ pub struct Daemon {
 
 impl Daemon {
     /// Bind `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and start
-    /// serving `service`, optionally backed by a precomputed `snapshot`.
-    /// A zero `cache_capacity`, `queue_capacity` or `max_batch_items` is
-    /// rejected as `InvalidInput` naming the field.
-    pub fn start(
-        addr: &str,
-        service: KnowledgeService,
-        snapshot: Option<ServiceSnapshot>,
-        cfg: DaemonConfig,
-    ) -> io::Result<Daemon> {
+    /// serving `snapshot`. A zero `cache_capacity`, `queue_capacity` or
+    /// `max_batch_items` is rejected as `InvalidInput` naming the field.
+    pub fn start(addr: &str, snapshot: ServiceSnapshot, cfg: DaemonConfig) -> io::Result<Daemon> {
         for (field, value) in [
             ("cache_capacity", cfg.cache_capacity),
             ("queue_capacity", cfg.queue_capacity),
@@ -478,26 +471,9 @@ impl Daemon {
         }
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let cached = match snapshot {
-            Some(snap) => {
-                if snap.dim() != service.dim() {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidInput,
-                        format!(
-                            "snapshot dim {} does not match service dim {}",
-                            snap.dim(),
-                            service.dim()
-                        ),
-                    ));
-                }
-                CachedService::with_snapshot(service.clone(), cfg.cache_capacity, snap)
-            }
-            None => CachedService::new(service.clone(), cfg.cache_capacity),
-        };
         let shared = Arc::new(Shared {
-            holder: ServiceHolder::new(cached),
+            holder: ServiceHolder::new(CachedService::new(snapshot, cfg.cache_capacity)),
             batcher: DynamicBatcher::new(cfg.queue_capacity, cfg.max_batch_items),
-            master: service,
             cfg: cfg.clone(),
             addr: local,
             counters: DaemonCounters::default(),
@@ -759,6 +735,12 @@ fn accept_loop(
         if chaos_take_accept_panic(shared) {
             panic!("injected accept-loop panic (chaos hook)");
         }
+        // Checked before the shed below: shutdown wakes this loop with one
+        // self-connect, which a full cap would otherwise shed, leaving the
+        // acceptor blocked in `accept()` and the daemon's join hung.
+        if shared.shutting_down.load(Ordering::SeqCst) {
+            return;
+        }
         shared.counters.connections.fetch_add(1, Ordering::Relaxed);
         // Admission control at the socket layer: past `max_conns` live
         // connections, answer with a typed Overloaded frame and close —
@@ -918,7 +900,9 @@ fn respond(req: Request, shared: &Arc<Shared>) -> Vec<u8> {
 
 /// Serve a (possibly deadline-carrying) lookup through the batcher.
 fn serve_lookup(items: Vec<u32>, deadline: Option<Instant>, shared: &Arc<Shared>) -> Vec<u8> {
-    let row_len = 2 * shared.master.dim() as u32;
+    let current = shared.holder.get();
+    let snap = current.snapshot();
+    let row_len = 2 * snap.dim() as u32;
     // The protocol-wide MAX_LOOKUP_ITEMS was already enforced at decode
     // time, but at this serving width the response frame caps the batch
     // tighter: reject — don't build a response the framing layer could
@@ -933,26 +917,23 @@ fn serve_lookup(items: Vec<u32>, deadline: Option<Instant>, shared: &Arc<Shared>
         )));
     }
     // Entity-range shards hold only a slice of the global id space. An id
-    // outside this shard's range would silently degrade to the fallback
+    // outside this shard's range would silently degrade to the all-zero
     // row, so answer with a typed redirect carrying the shard topology the
     // client needs to re-route instead.
-    {
-        let current = shared.holder.get();
-        if let Some(snap) = current.snapshot() {
-            let shard = snap.shard();
-            if !shard.is_whole_table() {
-                if let Some(&id) = items.iter().find(|&&id| !snap.covers(id)) {
-                    return protocol::encode_response(&Response::WrongShard {
-                        id,
-                        shard_id: shard.shard_id,
-                        n_shards: shard.n_shards,
-                        row_start: shard.row_start,
-                        n_rows: snap.n_rows() as u64,
-                    });
-                }
-            }
+    let shard = snap.shard();
+    if !shard.is_whole_table() {
+        if let Some(&id) = items.iter().find(|&&id| !snap.covers(id)) {
+            return protocol::encode_response(&Response::WrongShard {
+                id,
+                shard_id: shard.shard_id,
+                n_shards: shard.n_shards,
+                row_start: shard.row_start,
+                n_rows: snap.n_rows() as u64,
+            });
         }
     }
+    // Hold no generation across the batch: a swap quiesces on it.
+    drop(current);
     shared.counters.lookups.fetch_add(1, Ordering::Relaxed);
     match shared.batcher.submit_with_deadline(items, deadline) {
         Ok(ticket) => match ticket.wait() {
@@ -1345,9 +1326,11 @@ impl DaemonClient {
 mod tests {
     use super::*;
     use crate::model::{PkgmConfig, PkgmModel};
+    use crate::service::KnowledgeService;
     use pkgm_store::{EntityId, KeyRelationSelector, StoreBuilder};
 
-    fn master() -> KnowledgeService {
+    /// Items 0..16 and their value entities: rows 0..21.
+    fn snapshot() -> ServiceSnapshot {
         let mut b = StoreBuilder::new();
         for i in 0..16u32 {
             b.add_raw(i, 0, 16 + i % 3);
@@ -1361,7 +1344,7 @@ mod tests {
             store.n_relations() as usize,
             PkgmConfig::new(8).with_seed(3),
         );
-        KnowledgeService::new(model, sel)
+        ServiceSnapshot::build(&KnowledgeService::new(model, sel))
     }
 
     #[test]
@@ -1369,8 +1352,8 @@ mod tests {
         // Regression test for the stats/hot-swap race: requests served
         // around repeated swaps must all land in cumulative_stats —
         // nothing lost when a retired generation's counters are folded.
-        let svc = master();
-        let holder = Arc::new(ServiceHolder::new(CachedService::new(svc.clone(), 64)));
+        let snap = snapshot();
+        let holder = Arc::new(ServiceHolder::new(CachedService::new(snap.clone(), 64)));
         let stop = Arc::new(AtomicBool::new(false));
         const THREADS: u64 = 4;
         const ROUNDS: u64 = 200;
@@ -1379,11 +1362,11 @@ mod tests {
             let swapper = {
                 let holder = Arc::clone(&holder);
                 let stop = Arc::clone(&stop);
-                let svc = svc.clone();
+                let snap = snap.clone();
                 s.spawn(move || {
                     let mut swaps = 0u64;
                     while !stop.load(Ordering::SeqCst) {
-                        holder.swap(CachedService::new(svc.clone(), 64));
+                        holder.swap(CachedService::new(snap.clone(), 64));
                         swaps += 1;
                         std::thread::sleep(Duration::from_micros(300));
                     }
@@ -1394,8 +1377,8 @@ mod tests {
                 .map(|t| {
                     let holder = Arc::clone(&holder);
                     s.spawn(move || {
-                        // Mix known, value-entity (degraded), and
-                        // out-of-range (degraded) ids.
+                        // Mix items, value entities, and out-of-range
+                        // (degraded) ids.
                         let items: Vec<EntityId> = (0..BATCH)
                             .map(|i| EntityId(((t * BATCH + i) % 24) as u32))
                             .collect();
@@ -1417,7 +1400,7 @@ mod tests {
         });
         // One final swap quiesces and folds the last live generation too,
         // making the cumulative total exact.
-        holder.swap(CachedService::new(svc, 64));
+        holder.swap(CachedService::new(snap, 64));
         let stats = holder.cumulative_stats();
         assert_eq!(
             stats.total_requests(),
@@ -1433,8 +1416,8 @@ mod tests {
         // generation and folding the retired one's counters, a Stats
         // reader once saw totals dip (the old generation's counts were in
         // neither `folded` nor `current`). Totals must never go backwards.
-        let svc = master();
-        let holder = ServiceHolder::new(CachedService::new(svc.clone(), 64));
+        let snap = snapshot();
+        let holder = ServiceHolder::new(CachedService::new(snap.clone(), 64));
         let stop = AtomicBool::new(false);
         let samples = AtomicU64::new(0);
         std::thread::scope(|s| {
@@ -1473,7 +1456,7 @@ mod tests {
             let mut swaps = 0u64;
             while (swaps < 40 || samples.load(Ordering::Relaxed) < 50) && Instant::now() < deadline
             {
-                holder.swap(CachedService::new(svc.clone(), 64));
+                holder.swap(CachedService::new(snap.clone(), 64));
                 swaps += 1;
                 std::thread::sleep(Duration::from_micros(200));
             }
@@ -1495,30 +1478,11 @@ mod tests {
                 "queue_capacity" => cfg.queue_capacity = 0,
                 _ => cfg.max_batch_items = 0,
             }
-            let err = Daemon::start("127.0.0.1:0", master(), None, cfg)
+            let err = Daemon::start("127.0.0.1:0", snapshot(), cfg)
                 .err()
                 .unwrap_or_else(|| panic!("zero {field} must be rejected"));
             assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
             assert!(err.to_string().contains(field), "{err}");
         }
-    }
-
-    #[test]
-    fn daemon_rejects_mismatched_snapshot_dim_at_start() {
-        let svc = master();
-        let mut b = StoreBuilder::new();
-        b.add_raw(0, 0, 1);
-        let store = b.build();
-        let other = KnowledgeService::new(
-            PkgmModel::new(
-                store.n_entities() as usize,
-                store.n_relations() as usize,
-                PkgmConfig::new(16).with_seed(1),
-            ),
-            KeyRelationSelector::build(&store, &[(EntityId(0), 0)], 1, 1),
-        );
-        let snap = ServiceSnapshot::build(&other);
-        let err = Daemon::start("127.0.0.1:0", svc, Some(snap), DaemonConfig::default());
-        assert!(err.is_err());
     }
 }

@@ -372,8 +372,8 @@ impl NetCheckReport {
 const N_ITEMS: u32 = 16;
 const DIM: usize = 6;
 
-/// Deterministic toy service shared by every scenario.
-fn fixture(seed: u64) -> (KnowledgeService, ServiceSnapshot) {
+/// Deterministic toy snapshot shared by every scenario.
+fn fixture(seed: u64) -> ServiceSnapshot {
     let mut b = StoreBuilder::new();
     for i in 0..N_ITEMS {
         b.add_raw(i, 0, N_ITEMS + i % 3);
@@ -387,14 +387,11 @@ fn fixture(seed: u64) -> (KnowledgeService, ServiceSnapshot) {
         store.n_relations() as usize,
         PkgmConfig::new(DIM).with_seed(seed),
     );
-    let svc = KnowledgeService::new(model, sel);
-    let snap = ServiceSnapshot::build(&svc);
-    (svc, snap)
+    ServiceSnapshot::build(&KnowledgeService::new(model, sel))
 }
 
-fn start_daemon(svc: &KnowledgeService, snap: &ServiceSnapshot, cfg: DaemonConfig) -> Daemon {
-    Daemon::start("127.0.0.1:0", svc.clone(), Some(snap.clone()), cfg)
-        .expect("daemon binds an ephemeral port")
+fn start_daemon(snap: &ServiceSnapshot, cfg: DaemonConfig) -> Daemon {
+    Daemon::start("127.0.0.1:0", snap.clone(), cfg).expect("daemon binds an ephemeral port")
 }
 
 /// Assert `rows` for `items` match the snapshot bit-for-bit.
@@ -435,11 +432,11 @@ pub fn run_netcheck(seed: u64) -> NetCheckReport {
         seed,
         scenarios: Vec::new(),
     };
-    let (svc, snap) = fixture(seed);
+    let snap = fixture(seed);
     let items: Vec<u32> = (0..N_ITEMS).collect();
 
     report.run("clean-path-bit-exact", || {
-        let daemon = start_daemon(&svc, &snap, DaemonConfig::default());
+        let daemon = start_daemon(&snap, DaemonConfig::default());
         let proxy = ChaosProxy::start(&daemon.local_addr().to_string(), NetFaultPlan::new())
             .map_err(|e| format!("proxy: {e}"))?;
         let mut rc = RetryClient::new(proxy.local_addr().to_string(), quick_policy(seed));
@@ -468,7 +465,7 @@ pub fn run_netcheck(seed: u64) -> NetCheckReport {
         let plan = NetFaultPlan::new()
             .with_up(0, NetFault::Delay { millis: 30 })
             .with_down(0, NetFault::Delay { millis: 30 });
-        let daemon = start_daemon(&svc, &snap, DaemonConfig::default());
+        let daemon = start_daemon(&snap, DaemonConfig::default());
         let proxy = ChaosProxy::start(&daemon.local_addr().to_string(), plan)
             .map_err(|e| format!("proxy: {e}"))?;
         let mut rc = RetryClient::new(proxy.local_addr().to_string(), quick_policy(seed));
@@ -489,7 +486,7 @@ pub fn run_netcheck(seed: u64) -> NetCheckReport {
                 gap_millis: 2,
             },
         );
-        let daemon = start_daemon(&svc, &snap, DaemonConfig::default());
+        let daemon = start_daemon(&snap, DaemonConfig::default());
         let proxy = ChaosProxy::start(&daemon.local_addr().to_string(), plan)
             .map_err(|e| format!("proxy: {e}"))?;
         let mut rc = RetryClient::new(proxy.local_addr().to_string(), quick_policy(seed));
@@ -504,7 +501,7 @@ pub fn run_netcheck(seed: u64) -> NetCheckReport {
 
     report.run("corrupt-response-crc-detected", || {
         let plan = NetFaultPlan::new().with_down(0, NetFault::CorruptByte { byte: 11, bit: 3 });
-        let daemon = start_daemon(&svc, &snap, DaemonConfig::default());
+        let daemon = start_daemon(&snap, DaemonConfig::default());
         let proxy = ChaosProxy::start(&daemon.local_addr().to_string(), plan)
             .map_err(|e| format!("proxy: {e}"))?;
         let mut rc = RetryClient::new(proxy.local_addr().to_string(), quick_policy(seed));
@@ -531,7 +528,7 @@ pub fn run_netcheck(seed: u64) -> NetCheckReport {
 
     report.run("dropped-request-not-retried", || {
         let plan = NetFaultPlan::new().with_up(0, NetFault::DropBeforeForward);
-        let daemon = start_daemon(&svc, &snap, DaemonConfig::default());
+        let daemon = start_daemon(&snap, DaemonConfig::default());
         let proxy = ChaosProxy::start(&daemon.local_addr().to_string(), plan)
             .map_err(|e| format!("proxy: {e}"))?;
         let mut rc = RetryClient::new(proxy.local_addr().to_string(), quick_policy(seed));
@@ -557,7 +554,7 @@ pub fn run_netcheck(seed: u64) -> NetCheckReport {
 
     report.run("truncated-response-typed", || {
         let plan = NetFaultPlan::new().with_down(0, NetFault::TruncateForward { keep: 6 });
-        let daemon = start_daemon(&svc, &snap, DaemonConfig::default());
+        let daemon = start_daemon(&snap, DaemonConfig::default());
         let proxy = ChaosProxy::start(&daemon.local_addr().to_string(), plan)
             .map_err(|e| format!("proxy: {e}"))?;
         let mut rc = RetryClient::new(proxy.local_addr().to_string(), quick_policy(seed));
@@ -623,7 +620,7 @@ pub fn run_netcheck(seed: u64) -> NetCheckReport {
             queue_capacity: 2,
             ..DaemonConfig::default()
         };
-        let daemon = start_daemon(&svc, &snap, cfg);
+        let daemon = start_daemon(&snap, cfg);
         let addr = daemon.local_addr().to_string();
         daemon.inject_worker_wedge(Duration::from_millis(400));
         let fillers: Vec<_> = (0..3)
@@ -671,7 +668,7 @@ pub fn run_netcheck(seed: u64) -> NetCheckReport {
     });
 
     report.run("deadline-zero-budget-typed", || {
-        let daemon = start_daemon(&svc, &snap, DaemonConfig::default());
+        let daemon = start_daemon(&snap, DaemonConfig::default());
         let addr = daemon.local_addr().to_string();
         // Server side: a zero budget is expired on arrival — typed shed.
         let mut direct = DaemonClient::connect(&addr).map_err(|e| e.to_string())?;
@@ -703,7 +700,7 @@ pub fn run_netcheck(seed: u64) -> NetCheckReport {
     });
 
     report.run("worker-panic-recovered-by-watchdog", || {
-        let daemon = start_daemon(&svc, &snap, DaemonConfig::default());
+        let daemon = start_daemon(&snap, DaemonConfig::default());
         let addr = daemon.local_addr().to_string();
         daemon.inject_worker_panic();
         let mut client = DaemonClient::connect(&addr).map_err(|e| e.to_string())?;
@@ -728,7 +725,7 @@ pub fn run_netcheck(seed: u64) -> NetCheckReport {
     });
 
     report.run("accept-panic-recovered-by-watchdog", || {
-        let daemon = start_daemon(&svc, &snap, DaemonConfig::default());
+        let daemon = start_daemon(&snap, DaemonConfig::default());
         let addr = daemon.local_addr().to_string();
         daemon.inject_accept_panic();
         // The sacrificial connection kills the acceptor; its socket dies
@@ -756,7 +753,7 @@ pub fn run_netcheck(seed: u64) -> NetCheckReport {
     report.run("seeded-random-fault-is-safe", || {
         let plan = NetFaultPlan::seeded(seed);
         let detail = format!("{plan:?}");
-        let daemon = start_daemon(&svc, &snap, DaemonConfig::default());
+        let daemon = start_daemon(&snap, DaemonConfig::default());
         let proxy = ChaosProxy::start(&daemon.local_addr().to_string(), plan)
             .map_err(|e| format!("proxy: {e}"))?;
         let mut rc = RetryClient::new(proxy.local_addr().to_string(), quick_policy(seed));
@@ -780,7 +777,7 @@ pub fn run_netcheck(seed: u64) -> NetCheckReport {
     });
 
     report.run("stats-monotone-under-chaos", || {
-        let daemon = start_daemon(&svc, &snap, DaemonConfig::default());
+        let daemon = start_daemon(&snap, DaemonConfig::default());
         let addr = daemon.local_addr().to_string();
         let mut client = DaemonClient::connect(&addr).map_err(|e| e.to_string())?;
         let keys = [
@@ -837,8 +834,8 @@ mod tests {
 
     #[test]
     fn faithful_proxy_is_invisible() {
-        let (svc, snap) = fixture(41);
-        let daemon = start_daemon(&svc, &snap, DaemonConfig::default());
+        let snap = fixture(41);
+        let daemon = start_daemon(&snap, DaemonConfig::default());
         let proxy =
             ChaosProxy::start(&daemon.local_addr().to_string(), NetFaultPlan::new()).unwrap();
         let mut client = DaemonClient::connect(&proxy.local_addr().to_string()).unwrap();
@@ -853,8 +850,8 @@ mod tests {
 
     #[test]
     fn corrupting_proxy_yields_crc_mismatch_not_bad_rows() {
-        let (svc, snap) = fixture(43);
-        let daemon = start_daemon(&svc, &snap, DaemonConfig::default());
+        let snap = fixture(43);
+        let daemon = start_daemon(&snap, DaemonConfig::default());
         let plan = NetFaultPlan::new().with_down(0, NetFault::CorruptByte { byte: 7, bit: 1 });
         let proxy = ChaosProxy::start(&daemon.local_addr().to_string(), plan).unwrap();
         let mut client = DaemonClient::connect(&proxy.local_addr().to_string()).unwrap();

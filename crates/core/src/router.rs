@@ -22,8 +22,9 @@
 //!
 //! [`Supervisor`] is the process-level counterpart: given the shard files
 //! `base.shard{K}of{N}` produced by `pkgm snapshot --shards N`, it spawns
-//! one `pkgm daemon serve` per shard on an ephemeral port and gates on the
-//! daemons' readiness probes before reporting the fleet up.
+//! one `pkgm daemon serve --snapshot` per shard on an ephemeral port and
+//! gates on the daemons' readiness probes before reporting the fleet up.
+//! A shard daemon holds its shard file and nothing else — no model.
 //!
 //! [`Response::WrongShard`]: crate::protocol::Response::WrongShard
 
@@ -428,14 +429,10 @@ pub fn discover_shard_files(base: &Path) -> Result<Vec<PathBuf>, RouterError> {
 }
 
 impl Supervisor {
-    /// Spawn `daemon_bin daemon serve` for every shard file, each on an
-    /// ephemeral port with an addr file, and block until every daemon
-    /// passes its readiness probe (or [`SPAWN_TIMEOUT`] expires).
-    pub fn spawn(
-        daemon_bin: &Path,
-        service: &Path,
-        shard_files: &[PathBuf],
-    ) -> Result<Self, RouterError> {
+    /// Spawn `daemon_bin daemon serve --snapshot` for every shard file,
+    /// each on an ephemeral port with an addr file, and block until every
+    /// daemon passes its readiness probe (or [`SPAWN_TIMEOUT`] expires).
+    pub fn spawn(daemon_bin: &Path, shard_files: &[PathBuf]) -> Result<Self, RouterError> {
         let mut daemons = Vec::with_capacity(shard_files.len());
         let pid = std::process::id();
         for (i, shard) in shard_files.iter().enumerate() {
@@ -444,8 +441,6 @@ impl Supervisor {
             let child = std::process::Command::new(daemon_bin)
                 .arg("daemon")
                 .arg("serve")
-                .arg("--service")
-                .arg(service)
                 .arg("--snapshot")
                 .arg(shard)
                 .arg("--addr")

@@ -1,34 +1,35 @@
-//! Thread-safe serving front-end with memoization.
+//! Thread-safe memo cache over one serving snapshot.
 //!
 //! In the paper's deployment, PKGM serves the *same* per-item vectors to many
 //! downstream consumers (classification, alignment, recommendation all query
-//! the items in their batches). Since service vectors are pure functions of
-//! the frozen model, a small cache in front of [`KnowledgeService`] turns the
-//! `O(k·d²)` relation-module matvecs into a hash lookup for hot items.
+//! the items in their batches). The serving daemon answers them from a
+//! precomputed [`ServiceSnapshot`]; [`CachedService`] is a small cache in
+//! front of that table, and the snapshot is all it holds — no model, no
+//! key-relation selector.
 //!
 //! The cache is **sharded**: items are distributed over up to
 //! [`MAX_SHARDS`] independent `RwLock`-protected shards keyed by a
 //! multiplicative hash of the item id. Counters are atomics, so the hot
 //! path never contends on a global statistics lock.
 //!
-//! Condensed rows — the shape the daemon serves — live in a **slab** per
-//! shard: an `id → slot` index beside one flat `Vec<f32>` holding slot
-//! `s`'s row at `[s·2d, (s+1)·2d)`. A served row costs one probe and two
-//! `memcpy`s and no heap allocation:
+//! Rows live in a **slab** per shard: an `id → slot` index beside one flat
+//! `Vec<f32>` holding slot `s`'s row at `[s·2d, (s+1)·2d)`. A served row
+//! costs one probe and two `memcpy`s and no heap allocation:
 //!
 //! * a **hit** copies the row out of the slab into the caller's buffer
 //!   *under the shard read lock* (shared, so readers never serialize; the
 //!   copy is what makes a concurrent flush unable to tear the row);
-//! * a **miss** the attached snapshot covers reads the snapshot row
-//!   straight into the caller's buffer outside any lock, then takes the
-//!   shard write lock once to publish it (`extend_from_slice`) — flushing
-//!   the shard first when it is full (`index.clear(); rows.clear()`: no
-//!   per-entry free, capacity kept);
-//! * misses the snapshot does **not** cover (no snapshot, or an id outside
-//!   an entity-range shard) need `O(k·d²)` matvecs, so a batch computes
-//!   them together, fanned out over rayon with per-thread scratch, and
-//!   publishes them afterwards. A snapshot row read is tens of
-//!   nanoseconds — not worth a thread — so those are copied inline.
+//! * a **miss** reads the snapshot row (a copy, or deterministic
+//!   dequantization) straight into the caller's buffer outside any lock,
+//!   then takes the shard write lock once to publish it
+//!   (`extend_from_slice`) — flushing the shard first when it is full
+//!   (`index.clear(); rows.clear()`: no per-entry free, capacity kept);
+//! * an id the snapshot does **not** cover (past the table, or outside an
+//!   entity-range shard) is **degraded**: an all-zero row, counted in
+//!   [`CacheStats::degraded`] and never cached. A non-item entity inside
+//!   the table is not degraded: its stored row is all zeros too (the
+//!   condensed service of an id without key relations), served and cached
+//!   like any other.
 //!
 //! [`CachedService::condensed_rows_into`] is the one implementation; the
 //! `Arc`-returning [`CachedService::condensed_service`] and
@@ -38,21 +39,17 @@
 //! freed on a connection handler, measured −26 % lookups/s on `serve-hot`
 //! (EXPERIMENTS.md, "Rows without allocations").
 
-use crate::service::{KnowledgeService, ServiceScratch};
+use crate::service::KnowledgeService;
 use crate::snapshot::ServiceSnapshot;
 use parking_lot::RwLock;
 use pkgm_store::fxhash::FxHashMap;
 use pkgm_store::EntityId;
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Upper bound on cache shards; small caches use fewer so each shard still
 /// holds a useful number of entries.
 pub const MAX_SHARDS: usize = 16;
-
-/// Items per rayon task when computing a batch's live misses.
-const MISS_CHUNK: usize = 32;
 
 /// Cache statistics.
 ///
@@ -66,13 +63,13 @@ const MISS_CHUNK: usize = 32;
 pub struct CacheStats {
     /// Requests answered from the cache.
     pub hits: u64,
-    /// Requests that computed fresh vectors.
+    /// Requests that read their row from the snapshot.
     pub misses: u64,
     /// Entries evicted due to the capacity bound.
     pub evictions: u64,
-    /// Requests answered with the documented fallback (unknown item id, or
-    /// id beyond the model's embedding table). Counted separately from hits
-    /// and misses so operators can alert on catalog/model skew.
+    /// Requests for ids the snapshot does not cover, answered with an
+    /// all-zero row. Counted separately from hits and misses so operators
+    /// can alert on catalog/table skew.
     pub degraded: u64,
 }
 
@@ -107,10 +104,7 @@ impl std::ops::AddAssign for CacheStats {
     }
 }
 
-/// A cached sequence service (`2k` vectors) behind a shared pointer.
-type SequenceVectors = Arc<Vec<Vec<f32>>>;
-
-/// One shard's cached condensed rows. Invariant: `index` holds the slots
+/// One shard's cached rows. Invariant: `index` holds the slots
 /// `0..index.len()` and `rows.len() == index.len() * 2d`; slot `s`'s row is
 /// `rows[s * 2d..(s + 1) * 2d]`. Grows on demand, never pre-sized.
 #[derive(Default)]
@@ -131,14 +125,7 @@ impl CondensedSlab {
     }
 }
 
-/// One cache shard: independent storage per service shape.
-#[derive(Default)]
-struct Shard {
-    sequences: RwLock<FxHashMap<u32, SequenceVectors>>,
-    condensed: RwLock<CondensedSlab>,
-}
-
-/// A memoizing, thread-safe wrapper around [`KnowledgeService`].
+/// A memoizing, thread-safe cache over one [`ServiceSnapshot`].
 ///
 /// Eviction is per-shard whole-generation: when a shard reaches its share of
 /// the capacity it is cleared (a "flush" cache). That keeps the hot path to
@@ -146,18 +133,12 @@ struct Shard {
 /// where batches sweep items in waves — while sharding confines each flush
 /// to `1/n_shards` of the cached entries.
 pub struct CachedService {
-    inner: KnowledgeService,
-    /// Optional precomputed condensed table: misses whose id it covers are
-    /// served by a row copy (or deterministic dequantization for quantized
-    /// snapshots) instead of live matvecs. Sequence services always compute
-    /// live — snapshots store only the condensed shape.
-    snapshot: Option<ServiceSnapshot>,
-    shards: Vec<Shard>,
-    /// Capacity bound applied independently to each shard (per shape).
+    /// The condensed table every row is read from: dense row copies, or
+    /// deterministic dequantization for quantized snapshots.
+    snapshot: ServiceSnapshot,
+    shards: Vec<RwLock<CondensedSlab>>,
+    /// Capacity bound applied independently to each shard.
     shard_capacity: usize,
-    /// Shared zero fallback, returned (not cached) for degraded sequence
-    /// requests; degraded condensed rows are zero-filled in place.
-    fallback_sequence: SequenceVectors,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -165,21 +146,18 @@ pub struct CachedService {
 }
 
 impl CachedService {
-    /// Wrap a service with a cache bounded to `capacity` items per shape.
+    /// A cache of at most `capacity` rows in front of `snapshot`.
     ///
     /// The shard count scales with capacity (one shard per four entries, up
     /// to [`MAX_SHARDS`]) so tiny caches keep their full capacity in a
     /// single shard.
-    pub fn new(inner: KnowledgeService, capacity: usize) -> Self {
+    pub fn new(snapshot: ServiceSnapshot, capacity: usize) -> Self {
         assert!(capacity > 0, "cache capacity must be positive");
         let n_shards = (capacity / 4).clamp(1, MAX_SHARDS);
-        let (d, k) = (inner.dim(), inner.k());
         Self {
-            inner,
-            snapshot: None,
-            shards: (0..n_shards).map(|_| Shard::default()).collect(),
+            snapshot,
+            shards: (0..n_shards).map(|_| RwLock::default()).collect(),
             shard_capacity: capacity / n_shards,
-            fallback_sequence: Arc::new(vec![vec![0.0; d]; 2 * k]),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -187,33 +165,25 @@ impl CachedService {
         }
     }
 
-    /// Wrap a service with a cache *and* a precomputed condensed table:
-    /// condensed misses covered by `snapshot` skip the live matvecs
-    /// entirely (dense row copy, or deterministic dequantization for
-    /// quantized snapshots), turning the miss path into pure memory reads.
+    /// [`CachedService::new`] for callers that still hold the model the
+    /// snapshot was built from: `service` is only checked for a matching
+    /// dim, then dropped — the cache never computes a row.
     pub fn with_snapshot(
-        inner: KnowledgeService,
+        service: KnowledgeService,
         capacity: usize,
         snapshot: ServiceSnapshot,
     ) -> Self {
         assert_eq!(
             snapshot.dim(),
-            inner.dim(),
+            service.dim(),
             "snapshot dim must match the service"
         );
-        let mut cached = Self::new(inner, capacity);
-        cached.snapshot = Some(snapshot);
-        cached
+        Self::new(snapshot, capacity)
     }
 
-    /// The wrapped service.
-    pub fn inner(&self) -> &KnowledgeService {
-        &self.inner
-    }
-
-    /// The attached condensed-table snapshot, if any.
-    pub fn snapshot(&self) -> Option<&ServiceSnapshot> {
-        self.snapshot.as_ref()
+    /// The snapshot every row is served from.
+    pub fn snapshot(&self) -> &ServiceSnapshot {
+        &self.snapshot
     }
 
     /// Number of shards the cache was built with.
@@ -223,127 +193,45 @@ impl CachedService {
 
     /// Fibonacci-style multiplicative hash: consecutive item ids (the common
     /// access pattern for catalog sweeps) land in different shards.
-    fn shard_of(&self, item: u32) -> &Shard {
+    fn shard_of(&self, item: u32) -> &RwLock<CondensedSlab> {
         let h = (item.wrapping_mul(0x9E37_79B1) >> 16) as usize;
         &self.shards[h % self.shards.len()]
     }
 
-    /// True when `item` cannot be served from the model: the id is beyond
-    /// the embedding table (indexing it would panic) or the selector has no
-    /// key relations for it (an id the catalog never registered). Such
-    /// requests get the documented zero fallback and bump
-    /// [`CacheStats::degraded`] instead of panicking.
-    fn is_degraded(&self, item: EntityId) -> bool {
-        item.0 as usize >= self.inner.model().n_entities()
-            || self.inner.selector().for_item(item).is_empty()
-    }
-
-    /// Cached sequence service (`2k` vectors, Fig. 2 shape).
-    ///
-    /// Unknown or out-of-range items return a shared all-zero fallback of
-    /// the same shape and increment [`CacheStats::degraded`].
-    pub fn sequence_service(&self, item: EntityId) -> Arc<Vec<Vec<f32>>> {
-        if self.is_degraded(item) {
-            self.degraded.fetch_add(1, Ordering::Release);
-            return Arc::clone(&self.fallback_sequence);
-        }
-        let shard = self.shard_of(item.0);
-        if let Some(hit) = shard.sequences.read().get(&item.0) {
-            self.hits.fetch_add(1, Ordering::Release);
-            return Arc::clone(hit);
-        }
-        self.misses.fetch_add(1, Ordering::Release);
-        // Compute outside any lock; concurrent misses may compute twice,
-        // which is benign (the function is pure).
-        let fresh = Arc::new(self.inner.sequence_service(item));
-        let mut map = shard.sequences.write();
-        if !map.contains_key(&item.0) && map.len() >= self.shard_capacity {
-            self.evictions
-                .fetch_add(map.len() as u64, Ordering::Release);
-            map.clear();
-        }
-        map.insert(item.0, Arc::clone(&fresh));
-        fresh
-    }
-
     /// Cached condensed services (`2d` vectors, Fig. 3 shape) for a batch,
     /// written as `items.len()` consecutive rows into `out` (cleared first)
-    /// — the single implementation behind every condensed entry point; see
-    /// the module docs for the per-row cost and lock discipline.
+    /// — the single implementation behind every entry point; see the
+    /// module docs for the per-row cost and lock discipline.
     ///
-    /// Unknown or out-of-range items get an all-zero row and increment
+    /// Ids the snapshot does not cover get an all-zero row and increment
     /// [`CacheStats::degraded`]. Items are resolved in order, each probe
     /// seeing the rows published before it, so an id repeated within one
     /// batch is one miss followed by hits.
     pub fn condensed_rows_into(&self, items: &[EntityId], out: &mut Vec<f32>) {
-        let row_len = 2 * self.inner.dim();
+        let row_len = 2 * self.snapshot.dim();
         out.clear();
         out.resize(items.len() * row_len, 0.0);
-        let snapshot = self.snapshot.as_ref();
-        // (id, position) of the misses that must be computed live.
-        let mut live: Vec<(u32, usize)> = Vec::new();
-        for (pos, (&item, row)) in items.iter().zip(out.chunks_exact_mut(row_len)).enumerate() {
-            if self.is_degraded(item) {
-                self.degraded.fetch_add(1, Ordering::Release);
-            } else if self.shard_of(item.0).condensed.read().copy_row(item.0, row) {
-                self.hits.fetch_add(1, Ordering::Release);
-            } else if snapshot.is_some_and(|s| s.row_into(item, row)) {
-                self.misses.fetch_add(1, Ordering::Release);
-                self.publish_condensed(item.0, row);
-            } else {
-                // Not counted yet: by the time the batch's live rows are
-                // published an earlier repeat may have turned this one
-                // into a hit.
-                live.push((item.0, pos));
-            }
-        }
-        if !live.is_empty() {
-            self.compute_live(&live, out);
-        }
-    }
-
-    /// Compute the distinct ids of `live` in parallel with per-thread
-    /// scratch, copy each row to its positions in `out`, and publish. The
-    /// first occurrence of an id counts as the miss; a repeat (or a row
-    /// another thread published meanwhile) counts as a hit.
-    fn compute_live(&self, live: &[(u32, usize)], out: &mut [f32]) {
-        let d = self.inner.dim();
-        let row_len = 2 * d;
-        let mut ids: Vec<u32> = live.iter().map(|&(id, _)| id).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        let mut fresh = vec![0.0f32; ids.len() * row_len];
-        fresh
-            .par_chunks_mut(row_len * MISS_CHUNK)
-            .enumerate()
-            .for_each(|(c, block)| {
-                let mut scratch = ServiceScratch::new(d);
-                let chunk_ids = &ids[c * MISS_CHUNK..];
-                for (&id, row) in chunk_ids.iter().zip(block.chunks_exact_mut(row_len)) {
-                    self.inner
-                        .condensed_service_into(EntityId(id), &mut scratch, row);
-                }
-            });
-        for &(id, pos) in live {
-            let at = ids.binary_search(&id).expect("every live id was collected") * row_len;
-            let row = &fresh[at..at + row_len];
-            out[pos * row_len..(pos + 1) * row_len].copy_from_slice(row);
-            let counter = if self.publish_condensed(id, row) {
-                &self.misses
-            } else {
+        for (&item, row) in items.iter().zip(out.chunks_exact_mut(row_len)) {
+            let counter = if !self.snapshot.covers(item.0) {
+                &self.degraded
+            } else if self.shard_of(item.0).read().copy_row(item.0, row) {
                 &self.hits
+            } else {
+                self.snapshot.row_into(item, row);
+                self.publish(item.0, row);
+                &self.misses
             };
             counter.fetch_add(1, Ordering::Release);
         }
     }
 
     /// Append `row` to `key`'s shard under its write lock, flushing the
-    /// shard first when it is full. Returns `false` (nothing changed) when
-    /// the key is already cached — a concurrent miss published it first.
-    fn publish_condensed(&self, key: u32, row: &[f32]) -> bool {
-        let mut slab = self.shard_of(key).condensed.write();
+    /// shard first when it is full. Does nothing when the key is already
+    /// cached — a concurrent miss published it first.
+    fn publish(&self, key: u32, row: &[f32]) {
+        let mut slab = self.shard_of(key).write();
         if slab.index.contains_key(&key) {
-            return false;
+            return;
         }
         if slab.index.len() >= self.shard_capacity {
             self.evictions
@@ -354,7 +242,6 @@ impl CachedService {
         let slot = slab.index.len() as u32;
         slab.index.insert(key, slot);
         slab.rows.extend_from_slice(row);
-        true
     }
 
     /// [`CachedService::condensed_rows_into`] for one item, copied into its
@@ -371,25 +258,8 @@ impl CachedService {
     pub fn condensed_service_batch(&self, items: &[EntityId]) -> Vec<Arc<Vec<f32>>> {
         let mut flat = Vec::new();
         self.condensed_rows_into(items, &mut flat);
-        flat.chunks_exact(2 * self.inner.dim())
+        flat.chunks_exact(2 * self.snapshot.dim())
             .map(|row| Arc::new(row.to_vec()))
-            .collect()
-    }
-
-    /// Cached sequence services for a batch, order preserved: the per-item
-    /// path fanned out over rayon.
-    pub fn sequence_service_batch(&self, items: &[EntityId]) -> Vec<Arc<Vec<Vec<f32>>>> {
-        items
-            .par_chunks(MISS_CHUNK)
-            .map(|chunk| {
-                chunk
-                    .iter()
-                    .map(|&item| self.sequence_service(item))
-                    .collect::<Vec<_>>()
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .flatten()
             .collect()
     }
 
@@ -418,8 +288,8 @@ mod tests {
     use crate::model::{PkgmConfig, PkgmModel};
     use pkgm_store::{KeyRelationSelector, StoreBuilder};
 
-    /// Items `0..n`, then three value entities (in the embedding table,
-    /// never registered as items: degraded).
+    /// Items `0..n`, then three value entities `n..n + 3` (in the table,
+    /// never registered as items: their stored rows are all zeros).
     fn service_n(n: u32) -> KnowledgeService {
         let mut b = StoreBuilder::new();
         for i in 0..n {
@@ -437,29 +307,26 @@ mod tests {
         KnowledgeService::new(model, sel)
     }
 
-    fn service() -> KnowledgeService {
-        service_n(8)
+    /// The dense table of [`service_n`]`(8)`: rows `0..11`.
+    fn snapshot() -> ServiceSnapshot {
+        ServiceSnapshot::build(&service_n(8))
     }
 
     fn bits(row: &[f32]) -> Vec<u32> {
         row.iter().map(|x| x.to_bits()).collect()
     }
 
-    #[test]
-    fn cache_returns_identical_vectors() {
-        let cached = CachedService::new(service(), 16);
-        let a = cached.sequence_service(EntityId(1));
-        let b = cached.sequence_service(EntityId(1));
-        assert_eq!(a, b);
-        assert_eq!(*a, cached.inner().sequence_service(EntityId(1)));
-        let stats = cached.stats();
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.misses, 1);
+    /// `id`'s stored row, which must be covered.
+    fn exact(snap: &ServiceSnapshot, id: u32) -> Vec<f32> {
+        let mut row = Vec::new();
+        assert!(snap.lookup_exact(EntityId(id), &mut row), "id {id} covered");
+        row
     }
 
     #[test]
     fn cache_evicts_at_capacity() {
-        let cached = CachedService::new(service(), 2);
+        let snap = snapshot();
+        let cached = CachedService::new(snap.clone(), 2);
         for i in 0..6u32 {
             cached.condensed_service(EntityId(i));
         }
@@ -467,23 +334,20 @@ mod tests {
         assert_eq!(stats.misses, 6);
         assert!(stats.evictions >= 2, "expected evictions, got {stats:?}");
         // correctness survives eviction
-        let v = cached.condensed_service(EntityId(0));
-        assert_eq!(*v, cached.inner().condensed_service(EntityId(0)));
+        assert_eq!(*cached.condensed_service(EntityId(0)), exact(&snap, 0));
     }
 
     #[test]
     fn cache_is_thread_safe() {
         use rayon::prelude::*;
-        let cached = CachedService::new(service(), 64);
+        let snap = snapshot();
+        let cached = CachedService::new(snap.clone(), 64);
         let results: Vec<Arc<Vec<f32>>> = (0..64u32)
             .into_par_iter()
             .map(|i| cached.condensed_service(EntityId(i % 8)))
             .collect();
         for (i, r) in results.iter().enumerate() {
-            assert_eq!(
-                **r,
-                cached.inner().condensed_service(EntityId(i as u32 % 8))
-            );
+            assert_eq!(**r, exact(&snap, i as u32 % 8));
         }
         let stats = cached.stats();
         assert_eq!(stats.hits + stats.misses, 64);
@@ -493,86 +357,84 @@ mod tests {
     #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_rejected() {
-        CachedService::new(service(), 0);
+        CachedService::new(snapshot(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "snapshot dim must match the service")]
+    fn with_snapshot_rejects_a_service_of_another_dim() {
+        let mut b = StoreBuilder::new();
+        b.add_raw(0, 0, 1);
+        let store = b.build();
+        let other = KnowledgeService::new(
+            PkgmModel::new(2, 1, PkgmConfig::new(16).with_seed(1)),
+            KeyRelationSelector::build(&store, &[(EntityId(0), 0)], 1, 1),
+        );
+        CachedService::with_snapshot(other, 16, snapshot());
     }
 
     #[test]
     fn shard_count_scales_with_capacity() {
-        let svc = service();
-        assert_eq!(CachedService::new(svc.clone(), 1).n_shards(), 1);
-        assert_eq!(CachedService::new(svc.clone(), 16).n_shards(), 4);
-        assert_eq!(CachedService::new(svc, 8192).n_shards(), MAX_SHARDS);
+        let snap = snapshot();
+        assert_eq!(CachedService::new(snap.clone(), 1).n_shards(), 1);
+        assert_eq!(CachedService::new(snap.clone(), 16).n_shards(), 4);
+        assert_eq!(CachedService::new(snap, 8192).n_shards(), MAX_SHARDS);
     }
 
     #[test]
     fn batch_matches_per_item_and_counts_stats() {
-        let cached = CachedService::new(service(), 64);
+        let snap = snapshot();
+        let cached = CachedService::new(snap.clone(), 64);
         let items: Vec<EntityId> = (0..8u32).chain(0..8u32).map(EntityId).collect();
         let cond = cached.condensed_service_batch(&items);
-        let seq = cached.sequence_service_batch(&items);
         for (i, &item) in items.iter().enumerate() {
-            assert_eq!(*cond[i], cached.inner().condensed_service(item));
-            assert_eq!(*seq[i], cached.inner().sequence_service(item));
+            assert_eq!(*cond[i], exact(&snap, item.0));
         }
-        // Each shape saw 16 requests over 8 unique ids: the first
-        // occurrence of an id is the miss, its repeat in the batch a hit.
+        // 16 requests over 8 unique ids: the first occurrence of an id is
+        // the miss, its repeat in the batch a hit.
         let stats = cached.stats();
-        assert_eq!((stats.hits, stats.misses), (16, 16));
+        assert_eq!((stats.hits, stats.misses), (8, 8));
         // A second batch is all hits.
         let before = cached.stats().hits;
         cached.condensed_service_batch(&items);
         assert_eq!(cached.stats().hits, before + items.len() as u64);
     }
 
+    /// The degraded rule is snapshot coverage: an id past the table is an
+    /// all-zero row counted as degraded and never cached; a value entity
+    /// inside the table serves its stored all-zero row as a miss, then hits.
     #[test]
-    fn unknown_items_get_fallback_and_degraded_counter() {
-        let cached = CachedService::new(service(), 16);
-        let d = cached.inner().dim();
-        let k = cached.inner().k();
-        // Out of embedding range entirely.
-        let far = EntityId(u32::MAX);
-        let v = cached.condensed_service(far);
-        assert_eq!(v.len(), 2 * d);
-        assert!(v.iter().all(|&x| x == 0.0));
-        let seq = cached.sequence_service(far);
-        assert_eq!(seq.len(), 2 * k);
-        assert!(seq.iter().all(|row| row.iter().all(|&x| x == 0.0)));
-        // In embedding range but never registered as an item (a value id).
-        let value_entity = EntityId(9);
-        cached.condensed_service(value_entity);
+    fn only_ids_the_snapshot_does_not_cover_are_degraded() {
+        let snap = snapshot();
+        let cached = CachedService::new(snap.clone(), 16);
+        let zero = vec![0u32; 2 * snap.dim()];
+        let (past, value_entity) = (EntityId(u32::MAX), EntityId(9));
+        assert!(!snap.covers(past.0) && snap.covers(value_entity.0));
+        for _ in 0..2 {
+            assert_eq!(bits(&cached.condensed_service(past)), zero);
+            assert_eq!(bits(&cached.condensed_service(value_entity)), zero);
+        }
         let stats = cached.stats();
-        assert_eq!(stats.degraded, 3);
-        // Degraded requests are neither hits nor misses and are not cached.
-        assert_eq!(stats.hits, 0);
-        assert_eq!(stats.misses, 0);
-    }
-
-    #[test]
-    fn batch_keeps_order_and_length_with_degraded_items() {
-        let cached = CachedService::new(service(), 16);
-        let items = [EntityId(0), EntityId(u32::MAX), EntityId(1), EntityId(9)];
+        assert_eq!((stats.degraded, stats.misses, stats.hits), (2, 1, 1));
+        // Order and length survive degraded ids inside a batch.
+        let items = [EntityId(0), past, EntityId(1), value_entity];
         let cond = cached.condensed_service_batch(&items);
         assert_eq!(cond.len(), items.len());
-        assert_eq!(*cond[0], cached.inner().condensed_service(items[0]));
-        assert!(cond[1].iter().all(|&x| x == 0.0));
-        assert_eq!(*cond[2], cached.inner().condensed_service(items[2]));
-        let seq = cached.sequence_service_batch(&items);
-        assert_eq!(seq.len(), items.len());
-        assert_eq!(*seq[0], cached.inner().sequence_service(items[0]));
-        assert!(seq[3].iter().all(|row| row.iter().all(|&x| x == 0.0)));
-        // 2 degraded ids × 2 batch calls.
-        assert_eq!(cached.stats().degraded, 4);
+        assert_eq!(*cond[0], exact(&snap, 0));
+        assert_eq!(bits(&cond[1]), zero);
+        assert_eq!(*cond[2], exact(&snap, 1));
+        assert_eq!(cached.stats().degraded, 3);
     }
 
     #[test]
     fn serving_survives_a_panic_while_a_shard_lock_is_held() {
-        let cached = CachedService::new(service(), 16);
+        let cached = CachedService::new(snapshot(), 16);
         let item = EntityId(1);
         let before = cached.condensed_service(item);
         // Panic while holding the shard's write lock: with std locks this
         // would poison the shard; serving must keep answering regardless.
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = cached.shard_of(item.0).condensed.write();
+            let _guard = cached.shard_of(item.0).write();
             panic!("worker died mid-publish");
         }));
         assert!(panicked.is_err());
@@ -583,14 +445,12 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_backed_cache_serves_snapshot_rows() {
-        let svc = service();
-        let snap = ServiceSnapshot::build(&svc).quantize();
-        let cached = CachedService::with_snapshot(svc.clone(), 16, snap.clone());
-        assert!(cached.snapshot().is_some_and(ServiceSnapshot::is_quantized));
-        let mut expect = Vec::new();
+    fn quantized_snapshot_rows_are_served_as_misses_then_hits() {
+        let snap = snapshot().quantize();
+        let cached = CachedService::new(snap.clone(), 16);
+        assert!(cached.snapshot().is_quantized());
         for i in 0..8u32 {
-            snap.lookup_exact(EntityId(i), &mut expect);
+            let expect = exact(&snap, i);
             let got = cached.condensed_service(EntityId(i));
             assert_eq!(*got, expect, "miss for item {i} must serve snapshot row");
             // Second call is a cache hit returning the same bits.
@@ -599,29 +459,15 @@ mod tests {
         let stats = cached.stats();
         assert_eq!(stats.misses, 8);
         assert_eq!(stats.hits, 8);
-        // Degraded ids keep the zero fallback — the snapshot is not consulted.
-        let far = cached.condensed_service(EntityId(u32::MAX));
-        assert!(far.iter().all(|&x| x == 0.0));
-        // Batch path serves the same snapshot rows.
-        let fresh = CachedService::with_snapshot(svc, 16, snap.clone());
-        let items: Vec<EntityId> = (0..8u32).map(EntityId).collect();
-        for (i, v) in fresh.condensed_service_batch(&items).iter().enumerate() {
-            snap.lookup_exact(items[i], &mut expect);
-            assert_eq!(**v, expect);
-        }
-        // Sequence services always compute live.
-        assert_eq!(
-            *fresh.sequence_service(EntityId(3)),
-            fresh.inner().sequence_service(EntityId(3))
-        );
     }
 
     #[test]
     fn concurrent_stress_mixes_batch_and_single() {
-        let cached = std::sync::Arc::new(CachedService::new(service(), 64));
+        let snap = snapshot();
+        let cached = Arc::new(CachedService::new(snap.clone(), 64));
         std::thread::scope(|s| {
             for t in 0..8u32 {
-                let cached = std::sync::Arc::clone(&cached);
+                let (cached, snap) = (Arc::clone(&cached), &snap);
                 s.spawn(move || {
                     for round in 0..20u32 {
                         let base = (t + round) % 8;
@@ -630,11 +476,11 @@ mod tests {
                                 (0..8u32).map(|i| EntityId((base + i) % 8)).collect();
                             for (j, v) in cached.condensed_service_batch(&items).iter().enumerate()
                             {
-                                assert_eq!(**v, cached.inner().condensed_service(items[j]));
+                                assert_eq!(**v, exact(snap, items[j].0));
                             }
                         } else {
-                            let v = cached.sequence_service(EntityId(base));
-                            assert_eq!(*v, cached.inner().sequence_service(EntityId(base)));
+                            let v = cached.condensed_service(EntityId(base));
+                            assert_eq!(*v, exact(snap, base));
                         }
                     }
                 });
@@ -644,6 +490,7 @@ mod tests {
         assert!(stats.hits > 0, "stress run should hit the cache: {stats:?}");
         assert!(stats.misses > 0);
     }
+
     /// The documented cache, item by item: probe the id's shard; on a miss
     /// flush the shard if it is full, then insert.
     struct FlushSim {
@@ -684,10 +531,10 @@ mod tests {
 
     #[test]
     fn counters_follow_the_reference_flush_cache_batch_by_batch() {
-        const N: u32 = 96;
-        let svc = service_n(N);
-        let snap = ServiceSnapshot::build(&svc);
-        let cached = CachedService::with_snapshot(svc, 24, snap);
+        // 96 items and 3 value entities: rows 0..99.
+        let snap = ServiceSnapshot::build(&service_n(96));
+        let n_rows = snap.n_rows() as u32;
+        let cached = CachedService::new(snap, 24);
         let mut sim = FlushSim::new(24);
         assert_eq!(cached.n_shards(), sim.shards.len());
         let (mut state, mut out) = (7u32, Vec::new());
@@ -701,7 +548,7 @@ mod tests {
                 .collect();
             cached.condensed_rows_into(&items, &mut out);
             for item in &items {
-                sim.request(item.0, item.0 >= N);
+                sim.request(item.0, item.0 >= n_rows);
             }
             assert_eq!(cached.stats(), sim.stats);
         }
@@ -711,13 +558,9 @@ mod tests {
 
     #[test]
     fn a_repeat_within_one_batch_is_one_miss_then_hits() {
-        let svc = service();
-        let snap = ServiceSnapshot::build(&svc);
         let items = [5, 5, 7, 5].map(EntityId);
-        for cached in [
-            CachedService::with_snapshot(svc.clone(), 16, snap),
-            CachedService::new(svc, 16),
-        ] {
+        for snap in [snapshot(), snapshot().quantize()] {
+            let cached = CachedService::new(snap, 16);
             let rows = cached.condensed_service_batch(&items);
             assert_eq!(rows[0], rows[1]);
             assert_eq!(rows[0], rows[3]);
@@ -735,7 +578,7 @@ mod tests {
         expect: impl Fn(u32) -> Vec<f32>,
     ) {
         let cached = Arc::new(cached);
-        let row_len = 2 * cached.inner().dim();
+        let row_len = 2 * cached.snapshot().dim();
         let items: Vec<EntityId> = ids.iter().map(|&i| EntityId(i)).collect();
         let want: Vec<u32> = ids.iter().flat_map(|&i| bits(&expect(i))).collect();
         let mut flat = Vec::new();
@@ -768,21 +611,16 @@ mod tests {
         use crate::snapshot::{ShardSpec, SnapshotBacking};
         let svc = service_n(200);
         let dense = ServiceSnapshot::build(&svc);
-        let exact = |snap: &ServiceSnapshot, id: u32| {
-            let mut row = Vec::new();
-            assert!(snap.lookup_exact(EntityId(id), &mut row));
-            row
-        };
         let ids = [0, 199, 17, 17, 64];
         // Dense, resident.
-        let cached = CachedService::with_snapshot(svc.clone(), 16, dense.clone());
+        let cached = CachedService::new(dense.clone(), 16);
         assert_every_path_serves(cached, &ids, |id| exact(&dense, id));
         // Dense, mapped PKGMSS3.
         let path = std::env::temp_dir().join(format!("pkgm-serving-{}.ss3", std::process::id()));
         crate::serialize::write_snapshot_ss3_file(&crate::StdIo, &path, &dense).unwrap();
         let mapped = crate::serialize::open_snapshot_file(&path).unwrap();
         assert_eq!(mapped.backing(), SnapshotBacking::Mapped);
-        let cached = CachedService::with_snapshot(svc.clone(), 16, mapped.clone());
+        let cached = CachedService::new(mapped.clone(), 16);
         assert_every_path_serves(cached, &ids, |id| exact(&mapped, id));
         drop(mapped);
         std::fs::remove_file(&path).unwrap();
@@ -800,42 +638,43 @@ mod tests {
         .unwrap();
         assert_eq!(bits(&exact(&quant, escape)), bits(&exact(&dense, escape)));
         assert_ne!(bits(&exact(&quant, plain)), bits(&exact(&dense, plain)));
-        let cached = CachedService::with_snapshot(svc.clone(), 16, quant.clone());
+        let cached = CachedService::new(quant.clone(), 16);
         assert_every_path_serves(cached, &[escape, plain, 3, escape], |id| exact(&quant, id));
-        // Entity-range shard: covered ids are snapshot rows, the rest are
-        // computed live (the same bits `build` stored in the whole table).
+        // Every stored row is the model's condensed service bit for bit.
+        for id in [0, 3, 99, 100, 150, 199] {
+            assert_eq!(
+                bits(&exact(&dense, id)),
+                bits(&svc.condensed_service(EntityId(id)))
+            );
+        }
+        // Entity-range shard: covered ids are its rows, the rest are the
+        // degraded all-zero row.
         let spec = ShardSpec {
             n_shards: 2,
             shard_id: 1,
             row_start: 100,
         };
         let shard = dense.shard_slice(spec, 100).unwrap();
-        let cached = CachedService::with_snapshot(svc.clone(), 16, shard.clone());
-        let mixed = [150, 3, 100, 99, 3, 199];
-        assert_every_path_serves(cached, &mixed, |id| {
+        let zero = || vec![0.0; row_len];
+        let cached = CachedService::new(shard.clone(), 16);
+        assert_every_path_serves(cached, &[150, 3, 100, 99, 3, 199], |id| {
             if shard.covers(id) {
                 exact(&shard, id)
             } else {
-                svc.condensed_service(EntityId(id))
+                zero()
             }
         });
-        for id in mixed {
-            assert_eq!(
-                bits(&exact(&dense, id)),
-                bits(&svc.condensed_service(EntityId(id)))
-            );
-        }
-        // Unknown (a value entity) and out-of-range ids: the all-zero
-        // fallback, counted as degraded, never cached.
-        let cached = CachedService::with_snapshot(svc.clone(), 16, dense.clone());
-        let d = svc.dim();
+        // A value entity (200) serves its stored all-zero row; an id past
+        // the table the degraded all-zero row, never cached.
+        assert_eq!(bits(&exact(&dense, 200)), bits(&zero()));
+        let cached = CachedService::new(dense.clone(), 16);
         cached.condensed_service_batch(&[200, u32::MAX, 5].map(EntityId));
-        assert_eq!(cached.stats().degraded, 2);
+        assert_eq!(cached.stats().degraded, 1);
         assert_every_path_serves(cached, &[200, 5, u32::MAX], |id| {
-            if id == 5 {
-                exact(&dense, 5)
+            if dense.covers(id) {
+                exact(&dense, id)
             } else {
-                vec![0.0; 2 * d]
+                zero()
             }
         });
     }
@@ -845,9 +684,8 @@ mod tests {
         // 4 readers × 12 500 batches over a 64-entry cache in front of a
         // 200-row table: shards flush constantly while other threads copy
         // rows out of them.
-        let svc = service_n(200);
-        let snap = ServiceSnapshot::build(&svc);
-        let cached = CachedService::with_snapshot(svc, 64, snap.clone());
+        let snap = ServiceSnapshot::build(&service_n(200));
+        let cached = CachedService::new(snap.clone(), 64);
         let table = snap.dense_table().expect("dense snapshot");
         let row_len = 2 * snap.dim();
         let start = std::sync::Barrier::new(4);

@@ -5,7 +5,9 @@ use pkgm_core::model::{PkgmConfig, PkgmModel};
 use pkgm_core::protocol::{self, Response};
 use pkgm_core::serialize;
 use pkgm_core::snapshot::ServiceSnapshot;
-use pkgm_core::{ClientError, Daemon, DaemonClient, DaemonConfig, KnowledgeService, StdIo};
+use pkgm_core::{
+    ClientError, Daemon, DaemonClient, DaemonConfig, KnowledgeService, SnapshotBacking, StdIo,
+};
 use pkgm_store::{EntityId, KeyRelationSelector, StoreBuilder};
 use std::io::Write;
 use std::net::TcpStream;
@@ -52,13 +54,8 @@ fn tmpdir(name: &str) -> PathBuf {
 
 fn start_daemon(svc: &KnowledgeService) -> Daemon {
     let snap = ServiceSnapshot::build(svc);
-    Daemon::start(
-        "127.0.0.1:0",
-        svc.clone(),
-        Some(snap),
-        DaemonConfig::default(),
-    )
-    .expect("daemon binds an ephemeral port")
+    Daemon::start("127.0.0.1:0", snap, DaemonConfig::default())
+        .expect("daemon binds an ephemeral port")
 }
 
 #[test]
@@ -209,6 +206,26 @@ fn reload_of_corrupt_snapshot_is_rejected_and_serving_continues() {
         client.reload(dir.join("missing.pkgmss").to_str().unwrap()),
         Err(ClientError::Server(_))
     ));
+    // So does a valid snapshot of another dim: the live snapshot sets it.
+    let mut b = StoreBuilder::new();
+    b.add_raw(0, 0, 1);
+    let store = b.build();
+    let wide = KnowledgeService::new(
+        PkgmModel::new(2, 1, PkgmConfig::new(2 * DIM).with_seed(1)),
+        KeyRelationSelector::build(&store, &[(EntityId(0), 0)], 1, 1),
+    );
+    let other_dim = dir.join("wide.pkgmss");
+    serialize::write_snapshot_file(&StdIo, &other_dim, &ServiceSnapshot::build(&wide)).unwrap();
+    match client.reload(other_dim.to_str().unwrap()) {
+        Err(ClientError::Server(msg)) => assert!(
+            msg.contains(&format!("does not match serving dim {DIM}")),
+            "{msg}"
+        ),
+        other => panic!(
+            "a dim-{} reload must fail server-side, got {other:?}",
+            2 * DIM
+        ),
+    }
 
     // The live table kept serving and no swap happened.
     assert_eq!(daemon.swaps(), 0);
@@ -361,8 +378,8 @@ fn wide_rows_shrink_the_item_cap_to_what_fits_one_response_frame() {
         store.n_relations() as usize,
         PkgmConfig::new(512).with_seed(17),
     );
-    let svc = KnowledgeService::new(model, sel);
-    let daemon = Daemon::start("127.0.0.1:0", svc, None, DaemonConfig::default()).unwrap();
+    let snap = ServiceSnapshot::build(&KnowledgeService::new(model, sel));
+    let daemon = Daemon::start("127.0.0.1:0", snap, DaemonConfig::default()).unwrap();
     let addr = daemon.local_addr().to_string();
     let mut client = DaemonClient::connect(&addr).unwrap();
 
@@ -424,7 +441,7 @@ fn max_conns_cap_sheds_with_typed_overloaded_at_accept() {
         max_conns: 2,
         ..DaemonConfig::default()
     };
-    let daemon = Daemon::start("127.0.0.1:0", svc, Some(snap), cfg).unwrap();
+    let daemon = Daemon::start("127.0.0.1:0", snap, cfg).unwrap();
     let addr = daemon.local_addr().to_string();
 
     // Two admitted connections, proven registered by a served round trip.
@@ -471,6 +488,110 @@ fn max_conns_cap_sheds_with_typed_overloaded_at_accept() {
     );
     a.shutdown().unwrap();
     daemon.wait();
+}
+
+#[test]
+fn shutdown_joins_while_idle_connections_fill_the_cap() {
+    // Shutdown wakes the acceptor with one self-connect. With the cap full
+    // that connect must still end the accept loop rather than be shed as
+    // one connection too many — or the acceptor blocks in accept() and the
+    // join never returns. Several rounds, because whether the wake-up sees
+    // the cap full races the handlers closing their connections.
+    let snap = ServiceSnapshot::build(&service(31));
+    for round in 0..10 {
+        let cfg = DaemonConfig {
+            max_conns: 2,
+            ..DaemonConfig::default()
+        };
+        let daemon = Daemon::start("127.0.0.1:0", snap.clone(), cfg).unwrap();
+        let addr = daemon.local_addr().to_string();
+        let mut idle: Vec<DaemonClient> = (0..2)
+            .map(|_| DaemonClient::connect(&addr).unwrap())
+            .collect();
+        // A served round trip proves each connection is registered.
+        for c in &mut idle {
+            c.ping().unwrap();
+        }
+        let (joined, rx) = std::sync::mpsc::channel();
+        // Not joined: a hung shutdown is the failure, reported by the
+        // timeout below; the thread dies with the test process.
+        std::thread::spawn(move || {
+            daemon.shutdown();
+            let _ = joined.send(());
+        });
+        assert!(
+            rx.recv_timeout(std::time::Duration::from_secs(10)).is_ok(),
+            "round {round}: shutdown did not join with the connection cap full"
+        );
+    }
+}
+
+/// `(misses, hits, degraded)` from the daemon's `stats` verb.
+fn cache_counts(client: &mut DaemonClient) -> (u64, u64, u64) {
+    let stats = client.stats().unwrap();
+    let n = |k: &str| {
+        let counter = stats.get("cache").and_then(|c| c.get(k));
+        counter.and_then(|v| v.as_u64()).expect("cache counter")
+    };
+    (n("misses"), n("hits"), n("degraded"))
+}
+
+/// The cache's accounting as the `stats` verb reports it, for every
+/// backing: an id repeated within one batch is one miss, then hits; an id
+/// past the table end is an all-zero row counted as degraded, never
+/// cached; a non-item entity inside the table is its stored all-zero row,
+/// counted as a miss, then cached.
+#[test]
+fn stats_pin_cache_accounting_for_dense_mapped_and_quantized_snapshots() {
+    let dense = ServiceSnapshot::build(&service(41));
+    let dir = tmpdir("accounting");
+    let path = dir.join("dense.pkgmss3");
+    serialize::write_snapshot_ss3_file(&StdIo, &path, &dense).unwrap();
+    let mapped = serialize::open_snapshot_file(&path).unwrap();
+    assert_eq!(mapped.backing(), SnapshotBacking::Mapped);
+    let past = dense.n_rows() as u32 + 3;
+    let value_entity = N_ITEMS + 1;
+    assert!(dense.covers(value_entity) && !dense.covers(past));
+    let all_zero = |row: &[f32]| row.iter().all(|x| x.to_bits() == 0);
+
+    for (name, snap) in [
+        ("dense", dense.clone()),
+        ("mapped", mapped),
+        ("quantized", dense.quantize()),
+    ] {
+        let daemon = Daemon::start("127.0.0.1:0", snap.clone(), DaemonConfig::default()).unwrap();
+        let mut client = DaemonClient::connect(&daemon.local_addr().to_string()).unwrap();
+        // Each lookup with (misses, hits, degraded) after it.
+        let steps = [
+            (vec![5, 5, 7, 5], (2, 2, 0)),
+            (vec![past], (2, 2, 1)),
+            (vec![past], (2, 2, 2)),
+            (vec![value_entity], (3, 2, 2)),
+            (vec![value_entity], (3, 3, 2)),
+        ];
+        let mut want = Vec::new();
+        for (items, expect) in steps {
+            let rows = client.lookup(&items).unwrap();
+            for (&id, row) in items.iter().zip(&rows) {
+                if snap.lookup_exact(EntityId(id), &mut want) {
+                    let got: Vec<u32> = row.iter().map(|x| x.to_bits()).collect();
+                    let exact: Vec<u32> = want.iter().map(|x| x.to_bits()).collect();
+                    assert_eq!(got, exact, "{name}: id {id}");
+                }
+                if id == past || id == value_entity {
+                    assert!(all_zero(row), "{name}: id {id} must be an all-zero row");
+                }
+            }
+            assert_eq!(
+                cache_counts(&mut client),
+                expect,
+                "{name}: after looking up {items:?}"
+            );
+        }
+        client.shutdown().unwrap();
+        daemon.wait();
+    }
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]

@@ -43,7 +43,7 @@ fn bits(rows: &[Vec<f32>]) -> Vec<Vec<u32>> {
 }
 
 /// One daemon per entity-range shard of `snap`.
-fn start_fleet(svc: &KnowledgeService, snap: &ServiceSnapshot, n_shards: u32) -> Vec<Daemon> {
+fn start_fleet(snap: &ServiceSnapshot, n_shards: u32) -> Vec<Daemon> {
     shard_ranges(snap.n_rows() as u64, n_shards)
         .into_iter()
         .map(|(spec, len)| {
@@ -52,13 +52,8 @@ fn start_fleet(svc: &KnowledgeService, snap: &ServiceSnapshot, n_shards: u32) ->
             } else {
                 snap.shard_slice(spec, len).expect("valid shard slice")
             };
-            Daemon::start(
-                "127.0.0.1:0",
-                svc.clone(),
-                Some(shard),
-                DaemonConfig::default(),
-            )
-            .expect("daemon binds an ephemeral port")
+            Daemon::start("127.0.0.1:0", shard, DaemonConfig::default())
+                .expect("daemon binds an ephemeral port")
         })
         .collect()
 }
@@ -72,19 +67,13 @@ fn routed_fleet_matches_whole_table_daemon_across_shard_counts() {
     let svc = service(3);
     let snap = ServiceSnapshot::build(&svc);
     let n_rows = snap.n_rows() as u32;
-    let whole = Daemon::start(
-        "127.0.0.1:0",
-        svc.clone(),
-        Some(snap.clone()),
-        DaemonConfig::default(),
-    )
-    .unwrap();
+    let whole = Daemon::start("127.0.0.1:0", snap.clone(), DaemonConfig::default()).unwrap();
     let mut direct = DaemonClient::connect(&whole.local_addr().to_string()).unwrap();
     let items: Vec<u32> = (0..n_rows).collect();
     let want = bits(&direct.lookup(&items).unwrap());
 
     for n_shards in 1..=8u32 {
-        let fleet = start_fleet(&svc, &snap, n_shards);
+        let fleet = start_fleet(&snap, n_shards);
         let mut router = ShardRouter::connect(&fleet_addrs(&fleet), RetryPolicy::default())
             .unwrap_or_else(|e| panic!("{n_shards} shards: {e}"));
         assert_eq!(router.map().n_shards(), n_shards);
@@ -127,15 +116,7 @@ fn wrong_shard_redirects_refresh_map_and_reroute() {
 
     let fleet: Vec<Daemon> = shards
         .iter()
-        .map(|s| {
-            Daemon::start(
-                "127.0.0.1:0",
-                svc.clone(),
-                Some(s.clone()),
-                DaemonConfig::default(),
-            )
-            .unwrap()
-        })
+        .map(|s| Daemon::start("127.0.0.1:0", s.clone(), DaemonConfig::default()).unwrap())
         .collect();
     let addrs = fleet_addrs(&fleet);
     let mut router = ShardRouter::connect(&addrs, RetryPolicy::default()).unwrap();
@@ -187,7 +168,7 @@ proptest! {
             items.push(spec.row_start as u32);
             items.push((spec.row_start + len - 1) as u32);
         }
-        let fleet = start_fleet(&svc, &snap, n_shards);
+        let fleet = start_fleet(&snap, n_shards);
         let mut router =
             ShardRouter::connect(&fleet_addrs(&fleet), RetryPolicy::default()).unwrap();
         let rows = router.lookup(&items).unwrap();

@@ -1,5 +1,5 @@
 //! The served-row path allocates per request, never per row: a counting
-//! global allocator around a snapshot-backed `CachedService` behind a
+//! global allocator around a `CachedService` over a snapshot behind a
 //! one-worker `DynamicBatcher`.
 //!
 //! One `#[test]` only — the counter is process-wide, so a second test
@@ -55,19 +55,11 @@ fn service() -> KnowledgeService {
     KnowledgeService::new(model, sel)
 }
 
-fn bits(row: &[f32]) -> Vec<u32> {
-    row.iter().map(|x| x.to_bits()).collect()
-}
-
 /// Allocations per request, measured over warm requests that alternate
 /// between two disjoint `batch`-id sets; that every row was a hit (`hit`)
 /// or a miss is checked on the cache's own counters.
 fn allocations_per_request(snap: &ServiceSnapshot, capacity: usize, batch: u32, hit: bool) -> u64 {
-    let cached = Arc::new(CachedService::with_snapshot(
-        service(),
-        capacity,
-        snap.clone(),
-    ));
+    let cached = Arc::new(CachedService::new(snap.clone(), capacity));
     let batcher = DynamicBatcher::new(16_384, 1024);
     let sets = [0, batch].map(|from| (from..from + batch).collect::<Vec<u32>>());
     let row_len = 2 * snap.dim();
@@ -101,9 +93,8 @@ fn allocations_per_request(snap: &ServiceSnapshot, capacity: usize, batch: u32, 
 }
 
 #[test]
-fn lookups_allocate_per_request_not_per_row_and_live_rows_match_the_service() {
-    let svc = service();
-    let snap = ServiceSnapshot::build(&svc);
+fn lookups_allocate_per_request_not_per_row() {
+    let snap = ServiceSnapshot::build(&service());
 
     // A cache that holds both id sets serves hits; a 16-entry cache has
     // flushed every id of one set by the time the other has gone through.
@@ -118,22 +109,4 @@ fn lookups_allocate_per_request_not_per_row_and_live_rows_match_the_service() {
         "allocations per request depend on batch size or hit/miss: {counts:?}"
     );
     assert!(counts[0] <= 8, "{} allocations per request", counts[0]);
-
-    // Without a snapshot every miss is computed live, fanned out over
-    // rayon; the rows are the service's own bits.
-    let cached = Arc::new(CachedService::new(svc.clone(), 4096));
-    let batcher = DynamicBatcher::new(16_384, 1024);
-    let ids: Vec<u32> = (0..256).map(|i| (i * 7) % N_ITEMS).collect();
-    std::thread::scope(|s| {
-        s.spawn(|| batcher.run_worker(|| Arc::clone(&cached)));
-        for _ in 0..2 {
-            let rows = batcher.submit(ids.clone()).unwrap().wait().unwrap();
-            for (&id, row) in ids.iter().zip(rows.chunks_exact(2 * svc.dim())) {
-                assert_eq!(bits(row), bits(&svc.condensed_service(EntityId(id))));
-            }
-        }
-        batcher.stop();
-    });
-    let stats = cached.stats();
-    assert_eq!((stats.misses, stats.hits), (256, 256));
 }

@@ -1,6 +1,7 @@
-//! Deployment-style serving: snapshot a trained service, reload it, fan out
-//! cached vector queries from many threads, and contrast with the symbolic
-//! pattern-query path the vectors replace.
+//! Deployment-style serving: snapshot a trained service, reload it, build
+//! its condensed serving table, fan out cached vector queries from many
+//! threads, and contrast with the symbolic pattern-query path the vectors
+//! replace.
 //!
 //! ```sh
 //! cargo run --release --example serving
@@ -38,22 +39,24 @@ fn main() {
     let service = serialize::service_from_bytes(&bytes).expect("reload");
 
     // --- Cached fan-out --------------------------------------------------
-    let cached = CachedService::new(service, 8192);
+    // The cache serves a precomputed table; the model is not needed past
+    // this line.
+    let cached = CachedService::new(ServiceSnapshot::build(&service), 8192);
     let start = std::time::Instant::now();
     let hot_items: Vec<u32> = (0..200u32).collect();
     // Simulate three downstream consumers sweeping the same hot items.
-    let total_vectors: usize = (0..3u32)
+    let total_floats: usize = (0..3u32)
         .into_par_iter()
         .map(|_| {
             hot_items
                 .par_iter()
-                .map(|&i| cached.sequence_service(EntityId(i)).len())
+                .map(|&i| cached.condensed_service(EntityId(i)).len())
                 .sum::<usize>()
         })
         .sum();
     let stats = cached.stats();
     println!(
-        "Served {total_vectors} vectors in {:.1} ms — cache: {} hits / {} misses",
+        "Served {total_floats} floats in {:.1} ms — cache: {} hits / {} misses",
         start.elapsed().as_secs_f64() * 1000.0,
         stats.hits,
         stats.misses,

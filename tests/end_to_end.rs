@@ -105,7 +105,7 @@ fn trained_table_is_served_bit_exact_through_a_mapped_daemon() {
         cache_capacity: 16,
         ..DaemonConfig::default()
     };
-    let daemon = Daemon::start("127.0.0.1:0", service, Some(table.clone()), cfg).expect("start");
+    let daemon = Daemon::start("127.0.0.1:0", table.clone(), cfg).expect("start");
     let mut client = DaemonClient::connect(&daemon.local_addr().to_string()).expect("connect");
 
     // A repeated id, an id past the table, enough distinct ids to flush
