@@ -344,6 +344,38 @@ fn sgn(x: f32) -> f32 {
     }
 }
 
+// The backward pass's `d`-wide row updates. Zipped slices carry no bounds
+// checks, so these loops vectorize at baseline x86-64; each element is
+// still one correctly rounded multiply and add, exactly the op order of
+// the indexed loops in [`reference_chunk_grads`].
+
+/// `y += a·x` over equal-length rows.
+#[inline]
+fn add_scaled(y: &mut [f32], a: f32, x: &[f32]) {
+    debug_assert_eq!(y.len(), x.len());
+    for (y, &x) in y.iter_mut().zip(x) {
+        *y += a * x;
+    }
+}
+
+/// `y −= a·x` over equal-length rows.
+#[inline]
+fn sub_scaled(y: &mut [f32], a: f32, x: &[f32]) {
+    debug_assert_eq!(y.len(), x.len());
+    for (y, &x) in y.iter_mut().zip(x) {
+        *y -= a * x;
+    }
+}
+
+/// `y += a·x − b·z` over equal-length rows.
+#[inline]
+fn add_scaled_diff(y: &mut [f32], a: f32, x: &[f32], b: f32, z: &[f32]) {
+    debug_assert!(y.len() == x.len() && y.len() == z.len());
+    for ((y, &x), &z) in y.iter_mut().zip(x).zip(z) {
+        *y += a * x - b * z;
+    }
+}
+
 /// `‖a + b − c‖₁` in index order — the triple-module score, bit-identical
 /// to [`PkgmModel::score_triple`].
 #[inline]
@@ -592,20 +624,13 @@ pub fn fused_chunk_grads(
                         }
                         let row = &m[i * d..(i + 1) * d];
                         if up != 0.0 {
-                            for j in 0..d {
-                                ga[j] += up * row[j];
-                            }
+                            add_scaled(ga, up, row);
                         }
                         if un != 0.0 {
-                            for j in 0..d {
-                                gb[j] -= un * row[j];
-                            }
+                            sub_scaled(gb, un, row);
                         }
-                        let dst = &mut gmat[i * d..(i + 1) * d];
-                        for j in 0..d {
-                            // ∂f_R/∂M_r = u·hᵀ, combined across the pair.
-                            dst[j] += up * h[j] - un * h2[j];
-                        }
+                        // ∂f_R/∂M_r = u·hᵀ, combined across the pair.
+                        add_scaled_diff(&mut gmat[i * d..(i + 1) * d], up, h, un, h2);
                     }
                 } else {
                     // h' aliases h (the sampler's give-up fallback can
@@ -613,33 +638,21 @@ pub fn fused_chunk_grads(
                     // the accumulation order within the shared row, so
                     // keep the reference op order of two separate passes.
                     for i in 0..d {
-                        if u_pos[i] == 0.0 {
-                            continue;
-                        }
                         let row = &m[i * d..(i + 1) * d];
-                        let g = &mut ent.grads[gh.start..gh.end];
-                        for j in 0..d {
-                            g[j] += u_pos[i] * row[j];
+                        if u_pos[i] != 0.0 {
+                            add_scaled(&mut ent.grads[gh.clone()], u_pos[i], row);
                         }
                     }
                     for i in 0..d {
-                        if u_neg[i] == 0.0 {
-                            continue;
-                        }
                         let row = &m[i * d..(i + 1) * d];
-                        let g = &mut ent.grads[gh2.start..gh2.end];
-                        for j in 0..d {
-                            g[j] -= u_neg[i] * row[j];
+                        if u_neg[i] != 0.0 {
+                            sub_scaled(&mut ent.grads[gh2.clone()], u_neg[i], row);
                         }
                     }
                     for i in 0..d {
                         let (up, un) = (u_pos[i], u_neg[i]);
-                        if up == 0.0 && un == 0.0 {
-                            continue;
-                        }
-                        let dst = &mut gmat[i * d..(i + 1) * d];
-                        for j in 0..d {
-                            dst[j] += up * h[j] - un * h2[j];
+                        if up != 0.0 || un != 0.0 {
+                            add_scaled_diff(&mut gmat[i * d..(i + 1) * d], up, h, un, h2);
                         }
                     }
                 }
@@ -664,22 +677,14 @@ pub fn fused_chunk_grads(
                 // comb = M_rᵀ·u_pos − M_r'ᵀ·u_neg, then h += comb.
                 comb.fill(0.0);
                 for i in 0..d {
-                    if u_pos[i] == 0.0 {
-                        continue;
-                    }
-                    let row = &m[i * d..(i + 1) * d];
-                    for j in 0..d {
-                        comb[j] += u_pos[i] * row[j];
+                    if u_pos[i] != 0.0 {
+                        add_scaled(comb, u_pos[i], &m[i * d..(i + 1) * d]);
                     }
                 }
                 let m2 = model.mat(neg.relation);
                 for i in 0..d {
-                    if u_neg[i] == 0.0 {
-                        continue;
-                    }
-                    let row = &m2[i * d..(i + 1) * d];
-                    for j in 0..d {
-                        comb[j] -= u_neg[i] * row[j];
+                    if u_neg[i] != 0.0 {
+                        sub_scaled(comb, u_neg[i], &m2[i * d..(i + 1) * d]);
                     }
                 }
                 let gh = ent.range(pos.head.0, d);
@@ -690,23 +695,15 @@ pub fn fused_chunk_grads(
                 let gm = mat.range(pos.relation.0, dd);
                 let gmat = &mut mat.grads[gm];
                 for i in 0..d {
-                    if u_pos[i] == 0.0 {
-                        continue;
-                    }
-                    let dst = &mut gmat[i * d..(i + 1) * d];
-                    for j in 0..d {
-                        dst[j] += u_pos[i] * h[j];
+                    if u_pos[i] != 0.0 {
+                        add_scaled(&mut gmat[i * d..(i + 1) * d], u_pos[i], h);
                     }
                 }
                 let gm2 = mat.range(neg.relation.0, dd);
                 let gmat2 = &mut mat.grads[gm2];
                 for i in 0..d {
-                    if u_neg[i] == 0.0 {
-                        continue;
-                    }
-                    let dst = &mut gmat2[i * d..(i + 1) * d];
-                    for j in 0..d {
-                        dst[j] -= u_neg[i] * h[j];
+                    if u_neg[i] != 0.0 {
+                        sub_scaled(&mut gmat2[i * d..(i + 1) * d], u_neg[i], h);
                     }
                 }
             }

@@ -82,6 +82,8 @@ pub mod daemon;
 pub mod eval;
 pub mod eval_kernels;
 pub mod fault;
+#[cfg(test)]
+mod gradient_check;
 pub mod kernels;
 mod le;
 pub mod mmap;

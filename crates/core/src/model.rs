@@ -239,24 +239,32 @@ impl PkgmModel {
         }
     }
 
-    /// Project every entity embedding onto the unit L2 ball (the TransE
-    /// normalization constraint). Called by the trainer; exposed for tests.
+    /// Project each `touched` entity embedding onto the unit L2 ball (the
+    /// TransE normalization constraint), one `normalize_row` per entity.
+    /// The trainer calls `normalize_row` inside its Adam step instead.
     pub fn normalize_entities(&mut self, touched: impl IntoIterator<Item = u32>) {
         let d = self.cfg.dim;
         for e in touched {
-            let row = &mut self.ent[e as usize * d..(e as usize + 1) * d];
-            let norm: f32 = row.iter().map(|x| x * x).sum::<f32>().sqrt();
-            if norm > 1.0 {
-                for x in row {
-                    *x /= norm;
-                }
-            }
+            normalize_row(&mut self.ent[e as usize * d..(e as usize + 1) * d]);
         }
     }
 
     /// Approximate heap size of the parameters, in bytes.
     pub fn param_bytes(&self) -> usize {
         (self.ent.len() + self.rel.len() + self.mats.len()) * std::mem::size_of::<f32>()
+    }
+}
+
+/// Scale one embedding row onto the unit L2 ball if it lies outside. The
+/// result depends on this row alone, so the trainer applies it right after
+/// the row's own Adam update.
+#[inline]
+pub(crate) fn normalize_row(row: &mut [f32]) {
+    let norm: f32 = row.iter().map(|x| x * x).sum::<f32>().sqrt();
+    if norm > 1.0 {
+        for x in row {
+            *x /= norm;
+        }
     }
 }
 
