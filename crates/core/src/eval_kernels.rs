@@ -239,10 +239,9 @@ impl EvalScratch {
     }
 }
 
-/// A pool of idle [`EvalScratch`]es shared by rayon workers, mirroring
-/// [`crate::kernels::ScratchPool`]: `with_scratch` pops an idle scratch
-/// (or builds one), runs the closure, and returns it to the pool. Pool
-/// order affects nothing numerical.
+/// A pool of idle [`EvalScratch`]es shared by rayon workers:
+/// `with_scratch` pops an idle scratch (or builds one), runs the closure,
+/// and returns it to the pool. Pool order affects nothing numerical.
 #[derive(Debug, Default)]
 pub struct EvalScratchPool {
     idle: parking_lot::Mutex<Vec<EvalScratch>>,

@@ -255,7 +255,8 @@ fn trainer_adam_steps_match_pkgm_tensor_adam_bitwise() {
             corrupt(random_triple(&mut rng), slot, &mut rng)
         })
         .collect();
-    let acc = fused_chunk_grads(&model, &mut TrainScratch::new(&model), &pairs, MARGIN);
+    let mut scratch = TrainScratch::new(&model);
+    let acc = fused_chunk_grads(&model, &mut scratch, &pairs, MARGIN);
     assert!(!acc.ent.is_empty() && !acc.rel.is_empty() && !acc.mat.is_empty());
 
     // AdamOpt does not project onto the unit ball; compare raw steps.
@@ -266,6 +267,8 @@ fn trainer_adam_steps_match_pkgm_tensor_adam_bitwise() {
         ..TrainConfig::default()
     };
     let mut trainer = Trainer::new(&model, cfg);
+    // The trainer's step reads the rows where the kernel left them.
+    trainer.scratches = vec![scratch];
     let mut params = Params::new();
     let mut table = |name, rows: u32, cols, value: &Vec<f32>| {
         params.add_sparse(name, Tensor::from_vec(rows as usize, cols, value.clone()))
@@ -278,7 +281,7 @@ fn trainer_adam_steps_match_pkgm_tensor_adam_bitwise() {
     let mut opt = AdamOpt::new(lr);
     // Three steps on the same gradient, so the moments carry over.
     for _ in 0..3 {
-        trainer.apply(&mut model, acc.clone());
+        trainer.adam_step(&mut model, 1, 1);
         accumulate(&mut params, ids, &acc);
         opt.step(&mut params);
         params.zero_grads();

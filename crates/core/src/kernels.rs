@@ -39,8 +39,10 @@
 //!   than approximate (adding a pre-combined `x − x = 0` is a no-op;
 //!   `(a + x) − x` is not).
 //! * **Scratch accumulation** — gradients land in a preallocated sparse-set
-//!   [`TrainScratch`] (slot arrays indexed by entity/relation id) and are
-//!   exported once per chunk as index-sorted [`ChunkGrads`]. Nothing in the
+//!   [`TrainScratch`] (slot arrays indexed by entity/relation id), whose
+//!   touched ids are sorted once per chunk. The trainer's Adam step reads
+//!   the rows where they lie; [`fused_chunk_grads`] exports them as
+//!   index-sorted [`ChunkGrads`] for the parity suites. Nothing in the
 //!   per-pair path allocates.
 //! * **Margin early exit** — the corrupted-side projection aborts as soon
 //!   as its running L1 score clears `f_pos + margin`: nonnegative terms
@@ -66,13 +68,14 @@
 use crate::model::PkgmModel;
 use crate::negative::{CorruptedPair, Corruption};
 
-/// Sparse gradients for one chunk of training pairs, index-sorted.
+/// Sparse gradients for one chunk of training pairs, index-sorted: the
+/// exported form of a [`TrainScratch`].
 ///
 /// Rows are `(id, gradient)` pairs sorted by id; `ent`/`rel` gradients are
 /// `dim`-length, `mat` gradients `dim²`-length. Chunks merge in chunk-index
 /// order ([`ChunkGrads::merge`]), which fixes the cross-chunk f32 summation
-/// order and makes the parallel gradient path bit-identical to the serial
-/// one.
+/// order; the trainer's Adam step sums the rows in place in that same
+/// order, so this left fold is its specification.
 #[derive(Debug, Clone)]
 pub struct ChunkGrads {
     /// Entity-row gradients, sorted by entity id.
@@ -155,18 +158,19 @@ fn merge_sorted(a: Vec<(u32, Vec<f32>)>, b: Vec<(u32, Vec<f32>)>) -> Vec<(u32, V
 }
 
 /// Smallest chunk the trainer's adaptive layout will produce. Below this,
-/// per-chunk overhead (RNG setup, scratch export, merge) dominates the
-/// kernel work itself.
+/// per-chunk overhead (RNG setup, scratch reset, the Adam step's walk over
+/// one more chunk's rows) dominates the kernel work itself.
 pub const MIN_CHUNK_SIZE: usize = 64;
 
 /// Empty slot marker in the sparse-set id → slot maps.
 const NO_SLOT: u32 = u32::MAX;
 
 /// One parameter block of the sparse-set accumulator: a dense `id → slot`
-/// map, the touched-id list (in first-touch order), and the flat gradient
-/// storage (`slot × width` floats).
+/// map, the touched-id list (first-touch order while a chunk accumulates,
+/// sorted once it is done), and the flat gradient storage (`slot × width`
+/// floats).
 #[derive(Debug, Default)]
-struct SlotBlock {
+pub(crate) struct SlotBlock {
     slot_of: Vec<u32>,
     ids: Vec<u32>,
     grads: Vec<f32>,
@@ -177,6 +181,15 @@ impl SlotBlock {
         if self.slot_of.len() < n_ids {
             self.slot_of.resize(n_ids, NO_SLOT);
         }
+    }
+
+    /// Forget the previous chunk's rows. The storage itself is retained,
+    /// so steady-state chunks allocate nothing.
+    fn reset(&mut self) {
+        for &id in &self.ids {
+            self.slot_of[id as usize] = NO_SLOT;
+        }
+        self.ids.clear();
     }
 
     /// The gradient range for `id`, zero-initialized on first touch.
@@ -198,26 +211,30 @@ impl SlotBlock {
         start..start + width
     }
 
-    /// Export `(id, grad)` rows sorted by id and reset for the next chunk.
-    /// The storage itself is retained, so steady-state chunks allocate only
-    /// the exported rows.
-    fn export(&mut self, width: usize) -> Vec<(u32, Vec<f32>)> {
-        self.ids.sort_unstable();
-        let mut out = Vec::with_capacity(self.ids.len());
-        for &id in &self.ids {
-            let start = self.slot_of[id as usize] as usize * width;
-            out.push((id, self.grads[start..start + width].to_vec()));
-            self.slot_of[id as usize] = NO_SLOT;
-        }
-        self.ids.clear();
-        out
+    /// Touched ids: ascending once the chunk is done.
+    pub(crate) fn ids(&self) -> &[u32] {
+        &self.ids
+    }
+
+    /// The gradient row of a touched `id`.
+    pub(crate) fn row(&self, id: u32, width: usize) -> &[f32] {
+        let start = self.slot_of[id as usize] as usize * width;
+        &self.grads[start..start + width]
+    }
+
+    fn export(&self, width: usize) -> Vec<(u32, Vec<f32>)> {
+        self.ids
+            .iter()
+            .map(|&id| (id, self.row(id, width).to_vec()))
+            .collect()
     }
 }
 
 /// Preallocated working memory for the fused kernels, reused across chunks
 /// and batches (the training-side analogue of `ServiceScratch`). One scratch
-/// serves one chunk at a time; the trainer keeps a pool so parallel chunks
-/// each borrow their own.
+/// serves one chunk at a time and holds that chunk's gradients until the
+/// next chunk starts; the trainer keeps one per chunk of a batch, so its
+/// Adam step reads every chunk's rows in place.
 #[derive(Debug, Default)]
 pub struct TrainScratch {
     /// Corrupted pairs for the chunk in generation (RNG) order.
@@ -238,6 +255,10 @@ pub struct TrainScratch {
     ent: SlotBlock,
     rel: SlotBlock,
     mat: SlotBlock,
+    /// Summed hinge loss, violating pairs and pairs of the last chunk.
+    pub(crate) loss: f64,
+    pub(crate) violations: usize,
+    pub(crate) n_pairs: usize,
 }
 
 impl TrainScratch {
@@ -263,36 +284,36 @@ impl TrainScratch {
         self.rel.ensure_ids(model.n_relations());
         self.mat.ensure_ids(model.n_relations());
     }
-}
 
-/// A shared pool of [`TrainScratch`]es so parallel chunk workers reuse
-/// buffers across chunks and batches instead of allocating per chunk.
-///
-/// `with_scratch` pops an idle scratch (or builds one on first use), runs
-/// the closure, and returns the scratch to the pool. Pool order affects
-/// nothing numerical — a scratch is fully reset on export.
-#[derive(Debug, Default)]
-pub struct ScratchPool {
-    idle: parking_lot::Mutex<Vec<TrainScratch>>,
-}
-
-impl ScratchPool {
-    /// An empty pool; scratches are built lazily per worker.
-    pub fn new() -> Self {
-        Self::default()
+    /// The last chunk's entity, relation and matrix gradient rows.
+    pub(crate) fn grads(&self) -> [&SlotBlock; 3] {
+        [&self.ent, &self.rel, &self.mat]
     }
+}
 
-    /// Run `f` with a pooled scratch sized for `model`.
-    pub fn with_scratch<R>(&self, model: &PkgmModel, f: impl FnOnce(&mut TrainScratch) -> R) -> R {
-        let mut scratch = self
-            .idle
-            .lock()
-            .pop()
-            .unwrap_or_else(|| TrainScratch::new(model));
-        scratch.ensure(model);
-        let out = f(&mut scratch);
-        self.idle.lock().push(scratch);
-        out
+#[cfg(test)]
+impl TrainScratch {
+    /// A scratch holding `grads` as if a chunk had accumulated them, with
+    /// slots filled in descending id order so that slot order is not id
+    /// order: the inverse of the export.
+    pub(crate) fn holding(model: &PkgmModel, grads: &ChunkGrads) -> Self {
+        let mut sc = Self::new(model);
+        let d = model.dim();
+        for (block, rows, width) in [
+            (&mut sc.ent, &grads.ent, d),
+            (&mut sc.rel, &grads.rel, d),
+            (&mut sc.mat, &grads.mat, d * d),
+        ] {
+            for (id, g) in rows.iter().rev() {
+                let range = block.range(*id, width);
+                block.grads[range].copy_from_slice(g);
+            }
+            block.ids.sort_unstable();
+        }
+        sc.loss = grads.loss;
+        sc.violations = grads.violations;
+        sc.n_pairs = grads.pairs;
+        sc
     }
 }
 
@@ -323,8 +344,8 @@ pub fn relation_blocked_order_into(pairs: &[CorruptedPair], order: &mut Vec<u32>
 pub(crate) use crate::simd::kernel_dot;
 
 /// Row-major `d×d` matrix–vector product via [`kernel_dot`], the kernels'
-/// counterpart of [`PkgmModel::project_into`] (which keeps `pkgm_dot` order
-/// for the serving path).
+/// counterpart of [`PkgmModel::service_r_into`]'s projection (which keeps
+/// `pkgm_dot` order for the serving path).
 #[inline]
 fn project_rows(m: &[f32], hv: &[f32], out: &mut [f32]) {
     let d = hv.len();
@@ -431,7 +452,8 @@ fn residual_score_early_exit(
     Some(f_t + res)
 }
 
-/// Fused, relation-blocked score + gradient pass over one chunk of pairs.
+/// Fused, relation-blocked score + gradient pass over one chunk of pairs,
+/// exported as [`ChunkGrads`].
 ///
 /// Bit-identical to [`reference_chunk_grads`] (the parity suite enforces
 /// this); faster because each transfer matrix is loaded once per relation
@@ -445,6 +467,27 @@ pub fn fused_chunk_grads(
     pairs: &[CorruptedPair],
     margin: f32,
 ) -> ChunkGrads {
+    accumulate_chunk(model, scratch, pairs, margin);
+    let d = model.dim();
+    ChunkGrads {
+        ent: scratch.ent.export(d),
+        rel: scratch.rel.export(d),
+        mat: scratch.mat.export(d * d),
+        loss: scratch.loss,
+        violations: scratch.violations,
+        pairs: scratch.n_pairs,
+    }
+}
+
+/// [`fused_chunk_grads`] without the export: the chunk's gradient rows,
+/// loss and counts stay in `scratch` (ids sorted, see
+/// [`TrainScratch::grads`]) until its next chunk.
+pub(crate) fn accumulate_chunk(
+    model: &PkgmModel,
+    scratch: &mut TrainScratch,
+    pairs: &[CorruptedPair],
+    margin: f32,
+) {
     scratch.ensure(model);
     let d = model.dim();
     let dd = d * d;
@@ -464,6 +507,9 @@ pub fn fused_chunk_grads(
         mat,
         ..
     } = scratch;
+    for block in [&mut *ent, &mut *rel, &mut *mat] {
+        block.reset();
+    }
     relation_blocked_order_into(pairs, order);
 
     let mut loss = 0.0f64;
@@ -710,14 +756,12 @@ pub fn fused_chunk_grads(
         }
     }
 
-    ChunkGrads {
-        ent: ent.export(d),
-        rel: rel.export(d),
-        mat: mat.export(dd),
-        loss,
-        violations,
-        pairs: pairs.len(),
+    for block in [ent, rel, mat] {
+        block.ids.sort_unstable();
     }
+    scratch.loss = loss;
+    scratch.violations = violations;
+    scratch.n_pairs = pairs.len();
 }
 
 /// Unfused twin of [`fused_chunk_grads`]: identical operation order per

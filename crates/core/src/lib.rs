@@ -109,7 +109,7 @@ pub use daemon::{ClientError, Daemon, DaemonClient, DaemonConfig, ServiceHolder,
 pub use eval::{LinkPredictionReport, RelationExistenceReport};
 pub use eval_kernels::{EvalError, EvalScratch, EvalScratchPool, PruneStats, QuantEvalModel};
 pub use fault::{Fault, FaultCheckReport, FaultPlan, FaultyIo};
-pub use kernels::{ChunkGrads, ScratchPool, TrainScratch};
+pub use kernels::{ChunkGrads, TrainScratch};
 pub use model::{PkgmConfig, PkgmModel};
 pub use negative::{CorruptedPair, Corruption, NegativeSampler};
 pub use netcheck::{ChaosProxy, NetFault, NetFaultPlan};

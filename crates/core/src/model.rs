@@ -219,24 +219,21 @@ impl PkgmModel {
         }
     }
 
-    /// The raw projection `M_r·h` written into `out` (one [`pkgm_dot`] per
-    /// matrix row, in row order — the summation order every score path
-    /// shares, so cached projections are bit-identical to fresh ones).
-    ///
-    /// This is the fused-kernel building block: computed once per positive,
-    /// the projection serves the positive score, every tail-corrupted
-    /// negative score, and the relation-module sign gradients.
-    ///
-    /// # Panics
-    /// If the relation module is disabled or `out.len() != dim`.
-    pub fn project_into(&self, r: RelationId, h: EntityId, out: &mut [f32]) {
+    /// Every transfer matrix transposed, each at its own offset: block `r`
+    /// of the result is `Mᵀ_r`, whose row `j` is column `j` of `M_r` — the
+    /// layout [`service_r_cols_into`] reads. Table builds make it once.
+    pub(crate) fn transposed_mats(&self) -> Vec<f32> {
         let d = self.cfg.dim;
-        assert_eq!(out.len(), d, "projection buffer must be dim-sized");
-        let m = self.mat(r);
-        let hv = self.ent(h);
-        for i in 0..d {
-            out[i] = pkgm_dot(&m[i * d..(i + 1) * d], hv);
+        let mut out = vec![0.0f32; self.mats.len()];
+        for r in 0..self.mats.len() / (d * d).max(1) {
+            let (m, t) = (&self.mats[r * d * d..], &mut out[r * d * d..]);
+            for i in 0..d {
+                for j in 0..d {
+                    t[j * d + i] = m[i * d + j];
+                }
+            }
         }
+        out
     }
 
     /// Project each `touched` entity embedding onto the unit L2 ball (the
@@ -268,10 +265,33 @@ pub(crate) fn normalize_row(row: &mut [f32]) {
     }
 }
 
-/// Plain dot product (kept local to avoid a dependency on pkgm-tensor).
+/// Start of every serial `pkgm_dot` chain, shared with [`service_r_cols_into`].
+/// Written out because `Iterator::sum` over `f32` starts at `+0.0` on older
+/// toolchains, which flips the sign when every product is `−0.0`.
+pub(crate) const DOT_START: f32 = -0.0;
+
+/// Plain dot product (kept local to avoid a dependency on pkgm-tensor):
+/// one serial add chain from [`DOT_START`], in index order.
 #[inline]
 pub(crate) fn pkgm_dot(a: &[f32], b: &[f32]) -> f32 {
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
+    a.iter().zip(b).fold(DOT_START, |s, (x, y)| s + x * y)
+}
+
+/// `S_R(h, r) = M_r·h − r` in column order from `mt = Mᵀ_r`: `out = −0.0;
+/// out += Mᵀ_r[j]·h[j] for j in order; out −= r`. Each lane runs exactly
+/// [`pkgm_dot`]'s serial chain, so the result is bit-identical to
+/// [`PkgmModel::service_r_into`], and the loop vectorizes at baseline x86-64.
+pub(crate) fn service_r_cols_into(mt: &[f32], hv: &[f32], rv: &[f32], out: &mut [f32]) {
+    let d = out.len();
+    out.fill(DOT_START);
+    for (col, &x) in mt.chunks_exact(d.max(1)).zip(&hv[..d]) {
+        for (o, &m) in out.iter_mut().zip(col) {
+            *o += m * x;
+        }
+    }
+    for (o, &r) in out.iter_mut().zip(&rv[..d]) {
+        *o -= r;
+    }
 }
 
 #[cfg(test)]
@@ -364,21 +384,63 @@ mod tests {
     }
 
     #[test]
-    fn projection_matches_service_r_bitwise() {
-        let m = model();
-        let d = m.dim();
-        let (h, r) = (EntityId(4), RelationId(2));
-        let mut proj = vec![0.0f32; d];
-        m.project_into(r, h, &mut proj);
-        let sr = m.service_r(h, r);
-        let rv = m.rel(r);
-        for i in 0..d {
-            // S_R = M_r·h − r, elementwise and bit-for-bit.
-            assert_eq!((proj[i] - rv[i]).to_bits(), sr[i].to_bits());
+    fn pkgm_dot_starts_at_negative_zero() {
+        assert_eq!(DOT_START.to_bits(), (-0.0f32).to_bits());
+        assert_eq!(pkgm_dot(&[], &[]).to_bits(), (-0.0f32).to_bits());
+        // Every product −0.0: a +0.0 start would give +0.0.
+        assert_eq!(
+            pkgm_dot(&[-1.0, 2.0], &[0.0, -0.0]).to_bits(),
+            (-0.0f32).to_bits()
+        );
+    }
+
+    #[test]
+    fn column_order_service_r_matches_row_order_bitwise() {
+        let tiny = f32::MIN_POSITIVE;
+        let specials = [
+            0.0,
+            -0.0,
+            tiny / 4.0,
+            -tiny / 8.0,
+            tiny,
+            1.0,
+            -2.5,
+            3e-3,
+            7e5,
+        ];
+        for d in [1, 3, 8, 64] {
+            let mut m = PkgmModel::new(5, 4, PkgmConfig::new(d).with_seed(d as u64));
+            let dd = d * d;
+            // Entity 0 and relation 0 cycle through ±0, subnormals and
+            // normals; entity 1 is all +0.0 and entity 2 all −0.0, so
+            // under relation 1 (an all-negative matrix over an all-zero
+            // vector) every product is −0.0 and only the start value sets
+            // the sign; relation 2's matrix is all zeros.
+            for i in 0..d {
+                m.ent[i] = specials[i % specials.len()];
+                m.ent[d + i] = 0.0;
+                m.ent[2 * d + i] = -0.0;
+                m.rel[i] = specials[(i + 3) % specials.len()];
+                m.rel[d + i] = 0.0;
+            }
+            for j in 0..dd {
+                m.mats[j] = specials[(j * 5 + 1) % specials.len()];
+                m.mats[dd + j] = -1.0 - j as f32;
+                m.mats[2 * dd + j] = 0.0;
+            }
+            let mats_t = m.transposed_mats();
+            let (mut want, mut got) = (vec![0.0f32; d], vec![1.0f32; d]);
+            for h in 0..5 {
+                for r in 0..4u32 {
+                    let (h, r) = (EntityId(h), RelationId(r));
+                    m.service_r_into(h, r, &mut want);
+                    let mt = &mats_t[r.index() * dd..(r.index() + 1) * dd];
+                    service_r_cols_into(mt, m.ent(h), m.rel(r), &mut got);
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&got), bits(&want), "d={d} h={h:?} r={r:?}");
+                }
+            }
         }
-        // And the L1 of the residual is exactly the relation score.
-        let f_r: f32 = (0..d).map(|i| (proj[i] - rv[i]).abs()).sum();
-        assert_eq!(f_r.to_bits(), m.score_relation(h, r).to_bits());
     }
 
     #[test]

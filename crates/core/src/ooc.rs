@@ -62,15 +62,14 @@ use std::time::Instant;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::artifact::{self, ArtifactError, ArtifactIo, ArtifactKind, StdIo};
-use crate::kernels::{fused_chunk_grads, ChunkGrads, ScratchPool};
+use crate::kernels::TrainScratch;
 use crate::le;
 use crate::model::{PkgmConfig, PkgmModel};
 use crate::negative::{CorruptedPair, Corruption};
-use crate::snapshot::{ShardSpec, BUILD_CHUNK};
+use crate::snapshot::{condensed_rows_into, ShardSpec};
 use crate::snapshot3::{shard_ranges, Ss3DenseWriter};
 use crate::trainer::{diverged, EpochStats, TrainConfig, Trainer};
 use pkgm_store::{EntityId, KeyRelationSelector, RelationId, Triple, TripleStore};
@@ -399,24 +398,6 @@ impl OocSampler {
         self.corrupt_once(pos, rng)
     }
 
-    fn corrupt_batch_into<S: TripleSource + ?Sized>(
-        &self,
-        positives: impl IntoIterator<Item = Triple>,
-        source: &S,
-        space: &BlockSpace,
-        negatives: usize,
-        rng: &mut impl Rng,
-        out: &mut Vec<CorruptedPair>,
-    ) {
-        out.clear();
-        for pos in positives {
-            for _ in 0..negatives {
-                let (neg, slot) = self.corrupt(pos, source, space, rng);
-                out.push(CorruptedPair { pos, neg, slot });
-            }
-        }
-    }
-
     fn corrupt_once(&self, pos: Triple, rng: &mut impl Rng) -> (Triple, Corruption) {
         let roll: f64 = rng.gen();
         if roll < self.relation_prob && self.n_relations > 1 {
@@ -458,7 +439,8 @@ pub struct OocTrainer {
     v_rel: Vec<f32>,
     m_mat: Vec<f32>,
     v_mat: Vec<f32>,
-    pool: ScratchPool,
+    /// The block trainers' per-chunk scratches, kept across blocks.
+    scratches: Vec<TrainScratch>,
     /// The one buffer every partition and resident commit is framed in
     /// (see the module docs); released when [`OocTrainer::train`] returns.
     commit_buf: Vec<u8>,
@@ -495,7 +477,7 @@ impl OocTrainer {
             v_rel: vec![0.0; n_relations as usize * d],
             m_mat: Vec::new(),
             v_mat: Vec::new(),
-            pool: ScratchPool::new(),
+            scratches: Vec::new(),
             commit_buf: Vec::new(),
         };
 
@@ -594,7 +576,7 @@ impl OocTrainer {
             v_rel,
             m_mat,
             v_mat,
-            pool: ScratchPool::new(),
+            scratches: Vec::new(),
             commit_buf: Vec::new(),
         })
     }
@@ -803,36 +785,39 @@ impl OocTrainer {
         bt.m_mat = mem::take(&mut self.m_mat);
         bt.v_mat = mem::take(&mut self.v_mat);
         bt.t = self.t;
+        bt.scratches = mem::take(&mut self.scratches);
 
         let triples: Vec<Triple> = idxs
             .iter()
             .map(|&i| space.localize(source.triple(i as usize)))
             .collect();
         let sampler = OocSampler::new(block_entities as u32, self.n_relations as u32);
+        let sample = |chunk: &[Triple], negatives, rng: &mut SmallRng, pairs: &mut Vec<_>| {
+            pairs.clear();
+            for &pos in chunk {
+                for _ in 0..negatives {
+                    let (neg, slot) = sampler.corrupt(pos, source, &space, rng);
+                    pairs.push(CorruptedPair { pos, neg, slot });
+                }
+            }
+        };
 
+        // The resident minibatch loop, on block-local ids: same per-batch
+        // seeds, chunk layout, kernels and Adam step.
         let batch_size = bt.cfg.batch_size.max(1);
         let mut loss = 0.0f64;
         let mut violations = 0usize;
         let mut pairs = 0usize;
         for (k, batch) in triples.chunks(batch_size).enumerate() {
-            let acc = block_batch_gradients(
-                &bt,
-                &model,
-                source,
-                &sampler,
-                &space,
-                &self.pool,
-                batch,
-                epoch,
-                batch_start + k as u64,
-            );
-            loss += acc.loss;
-            violations += acc.violations;
-            pairs += acc.pairs;
-            bt.apply(&mut model, acc);
+            let batch_idx = batch_start + k as u64;
+            let (l, v, p) = bt.batch_step(&mut model, batch, epoch, batch_idx, &sample);
+            loss += l;
+            violations += v;
+            pairs += p;
         }
 
         self.t = bt.t;
+        self.scratches = mem::take(&mut bt.scratches);
         self.m_rel = mem::take(&mut bt.m_rel);
         self.v_rel = mem::take(&mut bt.v_rel);
         self.m_mat = mem::take(&mut bt.m_mat);
@@ -887,9 +872,8 @@ impl OocTrainer {
     /// `{base}.shard{K}of{N}` (or `base` when `N = 1`), never holding more
     /// than one partition of entity rows. Row values are bit-identical to a
     /// resident [`crate::snapshot::ServiceSnapshot::build`] +
-    /// `shard_slice` over the assembled model, because each condensed row
-    /// replays the exact serving arithmetic of
-    /// [`crate::service::KnowledgeService::condensed_service_into`].
+    /// `shard_slice` over the assembled model: both run
+    /// `snapshot::condensed_rows_into`.
     pub fn write_snapshots(
         &self,
         selector: &KeyRelationSelector,
@@ -901,7 +885,6 @@ impl OocTrainer {
             ));
         }
         let d = self.cfg.model.dim;
-        let kf = selector.k() as f32;
         let n_shards = self.parts.len() as u32;
         let mut out_paths = Vec::with_capacity(self.parts.len());
         let mut block = PkgmModel {
@@ -912,6 +895,7 @@ impl OocTrainer {
             rel: self.rel.clone(),
             mats: self.mats.clone(),
         };
+        let mats_t = block.transposed_mats();
         // One partition's condensed rows: with its entity rows, the whole
         // resident partition state during emission.
         let mut rows: Vec<f32> = Vec::new();
@@ -919,28 +903,9 @@ impl OocTrainer {
             block.ent.resize(len as usize * d, 0.0);
             self.load_partition_into(k, &mut block.ent, None)?;
             block.n_entities = len as usize;
-            // Rows are independent, so they fan out across the pool; each
-            // row's arithmetic (and so its bits) is the serial loop's.
             rows.clear();
             rows.resize(len as usize * 2 * d, 0.0);
-            rows.par_chunks_mut(2 * d * BUILD_CHUNK)
-                .enumerate()
-                .for_each(|(ci, chunk)| {
-                    let mut t_buf = vec![0.0f32; d];
-                    let mut r_buf = vec![0.0f32; d];
-                    for (j, row) in chunk.chunks_exact_mut(2 * d).enumerate() {
-                        let local = ci * BUILD_CHUNK + j;
-                        let gid = (start + local as u64) as u32;
-                        for &r in selector.for_item(EntityId(gid)) {
-                            block.service_t_into(EntityId(local as u32), r, &mut t_buf);
-                            block.service_r_into(EntityId(local as u32), r, &mut r_buf);
-                            for i in 0..d {
-                                row[i] += t_buf[i] / kf;
-                                row[d + i] += r_buf[i] / kf;
-                            }
-                        }
-                    }
-                });
+            condensed_rows_into(&block, &mats_t, selector, start as u32, &mut rows);
             let path = shard_file_path(base, k as u32, n_shards);
             let spec = ShardSpec {
                 n_shards,
@@ -1090,64 +1055,6 @@ fn commit_frame(path: &Path, frame: &mut [u8]) -> Result<(), OocError> {
     artifact::frame_seal(ArtifactKind::Checkpoint, frame);
     StdIo.write_atomic(path, frame)?;
     Ok(())
-}
-
-/// The block-local twin of the resident trainer's `batch_gradients`: same
-/// per-batch seed formula, same chunk layout (via
-/// [`Trainer::chunk_size_for`]), same scratch/kernel path and ascending
-/// fold — only the triples are pre-translated to block-local ids and the
-/// sampler is the block-local [`OocSampler`].
-#[allow(clippy::too_many_arguments)]
-fn block_batch_gradients<S: TripleSource + ?Sized>(
-    bt: &Trainer,
-    model: &PkgmModel,
-    source: &S,
-    sampler: &OocSampler,
-    space: &BlockSpace,
-    pool: &ScratchPool,
-    batch: &[Triple],
-    epoch: u64,
-    batch_idx: u64,
-) -> ChunkGrads {
-    let margin = bt.cfg.margin;
-    let negatives = bt.cfg.negatives.max(1);
-    let seed = bt.cfg.seed ^ (epoch << 40) ^ (batch_idx << 8);
-    let chunk_size = bt.chunk_size_for(batch.len());
-
-    let chunk_grads = |(chunk_idx, chunk): (usize, &[Triple])| -> ChunkGrads {
-        let mut rng = SmallRng::seed_from_u64(seed ^ chunk_idx as u64);
-        pool.with_scratch(model, |sc| {
-            let mut pairs = std::mem::take(&mut sc.pairs);
-            sampler.corrupt_batch_into(
-                chunk.iter().copied(),
-                source,
-                space,
-                negatives,
-                &mut rng,
-                &mut pairs,
-            );
-            let out = fused_chunk_grads(model, sc, &pairs, margin);
-            sc.pairs = pairs;
-            out
-        })
-    };
-
-    let per_chunk: Vec<ChunkGrads> = if bt.cfg.parallel {
-        batch
-            .par_chunks(chunk_size)
-            .enumerate()
-            .map(chunk_grads)
-            .collect()
-    } else {
-        batch
-            .chunks(chunk_size)
-            .enumerate()
-            .map(chunk_grads)
-            .collect()
-    };
-    per_chunk
-        .into_iter()
-        .fold(ChunkGrads::empty(), ChunkGrads::merge)
 }
 
 struct Reader<'a> {

@@ -17,11 +17,11 @@
 //!   `S = (1/k) Σ_j [S_j ; S_{j+k}]` — a single `2d` vector concatenated to
 //!   a single-embedding model's item embedding.
 
-use crate::model::PkgmModel;
+use crate::model::{service_r_cols_into, PkgmModel};
 use pkgm_store::{EntityId, KeyRelationSelector, RelationId};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Items per rayon task in the batch entry points: large enough to amortize
 /// thread dispatch, small enough to balance uneven per-item work.
@@ -76,13 +76,14 @@ impl ServiceScratch {
 /// ```
 ///
 /// Both parts are frozen after pre-training and held behind `Arc`, so
-/// `clone()` is O(1) and every clone shares one copy of the parameters —
-/// the serving daemon builds a new cache generation per snapshot reload
-/// without copying the model.
+/// `clone()` is O(1) and every clone shares one copy of the parameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct KnowledgeService {
     model: Arc<PkgmModel>,
     selector: Arc<KeyRelationSelector>,
+    /// [`PkgmModel::transposed_mats`], made on the first condensed row.
+    #[serde(skip)]
+    mats_t: Arc<OnceLock<Vec<f32>>>,
 }
 
 impl KnowledgeService {
@@ -98,6 +99,7 @@ impl KnowledgeService {
         Self {
             model: Arc::new(model),
             selector: Arc::new(selector),
+            mats_t: Arc::default(),
         }
     }
 
@@ -119,6 +121,11 @@ impl KnowledgeService {
     /// The key-relation selector.
     pub fn selector(&self) -> &KeyRelationSelector {
         &self.selector
+    }
+
+    /// The transposed transfer matrices [`condense_into`] reads.
+    pub(crate) fn mats_t(&self) -> &[f32] {
+        self.mats_t.get_or_init(|| self.model.transposed_mats())
     }
 
     /// The `k` triple-query vectors `[S_1 … S_k]` for `item`, zero-padded if
@@ -167,7 +174,9 @@ impl KnowledgeService {
 
     /// Allocation-free condensed service: writes the `2d` vector into `out`
     /// using caller-provided scratch buffers. This is the hot path behind
-    /// [`KnowledgeService::condensed_service_batch`] and snapshot builds.
+    /// [`KnowledgeService::condensed_service_batch`] and snapshot builds;
+    /// `S_R` runs in column order (`model::service_r_cols_into`), bit-identical
+    /// to [`PkgmModel::service_r_into`].
     ///
     /// Zero-padded slots (categories with fewer than `k` key relations)
     /// contribute nothing to the sum, so they are skipped rather than
@@ -183,33 +192,8 @@ impl KnowledgeService {
     ) {
         let d = self.dim();
         assert_eq!(out.len(), 2 * d, "condensed service output must be 2d");
-        let k = self.k() as f32;
-        out.fill(0.0);
-        for &r in self.selector.for_item(item) {
-            self.model.service_t_into(item, r, &mut scratch.t);
-            self.model.service_r_into(item, r, &mut scratch.r);
-            for i in 0..d {
-                out[i] += scratch.t[i] / k;
-                out[d + i] += scratch.r[i] / k;
-            }
-        }
-    }
-
-    /// Sequence services for a batch of items, computed in parallel with
-    /// order preserved (`result[i]` belongs to `items[i]`).
-    pub fn sequence_service_batch(&self, items: &[EntityId]) -> Vec<Vec<Vec<f32>>> {
-        items
-            .par_chunks(BATCH_CHUNK)
-            .map(|chunk| {
-                chunk
-                    .iter()
-                    .map(|&it| self.sequence_service(it))
-                    .collect::<Vec<_>>()
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .flatten()
-            .collect()
+        let (mats_t, rels, k) = (self.mats_t(), self.selector.for_item(item), self.k());
+        condense_into(&self.model, mats_t, item, rels, k, scratch, out);
     }
 
     /// Condensed services for a batch of items, computed in parallel with a
@@ -270,6 +254,32 @@ impl KnowledgeService {
     /// should have) relation `r`.
     pub fn relation_exists_score(&self, h: EntityId, r: RelationId) -> f32 {
         self.model.score_relation(h, r)
+    }
+}
+
+/// The condensed row `(1/k) Σ_{r ∈ rels} [S_T(h, r) ; S_R(h, r)]` of model
+/// row `h` into `out`, with `S_R` from `mats_t`, the
+/// [`PkgmModel::transposed_mats`] of `model`.
+pub(crate) fn condense_into(
+    model: &PkgmModel,
+    mats_t: &[f32],
+    h: EntityId,
+    rels: &[RelationId],
+    k: usize,
+    scratch: &mut ServiceScratch,
+    out: &mut [f32],
+) {
+    let d = model.dim();
+    let k = k as f32;
+    out.fill(0.0);
+    for &r in rels {
+        model.service_t_into(h, r, &mut scratch.t);
+        let mt = &mats_t[r.index() * d * d..(r.index() + 1) * d * d];
+        service_r_cols_into(mt, model.ent(h), model.rel(r), &mut scratch.r);
+        for i in 0..d {
+            out[i] += scratch.t[i] / k;
+            out[d + i] += scratch.r[i] / k;
+        }
     }
 }
 
@@ -408,12 +418,9 @@ mod tests {
     fn batch_services_match_per_item_calls() {
         let (_, svc) = setup();
         let items: Vec<EntityId> = (0..8u32).map(EntityId).collect();
-        let seq = svc.sequence_service_batch(&items);
         let cond = svc.condensed_service_batch(&items);
-        assert_eq!(seq.len(), items.len());
         assert_eq!(cond.len(), items.len());
         for (i, &item) in items.iter().enumerate() {
-            assert_eq!(seq[i], svc.sequence_service(item));
             assert_eq!(cond[i], svc.condensed_service(item));
         }
     }

@@ -22,14 +22,15 @@
 
 use std::borrow::Cow;
 
+use crate::model::PkgmModel;
 use crate::quant::QuantTable;
-use crate::service::{KnowledgeService, ServiceScratch};
+use crate::service::{condense_into, KnowledgeService, ServiceScratch};
 use crate::snapshot3::{MappedDense, MappedQuant};
-use pkgm_store::EntityId;
+use pkgm_store::{EntityId, KeyRelationSelector};
 use rayon::prelude::*;
 
 /// Rows per rayon task when building the table.
-pub(crate) const BUILD_CHUNK: usize = 128;
+const BUILD_CHUNK: usize = 128;
 
 /// Cap on verbatim f32 rows kept by [`ServiceSnapshot::quantize`], as a
 /// divisor of the row count: at most `n_rows / EXACT_ROW_DIVISOR` rows.
@@ -205,6 +206,30 @@ fn mean_row(rows: &[f32], row_len: usize) -> Vec<f32> {
     mean
 }
 
+/// The condensed rows of model entities `0..rows.len() / 2d` into `rows`, in
+/// [`BUILD_CHUNK`]-row tasks across the rayon pool; model row `local` serves
+/// global entity `first + local`. `mats_t` is [`PkgmModel::transposed_mats`]
+/// of `model`. Rows are independent, so the split never shows in a bit.
+pub(crate) fn condensed_rows_into(
+    model: &PkgmModel,
+    mats_t: &[f32],
+    selector: &KeyRelationSelector,
+    first: u32,
+    rows: &mut [f32],
+) {
+    let d = model.dim();
+    rows.par_chunks_mut(2 * d * BUILD_CHUNK)
+        .enumerate()
+        .for_each(|(ci, block)| {
+            let mut scratch = ServiceScratch::new(d);
+            for (j, row) in block.chunks_exact_mut(2 * d).enumerate() {
+                let local = u32::try_from(ci * BUILD_CHUNK + j).expect("entity count fits u32");
+                let (h, rels) = (EntityId(local), selector.for_item(EntityId(first + local)));
+                condense_into(model, mats_t, h, rels, selector.k(), &mut scratch, row);
+            }
+        });
+}
+
 /// Column-wise mean of the rows a [`QuantizedRows`] storage *serves*
 /// (dequantized or exact), in the same accumulation order as
 /// [`mean_row`] — quantize-then-save and load-from-parts must both call
@@ -236,15 +261,8 @@ impl ServiceSnapshot {
         let row_len = 2 * d;
         let n = service.model().n_entities();
         let mut rows = vec![0.0f32; n * row_len];
-        rows.par_chunks_mut(row_len * BUILD_CHUNK)
-            .enumerate()
-            .for_each(|(ci, block)| {
-                let mut scratch = ServiceScratch::new(d);
-                for (j, row) in block.chunks_mut(row_len).enumerate() {
-                    let id = u32::try_from(ci * BUILD_CHUNK + j).expect("entity count fits u32");
-                    service.condensed_service_into(EntityId(id), &mut scratch, row);
-                }
-            });
+        let (model, selector) = (service.model(), service.selector());
+        condensed_rows_into(model, service.mats_t(), selector, 0, &mut rows);
         let fallback = mean_row(&rows, row_len);
         Self {
             dim: d,
@@ -709,6 +727,33 @@ mod tests {
         for i in 0..snap.n_rows() as u32 {
             let row = snap.condensed(EntityId(i)).expect("row in range");
             assert_eq!(&row[..], svc.condensed_service(EntityId(i)).as_slice());
+        }
+    }
+
+    #[test]
+    fn built_rows_match_the_row_order_condense_loop() {
+        let svc = service_n(40);
+        let snap = ServiceSnapshot::build(&svc);
+        let d = svc.dim();
+        let (mut t, mut r) = (vec![0.0f32; d], vec![0.0f32; d]);
+        let mut out = vec![0.0f32; 2 * d];
+        for item in 0..snap.n_rows() as u32 {
+            let item = EntityId(item);
+            // `condensed_service_into` as it was before `S_R` went column
+            // order: `service_r_into` per key relation.
+            let k = svc.k() as f32;
+            out.fill(0.0);
+            for &rel in svc.selector().for_item(item) {
+                svc.model().service_t_into(item, rel, &mut t);
+                svc.model().service_r_into(item, rel, &mut r);
+                for i in 0..d {
+                    out[i] += t[i] / k;
+                    out[d + i] += r[i] / k;
+                }
+            }
+            let row = snap.condensed(item).expect("row in range");
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&row), bits(&out), "row {item:?}");
         }
     }
 

@@ -20,7 +20,8 @@
 //! is applied with lazy row-wise Adam, itself cut into one contiguous id
 //! range per thread, with each touched entity renormalized right after its
 //! own update — the paper trains with Adam at lr 1e-4, batch 1000,
-//! 1 negative per edge, 2 epochs.
+//! 1 negative per edge, 2 epochs. Each chunk's gradient rows stay in that
+//! chunk's scratch until the Adam step, which sums them where they lie.
 //!
 //! ## Determinism & chunk-layout contract
 //!
@@ -38,9 +39,9 @@
 //! differently-sized hosts matters.
 
 use crate::artifact::{self, ArtifactError, ArtifactIo, ArtifactKind};
-use crate::kernels::{fused_chunk_grads, ChunkGrads, ScratchPool, MIN_CHUNK_SIZE};
+use crate::kernels::{accumulate_chunk, SlotBlock, TrainScratch, MIN_CHUNK_SIZE};
 use crate::model::{normalize_row, PkgmModel};
-use crate::negative::NegativeSampler;
+use crate::negative::{CorruptedPair, NegativeSampler};
 use crate::serialize::{model_from_bytes, model_to_bytes, SerializeError};
 use bytes::{Buf, BufMut, BytesMut};
 use pkgm_store::TripleStore;
@@ -205,8 +206,9 @@ pub struct Trainer {
     pub(crate) v_mat: Vec<f32>,
     pub(crate) t: u64,
     epochs_done: usize,
-    /// Pooled per-worker scratch buffers, reused across batches.
-    scratch: ScratchPool,
+    /// One scratch per chunk of a batch, reused across batches: each holds
+    /// its chunk's gradient rows until the Adam step has read them.
+    pub(crate) scratches: Vec<TrainScratch>,
 }
 
 const BETA1: f32 = 0.9;
@@ -247,7 +249,7 @@ impl Trainer {
             v_mat: Vec::new(),
             t: 0,
             epochs_done: 0,
-            scratch: ScratchPool::new(),
+            scratches: Vec::new(),
         }
     }
 
@@ -339,13 +341,18 @@ impl Trainer {
         let mut total_violations = 0usize;
         let mut total_pairs = 0usize;
 
+        let triples = store.triples();
+        let sample = |chunk: &[u32], negatives, rng: &mut SmallRng, pairs: &mut _| {
+            let positives = chunk.iter().map(|&idx| triples[idx as usize]);
+            sampler.corrupt_batch_into(positives, store, negatives, rng, pairs);
+        };
         let batch_size = self.cfg.batch_size.max(1);
         for (batch_idx, batch) in order.chunks(batch_size).enumerate() {
-            let acc = self.batch_gradients(model, store, &sampler, batch, epoch, batch_idx as u64);
-            total_loss += acc.loss;
-            total_violations += acc.violations;
-            total_pairs += acc.pairs;
-            self.apply(model, acc);
+            let (loss, violations, pairs) =
+                self.batch_step(model, batch, epoch, batch_idx as u64, &sample);
+            total_loss += loss;
+            total_violations += violations;
+            total_pairs += pairs;
         }
 
         EpochStats {
@@ -363,95 +370,101 @@ impl Trainer {
         }
     }
 
-    /// The worker chunk size for a batch: `cfg.chunk_size` if pinned, else
-    /// an even split across rayon's threads floored at [`MIN_CHUNK_SIZE`].
-    /// Computed identically for serial and parallel runs — the layout (and
-    /// with it the per-chunk RNG streams) must not depend on `cfg.parallel`.
-    pub(crate) fn chunk_size_for(&self, batch_len: usize) -> usize {
-        match self.cfg.chunk_size {
-            Some(n) => n.max(1),
-            None => (batch_len / rayon::current_num_threads().max(1)).max(MIN_CHUNK_SIZE),
-        }
-    }
-
-    fn batch_gradients(
-        &self,
-        model: &PkgmModel,
-        store: &TripleStore,
-        sampler: &NegativeSampler,
-        batch: &[u32],
+    /// One minibatch: each chunk of `batch` accumulates into its own
+    /// scratch (across the rayon pool when `cfg.parallel` is set), then one
+    /// Adam step reads every chunk's rows. `sample(chunk, negatives, rng,
+    /// pairs)` corrupts a chunk: the one thing the resident and out-of-core
+    /// trainers do differently. Returns the summed loss, violating pairs
+    /// and pairs, each folded in chunk order from 0.
+    pub(crate) fn batch_step<T: Sync>(
+        &mut self,
+        model: &mut PkgmModel,
+        batch: &[T],
         epoch: u64,
         batch_idx: u64,
-    ) -> ChunkGrads {
+        sample: &(impl Fn(&[T], usize, &mut SmallRng, &mut Vec<CorruptedPair>) + Sync),
+    ) -> (f64, usize, usize) {
         let margin = self.cfg.margin;
         let negatives = self.cfg.negatives.max(1);
         let seed = self.cfg.seed ^ (epoch << 40) ^ (batch_idx << 8);
-        let triples = store.triples();
-        let chunk_size = self.chunk_size_for(batch.len());
+        // `cfg.chunk_size` if pinned, else an even split across rayon's
+        // threads: never a function of `cfg.parallel`, since the layout
+        // seeds the per-chunk RNG streams.
+        let chunk_size = match self.cfg.chunk_size {
+            Some(n) => n.max(1),
+            None => (batch.len() / rayon::current_num_threads()).max(MIN_CHUNK_SIZE),
+        };
+        let n_chunks = batch.len().div_ceil(chunk_size);
+        if self.scratches.len() < n_chunks {
+            self.scratches.resize_with(n_chunks, TrainScratch::default);
+        }
 
         // Corruptions are drawn in original chunk order *before* the kernel
         // relation-blocks the pairs, so the RNG stream is exactly what the
         // old per-pair loop consumed for the same chunk layout.
-        let chunk_grads = |(chunk_idx, chunk): (usize, &[u32])| -> ChunkGrads {
-            let mut rng = SmallRng::seed_from_u64(seed ^ chunk_idx as u64);
-            self.scratch.with_scratch(model, |sc| {
-                let mut pairs = std::mem::take(&mut sc.pairs);
-                sampler.corrupt_batch_into(
-                    chunk.iter().map(|&idx| triples[idx as usize]),
-                    store,
-                    negatives,
-                    &mut rng,
-                    &mut pairs,
-                );
-                let out = fused_chunk_grads(model, sc, &pairs, margin);
-                sc.pairs = pairs;
-                out
-            })
+        let frozen: &PkgmModel = model;
+        let chunk_grads = |(ci, sc): (usize, &mut [TrainScratch])| {
+            let sc = &mut sc[0];
+            let chunk = &batch[ci * chunk_size..((ci + 1) * chunk_size).min(batch.len())];
+            let mut rng = SmallRng::seed_from_u64(seed ^ ci as u64);
+            let mut pairs = std::mem::take(&mut sc.pairs);
+            sample(chunk, negatives, &mut rng, &mut pairs);
+            accumulate_chunk(frozen, sc, &pairs, margin);
+            sc.pairs = pairs;
         };
-
-        // Chunks are folded in ascending chunk order in both branches (the
-        // vendored rayon collect preserves input order), pinning the f32
-        // merge order: serial and parallel runs are bit-identical.
-        let per_chunk: Vec<ChunkGrads> = if self.cfg.parallel {
-            batch
-                .par_chunks(chunk_size)
+        let scratches = &mut self.scratches[..n_chunks];
+        if self.cfg.parallel {
+            scratches
+                .par_chunks_mut(1)
                 .enumerate()
-                .map(chunk_grads)
-                .collect()
+                .for_each(chunk_grads);
         } else {
-            batch
-                .chunks(chunk_size)
-                .enumerate()
-                .map(chunk_grads)
-                .collect()
-        };
-        per_chunk
-            .into_iter()
-            .fold(ChunkGrads::empty(), ChunkGrads::merge)
-    }
+            scratches.chunks_mut(1).enumerate().for_each(chunk_grads);
+        }
 
-    /// Apply one Adam step from the accumulated sparse gradients, one part
-    /// per rayon thread when `cfg.parallel` is set.
-    pub(crate) fn apply(&mut self, model: &mut PkgmModel, acc: ChunkGrads) {
+        let (mut loss, mut violations, mut pairs) = (0.0f64, 0usize, 0usize);
+        for sc in &self.scratches[..n_chunks] {
+            loss += sc.loss;
+            violations += sc.violations;
+            pairs += sc.n_pairs;
+        }
         let parts = if self.cfg.parallel {
             rayon::current_num_threads()
         } else {
             1
         };
-        self.apply_in(model, &acc, parts);
+        self.adam_step(model, n_chunks, parts);
+        (loss, violations, pairs)
     }
 
-    /// [`Trainer::apply`] cut into `parts` contiguous id ranges per
-    /// parameter block. Every gradient row updates its own parameter and
-    /// moment rows and nothing else, and a touched entity is renormalized
-    /// right after its own update, so the result does not depend on `parts`.
-    fn apply_in(&mut self, model: &mut PkgmModel, acc: &ChunkGrads, parts: usize) {
+    /// One Adam step from the rows the first `n_chunks` scratches hold, cut
+    /// into `parts` contiguous id ranges per parameter block. An id's
+    /// gradient is the first holding chunk's row plus the later ones, added
+    /// in chunk order: [`crate::kernels::ChunkGrads::merge`]'s left fold, so
+    /// the bits are the merged rows'. A row updates only its own parameter
+    /// and moments, and a touched entity is renormalized right after its
+    /// own update, so the result does not depend on `parts`.
+    pub(crate) fn adam_step(&mut self, model: &mut PkgmModel, n_chunks: usize, parts: usize) {
         self.t += 1;
         let bc1 = 1.0 - BETA1.powi(self.t as i32);
         let bc2 = 1.0 - BETA2.powi(self.t as i32);
         let lr_t = self.cfg.lr * bc2.sqrt() / bc1;
         let d = model.cfg.dim;
         let normalize = self.cfg.normalize_entities;
+        let Trainer {
+            m_ent,
+            v_ent,
+            m_rel,
+            v_rel,
+            m_mat,
+            v_mat,
+            scratches,
+            ..
+        } = self;
+        let [ge, gr, gm] = [0, 1, 2].map(|b| {
+            let grads = scratches[..n_chunks].iter().map(|c| c.grads()[b]);
+            grads.collect::<Vec<&SlotBlock>>()
+        });
         let rows = |grads, width, w, m, v| AdamRows {
             grads,
             width,
@@ -460,19 +473,10 @@ impl Trainer {
             m,
             v,
         };
-        let Trainer {
-            m_ent,
-            v_ent,
-            m_rel,
-            v_rel,
-            m_mat,
-            v_mat,
-            ..
-        } = self;
         let blocks = [
-            rows(&acc.ent, d, &mut model.ent, m_ent, v_ent),
-            rows(&acc.rel, d, &mut model.rel, m_rel, v_rel),
-            rows(&acc.mat, d * d, &mut model.mats, m_mat, v_mat),
+            rows(&ge, d, &mut model.ent, m_ent, v_ent),
+            rows(&gr, d, &mut model.rel, m_rel, v_rel),
+            rows(&gm, d * d, &mut model.mats, m_mat, v_mat),
         ];
         adam_parts(blocks, parts.max(1), lr_t, normalize);
     }
@@ -574,7 +578,7 @@ impl Trainer {
                 v_mat,
                 t,
                 epochs_done,
-                scratch: ScratchPool::new(),
+                scratches: Vec::new(),
             },
         ))
     }
@@ -708,11 +712,11 @@ pub(crate) fn diverged(mean_loss: f32, best: f32) -> Option<String> {
     None
 }
 
-/// One parameter block's share of an Adam step: id-sorted gradient rows,
-/// all with ids in `first..`, and the parameter and moment slices that
-/// start at row `first`.
+/// One parameter block's share of an Adam step: the parameter and moment
+/// slices that start at row `first`, and the block's gradient rows from
+/// every chunk of the batch, in chunk order.
 struct AdamRows<'a> {
-    grads: &'a [(u32, Vec<f32>)],
+    grads: &'a [&'a SlotBlock],
     width: usize,
     first: usize,
     w: &'a mut [f32],
@@ -721,19 +725,17 @@ struct AdamRows<'a> {
 }
 
 impl AdamRows<'_> {
-    /// Cut before the `k`-th gradient row: the rows below it (and the
-    /// parameter rows below its id) go left, the rest go right.
-    fn split(self, k: usize) -> (Self, Self) {
-        let (first, at) = match self.grads.get(k) {
-            Some(&(id, _)) => (id as usize, (id as usize - self.first) * self.width),
-            None => (self.first, self.w.len()),
-        };
-        let (g0, g1) = self.grads.split_at(k);
+    /// Cut the rows at `left / parts`: the ids below the cut go left, the
+    /// rest go right. A batch touches ids across the whole range, so the
+    /// parts get similar row counts.
+    fn split(self, left: usize, parts: usize) -> (Self, Self) {
+        let cut = self.w.len() / self.width * left / parts;
+        let at = cut * self.width;
         let (w0, w1) = self.w.split_at_mut(at);
         let (m0, m1) = self.m.split_at_mut(at);
         let (v0, v1) = self.v.split_at_mut(at);
-        let part = |grads, first, w, m, v| AdamRows {
-            grads,
+        let part = |first, w, m, v| AdamRows {
+            grads: self.grads,
             width: self.width,
             first,
             w,
@@ -741,17 +743,43 @@ impl AdamRows<'_> {
             v,
         };
         (
-            part(g0, self.first, w0, m0, v0),
-            part(g1, first, w1, m1, v1),
+            part(self.first, w0, m0, v0),
+            part(self.first + cut, w1, m1, v1),
         )
     }
 
+    /// Walk the sorted union of the chunks' ids in range; sum each id's
+    /// rows in chunk order and update its parameter row.
     fn step(self, lr_t: f32, normalize: bool) {
-        for (id, g) in self.grads {
-            let off = (*id as usize - self.first) * self.width;
+        let end = self.first + self.w.len() / self.width;
+        let from = |ids: &[u32]| ids.partition_point(|&id| (id as usize) < self.first);
+        let mut rest: Vec<&[u32]> = self
+            .grads
+            .iter()
+            .map(|g| &g.ids()[from(g.ids())..])
+            .collect();
+        let mut sum = vec![0.0f32; self.width];
+        while let Some(&id) = rest.iter().filter_map(|ids| ids.first()).min() {
+            if id as usize >= end {
+                break;
+            }
+            let mut held = false;
+            for (g, ids) in self.grads.iter().zip(&mut rest) {
+                if ids.first() == Some(&id) {
+                    *ids = &ids[1..];
+                    let row = g.row(id, self.width);
+                    if held {
+                        sum.iter_mut().zip(row).for_each(|(s, &x)| *s += x);
+                    } else {
+                        sum.copy_from_slice(row);
+                        held = true;
+                    }
+                }
+            }
+            let off = (id as usize - self.first) * self.width;
             let row = off..off + self.width;
             let w = &mut self.w[row.clone()];
-            adam_update(w, g, &mut self.m[row.clone()], &mut self.v[row], lr_t);
+            adam_update(w, &sum, &mut self.m[row.clone()], &mut self.v[row], lr_t);
             if normalize {
                 normalize_row(w);
             }
@@ -761,8 +789,8 @@ impl AdamRows<'_> {
 
 /// Run the entity, relation and matrix blocks of one Adam step as `parts`
 /// contiguous id ranges, halving recursively through [`rayon::join`]. Each
-/// list is cut at the same fraction of its rows, so every part gets about
-/// the same number of floats. Only the entity block is normalized.
+/// block is cut at the same share of its rows. Only the entity block is
+/// normalized.
 fn adam_parts(blocks: [AdamRows<'_>; 3], parts: usize, lr_t: f32, normalize: bool) {
     if parts <= 1 {
         let [ent, rel, mat] = blocks;
@@ -772,10 +800,7 @@ fn adam_parts(blocks: [AdamRows<'_>; 3], parts: usize, lr_t: f32, normalize: boo
         return;
     }
     let left = parts / 2;
-    let [(e0, e1), (r0, r1), (m0, m1)] = blocks.map(|b| {
-        let k = b.grads.len() * left / parts;
-        b.split(k)
-    });
+    let [(e0, e1), (r0, r1), (m0, m1)] = blocks.map(|b| b.split(left, parts));
     rayon::join(
         || adam_parts([e0, r0, m0], left, lr_t, normalize),
         || adam_parts([e1, r1, m1], parts - left, lr_t, normalize),
@@ -799,6 +824,7 @@ fn adam_update(w: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32], lr_t: f32
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::ChunkGrads;
     use crate::model::PkgmConfig;
     use pkgm_store::StoreBuilder;
     use rand::Rng;
@@ -1139,8 +1165,9 @@ mod tests {
     }
 
     /// `Trainer::apply` and `adam_update` as they were when the step ran
-    /// serially, with a second normalization pass: the oracle every part
-    /// count must reproduce bit for bit.
+    /// serially on merged [`ChunkGrads`], with a second normalization pass:
+    /// with the chunks' `ChunkGrads::merge` fold, the oracle the in-place
+    /// step must reproduce bit for bit at every part and chunk count.
     fn serial_apply(tr: &mut Trainer, model: &mut PkgmModel, acc: ChunkGrads) {
         tr.t += 1;
         let bc1 = 1.0 - BETA1.powi(tr.t as i32);
@@ -1195,13 +1222,16 @@ mod tests {
         }
     }
 
-    /// Random gradient rows for every other entity, every relation but the
-    /// middle one and every matrix but the last: ids fall on both sides of
-    /// every cut at up to seven parts. TransE models get no matrix rows.
-    fn sparse_grads(model: &PkgmModel, seed: u64) -> ChunkGrads {
-        let mut rng = SmallRng::seed_from_u64(seed);
+    /// Random gradient rows for chunk `c` of a batch. Chunk 0 holds every
+    /// other entity, every relation but the middle one and every matrix but
+    /// the last; chunk 1 touched nothing; chunk `c ≥ 2` holds the entities
+    /// `≡ c − 2 (mod c + 1)`, so entity 0 is held by chunks 0 and 2 alone.
+    /// Ids fall on both sides of every cut at up to seven parts. TransE
+    /// models get no matrix rows.
+    fn chunk_grads(model: &PkgmModel, step: u64, c: u32) -> ChunkGrads {
+        let mut rng = SmallRng::seed_from_u64(step << 8 | c as u64);
         let d = model.dim();
-        let n_rel = model.n_relations() as u32;
+        let (n_ent, n_rel) = (model.n_entities() as u32, model.n_relations() as u32);
         let mut rows = |ids: Vec<u32>, width: usize| -> Vec<(u32, Vec<f32>)> {
             ids.into_iter()
                 .map(|id| {
@@ -1210,59 +1240,89 @@ mod tests {
                 })
                 .collect()
         };
-        let ent = rows((0..model.n_entities() as u32).step_by(2).collect(), d);
-        let rel = rows((0..n_rel).filter(|&r| r != n_rel / 2).collect(), d);
+        let (ent, rel, mat): (Vec<u32>, Vec<u32>, Vec<u32>) = match c {
+            0 => (
+                (0..n_ent).step_by(2).collect(),
+                (0..n_rel).filter(|&r| r != n_rel / 2).collect(),
+                (0..n_rel - 1).collect(),
+            ),
+            1 => Default::default(),
+            _ => (
+                (0..n_ent).filter(|e| e % (c + 1) == c - 2).collect(),
+                (0..n_rel).filter(|r| r % (c + 1) != 1).collect(),
+                (0..n_rel).filter(|r| r % 2 == c % 2).collect(),
+            ),
+        };
         let mat = if model.cfg.relation_module {
-            rows((0..n_rel - 1).collect(), d * d)
+            rows(mat, d * d)
         } else {
             Vec::new()
         };
         ChunkGrads {
-            ent,
-            rel,
+            ent: rows(ent, d),
+            rel: rows(rel, d),
             mat,
             ..ChunkGrads::empty()
         }
     }
 
     #[test]
-    fn apply_is_bit_identical_for_every_part_count() {
+    fn in_place_adam_step_matches_merged_serial_apply() {
         let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
         for model_cfg in [PkgmConfig::new(8), PkgmConfig::transe(8)] {
             let fresh = PkgmModel::new(40, 9, model_cfg.with_seed(21));
-            let steps: Vec<ChunkGrads> = (0..3).map(|s| sparse_grads(&fresh, s)).collect();
-            let mut want_model = fresh.clone();
-            let mut want = Trainer::new(&fresh, quick_cfg(21));
-            for acc in &steps {
-                serial_apply(&mut want, &mut want_model, acc.clone());
-            }
-            // Init rows sit far outside the unit ball (‖e‖ ≈ 3.5 at d = 8)
-            // and one step moves each by at most ≈ lr·√d, so every touched
-            // entity is renormalized.
-            let e0 = fresh.ent(pkgm_store::EntityId(0));
-            assert!(e0.iter().map(|x| x * x).sum::<f32>().sqrt() > 1.5);
-            let e0 = want_model.ent(pkgm_store::EntityId(0));
-            assert!(e0.iter().map(|x| x * x).sum::<f32>().sqrt() <= 1.0 + 1e-6);
-
-            for parts in [1, 2, 3, 7] {
-                let mut model = fresh.clone();
-                let mut tr = Trainer::new(&fresh, quick_cfg(21));
-                for acc in &steps {
-                    tr.apply_in(&mut model, acc, parts);
+            for n_chunks in [1, 2, 5] {
+                // Three steps, so the moments carry over.
+                let steps: Vec<Vec<ChunkGrads>> = (0..3)
+                    .map(|s| (0..n_chunks).map(|c| chunk_grads(&fresh, s, c)).collect())
+                    .collect();
+                let mut want_model = fresh.clone();
+                let mut want = Trainer::new(&fresh, quick_cfg(21));
+                for chunks in &steps {
+                    let merged = chunks
+                        .iter()
+                        .cloned()
+                        .fold(ChunkGrads::empty(), ChunkGrads::merge);
+                    serial_apply(&mut want, &mut want_model, merged);
                 }
-                assert_eq!(tr.t, want.t);
-                for (name, got, exp) in [
-                    ("ent", &model.ent, &want_model.ent),
-                    ("rel", &model.rel, &want_model.rel),
-                    ("mats", &model.mats, &want_model.mats),
-                    ("m_ent", &tr.m_ent, &want.m_ent),
-                    ("v_ent", &tr.v_ent, &want.v_ent),
-                    ("m_rel", &tr.m_rel, &want.m_rel),
-                    ("v_rel", &tr.v_rel, &want.v_rel),
-                    ("m_mat", &tr.m_mat, &want.m_mat),
-                    ("v_mat", &tr.v_mat, &want.v_mat),
-                ] {
-                    assert!(bits(got) == bits(exp), "{name} differs at {parts} parts");
+                // Init rows sit far outside the unit ball (‖e‖ ≈ 3.5 at
+                // d = 8) and one step moves each by at most ≈ lr·√d, so
+                // every touched entity is renormalized.
+                let e0 = fresh.ent(pkgm_store::EntityId(0));
+                assert!(e0.iter().map(|x| x * x).sum::<f32>().sqrt() > 1.5);
+                let e0 = want_model.ent(pkgm_store::EntityId(0));
+                assert!(e0.iter().map(|x| x * x).sum::<f32>().sqrt() <= 1.0 + 1e-6);
+
+                for parts in [1, 2, 3, 7] {
+                    let mut model = fresh.clone();
+                    let mut tr = Trainer::new(&fresh, quick_cfg(21));
+                    for chunks in &steps {
+                        tr.scratches = chunks
+                            .iter()
+                            .map(|g| TrainScratch::holding(&fresh, g))
+                            .collect();
+                        // A stale scratch past the batch's chunks is ignored.
+                        let stale = chunk_grads(&fresh, 9, 0);
+                        tr.scratches.push(TrainScratch::holding(&fresh, &stale));
+                        tr.adam_step(&mut model, n_chunks as usize, parts);
+                    }
+                    assert_eq!(tr.t, want.t);
+                    for (name, got, exp) in [
+                        ("ent", &model.ent, &want_model.ent),
+                        ("rel", &model.rel, &want_model.rel),
+                        ("mats", &model.mats, &want_model.mats),
+                        ("m_ent", &tr.m_ent, &want.m_ent),
+                        ("v_ent", &tr.v_ent, &want.v_ent),
+                        ("m_rel", &tr.m_rel, &want.m_rel),
+                        ("v_rel", &tr.v_rel, &want.v_rel),
+                        ("m_mat", &tr.m_mat, &want.m_mat),
+                        ("v_mat", &tr.v_mat, &want.v_mat),
+                    ] {
+                        assert!(
+                            bits(got) == bits(exp),
+                            "{name} differs at {parts} parts, {n_chunks} chunks"
+                        );
+                    }
                 }
             }
         }
