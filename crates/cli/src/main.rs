@@ -14,10 +14,9 @@
 //! pkgm train      --synthetic 2000000 --entities 1000000 --mem-budget 50000000 \
 //!                 --ooc-dir d [--report-out r.json]     # streamed, no catalog
 //! pkgm serve      --preset small --seed 42 --service svc.bin --item 0
-//! pkgm snapshot   --service svc.bin --out serving.snap
-//! pkgm snapshot   --service svc.bin --out s.pkgmss3 --format ss3 [--shards 4]
-//! pkgm snapshot   --synthetic 10000000 --dim 16 --seed 42 --format ss3 \
-//!                 --shards 8 --out big.pkgmss3      # streamed, O(1) memory
+//! pkgm snapshot   --service svc.bin --out serving.snap [--shards 4] [--quantize true]
+//! pkgm snapshot   --synthetic 10000000 --dim 16 --seed 42 \
+//!                 --shards 8 --out big.snap         # streamed, O(1) memory
 //! pkgm eval      --preset small --seed 42 --service svc.bin --max-facts 300
 //! pkgm faultcheck [--dir scratch] [--seed 42]
 //! pkgm netcheck   [--seed 42]                             # network chaos battery
@@ -35,9 +34,10 @@
 //! pkgm router supervise --snapshot base [--items 0,1]
 //! ```
 //!
-//! All artifacts are written atomically (temp file + fsync + rename) inside a
-//! CRC32-checksummed container; loads of corrupt or truncated files fail with
-//! typed errors. Legacy raw files from older builds still load.
+//! All artifacts are written atomically (temp file + fsync + rename) and
+//! CRC32-checksummed: models, services and checkpoints inside the `PKGMAF1`
+//! container, serving snapshots as `PKGMSS3` files. Loads of corrupt,
+//! truncated or unframed files fail with typed errors.
 
 mod args;
 
@@ -826,171 +826,118 @@ fn shard_path(out: &str, shard_id: u32, n_shards: u32) -> String {
     }
 }
 
+/// Where `pkgm snapshot` reads its rows.
+enum RowSource {
+    /// `--synthetic N`: rows regenerated from (seed, global id) on demand.
+    Synthetic(pkgm_synth::StreamingRows),
+    /// `--service`: the table built once from the service.
+    Built(ServiceSnapshot),
+}
+
+impl RowSource {
+    /// Write the rows of global ids `first..` into `buf` (whole rows).
+    fn fill(&self, first: u64, buf: &mut [f32]) {
+        match self {
+            RowSource::Synthetic(rows) => {
+                for (i, slot) in buf.chunks_exact_mut(rows.row_len()).enumerate() {
+                    rows.row_into((first + i as u64) as u32, slot);
+                }
+            }
+            RowSource::Built(snap) => {
+                let table = snap.dense_table().expect("a built table is dense");
+                let at = first as usize * 2 * snap.dim();
+                buf.copy_from_slice(&table[at..at + buf.len()]);
+            }
+        }
+    }
+}
+
+/// `pkgm snapshot`: write the condensed table as `--shards` PKGMSS3 files,
+/// dense or `--quantize`d, streaming every shard through one writer loop.
+/// With `--synthetic N` the rows are regenerated per chunk, so the table
+/// is never resident at any size.
 fn snapshot(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let out = args.require("out")?;
     let quantize: bool = args.get_or("quantize", false)?;
     let n_shards: u32 = args.get_or("shards", 1u32)?;
-    let format = args.get("format").unwrap_or("legacy");
     if n_shards == 0 {
         return Err("--shards must be >= 1".into());
     }
-    if !matches!(format, "legacy" | "ss3") {
-        return Err(format!("unknown snapshot format: {format} (legacy|ss3)").into());
-    }
-    if n_shards > 1 && format != "ss3" {
-        return Err("--shards requires --format ss3 (PKGMSS3 carries the shard spec)".into());
-    }
-
-    // `--synthetic N` streams N deterministic rows straight to per-shard
-    // PKGMSS3 files — the whole table never exists in memory, which is the
-    // only way to build the 10M+-item out-of-core serving artifacts.
-    if let Some(n_items) = args.get("synthetic") {
-        let n_rows: u64 = n_items
-            .parse()
-            .map_err(|_| format!("bad value for --synthetic: {n_items}"))?;
-        if format != "ss3" {
-            return Err("--synthetic requires --format ss3 (streamed writer)".into());
-        }
-        let dim: usize = args.get_or("dim", 16)?;
-        let k: usize = args.get_or("k", 0)?;
-        let seed: u64 = args.get_or("seed", 42)?;
-        let rows = pkgm_synth::StreamingRows::new(seed, dim);
-        let start = std::time::Instant::now();
-        // Stream in ~4 MiB chunks: bounded memory at any table size.
-        let chunk_rows = ((4 << 20) / (rows.row_len() * 4)).max(1);
-        let mut buf = vec![0.0f32; chunk_rows * rows.row_len()];
-        // Regenerate a chunk of rows starting at global id `first`.
-        let fill = |first: u64, buf: &mut [f32]| {
-            for (i, slot) in buf.chunks_exact_mut(rows.row_len()).enumerate() {
-                rows.row_into((first + i as u64) as u32, slot);
-            }
-        };
-        for (spec, len) in pkgm_core::shard_ranges(n_rows, n_shards) {
-            let path = shard_path(out, spec.shard_id, n_shards);
-            if quantize {
-                let mut writer = pkgm_core::Ss3QuantWriter::create(
-                    std::path::Path::new(&path),
-                    dim,
-                    k,
-                    len,
-                    spec,
-                )?;
-                let mut written = 0u64;
-                while written < len {
-                    let take = ((len - written) as usize).min(chunk_rows);
-                    fill(spec.row_start + written, &mut buf[..take * rows.row_len()]);
-                    writer.write_rows(&buf[..take * rows.row_len()])?;
-                    written += take as u64;
-                }
-                // Escape rows are regenerated exactly: the stream is a
-                // pure function of (seed, global id).
-                writer
-                    .finish(|local, slot| rows.row_into((spec.row_start + local) as u32, slot))?;
-            } else {
-                let mut writer = pkgm_core::Ss3DenseWriter::create(
-                    std::path::Path::new(&path),
-                    dim,
-                    k,
-                    len,
-                    spec,
-                )?;
-                let mut written = 0u64;
-                while written < len {
-                    let take = ((len - written) as usize).min(chunk_rows);
-                    fill(spec.row_start + written, &mut buf[..take * rows.row_len()]);
-                    writer.write_rows(&buf[..take * rows.row_len()])?;
-                    written += take as u64;
-                }
-                writer.finish()?;
-            }
-            println!(
-                "wrote {}synthetic PKGMSS3 shard {} of {n_shards} to {path}: {len} rows × {} dims \
-                 ({:.1} MiB)",
-                if quantize { "quantized " } else { "" },
-                spec.shard_id,
-                2 * dim,
-                std::fs::metadata(&path)?.len() as f64 / (1024.0 * 1024.0)
-            );
-        }
-        println!(
-            "streamed {n_rows} rows (seed {seed}) in {:.2}s",
-            start.elapsed().as_secs_f64()
-        );
-        return Ok(());
-    }
-
-    let service = load_service(args)?;
     let start = std::time::Instant::now();
-    let dense = ServiceSnapshot::build(&service);
-    let dense_bytes = dense.storage_bytes();
-
-    if format == "ss3" {
-        let ranges = pkgm_core::shard_ranges(dense.n_rows() as u64, n_shards);
-        let row_len = 2 * dense.dim();
-        for (spec, len) in ranges {
-            let path = shard_path(out, spec.shard_id, n_shards);
-            if quantize {
-                // Stream each shard through the quantized writer: the
-                // bytes are identical to a one-shot `shard.quantize()`
-                // write, but no quantized copy of the table is ever
-                // resident.
-                let table = dense
-                    .dense_table()
-                    .expect("freshly built snapshot is dense");
-                let first = spec.row_start as usize * row_len;
-                let shard_rows = &table[first..first + len as usize * row_len];
-                let mut writer = pkgm_core::Ss3QuantWriter::create(
-                    std::path::Path::new(&path),
-                    dense.dim(),
-                    dense.k(),
-                    len,
-                    spec,
-                )?;
-                writer.write_rows(shard_rows)?;
-                writer.finish(|local, slot| {
-                    let at = local as usize * row_len;
-                    slot.copy_from_slice(&shard_rows[at..at + row_len]);
-                })?;
-            } else {
-                let shard = if n_shards == 1 {
-                    dense.clone()
-                } else {
-                    dense.shard_slice(spec, len)?
-                };
-                serialize::write_snapshot_ss3_file(&StdIo, std::path::Path::new(&path), &shard)?;
-            }
-            println!(
-                "wrote {}PKGMSS3 shard {} of {n_shards} to {path}: {len} rows × {row_len} dims \
-                 ({:.1} MiB)",
-                if quantize { "quantized " } else { "" },
-                spec.shard_id,
-                std::fs::metadata(&path)?.len() as f64 / (1024.0 * 1024.0)
-            );
+    let (source, dim, k, n_rows) = match args.get("synthetic") {
+        Some(n_items) => {
+            let n_rows = n_items
+                .parse()
+                .map_err(|_| format!("bad value for --synthetic: {n_items}"))?;
+            let dim = args.get_or("dim", 16)?;
+            let rows = pkgm_synth::StreamingRows::new(args.get_or("seed", 42)?, dim);
+            (
+                RowSource::Synthetic(rows),
+                dim,
+                args.get_or("k", 0)?,
+                n_rows,
+            )
         }
-        println!("built in {:.2}s", start.elapsed().as_secs_f64());
-        return Ok(());
-    }
-
-    let snap = if quantize { dense.quantize() } else { dense };
-    serialize::write_snapshot_file(&StdIo, std::path::Path::new(out), &snap)?;
-    let mib = std::fs::metadata(out)?.len() as f64 / (1024.0 * 1024.0);
+        None => {
+            let built = ServiceSnapshot::build(&load_service(args)?);
+            let (dim, k, n_rows) = (built.dim(), built.k(), built.n_rows() as u64);
+            (RowSource::Built(built), dim, k, n_rows)
+        }
+    };
+    let row_len = 2 * dim;
+    // Stream in ~4 MiB chunks: bounded memory at any table size.
+    let chunk_rows = ((4 << 20) / (row_len * 4)).max(1);
+    let mut buf = vec![0.0f32; chunk_rows * row_len];
+    // Quantized table bytes written, for the size report.
+    let mut stored_bytes = 0;
     let kind = if quantize {
         "quantized serving snapshot"
     } else {
         "serving snapshot"
     };
+    for (spec, len) in pkgm_core::shard_ranges(n_rows, n_shards) {
+        let path = shard_path(out, spec.shard_id, n_shards);
+        let dest = std::path::Path::new(&path);
+        let mut stream = |write: &mut dyn FnMut(&[f32]) -> std::io::Result<()>| {
+            let mut written = 0u64;
+            while written < len {
+                let rows = &mut buf[..((len - written) as usize).min(chunk_rows) * row_len];
+                source.fill(spec.row_start + written, rows);
+                write(rows)?;
+                written += (rows.len() / row_len) as u64;
+            }
+            std::io::Result::Ok(())
+        };
+        if quantize {
+            let mut writer = pkgm_core::Ss3QuantWriter::create(dest, dim, k, len, spec)?;
+            stream(&mut |rows| writer.write_rows(rows))?;
+            // Escape rows come from the source again, verbatim.
+            writer.finish(|local, slot| source.fill(spec.row_start + local, slot))?;
+            stored_bytes += serialize::open_snapshot_file(dest)?.storage_bytes();
+        } else {
+            let mut writer = pkgm_core::Ss3DenseWriter::create(dest, dim, k, len, spec)?;
+            stream(&mut |rows| writer.write_rows(rows))?;
+            writer.finish()?;
+        }
+        let shard_note = if n_shards > 1 {
+            format!(" shard {} of {n_shards}", spec.shard_id)
+        } else {
+            String::new()
+        };
+        println!(
+            "wrote {kind}{shard_note} to {path}: {len} rows × {row_len} dims ({:.1} MiB)",
+            std::fs::metadata(dest)?.len() as f64 / (1024.0 * 1024.0)
+        );
+    }
     println!(
-        "wrote {kind} to {out}: {} rows × {} dims ({mib:.1} MiB, built in {:.2}s)",
-        snap.n_rows(),
-        2 * snap.dim(),
+        "wrote {n_rows} rows in {:.2}s",
         start.elapsed().as_secs_f64()
     );
     if quantize {
+        let dense_bytes = n_rows as usize * row_len * 4;
         println!(
-            "quantized table: {} bytes in memory, {:.1}% of the dense table's {}",
-            snap.storage_bytes(),
-            100.0 * snap.storage_bytes() as f64 / dense_bytes as f64,
-            dense_bytes
+            "quantized table: {stored_bytes} bytes, {:.1}% of the dense table's {dense_bytes}",
+            100.0 * stored_bytes as f64 / dense_bytes as f64
         );
     }
     Ok(())
@@ -1098,13 +1045,12 @@ fn print_help() {
          \u{20}              deterministic triples, no catalog or service output]\n\
          \u{20}  serve       --preset P --seed N --service service.bin --item 0\n\
          \u{20}              [--snapshot serving.snap  # dense or quantized]\n\
-         \u{20}  snapshot    --service service.bin --out serving.snap [--quantize true\n\
-         \u{20}              # int8 blockwise table, ~¼ the bytes, exact lookups;\n\
-         \u{20}              with ss3 the shards stream through the quantized writer]\n\
-         \u{20}              [--format ss3  # page-aligned PKGMSS3, mmap-served zero-copy]\n\
-         \u{20}              [--shards N  # entity-range shards, one PKGMSS3 file each]\n\
-         \u{20}              [--synthetic N --dim 16 --seed 42  # stream N deterministic\n\
-         \u{20}              rows with O(1) memory — no --service needed; ss3 only]\n\
+         \u{20}  snapshot    --service service.bin --out serving.snap — page-aligned\n\
+         \u{20}              PKGMSS3, served memory-mapped and zero-copy\n\
+         \u{20}              [--quantize true  # int8 blockwise table, ~¼ the bytes,\n\
+         \u{20}              exact lookups] [--shards N  # entity-range shards, one\n\
+         \u{20}              file each] [--synthetic N --dim 16 --seed 42  # stream N\n\
+         \u{20}              deterministic rows with O(1) memory, no --service needed]\n\
          \u{20}  eval        --preset P --seed N --service service.bin [--max-facts 300]\n\
          \u{20}  faultcheck  [--dir scratch] [--seed 42] — crash/corruption recovery battery\n\
          \u{20}  netcheck    [--seed 42] — network chaos battery: a deterministic chaos\n\
@@ -1126,8 +1072,8 @@ fn print_help() {
          \u{20}              batching, deadline propagation, shed-not-stall admission\n\
          \u{20}              control, and a watchdog that restarts dead threads\n\
          \u{20}  daemon reload --addr HOST:PORT --snapshot path — hot-swap the serving\n\
-         \u{20}              snapshot (daemon-local path) under live traffic; PKGMSS3\n\
-         \u{20}              files come up memory-mapped (zero-copy, O(header) open)\n\
+         \u{20}              snapshot (daemon-local PKGMSS3 path) under live traffic,\n\
+         \u{20}              memory-mapped (zero-copy, O(header) open)\n\
          \u{20}  daemon lookup --addr HOST:PORT --items 0,1,2 — rows as IEEE-754 bit\n\
          \u{20}              patterns in JSON (deterministic; CI diffs this for\n\
          \u{20}              bit-exactness across backings); off-shard ids fail typed\n\

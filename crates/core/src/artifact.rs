@@ -4,7 +4,8 @@
 //! writes: a `kill -9` halfway through `fs::write` leaves a prefix of the
 //! bytes at the destination path, and the next load either panics mid-slice
 //! or silently serves garbage. This module gives every artifact (model,
-//! service, serving snapshot, training checkpoint) the same two defenses:
+//! service, training checkpoint) the same two defenses (serving snapshots
+//! are `PKGMSS3` files with their own CRCs, see [`crate::snapshot3`]):
 //!
 //! 1. **Atomic durability** — [`ArtifactIo::write_atomic`] writes to a temp
 //!    file in the destination directory, `fsync`s it, renames it over the
@@ -53,8 +54,6 @@ pub enum ArtifactKind {
     Model,
     /// A [`crate::KnowledgeService`] — model + selector (`service_to_bytes`).
     Service,
-    /// A precomputed [`crate::ServiceSnapshot`] table (`snapshot_to_bytes`).
-    Snapshot,
     /// A training checkpoint: model + optimizer + progress state.
     Checkpoint,
 }
@@ -64,7 +63,8 @@ impl ArtifactKind {
         match self {
             ArtifactKind::Model => 1,
             ArtifactKind::Service => 2,
-            ArtifactKind::Snapshot => 3,
+            // 3 framed the retired stream snapshots; it stays unassigned
+            // so such a file fails as an unknown kind.
             ArtifactKind::Checkpoint => 4,
         }
     }
@@ -73,7 +73,6 @@ impl ArtifactKind {
         match v {
             1 => Some(ArtifactKind::Model),
             2 => Some(ArtifactKind::Service),
-            3 => Some(ArtifactKind::Snapshot),
             4 => Some(ArtifactKind::Checkpoint),
             _ => None,
         }
@@ -84,7 +83,6 @@ impl ArtifactKind {
         match self {
             ArtifactKind::Model => "model",
             ArtifactKind::Service => "service",
-            ArtifactKind::Snapshot => "snapshot",
             ArtifactKind::Checkpoint => "checkpoint",
         }
     }
@@ -109,6 +107,12 @@ pub enum ArtifactError {
     },
     /// File does not start with [`ARTIFACT_MAGIC`].
     BadMagic {
+        /// Offending file.
+        path: PathBuf,
+    },
+    /// A snapshot path does not hold a `PKGMSS3` file (e.g. a retired
+    /// stream snapshot, or a framed artifact handed to `--snapshot`).
+    NotSnapshot {
         /// Offending file.
         path: PathBuf,
     },
@@ -172,6 +176,12 @@ impl fmt::Display for ArtifactError {
             ArtifactError::BadMagic { path } => {
                 write!(f, "{}: not a PKGM artifact (bad magic)", path.display())
             }
+            ArtifactError::NotSnapshot { path } => write!(
+                f,
+                "{}: not a PKGMSS3 snapshot; rebuild it with \
+                 `pkgm snapshot --service SVC --out FILE`",
+                path.display()
+            ),
             ArtifactError::UnsupportedVersion { path, found } => write!(
                 f,
                 "{}: unsupported artifact version {found} (this build reads {ARTIFACT_VERSION})",
@@ -480,13 +490,13 @@ mod tests {
 
     #[test]
     fn decode_rejects_every_single_bit_flip() {
-        let framed = encode(ArtifactKind::Snapshot, b"payload under test");
+        let framed = encode(ArtifactKind::Checkpoint, b"payload under test");
         for byte in 0..framed.len() {
             for bit in 0..8 {
                 let mut bad = framed.clone();
                 bad[byte] ^= 1 << bit;
                 assert!(
-                    decode(&p(), ArtifactKind::Snapshot, &bad).is_err(),
+                    decode(&p(), ArtifactKind::Checkpoint, &bad).is_err(),
                     "bit flip at byte {byte} bit {bit} must be rejected"
                 );
             }
@@ -507,7 +517,7 @@ mod tests {
     fn decode_rejects_kind_confusion_and_version_skew() {
         let framed = encode(ArtifactKind::Model, b"abc");
         assert!(matches!(
-            decode(&p(), ArtifactKind::Snapshot, &framed),
+            decode(&p(), ArtifactKind::Service, &framed),
             Err(ArtifactError::WrongKind { .. })
         ));
         let mut future = framed.clone();

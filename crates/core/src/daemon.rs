@@ -31,9 +31,9 @@
 //!
 //! A reload is driven over the wire: `pkgm daemon reload --addr …
 //! --snapshot path` sends a [`Request::Reload`] with a **daemon-local**
-//! path, and the daemon loads the `PKGMSS1`/`PKGMSS2`/`PKGMSS3` artifact
-//! through the same CRC-validated [`crate::serialize`] machinery used
-//! everywhere else — a corrupt or truncated snapshot, or one whose dim
+//! path, and the daemon maps the `PKGMSS3` file through the same
+//! CRC-validated [`crate::serialize::open_snapshot_file`] used everywhere
+//! else — a corrupt, truncated or retired-format file, or one whose dim
 //! differs from the live snapshot's, is rejected with a typed error and
 //! the live table keeps serving.
 
@@ -155,11 +155,20 @@ impl ServiceHolder {
             track.active += 1;
             track.earliest.get_or_insert_with(Instant::now);
         }
+        // A mapped table is never resident twice over. The retiring one
+        // sheds its pages before the new one goes live, and is retired
+        // under the write lock, before any lookup can fault the new one
+        // in; from then on its in-flight batches give back every page
+        // they fault (`CachedService::retire`). The first pass keeps the
+        // second, and so the lock, short.
+        self.current.read().snapshot().release_mapped_pages();
         let (old, pre) = {
             let mut folded = self.folded.lock();
             let old = {
                 let mut cur = self.current.write();
-                std::mem::replace(&mut *cur, Arc::new(next))
+                let old = std::mem::replace(&mut *cur, Arc::new(next));
+                old.retire();
+                old
             };
             let pre = old.stats();
             *folded += pre;
@@ -285,8 +294,7 @@ impl Shared {
         self.done.1.notify_all();
     }
 
-    /// Load a snapshot artifact and hot-swap it in — `PKGMSS3` files come
-    /// up memory-mapped (O(header) open), everything else resident.
+    /// Map a `PKGMSS3` snapshot file (O(header) open) and hot-swap it in.
     /// Returns a summary for the reload response.
     ///
     /// Every reload checks its dim against the live snapshot's, so the

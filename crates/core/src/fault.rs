@@ -12,18 +12,21 @@
 //!
 //! * every artifact kind round-trips through atomic writes;
 //! * torn writes and bit flips are rejected on load (typed errors, no
-//!   panics — each scenario runs under `catch_unwind`);
+//!   panics — each scenario runs under `catch_unwind`), except flips in
+//!   the unchecksummed zero padding of a `PKGMSS3` file, which must leave
+//!   the served snapshot unchanged;
 //! * a kill during a checkpoint write costs at most one checkpoint interval:
 //!   resume restarts from the previous valid checkpoint and reaches the
 //!   same parameters bit-for-bit as an uninterrupted run;
 //! * degraded-mode serving answers unknown ids with fallback vectors.
 
-use crate::artifact::{self, ArtifactError, ArtifactIo, ArtifactKind, StdIo};
+use crate::artifact::{ArtifactError, ArtifactIo, StdIo};
 use crate::model::{PkgmConfig, PkgmModel};
 use crate::serialize;
 use crate::service::KnowledgeService;
 use crate::serving::CachedService;
 use crate::snapshot::ServiceSnapshot;
+use crate::snapshot3::{is_padding, snapshot_to_ss3_bytes};
 use crate::trainer::{load_latest_checkpoint, CheckpointConfig, TrainConfig, Trainer};
 use pkgm_store::{EntityId, KeyRelationSelector, StoreBuilder, TripleStore};
 use rand::rngs::SmallRng;
@@ -291,35 +294,41 @@ pub fn run_faultcheck(dir: &Path, seed: u64) -> FaultCheckReport {
         let sp = dir.join("fc-service.pkgm");
         serialize::write_service_file(&io, &sp, &service).map_err(|e| e.to_string())?;
         serialize::read_service_file(&io, &sp).map_err(|e| e.to_string())?;
-        let np = dir.join("fc-snapshot.pkgm");
-        serialize::write_snapshot_file(&io, &np, &snapshot).map_err(|e| e.to_string())?;
-        let back = serialize::read_snapshot_file(&io, &np).map_err(|e| e.to_string())?;
+        let np = dir.join("fc-snapshot.ss3");
+        serialize::write_snapshot_ss3_file(&io, &np, &snapshot).map_err(|e| e.to_string())?;
+        let back = serialize::open_snapshot_file(&np).map_err(|e| e.to_string())?;
         if back != snapshot {
             return Err("snapshot roundtrip mismatch".into());
         }
         Ok("model, service and snapshot artifacts roundtrip exactly".into())
     });
 
+    let ss3 = snapshot_to_ss3_bytes(&snapshot).expect("fixture snapshot has rows");
+    // Both loaders must agree: the mapped open that serves, and the resident
+    // decoder that verifies every CRC.
+    let load = |path: &Path| -> Result<ServiceSnapshot, String> {
+        let mapped = serialize::open_snapshot_file(path).map_err(|e| e.to_string());
+        let bytes = io.read(path).map_err(|e| e.to_string())?;
+        let resident = serialize::snapshot_from_bytes(&bytes).map_err(|e| e.to_string());
+        match (mapped, resident) {
+            (Ok(m), Ok(r)) if m == r => Ok(m),
+            (Err(e), Err(_)) => Err(e),
+            (m, r) => panic!("mapped and resident loads disagree: {m:?} vs {r:?}"),
+        }
+    };
+
     report.run("torn-write-rejected", || {
-        let payload = serialize::snapshot_to_bytes(&snapshot);
-        let framed_len = artifact::encode(ArtifactKind::Snapshot, &payload).len();
-        let cuts = [
-            0,
-            1,
-            artifact::HEADER_LEN - 1,
-            artifact::HEADER_LEN,
-            framed_len / 2,
-            framed_len - 1,
-        ];
+        // Inside the magic, inside the fixed header, at its end, at the
+        // first section boundary, mid-file and one byte short.
+        let cuts = [0, 1, 63, 64, 4096, ss3.len() / 2, ss3.len() - 1];
         for &keep in &cuts {
-            let path = dir.join("fc-torn.pkgm");
+            let path = dir.join("fc-torn.ss3");
             let faulty = FaultyIo::new(FaultPlan::new().with_fault(0, Fault::TornWrite { keep }));
-            let write = artifact::write_artifact(&faulty, &path, ArtifactKind::Snapshot, &payload);
-            if write.is_ok() {
+            if serialize::write_snapshot_ss3_file(&faulty, &path, &snapshot).is_ok() {
                 return Err(format!("torn write at {keep} bytes reported success"));
             }
-            if serialize::read_snapshot_file(&io, &path).is_ok() {
-                return Err(format!("torn artifact ({keep} bytes) loaded as valid"));
+            if load(&path).is_ok() {
+                return Err(format!("torn snapshot ({keep} bytes) loaded as valid"));
             }
             io.remove(&path).ok();
         }
@@ -330,24 +339,37 @@ pub fn run_faultcheck(dir: &Path, seed: u64) -> FaultCheckReport {
     });
 
     report.run("bit-flip-rejected", || {
-        let payload = serialize::snapshot_to_bytes(&snapshot);
-        let framed_len = artifact::encode(ArtifactKind::Snapshot, &payload).len();
         let mut rng = SmallRng::seed_from_u64(seed ^ 0xB17);
         let samples = 16;
-        for _ in 0..samples {
-            let byte = rng.gen_range(0..framed_len);
+        let (mut detected, mut padding) = (0, 0);
+        for i in 0..samples {
+            // Padding is most of a small file: every other flip is aimed at
+            // checksummed bytes, so each run exercises detection.
+            let byte = loop {
+                let byte = rng.gen_range(0..ss3.len());
+                if i % 2 == 0 || !is_padding(&ss3, byte) {
+                    break byte;
+                }
+            };
             let bit = rng.gen_range(0u32..8) as u8;
-            let path = dir.join("fc-flip.pkgm");
+            let path = dir.join("fc-flip.ss3");
             let faulty =
                 FaultyIo::new(FaultPlan::new().with_fault(0, Fault::FlipBit { byte, bit }));
-            artifact::write_artifact(&faulty, &path, ArtifactKind::Snapshot, &payload)
+            serialize::write_snapshot_ss3_file(&faulty, &path, &snapshot)
                 .map_err(|e| e.to_string())?;
-            if serialize::read_snapshot_file(&io, &path).is_ok() {
-                return Err(format!("flipped bit {bit} of byte {byte} went undetected"));
+            // PKGMSS3 does not checksum the zero padding between sections:
+            // a flip there is harmless, anywhere else it must be caught.
+            match load(&path) {
+                Err(_) => detected += 1,
+                Ok(back) if back == snapshot && is_padding(&ss3, byte) => padding += 1,
+                Ok(_) => return Err(format!("flipped bit {bit} of byte {byte} went undetected")),
             }
             io.remove(&path).ok();
         }
-        Ok(format!("{samples} random single-bit flips all detected"))
+        Ok(format!(
+            "{samples} random single-bit flips: {detected} detected, \
+             {padding} in unchecked padding served unchanged"
+        ))
     });
 
     report.run("kill-during-checkpoint-resumes", || {
@@ -407,14 +429,14 @@ pub fn run_faultcheck(dir: &Path, seed: u64) -> FaultCheckReport {
     });
 
     report.run("failed-write-keeps-previous-artifact", || {
-        let path = dir.join("fc-stable.pkgm");
-        serialize::write_snapshot_file(&io, &path, &snapshot).map_err(|e| e.to_string())?;
+        let path = dir.join("fc-stable.ss3");
+        serialize::write_snapshot_ss3_file(&io, &path, &snapshot).map_err(|e| e.to_string())?;
         let faulty = FaultyIo::new(FaultPlan::new().with_fault(0, Fault::FailWrite));
-        let second = serialize::write_snapshot_file(&faulty, &path, &snapshot);
+        let second = serialize::write_snapshot_ss3_file(&faulty, &path, &snapshot);
         if second.is_ok() {
             return Err("failed write reported success".into());
         }
-        let back = serialize::read_snapshot_file(&io, &path)
+        let back = load(&path)
             .map_err(|e| format!("previous artifact lost after failed overwrite: {e}"))?;
         if back != snapshot {
             return Err("previous artifact corrupted by failed overwrite".into());

@@ -55,9 +55,9 @@
 //! * [`baselines`] — TransE (ablation: triple module only), TransH and
 //!   DistMult for link-prediction context;
 //! * [`serialize`] — compact binary snapshots of trained models, services
-//!   and serving tables;
+//!   and serving tables (the tables as [`snapshot3`] `PKGMSS3` files);
 //! * [`artifact`] — atomic (temp + fsync + rename), CRC32-checksummed,
-//!   versioned on-disk container shared by every artifact kind;
+//!   versioned on-disk container for models, services and checkpoints;
 //! * [`fault`] — deterministic fault-injection ([`fault::FaultPlan`] /
 //!   [`fault::FaultyIo`]) and the `pkgm faultcheck` recovery battery;
 //! * [`retry`] — the client-side resilience policy: jittered exponential

@@ -12,7 +12,8 @@
 //!
 //! * **Mapped** — a private read-only mapping of the whole file. Dropped
 //!   with `munmap`. Advised `MADV_RANDOM` because snapshot lookups are
-//!   point reads, not scans.
+//!   point reads, not scans; `MADV_DONTNEED` when a retired table should
+//!   leave the resident set before its last reader lets go.
 //! * **Heap** — the file read into an 8-byte-aligned buffer. Used on
 //!   non-unix targets, when the mapping syscall fails, or when forced
 //!   (tests, or the `PKGM_NO_MMAP` environment variable) so every code
@@ -35,6 +36,8 @@ mod sys {
     pub const MAP_PRIVATE: i32 = 2;
     /// Expect point lookups; don't read ahead aggressively.
     pub const MADV_RANDOM: i32 = 1;
+    /// Unmap the pages from the resident set; the next read refaults them.
+    pub const MADV_DONTNEED: i32 = 4;
 
     extern "C" {
         pub fn mmap(
@@ -139,6 +142,18 @@ impl MmapRegion {
         }
     }
 
+    /// Drop the mapped pages from this process's resident set. The next
+    /// read faults the same bytes back in from the file (the mapping is
+    /// private and never written), so concurrent readers stay correct.
+    /// A no-op for the heap fallback.
+    pub fn release_resident(&self) {
+        #[cfg(unix)]
+        if let Backing::Mapped { ptr, len } = self.backing {
+            // Advisory only; ignore failure.
+            unsafe { sys::madvise(ptr as *mut std::ffi::c_void, len, sys::MADV_DONTNEED) };
+        }
+    }
+
     /// True when backed by a live `mmap` (false for the heap fallback).
     pub fn is_mapped(&self) -> bool {
         match &self.backing {
@@ -198,6 +213,19 @@ mod tests {
         assert!(!heap.is_mapped());
         assert_eq!(mapped.bytes(), &data[..]);
         assert_eq!(heap.bytes(), &data[..]);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn released_pages_read_back_unchanged() {
+        let data: Vec<u8> = (0..=255u8).rev().cycle().take(3 * 4096 + 5).collect();
+        let path = temp_file("release", &data);
+        for force_heap in [false, true] {
+            let region = MmapRegion::open(&path, force_heap).unwrap();
+            assert_eq!(region.bytes(), &data[..]);
+            region.release_resident();
+            assert_eq!(region.bytes(), &data[..]);
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -15,7 +15,7 @@
 //! Two table shapes, two jobs:
 //!
 //! * [`QuantTable`] — **per-(row, block)** scales, the accurate form used
-//!   by quantized serving snapshots (`PKGMSS2`): each row quantizes
+//!   by quantized serving snapshots (`PKGMSS3`): each row quantizes
 //!   against its own per-block max, and [`QuantTable::max_abs_err`]
 //!   reports the measured per-row reconstruction error, giving the
 //!   documented certificate `l1_q(h,t) − d·err_h − d·err_t ≤ l1_f32(h,t)`.
@@ -191,9 +191,10 @@ impl QuantTable {
         }
     }
 
-    /// Reassemble a table from stored parts (the `PKGMSS2` loader).
-    /// Lengths must agree; the caller validates value-level invariants
-    /// (finite nonnegative scales/errors) and reports typed errors.
+    /// Reassemble a table from stored parts (the resident `PKGMSS3`
+    /// loader). Lengths must agree and every scale and row error must be
+    /// finite and nonnegative: stored bytes are untrusted, and a flipped
+    /// sign bit is an error here, not a silently wrong table.
     pub fn from_parts(
         row_len: usize,
         block: usize,
@@ -220,6 +221,15 @@ impl QuantTable {
             return Err(format!(
                 "expected {n_rows} row errors, found {}",
                 row_err.len()
+            ));
+        }
+        if let Some(v) = scales
+            .iter()
+            .chain(&row_err)
+            .find(|v| !(v.is_finite() && **v >= 0.0))
+        {
+            return Err(format!(
+                "quantization scale or row error {v} is not a finite nonnegative value"
             ));
         }
         Ok(Self {
@@ -696,6 +706,14 @@ mod tests {
         assert!(QuantTable::from_parts(4, 4, vec![0; 8], vec![0.0; 3], vec![0.0; 2]).is_err());
         assert!(QuantTable::from_parts(4, 4, vec![0; 8], vec![0.0; 2], vec![0.0; 3]).is_err());
         assert!(QuantTable::from_parts(4, 4, vec![0; 8], vec![0.0; 2], vec![0.0; 2]).is_ok());
+        for bad in [f32::NAN, -1.0, f32::INFINITY] {
+            assert!(
+                QuantTable::from_parts(4, 4, vec![0; 8], vec![bad, 0.0], vec![0.0; 2]).is_err()
+            );
+            assert!(
+                QuantTable::from_parts(4, 4, vec![0; 8], vec![0.0; 2], vec![0.0, bad]).is_err()
+            );
+        }
     }
 
     #[test]

@@ -14,25 +14,24 @@
 //! ```
 //!
 //! A [`KnowledgeService`] snapshot appends the selector as a length-prefixed
-//! JSON blob (the selector is tiny compared to the parameters).
+//! JSON blob (the selector is tiny compared to the parameters). On disk
+//! both live inside the checksummed `PKGMAF1` frame of [`crate::artifact`].
+//!
+//! Serving snapshots have one format, `PKGMSS3` ([`crate::snapshot3`]):
+//! [`write_snapshot_ss3_file`] writes it, [`open_snapshot_file`] maps it,
+//! and [`snapshot_from_bytes`] decodes it resident, verifying every CRC.
 
-use crate::artifact::{self, ArtifactError, ArtifactIo, ArtifactKind, StdIo};
+use crate::artifact::{self, ArtifactError, ArtifactIo, ArtifactKind};
 use crate::model::{PkgmConfig, PkgmModel};
-use crate::quant::QuantTable;
 use crate::service::KnowledgeService;
 use crate::snapshot::ServiceSnapshot;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use pkgm_store::KeyRelationSelector;
 use std::path::Path;
 
-const MAGIC: &[u8; 8] = b"PKGMMD1\0";
-const SNAPSHOT_MAGIC: &[u8; 8] = b"PKGMSS1\0";
-const QUANT_SNAPSHOT_MAGIC: &[u8; 8] = b"PKGMSS2\0";
+pub use crate::snapshot3::snapshot_from_bytes;
 
-/// Sanity ceiling on a stored quantization block size: blocks are
-/// [`crate::quant::QUANT_BLOCK`]-sized today, and anything huge in this
-/// field means corrupt bytes, not a future format.
-const MAX_QUANT_BLOCK: usize = 4096;
+const MAGIC: &[u8; 8] = b"PKGMMD1\0";
 
 /// Serialization errors.
 #[derive(Debug)]
@@ -180,226 +179,18 @@ pub fn service_from_bytes(bytes: &[u8]) -> Result<KnowledgeService, SerializeErr
     Ok(KnowledgeService::new(model, selector))
 }
 
-/// Serialize a precomputed serving snapshot.
-///
-/// Dense snapshots keep the legacy `PKGMSS1` layout (little-endian):
-/// magic, `dim` u32, `k` u32, `n_rows` u64, then `n_rows × 2·dim` f32
-/// rows. Quantized snapshots use `PKGMSS2`: magic, `dim` u32, `k` u32,
-/// `n_rows` u64, `block` u32, `n_exact` u64, then the int8 payload
-/// (`n_rows × 2·dim`), per-(row, block) scales
-/// (`n_rows × ⌈2·dim/block⌉` f32), per-row errors (`n_rows` f32), sorted
-/// escape ids (`n_exact` u32) and verbatim escape rows
-/// (`n_exact × 2·dim` f32).
-pub fn snapshot_to_bytes(snapshot: &ServiceSnapshot) -> Bytes {
-    if let Some(q) = snapshot.quant_slices() {
-        let mut buf = BytesMut::with_capacity(36 + snapshot.storage_bytes());
-        buf.put_slice(QUANT_SNAPSHOT_MAGIC);
-        buf.put_u32_le(snapshot.dim() as u32);
-        buf.put_u32_le(snapshot.k() as u32);
-        buf.put_u64_le(snapshot.n_rows() as u64);
-        buf.put_u32_le(q.block as u32);
-        buf.put_u64_le(q.exact_ids.len() as u64);
-        for &v in q.data {
-            buf.put_u8(v as u8);
-        }
-        for &s in q.scales {
-            buf.put_f32_le(s);
-        }
-        for &e in q.row_errs {
-            buf.put_f32_le(e);
-        }
-        for &id in q.exact_ids {
-            buf.put_u32_le(id);
-        }
-        for &x in q.exact_rows {
-            buf.put_f32_le(x);
-        }
-        return buf.freeze();
-    }
-    let table = snapshot
-        .dense_table()
-        .expect("non-quantized snapshot is dense");
-    let mut buf = BytesMut::with_capacity(24 + table.len() * 4);
-    buf.put_slice(SNAPSHOT_MAGIC);
-    buf.put_u32_le(snapshot.dim() as u32);
-    buf.put_u32_le(snapshot.k() as u32);
-    buf.put_u64_le(snapshot.n_rows() as u64);
-    for &x in table {
-        buf.put_f32_le(x);
-    }
-    buf.freeze()
-}
-
-/// Deserialize a serving snapshot — the dense legacy `PKGMSS1` payload,
-/// the quantized `PKGMSS2` form, or a fully-verified resident decode of
-/// the mmap-oriented `PKGMSS3` layout.
-pub fn snapshot_from_bytes(bytes: &[u8]) -> Result<ServiceSnapshot, SerializeError> {
-    if bytes.len() >= 8 && &bytes[..8] == QUANT_SNAPSHOT_MAGIC {
-        return quant_snapshot_from_bytes(bytes);
-    }
-    if bytes.len() >= 8 && &bytes[..8] == crate::snapshot3::SS3_MAGIC {
-        return crate::snapshot3::snapshot_from_ss3_bytes(bytes);
-    }
-    let mut b = bytes;
-    if b.len() < 24 || &b[..8] != SNAPSHOT_MAGIC {
-        return Err(SerializeError::Corrupt(
-            "bad snapshot magic or truncated header".into(),
-        ));
-    }
-    b.advance(8);
-    let dim = b.get_u32_le() as usize;
-    let k = b.get_u32_le() as usize;
-    let n_rows = b.get_u64_le() as usize;
-    if dim == 0 {
-        return Err(SerializeError::Corrupt(
-            "snapshot dim must be positive".into(),
-        ));
-    }
-    // Checked: a huge declared row count must not overflow into a small
-    // byte expectation that a short buffer satisfies.
-    let n_bytes = n_rows.checked_mul(2 * dim).and_then(|n| n.checked_mul(4));
-    let Some(n_bytes) = n_bytes else {
-        return Err(SerializeError::Corrupt(
-            "declared snapshot row count overflows".into(),
-        ));
-    };
-    let n_floats = n_bytes / 4;
-    if b.remaining() != n_bytes {
-        return Err(SerializeError::Corrupt(format!(
-            "expected {} snapshot table bytes, found {}",
-            n_bytes,
-            b.remaining()
-        )));
-    }
-    let mut rows = Vec::with_capacity(n_floats);
-    for _ in 0..n_floats {
-        rows.push(b.get_f32_le());
-    }
-    Ok(ServiceSnapshot::from_parts(dim, k, rows))
-}
-
-/// Decode the quantized `PKGMSS2` payload. Every declared count goes
-/// through checked arithmetic, the total byte length must match exactly,
-/// and value-level invariants (finite nonnegative scales and errors,
-/// sorted in-range escape ids) are verified — a flipped scale byte is a
-/// typed `Corrupt` error, never a panic or a silently wrong table.
-fn quant_snapshot_from_bytes(bytes: &[u8]) -> Result<ServiceSnapshot, SerializeError> {
-    let mut b = bytes;
-    if b.len() < 36 {
-        return Err(SerializeError::Corrupt(
-            "truncated quantized snapshot header".into(),
-        ));
-    }
-    b.advance(8);
-    let dim = b.get_u32_le() as usize;
-    let k = b.get_u32_le() as usize;
-    let n_rows = b.get_u64_le() as usize;
-    let block = b.get_u32_le() as usize;
-    let n_exact = b.get_u64_le() as usize;
-    if dim == 0 {
-        return Err(SerializeError::Corrupt(
-            "snapshot dim must be positive".into(),
-        ));
-    }
-    let row_len = dim
-        .checked_mul(2)
-        .ok_or_else(|| SerializeError::Corrupt("snapshot dim overflows".into()))?;
-    if block == 0 || block > row_len || block > MAX_QUANT_BLOCK {
-        return Err(SerializeError::Corrupt(format!(
-            "implausible quantization block size {block} for {row_len}-long rows"
-        )));
-    }
-    let n_blocks = row_len.div_ceil(block);
-    // Checked section sizes: huge declared counts must fail the length
-    // check, not overflow into a small expectation a short buffer meets.
-    let n_bytes = (|| {
-        let data = n_rows.checked_mul(row_len)?;
-        let scales = n_rows.checked_mul(n_blocks)?.checked_mul(4)?;
-        let errs = n_rows.checked_mul(4)?;
-        let ids = n_exact.checked_mul(4)?;
-        let exact = n_exact.checked_mul(row_len)?.checked_mul(4)?;
-        data.checked_add(scales)?
-            .checked_add(errs)?
-            .checked_add(ids)?
-            .checked_add(exact)
-    })();
-    let Some(n_bytes) = n_bytes else {
-        return Err(SerializeError::Corrupt(
-            "declared quantized snapshot counts overflow".into(),
-        ));
-    };
-    if b.remaining() != n_bytes {
-        return Err(SerializeError::Corrupt(format!(
-            "expected {} quantized snapshot bytes, found {}",
-            n_bytes,
-            b.remaining()
-        )));
-    }
-    let mut data = Vec::with_capacity(n_rows * row_len);
-    for _ in 0..n_rows * row_len {
-        data.push(b.get_u8() as i8);
-    }
-    let mut scales = Vec::with_capacity(n_rows * n_blocks);
-    for _ in 0..n_rows * n_blocks {
-        let s = b.get_f32_le();
-        if !s.is_finite() || s < 0.0 {
-            return Err(SerializeError::Corrupt(format!(
-                "quantization scale {s} is not a finite nonnegative value"
-            )));
-        }
-        scales.push(s);
-    }
-    let mut row_err = Vec::with_capacity(n_rows);
-    for _ in 0..n_rows {
-        let e = b.get_f32_le();
-        if !e.is_finite() || e < 0.0 {
-            return Err(SerializeError::Corrupt(format!(
-                "quantization row error {e} is not a finite nonnegative value"
-            )));
-        }
-        row_err.push(e);
-    }
-    let mut exact_ids = Vec::with_capacity(n_exact);
-    for _ in 0..n_exact {
-        exact_ids.push(b.get_u32_le());
-    }
-    let mut exact_rows = Vec::with_capacity(n_exact * row_len);
-    for _ in 0..n_exact * row_len {
-        exact_rows.push(b.get_f32_le());
-    }
-    let quant = QuantTable::from_parts(row_len, block, data, scales, row_err)
-        .map_err(SerializeError::Corrupt)?;
-    ServiceSnapshot::from_quantized_parts(dim, k, quant, exact_ids, exact_rows)
-        .map_err(SerializeError::Corrupt)
-}
-
-// --- artifact-framed file I/O -----------------------------------------------
+// --- file I/O ---------------------------------------------------------------
 //
-// The byte-level codecs above are payload formats; on disk every artifact is
-// wrapped in the checksummed, versioned container from [`crate::artifact`]
-// and written atomically (temp file + fsync + rename). Readers accept the
-// pre-container ("legacy") raw payloads too, so files written by older
-// builds still load.
+// The byte-level codecs above are payload formats; on disk every model and
+// service is wrapped in the checksummed, versioned container from
+// [`crate::artifact`] and written atomically (temp file + fsync + rename).
+// Serving snapshots are `PKGMSS3` files ([`crate::snapshot3`]), which carry
+// their own header and section CRCs.
 
 fn corrupt(path: &Path, e: SerializeError) -> ArtifactError {
     ArtifactError::Corrupt {
         path: path.to_path_buf(),
         what: e.to_string(),
-    }
-}
-
-/// Read an artifact file's payload, unwrapping the checksummed container
-/// when present and falling back to the raw legacy payload otherwise.
-fn read_payload(
-    io: &dyn ArtifactIo,
-    path: &Path,
-    kind: ArtifactKind,
-) -> Result<Vec<u8>, ArtifactError> {
-    let bytes = io.read(path)?;
-    if bytes.starts_with(artifact::ARTIFACT_MAGIC) {
-        Ok(artifact::decode(path, kind, &bytes)?.to_vec())
-    } else {
-        Ok(bytes)
     }
 }
 
@@ -412,10 +203,9 @@ pub fn write_model_file(
     artifact::write_artifact(io, path, ArtifactKind::Model, &model_to_bytes(model))
 }
 
-/// Load a model artifact, validating checksum and framing; accepts legacy
-/// raw `PKGMMD1` files.
+/// Load a model artifact, validating checksum and framing.
 pub fn read_model_file(io: &dyn ArtifactIo, path: &Path) -> Result<PkgmModel, ArtifactError> {
-    let payload = read_payload(io, path, ArtifactKind::Model)?;
+    let payload = artifact::read_artifact(io, path, ArtifactKind::Model)?;
     let (model, consumed) = model_from_bytes(&payload).map_err(|e| corrupt(path, e))?;
     if consumed != payload.len() {
         return Err(ArtifactError::Corrupt {
@@ -435,41 +225,16 @@ pub fn write_service_file(
     artifact::write_artifact(io, path, ArtifactKind::Service, &service_to_bytes(service))
 }
 
-/// Load a service artifact, validating checksum and framing; accepts legacy
-/// raw files.
+/// Load a service artifact, validating checksum and framing.
 pub fn read_service_file(
     io: &dyn ArtifactIo,
     path: &Path,
 ) -> Result<KnowledgeService, ArtifactError> {
-    let payload = read_payload(io, path, ArtifactKind::Service)?;
+    let payload = artifact::read_artifact(io, path, ArtifactKind::Service)?;
     service_from_bytes(&payload).map_err(|e| corrupt(path, e))
 }
 
-/// Atomically write `snapshot` to `path` inside a checksummed artifact frame.
-pub fn write_snapshot_file(
-    io: &dyn ArtifactIo,
-    path: &Path,
-    snapshot: &ServiceSnapshot,
-) -> Result<(), ArtifactError> {
-    artifact::write_artifact(
-        io,
-        path,
-        ArtifactKind::Snapshot,
-        &snapshot_to_bytes(snapshot),
-    )
-}
-
-/// Load a serving-snapshot artifact, validating checksum and framing;
-/// accepts legacy raw `PKGMSS1` files.
-pub fn read_snapshot_file(
-    io: &dyn ArtifactIo,
-    path: &Path,
-) -> Result<ServiceSnapshot, ArtifactError> {
-    let payload = read_payload(io, path, ArtifactKind::Snapshot)?;
-    snapshot_from_bytes(&payload).map_err(|e| corrupt(path, e))
-}
-
-/// Atomically write `snapshot` to `path` as a raw `PKGMSS3` file.
+/// Atomically write `snapshot` to `path` as a `PKGMSS3` file.
 ///
 /// `PKGMSS3` is deliberately *not* wrapped in the `PKGMAF1` container:
 /// the 28-byte container header would shift every section off its page
@@ -484,28 +249,11 @@ pub fn write_snapshot_ss3_file(
     io.write_atomic(path, &bytes)
 }
 
-/// Open a snapshot file by magic: `PKGMSS3` files are memory-mapped for
-/// zero-copy serving (O(header) startup, [`SnapshotBacking::Mapped`]);
-/// everything else goes through the resident [`read_snapshot_file`] path.
-///
-/// [`SnapshotBacking::Mapped`]: crate::snapshot::SnapshotBacking::Mapped
+/// Open a `PKGMSS3` snapshot file memory-mapped for zero-copy serving
+/// (O(header) startup). Any other file is
+/// [`ArtifactError::NotSnapshot`].
 pub fn open_snapshot_file(path: &Path) -> Result<ServiceSnapshot, ArtifactError> {
-    use std::io::Read;
-    let mut magic = [0u8; 8];
-    let mut file = std::fs::File::open(path).map_err(|source| ArtifactError::Io {
-        path: path.to_path_buf(),
-        source,
-    })?;
-    let n = file.read(&mut magic).map_err(|source| ArtifactError::Io {
-        path: path.to_path_buf(),
-        source,
-    })?;
-    drop(file);
-    if n == 8 && &magic == crate::snapshot3::SS3_MAGIC {
-        crate::snapshot3::open_mapped_snapshot(path, false)
-    } else {
-        read_snapshot_file(&StdIo, path)
-    }
+    crate::snapshot3::open_mapped_snapshot(path, false)
 }
 
 #[cfg(test)]
@@ -596,17 +344,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_roundtrip_is_exact() {
-        let snap = ServiceSnapshot::build(&test_service());
-        let bytes = snapshot_to_bytes(&snap);
-        let back = snapshot_from_bytes(&bytes).unwrap();
-        assert_eq!(back, snap);
-        assert_eq!(back.dim(), snap.dim());
-        assert_eq!(back.k(), snap.k());
-        assert_eq!(back.n_rows(), snap.n_rows());
-    }
-
-    #[test]
     fn huge_declared_counts_are_rejected_not_sliced() {
         // A 32-byte header declaring ~u64::MAX entities must fail cleanly:
         // before the checked arithmetic fix the size computation overflowed
@@ -620,20 +357,28 @@ mod tests {
         bad.extend_from_slice(&[0u8; 64]); // a little tail data
         assert!(model_from_bytes(&bad).is_err());
 
-        let mut bad_snap = Vec::new();
-        bad_snap.extend_from_slice(SNAPSHOT_MAGIC);
-        bad_snap.extend_from_slice(&8u32.to_le_bytes()); // dim
-        bad_snap.extend_from_slice(&2u32.to_le_bytes()); // k
-        bad_snap.extend_from_slice(&u64::MAX.to_le_bytes()); // n_rows
-        bad_snap.extend_from_slice(&[0u8; 64]);
-        assert!(snapshot_from_bytes(&bad_snap).is_err());
+        // A PKGMSS3 header declaring u64::MAX rows, correctly re-signed,
+        // fails the checked section-size math.
+        let snap = ServiceSnapshot::build(&test_service());
+        let mut bad = crate::snapshot3::snapshot_to_ss3_bytes(&snap).unwrap();
+        bad[24..32].copy_from_slice(&u64::MAX.to_le_bytes()); // n_rows
+        let table_end = 64 + 2 * 24; // fixed header + two dense sections
+        let crc = crate::artifact::crc32(&bad[..table_end]);
+        bad[table_end..table_end + 4].copy_from_slice(&crc.to_le_bytes());
+        assert!(snapshot_from_bytes(&bad).is_err());
+    }
+
+    fn temp_dir(name: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("pkgm-serialize-{name}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
     }
 
     #[test]
     fn file_roundtrips_are_framed_and_exact() {
         use crate::artifact::StdIo;
-        let dir = std::env::temp_dir().join(format!("pkgm-serialize-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = temp_dir("files");
 
         let m = model();
         let mp = dir.join("m.pkgm");
@@ -650,118 +395,80 @@ mod tests {
             svc.condensed_service(EntityId(1))
         );
 
-        let snap = ServiceSnapshot::build(&svc);
-        let np = dir.join("n.pkgm");
-        write_snapshot_file(&StdIo, &np, &snap).unwrap();
-        assert_eq!(read_snapshot_file(&StdIo, &np).unwrap(), snap);
+        for snap in [
+            ServiceSnapshot::build(&svc),
+            ServiceSnapshot::build(&svc).quantize(),
+        ] {
+            let np = dir.join("n.ss3");
+            write_snapshot_ss3_file(&StdIo, &np, &snap).unwrap();
+            assert_eq!(open_snapshot_file(&np).unwrap(), snap);
+        }
 
         // Kind confusion is a typed error, not a mis-decode.
         assert!(matches!(
-            read_snapshot_file(&StdIo, &sp),
+            read_model_file(&StdIo, &sp),
             Err(ArtifactError::WrongKind { .. })
+        ));
+        assert!(matches!(
+            open_snapshot_file(&sp),
+            Err(ArtifactError::NotSnapshot { .. })
         ));
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Retired inputs — the SS1/SS2 row-stream snapshots, a
+    /// `PKGMAF1` frame of the retired snapshot kind 3, and an unframed
+    /// payload — are typed errors from every loader, never panics or
+    /// unchecksummed loads.
     #[test]
-    fn legacy_raw_files_still_load() {
-        use crate::artifact::StdIo;
-        let dir = std::env::temp_dir().join(format!("pkgm-legacy-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let svc = test_service();
-        let sp = dir.join("legacy-svc.bin");
-        std::fs::write(&sp, service_to_bytes(&svc)).unwrap();
-        let back = read_service_file(&StdIo, &sp).unwrap();
-        assert_eq!(back.k(), svc.k());
-        let snap = ServiceSnapshot::build(&svc);
-        let np = dir.join("legacy-snap.bin");
-        std::fs::write(&np, snapshot_to_bytes(&snap)).unwrap();
-        assert_eq!(read_snapshot_file(&StdIo, &np).unwrap(), snap);
+    fn retired_inputs_are_typed_errors() {
+        use crate::artifact::{StdIo, ARTIFACT_MAGIC, ARTIFACT_VERSION};
+        let dir = temp_dir("retired");
+        // Magic "PKGMSS{n}\0", dim, k, n_rows, rows.
+        let stream_snapshot = |n: u32| {
+            let mut b = format!("PKGMSS{n}\0").into_bytes();
+            b.extend_from_slice(&4u32.to_le_bytes()); // dim
+            b.extend_from_slice(&2u32.to_le_bytes()); // k
+            b.extend_from_slice(&1u64.to_le_bytes()); // n_rows
+            b.extend_from_slice(&[0u8; 8 * 4]); // one 2·dim row
+            b
+        };
+        let payload = model_to_bytes(&model());
+        let mut kind3 = ARTIFACT_MAGIC.to_vec();
+        kind3.extend_from_slice(&ARTIFACT_VERSION.to_le_bytes());
+        kind3.extend_from_slice(&3u32.to_le_bytes());
+        kind3.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        kind3.extend_from_slice(&crate::artifact::crc32(&payload).to_le_bytes());
+        kind3.extend_from_slice(&payload);
+        let cases = [
+            ("ss1", stream_snapshot(1)),
+            ("ss2", stream_snapshot(2)),
+            ("kind3", kind3),
+            ("raw-model", payload.to_vec()),
+        ];
+        for (name, bytes) in &cases {
+            let path = dir.join(name);
+            std::fs::write(&path, bytes).unwrap();
+            assert!(
+                matches!(
+                    open_snapshot_file(&path),
+                    Err(ArtifactError::NotSnapshot { .. })
+                ),
+                "{name}: open_snapshot_file"
+            );
+            assert!(snapshot_from_bytes(bytes).is_err(), "{name}: decode");
+            let unknown_kind = *name == "kind3";
+            for loaded in [
+                read_model_file(&StdIo, &path).err(),
+                read_service_file(&StdIo, &path).err(),
+            ] {
+                match loaded {
+                    Some(ArtifactError::WrongKind { found: None, .. }) => assert!(unknown_kind),
+                    Some(ArtifactError::BadMagic { .. }) => assert!(!unknown_kind),
+                    other => panic!("{name}: expected a typed framing error, got {other:?}"),
+                }
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn corrupt_snapshot_bytes_are_rejected() {
-        let bytes = snapshot_to_bytes(&ServiceSnapshot::build(&test_service()));
-        assert!(snapshot_from_bytes(&bytes[..12]).is_err());
-        let mut bad = bytes.to_vec();
-        bad[0] = b'X';
-        assert!(snapshot_from_bytes(&bad).is_err());
-        assert!(snapshot_from_bytes(&bytes[..bytes.len() - 4]).is_err());
-        // Model bytes are not a snapshot.
-        let model_bytes = model_to_bytes(&model());
-        assert!(snapshot_from_bytes(&model_bytes).is_err());
-    }
-
-    #[test]
-    fn quantized_snapshot_roundtrip_is_exact() {
-        let snap = ServiceSnapshot::build(&test_service()).quantize();
-        assert!(snap.is_quantized());
-        let bytes = snapshot_to_bytes(&snap);
-        assert_eq!(&bytes[..8], QUANT_SNAPSHOT_MAGIC);
-        let back = snapshot_from_bytes(&bytes).unwrap();
-        assert_eq!(back, snap);
-        assert!(back.is_quantized());
-        // Served rows reproduce bitwise — the PKGMSS2 contract.
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        for i in 0..snap.n_rows() as u32 + 2 {
-            let id = EntityId(i);
-            assert_eq!(snap.lookup_exact(id, &mut a), back.lookup_exact(id, &mut b));
-            let bits_a: Vec<u32> = a.iter().map(|x| x.to_bits()).collect();
-            let bits_b: Vec<u32> = b.iter().map(|x| x.to_bits()).collect();
-            assert_eq!(bits_a, bits_b, "row {i}");
-        }
-    }
-
-    #[test]
-    fn quantized_snapshot_file_roundtrip_and_size() {
-        use crate::artifact::StdIo;
-        let dir = std::env::temp_dir().join(format!("pkgm-quant-ser-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let dense = ServiceSnapshot::build(&test_service());
-        let quant = dense.quantize();
-        let dp = dir.join("dense.pkgm");
-        let qp = dir.join("quant.pkgm");
-        write_snapshot_file(&StdIo, &dp, &dense).unwrap();
-        write_snapshot_file(&StdIo, &qp, &quant).unwrap();
-        assert_eq!(read_snapshot_file(&StdIo, &dp).unwrap(), dense);
-        assert_eq!(read_snapshot_file(&StdIo, &qp).unwrap(), quant);
-        let dense_len = std::fs::metadata(&dp).unwrap().len();
-        let quant_len = std::fs::metadata(&qp).unwrap().len();
-        assert!(
-            quant_len < dense_len,
-            "quantized file {quant_len} B not smaller than dense {dense_len} B"
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn corrupt_quantized_snapshot_bytes_are_rejected() {
-        let snap = ServiceSnapshot::build(&test_service()).quantize();
-        let bytes = snapshot_to_bytes(&snap);
-        // Truncations at every section boundary are typed errors.
-        for cut in [8, 20, 35, bytes.len() - 1] {
-            assert!(snapshot_from_bytes(&bytes[..cut]).is_err(), "cut at {cut}");
-        }
-        // A scale flipped to NaN/negative/inf must be rejected, not served.
-        let n_rows = snap.n_rows();
-        let row_len = 2 * snap.dim();
-        let scales_at = 36 + n_rows * row_len;
-        for val in [f32::NAN, -1.0f32, f32::INFINITY] {
-            let mut bad = bytes.to_vec();
-            bad[scales_at..scales_at + 4].copy_from_slice(&val.to_le_bytes());
-            assert!(snapshot_from_bytes(&bad).is_err(), "scale {val}");
-        }
-        // An implausible block size is rejected.
-        let mut bad = bytes.to_vec();
-        bad[24..28].copy_from_slice(&0u32.to_le_bytes());
-        assert!(snapshot_from_bytes(&bad).is_err());
-        bad[24..28].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(snapshot_from_bytes(&bad).is_err());
-        // Huge declared counts fail the checked length math.
-        let mut bad = bytes.to_vec();
-        bad[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(snapshot_from_bytes(&bad).is_err());
     }
 }

@@ -44,7 +44,7 @@ use crate::snapshot::ServiceSnapshot;
 use parking_lot::RwLock;
 use pkgm_store::fxhash::FxHashMap;
 use pkgm_store::EntityId;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Upper bound on cache shards; small caches use fewer so each shard still
@@ -143,6 +143,10 @@ pub struct CachedService {
     misses: AtomicU64,
     evictions: AtomicU64,
     degraded: AtomicU64,
+    /// Set by [`CachedService::retire`]: a miss then gives the pages it
+    /// faulted in straight back, so the batches still in flight on a
+    /// swapped-out generation keep none of its mapped table resident.
+    retired: AtomicBool,
 }
 
 impl CachedService {
@@ -162,6 +166,7 @@ impl CachedService {
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             degraded: AtomicU64::new(0),
+            retired: AtomicBool::new(false),
         }
     }
 
@@ -218,6 +223,9 @@ impl CachedService {
                 &self.hits
             } else {
                 self.snapshot.row_into(item, row);
+                if self.retired.load(Ordering::Acquire) {
+                    self.snapshot.release_mapped_pages();
+                }
                 self.publish(item.0, row);
                 &self.misses
             };
@@ -242,6 +250,16 @@ impl CachedService {
         let slot = slab.index.len() as u32;
         slab.index.insert(key, slot);
         slab.rows.extend_from_slice(row);
+    }
+
+    /// Mark this generation as swapped out and release its mapped table's
+    /// resident pages (a no-op for heap storage). Lookups still serve the
+    /// same bits; each later miss releases the pages it faulted in again,
+    /// so a retired mapped table holds no memory while its last in-flight
+    /// batches drain.
+    pub fn retire(&self) {
+        self.retired.store(true, Ordering::Release);
+        self.snapshot.release_mapped_pages();
     }
 
     /// [`CachedService::condensed_rows_into`] for one item, copied into its
@@ -622,6 +640,11 @@ mod tests {
         assert_eq!(mapped.backing(), SnapshotBacking::Mapped);
         let cached = CachedService::new(mapped.clone(), 16);
         assert_every_path_serves(cached, &ids, |id| exact(&mapped, id));
+        // A retired generation releases its pages on every miss and
+        // still serves the same bits.
+        let retired = CachedService::new(mapped.clone(), 16);
+        retired.retire();
+        assert_every_path_serves(retired, &ids, |id| exact(&mapped, id));
         drop(mapped);
         std::fs::remove_file(&path).unwrap();
         // Quantized: a verbatim escape row and dequantized rows.

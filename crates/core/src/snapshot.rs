@@ -15,10 +15,9 @@
 //! per-(row, block) scales — at ~29% of the dense bytes, keeping a small
 //! set of worst-quantizing rows verbatim in f32 so no lookup degrades
 //! badly. Quantized lookups dequantize deterministically
-//! (`q_i · s_block`, fixed order), so a quantized snapshot serialized to
-//! `PKGMSS2` and reloaded reproduces [`ServiceSnapshot::lookup_exact`]
-//! outputs bit-for-bit; legacy dense `PKGMSS1` artifacts still load and
-//! serve unchanged.
+//! (`q_i · s_block`, fixed order), so a quantized snapshot written to
+//! `PKGMSS3` ([`crate::snapshot3`]) and reopened — mapped or resident —
+//! reproduces [`ServiceSnapshot::lookup_exact`] outputs bit-for-bit.
 
 use std::borrow::Cow;
 
@@ -43,8 +42,8 @@ pub(crate) const EXACT_ERR_FACTOR: f32 = 4.0;
 /// How a snapshot's row storage is held in the process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnapshotBacking {
-    /// Rows decoded into owned heap memory (`PKGMSS1`/`PKGMSS2`, or a
-    /// fully-validated `PKGMSS3` decode).
+    /// Rows in owned heap memory: a fresh build, or a fully-validated
+    /// `PKGMSS3` decode.
     Resident,
     /// Rows served zero-copy out of an [`crate::mmap::MmapRegion`] over a
     /// `PKGMSS3` file — startup cost independent of table size.
@@ -116,6 +115,28 @@ pub(crate) struct QuantizedRows {
 }
 
 impl QuantizedRows {
+    /// Assemble quantized storage from untrusted parts: the escape rows
+    /// must match the escape ids, which [`check_exact_ids`] vets.
+    pub(crate) fn new(
+        quant: QuantTable,
+        exact_ids: Vec<u32>,
+        exact_rows: Vec<f32>,
+    ) -> Result<Self, String> {
+        if exact_rows.len() != exact_ids.len() * quant.row_len() {
+            return Err(format!(
+                "expected {} exact-row floats, found {}",
+                exact_ids.len() * quant.row_len(),
+                exact_rows.len()
+            ));
+        }
+        check_exact_ids(&exact_ids, quant.n_rows())?;
+        Ok(Self {
+            quant,
+            exact_ids,
+            exact_rows,
+        })
+    }
+
     /// Serve row `id` into `out` (exact if escaped, else dequantized).
     fn row_into(&self, id: usize, out: &mut [f32]) {
         let row_len = self.quant.row_len();
@@ -124,6 +145,20 @@ impl QuantizedRows {
         } else {
             self.quant.dequantize_into(id, out);
         }
+    }
+}
+
+/// Escape ids must be strictly increasing (lookups binary-search them) and
+/// name rows of an `n_rows`-row table.
+pub(crate) fn check_exact_ids(ids: &[u32], n_rows: usize) -> Result<(), String> {
+    if !ids.windows(2).all(|w| w[0] < w[1]) {
+        return Err("exact-row ids are not strictly increasing".into());
+    }
+    match ids.last() {
+        Some(&last) if last as usize >= n_rows => {
+            Err(format!("exact-row id {last} beyond the {n_rows}-row table"))
+        }
+        _ => Ok(()),
     }
 }
 
@@ -136,9 +171,9 @@ pub struct ServiceSnapshot {
     k: usize,
     storage: Storage,
     /// Column-wise mean of the *served* rows (zeros for an empty table):
-    /// the degraded-mode answer for ids beyond the table. Derived from
-    /// `storage` for `PKGMSS1`/`PKGMSS2` loads; `PKGMSS3` stores it as a
-    /// section so a mapped open never scans the table.
+    /// the degraded-mode answer for ids beyond the table. Computed when a
+    /// table is built; `PKGMSS3` stores it as a section, so no load ever
+    /// scans the table for it.
     fallback: Vec<f32>,
     /// Which global entity-id range this table covers.
     shard: ShardSpec,
@@ -273,8 +308,7 @@ impl ServiceSnapshot {
         }
     }
 
-    /// Reassemble a dense snapshot from its stored parts (used by
-    /// `serialize::snapshot_from_bytes` for `PKGMSS1` payloads).
+    /// A whole-table dense snapshot of `rows`, its fallback the rows' mean.
     pub(crate) fn from_parts(dim: usize, k: usize, rows: Vec<f32>) -> Self {
         assert!(dim > 0, "snapshot dim must be positive");
         assert_eq!(
@@ -292,9 +326,9 @@ impl ServiceSnapshot {
         }
     }
 
-    /// Reassemble a quantized snapshot from its stored parts (the
-    /// `PKGMSS2` loader). Shape mismatches between the parts are reported
-    /// as errors, not panics — on-disk bytes are untrusted.
+    /// A whole-table quantized snapshot of its parts, its fallback the
+    /// served rows' mean. Shape mismatches are errors, not panics.
+    #[cfg(test)]
     pub(crate) fn from_quantized_parts(
         dim: usize,
         k: usize,
@@ -302,47 +336,22 @@ impl ServiceSnapshot {
         exact_ids: Vec<u32>,
         exact_rows: Vec<f32>,
     ) -> Result<Self, String> {
-        if dim == 0 {
-            return Err("snapshot dim must be positive".into());
-        }
-        if quant.row_len() != 2 * dim {
+        if dim == 0 || quant.row_len() != 2 * dim {
             return Err(format!(
                 "quantized rows are {} long, expected {}",
                 quant.row_len(),
                 2 * dim
             ));
         }
-        if exact_rows.len() != exact_ids.len() * 2 * dim {
-            return Err(format!(
-                "expected {} exact-row floats, found {}",
-                exact_ids.len() * 2 * dim,
-                exact_rows.len()
-            ));
-        }
-        if !exact_ids.windows(2).all(|w| w[0] < w[1]) {
-            return Err("exact-row ids are not strictly increasing".into());
-        }
-        if let Some(&last) = exact_ids.last() {
-            if last as usize >= quant.n_rows() {
-                return Err(format!(
-                    "exact-row id {last} beyond the {}-row table",
-                    quant.n_rows()
-                ));
-            }
-        }
-        let q = QuantizedRows {
-            quant,
-            exact_ids,
-            exact_rows,
-        };
+        let q = QuantizedRows::new(quant, exact_ids, exact_rows)?;
         let fallback = mean_served_row(&q, 2 * dim);
-        Ok(Self {
+        Ok(Self::from_storage(
             dim,
             k,
-            storage: Storage::Quantized(q),
+            Storage::Quantized(q),
             fallback,
-            shard: ShardSpec::default(),
-        })
+            ShardSpec::default(),
+        ))
     }
 
     /// Mark this snapshot as shard `shard.shard_id` of `shard.n_shards`,
@@ -394,19 +403,9 @@ impl ServiceSnapshot {
         ServiceSnapshot::from_parts(self.dim, self.k, rows).with_shard(shard)
     }
 
-    /// Rebind a loaded snapshot to its on-disk shard spec and stored
-    /// fallback row — the `PKGMSS3` loaders use the file's fallback
-    /// section verbatim so mapped and resident backings serve identical
-    /// degraded-mode bytes.
-    pub(crate) fn with_shard_and_fallback(mut self, shard: ShardSpec, fallback: Vec<f32>) -> Self {
-        assert_eq!(fallback.len(), 2 * self.dim, "fallback must be one row");
-        self.shard = shard;
-        self.fallback = fallback;
-        self
-    }
-
-    /// Assemble a snapshot directly from validated storage — the mapped
-    /// `PKGMSS3` open path.
+    /// Assemble a snapshot directly from validated storage and its stored
+    /// fallback row — both `PKGMSS3` loaders, so mapped and resident
+    /// backings serve identical degraded-mode bytes.
     pub(crate) fn from_storage(
         dim: usize,
         k: usize,
@@ -509,6 +508,18 @@ impl ServiceSnapshot {
         }
     }
 
+    /// Give a mapped table's resident pages back to the kernel; a no-op
+    /// for heap storage. Lookups stay bit-identical (the next read faults
+    /// the same bytes back in), so a retired generation can shed its
+    /// pages while its last in-flight batches still read it.
+    pub(crate) fn release_mapped_pages(&self) {
+        match &self.storage {
+            Storage::MappedDense(m) => m.region.release_resident(),
+            Storage::MappedQuantized(m) => m.region.release_resident(),
+            Storage::Dense(_) | Storage::Quantized(_) => {}
+        }
+    }
+
     /// The global entity-id range this snapshot covers.
     pub fn shard(&self) -> ShardSpec {
         self.shard
@@ -603,7 +614,7 @@ impl ServiceSnapshot {
     /// the table writes the fallback row and returns `false` (degraded).
     ///
     /// "Exact" is the serialization contract: the bytes written here are
-    /// a pure function of the snapshot's stored parts, so a `PKGMSS2`
+    /// a pure function of the snapshot's stored parts, so a `PKGMSS3`
     /// round-trip reproduces them bit-for-bit.
     pub fn lookup_exact(&self, item: EntityId, out: &mut Vec<f32>) -> bool {
         out.resize(2 * self.dim, 0.0);
@@ -664,8 +675,8 @@ impl ServiceSnapshot {
         }
     }
 
-    /// Raw quantized storage slices for either backing — the `PKGMSS2`/
-    /// `PKGMSS3` serialization inputs. `None` for dense storage.
+    /// Raw quantized storage slices for either backing — the `PKGMSS3`
+    /// serialization inputs. `None` for dense storage.
     pub(crate) fn quant_slices(&self) -> Option<QuantSlices<'_>> {
         match &self.storage {
             Storage::Dense(_) | Storage::MappedDense(_) => None,

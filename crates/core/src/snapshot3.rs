@@ -1,12 +1,11 @@
-//! `PKGMSS3` — the alignment-aware, section-offset snapshot layout for
-//! zero-copy out-of-core serving.
+//! `PKGMSS3` — the alignment-aware, section-offset snapshot layout, and
+//! the one on-disk format of a serving table.
 //!
-//! `PKGMSS1`/`PKGMSS2` are streams: loading them means decoding every row
-//! into heap memory, so startup cost and RSS both scale with the table. At
-//! the paper's 142.6M-item scale that is the difference between a serving
-//! node that starts in milliseconds and one that spends minutes faulting a
-//! 68 GiB table into RAM it may not have. `PKGMSS3` instead lays the table
-//! out so the on-disk bytes *are* the serving format:
+//! It replaced the `PKGMSS1`/`PKGMSS2` row streams, whose every load
+//! decoded the whole table into heap memory: at the paper's 142.6M-item
+//! scale that is a serving node that spends minutes faulting a 68 GiB
+//! table into RAM it may not have. `PKGMSS3` instead lays the table out so
+//! the on-disk bytes *are* the serving format:
 //!
 //! ```text
 //! offset  size  field
@@ -39,7 +38,7 @@
 //! verified at open. Section CRCs are verified eagerly only for sections
 //! smaller than [`SS3_EAGER_CRC_LIMIT`] — checksumming a multi-GiB table
 //! would defeat the O(1) startup this format exists for — while the
-//! resident decoder ([`snapshot_from_ss3_bytes`]) verifies everything.
+//! resident decoder ([`snapshot_from_bytes`]) verifies everything.
 //! Files are written raw (no `PKGMAF1` container: its 28-byte header would
 //! break page alignment relative to the file start); the magic keeps
 //! loaders unambiguous.
@@ -55,7 +54,7 @@ use crate::le;
 use crate::mmap::MmapRegion;
 use crate::quant::{self, QuantTable};
 use crate::serialize::SerializeError;
-use crate::snapshot::{ServiceSnapshot, ShardSpec, Storage};
+use crate::snapshot::{check_exact_ids, QuantizedRows, ServiceSnapshot, ShardSpec, Storage};
 
 /// Leading bytes of every `PKGMSS3` snapshot file.
 pub const SS3_MAGIC: &[u8; 8] = b"PKGMSS3\0";
@@ -73,7 +72,9 @@ const SECTION_ENTRY: usize = 24;
 /// larger sections rely on the always-verified header CRC + bounds checks
 /// (the resident decoder verifies every section regardless of size).
 pub const SS3_EAGER_CRC_LIMIT: u64 = 1 << 20;
-/// Mirror of `serialize::MAX_QUANT_BLOCK` for header validation.
+/// Sanity ceiling on a stored quantization block size: blocks are
+/// [`quant::QUANT_BLOCK`]-sized today, and anything huge in this field
+/// means corrupt bytes, not a future format.
 const MAX_BLOCK: u32 = 4096;
 
 // Section kinds.
@@ -138,6 +139,12 @@ impl Header {
             .iter()
             .find(|s| s.kind == kind)
             .expect("validated section present")
+    }
+
+    /// The bytes of the section of `kind` within the validated `bytes`.
+    fn body<'a>(&self, bytes: &'a [u8], kind: u32) -> &'a [u8] {
+        let s = self.section(kind);
+        &bytes[s.offset as usize..(s.offset + s.len) as usize]
     }
 
     fn encode(&self) -> Vec<u8> {
@@ -347,6 +354,21 @@ fn parse_header(bytes: &[u8]) -> Result<Header, SerializeError> {
     })
 }
 
+/// Whether byte `at` of the valid `PKGMSS3` file `bytes` is padding:
+/// outside the CRC'd header and every section, so no check covers it.
+pub(crate) fn is_padding(bytes: &[u8], at: usize) -> bool {
+    let Ok(header) = parse_header(bytes) else {
+        return false;
+    };
+    let at = at as u64;
+    let header_end = (HEADER_FIXED + header.sections.len() * SECTION_ENTRY + 4) as u64;
+    at >= header_end
+        && !header
+            .sections
+            .iter()
+            .any(|s| (s.offset..s.offset + s.len).contains(&at))
+}
+
 /// Verify section CRCs: all of them (`eager_limit = None`, the resident
 /// decoder), or only sections smaller than the limit (mapped opens).
 fn verify_section_crcs(
@@ -397,7 +419,7 @@ fn i8_section(bytes: &[u8], offset: usize, n: usize) -> &[i8] {
 /// Dense rows served straight out of a mapped `PKGMSS3` region.
 #[derive(Debug, Clone)]
 pub(crate) struct MappedDense {
-    region: Arc<MmapRegion>,
+    pub(crate) region: Arc<MmapRegion>,
     table_off: usize,
     n_rows: usize,
     row_len: usize,
@@ -422,7 +444,7 @@ impl MappedDense {
 /// resident [`QuantTable`] so both backings produce bit-identical floats.
 #[derive(Debug, Clone)]
 pub(crate) struct MappedQuant {
-    region: Arc<MmapRegion>,
+    pub(crate) region: Arc<MmapRegion>,
     row_len: usize,
     block: usize,
     n_rows: usize,
@@ -564,38 +586,37 @@ pub fn snapshot_to_ss3_bytes(snapshot: &ServiceSnapshot) -> Result<Vec<u8>, Seri
 // Resident decode (full verification)
 // ---------------------------------------------------------------------------
 
-fn read_words<T: le::Word>(bytes: &[u8], s: &Section) -> Vec<T> {
-    le::to_vec(&bytes[s.offset as usize..(s.offset + s.len) as usize])
-}
-
 /// Decode `PKGMSS3` bytes into a fully resident snapshot, verifying the
-/// header CRC and **every** section CRC — the trust-nothing path
-/// `serialize::snapshot_from_bytes` dispatches to.
-pub(crate) fn snapshot_from_ss3_bytes(bytes: &[u8]) -> Result<ServiceSnapshot, SerializeError> {
+/// header CRC, **every** section CRC and the quantized values (finite
+/// nonnegative scales and row errors, sorted in-range escape ids) — the
+/// trust-nothing path. The stored fallback section is served as is.
+pub fn snapshot_from_bytes(bytes: &[u8]) -> Result<ServiceSnapshot, SerializeError> {
     let header = parse_header(bytes)?;
     verify_section_crcs(bytes, &header, None)?;
-    let fallback = read_words(bytes, header.section(SEC_FALLBACK_F32));
-    let dim = header.dim as usize;
-    let k = header.k as usize;
-    let snap = if header.quantized {
-        let data: Vec<i8> = bytes[header.section(SEC_QDATA_I8).offset as usize..]
-            [..header.section(SEC_QDATA_I8).len as usize]
-            .iter()
-            .map(|&b| b as i8)
-            .collect();
-        let scales = read_words(bytes, header.section(SEC_SCALES_F32));
-        let errs = read_words(bytes, header.section(SEC_ROWERR_F32));
-        let ids = read_words(bytes, header.section(SEC_EXACT_IDS_U32));
-        let exact_rows = read_words(bytes, header.section(SEC_EXACT_ROWS_F32));
-        let table =
-            QuantTable::from_parts(header.row_len(), header.block as usize, data, scales, errs)
-                .map_err(corrupt)?;
-        ServiceSnapshot::from_quantized_parts(dim, k, table, ids, exact_rows).map_err(corrupt)?
+    let section = |kind| header.body(bytes, kind);
+    let storage = if header.quantized {
+        let data = section(SEC_QDATA_I8).iter().map(|&b| b as i8).collect();
+        let table = QuantTable::from_parts(
+            header.row_len(),
+            header.block as usize,
+            data,
+            le::to_vec(section(SEC_SCALES_F32)),
+            le::to_vec(section(SEC_ROWERR_F32)),
+        )
+        .map_err(corrupt)?;
+        let ids = le::to_vec(section(SEC_EXACT_IDS_U32));
+        let exact_rows = le::to_vec(section(SEC_EXACT_ROWS_F32));
+        Storage::Quantized(QuantizedRows::new(table, ids, exact_rows).map_err(corrupt)?)
     } else {
-        let rows = read_words(bytes, header.section(SEC_DENSE_F32));
-        ServiceSnapshot::from_parts(dim, k, rows)
+        Storage::Dense(le::to_vec(section(SEC_DENSE_F32)))
     };
-    Ok(snap.with_shard_and_fallback(header.shard, fallback))
+    Ok(ServiceSnapshot::from_storage(
+        header.dim as usize,
+        header.k as usize,
+        storage,
+        le::to_vec(section(SEC_FALLBACK_F32)),
+        header.shard,
+    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -624,15 +645,20 @@ pub fn open_mapped_snapshot(
         path: path.to_path_buf(),
         source,
     })?;
+    if !region.bytes().starts_with(SS3_MAGIC) {
+        return Err(ArtifactError::NotSnapshot {
+            path: path.to_path_buf(),
+        });
+    }
     if cfg!(target_endian = "big") {
         // Zero-copy reinterpretation assumes little-endian storage; decode
         // resident instead so the file still serves correctly.
-        return snapshot_from_ss3_bytes(region.bytes()).map_err(|e| corrupt_at(path, e));
+        return snapshot_from_bytes(region.bytes()).map_err(|e| corrupt_at(path, e));
     }
     let header = parse_header(region.bytes()).map_err(|e| corrupt_at(path, e))?;
     verify_section_crcs(region.bytes(), &header, Some(SS3_EAGER_CRC_LIMIT))
         .map_err(|e| corrupt_at(path, e))?;
-    let fallback = read_words(region.bytes(), header.section(SEC_FALLBACK_F32));
+    let fallback = le::to_vec(header.body(region.bytes(), SEC_FALLBACK_F32));
     let dim = header.dim as usize;
     let k = header.k as usize;
     let row_len = header.row_len();
@@ -654,21 +680,7 @@ pub fn open_mapped_snapshot(
         // Escape-id ordering is what makes binary_search sound; it is
         // cheap to check (≤ n_exact reads) and not covered by the lazy
         // CRC policy for large files.
-        let ids = m.exact_ids();
-        if !ids.windows(2).all(|w| w[0] < w[1]) {
-            return Err(corrupt_at(
-                path,
-                corrupt("exact-row ids are not strictly increasing"),
-            ));
-        }
-        if let Some(&last) = ids.last() {
-            if last as usize >= n_rows {
-                return Err(corrupt_at(
-                    path,
-                    corrupt(format!("exact-row id {last} beyond the {n_rows}-row shard")),
-                ));
-            }
-        }
+        check_exact_ids(m.exact_ids(), n_rows).map_err(|e| corrupt_at(path, corrupt(e)))?;
         Storage::MappedQuantized(m)
     } else {
         Storage::MappedDense(MappedDense {
@@ -688,44 +700,25 @@ pub fn open_mapped_snapshot(
 }
 
 // ---------------------------------------------------------------------------
-// Streaming dense writer
+// Streaming writers
 // ---------------------------------------------------------------------------
 
-/// Streams a dense `PKGMSS3` shard to disk row-by-row without holding the
-/// table in memory: rows are written (and CRC'd, and mean-accumulated)
-/// as they arrive, the fallback + header land in [`Ss3DenseWriter::finish`],
-/// and the file is published with the same temp + fsync + rename dance as
-/// every other artifact. The bytes produced are identical to
-/// [`snapshot_to_ss3_bytes`] on the same rows.
-pub struct Ss3DenseWriter {
+/// A shard file being streamed: written under a temp name next to `dest`,
+/// renamed over it by [`ShardFile::publish`], deleted if dropped before.
+struct ShardFile {
     file: Option<File>,
     tmp: PathBuf,
     dest: PathBuf,
-    dim: u32,
-    k: u32,
-    shard: ShardSpec,
-    n_rows: u64,
-    rows_written: u64,
-    row_len: usize,
-    /// Pre-finalized CRC state of the dense section.
-    crc_state: u32,
-    /// Running column sums for the fallback (same accumulation order as
-    /// `snapshot::mean_row`, so the stored fallback is bit-identical to a
-    /// resident build over the same rows).
-    mean: Vec<f32>,
-    finished: bool,
+    published: bool,
 }
 
-impl Ss3DenseWriter {
-    /// Start a dense shard of exactly `n_rows` rows (must be > 0) covering
-    /// global ids `[shard.row_start, shard.row_start + n_rows)`.
-    pub fn create(
-        dest: &Path,
-        dim: usize,
-        k: usize,
-        n_rows: u64,
-        shard: ShardSpec,
-    ) -> std::io::Result<Self> {
+impl ShardFile {
+    /// Validate a shard of `n_rows` rows (must be > 0) covering global ids
+    /// `[shard.row_start, shard.row_start + n_rows)`, and open its temp
+    /// file with the cursor on the first section: the header is written
+    /// last, once every section CRC is known. The gap stays zero (file
+    /// holes read back as zeros), matching the one-shot writer's padding.
+    fn create(dest: &Path, n_rows: u64, shard: ShardSpec) -> std::io::Result<Self> {
         use std::io::{Error, ErrorKind};
         if n_rows == 0 {
             return Err(Error::new(
@@ -762,16 +755,124 @@ impl Ss3DenseWriter {
             .and_then(|n| n.to_str())
             .ok_or_else(|| Error::new(ErrorKind::InvalidInput, "destination has no file name"))?;
         let tmp = dest.with_file_name(format!(".{file_name}.tmp.{}", std::process::id()));
-        let mut file = File::create(&tmp)?;
-        // Sections start at the first page boundary; the header is written
-        // in finish() once every section CRC is known. The gap stays zero
-        // (file holes read back as zeros), matching the one-shot writer's
-        // explicit zero padding.
+        // Read + write: the quantized writer re-reads its streamed payload.
+        let mut file = std::fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&tmp)?;
         file.seek(SeekFrom::Start(PAGE))?;
         Ok(Self {
             file: Some(file),
             tmp,
             dest: dest.to_path_buf(),
+            published: false,
+        })
+    }
+
+    fn file(&mut self) -> &mut File {
+        self.file.as_mut().expect("shard file not yet published")
+    }
+
+    /// Write `header` over the first page, fsync, atomically rename into
+    /// place, and best-effort fsync the directory so the rename is durable.
+    fn publish(mut self, header: &Header) -> std::io::Result<()> {
+        let mut file = self.file.take().expect("shard file not yet published");
+        file.seek(SeekFrom::Start(0))?;
+        file.write_all(&header.encode())?;
+        file.sync_all()?;
+        drop(file);
+        std::fs::rename(&self.tmp, &self.dest)?;
+        self.published = true;
+        if let Some(parent) = self.dest.parent() {
+            let dir = if parent.as_os_str().is_empty() {
+                Path::new(".")
+            } else {
+                parent
+            };
+            if let Ok(d) = File::open(dir) {
+                let _ = d.sync_all();
+            }
+        }
+        Ok(())
+    }
+}
+
+impl Drop for ShardFile {
+    fn drop(&mut self) {
+        if !self.published {
+            drop(self.file.take());
+            let _ = std::fs::remove_file(&self.tmp);
+        }
+    }
+}
+
+/// Rows in `floats` for a writer that has `written` of `n_rows` rows:
+/// whole `row_len`-float rows, never more than declared.
+fn rows_in(floats: usize, row_len: usize, written: u64, n_rows: u64) -> std::io::Result<u64> {
+    use std::io::{Error, ErrorKind};
+    if !floats.is_multiple_of(row_len) {
+        return Err(Error::new(
+            ErrorKind::InvalidInput,
+            "rows must be whole multiples of 2*dim floats",
+        ));
+    }
+    let n = (floats / row_len) as u64;
+    if written + n > n_rows {
+        return Err(Error::new(
+            ErrorKind::InvalidInput,
+            format!("shard declared {n_rows} rows, writing more"),
+        ));
+    }
+    Ok(n)
+}
+
+/// Errors unless all `n_rows` declared rows were written.
+fn all_rows_written(written: u64, n_rows: u64) -> std::io::Result<()> {
+    if written == n_rows {
+        return Ok(());
+    }
+    Err(std::io::Error::new(
+        std::io::ErrorKind::InvalidInput,
+        format!("shard declared {n_rows} rows, only {written} written"),
+    ))
+}
+
+/// Streams a dense `PKGMSS3` shard to disk row-by-row without holding the
+/// table in memory: rows are written (and CRC'd, and mean-accumulated)
+/// as they arrive, the fallback + header land in [`Ss3DenseWriter::finish`],
+/// and the file is published with the same temp + fsync + rename dance as
+/// every other artifact. The bytes produced are identical to
+/// [`snapshot_to_ss3_bytes`] on the same rows.
+pub struct Ss3DenseWriter {
+    out: ShardFile,
+    dim: u32,
+    k: u32,
+    shard: ShardSpec,
+    n_rows: u64,
+    rows_written: u64,
+    row_len: usize,
+    /// Pre-finalized CRC state of the dense section.
+    crc_state: u32,
+    /// Running column sums for the fallback (same accumulation order as
+    /// `snapshot::mean_row`, so the stored fallback is bit-identical to a
+    /// resident build over the same rows).
+    mean: Vec<f32>,
+}
+
+impl Ss3DenseWriter {
+    /// Start a dense shard of exactly `n_rows` rows (must be > 0) covering
+    /// global ids `[shard.row_start, shard.row_start + n_rows)`.
+    pub fn create(
+        dest: &Path,
+        dim: usize,
+        k: usize,
+        n_rows: u64,
+        shard: ShardSpec,
+    ) -> std::io::Result<Self> {
+        Ok(Self {
+            out: ShardFile::create(dest, n_rows, shard)?,
             dim: dim as u32,
             k: k as u32,
             shard,
@@ -780,31 +881,14 @@ impl Ss3DenseWriter {
             row_len: 2 * dim,
             crc_state: !0u32,
             mean: vec![0.0f32; 2 * dim],
-            finished: false,
         })
     }
 
     /// Append whole rows (`rows.len()` must be a multiple of `2·dim`).
     pub fn write_rows(&mut self, rows: &[f32]) -> std::io::Result<()> {
-        use std::io::{Error, ErrorKind};
-        if !rows.len().is_multiple_of(self.row_len) {
-            return Err(Error::new(
-                ErrorKind::InvalidInput,
-                "rows must be whole multiples of 2*dim floats",
-            ));
-        }
-        let n = (rows.len() / self.row_len) as u64;
-        if self.rows_written + n > self.n_rows {
-            return Err(Error::new(
-                ErrorKind::InvalidInput,
-                format!("shard declared {} rows, writing more", self.n_rows),
-            ));
-        }
+        let n = rows_in(rows.len(), self.row_len, self.rows_written, self.n_rows)?;
         let bytes = le::as_bytes(rows);
-        self.file
-            .as_mut()
-            .expect("writer not finished")
-            .write_all(&bytes)?;
+        self.out.file().write_all(&bytes)?;
         self.crc_state = crc32_update(self.crc_state, &bytes);
         for row in rows.chunks_exact(self.row_len) {
             for (m, &x) in self.mean.iter_mut().zip(row) {
@@ -818,17 +902,7 @@ impl Ss3DenseWriter {
     /// Write the fallback section and header, fsync, and atomically rename
     /// into place. Errors if fewer rows than declared were written.
     pub fn finish(mut self) -> std::io::Result<()> {
-        use std::io::{Error, ErrorKind};
-        if self.rows_written != self.n_rows {
-            return Err(Error::new(
-                ErrorKind::InvalidInput,
-                format!(
-                    "shard declared {} rows, only {} written",
-                    self.n_rows, self.rows_written
-                ),
-            ));
-        }
-        let mut file = self.file.take().expect("writer not finished");
+        all_rows_written(self.rows_written, self.n_rows)?;
         let dense_len = self.n_rows * self.row_len as u64 * 4;
         let fb_off = align_page(PAGE + dense_len);
         let mut fallback = std::mem::take(&mut self.mean);
@@ -836,6 +910,7 @@ impl Ss3DenseWriter {
             *m /= self.n_rows as f32;
         }
         let fb_bytes = le::as_bytes(&fallback);
+        let file = self.out.file();
         file.seek(SeekFrom::Start(fb_off))?;
         file.write_all(&fb_bytes)?;
         let header = Header {
@@ -861,33 +936,7 @@ impl Ss3DenseWriter {
                 },
             ],
         };
-        file.seek(SeekFrom::Start(0))?;
-        file.write_all(&header.encode())?;
-        file.sync_all()?;
-        drop(file);
-        std::fs::rename(&self.tmp, &self.dest)?;
-        self.finished = true;
-        // Best-effort directory fsync so the rename itself is durable.
-        if let Some(parent) = self.dest.parent() {
-            let dir = if parent.as_os_str().is_empty() {
-                Path::new(".")
-            } else {
-                parent
-            };
-            if let Ok(d) = File::open(dir) {
-                let _ = d.sync_all();
-            }
-        }
-        Ok(())
-    }
-}
-
-impl Drop for Ss3DenseWriter {
-    fn drop(&mut self) {
-        if !self.finished {
-            drop(self.file.take());
-            let _ = std::fs::remove_file(&self.tmp);
-        }
+        self.out.publish(&header)
     }
 }
 
@@ -908,9 +957,7 @@ impl Drop for Ss3DenseWriter {
 /// `shard.quantize()` on the same rows, so int8 shards still map zero-copy
 /// through [`open_mapped_snapshot`].
 pub struct Ss3QuantWriter {
-    file: Option<File>,
-    tmp: PathBuf,
-    dest: PathBuf,
+    out: ShardFile,
     dim: u32,
     k: u32,
     shard: ShardSpec,
@@ -927,7 +974,6 @@ pub struct Ss3QuantWriter {
     /// Quantized bytes of the `write_rows` call in flight, kept between
     /// calls so a row-at-a-time caller does not allocate per row.
     qbuf: Vec<u8>,
-    finished: bool,
 }
 
 impl Ss3QuantWriter {
@@ -940,58 +986,12 @@ impl Ss3QuantWriter {
         n_rows: u64,
         shard: ShardSpec,
     ) -> std::io::Result<Self> {
-        use std::io::{Error, ErrorKind};
-        if n_rows == 0 {
-            return Err(Error::new(
-                ErrorKind::InvalidInput,
-                "refusing to write a zero-row PKGMSS3 shard",
-            ));
-        }
-        if shard.n_shards == 0 || shard.shard_id >= shard.n_shards {
-            return Err(Error::new(
-                ErrorKind::InvalidInput,
-                format!(
-                    "invalid shard spec: shard {} of {}",
-                    shard.shard_id, shard.n_shards
-                ),
-            ));
-        }
-        if shard
-            .row_start
-            .checked_add(n_rows)
-            .is_none_or(|e| e > u64::from(u32::MAX) + 1)
-        {
-            return Err(Error::new(
-                ErrorKind::InvalidInput,
-                "shard row range exceeds the u32 id space",
-            ));
-        }
-        if let Some(parent) = dest.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        let file_name = dest
-            .file_name()
-            .and_then(|n| n.to_str())
-            .ok_or_else(|| Error::new(ErrorKind::InvalidInput, "destination has no file name"))?;
-        let tmp = dest.with_file_name(format!(".{file_name}.tmp.{}", std::process::id()));
-        // Read + write: finish() re-reads the streamed QDATA payload to
-        // rebuild the served-row mean without the dense table.
-        let mut file = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&tmp)?;
-        file.seek(SeekFrom::Start(PAGE))?;
+        let out = ShardFile::create(dest, n_rows, shard)?;
         let row_len = 2 * dim;
         let block = crate::quant::QUANT_BLOCK.min(row_len);
         let nb = row_len.div_ceil(block);
         Ok(Self {
-            file: Some(file),
-            tmp,
-            dest: dest.to_path_buf(),
+            out,
             dim: dim as u32,
             k: k as u32,
             shard,
@@ -1003,7 +1003,6 @@ impl Ss3QuantWriter {
             scales: Vec::with_capacity((n_rows as usize).saturating_mul(nb)),
             row_errs: Vec::with_capacity(n_rows as usize),
             qbuf: Vec::new(),
-            finished: false,
         })
     }
 
@@ -1012,20 +1011,7 @@ impl Ss3QuantWriter {
     /// [`QuantTable::quantize_table`] so the streamed payload is
     /// bit-identical to a one-shot quantization of the same table.
     pub fn write_rows(&mut self, rows: &[f32]) -> std::io::Result<()> {
-        use std::io::{Error, ErrorKind};
-        if !rows.len().is_multiple_of(self.row_len) {
-            return Err(Error::new(
-                ErrorKind::InvalidInput,
-                "rows must be whole multiples of 2*dim floats",
-            ));
-        }
-        let n = (rows.len() / self.row_len) as u64;
-        if self.rows_written + n > self.n_rows {
-            return Err(Error::new(
-                ErrorKind::InvalidInput,
-                format!("shard declared {} rows, writing more", self.n_rows),
-            ));
-        }
+        let n = rows_in(rows.len(), self.row_len, self.rows_written, self.n_rows)?;
         let mut bytes = std::mem::take(&mut self.qbuf);
         bytes.clear();
         bytes.reserve(rows.len());
@@ -1047,10 +1033,7 @@ impl Ss3QuantWriter {
             }
             self.row_errs.push(err * quant::ERR_INFLATE);
         }
-        self.file
-            .as_mut()
-            .expect("writer not finished")
-            .write_all(&bytes)?;
+        self.out.file().write_all(&bytes)?;
         self.crc_state = crc32_update(self.crc_state, &bytes);
         self.qbuf = bytes;
         self.rows_written += n;
@@ -1062,17 +1045,9 @@ impl Ss3QuantWriter {
     /// fallback in one sequential re-read of the quantized payload, then
     /// write the metadata sections + header, fsync and atomically rename.
     pub fn finish(mut self, mut exact_row: impl FnMut(u64, &mut [f32])) -> std::io::Result<()> {
-        use std::io::{Error, ErrorKind, Read};
-        if self.rows_written != self.n_rows {
-            return Err(Error::new(
-                ErrorKind::InvalidInput,
-                format!(
-                    "shard declared {} rows, only {} written",
-                    self.n_rows, self.rows_written
-                ),
-            ));
-        }
-        let mut file = self.file.take().expect("writer not finished");
+        use std::io::Read;
+        all_rows_written(self.rows_written, self.n_rows)?;
+        let file = self.out.file();
         let n_rows = self.n_rows as usize;
         let row_len = self.row_len;
         let nb = row_len.div_ceil(self.block);
@@ -1109,7 +1084,7 @@ impl Ss3QuantWriter {
         let mut qrow = vec![0i8; row_len];
         file.seek(SeekFrom::Start(PAGE))?;
         {
-            let mut reader = std::io::BufReader::with_capacity(1 << 20, &mut file);
+            let mut reader = std::io::BufReader::with_capacity(1 << 20, &mut *file);
             let mut next_escape = 0usize;
             for id in 0..n_rows {
                 reader.read_exact(&mut qrow_u8)?;
@@ -1188,32 +1163,7 @@ impl Ss3QuantWriter {
             n_exact: escapes.len() as u64,
             sections,
         };
-        file.seek(SeekFrom::Start(0))?;
-        file.write_all(&header.encode())?;
-        file.sync_all()?;
-        drop(file);
-        std::fs::rename(&self.tmp, &self.dest)?;
-        self.finished = true;
-        if let Some(parent) = self.dest.parent() {
-            let dir = if parent.as_os_str().is_empty() {
-                Path::new(".")
-            } else {
-                parent
-            };
-            if let Ok(d) = File::open(dir) {
-                let _ = d.sync_all();
-            }
-        }
-        Ok(())
-    }
-}
-
-impl Drop for Ss3QuantWriter {
-    fn drop(&mut self) {
-        if !self.finished {
-            drop(self.file.take());
-            let _ = std::fs::remove_file(&self.tmp);
-        }
+        self.out.publish(&header)
     }
 }
 
@@ -1322,8 +1272,8 @@ mod tests {
 
     #[test]
     fn quantized_shard_roundtrip_serves_identical_condensed_rows() {
-        // The CLI's `snapshot --format ss3 --shards N --quantize true` flow:
-        // slice the dense table, quantize the slice, write, open mapped.
+        // A quantized shard: slice the dense table, quantize the slice,
+        // write, open mapped.
         let snap = ServiceSnapshot::build(&service_n(200));
         let ranges = shard_ranges(snap.n_rows() as u64, 2);
         let (spec, len) = ranges[1];
@@ -1458,6 +1408,58 @@ mod tests {
                     assert!(!shard.lookup_exact(EntityId(id), &mut got));
                     assert_eq!(got.as_slice(), shard.fallback_row());
                 }
+            }
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    /// Replace the body of section `kind` with `body` (same length) and
+    /// re-sign its CRC and the header, so only value checks can object.
+    fn patch_section(bytes: &mut [u8], kind: u32, body: &[u8]) {
+        let mut header = parse_header(bytes).unwrap();
+        let s = header.sections.iter_mut().find(|s| s.kind == kind).unwrap();
+        bytes[s.offset as usize..][..body.len()].copy_from_slice(body);
+        s.crc = crc32(body);
+        let hbytes = header.encode();
+        bytes[..hbytes.len()].copy_from_slice(&hbytes);
+    }
+
+    #[test]
+    fn resident_decode_rejects_invalid_quantized_values() {
+        let snap = ServiceSnapshot::build(&service_n(40)).quantize();
+        let bytes = snapshot_to_ss3_bytes(&snap).unwrap();
+        let header = parse_header(&bytes).unwrap();
+        for kind in [SEC_SCALES_F32, SEC_ROWERR_F32] {
+            for val in [f32::NAN, -1.0f32, f32::INFINITY] {
+                let mut body = header.body(&bytes, kind).to_vec();
+                body[..4].copy_from_slice(&val.to_le_bytes());
+                let mut bad = bytes.clone();
+                patch_section(&mut bad, kind, &body);
+                assert!(
+                    crate::serialize::snapshot_from_bytes(&bad).is_err(),
+                    "section {kind} value {val}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn both_decoders_serve_the_stored_fallback() {
+        for snap in [
+            ServiceSnapshot::build(&service_n(40)),
+            ServiceSnapshot::build(&service_n(40)).quantize(),
+        ] {
+            let mut bytes = snapshot_to_ss3_bytes(&snap).unwrap();
+            let stored: Vec<f32> = (0..2 * snap.dim()).map(|i| i as f32 + 0.5).collect();
+            patch_section(&mut bytes, SEC_FALLBACK_F32, &le::as_bytes(&stored));
+            let path = temp_path("fallback");
+            std::fs::write(&path, &bytes).unwrap();
+            let resident = crate::serialize::snapshot_from_bytes(&bytes).unwrap();
+            let mapped = open_mapped_snapshot(&path, true).unwrap();
+            for loaded in [&resident, &mapped] {
+                let mut row = Vec::new();
+                assert!(!loaded.lookup_exact(EntityId(u32::MAX), &mut row));
+                assert_eq!(row, stored);
             }
             std::fs::remove_file(&path).ok();
         }

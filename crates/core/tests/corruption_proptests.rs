@@ -6,16 +6,28 @@
 //! redundancy — but they must not panic, and truncation must always error.
 //! The artifact framing adds a CRC32, which upgrades the guarantee: *any*
 //! single corrupted byte and *any* truncation is rejected on load.
+//!
+//! Serving snapshots are `PKGMSS3` files, checked through both loaders:
+//! a corrupted file is a typed error or serves exactly the original rows
+//! (a byte of the unchecksummed zero padding between sections).
 
-use pkgm_core::artifact::{self, ArtifactKind};
+mod common;
+
+use common::{find_section, lookup_bits, probe_ids, resign_header};
+use pkgm_core::artifact::{self, crc32, ArtifactKind};
 use pkgm_core::serialize::{
     model_from_bytes, model_to_bytes, service_from_bytes, service_to_bytes, snapshot_from_bytes,
-    snapshot_to_bytes,
 };
-use pkgm_core::{KnowledgeService, PkgmConfig, PkgmModel, ServiceSnapshot};
+use pkgm_core::{
+    open_mapped_snapshot, snapshot_to_ss3_bytes, KnowledgeService, PkgmConfig, PkgmModel,
+    ServiceSnapshot,
+};
 use pkgm_store::{EntityId, KeyRelationSelector, StoreBuilder};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
+
+/// `PKGMSS3` section kind of the quantization scales.
+const SEC_SCALES_F32: u32 = 4;
 
 fn fixture() -> (PkgmModel, KnowledgeService, ServiceSnapshot) {
     let mut b = StoreBuilder::new();
@@ -87,6 +99,45 @@ fn check_framed(
     Ok(())
 }
 
+/// A `PKGMSS3` file cut to `cut` bytes, or with byte `at` set to `to`,
+/// through the resident decoder and the mapped open: a typed error, or
+/// (never for a cut) lookups bit-equal to the original over
+/// [`probe_ids`]. Any panic fails the test.
+fn check_ss3(
+    snapshot: &ServiceSnapshot,
+    cut: usize,
+    at: usize,
+    to: u8,
+) -> Result<(), TestCaseError> {
+    let bytes = snapshot_to_ss3_bytes(snapshot).expect("fixture snapshot has rows");
+    let ids = probe_ids(snapshot);
+    let want = lookup_bits(snapshot, &ids);
+    let mut mangled = bytes.clone();
+    mangled[at % bytes.len()] = to;
+    let path = std::env::temp_dir().join(format!(
+        "pkgm-corruption-{}-{at}-{to}.ss3",
+        std::process::id()
+    ));
+    for (truncated, b) in [(true, &bytes[..cut % bytes.len()]), (false, &mangled[..])] {
+        std::fs::write(&path, b).unwrap();
+        let loads = [
+            snapshot_from_bytes(b).ok(),
+            open_mapped_snapshot(&path, true).ok(),
+        ];
+        for snap in loads.into_iter().flatten() {
+            prop_assert!(!truncated, "a file cut to {} bytes loaded", b.len());
+            prop_assert!(
+                lookup_bits(&snap, &ids) == want,
+                "byte {} set to {} changed a served row",
+                at,
+                to
+            );
+        }
+    }
+    let _ = std::fs::remove_file(&path);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -107,40 +158,35 @@ proptest! {
     }
 
     #[test]
-    fn snapshot_decoder_never_panics(cut in 0usize..4096, at in 0usize..4096, to in 0u32..256) {
+    fn snapshot_decoder_never_panics(cut in 0usize..1 << 16, at in 0usize..1 << 16, to in 0u32..256) {
         let (_, _, snapshot) = fixture();
-        let bytes = snapshot_to_bytes(&snapshot);
-        check_raw(&bytes, snapshot_from_bytes, cut, at, to as u8)?;
-        check_framed(ArtifactKind::Snapshot, &bytes, cut, at, to as u8)?;
+        check_ss3(&snapshot, cut, at, to as u8)?;
     }
 
-    /// The quantized `PKGMSS2` frame takes the same contract as the dense
-    /// one — and its decoder validates more than raw f32 payloads do, so
-    /// flipped bytes inside the scales section (NaN/negative/huge scales)
-    /// must surface as typed errors even without the CRC.
+    /// The quantized file takes the same contract as the dense one — and
+    /// its resident decoder validates values, not just CRCs: a scale whose
+    /// sign is flipped, with both CRCs re-signed to match, must still be
+    /// a typed error rather than a silently wrong table.
     #[test]
     fn quantized_snapshot_decoder_never_panics(
-        cut in 0usize..4096,
-        at in 0usize..4096,
+        cut in 0usize..1 << 16,
+        at in 0usize..1 << 16,
         to in 0u32..256,
     ) {
         let (_, _, snapshot) = fixture();
         let quant = snapshot.quantize();
-        let bytes = snapshot_to_bytes(&quant);
-        check_raw(&bytes, snapshot_from_bytes, cut, at, to as u8)?;
-        check_framed(ArtifactKind::Snapshot, &bytes, cut, at, to as u8)?;
-        // Target the scales section specifically: force a sign-bit flip on
-        // one scale float, which makes it negative (or NaN) and must be
-        // rejected by value validation, not just fail to round-trip.
-        let row_len = 2 * 8; // fixture dim
-        let n_rows = snapshot.n_rows();
-        let scales_start = 36 + n_rows * row_len;
-        let mut mangled = bytes.to_vec();
-        let slot = scales_start + (at % n_rows) * 4 + 3;
+        check_ss3(&quant, cut, at, to as u8)?;
+        let mut mangled = snapshot_to_ss3_bytes(&quant).unwrap();
+        let (entry, offset, len) = find_section(&mangled, SEC_SCALES_F32);
+        let slot = offset as usize + (at % (len as usize / 4)) * 4 + 3;
         // A zero scale sign-flips to -0.0, which still satisfies `>= 0`;
         // require exponent bits so the flip lands strictly below zero.
-        if slot < mangled.len() && mangled[slot] & 0x7F != 0 {
+        if mangled[slot] & 0x7F != 0 {
             mangled[slot] ^= 0x80;
+            let body = &mangled[offset as usize..(offset + len) as usize];
+            let crc = crc32(body);
+            mangled[entry + 4..entry + 8].copy_from_slice(&crc.to_le_bytes());
+            resign_header(&mut mangled);
             prop_assert!(
                 snapshot_from_bytes(&mangled).is_err(),
                 "negative scale at byte {} went undetected",

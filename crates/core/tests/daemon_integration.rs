@@ -1,6 +1,7 @@
 //! End-to-end daemon tests: a real TCP daemon on an ephemeral port, real
 //! clients, hot-swaps under live traffic, and hostile byte streams.
 
+use pkgm_core::artifact;
 use pkgm_core::model::{PkgmConfig, PkgmModel};
 use pkgm_core::protocol::{self, Response};
 use pkgm_core::serialize;
@@ -102,8 +103,8 @@ fn hot_swap_under_load_loses_no_lookups_and_keeps_rows_bit_identical() {
     let snap_a = dir.join("a.pkgmss");
     let snap_b = dir.join("b.pkgmss");
     let snap = ServiceSnapshot::build(&svc);
-    serialize::write_snapshot_file(&StdIo, &snap_a, &snap).unwrap();
-    serialize::write_snapshot_file(&StdIo, &snap_b, &snap).unwrap();
+    serialize::write_snapshot_ss3_file(&StdIo, &snap_a, &snap).unwrap();
+    serialize::write_snapshot_ss3_file(&StdIo, &snap_b, &snap).unwrap();
 
     let mut reference = Vec::new();
     let baseline: Vec<Vec<u32>> = (0..N_ITEMS)
@@ -189,9 +190,9 @@ fn reload_of_corrupt_snapshot_is_rejected_and_serving_continues() {
     let addr = daemon.local_addr().to_string();
     let dir = tmpdir("corrupt");
 
-    // Truncated artifact: CRC framing must reject it.
+    // Truncated snapshot: the section bounds must reject it.
     let good = dir.join("good.pkgmss");
-    serialize::write_snapshot_file(&StdIo, &good, &ServiceSnapshot::build(&svc)).unwrap();
+    serialize::write_snapshot_ss3_file(&StdIo, &good, &ServiceSnapshot::build(&svc)).unwrap();
     let bytes = std::fs::read(&good).unwrap();
     let bad = dir.join("bad.pkgmss");
     std::fs::write(&bad, &bytes[..bytes.len() / 2]).unwrap();
@@ -215,7 +216,7 @@ fn reload_of_corrupt_snapshot_is_rejected_and_serving_continues() {
         KeyRelationSelector::build(&store, &[(EntityId(0), 0)], 1, 1),
     );
     let other_dim = dir.join("wide.pkgmss");
-    serialize::write_snapshot_file(&StdIo, &other_dim, &ServiceSnapshot::build(&wide)).unwrap();
+    serialize::write_snapshot_ss3_file(&StdIo, &other_dim, &ServiceSnapshot::build(&wide)).unwrap();
     match client.reload(other_dim.to_str().unwrap()) {
         Err(ClientError::Server(msg)) => assert!(
             msg.contains(&format!("does not match serving dim {DIM}")),
@@ -231,6 +232,68 @@ fn reload_of_corrupt_snapshot_is_rejected_and_serving_continues() {
     assert_eq!(daemon.swaps(), 0);
     let rows = client.lookup(&[0, 1, 2]).unwrap();
     assert_eq!(rows.len(), 3);
+    client.shutdown().unwrap();
+    daemon.wait();
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn reload_of_a_retired_format_is_refused_and_serving_is_unchanged() {
+    let svc = service(9);
+    let daemon = start_daemon(&svc);
+    let addr = daemon.local_addr().to_string();
+    let dir = tmpdir("retired");
+    let mut client = DaemonClient::connect(&addr).unwrap();
+    // Serve a mapped PKGMSS3 file first: that is the snapshot to keep.
+    let good = dir.join("good.ss3");
+    serialize::write_snapshot_ss3_file(&StdIo, &good, &ServiceSnapshot::build(&svc)).unwrap();
+    client.reload(good.to_str().unwrap()).unwrap();
+    let items: Vec<u32> = (0..N_ITEMS + 8).collect();
+    let bits = |rows: Vec<Vec<f32>>| -> Vec<Vec<u32>> {
+        rows.iter()
+            .map(|r| r.iter().map(|x| x.to_bits()).collect())
+            .collect()
+    };
+    let before = bits(client.lookup(&items).unwrap());
+
+    // What older builds wrote: the SS1/SS2 row streams (magic
+    // "PKGMSS{n}\0", dim, k, n_rows, rows), a PKGMAF1 frame of the retired
+    // snapshot kind 3, and an unframed payload.
+    let stream = |n: u32| {
+        let mut b = format!("PKGMSS{n}\0").into_bytes();
+        b.extend_from_slice(&(DIM as u32).to_le_bytes());
+        b.extend_from_slice(&1u32.to_le_bytes()); // k
+        b.extend_from_slice(&1u64.to_le_bytes()); // n_rows
+        b.extend_from_slice(&[0u8; 2 * DIM * 4]);
+        b
+    };
+    let payload = serialize::model_to_bytes(svc.model());
+    let mut kind3 = artifact::ARTIFACT_MAGIC.to_vec();
+    kind3.extend_from_slice(&artifact::ARTIFACT_VERSION.to_le_bytes());
+    kind3.extend_from_slice(&3u32.to_le_bytes());
+    kind3.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    kind3.extend_from_slice(&artifact::crc32(&payload).to_le_bytes());
+    kind3.extend_from_slice(&payload);
+    let retired = [
+        ("ss1", stream(1)),
+        ("ss2", stream(2)),
+        ("kind3", kind3),
+        ("raw", payload.to_vec()),
+    ];
+    for (name, bytes) in retired {
+        let path = dir.join(name);
+        std::fs::write(&path, bytes).unwrap();
+        match client.reload(path.to_str().unwrap()) {
+            Err(ClientError::Server(msg)) => {
+                assert!(msg.contains("not a PKGMSS3 snapshot"), "{name}: {msg}")
+            }
+            other => panic!("{name}: a retired-format reload must fail, got {other:?}"),
+        }
+    }
+
+    // Only the good reload swapped; the mapped table serves the same bits.
+    assert_eq!(daemon.swaps(), 1);
+    assert_eq!(bits(client.lookup(&items).unwrap()), before);
     client.shutdown().unwrap();
     daemon.wait();
     let _ = std::fs::remove_dir_all(dir);

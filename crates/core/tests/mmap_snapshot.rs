@@ -3,12 +3,17 @@
 //! The out-of-core contract: hostile bytes surface as **typed errors
 //! through both backings** — the zero-copy mapped open (real mmap and its
 //! heap fallback) and the fully-resident decoder — and never as panics.
-//! A second property pins format interchange: the same logical snapshot
-//! written as legacy `PKGMSS2`/`PKGMSNP1` bytes and as `PKGMSS3` must
-//! answer `lookup_exact` bit-identically, whichever backing serves it.
+//! A second property pins backing interchange: a snapshot written as
+//! `PKGMSS3` answers `lookup_exact` bit-identically to the in-memory
+//! table, whichever backing serves it.
 
-use pkgm_core::artifact::crc32;
-use pkgm_core::serialize::{snapshot_from_bytes, snapshot_to_bytes};
+mod common;
+
+use common::{
+    find_section, lookup_bits, probe_ids, resign_header, HEADER_FIXED, OFF_N_SECTIONS,
+    SECTION_ENTRY,
+};
+use pkgm_core::serialize::snapshot_from_bytes;
 use pkgm_core::{
     open_mapped_snapshot, snapshot_to_ss3_bytes, KnowledgeService, PkgmConfig, PkgmModel,
     ServiceSnapshot,
@@ -23,9 +28,6 @@ const OFF_FLAGS: usize = 12;
 const OFF_N_ROWS: usize = 24;
 const OFF_ROW_START: usize = 32;
 const OFF_N_SHARDS: usize = 40;
-const OFF_N_SECTIONS: usize = 52;
-const HEADER_FIXED: usize = 64;
-const SECTION_ENTRY: usize = 24;
 const SEC_FALLBACK_F32: u32 = 2;
 
 fn fixture(seed: u64) -> ServiceSnapshot {
@@ -49,37 +51,6 @@ fn tmpfile(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("pkgm-mmap-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir.join(name)
-}
-
-/// Recompute the header CRC after a deliberate header patch, so the test
-/// exercises the *semantic* validation rather than the checksum.
-fn resign_header(bytes: &mut [u8]) {
-    let n_sections = u32::from_le_bytes(
-        bytes[OFF_N_SECTIONS..OFF_N_SECTIONS + 4]
-            .try_into()
-            .unwrap(),
-    ) as usize;
-    let table_end = HEADER_FIXED + n_sections * SECTION_ENTRY;
-    let crc = crc32(&bytes[..table_end]);
-    bytes[table_end..table_end + 4].copy_from_slice(&crc.to_le_bytes());
-}
-
-/// Section-table entry for `kind`: (entry offset, data offset, data len).
-fn find_section(bytes: &[u8], kind: u32) -> (usize, u64, u64) {
-    let n_sections = u32::from_le_bytes(
-        bytes[OFF_N_SECTIONS..OFF_N_SECTIONS + 4]
-            .try_into()
-            .unwrap(),
-    ) as usize;
-    for i in 0..n_sections {
-        let e = HEADER_FIXED + i * SECTION_ENTRY;
-        if u32::from_le_bytes(bytes[e..e + 4].try_into().unwrap()) == kind {
-            let offset = u64::from_le_bytes(bytes[e + 8..e + 16].try_into().unwrap());
-            let len = u64::from_le_bytes(bytes[e + 16..e + 24].try_into().unwrap());
-            return (e, offset, len);
-        }
-    }
-    panic!("section kind {kind} not present");
 }
 
 /// Every backing must reject `bytes` with a typed error: the resident
@@ -238,30 +209,13 @@ fn degenerate_headers_are_rejected() {
     assert_rejected_everywhere("magic.ss3", &bad, "a wrong magic");
 }
 
-/// All ids a fixture snapshot can answer, plus misses on either side.
-fn probe_ids(snap: &ServiceSnapshot) -> Vec<u32> {
-    let n = snap.n_rows() as u32;
-    (0..n).chain([n, n + 17, u32::MAX]).collect()
-}
-
-fn lookup_bits(snap: &ServiceSnapshot, ids: &[u32]) -> Vec<(bool, Vec<u32>)> {
-    let mut row = Vec::new();
-    ids.iter()
-        .map(|&id| {
-            let exact = snap.lookup_exact(EntityId(id), &mut row);
-            (exact, row.iter().map(|x| x.to_bits()).collect())
-        })
-        .collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The legacy resident formats (`PKGMSNP1` dense / `PKGMSS2` quantized)
-    /// and `PKGMSS3` under every backing answer `lookup_exact` with
-    /// bit-identical rows and identical exact/fallback verdicts.
+    /// `PKGMSS3` under every backing answers `lookup_exact` with the
+    /// in-memory table's rows, bit for bit, and its exact/fallback verdicts.
     #[test]
-    fn ss3_lookup_exact_matches_legacy_formats_bit_for_bit(
+    fn ss3_lookup_exact_matches_the_built_table_bit_for_bit(
         seed in 0u64..1000,
         quant in 0u32..2,
     ) {
@@ -270,11 +224,7 @@ proptest! {
         let ids = probe_ids(&snap);
         let want = lookup_bits(&snap, &ids);
 
-        // Legacy bytes → resident decode.
-        let legacy = snapshot_from_bytes(&snapshot_to_bytes(&snap)).unwrap();
-        prop_assert_eq!(&lookup_bits(&legacy, &ids), &want);
-
-        // SS3 bytes → resident decode (dispatched on the SS3 magic).
+        // SS3 bytes → resident decode.
         let bytes = snapshot_to_ss3_bytes(&snap).unwrap();
         let resident = snapshot_from_bytes(&bytes).unwrap();
         prop_assert_eq!(&lookup_bits(&resident, &ids), &want);
