@@ -320,8 +320,9 @@ fn router_route(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     println!("{}", serde_json::to_string(&rows_bits_json(&items, &rows))?);
     let stats = router.stats();
     eprintln!(
-        "[pkgm] routed as {} sub-lookup(s), {} redirect(s), {} map load(s)",
-        stats.sub_lookups, stats.redirects, stats.map_loads
+        "[pkgm] routed as {} sub-lookup(s), {} redirect(s), {} map load(s), \
+         {} retries, {} give-ups",
+        stats.sub_lookups, stats.redirects, stats.map_loads, stats.retries, stats.give_ups
     );
     Ok(())
 }

@@ -1176,12 +1176,25 @@ impl DaemonClient {
     /// daemon may have executed the request even though the response never
     /// arrived.
     pub fn attempt(&mut self, req: &Request) -> Result<Response, AttemptError> {
-        if let Err(e) = protocol::write_frame(&mut self.writer, &protocol::encode_request(req)) {
-            return Err(AttemptError {
+        self.send(req)?;
+        self.receive()
+    }
+
+    /// The write half of [`DaemonClient::attempt`]: hand the request frame
+    /// to the kernel. Every failure here is `request_sent == false`.
+    pub fn send(&mut self, req: &Request) -> Result<(), AttemptError> {
+        protocol::write_frame(&mut self.writer, &protocol::encode_request(req)).map_err(|e| {
+            AttemptError {
                 error: e.into(),
                 request_sent: false,
-            });
-        }
+            }
+        })
+    }
+
+    /// The read half of [`DaemonClient::attempt`]: the reply to the request
+    /// [`DaemonClient::send`] wrote. Every failure here is
+    /// `request_sent == true`.
+    pub fn receive(&mut self) -> Result<Response, AttemptError> {
         let sent = |error: ClientError| AttemptError {
             error,
             request_sent: true,

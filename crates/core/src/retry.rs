@@ -277,7 +277,8 @@ impl RetryClient {
 
     /// Condensed service vectors for `items`, retried under the policy.
     pub fn lookup(&mut self, items: &[u32]) -> Result<Vec<Vec<f32>>, RetryError> {
-        self.call(Request::Lookup(items.to_vec()), items.len(), None)
+        let call = self.send(Request::Lookup(items.to_vec()), items.len(), None);
+        self.finish(call)
     }
 
     /// Deadline-budgeted lookup: the budget rides in the request frame
@@ -292,17 +293,14 @@ impl RetryClient {
             budget_micros: budget.as_micros().min(u64::MAX as u128) as u64,
             items: items.to_vec(),
         };
-        self.call(req, items.len(), Some(budget))
+        let call = self.send(req, items.len(), Some(budget));
+        self.finish(call)
     }
 
-    /// Run one logical request through connect → attempt → classify →
-    /// decide, sleeping between retries.
-    fn call(
-        &mut self,
-        req: Request,
-        n_items: usize,
-        deadline_budget: Option<Duration>,
-    ) -> Result<Vec<Vec<f32>>, RetryError> {
+    /// The retry policy of this client's next logical request: the
+    /// client's policy with a per-call jitter seed, its budget shrunk to
+    /// `deadline_budget`.
+    pub(crate) fn call_policy(&mut self, deadline_budget: Option<Duration>) -> RetryPolicy {
         self.calls += 1;
         let mut policy = self.policy.clone();
         // Derive a per-call jitter stream so concurrent clients sharing a
@@ -314,12 +312,39 @@ impl RetryClient {
                 None => budget,
             });
         }
+        policy
+    }
+
+    /// Start one logical request: write it as attempt 1 of its retry
+    /// schedule and return without reading the reply. [`RetryClient::finish`]
+    /// reads it; until then this client's connection carries an unread
+    /// reply, so a caller that abandons the call must
+    /// [`RetryClient::disconnect`].
+    pub(crate) fn send(
+        &mut self,
+        req: Request,
+        n_items: usize,
+        deadline_budget: Option<Duration>,
+    ) -> Call {
+        let policy = self.call_policy(deadline_budget);
         let start = Instant::now();
-        let mut decider = RetryDecider::new(policy.clone());
-        let mut attempts = 0u32;
+        let sent = self.send_once(&req, &policy, start);
+        Call {
+            req,
+            n_items,
+            decider: RetryDecider::new(policy),
+            start,
+            attempts: 1,
+            sent,
+        }
+    }
+
+    /// Read the reply to `call`, then classify → decide, sleeping and
+    /// re-sending between retries on the schedule [`RetryClient::send`]
+    /// started.
+    pub(crate) fn finish(&mut self, mut call: Call) -> Result<Vec<Vec<f32>>, RetryError> {
         loop {
-            attempts += 1;
-            let error = match self.attempt_once(&req, n_items, &policy, start) {
+            let error = match call.sent.and_then(|()| self.receive_once(call.n_items)) {
                 Ok(rows) => return Ok(rows),
                 Err(e) => e,
             };
@@ -327,10 +352,12 @@ impl RetryClient {
                 AttemptFailure::Connect(_) => FailureKind::Connect,
                 AttemptFailure::Request(a) => FailureKind::classify(a),
             };
-            match decider.decide(kind, start.elapsed()) {
+            match call.decider.decide(kind, call.start.elapsed()) {
                 Decision::Retry { backoff } => {
                     self.stats.retries += 1;
                     std::thread::sleep(backoff);
+                    call.attempts += 1;
+                    call.sent = self.send_once(&call.req, &call.decider.policy, call.start);
                 }
                 Decision::GiveUp(reason) => {
                     self.stats.give_ups += 1;
@@ -341,22 +368,27 @@ impl RetryClient {
                     return Err(RetryError {
                         last,
                         reason,
-                        attempts,
+                        attempts: call.attempts,
                     });
                 }
             }
         }
     }
 
-    /// One attempt: (re)connect if needed, bound the socket timeout by the
-    /// remaining budget, send, and validate the row shape.
-    fn attempt_once(
+    /// Drop the connection, and with it any reply still unread on it, so
+    /// the next call reconnects instead of reading a stale frame.
+    pub(crate) fn disconnect(&mut self) {
+        self.client = None;
+    }
+
+    /// The write half of one attempt: (re)connect if needed, bound the
+    /// socket timeout by the remaining budget, and send.
+    fn send_once(
         &mut self,
         req: &Request,
-        n_items: usize,
         policy: &RetryPolicy,
         start: Instant,
-    ) -> Result<Vec<Vec<f32>>, AttemptFailure> {
+    ) -> Result<(), AttemptFailure> {
         // Per-attempt socket timeout: the default, shrunk to whatever of
         // the deadline budget remains.
         let timeout = match policy.budget {
@@ -386,31 +418,49 @@ impl RetryClient {
             self.client = None;
             return Err(AttemptFailure::Connect(e));
         }
-        match client.attempt(req) {
-            Ok(crate::protocol::Response::Rows { rows, .. }) => {
-                if rows.len() == n_items {
-                    Ok(rows)
-                } else {
-                    Err(AttemptFailure::Request(AttemptError {
-                        error: ClientError::Unexpected("row count mismatch"),
-                        request_sent: true,
-                    }))
-                }
-            }
-            Ok(_) => Err(AttemptFailure::Request(AttemptError {
-                error: ClientError::Unexpected("lookup expects rows"),
+        client.send(req).map_err(|e| self.poisoned(e))
+    }
+
+    /// The read half of one attempt: the reply, validated to `n_items` rows.
+    fn receive_once(&mut self, n_items: usize) -> Result<Vec<Vec<f32>>, AttemptFailure> {
+        let client = self
+            .client
+            .as_mut()
+            .expect("a sent request has a connection");
+        let unexpected = |why| {
+            AttemptFailure::Request(AttemptError {
+                error: ClientError::Unexpected(why),
                 request_sent: true,
-            })),
-            Err(e) => {
-                // Transport and protocol failures poison the connection's
-                // framing; reconnect on the next attempt.
-                if matches!(e.error, ClientError::Io(_) | ClientError::Protocol(_)) {
-                    self.client = None;
-                }
-                Err(AttemptFailure::Request(e))
-            }
+            })
+        };
+        match client.receive() {
+            Ok(crate::protocol::Response::Rows { rows, .. }) if rows.len() == n_items => Ok(rows),
+            Ok(crate::protocol::Response::Rows { .. }) => Err(unexpected("row count mismatch")),
+            Ok(_) => Err(unexpected("lookup expects rows")),
+            Err(e) => Err(self.poisoned(e)),
         }
     }
+
+    /// Transport and protocol failures poison the connection's framing;
+    /// drop it so the next attempt reconnects.
+    fn poisoned(&mut self, e: AttemptError) -> AttemptFailure {
+        if matches!(e.error, ClientError::Io(_) | ClientError::Protocol(_)) {
+            self.client = None;
+        }
+        AttemptFailure::Request(e)
+    }
+}
+
+/// A logical request [`RetryClient::send`] has written and
+/// [`RetryClient::finish`] has yet to read: its retry schedule, and the
+/// outcome of its latest write.
+pub(crate) struct Call {
+    req: Request,
+    n_items: usize,
+    decider: RetryDecider,
+    start: Instant,
+    attempts: u32,
+    sent: Result<(), AttemptFailure>,
 }
 
 /// Where an attempt failed: before a connection existed, or on one.

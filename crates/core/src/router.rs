@@ -8,9 +8,15 @@
 //! * it loads each daemon's shard topology through the `ShardMap` protocol
 //!   verb (the same JSON `daemon stats` embeds) and validates the ranges
 //!   into one contiguous map of the global id space;
-//! * a batch lookup is **split** by entity range, issued per shard, and
-//!   the rows **merged** back into request order — callers see exactly the
-//!   semantics of a single whole-table daemon, bit for bit;
+//! * a batch lookup is **split** by entity range and **scattered**: every
+//!   shard's sub-lookup is written before any reply is read, so the
+//!   shards serve one batch at the same time. The replies are then
+//!   **gathered** and the rows merged back into request order — callers
+//!   see exactly the semantics of a single whole-table daemon, bit for
+//!   bit. Each connection carries at most one request in flight, so a
+//!   reply needs no correlation id; when one shard fails terminally, every
+//!   connection whose reply is still unread is dropped before the error
+//!   returns, so a later lookup never reads a stale reply as its own;
 //! * a `WrongShard` answer (the map went stale under us — a daemon was
 //!   hot-swapped to a different range) invalidates the cached map,
 //!   reloads it, and re-routes the missed items, bounded by
@@ -18,7 +24,8 @@
 //!   to a typed error instead of a livelock;
 //! * per-shard transport runs through [`RetryClient`], so shed requests
 //!   and pre-write transport failures retry under the usual
-//!   provably-unexecuted policy.
+//!   provably-unexecuted policy — the scatter write is attempt 1 of that
+//!   shard's schedule, and each shard client jitters from its own seed.
 //!
 //! [`Supervisor`] is the process-level counterpart: given the shard files
 //! `base.shard{K}of{N}` produced by `pkgm snapshot --shards N`, it spawns
@@ -29,6 +36,7 @@
 //! [`Response::WrongShard`]: crate::protocol::Response::WrongShard
 
 use crate::daemon::{ClientError, DaemonClient, ShardRedirect};
+use crate::protocol::Request;
 use crate::retry::{RetryClient, RetryError, RetryPolicy};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -194,6 +202,12 @@ pub struct RouterStats {
     pub redirects: u64,
     /// Shard-map loads, initial and refresh.
     pub map_loads: u64,
+    /// Sub-lookup retries (sleep-and-resend), summed over the shard
+    /// clients.
+    pub retries: u64,
+    /// Sub-lookups that failed after their retries — a `WrongShard`
+    /// answer included — summed over the shard clients.
+    pub give_ups: u64,
 }
 
 /// Routes batch lookups across N shard daemons by entity range. See the
@@ -236,7 +250,12 @@ impl ShardRouter {
 
     /// Cumulative routing counters.
     pub fn stats(&self) -> RouterStats {
-        self.stats
+        let mut stats = self.stats;
+        for client in self.clients.iter().flatten() {
+            stats.retries += client.stats().retries;
+            stats.give_ups += client.stats().give_ups;
+        }
+        stats
     }
 
     /// Drop the cached map and reload it from every daemon.
@@ -252,7 +271,8 @@ impl ShardRouter {
 
     /// Condensed service vectors for `items`, split by shard and merged
     /// back into request order — bit-identical to asking one whole-table
-    /// daemon. Follows `WrongShard` redirects by refreshing the map and
+    /// daemon. Every shard's sub-lookup is written before any reply is
+    /// read. Follows `WrongShard` redirects by refreshing the map and
     /// re-routing the missed items, bounded by `max_redirects` rounds.
     pub fn lookup(&mut self, items: &[u32]) -> Result<Vec<Vec<f32>>, RouterError> {
         self.stats.lookups += 1;
@@ -267,8 +287,9 @@ impl ShardRouter {
                 let shard = self.map.shard_for(id)?;
                 groups[shard.shard_id as usize].push((orig, id));
             }
-            let mut redo: Vec<(usize, u32)> = Vec::new();
-            let mut last_redirect: Option<ShardRedirect> = None;
+            // Scatter: one group per address, so each connection carries
+            // at most one unread reply and the shards serve at once.
+            let mut calls = Vec::with_capacity(groups.len());
             for (shard_idx, group) in groups.into_iter().enumerate() {
                 if group.is_empty() {
                     continue;
@@ -276,7 +297,17 @@ impl ShardRouter {
                 let addr_index = self.map.entries()[shard_idx].addr_index;
                 let ids: Vec<u32> = group.iter().map(|&(_, id)| id).collect();
                 self.stats.sub_lookups += 1;
-                match self.client(addr_index).lookup(&ids) {
+                let call = self
+                    .client(addr_index)
+                    .send(Request::Lookup(ids), group.len(), None);
+                calls.push((addr_index, group, call));
+            }
+            // Gather, in request order.
+            let mut redo: Vec<(usize, u32)> = Vec::new();
+            let mut last_redirect: Option<ShardRedirect> = None;
+            let mut calls = calls.into_iter();
+            while let Some((addr_index, group, call)) = calls.next() {
+                match self.client(addr_index).finish(call) {
                     Ok(rows) => {
                         for ((orig, _), row) in group.iter().zip(rows) {
                             out[*orig] = Some(row);
@@ -290,10 +321,15 @@ impl ShardRouter {
                             redo.extend(group);
                         }
                         None => {
+                            // Replies still unread would answer a later
+                            // lookup; drop their connections instead.
+                            for (unread, _, _) in calls {
+                                self.client(unread).disconnect();
+                            }
                             return Err(RouterError::Lookup {
                                 addr: self.addrs[addr_index].clone(),
                                 error,
-                            })
+                            });
                         }
                     },
                 }
@@ -317,9 +353,15 @@ impl ShardRouter {
     }
 
     fn client(&mut self, addr_index: usize) -> &mut RetryClient {
-        let addr = self.addrs[addr_index].clone();
-        let policy = self.policy.clone();
-        self.clients[addr_index].get_or_insert_with(|| RetryClient::new(addr, policy))
+        self.clients[addr_index].get_or_insert_with(|| {
+            // Every lookup calls every shard, so equal call counts would
+            // give the shard clients equal jitter: mix in the address.
+            let policy = RetryPolicy {
+                seed: self.policy.seed ^ (addr_index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                ..self.policy.clone()
+            };
+            RetryClient::new(self.addrs[addr_index].clone(), policy)
+        })
     }
 }
 
@@ -629,6 +671,30 @@ mod tests {
         assert_eq!(map.shard_for(0).unwrap().shard_id, 0);
         assert_eq!(map.shard_for(99).unwrap().shard_id, 0);
         assert!(map.shard_for(100).is_err());
+    }
+
+    #[test]
+    fn shard_clients_of_one_router_jitter_apart() {
+        use crate::retry::{Decision, FailureKind, RetryDecider};
+        let addrs: Vec<String> = (0..2).map(|i| format!("127.0.0.1:{}", 9000 + i)).collect();
+        let mut router = ShardRouter {
+            addrs,
+            policy: RetryPolicy::default(),
+            map: ShardMap::new(vec![entry(0, 0, 0, 5), entry(1, 1, 5, 5)]).unwrap(),
+            clients: vec![None, None],
+            stats: RouterStats::default(),
+            max_redirects: 4,
+        };
+        // Both clients are on their first call, as after every routed
+        // lookup: only the per-address seed can tell them apart.
+        let mut first_backoff = |addr_index: usize| {
+            let policy = router.client(addr_index).call_policy(None);
+            match RetryDecider::new(policy).decide(FailureKind::Shed, Duration::ZERO) {
+                Decision::Retry { backoff } => backoff,
+                Decision::GiveUp(why) => panic!("a shed first attempt retries: {why}"),
+            }
+        };
+        assert_ne!(first_backoff(0), first_backoff(1));
     }
 
     #[test]
