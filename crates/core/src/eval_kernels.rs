@@ -47,15 +47,18 @@
 //! `‖M_r·h′ − r‖₁`, a `d × d` mat-vec — at d = 64, 64× the work of its
 //! translation score. Paid per test triple that is O(|test|·|E|·d²).
 //! Fused head ranking groups test triples by relation and computes each
-//! candidate's score once per (relation group, candidate tile) with
-//! [`simd::project_run`], capped at the group's *maximum* true score (past
-//! which no triple of the group can count the candidate), and shares it
-//! across every test triple of the relation: O(|R_test|·|E|·d²) +
-//! O(|test|·|E|·d). The projection is still most of a head query's cost,
-//! so it is where the SIMD layer does more than stream rows: AVX2 takes
-//! four rows of `M_r` against two candidates per step, each row load
-//! serving both, and every (candidate, row) dot keeps `kernel_dot`'s lane
-//! order and combine. Pruning on the translation half first does not pay:
+//! candidate's score once per relation group, capped at the group's
+//! *maximum* true score (past which no triple of the group can count the
+//! candidate), and shares it across every test triple of the relation:
+//! O(|R_test|·|E|·d²) + O(|test|·|E|·d). Each candidate tile is projected
+//! against every group's matrix in one [`simd::project_run`] call, so a
+//! tile is laid out once per call rather than once per group; relation
+//! ranking makes the same call the other way round, a block of query heads
+//! against every relation. The projection is most of a head query's cost:
+//! AVX2 takes four rows of `M_r` against two candidates per step, AVX-512
+//! sixteen candidates in the lanes of one register, and every (candidate,
+//! row) dot keeps `kernel_dot`'s lane order and combine. Pruning on the
+//! translation half first does not pay:
 //! on a trained model most candidates' translation score alone stays
 //! below the true head's joint score, so `f_R` has to be computed in full
 //! for nearly all of them anyway (DESIGN.md §11).
@@ -73,6 +76,10 @@ use rayon::prelude::*;
 /// 256·64·4 B = 64 KiB — resident in L2 while every test triple of the
 /// group scans it.
 const CANDIDATE_TILE: u32 = 256;
+
+/// Head groups per relation-ranking work unit: their query heads are the
+/// candidates of one projection against every relation.
+const HEAD_BLOCK: usize = 64;
 
 /// Test triples per tail-ranking work unit. All bases of a chunk live in
 /// one scratch buffer and the entity table streams through cache once per
@@ -168,7 +175,7 @@ fn validate(model: &PkgmModel, test: &[Triple]) -> Result<(), EvalError> {
 /// Relation-module score `‖M·hv − rv‖₁`: projection rows via
 /// [`kernel_dot`], residual terms accumulated serially in index order —
 /// the same arithmetic as the training kernels' cached-projection score,
-/// and what [`simd::project_run`] computes for a run of candidates.
+/// and what [`simd::project_run`] computes per (matrix, candidate).
 #[inline]
 fn residual(m: &[f32], hv: &[f32], rv: &[f32]) -> f32 {
     let d = rv.len();
@@ -207,9 +214,14 @@ pub struct EvalScratch {
     /// Per-triple advancing cursors into the sorted known-positive sets
     /// (the sorted-merge replacement for per-candidate `binary_search`).
     ptr: Vec<usize>,
-    /// Cached relation-module scores `f_R(candidate, r)` for the current
-    /// candidate tile (head ranking) or all relations (relation ranking).
+    /// The relation-module scores of one [`simd::project_run`] call,
+    /// `fr[i·n + c]` for matrix `i` and candidate `c`: the current tile
+    /// against each relation group's matrix (head ranking, a group reads
+    /// its row), or the block's query heads against every candidate
+    /// relation (relation ranking, a group reads its column).
     fr: Vec<f32>,
+    /// One head group's column of `fr`, contiguous for the run scans.
+    fr_column: Vec<f32>,
     /// Quantized query vectors for the two-phase kernels (`g × d` i8,
     /// row-major — one quantized base per triple of the chunk/group).
     qbases: Vec<i8>,
@@ -266,24 +278,22 @@ impl EvalScratchPool {
 // Grouping and runs
 // ---------------------------------------------------------------------------
 
-/// Stably group test-triple indices by `key` (ascending key, original
-/// order within a group) — the evaluation analogue of the training
-/// kernels' `relation_blocked_order_into`.
-fn grouped_indices(test: &[Triple], key: impl Fn(&Triple) -> u32) -> Vec<Vec<u32>> {
+/// Test-triple indices stably sorted by `key` (ascending key, original
+/// order within a key) — the evaluation analogue of the training kernels'
+/// `relation_blocked_order_into`; [`key_runs`] yields its groups.
+fn grouped_indices(test: &[Triple], key: impl Fn(&Triple) -> u32) -> Vec<u32> {
     let mut order: Vec<u32> = (0..test.len() as u32).collect();
     order.sort_by_key(|&i| key(&test[i as usize]));
-    let mut groups: Vec<Vec<u32>> = Vec::new();
-    let mut i = 0usize;
-    while i < order.len() {
-        let k = key(&test[order[i] as usize]);
-        let mut j = i;
-        while j < order.len() && key(&test[order[j] as usize]) == k {
-            j += 1;
-        }
-        groups.push(order[i..j].to_vec());
-        i = j;
-    }
-    groups
+    order
+}
+
+/// The groups of a [`grouped_indices`] order: its maximal runs of one key.
+fn key_runs<'a>(
+    test: &'a [Triple],
+    order: &'a [u32],
+    key: impl Fn(&Triple) -> u32 + 'a,
+) -> impl Iterator<Item = &'a [u32]> + 'a {
+    order.chunk_by(move |&a, &b| key(&test[a as usize]) == key(&test[b as usize]))
 }
 
 /// An id of a sorted known-positive list.
@@ -412,9 +422,9 @@ where
 /// Fan a grouped head/relation-style scan over `groups ×
 /// candidate-slices`, merging like [`sliced_chunk_ranks`].
 ///
-/// The worker scans one group's triples (by test indices) against one
-/// candidate range, returning better counts aligned with the group's
-/// index order.
+/// The worker scans one group of test indices (every head-ranking triple,
+/// or one relation-ranking block of head groups) against one candidate
+/// range, returning better counts aligned with the group's index order.
 fn sliced_group_ranks<W>(
     test_len: usize,
     groups: &[Vec<u32>],
@@ -594,10 +604,10 @@ fn tail_chunk_better(
 /// Fused head ranking under the joint score `f_T + f_R`, bit-identical to
 /// [`reference_rank_heads`].
 ///
-/// Test triples are grouped by relation; each group computes every
-/// candidate's relation-module score once per tile with
-/// [`simd::project_run`] (capped at the group's maximum true score) and
-/// shares it across all test triples of the relation —
+/// Test triples are grouped by relation. Each candidate tile is projected
+/// once, in one [`simd::project_run`] call against the matrices of every
+/// test relation (each capped at its group's maximum true score), and each
+/// group's row of that `f_R` table is shared across all its test triples —
 /// O(|R_test|·|E|·d²) + O(|test|·|E|·d) instead of O(|test|·|E|·d²).
 pub fn fused_rank_heads(
     model: &PkgmModel,
@@ -619,8 +629,42 @@ pub fn fused_rank_heads_sliced(
     Ok(sliced_heads(model, None, test, filter, n_slices).0)
 }
 
-/// Head ranking over `groups × candidate-slices`, pruned when `qmodel` is
-/// given.
+/// What the work units of one head- or relation-ranking call share.
+struct GroupCall<'a> {
+    model: &'a PkgmModel,
+    qmodel: Option<&'a QuantEvalModel>,
+    test: &'a [Triple],
+    filter: Option<&'a TripleStore>,
+    /// Every test triple's true joint score, by test index.
+    true_scores: Vec<f32>,
+}
+
+impl<'a> GroupCall<'a> {
+    fn new(
+        model: &'a PkgmModel,
+        qmodel: Option<&'a QuantEvalModel>,
+        test: &'a [Triple],
+        filter: Option<&'a TripleStore>,
+    ) -> Self {
+        let true_scores = test
+            .par_iter()
+            .map(|t| kernel_joint_score(model, t.head, t.relation, t.tail))
+            .collect();
+        Self {
+            model,
+            qmodel,
+            test,
+            filter,
+            true_scores,
+        }
+    }
+}
+
+/// Head ranking over candidate slices, pruned when `qmodel` is given.
+///
+/// One work unit is one candidate range holding every test triple, in
+/// relation-group order; the groups' matrices, relation rows and caps are
+/// laid out contiguously once per call, so every tile is one projection.
 fn sliced_heads(
     model: &PkgmModel,
     qmodel: Option<&QuantEvalModel>,
@@ -628,161 +672,193 @@ fn sliced_heads(
     filter: Option<&TripleStore>,
     n_slices: usize,
 ) -> (Vec<usize>, PruneStats) {
-    let groups = grouped_indices(test, |t| t.relation.0);
-    let n_entities = model.n_entities() as u32;
+    let order = grouped_indices(test, |t| t.relation.0);
+    let call = GroupCall::new(model, qmodel, test, filter);
+    let (mut ms, mut rs, mut caps) = (Vec::new(), Vec::new(), Vec::new());
+    if model.cfg.relation_module {
+        for group in key_runs(test, &order, |t| t.relation.0) {
+            let r = test[group[0] as usize].relation;
+            ms.extend_from_slice(model.mat(r));
+            rs.extend_from_slice(model.rel(r));
+            // The group's largest true score; `f32::max` ignores NaN, and a
+            // NaN-only group caps every candidate at `-∞`, as it should.
+            let scores = group.iter().map(|&ti| call.true_scores[ti as usize]);
+            caps.push(scores.fold(f32::NEG_INFINITY, f32::max));
+        }
+    }
+    let mats = Projection {
+        ms: &ms,
+        rs: &rs,
+        caps: &caps,
+        hs: &[],
+    };
     sliced_group_ranks(
         test.len(),
-        &groups,
-        n_entities,
+        &[order],
+        model.n_entities() as u32,
         n_slices,
-        |scratch, idxs, lo, hi| {
-            head_group_better(model, qmodel, test, idxs, filter, scratch, lo, hi)
-        },
+        |scratch, order, lo, hi| call.head_range_better(order, mats, scratch, lo, hi),
     )
 }
 
-/// Per-triple `better` counts for one relation group over candidates
-/// `[lo, hi)`, each run through [`simd::run_beats`] or, with `qmodel`,
-/// [`simd::prune_run`] and an exact rescore of the survivors.
-#[allow(clippy::too_many_arguments)]
-fn head_group_better(
-    model: &PkgmModel,
-    qmodel: Option<&QuantEvalModel>,
-    test: &[Triple],
-    indices: &[u32],
-    filter: Option<&TripleStore>,
-    scratch: &mut EvalScratch,
-    lo: u32,
-    hi: u32,
-) -> (Vec<usize>, PruneStats) {
-    let d = model.dim();
-    let r = test[indices[0] as usize].relation;
-    let rv = model.rel(r);
-    let g = indices.len();
-    let knowns: Vec<&[EntityId]> = indices
-        .iter()
-        .map(|&ti| {
-            let t = test[ti as usize];
-            filter.map_or(&[][..], |f| f.heads(t.relation, t.tail))
-        })
-        .collect();
-    scratch.start_cursors(&knowns, lo);
-    let EvalScratch {
-        bases,
-        true_scores,
-        better,
-        ptr,
-        fr,
-        qbases,
-        qerr,
-        survivors,
-        ..
-    } = scratch;
+impl GroupCall<'_> {
+    /// Per-triple `better` counts, aligned with `order` (test indices grouped
+    /// by relation), over candidates `[lo, hi)`. Each tile's `f_R` table comes
+    /// from one projection against `mats` (one matrix per group, no
+    /// candidates); each run then goes through [`simd::run_beats`] or, with
+    /// `qmodel`, [`simd::prune_run`] and an exact rescore of the survivors.
+    fn head_range_better(
+        &self,
+        order: &[u32],
+        mats: Projection<'_>,
+        scratch: &mut EvalScratch,
+        lo: u32,
+        hi: u32,
+    ) -> (Vec<usize>, PruneStats) {
+        let (model, qmodel, test, filter) = (self.model, self.qmodel, self.test, self.filter);
+        let d = model.dim();
+        let knowns: Vec<&[EntityId]> = order
+            .iter()
+            .map(|&ti| {
+                let t = test[ti as usize];
+                filter.map_or(&[][..], |f| f.heads(t.relation, t.tail))
+            })
+            .collect();
+        scratch.start_cursors(&knowns, lo);
+        let EvalScratch {
+            bases,
+            better,
+            ptr,
+            fr,
+            qbases,
+            qerr,
+            survivors,
+            ..
+        } = scratch;
 
-    bases.resize(g * d, 0.0);
-    qbases.resize(g * d, 0);
-    qerr.clear();
-    true_scores.clear();
-    // The group's maximum true score caps the shared candidate residuals;
-    // `f32::max` ignores NaN, and a NaN-only group degrades to cap = -inf,
-    // which caps every candidate — consistent with the reference, where no
-    // candidate can score below a NaN true score either.
-    let mut cap = f32::NEG_INFINITY;
-    for (s, &ti) in indices.iter().enumerate() {
-        let t = test[ti as usize];
-        let ts = kernel_joint_score(model, t.head, r, t.tail);
-        cap = cap.max(ts);
-        true_scores.push(ts);
+        bases.resize(order.len() * d, 0.0);
+        qbases.resize(order.len() * d, 0);
+        qerr.clear();
         if let Some(qm) = qmodel {
-            // Phase 1 bounds the translation part as the distance to the
-            // query `x = fl(t − r)`.
-            let (x, q) = (
-                &mut bases[s * d..(s + 1) * d],
-                &mut qbases[s * d..(s + 1) * d],
-            );
-            qerr.push(quantize_translation_query(
-                &qm.ent,
-                model.ent(t.tail),
-                rv,
-                x,
-                q,
-            ));
-        }
-    }
-    // f_R per candidate of the current tile; zero without the relation
-    // module, where the joint score is the translation score alone.
-    fr.clear();
-    fr.resize(CANDIDATE_TILE as usize, 0.0);
-    let mut stats = PruneStats::default();
-
-    let mut tile_start = lo;
-    while tile_start < hi {
-        let tile_end = (tile_start + CANDIDATE_TILE).min(hi);
-        let tile_rows = rows(&model.ent, d, tile_start, tile_end);
-        let tile_fr = &mut fr[..(tile_end - tile_start) as usize];
-        if model.cfg.relation_module {
-            let p = Projection::SharedMatrix {
-                m: model.mat(r),
-                r: rv,
-                hs: tile_rows,
-            };
-            simd::project_run(p, cap, tile_fr);
-        }
-        let tile_fr = &*tile_fr;
-        let extra = |a: u32, b: u32| &tile_fr[(a - tile_start) as usize..(b - tile_start) as usize];
-        for (s, &ti) in indices.iter().enumerate() {
-            let t = test[ti as usize];
-            let t_row = model.ent(t.tail);
-            let bound = true_scores[s];
-            let mut runs = |scan: &mut dyn FnMut(u32, u32)| {
-                for_each_run(tile_start, tile_end, knowns[s], &mut ptr[s], t.head.0, scan)
-            };
-            match qmodel {
-                None => runs(&mut |a, b| {
-                    let scan = RunScan::Translation {
-                        a: rv,
-                        b: t_row,
-                        extra: extra(a, b),
-                        rows: rows(&model.ent, d, a, b),
-                    };
-                    better[s] += simd::run_beats(scan, bound);
-                }),
-                Some(qm) => {
-                    // Phase 1 on the joint score: the translation part
-                    // alone must close the gap the relation module leaves
-                    // open, so each candidate is pruned against
-                    // `bound − f_R` (the rearranged rounding sits inside
-                    // the scan table's SUM_SHAVE).
-                    survivors.clear();
-                    let qbase = &qbases[s * d..(s + 1) * d];
-                    runs(&mut |a, b| {
-                        let run = qm.ent.run(qbase, qerr[s], bound, a..b, Some(extra(a, b)));
-                        stats.candidates += simd::prune_run(run, survivors);
-                    });
-                    stats.survivors += survivors.len() as u64;
-                    better[s] += survivors
-                        .iter()
-                        .filter(|&&c| {
-                            let f_r = tile_fr[(c - tile_start) as usize];
-                            translation_beats(model.ent(EntityId(c)), rv, t_row, f_r, bound)
-                        })
-                        .count();
-                }
+            for (s, &ti) in order.iter().enumerate() {
+                // Phase 1 bounds the translation part as the distance to the
+                // query `x = fl(t − r)`.
+                let t = test[ti as usize];
+                let (x, q) = (
+                    &mut bases[s * d..(s + 1) * d],
+                    &mut qbases[s * d..(s + 1) * d],
+                );
+                let (t_row, rv) = (model.ent(t.tail), model.rel(t.relation));
+                qerr.push(quantize_translation_query(&qm.ent, t_row, rv, x, q));
             }
         }
-        tile_start = tile_end;
+        let groups: Vec<&[u32]> = key_runs(test, order, |t| t.relation.0).collect();
+        // The tile's f_R table, one row per group; zero without the relation
+        // module, where the joint score is the translation score alone.
+        fr.clear();
+        fr.resize(groups.len() * CANDIDATE_TILE as usize, 0.0);
+        let mut stats = PruneStats::default();
+
+        let mut tile_start = lo;
+        while tile_start < hi {
+            let tile_end = (tile_start + CANDIDATE_TILE).min(hi);
+            let n = (tile_end - tile_start) as usize;
+            if model.cfg.relation_module {
+                let hs = rows(&model.ent, d, tile_start, tile_end);
+                simd::project_run(Projection { hs, ..mats }, &mut fr[..groups.len() * n]);
+            }
+            let mut s = 0usize;
+            for (gi, group) in groups.iter().enumerate() {
+                let group_fr = &fr[gi * n..(gi + 1) * n];
+                for &ti in group.iter() {
+                    let t = test[ti as usize];
+                    let ends = (model.rel(t.relation), model.ent(t.tail));
+                    let quant = qmodel.map(|qm| (&qm.ent, &qbases[s * d..(s + 1) * d], qerr[s]));
+                    better[s] += joint_better(
+                        &model.ent,
+                        ends,
+                        (group_fr, tile_start),
+                        self.true_scores[ti as usize],
+                        quant,
+                        (survivors, &mut stats),
+                        |scan| {
+                            for_each_run(
+                                tile_start,
+                                tile_end,
+                                knowns[s],
+                                &mut ptr[s],
+                                t.head.0,
+                                scan,
+                            )
+                        },
+                    );
+                    s += 1;
+                }
+            }
+            tile_start = tile_end;
+        }
+        (better.clone(), stats.with_scanned_bytes(d))
     }
-    (better.clone(), stats.with_scanned_bytes(d))
+}
+
+/// How many candidates `c` of `runs` beat `bound` under the joint score
+/// `‖c + a − b‖₁ + f_R(c)` — one triple's decision in head ranking
+/// (`a = r`, `b = t`) and relation ranking (`a = h`; `r′ + h` is the IEEE
+/// sum `h + r′`). `table` holds the candidate rows and `fr[c − fr_lo]` their
+/// `f_R`. Fused, each run is one [`simd::run_beats`]; with `quant` (scan
+/// table, quantized query, its error) each run goes through
+/// [`simd::prune_run`] and only the survivors are rescored exactly.
+fn joint_better(
+    table: &[f32],
+    (a, b): (&[f32], &[f32]),
+    (fr, fr_lo): (&[f32], u32),
+    bound: f32,
+    quant: Option<(&QuantScanTable, &[i8], f32)>,
+    (survivors, stats): (&mut Vec<u32>, &mut PruneStats),
+    runs: impl FnOnce(&mut dyn FnMut(u32, u32)),
+) -> usize {
+    let d = a.len();
+    let extra = |x: u32, y: u32| &fr[(x - fr_lo) as usize..(y - fr_lo) as usize];
+    let Some((scan_table, qbase, qerr)) = quant else {
+        let mut better = 0;
+        runs(&mut |x, y| {
+            let scan = RunScan::Translation {
+                a,
+                b,
+                extra: extra(x, y),
+                rows: rows(table, d, x, y),
+            };
+            better += simd::run_beats(scan, bound);
+        });
+        return better;
+    };
+    // Phase 1 on the joint score: the translation part alone must close
+    // the gap the relation module leaves open, so each candidate is pruned
+    // against `bound − f_R` (the rearranged rounding sits inside the scan
+    // table's SUM_SHAVE).
+    survivors.clear();
+    runs(&mut |x, y| {
+        let run = scan_table.run(qbase, qerr, bound, x..y, Some(extra(x, y)));
+        stats.candidates += simd::prune_run(run, survivors);
+    });
+    stats.survivors += survivors.len() as u64;
+    survivors
+        .iter()
+        .filter(|&&c| {
+            let f_r = fr[(c - fr_lo) as usize];
+            translation_beats(rows(table, d, c, c + 1), a, b, f_r, bound)
+        })
+        .count()
 }
 
 /// Fused relation ranking under the joint score, bit-identical to
 /// [`reference_rank_relations`].
 ///
-/// Test triples are grouped by head; each group computes every candidate
-/// relation's module score `‖M_r·h − r‖₁` once ([`simd::project_run`],
-/// capped) and shares it across the group's triples. A candidate is
-/// filtered only when the head has it in the store *and* its tail set
-/// holds the triple's tail.
+/// Test triples are grouped by head. The heads of a block of groups are
+/// projected against every candidate relation in one
+/// [`simd::project_run`] call, and each group reads its column of that
+/// `f_R` table for all its triples. A candidate is filtered only when the
+/// head has it in the store *and* its tail set holds the triple's tail.
 pub fn fused_rank_relations(
     model: &PkgmModel,
     test: &[Triple],
@@ -794,7 +870,7 @@ pub fn fused_rank_relations(
 /// [`fused_rank_relations`] with an explicit candidate-slice count; ranks
 /// are bit-identical for every `n_slices`. (Relation tables are usually
 /// smaller than one [`CANDIDATE_TILE`], in which case slicing degenerates
-/// to one range and parallelism comes from the head groups alone.)
+/// to one range and parallelism comes from the head blocks alone.)
 pub fn fused_rank_relations_sliced(
     model: &PkgmModel,
     test: &[Triple],
@@ -805,8 +881,14 @@ pub fn fused_rank_relations_sliced(
     Ok(sliced_relations(model, None, test, filter, n_slices).0)
 }
 
-/// Relation ranking over `groups × candidate-slices`, pruned when
+/// Relation ranking over `head blocks × candidate-slices`, pruned when
 /// `qmodel` is given.
+///
+/// Every matrix is capped at the call's largest true score, looser than a
+/// head group's own maximum but equivalent: a residual at or past the
+/// group's cap already loses to every triple of the group (the translation
+/// part is ≥ 0), and as `extra ≥ bound` it is skipped uncounted by the
+/// quantized scan either way.
 fn sliced_relations(
     model: &PkgmModel,
     qmodel: Option<&QuantEvalModel>,
@@ -814,141 +896,114 @@ fn sliced_relations(
     filter: Option<&TripleStore>,
     n_slices: usize,
 ) -> (Vec<usize>, PruneStats) {
-    let groups = grouped_indices(test, |t| t.head.0);
-    let n_relations = model.n_relations() as u32;
+    let order = grouped_indices(test, |t| t.head.0);
+    let groups: Vec<&[u32]> = key_runs(test, &order, |t| t.head.0).collect();
+    let blocks: Vec<Vec<u32>> = groups.chunks(HEAD_BLOCK).map(<[_]>::concat).collect();
+    let call = GroupCall::new(model, qmodel, test, filter);
+    let cap = call
+        .true_scores
+        .iter()
+        .fold(f32::NEG_INFINITY, |m, &s| m.max(s));
+    let caps = vec![cap; model.n_relations()];
     sliced_group_ranks(
         test.len(),
-        &groups,
-        n_relations,
+        &blocks,
+        model.n_relations() as u32,
         n_slices,
-        |scratch, idxs, lo, hi| {
-            relation_group_better(model, qmodel, test, idxs, filter, scratch, lo, hi)
-        },
+        |scratch, order, lo, hi| call.relation_block_better(order, &caps, scratch, lo, hi),
     )
 }
 
-/// Per-triple `better` counts for one head group over candidate relations
-/// `[lo, hi)`, each run through [`simd::run_beats`] or, with `qmodel`,
-/// [`simd::prune_run`] and an exact rescore of the survivors.
-#[allow(clippy::too_many_arguments)]
-fn relation_group_better(
-    model: &PkgmModel,
-    qmodel: Option<&QuantEvalModel>,
-    test: &[Triple],
-    indices: &[u32],
-    filter: Option<&TripleStore>,
-    scratch: &mut EvalScratch,
-    lo: u32,
-    hi: u32,
-) -> (Vec<usize>, PruneStats) {
-    let d = model.dim();
-    let h = test[indices[0] as usize].head;
-    let h_row = model.ent(h);
-    let g = indices.len();
-    let EvalScratch {
-        bases,
-        true_scores,
-        fr,
-        qbases,
-        qerr,
-        survivors,
-        blocked,
-        ..
-    } = scratch;
+impl GroupCall<'_> {
+    /// Per-triple `better` counts, aligned with `order` (a block of test
+    /// indices grouped by head), over candidate relations `[lo, hi)`: one
+    /// projection of the block's heads against those relations, then each run
+    /// through [`simd::run_beats`] or, with `qmodel`, [`simd::prune_run`] and
+    /// an exact rescore of the survivors.
+    fn relation_block_better(
+        &self,
+        order: &[u32],
+        caps: &[f32],
+        scratch: &mut EvalScratch,
+        lo: u32,
+        hi: u32,
+    ) -> (Vec<usize>, PruneStats) {
+        let (model, qmodel, test, filter) = (self.model, self.qmodel, self.test, self.filter);
+        let d = model.dim();
+        let EvalScratch {
+            bases,
+            fr,
+            fr_column,
+            qbases,
+            survivors,
+            blocked,
+            ..
+        } = scratch;
 
-    bases.resize(g * d, 0.0);
-    qbases.resize(g * d, 0);
-    qerr.clear();
-    true_scores.clear();
-    let mut cap = f32::NEG_INFINITY;
-    for (s, &ti) in indices.iter().enumerate() {
-        let t = test[ti as usize];
-        let ts = kernel_joint_score(model, h, t.relation, t.tail);
-        cap = cap.max(ts);
-        true_scores.push(ts);
-        if let Some(qm) = qmodel {
-            // Candidate relations r′ score `fl(fl(h + r′) − t)`, bounded
-            // below via the query `x = fl(t − h)` against the relation
-            // scan table.
-            let (x, q) = (
-                &mut bases[s * d..(s + 1) * d],
-                &mut qbases[s * d..(s + 1) * d],
-            );
-            qerr.push(quantize_translation_query(
-                &qm.rel,
-                model.ent(t.tail),
-                h_row,
-                x,
-                q,
-            ));
+        let groups: Vec<&[u32]> = key_runs(test, order, |t| t.head.0).collect();
+        let (k, n) = ((hi - lo) as usize, groups.len());
+        fr.clear();
+        fr.resize(k * n, 0.0);
+        if model.cfg.relation_module {
+            bases.clear();
+            for group in &groups {
+                bases.extend_from_slice(model.ent(test[group[0] as usize].head));
+            }
+            let dd = d * d;
+            let p = Projection {
+                ms: &model.mats[lo as usize * dd..hi as usize * dd],
+                rs: rows(&model.rel, d, lo, hi),
+                caps: &caps[lo as usize..hi as usize],
+                hs: bases,
+            };
+            simd::project_run(p, fr);
         }
-    }
+        let mut x = vec![0.0f32; d];
+        qbases.clear();
+        qbases.resize(d, 0);
+        let mut stats = PruneStats::default();
 
-    fr.clear();
-    fr.resize((hi - lo) as usize, 0.0);
-    if model.cfg.relation_module {
-        let dd = d * d;
-        let p = Projection::SharedVector {
-            h: h_row,
-            ms: &model.mats[lo as usize * dd..hi as usize * dd],
-            rs: rows(&model.rel, d, lo, hi),
-        };
-        simd::project_run(p, cap, fr);
-    }
-    let fr = &*fr;
-    let extra = |a: u32, b: u32| &fr[(a - lo) as usize..(b - lo) as usize];
-    let known_rels: &[RelationId] = filter.map_or(&[][..], |f| f.relations_of(h));
-    let known_rels = &known_rels[known_rels.partition_point(|e| e.0 < lo)..];
-    let mut stats = PruneStats::default();
-
-    let mut out = Vec::with_capacity(g);
-    for (s, &ti) in indices.iter().enumerate() {
-        let t = test[ti as usize];
-        let t_row = model.ent(t.tail);
-        let bound = true_scores[s];
-        blocked.clear();
-        if let Some(f) = filter {
-            blocked.extend(
-                known_rels
-                    .iter()
-                    .take_while(|c| c.0 < hi)
-                    .filter(|&&c| f.tails(h, c).binary_search(&t.tail).is_ok()),
-            );
-        }
-        let runs = |scan: &mut dyn FnMut(u32, u32)| {
-            for_each_run(lo, hi, blocked, &mut 0, t.relation.0, scan)
-        };
-        let mut better = 0usize;
-        match qmodel {
-            None => runs(&mut |a, b| {
-                let scan = RunScan::Translation {
-                    a: h_row,
-                    b: t_row,
-                    extra: extra(a, b),
-                    rows: rows(&model.rel, d, a, b),
-                };
-                better += simd::run_beats(scan, bound);
-            }),
-            Some(qm) => {
-                survivors.clear();
-                let qbase = &qbases[s * d..(s + 1) * d];
-                runs(&mut |a, b| {
-                    let run = qm.rel.run(qbase, qerr[s], bound, a..b, Some(extra(a, b)));
-                    stats.candidates += simd::prune_run(run, survivors);
-                });
-                stats.survivors += survivors.len() as u64;
-                better = survivors
-                    .iter()
-                    .filter(|&&c| {
-                        let f_r = fr[(c - lo) as usize];
-                        translation_beats(h_row, model.rel(RelationId(c)), t_row, f_r, bound)
-                    })
-                    .count();
+        let mut out = Vec::with_capacity(order.len());
+        for (c, group) in groups.iter().enumerate() {
+            let h = test[group[0] as usize].head;
+            let h_row = model.ent(h);
+            fr_column.clear();
+            fr_column.extend((0..k).map(|r| fr[r * n + c]));
+            let known_rels: &[RelationId] = filter.map_or(&[][..], |f| f.relations_of(h));
+            let known_rels = &known_rels[known_rels.partition_point(|e| e.0 < lo)..];
+            for &ti in group.iter() {
+                let t = test[ti as usize];
+                let t_row = model.ent(t.tail);
+                blocked.clear();
+                if let Some(f) = filter {
+                    blocked.extend(
+                        known_rels
+                            .iter()
+                            .take_while(|c| c.0 < hi)
+                            .filter(|&&c| f.tails(h, c).binary_search(&t.tail).is_ok()),
+                    );
+                }
+                // Candidate relations r′ score `fl(fl(r′ + h) − t)`, bounded
+                // below via the query `x = fl(t − h)` against the relation
+                // scan table.
+                let qerr = qmodel
+                    .map(|qm| quantize_translation_query(&qm.rel, t_row, h_row, &mut x, qbases));
+                let quant = qmodel
+                    .zip(qerr)
+                    .map(|(qm, qerr)| (&qm.rel, &qbases[..], qerr));
+                out.push(joint_better(
+                    &model.rel,
+                    (h_row, t_row),
+                    (fr_column, lo),
+                    self.true_scores[ti as usize],
+                    quant,
+                    (survivors, &mut stats),
+                    |scan| for_each_run(lo, hi, blocked, &mut 0, t.relation.0, scan),
+                ));
             }
         }
-        out.push(better);
+        (out, stats.with_scanned_bytes(d))
     }
-    (out, stats.with_scanned_bytes(d))
 }
 
 // ---------------------------------------------------------------------------
@@ -1455,8 +1510,9 @@ mod tests {
             .iter()
             .map(|&(h, r)| Triple::new(EntityId(h), RelationId(r), EntityId(9)))
             .collect();
-        let groups = grouped_indices(&triples, |t| t.relation.0);
-        assert_eq!(groups, vec![vec![1u32, 4], vec![3], vec![0, 2]]);
+        let order = grouped_indices(&triples, |t| t.relation.0);
+        let groups: Vec<&[u32]> = key_runs(&triples, &order, |t| t.relation.0).collect();
+        assert_eq!(groups, vec![&[1u32, 4][..], &[3], &[0, 2]]);
     }
 
     #[test]

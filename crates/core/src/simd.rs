@@ -15,7 +15,8 @@
 //!   [`l1_beats`] (tails) or [`translation_beats`] (heads, relations);
 //! * [`prune_run`] — the survivors of `QuantScanTable::prunes` over a run;
 //! * [`project_run`] — the capped relation-module residual
-//!   `‖M·h − r‖₁` of every candidate of a run, each row a [`kernel_dot`].
+//!   `‖M·h − r‖₁` of every (matrix, candidate) pair of `k` matrices
+//!   against a tile of `n` candidate vectors, each row a [`kernel_dot`].
 //!
 //! A run entry's scalar twin is the loop over its per-candidate twin, and
 //! that loop is the contract: the run form may interleave candidates,
@@ -27,6 +28,9 @@
 //! Every entry, primitive or run, has, on x86-64, explicit `std::arch`
 //! implementations selected once at runtime:
 //!
+//! * **AVX-512** when `is_x86_feature_detected!("avx512f")` as well: the
+//!   AVX2 table with one entry replaced, [`project_run`], whose body puts
+//!   one candidate in each of sixteen lanes (DESIGN.md §11);
 //! * **AVX2** when `is_x86_feature_detected!("avx2")`;
 //! * **SSE4.1** when only `is_x86_feature_detected!("sse4.1")`;
 //! * the portable scalar twins otherwise, on non-x86 targets, or when the
@@ -97,8 +101,9 @@ use std::sync::OnceLock;
 /// the scalar twins exactly.
 pub const EXIT_STRIDE: usize = 2;
 
-/// The instruction set a [`SimdDispatch`] table was built for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The instruction set a [`SimdDispatch`] table was built for, ordered
+/// by width.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdLevel {
     /// Portable scalar twins (also the `PKGM_FORCE_SCALAR` path).
     Scalar,
@@ -106,6 +111,8 @@ pub enum SimdLevel {
     Sse41,
     /// 256-bit AVX2 paths (one `f32x8` lane register, `vpsadbw`).
     Avx2,
+    /// The AVX2 table with a 512-bit projection (one candidate per lane).
+    Avx512,
 }
 
 impl SimdLevel {
@@ -115,6 +122,7 @@ impl SimdLevel {
             SimdLevel::Scalar => "scalar",
             SimdLevel::Sse41 => "sse4.1",
             SimdLevel::Avx2 => "avx2",
+            SimdLevel::Avx512 => "avx512",
         }
     }
 }
@@ -154,31 +162,20 @@ pub enum RunScan<'a> {
     },
 }
 
-/// The candidates of a run for [`project_run`]: `out[i]` becomes
-/// `Σ_row |kernel_dot(M_row, h) − r_row|`, summed serially in row order,
-/// or `f32::INFINITY` once a partial sum reaches the cap.
+/// `k` relation-module projections against a tile of `n` candidate
+/// vectors for [`project_run`]: `out[i·n + c]` becomes
+/// `Σ_row |kernel_dot(M_i[row], h_c) − r_i[row]|`, summed serially in row
+/// order, or `f32::INFINITY` once a partial sum reaches `caps[i]`.
 #[derive(Debug, Clone, Copy)]
-pub enum Projection<'a> {
-    /// Heads: one `M` (`d × d`, row-major) and `r`; candidate `i` is row
-    /// `i` of `hs` (`n × d`).
-    SharedMatrix {
-        /// The relation's transfer matrix.
-        m: &'a [f32],
-        /// The relation's embedding.
-        r: &'a [f32],
-        /// Candidate head rows.
-        hs: &'a [f32],
-    },
-    /// Relations: one `h`; candidate `i` is matrix `i` of `ms`
-    /// (`n × d × d`) with row `i` of `rs` (`n × d`).
-    SharedVector {
-        /// The head's embedding.
-        h: &'a [f32],
-        /// Candidate transfer matrices.
-        ms: &'a [f32],
-        /// Candidate relation rows.
-        rs: &'a [f32],
-    },
+pub struct Projection<'a> {
+    /// `k` transfer matrices, `k × d × d` row-major.
+    pub ms: &'a [f32],
+    /// The matching relation rows, `k × d`.
+    pub rs: &'a [f32],
+    /// One cap per matrix.
+    pub caps: &'a [f32],
+    /// `n` candidate vectors, `n × d` row-major.
+    pub hs: &'a [f32],
 }
 
 /// A resolved table of kernel entry points, all computing the same
@@ -211,8 +208,8 @@ pub struct SimdDispatch {
     /// Append a run's phase-1 survivors; returns its candidate count (see
     /// [`prune_run`]).
     pub prune_run: fn(PruneRun<'_>, &mut Vec<u32>) -> u64,
-    /// Capped relation-module residuals of a run (see [`project_run`]).
-    pub project_run: fn(Projection<'_>, f32, &mut [f32]),
+    /// Capped residuals of `k` matrices × `n` candidates ([`project_run`]).
+    pub project_run: fn(Projection<'_>, &mut [f32]),
 }
 
 static SCALAR: SimdDispatch = SimdDispatch {
@@ -236,15 +233,20 @@ impl SimdDispatch {
     }
 
     /// Every table this host can run, scalar first and
-    /// [`SimdDispatch::detected`] last — on an AVX2 host that is scalar,
-    /// SSE4.1 and AVX2, so the parity suite compares the SSE4.1 bodies too
-    /// although nothing else here would ever select them.
+    /// [`SimdDispatch::detected`] last — on an AVX-512 host that is
+    /// scalar, SSE4.1, AVX2 and AVX-512, so the parity suite compares the
+    /// SSE4.1 and AVX2 bodies too although nothing else here would ever
+    /// select them.
     pub fn all_supported() -> Vec<&'static SimdDispatch> {
         let mut tables = vec![SimdDispatch::scalar()];
         let best = SimdDispatch::detected();
         #[cfg(target_arch = "x86_64")]
-        if best.level == SimdLevel::Avx2 && std::arch::is_x86_feature_detected!("sse4.1") {
+        if best.level >= SimdLevel::Avx2 && std::arch::is_x86_feature_detected!("sse4.1") {
             tables.push(&x86::SSE41);
+        }
+        #[cfg(target_arch = "x86_64")]
+        if best.level == SimdLevel::Avx512 {
+            tables.push(&x86::AVX2);
         }
         if best.level != SimdLevel::Scalar {
             tables.push(best);
@@ -261,7 +263,10 @@ impl SimdDispatch {
         DETECTED.get_or_init(|| {
             #[cfg(target_arch = "x86_64")]
             {
-                let mut table = if std::arch::is_x86_feature_detected!("avx2") {
+                let avx2 = std::arch::is_x86_feature_detected!("avx2");
+                let mut table = if avx2 && std::arch::is_x86_feature_detected!("avx512f") {
+                    x86::AVX512
+                } else if avx2 {
                     x86::AVX2
                 } else if std::arch::is_x86_feature_detected!("sse4.1") {
                     x86::SSE41
@@ -310,8 +315,8 @@ pub fn active() -> &'static SimdDispatch {
 }
 
 /// The one-line dispatch report the daemon, the benches and `pkgm simd`
-/// print (and CI's `simd-smoke` job asserts on):
-/// `simd dispatch: avx2 (avx2=yes, sse4.1=yes, forced_scalar=no, pclmulqdq=yes)`.
+/// print (and CI's `simd-smoke` job asserts on): `simd dispatch: avx512
+/// (avx512f=yes, avx2=yes, sse4.1=yes, forced_scalar=no, pclmulqdq=yes)`.
 pub fn describe() -> String {
     fn yn(b: bool) -> &'static str {
         if b {
@@ -321,16 +326,18 @@ pub fn describe() -> String {
         }
     }
     #[cfg(target_arch = "x86_64")]
-    let (avx2, sse41, pclmulqdq) = (
+    let (avx512f, avx2, sse41, pclmulqdq) = (
+        std::arch::is_x86_feature_detected!("avx512f"),
         std::arch::is_x86_feature_detected!("avx2"),
         std::arch::is_x86_feature_detected!("sse4.1"),
         std::arch::is_x86_feature_detected!("pclmulqdq"),
     );
     #[cfg(not(target_arch = "x86_64"))]
-    let (avx2, sse41, pclmulqdq) = (false, false, false);
+    let (avx512f, avx2, sse41, pclmulqdq) = (false, false, false, false);
     format!(
-        "simd dispatch: {} (avx2={}, sse4.1={}, forced_scalar={}, pclmulqdq={})",
+        "simd dispatch: {} (avx512f={}, avx2={}, sse4.1={}, forced_scalar={}, pclmulqdq={})",
         active().level.name(),
+        yn(avx512f),
         yn(avx2),
         yn(sse41),
         yn(force_scalar_requested()),
@@ -430,16 +437,19 @@ pub fn prune_run(run: PruneRun<'_>, survivors: &mut Vec<u32>) -> u64 {
     (active().prune_run)(run, survivors)
 }
 
-/// Fill `out[i]` with candidate `i`'s relation-module residual
-/// `‖M·h − r‖₁` (see [`Projection`]), or `f32::INFINITY` once its partial
-/// sum reaches `cap`, dispatched once per run. AVX2 computes four matrix
-/// rows per step against up to two candidates, sharing each row load.
+/// Fill `out[i·n + c]` with the relation-module residual
+/// `‖M_i·h_c − r_i‖₁` of matrix `i` and candidate `c` (see
+/// [`Projection`]), or `f32::INFINITY` once its partial sum reaches
+/// `caps[i]`, dispatched once per tile. AVX2 computes four matrix rows per
+/// step against two candidates, sharing each row load; AVX-512 runs
+/// sixteen candidates in the lanes of one register.
 ///
 /// # Panics
-/// If the slices do not hold `out.len()` candidates of one dimension.
+/// If the slices do not hold `k = caps.len()` matrices and
+/// `out.len() / k` candidates of one dimension.
 #[inline]
-pub fn project_run(p: Projection<'_>, cap: f32, out: &mut [f32]) {
-    (active().project_run)(p, cap, out)
+pub fn project_run(p: Projection<'_>, out: &mut [f32]) {
+    (active().project_run)(p, out)
 }
 
 /// The reflected IEEE CRC32 polynomial `P` (without its `x³²` term).
@@ -522,31 +532,31 @@ impl RunScan<'_> {
 }
 
 impl Projection<'_> {
-    /// The dimension, after checking every slice against `n` candidates.
-    fn checked_dim(&self, n: usize) -> usize {
-        match *self {
-            Projection::SharedMatrix { m, r, hs } => {
-                let d = r.len();
-                assert_eq!(m.len(), d * d, "transfer matrix must be d × d");
-                assert_eq!(hs.len(), n * d, "candidate rows must be n × d");
-                d
-            }
-            Projection::SharedVector { h, ms, rs } => {
-                let d = h.len();
-                assert_eq!(ms.len(), n * d * d, "candidate matrices must be n × d × d");
-                assert_eq!(rs.len(), n * d, "candidate rows must be n × d");
-                d
-            }
+    /// `(n, d)`, after checking every slice against `k = caps.len()`
+    /// matrices and `out_len = k·n` residuals — what makes the vector
+    /// bodies' unchecked loads sound.
+    fn checked_shape(&self, out_len: usize) -> (usize, usize) {
+        let k = self.caps.len();
+        if k == 0 {
+            assert_eq!(out_len, 0, "no matrices, so no residuals");
+            return (0, 0);
         }
+        let (n, d) = (out_len / k, self.rs.len() / k);
+        assert_eq!(out_len, k * n, "out must hold k × n residuals");
+        assert_eq!(self.rs.len(), k * d, "relation rows must be k × d");
+        assert_eq!(
+            self.ms.len(),
+            k * d * d,
+            "transfer matrices must be k × d × d"
+        );
+        assert_eq!(self.hs.len(), n * d, "candidate rows must be n × d");
+        (n, d)
     }
 
-    /// Candidate `i`'s `(M, h, r)`.
+    /// Matrix `i`'s `(M, r, cap)`.
     #[inline]
-    fn candidate(&self, i: usize, d: usize) -> (&[f32], &[f32], &[f32]) {
-        match *self {
-            Projection::SharedMatrix { m, r, hs } => (m, row(hs, d, i), r),
-            Projection::SharedVector { h, ms, rs } => (row(ms, d * d, i), h, row(rs, d, i)),
-        }
+    fn matrix(&self, i: usize, d: usize) -> (&[f32], &[f32], f32) {
+        (row(self.ms, d * d, i), row(self.rs, d, i), self.caps[i])
     }
 }
 
@@ -715,36 +725,38 @@ pub mod scalar {
         run_beats_by(scan, bound, l1_beats, translation_beats)
     }
 
-    /// The contract of [`super::project_run`]: per candidate, each matrix
-    /// row's dot (the level's [`kernel_dot`]) minus `r_row`, absolute
-    /// values summed serially in row order, the cap checked after every
-    /// row.
+    /// The contract of [`super::project_run`]: per (matrix, candidate),
+    /// each matrix row's dot (the level's [`kernel_dot`]) minus `r_row`,
+    /// absolute values summed serially in row order, the matrix's cap
+    /// checked after every row.
     #[inline]
     pub(crate) fn project_run_by(
         p: Projection<'_>,
-        cap: f32,
         out: &mut [f32],
         dot: impl Fn(&[f32], &[f32]) -> f32,
     ) {
-        let d = p.checked_dim(out.len());
-        for (i, o) in out.iter_mut().enumerate() {
-            let (m, h, r) = p.candidate(i, d);
-            let mut res = 0.0f32;
-            *o = 'rows: {
-                for (k, &rk) in r.iter().enumerate() {
-                    res += (dot(super::row(m, d, k), h) - rk).abs();
-                    if res >= cap {
-                        break 'rows f32::INFINITY;
+        let (n, d) = p.checked_shape(out.len());
+        for (i, out) in out.chunks_exact_mut(n.max(1)).enumerate() {
+            let (m, r, cap) = p.matrix(i, d);
+            for (c, o) in out.iter_mut().enumerate() {
+                let h = super::row(p.hs, d, c);
+                let mut res = 0.0f32;
+                *o = 'rows: {
+                    for (k, &rk) in r.iter().enumerate() {
+                        res += (dot(super::row(m, d, k), h) - rk).abs();
+                        if res >= cap {
+                            break 'rows f32::INFINITY;
+                        }
                     }
-                }
-                res
-            };
+                    res
+                };
+            }
         }
     }
 
     /// Scalar twin of [`super::project_run`]: [`kernel_dot`] per row.
-    pub fn project_run(p: Projection<'_>, cap: f32, out: &mut [f32]) {
-        project_run_by(p, cap, out, kernel_dot)
+    pub fn project_run(p: Projection<'_>, out: &mut [f32]) {
+        project_run_by(p, out, kernel_dot)
     }
 
     /// Scalar twin of [`super::prune_run`]: `QuantScanTable::prunes` per
@@ -870,7 +882,16 @@ mod x86 {
         // `is_x86_feature_detected!("avx2")`, the bodies' one requirement.
         run_beats: |scan, bound| unsafe { run_beats_avx2(scan, bound) },
         prune_run: |run, survivors| unsafe { prune_run_avx2(run, survivors) },
-        project_run: |p, cap, out| unsafe { project_run_avx2(p, cap, out) },
+        project_run: |p, out| unsafe { project_run_avx2(p, out) },
+    };
+
+    /// The AVX2 table with the 512-bit projection.
+    pub(super) static AVX512: SimdDispatch = SimdDispatch {
+        level: SimdLevel::Avx512,
+        // SAFETY: this table is only handed out after
+        // `is_x86_feature_detected!` confirmed `avx512f` (and `avx2`).
+        project_run: |p, out| unsafe { project_run_avx512(p, out) },
+        ..AVX2
     };
 
     /// The SSE4.1 run entries are the contract loops over this level's
@@ -900,8 +921,8 @@ mod x86 {
         prune_run: |run, survivors| {
             run.survivors_with(survivors, |a, b| unsafe { sad_i8_sse41(a, b) })
         },
-        project_run: |p, cap, out| {
-            scalar::project_run_by(p, cap, out, |a, b| unsafe { kernel_dot_sse41(a, b) })
+        project_run: |p, out| {
+            scalar::project_run_by(p, out, |a, b| unsafe { kernel_dot_sse41(a, b) })
         },
     };
 
@@ -1389,32 +1410,100 @@ mod x86 {
         res
     }
 
-    /// `super::project_run`: heads in pairs of candidates sharing every
-    /// `M` row load, relations one candidate matrix at a time.
+    /// `super::project_run`: per matrix, the candidates in pairs sharing
+    /// every `M` row load ([`residuals_avx2`]).
     ///
     /// # Safety
     /// AVX2. (Every slice handed to [`residuals_avx2`] has the length
-    /// `Projection::checked_dim` verifies on entry.)
+    /// `Projection::checked_shape` verifies on entry.)
     #[target_feature(enable = "avx2")]
-    unsafe fn project_run_avx2(p: Projection<'_>, cap: f32, out: &mut [f32]) {
-        let n = out.len();
-        let d = p.checked_dim(n);
-        match p {
-            Projection::SharedMatrix { m, r, hs } => {
-                let mut pairs = out.chunks_exact_mut(2);
-                for (i, pair) in (&mut pairs).enumerate() {
-                    let h = [super::row(hs, d, 2 * i), super::row(hs, d, 2 * i + 1)];
-                    pair.copy_from_slice(&residuals_avx2(m, r, h, cap));
-                }
-                if let [last] = pairs.into_remainder() {
-                    [*last] = residuals_avx2(m, r, [super::row(hs, d, n - 1)], cap);
+    unsafe fn project_run_avx2(p: Projection<'_>, out: &mut [f32]) {
+        let (n, d) = p.checked_shape(out.len());
+        for (i, out) in out.chunks_exact_mut(n.max(1)).enumerate() {
+            let (m, r, cap) = p.matrix(i, d);
+            let mut pairs = out.chunks_exact_mut(2);
+            for (c, pair) in (&mut pairs).enumerate() {
+                let h = [super::row(p.hs, d, 2 * c), super::row(p.hs, d, 2 * c + 1)];
+                pair.copy_from_slice(&residuals_avx2(m, r, h, cap));
+            }
+            if let [last] = pairs.into_remainder() {
+                [*last] = residuals_avx2(m, r, [super::row(p.hs, d, n - 1)], cap);
+            }
+        }
+    }
+
+    /// Capped residuals `‖M·h_c − r‖₁` of a lane-major block
+    /// (`x[j·16 + c]` is element `j` of candidate `c`), one candidate per
+    /// lane. Per row a lane runs `kernel_dot` (accumulator `j mod 8` in
+    /// chunk order, the `combine8` tree, `+ tail`), then the serial
+    /// residual and the ordered `res ≥ cap` (never true for NaN) into a
+    /// sticky mask; masked lanes come out `+∞`. No lane combines
+    /// horizontally.
+    ///
+    /// # Safety
+    /// AVX-512F; `m` readable for `d × d` floats and `x` for `16·d`,
+    /// `d = r.len()`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn residuals16_avx512(m: *const f32, r: &[f32], cap: f32, x: *const f32) -> __m512 {
+        let d = r.len();
+        let chunks = d / 8;
+        let cap = _mm512_set1_ps(cap);
+        let mut res = _mm512_setzero_ps();
+        let mut out: __mmask16 = 0;
+        for (row, &rk) in r.iter().enumerate() {
+            let m = m.add(row * d);
+            let term =
+                |j: usize| _mm512_mul_ps(_mm512_set1_ps(*m.add(j)), _mm512_loadu_ps(x.add(j * 16)));
+            let mut acc = [_mm512_setzero_ps(); 8];
+            for q in 0..chunks {
+                for (k, acc) in acc.iter_mut().enumerate() {
+                    *acc = _mm512_add_ps(*acc, term(q * 8 + k));
                 }
             }
-            Projection::SharedVector { .. } => {
-                for (i, o) in out.iter_mut().enumerate() {
-                    let (m, h, r) = p.candidate(i, d);
-                    [*o] = residuals_avx2(m, r, [h], cap);
+            let mut tail = _mm512_setzero_ps();
+            for j in chunks * 8..d {
+                tail = _mm512_add_ps(tail, term(j));
+            }
+            let [a0, a1, a2, a3, a4, a5, a6, a7] = acc;
+            let dot = _mm512_add_ps(
+                _mm512_add_ps(_mm512_add_ps(a0, a1), _mm512_add_ps(a2, a3)),
+                _mm512_add_ps(_mm512_add_ps(a4, a5), _mm512_add_ps(a6, a7)),
+            );
+            let dot = _mm512_add_ps(dot, tail);
+            res = _mm512_add_ps(res, _mm512_abs_ps(_mm512_sub_ps(dot, _mm512_set1_ps(rk))));
+            out |= _mm512_cmp_ps_mask::<_CMP_GE_OQ>(res, cap);
+            if out == 0xFFFF {
+                break;
+            }
+        }
+        _mm512_mask_mov_ps(res, out, _mm512_set1_ps(f32::INFINITY))
+    }
+
+    /// `super::project_run` with sixteen candidates in the lanes: each
+    /// block of 16 is copied once into lane-major scratch and every matrix
+    /// runs over it ([`residuals16_avx512`]). A last block of fewer than 16
+    /// stores only its own lanes.
+    ///
+    /// # Safety
+    /// AVX-512F. (Every load is within the slices
+    /// `Projection::checked_shape` verifies on entry.)
+    #[target_feature(enable = "avx512f")]
+    unsafe fn project_run_avx512(p: Projection<'_>, out: &mut [f32]) {
+        let (n, d) = p.checked_shape(out.len());
+        let mut lanes = vec![0.0f32; 16 * d];
+        for c0 in (0..n).step_by(16) {
+            let width = (n - c0).min(16);
+            for c in 0..width {
+                for (j, &x) in super::row(p.hs, d, c0 + c).iter().enumerate() {
+                    lanes[j * 16 + c] = x;
                 }
+            }
+            let store = ((1u32 << width) - 1) as __mmask16;
+            for i in 0..p.caps.len() {
+                let (m, r, cap) = p.matrix(i, d);
+                let res = residuals16_avx512(m.as_ptr(), r, cap, lanes.as_ptr());
+                _mm512_mask_storeu_ps(out.as_mut_ptr().add(i * n + c0), store, res);
             }
         }
     }
@@ -1691,8 +1780,15 @@ mod tests {
             line.contains(&format!("simd dispatch: {}", active().level.name())),
             "{line}"
         );
-        assert!(line.contains("forced_scalar="), "{line}");
-        assert!(line.contains("pclmulqdq="), "{line}");
+        for feature in [
+            "avx512f=",
+            "avx2=",
+            "sse4.1=",
+            "forced_scalar=",
+            "pclmulqdq=",
+        ] {
+            assert!(line.contains(feature), "{line}");
+        }
     }
 
     #[test]

@@ -18,8 +18,11 @@
 
 use pkgm_core::eval::summarize_ranks;
 use pkgm_core::eval_kernels::{
-    fused_rank_heads, fused_rank_relations, fused_rank_tails, quantized_rank_heads,
-    quantized_rank_relations, quantized_rank_tails, reference_rank_heads, reference_rank_relations,
+    fused_rank_heads, fused_rank_heads_sliced, fused_rank_relations, fused_rank_relations_sliced,
+    fused_rank_tails, fused_rank_tails_sliced, quantized_rank_heads,
+    quantized_rank_heads_with_stats_sliced, quantized_rank_relations,
+    quantized_rank_relations_with_stats_sliced, quantized_rank_tails,
+    quantized_rank_tails_with_stats_sliced, reference_rank_heads, reference_rank_relations,
     reference_rank_tails,
 };
 use pkgm_core::{PkgmConfig, PkgmModel, QuantEvalModel};
@@ -115,6 +118,43 @@ fn assert_all_modes_match(
         &fused_r,
         &reference_rank_relations(model, test, filter).unwrap()
     );
+    assert_sliced_modes_match(model, test, filter)
+}
+
+/// Fused and quantized ranks ≡ reference ranks in all three modes at
+/// candidate-slice counts 1, 2 and 3.
+fn assert_sliced_modes_match(
+    model: &PkgmModel,
+    test: &[Triple],
+    filter: Option<&TripleStore>,
+) -> Result<(), TestCaseError> {
+    let qmodel = QuantEvalModel::build(model);
+    let want = [
+        reference_rank_tails(model, test, filter).unwrap(),
+        reference_rank_heads(model, test, filter).unwrap(),
+        reference_rank_relations(model, test, filter).unwrap(),
+    ];
+    for n_slices in [1, 2, 3] {
+        let fused = [
+            fused_rank_tails_sliced(model, test, filter, n_slices).unwrap(),
+            fused_rank_heads_sliced(model, test, filter, n_slices).unwrap(),
+            fused_rank_relations_sliced(model, test, filter, n_slices).unwrap(),
+        ];
+        let q = &qmodel;
+        let quantized = [
+            quantized_rank_tails_with_stats_sliced(model, q, test, filter, n_slices).unwrap(),
+            quantized_rank_heads_with_stats_sliced(model, q, test, filter, n_slices).unwrap(),
+            quantized_rank_relations_with_stats_sliced(model, q, test, filter, n_slices).unwrap(),
+        ]
+        .map(|(ranks, _)| ranks);
+        prop_assert!(
+            fused == want && quantized == want,
+            "ranks diverged at n_slices={} d={} relation module {}",
+            n_slices,
+            model.dim(),
+            model.cfg.relation_module
+        );
+    }
     Ok(())
 }
 
@@ -122,25 +162,28 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Fused ranks are exactly the reference ranks across random graphs,
-    /// dims (remainder lanes included), filter on/off, and all modes.
+    /// dims (remainder lanes and the production width included), filter
+    /// on/off, relation module on/off, and all modes.
     #[test]
     fn fused_ranks_equal_reference_ranks(
         seed in 0u64..1_000_000,
-        dim_sel in 0usize..3,
+        dim_sel in 0usize..5,
         filtered_q in 0u32..2,
     ) {
-        let dim = [3, 8, 13][dim_sel];
+        let dim = [3, 8, 13, 16, 64][dim_sel];
         let store = random_store(seed, 24, 5, 9);
-        let model = PkgmModel::new(
-            store.n_entities() as usize,
-            store.n_relations() as usize,
-            PkgmConfig::new(dim).with_seed(seed ^ 0xC3),
-        );
         // > TRIPLE_CHUNK triples so tail ranking spans several chunks and
         // several relation/head groups form.
         let test = random_test_triples(&store, seed ^ 0x7F, 40);
         let filter = (filtered_q == 1).then_some(&store);
-        assert_all_modes_match(&model, &test, filter)?;
+        for cfg in [PkgmConfig::new(dim), PkgmConfig::transe(dim)] {
+            let model = PkgmModel::new(
+                store.n_entities() as usize,
+                store.n_relations() as usize,
+                cfg.with_seed(seed ^ 0xC3),
+            );
+            assert_all_modes_match(&model, &test, filter)?;
+        }
     }
 
     /// The TransE ablation (relation module off) takes the same contract:
@@ -245,6 +288,37 @@ fn fused_ranks_equal_reference_across_many_tiles() {
             fused_rank_relations(&model, &test, filter).unwrap(),
             reference_rank_relations(&model, &test, filter).unwrap()
         );
+    }
+}
+
+/// The production width over many tiles: d = 64, more than 16 distinct
+/// query heads (several lane blocks of the relation projection), at least
+/// 17 relations (a lane block plus a remainder of candidate matrices) and
+/// an entity count that is not a multiple of 16 (a ragged last lane block
+/// of head candidates), with the relation module on and off.
+#[test]
+fn production_width_ranks_equal_reference_at_every_slice_count() {
+    let store = random_store(4242, 600, 20, 41);
+    let test = random_test_triples(&store, 99, 48);
+    let mut heads: Vec<u32> = test.iter().map(|t| t.head.0).collect();
+    heads.sort_unstable();
+    heads.dedup();
+    assert!(heads.len() > 16, "{} distinct heads", heads.len());
+    assert!(
+        store.n_relations() >= 17,
+        "{} relations",
+        store.n_relations()
+    );
+    assert!(store.n_entities() > 512 && !store.n_entities().is_multiple_of(16));
+    for cfg in [PkgmConfig::new(64), PkgmConfig::transe(64)] {
+        let model = PkgmModel::new(
+            store.n_entities() as usize,
+            store.n_relations() as usize,
+            cfg.with_seed(77),
+        );
+        for filter in [None, Some(&store)] {
+            assert_sliced_modes_match(&model, &test, filter).unwrap();
+        }
     }
 }
 

@@ -1,10 +1,10 @@
 //! Parity suite for the runtime-dispatched SIMD kernels.
 //!
 //! The contract: every primitive in the detected dispatch table
-//! (AVX2/SSE4.1 on hosts that have them, scalar elsewhere) computes the
-//! **bit-identical** function of its inputs as the portable scalar twin —
-//! same lane order, same fixed combine, same early-exit cadence. Covered
-//! deliberately:
+//! (AVX-512/AVX2/SSE4.1 on hosts that have them, scalar elsewhere)
+//! computes the **bit-identical** function of its inputs as the portable
+//! scalar twin — same lane order, same fixed combine, same early-exit
+//! cadence. Covered deliberately:
 //!
 //! * dims that are not multiples of the lane width (1, 7, 9, 15, 17, 31,
 //!   33, 63, 65, 100 …) so the SIMD tails and the scalar remainders agree;
@@ -308,82 +308,86 @@ fn capped_residual(m: &[f32], h: &[f32], r: &[f32], cap: f32) -> f32 {
     res
 }
 
-/// `project_run` at every level ≡ [`capped_residual`] bitwise, for both
-/// the shared-matrix (heads) and shared-vector (relations) forms, with
-/// caps that tie, exit at every row depth, or never fire.
+/// `project_run` at every level ≡ [`capped_residual`] bitwise for one
+/// shape: `caps.len()` matrices (`ms`, `rs`) against `n` candidates `hs`,
+/// matrix `i` capped at `caps[i]`.
+fn check_projection_shape(
+    form: &str,
+    d: usize,
+    n: usize,
+    (ms, rs, hs): (&[f32], &[f32], &[f32]),
+    caps: &[f32],
+) -> Result<(), TestCaseError> {
+    let k = caps.len();
+    let (ms, rs) = (&ms[..k * d * d], &rs[..k * d]);
+    let want: Vec<f32> = (0..k * n)
+        .map(|o| {
+            let (i, c) = (o / n, o % n);
+            let m = &ms[i * d * d..(i + 1) * d * d];
+            capped_residual(m, &hs[c * d..(c + 1) * d], &rs[i * d..(i + 1) * d], caps[i])
+        })
+        .collect();
+    for simd in SimdDispatch::all_supported() {
+        let mut out = vec![-1.0f32; k * n];
+        (simd.project_run)(Projection { ms, rs, caps, hs }, &mut out);
+        for (o, (got, want)) in out.iter().zip(&want).enumerate() {
+            prop_assert!(
+                got.to_bits() == want.to_bits(),
+                "{} {} diverged at d={} k={} n={} matrix {} candidate {} cap={}: {} vs {}",
+                simd.level.name(),
+                form,
+                d,
+                k,
+                n,
+                o / n,
+                o % n,
+                caps[o / n],
+                got,
+                want
+            );
+        }
+    }
+    Ok(())
+}
+
+/// `project_run` at every level ≡ [`capped_residual`] bitwise, in three
+/// shapes: one matrix against `n` candidates (what head ranking once ran
+/// per relation), `n` matrices against one candidate (what relation
+/// ranking once ran per head), and three matrices against `n` candidates
+/// with distinct per-matrix caps. Caps tie, exit at every row depth, or
+/// never fire.
 fn check_projection(
     rng: &mut SmallRng,
     d: usize,
     n: usize,
     subnormal: bool,
 ) -> Result<(), TestCaseError> {
-    let (m, r) = (
-        random_vec(rng, d * d, subnormal),
-        random_vec(rng, d, subnormal),
+    const K: usize = 3;
+    let (ms, rs) = (
+        random_vec(rng, n.max(K) * d * d, subnormal),
+        random_vec(rng, n.max(K) * d, subnormal),
     );
     let hs = random_vec(rng, n * d, subnormal);
     let h = random_vec(rng, d, subnormal);
-    let (ms, rs) = (
-        random_vec(rng, n * d * d, subnormal),
-        random_vec(rng, n * d, subnormal),
-    );
-    let heads = |i: usize| (&m[..], &hs[i * d..(i + 1) * d], &r[..]);
-    let relations = |i: usize| {
-        (
-            &ms[i * d * d..(i + 1) * d * d],
-            &h[..],
-            &rs[i * d..(i + 1) * d],
-        )
-    };
-    let full = |(m, h, r): (&[f32], &[f32], &[f32])| capped_residual(m, h, r, f32::INFINITY);
-    let uncapped: Vec<f32> = (0..n)
-        .map(|i| full(heads(i)))
-        .chain((0..n).map(|i| full(relations(i))))
-        .collect();
-    for cap in run_bounds(&uncapped) {
-        for simd in SimdDispatch::all_supported() {
-            type Candidate<'a> = &'a dyn Fn(usize) -> (&'a [f32], &'a [f32], &'a [f32]);
-            let forms: [(&str, Projection, Candidate); 2] = [
-                (
-                    "shared-matrix",
-                    Projection::SharedMatrix {
-                        m: &m,
-                        r: &r,
-                        hs: &hs,
-                    },
-                    &heads,
-                ),
-                (
-                    "shared-vector",
-                    Projection::SharedVector {
-                        h: &h,
-                        ms: &ms,
-                        rs: &rs,
-                    },
-                    &relations,
-                ),
-            ];
-            for (form, p, candidate) in forms {
-                let mut out = vec![-1.0f32; n];
-                (simd.project_run)(p, cap, &mut out);
-                for (i, got) in out.iter().enumerate() {
-                    let (m, h, r) = candidate(i);
-                    let want = capped_residual(m, h, r, cap);
-                    prop_assert!(
-                        got.to_bits() == want.to_bits(),
-                        "{} {} diverged at d={} n={} i={} cap={}: {} vs {}",
-                        simd.level.name(),
-                        form,
-                        d,
-                        n,
-                        i,
-                        cap,
-                        got,
-                        want
-                    );
-                }
+    let mut uncapped = Vec::new();
+    for i in 0..n.max(K) {
+        let (m, r) = (&ms[i * d * d..(i + 1) * d * d], &rs[i * d..(i + 1) * d]);
+        if i < K {
+            for c in 0..n {
+                let hc = &hs[c * d..(c + 1) * d];
+                uncapped.push(capped_residual(m, hc, r, f32::INFINITY));
             }
         }
+        if i < n {
+            uncapped.push(capped_residual(m, &h, r, f32::INFINITY));
+        }
+    }
+    let bounds = run_bounds(&uncapped);
+    for (j, &cap) in bounds.iter().enumerate() {
+        check_projection_shape("shared-matrix", d, n, (&ms, &rs, &hs), &[cap])?;
+        check_projection_shape("shared-vector", d, 1, (&ms, &rs, &h), &vec![cap; n])?;
+        let caps: Vec<f32> = (0..K).map(|i| bounds[(j + 5 * i) % bounds.len()]).collect();
+        check_projection_shape("k matrices", d, n, (&ms, &rs, &hs), &caps)?;
     }
     Ok(())
 }
@@ -471,7 +475,7 @@ proptest! {
         for &n in RUN_LENS {
             check_run_beats(&mut rng, d, n, subnormal)?;
         }
-        for n in [0usize, 1, 2, 5, 9] {
+        for n in [0usize, 1, 2, 5, 9, 15, 16, 17, 33] {
             check_projection(&mut rng, d.min(40), n, subnormal)?;
         }
         if d > 0 {
@@ -492,7 +496,7 @@ fn run_entries_match_at_every_dim() {
         for n in [0, 1, 4, 5, 9] {
             check_run_beats(&mut rng, d, n, d % 3 == 0).unwrap();
         }
-        for n in [1, 5] {
+        for n in [1, 5, 17] {
             check_projection(&mut rng, d, n, d % 3 == 0).unwrap();
         }
         if d > 0 {
@@ -659,7 +663,8 @@ fn sliced_ranks_equal_reference_across_many_tiles() {
 }
 
 /// The dispatch level sanity: forced-scalar runs report Scalar, and on
-/// x86-64 hosts with AVX2 the detected table is the AVX2 one (this is the
+/// x86-64 hosts with AVX2 the detected table is the AVX2 one, or the
+/// AVX-512 one where the host also has `avx512f` (this is the
 /// assertion CI's `simd-smoke` job leans on from the outside via the
 /// `pkgm simd` log line).
 #[test]
@@ -668,7 +673,13 @@ fn dispatch_level_is_consistent_with_host() {
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx2") {
-            assert_eq!(detected.level, SimdLevel::Avx2);
+            let wide = std::arch::is_x86_feature_detected!("avx512f");
+            let level = if wide {
+                SimdLevel::Avx512
+            } else {
+                SimdLevel::Avx2
+            };
+            assert_eq!(detected.level, level);
         } else if std::arch::is_x86_feature_detected!("sse4.1") {
             assert_eq!(detected.level, SimdLevel::Sse41);
         } else {
