@@ -1,11 +1,18 @@
-//! Run every table, figure driver, and ablation; write EXPERIMENTS.md.
+//! Run every table, figure driver, and ablation; write RESULTS.md.
 //!
 //! ```sh
 //! PKGM_SCALE=standard cargo run --release -p pkgm-bench --bin all_experiments
 //! ```
+//!
+//! The report goes to `RESULTS.md` in the working directory, a file this
+//! binary owns and rewrites whole. EXPERIMENTS.md, the hand-kept
+//! performance ledger beside it, is never written.
 
 use pkgm_bench::{ablations, figures, tables, Scale, World};
 use std::fmt::Write as _;
+
+/// The file the report is written to, relative to the working directory.
+const OUTPUT: &str = "RESULTS.md";
 
 fn main() {
     let scale = Scale::from_env();
@@ -13,7 +20,7 @@ fn main() {
     let world = World::build(scale);
 
     let mut md = String::new();
-    writeln!(md, "# EXPERIMENTS — paper vs measured\n").unwrap();
+    writeln!(md, "# RESULTS — paper vs measured\n").unwrap();
     writeln!(
         md,
         "Regenerated with `PKGM_SCALE={} cargo run --release -p pkgm-bench --bin all_experiments`.\n",
@@ -90,10 +97,7 @@ fn main() {
     )
     .unwrap();
 
-    std::fs::write("EXPERIMENTS.md", &md).expect("write EXPERIMENTS.md");
+    std::fs::write(OUTPUT, &md).expect("write RESULTS.md");
     println!("{md}");
-    eprintln!(
-        "\nWrote EXPERIMENTS.md ({:.1}s)",
-        start.elapsed().as_secs_f64()
-    );
+    eprintln!("\nWrote {OUTPUT} ({:.1}s)", start.elapsed().as_secs_f64());
 }

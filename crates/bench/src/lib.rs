@@ -2,7 +2,7 @@
 //!
 //! One function per table/figure of the paper; the `src/bin/*` binaries are
 //! thin wrappers. Each function returns a Markdown fragment that includes
-//! both our measured numbers and the paper's published row, so EXPERIMENTS.md
+//! both our measured numbers and the paper's published row, so RESULTS.md
 //! can be regenerated with:
 //!
 //! ```sh
@@ -12,7 +12,7 @@
 //! Scales (env `PKGM_SCALE`):
 //!
 //! * `smoke` — seconds; CI-sized sanity run.
-//! * `standard` (default) — minutes; the scale used for EXPERIMENTS.md.
+//! * `standard` (default) — minutes; the scale used for RESULTS.md.
 //! * `full` — tens of minutes; larger world, more epochs.
 //!
 //! Absolute numbers will not match the paper (our substrate is a synthetic

@@ -5,7 +5,7 @@
 pub enum Scale {
     /// Seconds; for tests/CI.
     Smoke,
-    /// Minutes; the EXPERIMENTS.md scale.
+    /// Minutes; the RESULTS.md scale.
     Standard,
     /// Tens of minutes.
     Full,

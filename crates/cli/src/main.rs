@@ -1059,7 +1059,7 @@ fn print_help() {
          \u{20}              between a real client and daemon; asserts bit-exact successes,\n\
          \u{20}              typed failures, no double-execution, watchdog recovery\n\
          \u{20}  simd        — print the runtime kernel dispatch line (detected\n\
-         \u{20}              AVX2/SSE4.1 level; PKGM_FORCE_SCALAR=1 pins the scalar twins)\n\
+         \u{20}              AVX-512/AVX2 level; PKGM_FORCE_SCALAR=1 pins the scalar twins)\n\
          \u{20}  daemon      serve --snapshot serving.snap | --service service.bin\n\
          \u{20}              # serves exactly one snapshot: --snapshot as it is (a given\n\
          \u{20}              --service is accepted and not read), else the table built\n\

@@ -18,16 +18,22 @@
 //!   early exit, but the *same* summation orders as the fused path. The
 //!   parity suite asserts fused ≡ reference per-triple ranks **exactly**.
 //!
-//! ## Candidate runs
+//! ## Tails in lanes, heads and relations in runs
 //!
-//! Per test triple, each tile of candidates is split at the filtered ids
-//! and at the true id into maximal runs of contiguous candidates, and each
-//! run is one dispatched call into [`crate::simd`]: [`simd::run_beats`]
-//! counts the run's candidates that beat the true score, or, in the
-//! quantized kernels, [`simd::prune_run`] keeps the run's phase-1
-//! survivors and only those are rescored exactly. The SIMD layer sees a
-//! whole run at once — AVX2 decides four candidates per pass — instead of
-//! one indirect call per candidate.
+//! Tail ranking takes [`simd::QUERY_LANES`] test triples at a time, one
+//! query `S_T(h, r)` per lane of a register, and scans each tile of
+//! candidates once for all of them: [`simd::lanes_beats`] counts, per
+//! lane, the candidates that beat that lane's true score, or, in the
+//! quantized kernels, [`simd::lanes_prune`] keeps the live (candidate,
+//! lane) pairs phase 1 cannot rule out and only those are rescored
+//! exactly. Filtering is a 16-bit lane mask per candidate: a triple's
+//! known tails and its true tail clear its bit, one operation per id.
+//!
+//! Head and relation ranking split each tile of candidates, per test
+//! triple, at the filtered ids and at the true id into maximal runs of
+//! contiguous candidates, and each run is one dispatched call:
+//! [`simd::run_beats`] (AVX2 decides four candidates per pass), or
+//! [`simd::prune_run`] and an exact rescore of its survivors.
 //!
 //! ## Why the early exit is exact, not approximate
 //!
@@ -65,9 +71,10 @@
 
 use crate::kernels::kernel_dot;
 use crate::model::PkgmModel;
-use crate::quant::{QuantScanTable, F32_EPS};
+use crate::quant::{LaneQueries, QuantScanTable, F32_EPS};
 use crate::simd::{
-    self, blocked_l1, blocked_l1_translation, l1_beats, translation_beats, Projection, RunScan,
+    self, blocked_l1, blocked_l1_translation, translation_beats, LaneRow, LaneScan, Projection,
+    RunScan, QUERY_LANES,
 };
 use pkgm_store::{EntityId, RelationId, Triple, TripleStore};
 use rayon::prelude::*;
@@ -80,11 +87,6 @@ const CANDIDATE_TILE: u32 = 256;
 /// Head groups per relation-ranking work unit: their query heads are the
 /// candidates of one projection against every relation.
 const HEAD_BLOCK: usize = 64;
-
-/// Test triples per tail-ranking work unit. All bases of a chunk live in
-/// one scratch buffer and the entity table streams through cache once per
-/// chunk instead of once per triple.
-const TRIPLE_CHUNK: usize = 16;
 
 /// Why a ranking call was refused.
 ///
@@ -203,12 +205,10 @@ fn rows(table: &[f32], d: usize, a: u32, b: u32) -> &[f32] {
 /// allocation. Mirrors [`crate::kernels::TrainScratch`].
 #[derive(Debug, Default)]
 pub struct EvalScratch {
-    /// `S_T(h, r)` base vectors for a chunk of tail-ranking triples, or
-    /// the translation queries of the quantized head/relation kernels
+    /// One tail query `S_T(h, r)` on its way into the lanes, or the
+    /// translation queries of the quantized head/relation kernels
     /// (`g × d`, row-major).
     bases: Vec<f32>,
-    /// Per-triple true scores of the current chunk/group.
-    true_scores: Vec<f32>,
     /// Per-triple `better`-than-true counters.
     better: Vec<usize>,
     /// Per-triple advancing cursors into the sorted known-positive sets
@@ -223,12 +223,21 @@ pub struct EvalScratch {
     /// One head group's column of `fr`, contiguous for the run scans.
     fr_column: Vec<f32>,
     /// Quantized query vectors for the two-phase kernels (`g × d` i8,
-    /// row-major — one quantized base per triple of the chunk/group).
+    /// row-major — one quantized base per triple of the group; one row
+    /// for tails).
     qbases: Vec<i8>,
     /// Per-triple certified query-side quantization errors.
     qerr: Vec<f32>,
     /// Phase-1 survivors of one triple's runs, awaiting the exact rescore.
     survivors: Vec<u32>,
+    /// A tail chunk's queries, one per lane (`d` lane rows).
+    lanes: Vec<LaneRow>,
+    /// The same queries quantized, for the tails' phase 1.
+    qlanes: LaneQueries,
+    /// One tile's candidates with the lanes each is live in.
+    cands: Vec<(u32, u16)>,
+    /// The tails' phase-1 survivors, with the lanes they survive in.
+    lane_survivors: Vec<(u32, u16)>,
     /// Candidate relations one relation-ranking triple filters out.
     blocked: Vec<RelationId>,
 }
@@ -376,7 +385,7 @@ fn slice_ranges(n: u32, want: usize) -> Vec<(u32, u32)> {
 /// Fan a chunked tail-style scan over `test × candidate-slices` with
 /// rayon, merging per-slice `better` counts deterministically.
 ///
-/// The worker scans one [`TRIPLE_CHUNK`] of triples against one candidate
+/// The worker scans one chunk of [`QUERY_LANES`] triples against one candidate
 /// range `[lo, hi)` using a pooled [`EvalScratch`], returning per-triple
 /// *better* counts (not ranks) plus its [`PruneStats`]. Counts are summed
 /// per chunk in work-list order and stats merged likewise — both integer
@@ -392,7 +401,7 @@ where
     W: Fn(&mut EvalScratch, &[Triple], u32, u32) -> (Vec<usize>, PruneStats) + Sync,
 {
     let ranges = slice_ranges(n_candidates, n_slices);
-    let chunks: Vec<&[Triple]> = test.chunks(TRIPLE_CHUNK).collect();
+    let chunks: Vec<&[Triple]> = test.chunks(QUERY_LANES).collect();
     let mut work: Vec<(usize, (u32, u32))> = Vec::with_capacity(chunks.len() * ranges.len());
     for ci in 0..chunks.len() {
         for &range in &ranges {
@@ -469,10 +478,11 @@ where
 /// Fused tail ranking: per-triple 1-based ranks, bit-identical to
 /// [`reference_rank_tails`] (the parity suite enforces this).
 ///
-/// Triples are processed in chunks of [`TRIPLE_CHUNK`] so the entity table
-/// streams through cache once per chunk; candidates are scanned in
-/// ascending id order in [`CANDIDATE_TILE`]-sized tiles, each split into
-/// runs at the known tails and the true tail. Work fans out over
+/// Triples are processed in chunks of [`QUERY_LANES`], one per lane, so the
+/// entity table streams through cache once per chunk and every candidate
+/// row is read once for the whole chunk; candidates are scanned in
+/// ascending id order in [`CANDIDATE_TILE`]-sized tiles, with the known
+/// tails and the true tail masked out per lane. Work fans out over
 /// `chunks × candidate-slices` (one slice per rayon thread), so all cores
 /// contribute even when `|test|` is small.
 pub fn fused_rank_tails(
@@ -511,9 +521,12 @@ fn sliced_tails(
     })
 }
 
-/// Per-triple `better` counts for one chunk over candidates `[lo, hi)`:
-/// each run through [`simd::run_beats`], or with `qmodel` through
-/// [`simd::prune_run`] and an exact rescore of the survivors.
+/// Per-triple `better` counts for one chunk over candidates `[lo, hi)`.
+/// The chunk's queries go into the lanes once; per tile, each candidate is
+/// live in every lane but those of the triples that filter it or have it
+/// as the true tail, and the tile is one [`simd::lanes_beats`] call, or
+/// with `qmodel` one [`simd::lanes_prune`] and a `lanes_beats` over its
+/// survivors.
 fn tail_chunk_better(
     model: &PkgmModel,
     qmodel: Option<&QuantEvalModel>,
@@ -524,7 +537,6 @@ fn tail_chunk_better(
     hi: u32,
 ) -> (Vec<usize>, PruneStats) {
     let d = model.dim();
-    let g = chunk.len();
     let knowns: Vec<&[EntityId]> = chunk
         .iter()
         .map(|t| filter.map_or(&[][..], |f| f.tails(t.head, t.relation)))
@@ -532,73 +544,77 @@ fn tail_chunk_better(
     scratch.start_cursors(&knowns, lo);
     let EvalScratch {
         bases,
-        true_scores,
-        better,
         ptr,
         qbases,
-        qerr,
-        survivors,
+        lanes,
+        qlanes,
+        cands,
+        lane_survivors: survivors,
         ..
     } = scratch;
-    bases.resize(g * d, 0.0);
-    qbases.resize(g * d, 0);
-    qerr.clear();
-    true_scores.clear();
+    bases.resize(d, 0.0);
+    qbases.resize(d, 0);
+    lanes.clear();
+    lanes.resize(d, LaneRow::default());
+    qlanes.reset(d);
+    let mut bounds = [0.0f32; QUERY_LANES];
     for (s, &t) in chunk.iter().enumerate() {
-        let base = &mut bases[s * d..(s + 1) * d];
-        model.service_t_into(t.head, t.relation, base);
-        true_scores.push(blocked_l1(base, model.ent(t.tail)));
+        model.service_t_into(t.head, t.relation, bases);
+        bounds[s] = blocked_l1(bases, model.ent(t.tail));
+        for (lane, &x) in lanes.iter_mut().zip(bases.iter()) {
+            lane.0[s] = x;
+        }
         if let Some(qm) = qmodel {
             // Phase 2 rescores against this very base vector, so the query
             // carries no formation error — only its own quantization error.
-            qerr.push(
-                qm.ent
-                    .quantize_query(base, &mut qbases[s * d..(s + 1) * d], 0.0),
-            );
+            let qerr = qm.ent.quantize_query(bases, qbases, 0.0);
+            qlanes.set_lane(s, qbases, qerr, bounds[s]);
         }
     }
+    let every_lane = ((1u32 << chunk.len()) - 1) as u16;
+    let mut counts = [0usize; QUERY_LANES];
     let mut stats = PruneStats::default();
 
     let mut tile_start = lo;
     while tile_start < hi {
         let tile_end = (tile_start + CANDIDATE_TILE).min(hi);
+        cands.clear();
+        cands.extend((tile_start..tile_end).map(|c| (c, every_lane)));
         for (s, t) in chunk.iter().enumerate() {
-            let base = &bases[s * d..(s + 1) * d];
-            let bound = true_scores[s];
-            let mut runs = |scan: &mut dyn FnMut(u32, u32)| {
-                for_each_run(tile_start, tile_end, knowns[s], &mut ptr[s], t.tail.0, scan)
-            };
-            match qmodel {
-                None => runs(&mut |a, b| {
-                    let n = (b - a) as usize;
-                    let scan = RunScan::L1 {
-                        base,
-                        rows: rows(&model.ent, d, a, b),
-                        n,
-                    };
-                    better[s] += simd::run_beats(scan, bound);
-                }),
-                Some(qm) => {
-                    // Phase 1: a candidate whose certified lower bound
-                    // already reaches the true score can never count.
-                    survivors.clear();
-                    let qbase = &qbases[s * d..(s + 1) * d];
-                    runs(&mut |a, b| {
-                        let run = qm.ent.run(qbase, qerr[s], bound, a..b, None);
-                        stats.candidates += simd::prune_run(run, survivors);
-                    });
-                    stats.survivors += survivors.len() as u64;
-                    // Phase 2: the exact fused decision, bit-identical.
-                    better[s] += survivors
-                        .iter()
-                        .filter(|&&c| l1_beats(base, model.ent(EntityId(c)), 0.0, bound))
-                        .count();
-                }
+            let mut clear = |c: u32| cands[(c - tile_start) as usize].1 &= !(1 << s);
+            if (tile_start..tile_end).contains(&t.tail.0) {
+                clear(t.tail.0);
+            }
+            let known = knowns[s];
+            while let Some(k) = known.get(ptr[s]).filter(|k| k.0 < tile_end) {
+                clear(k.0);
+                ptr[s] += 1;
+            }
+        }
+        let scan = |cands| LaneScan {
+            x: lanes,
+            bounds: &bounds,
+            table: &model.ent,
+            cands,
+        };
+        match qmodel {
+            None => simd::lanes_beats(scan(cands), &mut counts),
+            Some(qm) => {
+                // Phase 1: a candidate whose certified lower bound already
+                // reaches a lane's true score can never count in that lane.
+                survivors.clear();
+                stats.candidates += simd::lanes_prune(qm.ent.lanes(qlanes, cands), survivors);
+                stats.survivors += survivors
+                    .iter()
+                    .map(|&(_, live)| u64::from(live.count_ones()))
+                    .sum::<u64>();
+                // Phase 2: the exact fused decision, bit-identical.
+                simd::lanes_beats(scan(survivors), &mut counts);
             }
         }
         tile_start = tile_end;
     }
-    (better.clone(), stats.with_scanned_bytes(d))
+    (counts[..chunk.len()].to_vec(), stats.with_scanned_bytes(d))
 }
 
 /// Fused head ranking under the joint score `f_T + f_R`, bit-identical to
@@ -822,7 +838,7 @@ fn joint_better(
     let Some((scan_table, qbase, qerr)) = quant else {
         let mut better = 0;
         runs(&mut |x, y| {
-            let scan = RunScan::Translation {
+            let scan = RunScan {
                 a,
                 b,
                 extra: extra(x, y),
@@ -1419,6 +1435,7 @@ pub fn reference_rank_relations(
 mod tests {
     use super::*;
     use crate::model::PkgmConfig;
+    use crate::simd::l1_beats;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 

@@ -34,7 +34,7 @@
 //! * [`quant`] — blockwise symmetric int8 quantization with certified L1
 //!   lower bounds: prune candidates in the i8 domain, rescore survivors
 //!   exactly in f32, keep ranks bit-identical at ~4× less memory traffic;
-//! * [`simd`] — runtime-dispatched SIMD kernels (AVX2/SSE4.1 via
+//! * [`simd`] — runtime-dispatched SIMD kernels (AVX-512/AVX2 via
 //!   `is_x86_feature_detected!`, `PKGM_FORCE_SCALAR` override) with
 //!   bit-identical portable scalar twins for every hot primitive;
 //! * [`service`] — the serving layer: per-item `2k` service vectors for

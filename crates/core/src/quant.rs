@@ -61,6 +61,7 @@
 //! rescore — correct by construction, and rare enough not to matter for
 //! throughput.
 
+use crate::simd::QUERY_LANES;
 use std::ops::Range;
 
 /// Dimensions per quantization block. At 32 a d = 64 row carries two
@@ -504,8 +505,9 @@ impl QuantScanTable {
     /// orders of magnitude inside the [`SUM_SHAVE`] budget, so a `true`
     /// still certifies that the exact blocked L1 reaches `bound`.
     ///
-    /// The kernels decide whole runs through `simd::prune_run`; this is
-    /// that entry's per-candidate twin.
+    /// The kernels decide whole runs through `simd::prune_run` and lane
+    /// blocks through `simd::lanes_prune`; this is both entries'
+    /// per-candidate twin.
     pub fn prunes(&self, q: &[i8], row: u32, query_err: f32, bound: f32) -> bool {
         self.run(q, query_err, bound, row..row + 1, None)
             .prunes_with(0, bound, crate::simd::sad_i8)
@@ -542,6 +544,53 @@ impl QuantScanTable {
             extra,
         }
     }
+
+    /// The phase-1 scan of the lane queries `q` against `cands` — row ids
+    /// with the lanes each is live in — for `simd::lanes_prune`.
+    ///
+    /// # Panics
+    /// If `q` holds queries of another length than this table's rows.
+    pub fn lanes<'a>(&'a self, q: &'a LaneQueries, cands: &'a [(u32, u16)]) -> PruneLanes<'a> {
+        assert_eq!(q.d, self.row_len, "lane queries must be rows of this table");
+        PruneLanes {
+            q,
+            table: self,
+            cands,
+        }
+    }
+}
+
+/// Whether the certified lower bound between the quantized query `q` and
+/// the candidate row `cand` reaches the bound — [`QuantScanTable::prunes`]
+/// with `lane_target = bound + query_err` precomputed; `target =
+/// lane_target + row_err` sums in the same order. Escape rows
+/// (`row_err = +∞`) are never pruned.
+#[inline]
+fn prunes_row(
+    q: &[i8],
+    cand: &[i8],
+    row_err: f32,
+    lane_target: f32,
+    scales: &[f32],
+    block: usize,
+    sad: impl Fn(&[i8], &[i8]) -> u32,
+) -> bool {
+    if row_err == f32::INFINITY {
+        // Escape row: never pruned, skip the scan entirely.
+        return false;
+    }
+    let target = lane_target + row_err;
+    let d = q.len();
+    let mut sum = 0.0f32;
+    for (b, &scale) in scales.iter().enumerate() {
+        let start = b * block;
+        let end = (start + block).min(d);
+        sum += scale * sad(&cand[start..end], &q[start..end]) as f32;
+        if sum - sum * SUM_SHAVE >= target {
+            return true;
+        }
+    }
+    false
 }
 
 /// A contiguous run of candidates of a [`QuantScanTable`] with one
@@ -603,24 +652,16 @@ impl PruneRun<'_> {
         bound: f32,
         sad: impl Fn(&[i8], &[i8]) -> u32,
     ) -> bool {
-        let row_err = self.row_err[i];
-        if row_err == f32::INFINITY {
-            // Escape row: never pruned, skip the scan entirely.
-            return false;
-        }
-        let target = bound + self.query_err + row_err;
         let d = self.q.len();
-        let cand = &self.rows[i * d..(i + 1) * d];
-        let mut sum = 0.0f32;
-        for (b, &scale) in self.scales.iter().enumerate() {
-            let start = b * self.block;
-            let end = (start + self.block).min(d);
-            sum += scale * sad(&cand[start..end], &self.q[start..end]) as f32;
-            if sum - sum * SUM_SHAVE >= target {
-                return true;
-            }
-        }
-        false
+        prunes_row(
+            self.q,
+            &self.rows[i * d..(i + 1) * d],
+            self.row_err[i],
+            bound + self.query_err,
+            self.scales,
+            self.block,
+            sad,
+        )
     }
 
     /// The contract of `simd::prune_run`: [`Self::prunes_with`] over the
@@ -645,6 +686,153 @@ impl PruneRun<'_> {
             }
         }
         candidates
+    }
+}
+
+/// Eight bytes of each of [`QUERY_LANES`] queries: one 8-byte group of a
+/// [`LaneQueries`] block, lane `s` at bytes `8s..8s + 8`. Aligned to 64
+/// bytes, so each half (eight queries) is one cache line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C, align(64))]
+pub(crate) struct LaneBytes(pub(crate) [u8; 8 * QUERY_LANES]);
+
+/// [`QUERY_LANES`] quantized queries in lanes, the query side of
+/// `simd::lanes_prune`: byte `j` of lane `s`'s query sits in group `j / 8`
+/// at `8s + j % 8`, flipped by `0x80` into the unsigned range `vpsadbw`
+/// takes (`|a − b|` is unchanged by the shift). Each lane also carries its
+/// phase-1 target `bound + query_err`.
+#[derive(Debug, Clone, Default)]
+pub struct LaneQueries {
+    d: usize,
+    bytes: Vec<LaneBytes>,
+    targets: [f32; QUERY_LANES],
+}
+
+impl LaneQueries {
+    /// Empty the block for queries of length `d`: every lane holds zeros
+    /// and a zero target until [`Self::set_lane`] fills it.
+    pub fn reset(&mut self, d: usize) {
+        self.d = d;
+        self.bytes.clear();
+        self.bytes
+            .resize(d.div_ceil(8), LaneBytes([0x80; 8 * QUERY_LANES]));
+        self.targets = [0.0; QUERY_LANES];
+    }
+
+    /// Put the quantized query `q` (from [`QuantScanTable::quantize_query`],
+    /// with its error `query_err`) and its `bound` into lane `s`.
+    ///
+    /// # Panics
+    /// If `s` is not a lane or `q` is not `d` long.
+    pub fn set_lane(&mut self, s: usize, q: &[i8], query_err: f32, bound: f32) {
+        assert_eq!(q.len(), self.d, "query must be d long");
+        for (j, &v) in q.iter().enumerate() {
+            self.bytes[j / 8].0[8 * s + j % 8] = v as u8 ^ 0x80;
+        }
+        self.targets[s] = bound + query_err;
+    }
+
+    /// Lane `s`'s query, back in signed row form.
+    fn lane(&self, s: usize) -> Vec<i8> {
+        (0..self.d)
+            .map(|j| (self.bytes[j / 8].0[8 * s + j % 8] ^ 0x80) as i8)
+            .collect()
+    }
+}
+
+/// Lane queries against a list of candidates of a [`QuantScanTable`] —
+/// the argument of `simd::lanes_prune`, built by
+/// [`QuantScanTable::lanes`].
+#[derive(Debug, Clone, Copy)]
+pub struct PruneLanes<'a> {
+    q: &'a LaneQueries,
+    table: &'a QuantScanTable,
+    cands: &'a [(u32, u16)],
+}
+
+impl PruneLanes<'_> {
+    /// The query length `d`, after checking the block holds its `d / 8`
+    /// groups (rounded up) and the table one scale per block — what makes
+    /// the vector bodies' unchecked query loads sound.
+    pub(crate) fn checked_dim(&self) -> usize {
+        let d = self.q.d;
+        assert_eq!(
+            self.q.bytes.len(),
+            d.div_ceil(8),
+            "one byte group per 8 dims"
+        );
+        assert_eq!(
+            self.table.scales.len(),
+            d.div_ceil(self.table.block),
+            "one scale per block"
+        );
+        d
+    }
+
+    /// The query block, group by group.
+    pub(crate) fn query_bytes(&self) -> &[LaneBytes] {
+        &self.q.bytes
+    }
+
+    /// Each lane's `bound + query_err`.
+    pub(crate) fn targets(&self) -> &[f32; QUERY_LANES] {
+        &self.q.targets
+    }
+
+    /// The candidates and their live lanes.
+    pub(crate) fn cands(&self) -> &[(u32, u16)] {
+        self.cands
+    }
+
+    /// The table's shared block scales.
+    pub(crate) fn scales(&self) -> &[f32] {
+        &self.table.scales
+    }
+
+    /// The table's block length.
+    pub(crate) fn block(&self) -> usize {
+        self.table.block
+    }
+
+    /// Row `id`'s quantized bytes and error (`+∞` = escape).
+    ///
+    /// # Panics
+    /// If `id` lies past the table.
+    #[inline]
+    pub(crate) fn row(&self, id: u32) -> (&[i8], f32) {
+        (self.table.row(id), self.table.row_err[id as usize])
+    }
+
+    /// The contract of `simd::lanes_prune`: for each candidate, every live
+    /// lane is counted and keeps the candidate unless
+    /// [`QuantScanTable::prunes`] prunes it for that lane's query; a
+    /// candidate kept in some lane is appended with those lanes.
+    pub(crate) fn survivors_with(
+        &self,
+        survivors: &mut Vec<(u32, u16)>,
+        sad: impl Fn(&[i8], &[i8]) -> u32,
+    ) -> u64 {
+        self.checked_dim();
+        let queries: Vec<Vec<i8>> = (0..QUERY_LANES).map(|s| self.q.lane(s)).collect();
+        let mut counted = 0u64;
+        for &(id, live) in self.cands {
+            let (row, row_err) = self.row(id);
+            let mut keep = 0u16;
+            for (s, q) in queries.iter().enumerate() {
+                if live & (1 << s) == 0 {
+                    continue;
+                }
+                counted += 1;
+                let target = self.q.targets[s];
+                if !prunes_row(q, row, row_err, target, self.scales(), self.block(), &sad) {
+                    keep |= 1 << s;
+                }
+            }
+            if keep != 0 {
+                survivors.push((id, keep));
+            }
+        }
+        counted
     }
 }
 

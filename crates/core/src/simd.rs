@@ -8,31 +8,38 @@
 //! ([`crc32_update`]) — has exactly one **scalar twin** (in [`scalar`]).
 //!
 //! The link-prediction kernels do not call those primitives once per
-//! candidate. They call three **run entries**, once per contiguous run of
-//! unfiltered candidates:
+//! candidate. They call five **run entries**, each over many candidates:
 //!
-//! * [`run_beats`] — how many rows of a run beat a bound under
-//!   [`l1_beats`] (tails) or [`translation_beats`] (heads, relations);
+//! * [`lanes_beats`] — tails: [`QUERY_LANES`] queries, one per lane of a
+//!   register, against a list of candidates that are each live in some of
+//!   the lanes; per lane, how many of its live candidates beat its bound
+//!   under [`l1_beats`];
+//! * [`lanes_prune`] — the int8 phase 1 of the same lane block: the live
+//!   (candidate, lane) pairs `QuantScanTable::prunes` cannot rule out;
+//! * [`run_beats`] — heads and relations: how many rows of a contiguous
+//!   run beat a bound under [`translation_beats`];
 //! * [`prune_run`] — the survivors of `QuantScanTable::prunes` over a run;
 //! * [`project_run`] — the capped relation-module residual
 //!   `‖M·h − r‖₁` of every (matrix, candidate) pair of `k` matrices
 //!   against a tile of `n` candidate vectors, each row a [`kernel_dot`].
 //!
 //! A run entry's scalar twin is the loop over its per-candidate twin, and
-//! that loop is the contract: the run form may interleave candidates,
-//! share row loads and combine four accumulators at once, but every
-//! (candidate, row) accumulator keeps its own lane order and combine tree
-//! and every decision its early-exit cadence, so each count, survivor and
-//! residual equals the loop's bit for bit.
+//! that loop is the contract: the run form may interleave candidates or
+//! queries, share row loads and decide many pairs at once, but every
+//! (query, candidate) accumulator keeps its own lane order and combine
+//! tree and every decision its early-exit cadence, so each count, survivor
+//! and residual equals the loop's bit for bit.
 //!
 //! Every entry, primitive or run, has, on x86-64, explicit `std::arch`
 //! implementations selected once at runtime:
 //!
-//! * **AVX-512** when `is_x86_feature_detected!("avx512f")` as well: the
-//!   AVX2 table with one entry replaced, [`project_run`], whose body puts
-//!   one candidate in each of sixteen lanes (DESIGN.md §11);
-//! * **AVX2** when `is_x86_feature_detected!("avx2")`;
-//! * **SSE4.1** when only `is_x86_feature_detected!("sse4.1")`;
+//! * **AVX-512** when `is_x86_feature_detected!` finds `avx512f` and
+//!   `avx512bw` as well as `avx2`: the AVX2 table with its three lane
+//!   entries replaced — [`project_run`] with one candidate per lane,
+//!   [`lanes_beats`] and [`lanes_prune`] with one query per lane of one
+//!   512-bit register (DESIGN.md §11);
+//! * **AVX2** when `is_x86_feature_detected!("avx2")`, its lane entries
+//!   running the sixteen queries as two eight-lane halves;
 //! * the portable scalar twins otherwise, on non-x86 targets, or when the
 //!   `PKGM_FORCE_SCALAR` environment variable is set (any value but `0`);
 //! * independently of the float level, the CRC entry is the carry-less
@@ -57,12 +64,14 @@
 //! is commutative, so `hadd`'s `a₁+a₀` is the scalar `a₀+a₁` bit for bit.
 //! Three `hadd`s combine four accumulators into one `f32x4` the same way,
 //! which is how the run entries reduce four candidates (or four matrix
-//! rows) per exit check. The SSE4.1 path splits the eight lanes across
-//! two `f32x4` registers — same per-lane order again. So for every input
-//! the SIMD result is the *same deterministic function* as the scalar
-//! twin, bit for bit; `tests/simd_parity.rs` enforces this at every level
-//! the host supports ([`SimdDispatch::all_supported`]) across
-//! non-lane-multiple dims, subnormals, and early-exit abandon points.
+//! rows) per exit check. The lane entries never combine horizontally:
+//! each lane is one query (or one projected candidate), its eight
+//! accumulators are eight registers, and the `combine8` tree is seven
+//! vertical adds in the tree's own order. So for every input the SIMD
+//! result is the *same deterministic function* as the scalar twin, bit for
+//! bit; `tests/simd_parity.rs` enforces this at every level the host
+//! supports ([`SimdDispatch::all_supported`]) across non-lane-multiple
+//! dims, subnormals, and early-exit abandon points.
 //!
 //! The early-exit comparators keep their cadence: the partial lane sums
 //! are combined and compared against the bound every
@@ -71,7 +80,7 @@
 //! bit-identical. (A coarser cadence would be exact too — a partial sum
 //! only grows, so a check that fires proves the final comparison fails —
 //! but the run entries keep this one.) The i8 scan is exact integer arithmetic
-//! (`_mm256_sad_epu8` over sign-flipped bytes — `|a−b|` is translation
+//! (`vpsadbw` over sign-flipped bytes — `|a−b|` is translation
 //! invariant, so XOR with `0x80` maps signed SAD onto the unsigned
 //! instruction); any summation order gives the same `u32`.
 //!
@@ -91,7 +100,7 @@
 //! every trained model byte). It routes through this module so there is
 //! one implementation, but both dispatch entries are the same scalar code.
 
-use crate::quant::PruneRun;
+use crate::quant::{PruneLanes, PruneRun};
 use std::sync::OnceLock;
 
 /// Early-exit cadence in eight-lane chunks: the comparators combine the
@@ -101,17 +110,20 @@ use std::sync::OnceLock;
 /// the scalar twins exactly.
 pub const EXIT_STRIDE: usize = 2;
 
+/// Queries per lane block of [`lanes_beats`] and [`lanes_prune`]: one per
+/// lane of a 512-bit register of f32.
+pub const QUERY_LANES: usize = 16;
+
 /// The instruction set a [`SimdDispatch`] table was built for, ordered
 /// by width.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdLevel {
     /// Portable scalar twins (also the `PKGM_FORCE_SCALAR` path).
     Scalar,
-    /// 128-bit SSE4.1 paths (two `f32x4` lane registers).
-    Sse41,
     /// 256-bit AVX2 paths (one `f32x8` lane register, `vpsadbw`).
     Avx2,
-    /// The AVX2 table with a 512-bit projection (one candidate per lane).
+    /// The AVX2 table with 512-bit lane entries (one candidate or one
+    /// query per lane).
     Avx512,
 }
 
@@ -120,7 +132,6 @@ impl SimdLevel {
     pub fn name(&self) -> &'static str {
         match self {
             SimdLevel::Scalar => "scalar",
-            SimdLevel::Sse41 => "sse4.1",
             SimdLevel::Avx2 => "avx2",
             SimdLevel::Avx512 => "avx512",
         }
@@ -131,35 +142,47 @@ impl SimdLevel {
 /// `(h, r, t, extra, bound) → beats`.
 pub type TranslationBeatsFn = fn(&[f32], &[f32], &[f32], f32, f32) -> bool;
 
-/// A contiguous run of candidate rows for [`run_beats`], with the query
-/// every row is compared against. `d` is the query's length and `rows`
-/// holds the run's candidates as `d`-wide rows, row-major.
+/// A contiguous run of candidate rows for [`run_beats`]: heads (`a = r`,
+/// `b = t`) and relations (`a = h`, `b = t`), where row `i` beats when
+/// `translation_beats(c_i, a, b, extra[i], bound)`. The relation twin is
+/// `translation_beats(h, c_i, t, …)`; `c + h` and `h + c` are the same
+/// IEEE sum, so the two decide alike.
 #[derive(Debug, Clone, Copy)]
-pub enum RunScan<'a> {
-    /// Tails: row `c` beats when `l1_beats(base, c, 0.0, bound)`.
-    L1 {
-        /// The query vector `S_T(h, r)`.
-        base: &'a [f32],
-        /// `n × d` candidate rows.
-        rows: &'a [f32],
-        /// Candidates in the run.
-        n: usize,
-    },
-    /// Heads (`a = r`, `b = t`) and relations (`a = h`, `b = t`): row `i`
-    /// beats when `translation_beats(c_i, a, b, extra[i], bound)`. The
-    /// relation twin is `translation_beats(h, c_i, t, …)`; `c + h` and
-    /// `h + c` are the same IEEE sum, so the two decide alike.
-    Translation {
-        /// Added to each candidate row.
-        a: &'a [f32],
-        /// Subtracted from each sum.
-        b: &'a [f32],
-        /// Per-candidate addend (the relation-module score); its length is
-        /// the run length.
-        extra: &'a [f32],
-        /// `extra.len() × d` candidate rows.
-        rows: &'a [f32],
-    },
+pub struct RunScan<'a> {
+    /// Added to each candidate row.
+    pub a: &'a [f32],
+    /// Subtracted from each sum.
+    pub b: &'a [f32],
+    /// Per-candidate addend (the relation-module score); its length is the
+    /// run length.
+    pub extra: &'a [f32],
+    /// `extra.len() × d` candidate rows, `d = a.len()`, row-major.
+    pub rows: &'a [f32],
+}
+
+/// Element `j` of [`QUERY_LANES`] queries, lane `s` holding query `s`'s:
+/// one row of a lane-major query block. Aligned to 64 bytes, so a 512-bit
+/// load of a row never splits a cache line.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[repr(C, align(64))]
+pub struct LaneRow(pub [f32; QUERY_LANES]);
+
+/// [`QUERY_LANES`] tail queries against a list of candidates for
+/// [`lanes_beats`]: for every candidate and every lane `s` live in its
+/// mask, lane `s` counts the candidate when
+/// `l1_beats(query_s, row, 0.0, bounds[s])`.
+#[derive(Debug, Clone, Copy)]
+pub struct LaneScan<'a> {
+    /// The queries, lane-major: `x[j].0[s]` is element `j` of query `s`,
+    /// so `d = x.len()`.
+    pub x: &'a [LaneRow],
+    /// One bound per lane.
+    pub bounds: &'a [f32; QUERY_LANES],
+    /// The candidate table, `d`-wide rows, row-major.
+    pub table: &'a [f32],
+    /// The candidates as `(row id, live lanes)`: bit `s` of the mask set
+    /// means lane `s` ranks the candidate.
+    pub cands: &'a [(u32, u16)],
 }
 
 /// `k` relation-module projections against a tile of `n` candidate
@@ -210,6 +233,11 @@ pub struct SimdDispatch {
     pub prune_run: fn(PruneRun<'_>, &mut Vec<u32>) -> u64,
     /// Capped residuals of `k` matrices × `n` candidates ([`project_run`]).
     pub project_run: fn(Projection<'_>, &mut [f32]),
+    /// Per lane, the live candidates that beat its bound ([`lanes_beats`]).
+    pub lanes_beats: fn(LaneScan<'_>, &mut [usize; QUERY_LANES]),
+    /// Append the live (candidate, lanes) pairs phase 1 keeps; returns the
+    /// pairs it counted ([`lanes_prune`]).
+    pub lanes_prune: fn(PruneLanes<'_>, &mut Vec<(u32, u16)>) -> u64,
 }
 
 static SCALAR: SimdDispatch = SimdDispatch {
@@ -224,6 +252,8 @@ static SCALAR: SimdDispatch = SimdDispatch {
     run_beats: scalar::run_beats,
     prune_run: scalar::prune_run,
     project_run: scalar::project_run,
+    lanes_beats: scalar::lanes_beats,
+    lanes_prune: scalar::lanes_prune,
 };
 
 impl SimdDispatch {
@@ -234,16 +264,11 @@ impl SimdDispatch {
 
     /// Every table this host can run, scalar first and
     /// [`SimdDispatch::detected`] last — on an AVX-512 host that is
-    /// scalar, SSE4.1, AVX2 and AVX-512, so the parity suite compares the
-    /// SSE4.1 and AVX2 bodies too although nothing else here would ever
-    /// select them.
+    /// scalar, AVX2 and AVX-512, so the parity suite compares the AVX2
+    /// bodies too although nothing else here would ever select them.
     pub fn all_supported() -> Vec<&'static SimdDispatch> {
         let mut tables = vec![SimdDispatch::scalar()];
         let best = SimdDispatch::detected();
-        #[cfg(target_arch = "x86_64")]
-        if best.level >= SimdLevel::Avx2 && std::arch::is_x86_feature_detected!("sse4.1") {
-            tables.push(&x86::SSE41);
-        }
         #[cfg(target_arch = "x86_64")]
         if best.level == SimdLevel::Avx512 {
             tables.push(&x86::AVX2);
@@ -264,12 +289,12 @@ impl SimdDispatch {
             #[cfg(target_arch = "x86_64")]
             {
                 let avx2 = std::arch::is_x86_feature_detected!("avx2");
-                let mut table = if avx2 && std::arch::is_x86_feature_detected!("avx512f") {
+                let avx512 = std::arch::is_x86_feature_detected!("avx512f")
+                    && std::arch::is_x86_feature_detected!("avx512bw");
+                let mut table = if avx2 && avx512 {
                     x86::AVX512
                 } else if avx2 {
                     x86::AVX2
-                } else if std::arch::is_x86_feature_detected!("sse4.1") {
-                    x86::SSE41
                 } else {
                     SCALAR
                 };
@@ -316,7 +341,8 @@ pub fn active() -> &'static SimdDispatch {
 
 /// The one-line dispatch report the daemon, the benches and `pkgm simd`
 /// print (and CI's `simd-smoke` job asserts on): `simd dispatch: avx512
-/// (avx512f=yes, avx2=yes, sse4.1=yes, forced_scalar=no, pclmulqdq=yes)`.
+/// (avx512f=yes, avx512bw=yes, avx2=yes, forced_scalar=no,
+/// pclmulqdq=yes)`.
 pub fn describe() -> String {
     fn yn(b: bool) -> &'static str {
         if b {
@@ -326,20 +352,20 @@ pub fn describe() -> String {
         }
     }
     #[cfg(target_arch = "x86_64")]
-    let (avx512f, avx2, sse41, pclmulqdq) = (
+    let (avx512f, avx512bw, avx2, pclmulqdq) = (
         std::arch::is_x86_feature_detected!("avx512f"),
+        std::arch::is_x86_feature_detected!("avx512bw"),
         std::arch::is_x86_feature_detected!("avx2"),
-        std::arch::is_x86_feature_detected!("sse4.1"),
         std::arch::is_x86_feature_detected!("pclmulqdq"),
     );
     #[cfg(not(target_arch = "x86_64"))]
-    let (avx512f, avx2, sse41, pclmulqdq) = (false, false, false, false);
+    let (avx512f, avx512bw, avx2, pclmulqdq) = (false, false, false, false);
     format!(
-        "simd dispatch: {} (avx512f={}, avx2={}, sse4.1={}, forced_scalar={}, pclmulqdq={})",
+        "simd dispatch: {} (avx512f={}, avx512bw={}, avx2={}, forced_scalar={}, pclmulqdq={})",
         active().level.name(),
         yn(avx512f),
+        yn(avx512bw),
         yn(avx2),
-        yn(sse41),
         yn(force_scalar_requested()),
         yn(pclmulqdq)
     )
@@ -416,10 +442,10 @@ pub fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
     (active().crc32_update)(state, bytes)
 }
 
-/// How many rows of `scan` beat `bound` — the per-candidate comparator of
-/// the [`RunScan`] variant applied to every row, dispatched once for the
-/// whole run. AVX2 decides four candidates per pass and reduces all four
-/// partial sums with one `hadd` tree at each [`EXIT_STRIDE`] check.
+/// How many rows of `scan` beat `bound` under [`translation_beats`],
+/// dispatched once for the whole run. AVX2 decides four candidates per
+/// pass and reduces all four partial sums with one `hadd` tree at each
+/// [`EXIT_STRIDE`] check.
 ///
 /// # Panics
 /// If the row slice is not exactly the run's candidates.
@@ -450,6 +476,42 @@ pub fn prune_run(run: PruneRun<'_>, survivors: &mut Vec<u32>) -> u64 {
 #[inline]
 pub fn project_run(p: Projection<'_>, out: &mut [f32]) {
     (active().project_run)(p, out)
+}
+
+/// Add, per lane, the live candidates of `scan` that beat the lane's bound
+/// to `counts` — [`l1_beats`] of every live (lane, candidate) pair,
+/// dispatched once for the whole list. The wide bodies broadcast each
+/// candidate element against all sixteen queries and decide the lanes at
+/// once, so no candidate is transposed and no lane combines horizontally.
+///
+/// # Panics
+/// If the table does not hold whole `d`-wide rows or a candidate id lies
+/// past it.
+#[inline]
+pub fn lanes_beats(scan: LaneScan<'_>, counts: &mut [usize; QUERY_LANES]) {
+    (active().lanes_beats)(scan, counts)
+}
+
+/// Append to `survivors` each candidate of `p` with the live lanes
+/// `QuantScanTable::prunes` cannot rule it out for (candidates kept in no
+/// lane are left out); returns how many live (candidate, lane) pairs it
+/// counted. The wide bodies take one `vpsadbw` per eight queries and
+/// eight candidate bytes, the bytes broadcast.
+///
+/// # Panics
+/// If a candidate id lies past the table.
+#[inline]
+pub fn lanes_prune(p: PruneLanes<'_>, survivors: &mut Vec<(u32, u16)>) -> u64 {
+    (active().lanes_prune)(p, survivors)
+}
+
+/// The lanes set in `mask`, ascending.
+fn lanes(mut mask: u16) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let s = mask.trailing_zeros() as usize;
+        mask &= mask.wrapping_sub(1);
+        (s < QUERY_LANES).then_some(s)
+    })
 }
 
 /// The reflected IEEE CRC32 polynomial `P` (without its `x³²` term).
@@ -517,17 +579,40 @@ impl RunScan<'_> {
     /// query's length — what makes the vector bodies' unchecked row
     /// loads sound.
     fn checked_len(&self) -> usize {
-        match *self {
-            RunScan::L1 { base, rows, n } => {
-                assert_eq!(rows.len(), n * base.len(), "run rows must be n × d");
-                n
-            }
-            RunScan::Translation { a, b, extra, rows } => {
-                assert_eq!(a.len(), b.len(), "translation operands differ in length");
-                assert_eq!(rows.len(), extra.len() * a.len(), "run rows must be n × d");
-                extra.len()
-            }
-        }
+        assert_eq!(
+            self.a.len(),
+            self.b.len(),
+            "translation operands differ in length"
+        );
+        assert_eq!(
+            self.rows.len(),
+            self.extra.len() * self.a.len(),
+            "run rows must be n × d"
+        );
+        self.extra.len()
+    }
+}
+
+impl LaneScan<'_> {
+    /// The query length `d`, after checking the table holds whole `d`-wide
+    /// rows.
+    fn checked_dim(&self) -> usize {
+        let d = self.x.len();
+        assert!(
+            d == 0 || self.table.len().is_multiple_of(d),
+            "table must be whole d-wide rows"
+        );
+        d
+    }
+
+    /// Candidate `id`'s row.
+    ///
+    /// # Panics
+    /// If the row lies past the table.
+    #[inline]
+    fn row(&self, id: u32, d: usize) -> &[f32] {
+        let start = id as usize * d;
+        &self.table[start..start + d]
     }
 }
 
@@ -570,7 +655,7 @@ impl Projection<'_> {
 /// `quant.rs` now route here), kept `pub` so parity tests and benches can
 /// name them explicitly.
 pub mod scalar {
-    use super::{Projection, PruneRun, RunScan, EXIT_STRIDE};
+    use super::{LaneScan, Projection, PruneLanes, PruneRun, RunScan, EXIT_STRIDE, QUERY_LANES};
 
     /// The fixed tree-shaped lane combine shared by every eight-lane
     /// primitive (and reproduced by the SIMD horizontal reductions).
@@ -697,32 +782,40 @@ pub mod scalar {
         (combine8(&acc) + tail) + extra < bound
     }
 
-    /// The contract of [`super::run_beats`]: the per-candidate comparators
-    /// a dispatch level supplies, applied to every row of the run.
-    #[inline]
-    pub(crate) fn run_beats_by(
-        scan: RunScan<'_>,
-        bound: f32,
-        l1_beats: impl Fn(&[f32], &[f32], f32, f32) -> bool,
-        translation_beats: impl Fn(&[f32], &[f32], &[f32], f32, f32) -> bool,
-    ) -> usize {
-        let n = scan.checked_len();
-        match scan {
-            RunScan::L1 { base, rows, .. } => (0..n)
-                .filter(|&i| l1_beats(base, super::row(rows, base.len(), i), 0.0, bound))
-                .count(),
-            RunScan::Translation { a, b, extra, rows } => extra
-                .iter()
-                .enumerate()
-                .filter(|&(i, &e)| translation_beats(super::row(rows, a.len(), i), a, b, e, bound))
-                .count(),
+    /// Scalar twin of [`super::run_beats`]: [`translation_beats`] on every
+    /// row.
+    pub fn run_beats(scan: RunScan<'_>, bound: f32) -> usize {
+        let d = scan.a.len();
+        scan.checked_len();
+        scan.extra
+            .iter()
+            .enumerate()
+            .filter(|&(i, &e)| {
+                translation_beats(super::row(scan.rows, d, i), scan.a, scan.b, e, bound)
+            })
+            .count()
+    }
+
+    /// Scalar twin of [`super::lanes_beats`], and its contract:
+    /// [`l1_beats`] of each lane's query against every candidate live in
+    /// that lane.
+    pub fn lanes_beats(scan: LaneScan<'_>, counts: &mut [usize; QUERY_LANES]) {
+        let d = scan.checked_dim();
+        let queries: Vec<Vec<f32>> = (0..QUERY_LANES)
+            .map(|s| scan.x.iter().map(|e| e.0[s]).collect())
+            .collect();
+        for &(id, live) in scan.cands {
+            let row = scan.row(id, d);
+            for s in super::lanes(live) {
+                counts[s] += usize::from(l1_beats(&queries[s], row, 0.0, scan.bounds[s]));
+            }
         }
     }
 
-    /// Scalar twin of [`super::run_beats`]: [`l1_beats`] or
-    /// [`translation_beats`] on every row.
-    pub fn run_beats(scan: RunScan<'_>, bound: f32) -> usize {
-        run_beats_by(scan, bound, l1_beats, translation_beats)
+    /// Scalar twin of [`super::lanes_prune`]: `QuantScanTable::prunes`
+    /// per live (candidate, lane) pair, block sums by [`sad_i8`].
+    pub fn lanes_prune(p: PruneLanes<'_>, survivors: &mut Vec<(u32, u16)>) -> u64 {
+        p.survivors_with(survivors, sad_i8)
     }
 
     /// The contract of [`super::project_run`]: per (matrix, candidate),
@@ -851,7 +944,7 @@ pub mod scalar {
 // x86-64 SIMD implementations
 // ---------------------------------------------------------------------------
 
-/// AVX2 and SSE4.1 implementations. Every `unsafe` target-feature function
+/// AVX2 and AVX-512 implementations. Every `unsafe` target-feature function
 /// performs the identical per-lane IEEE-754 operations in the identical
 /// order as its scalar twin (see the module docs); the safe entry wrappers
 /// are only ever installed in a dispatch table after
@@ -860,7 +953,8 @@ pub mod scalar {
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::{
-        scalar, Projection, PruneRun, RunScan, SimdDispatch, SimdLevel, CRC_FOLD_KEYS, EXIT_STRIDE,
+        scalar, LaneScan, Projection, PruneLanes, PruneRun, RunScan, SimdDispatch, SimdLevel,
+        CRC_FOLD_KEYS, EXIT_STRIDE, QUERY_LANES,
     };
     use crate::quant::SUM_SHAVE;
     use core::arch::x86_64::*;
@@ -878,52 +972,25 @@ mod x86 {
         // `SimdDispatch::detected` swaps in `crc32_fold` where the host
         // has `pclmulqdq`, which AVX2 does not imply.
         crc32_update: scalar::crc32_update,
-        // SAFETY (all three): this table is only handed out after
+        // SAFETY (all five): this table is only handed out after
         // `is_x86_feature_detected!("avx2")`, the bodies' one requirement.
         run_beats: |scan, bound| unsafe { run_beats_avx2(scan, bound) },
         prune_run: |run, survivors| unsafe { prune_run_avx2(run, survivors) },
         project_run: |p, out| unsafe { project_run_avx2(p, out) },
+        lanes_beats: |scan, counts| unsafe { lanes_beats_avx2(scan, counts) },
+        lanes_prune: |p, survivors| unsafe { lanes_prune_avx2(p, survivors) },
     };
 
-    /// The AVX2 table with the 512-bit projection.
+    /// The AVX2 table with the 512-bit lane entries.
     pub(super) static AVX512: SimdDispatch = SimdDispatch {
         level: SimdLevel::Avx512,
-        // SAFETY: this table is only handed out after
-        // `is_x86_feature_detected!` confirmed `avx512f` (and `avx2`).
-        project_run: |p, out| unsafe { project_run_avx512(p, out) },
-        ..AVX2
-    };
-
-    /// The SSE4.1 run entries are the contract loops over this level's
-    /// per-candidate bodies.
-    pub(super) static SSE41: SimdDispatch = SimdDispatch {
-        level: SimdLevel::Sse41,
-        kernel_dot: |a, b| unsafe { kernel_dot_sse41(a, b) },
-        blocked_l1: |a, b| unsafe { blocked_l1_sse41(a, b) },
-        blocked_l1_translation: |h, r, t| unsafe { blocked_l1_translation_sse41(h, r, t) },
-        l1_beats: |a, b, extra, bound| unsafe { l1_beats_sse41(a, b, extra, bound) },
-        translation_beats: |h, r, t, extra, bound| unsafe {
-            translation_beats_sse41(h, r, t, extra, bound)
-        },
-        sad_i8: |a, b| unsafe { sad_i8_sse41(a, b) },
-        // As for `AVX2`: replaced in `SimdDispatch::detected`.
-        crc32_update: scalar::crc32_update,
         // SAFETY (all three): this table is only handed out after
-        // `is_x86_feature_detected!("sse4.1")`, the bodies' one requirement.
-        run_beats: |scan, bound| {
-            scalar::run_beats_by(
-                scan,
-                bound,
-                |a, b, extra, bound| unsafe { l1_beats_sse41(a, b, extra, bound) },
-                |h, r, t, extra, bound| unsafe { translation_beats_sse41(h, r, t, extra, bound) },
-            )
-        },
-        prune_run: |run, survivors| {
-            run.survivors_with(survivors, |a, b| unsafe { sad_i8_sse41(a, b) })
-        },
-        project_run: |p, out| {
-            scalar::project_run_by(p, out, |a, b| unsafe { kernel_dot_sse41(a, b) })
-        },
+        // `is_x86_feature_detected!` confirmed `avx512f` and `avx512bw`
+        // (and `avx2`).
+        project_run: |p, out| unsafe { project_run_avx512(p, out) },
+        lanes_beats: |scan, counts| unsafe { lanes_beats_avx512(scan, counts) },
+        lanes_prune: |p, survivors| unsafe { lanes_prune_avx512(p, survivors) },
+        ..AVX2
     };
 
     /// Clear the sign bit of every lane — bit-identical to `f32::abs`
@@ -1113,8 +1180,7 @@ mod x86 {
         total as u32 + rest
     }
 
-    /// Decide four candidates `c[k]` in one pass: `l1_beats(a, c[k],
-    /// extra[k], bound)`, or with `TRANSLATION`
+    /// Decide four candidates `c[k]` in one pass:
     /// `translation_beats(c[k], a, b, extra[k], bound)`. Every candidate
     /// keeps its own eight-lane accumulator and serial tail; every
     /// [`EXIT_STRIDE`] chunks one [`combine256x4`] checks all four, and the
@@ -1127,7 +1193,7 @@ mod x86 {
     /// AVX2; `a`, `b` and every `c[k]` readable for `d` floats.
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn beats4_avx2<const TRANSLATION: bool>(
+    unsafe fn beats4_avx2(
         a: *const f32,
         b: *const f32,
         c: [*const f32; 4],
@@ -1148,11 +1214,7 @@ mod x86 {
             let vb = _mm256_loadu_ps(b.add(i * 8));
             for (acc, &ck) in acc.iter_mut().zip(&c) {
                 let vc = _mm256_loadu_ps(ck.add(i * 8));
-                let diff = if TRANSLATION {
-                    _mm256_sub_ps(_mm256_add_ps(vc, va), vb)
-                } else {
-                    _mm256_sub_ps(va, vc)
-                };
+                let diff = _mm256_sub_ps(_mm256_add_ps(vc, va), vb);
                 *acc = _mm256_add_ps(*acc, abs256(diff));
             }
             pending += 1;
@@ -1168,12 +1230,7 @@ mod x86 {
         let mut tail = [0.0f32; 4];
         for (t, &ck) in tail.iter_mut().zip(&c) {
             for i in chunks * 8..d {
-                let (x, y) = (*a.add(i), *ck.add(i));
-                *t += if TRANSLATION {
-                    (y + x - *b.add(i)).abs()
-                } else {
-                    (x - y).abs()
-                };
+                *t += (*ck.add(i) + *a.add(i) - *b.add(i)).abs();
             }
         }
         let total = _mm_add_ps(
@@ -1192,10 +1249,7 @@ mod x86 {
     #[target_feature(enable = "avx2")]
     unsafe fn run_beats_avx2(scan: RunScan<'_>, bound: f32) -> usize {
         let n = scan.checked_len();
-        let (a, b, rows, extra) = match scan {
-            RunScan::L1 { base, rows, .. } => (base, base, rows, None),
-            RunScan::Translation { a, b, extra, rows } => (a, b, rows, Some(extra)),
-        };
+        let RunScan { a, b, extra, rows } = scan;
         let d = a.len();
         let p = rows.as_ptr();
         let mut count = 0usize;
@@ -1207,22 +1261,13 @@ mod x86 {
                 p.add((i + 2) * d),
                 p.add((i + 3) * d),
             ];
-            let beats = match extra {
-                Some(e) => {
-                    let e = _mm_loadu_ps(e.as_ptr().add(i));
-                    beats4_avx2::<true>(a.as_ptr(), b.as_ptr(), c, d, e, bound)
-                }
-                None => beats4_avx2::<false>(a.as_ptr(), b.as_ptr(), c, d, _mm_setzero_ps(), bound),
-            };
+            let e = _mm_loadu_ps(extra.as_ptr().add(i));
+            let beats = beats4_avx2(a.as_ptr(), b.as_ptr(), c, d, e, bound);
             count += beats.count_ones() as usize;
             i += 4;
         }
-        for j in i..n {
-            let c = super::row(rows, d, j);
-            count += match extra {
-                Some(e) => translation_beats_avx2(c, a, b, e[j], bound),
-                None => l1_beats_avx2(a, c, 0.0, bound),
-            } as usize;
+        for (j, &e) in extra.iter().enumerate().skip(i) {
+            count += translation_beats_avx2(super::row(rows, d, j), a, b, e, bound) as usize;
         }
         count
     }
@@ -1508,184 +1553,331 @@ mod x86 {
         }
     }
 
-    /// The scalar fixed tree combine of both four-lane accumulators
-    /// (lanes 0–3 and 4–7), in registers: `hadd` gives the four pair sums,
-    /// a second `hadd` `(a₀+a₁)+(a₂+a₃)` and `(a₄+a₅)+(a₆+a₇)`, one add
-    /// joins them (see [`combine256`]).
-    #[inline]
-    #[target_feature(enable = "sse4.1")]
-    unsafe fn combine128(lo: __m128, hi: __m128) -> f32 {
-        let pairs = _mm_hadd_ps(lo, hi);
-        let halves = _mm_hadd_ps(pairs, pairs);
-        _mm_cvtss_f32(_mm_add_ss(halves, _mm_movehdup_ps(halves)))
+    /// A register of f32 lanes — sixteen (`__m512`) or eight (`__m256`) —
+    /// over which the lane bodies [`lanes_beats_with`] and
+    /// [`lanes_prune_with`] are written once. Mask bit `s` is lane `s`.
+    ///
+    /// # Safety
+    /// Every method needs its impl's CPU features. `load` reads `N` floats
+    /// at `p`; `block_sads` reads the four 8-byte groups of `N` queries from
+    /// `q` on (groups `8·QUERY_LANES` bytes apart) and 32 bytes at `row`.
+    trait F32Lanes: Copy {
+        /// Lanes per register.
+        const N: usize;
+        unsafe fn splat(x: f32) -> Self;
+        unsafe fn load(p: *const f32) -> Self;
+        unsafe fn add(self, o: Self) -> Self;
+        unsafe fn sub(self, o: Self) -> Self;
+        unsafe fn mul(self, o: Self) -> Self;
+        /// Clear every sign bit (`f32::abs`).
+        unsafe fn abs(self) -> Self;
+        /// The lanes where the ordered comparison `P` holds (never NaN's).
+        unsafe fn cmp<const P: i32>(self, o: Self) -> u16;
+        /// Each lane's exact SAD between its query's and the candidate's
+        /// 32-byte block, both flipped into u8, as f32.
+        unsafe fn block_sads(q: *const u8, row: *const i8) -> Self;
+    }
+
+    impl F32Lanes for __m512 {
+        const N: usize = 16;
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn splat(x: f32) -> Self {
+            _mm512_set1_ps(x)
+        }
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn load(p: *const f32) -> Self {
+            _mm512_loadu_ps(p)
+        }
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn add(self, o: Self) -> Self {
+            _mm512_add_ps(self, o)
+        }
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn sub(self, o: Self) -> Self {
+            _mm512_sub_ps(self, o)
+        }
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn mul(self, o: Self) -> Self {
+            _mm512_mul_ps(self, o)
+        }
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn abs(self) -> Self {
+            _mm512_abs_ps(self)
+        }
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn cmp<const P: i32>(self, o: Self) -> u16 {
+            _mm512_cmp_ps_mask::<P>(self, o)
+        }
+        /// Per candidate group, broadcast as one u64, one `vpsadbw` against
+        /// each 64-byte half of the queries' group (eight queries × eight
+        /// bytes); `permutex2var` packs the sixteen sums' low dwords.
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512bw")]
+        unsafe fn block_sads(q: *const u8, row: *const i8) -> Self {
+            let (mut lo, mut hi) = (_mm512_setzero_si512(), _mm512_setzero_si512());
+            for g in 0..4 {
+                let c = _mm512_set1_epi64(flipped_group(row, g));
+                let qg = q.add(g * 8 * QUERY_LANES);
+                lo = _mm512_add_epi64(lo, _mm512_sad_epu8(_mm512_loadu_si512(qg.cast()), c));
+                let upper = _mm512_loadu_si512(qg.add(64).cast());
+                hi = _mm512_add_epi64(hi, _mm512_sad_epu8(upper, c));
+            }
+            let pack = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30);
+            _mm512_cvtepi32_ps(_mm512_permutex2var_epi32(lo, pack, hi))
+        }
+    }
+
+    impl F32Lanes for __m256 {
+        const N: usize = 8;
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn splat(x: f32) -> Self {
+            _mm256_set1_ps(x)
+        }
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn load(p: *const f32) -> Self {
+            _mm256_loadu_ps(p)
+        }
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn add(self, o: Self) -> Self {
+            _mm256_add_ps(self, o)
+        }
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn sub(self, o: Self) -> Self {
+            _mm256_sub_ps(self, o)
+        }
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn mul(self, o: Self) -> Self {
+            _mm256_mul_ps(self, o)
+        }
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn abs(self) -> Self {
+            abs256(self)
+        }
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn cmp<const P: i32>(self, o: Self) -> u16 {
+            _mm256_movemask_ps(_mm256_cmp_ps::<P>(self, o)) as u16
+        }
+        /// Per candidate group, one `vpsadbw` against each 32-byte quarter
+        /// of the queries' group (four queries × eight bytes); a shuffle
+        /// and a qword permute pack the eight sums' low dwords.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn block_sads(q: *const u8, row: *const i8) -> Self {
+            let (mut s0, mut s1) = (_mm256_setzero_si256(), _mm256_setzero_si256());
+            for g in 0..4 {
+                let c = _mm256_set1_epi64x(flipped_group(row, g));
+                let qg = q.add(g * 8 * QUERY_LANES);
+                s0 = _mm256_add_epi64(s0, _mm256_sad_epu8(_mm256_loadu_si256(qg.cast()), c));
+                let upper = _mm256_loadu_si256(qg.add(32).cast());
+                s1 = _mm256_add_epi64(s1, _mm256_sad_epu8(upper, c));
+            }
+            // Low dwords per 128-bit half: [q0, q1, q4, q5 | q2, q3, q6, q7].
+            let lows = _mm256_shuffle_ps::<0b10_00_10_00>(
+                _mm256_castsi256_ps(s0),
+                _mm256_castsi256_ps(s1),
+            );
+            let lows = _mm256_permute4x64_epi64::<0b11_01_10_00>(_mm256_castps_si256(lows));
+            _mm256_cvtepi32_ps(lows)
+        }
+    }
+
+    /// Candidate bytes `8g..8g + 8` from `row` on, flipped into u8 and read
+    /// as one little-endian u64, ready to broadcast.
+    ///
+    /// # Safety
+    /// `row` readable for `8g + 8` bytes.
+    #[inline(always)]
+    unsafe fn flipped_group(row: *const i8, g: usize) -> i64 {
+        (row.add(8 * g).cast::<u64>().read_unaligned() ^ 0x8080_8080_8080_8080) as i64
+    }
+
+    /// The `live` lanes of one `V` whose query beats its bound against one
+    /// candidate `row`: lane `s` performs `scalar::l1_beats(query_s, row,
+    /// 0.0, bound_s)` — eight accumulators (`j mod 8`) in chunk order over
+    /// `|query − candidate|`; every [`EXIT_STRIDE`] chunks the `combine8`
+    /// tree, `+ 0.0` and an ordered `≥ bound` that retires the lane; at the
+    /// end `(combine8 + tail) + 0.0 < bound`, ordered. Each candidate
+    /// element is broadcast against the lanes, so no lane combines
+    /// horizontally.
+    ///
+    /// # Safety
+    /// `V`'s CPU features, and `x` readable for `V::N` floats at
+    /// `x + j·QUERY_LANES` for every `j < row.len()`.
+    #[inline(always)]
+    unsafe fn beats_lanes<V: F32Lanes>(x: *const f32, row: &[f32], bound: V, live: u16) -> u16 {
+        let d = row.len();
+        let term = |j: usize| V::load(x.add(j * QUERY_LANES)).sub(V::splat(row[j])).abs();
+        let zero = V::splat(0.0);
+        let combine8 = |[a0, a1, a2, a3, a4, a5, a6, a7]: [V; 8]| {
+            a0.add(a1).add(a2.add(a3)).add(a4.add(a5).add(a6.add(a7)))
+        };
+        let mut acc = [zero; 8];
+        let mut alive = live;
+        for c in 0..d / 8 {
+            for (k, acc) in acc.iter_mut().enumerate() {
+                *acc = acc.add(term(c * 8 + k));
+            }
+            if (c + 1) % EXIT_STRIDE == 0 {
+                alive &= !combine8(acc).add(zero).cmp::<_CMP_GE_OQ>(bound);
+                if alive == 0 {
+                    return 0;
+                }
+            }
+        }
+        let mut tail = zero;
+        for j in d / 8 * 8..d {
+            tail = tail.add(term(j));
+        }
+        alive & combine8(acc).add(tail).add(zero).cmp::<_CMP_LT_OQ>(bound)
+    }
+
+    /// The part of `live` lane block `h` (lanes `h..h + N`) covers, shifted
+    /// down to bit 0.
+    #[inline(always)]
+    fn lane_block<V: F32Lanes>(live: u16, h: usize) -> u16 {
+        ((u32::from(live) >> h) & ((1 << V::N) - 1)) as u16
+    }
+
+    /// `super::lanes_beats`, the sixteen queries as `16 / V::N` registers of
+    /// lanes decided one after the other ([`beats_lanes`]); a register with
+    /// no live lane is skipped.
+    ///
+    /// # Safety
+    /// `V`'s CPU features. (The query loads stay within the `d` rows of
+    /// `scan.x`.)
+    #[inline(always)]
+    unsafe fn lanes_beats_with<V: F32Lanes>(scan: LaneScan<'_>, counts: &mut [usize; QUERY_LANES]) {
+        let d = scan.checked_dim();
+        let x = scan.x.as_ptr().cast::<f32>();
+        for &(id, live) in scan.cands {
+            let row = scan.row(id, d);
+            for h in (0..QUERY_LANES).step_by(V::N) {
+                let block = lane_block::<V>(live, h);
+                if block != 0 {
+                    let bound = V::load(scan.bounds.as_ptr().add(h));
+                    let beats = beats_lanes::<V>(x.add(h), row, bound, block);
+                    for s in super::lanes(beats << h) {
+                        counts[s] += 1;
+                    }
+                }
+            }
+        }
+    }
+
+    /// `super::lanes_prune`, `V::N` queries per register: per 32-byte block
+    /// [`F32Lanes::block_sads`], then each lane runs
+    /// `QuantScanTable::prunes`' own f32 sequence — `sum = sum + scale·sad`
+    /// and the ordered `sum − sum·SUM_SHAVE ≥ (bound + query_err) +
+    /// row_err` — until every live lane is pruned. Escape rows
+    /// (`row_err = +∞`) are kept in every live lane unscanned. Shapes other
+    /// than 32-byte blocks over `d % 32 = 0` take the contract loop.
+    ///
+    /// # Safety
+    /// `V`'s CPU features and AVX2. (Row reads stay within the rows
+    /// `PruneLanes::row` returns, query reads within the groups
+    /// `PruneLanes::checked_dim` verifies.)
+    #[inline(always)]
+    unsafe fn lanes_prune_with<V: F32Lanes>(
+        p: PruneLanes<'_>,
+        survivors: &mut Vec<(u32, u16)>,
+    ) -> u64 {
+        let d = p.checked_dim();
+        if p.block() != 32 || !d.is_multiple_of(32) {
+            return p.survivors_with(survivors, |a, b| sad_i8_avx2(a, b));
+        }
+        let q = p.query_bytes().as_ptr().cast::<u8>();
+        let shave = V::splat(SUM_SHAVE);
+        let mut counted = 0u64;
+        for &(id, live) in p.cands() {
+            let (row, row_err) = p.row(id);
+            counted += u64::from(live.count_ones());
+            if row_err == f32::INFINITY {
+                if live != 0 {
+                    survivors.push((id, live));
+                }
+                continue;
+            }
+            let mut keep = 0;
+            for h in (0..QUERY_LANES).step_by(V::N) {
+                let block = lane_block::<V>(live, h);
+                if block == 0 {
+                    continue;
+                }
+                let target = V::load(p.targets().as_ptr().add(h)).add(V::splat(row_err));
+                let mut sum = V::splat(0.0);
+                let mut pruned = 0;
+                for (b, &scale) in p.scales().iter().enumerate() {
+                    let qb = q.add(b * 32 * QUERY_LANES + 8 * h);
+                    sum = sum.add(V::splat(scale).mul(V::block_sads(qb, row.as_ptr().add(32 * b))));
+                    pruned |= sum.sub(sum.mul(shave)).cmp::<_CMP_GE_OQ>(target);
+                    if pruned & block == block {
+                        break;
+                    }
+                }
+                keep |= (block & !pruned) << h;
+            }
+            if keep != 0 {
+                survivors.push((id, keep));
+            }
+        }
+        counted
+    }
+
+    /// `super::lanes_beats` on AVX2: two halves of eight lanes.
+    ///
+    /// # Safety
+    /// AVX2.
+    #[target_feature(enable = "avx2")]
+    unsafe fn lanes_beats_avx2(scan: LaneScan<'_>, counts: &mut [usize; QUERY_LANES]) {
+        lanes_beats_with::<__m256>(scan, counts)
+    }
+
+    /// `super::lanes_prune` on AVX2: two halves of eight lanes.
+    ///
+    /// # Safety
+    /// AVX2.
+    #[target_feature(enable = "avx2")]
+    unsafe fn lanes_prune_avx2(p: PruneLanes<'_>, survivors: &mut Vec<(u32, u16)>) -> u64 {
+        lanes_prune_with::<__m256>(p, survivors)
+    }
+
+    /// `super::lanes_beats` with the sixteen lanes in one register.
+    ///
+    /// # Safety
+    /// AVX-512F.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn lanes_beats_avx512(scan: LaneScan<'_>, counts: &mut [usize; QUERY_LANES]) {
+        lanes_beats_with::<__m512>(scan, counts)
+    }
+
+    /// `super::lanes_prune` with the sixteen lanes in one register.
+    ///
+    /// # Safety
+    /// AVX-512F and AVX-512BW.
+    #[target_feature(enable = "avx512f,avx512bw")]
+    unsafe fn lanes_prune_avx512(p: PruneLanes<'_>, survivors: &mut Vec<(u32, u16)>) -> u64 {
+        lanes_prune_with::<__m512>(p, survivors)
     }
 
     /// Clear the sign bit of every lane (the 128-bit [`abs256`]).
     #[inline]
-    #[target_feature(enable = "sse4.1")]
+    #[target_feature(enable = "avx2")]
     unsafe fn abs128(v: __m128) -> __m128 {
         _mm_and_ps(v, _mm_castsi128_ps(_mm_set1_epi32(0x7fff_ffff)))
-    }
-
-    #[target_feature(enable = "sse4.1")]
-    unsafe fn kernel_dot_sse41(a: &[f32], b: &[f32]) -> f32 {
-        let n = a.len().min(b.len());
-        let chunks = n / 8;
-        let (pa, pb) = (a.as_ptr(), b.as_ptr());
-        let mut lo = _mm_setzero_ps();
-        let mut hi = _mm_setzero_ps();
-        for i in 0..chunks {
-            let a0 = _mm_loadu_ps(pa.add(i * 8));
-            let a1 = _mm_loadu_ps(pa.add(i * 8 + 4));
-            let b0 = _mm_loadu_ps(pb.add(i * 8));
-            let b1 = _mm_loadu_ps(pb.add(i * 8 + 4));
-            lo = _mm_add_ps(lo, _mm_mul_ps(a0, b0));
-            hi = _mm_add_ps(hi, _mm_mul_ps(a1, b1));
-        }
-        let mut tail = 0.0f32;
-        for i in chunks * 8..n {
-            tail += a[i] * b[i];
-        }
-        combine128(lo, hi) + tail
-    }
-
-    #[target_feature(enable = "sse4.1")]
-    unsafe fn blocked_l1_sse41(a: &[f32], b: &[f32]) -> f32 {
-        let n = a.len().min(b.len());
-        let chunks = n / 8;
-        let (pa, pb) = (a.as_ptr(), b.as_ptr());
-        let mut lo = _mm_setzero_ps();
-        let mut hi = _mm_setzero_ps();
-        for i in 0..chunks {
-            let a0 = _mm_loadu_ps(pa.add(i * 8));
-            let a1 = _mm_loadu_ps(pa.add(i * 8 + 4));
-            let b0 = _mm_loadu_ps(pb.add(i * 8));
-            let b1 = _mm_loadu_ps(pb.add(i * 8 + 4));
-            lo = _mm_add_ps(lo, abs128(_mm_sub_ps(a0, b0)));
-            hi = _mm_add_ps(hi, abs128(_mm_sub_ps(a1, b1)));
-        }
-        let mut tail = 0.0f32;
-        for i in chunks * 8..n {
-            tail += (a[i] - b[i]).abs();
-        }
-        combine128(lo, hi) + tail
-    }
-
-    #[target_feature(enable = "sse4.1")]
-    unsafe fn blocked_l1_translation_sse41(h: &[f32], r: &[f32], t: &[f32]) -> f32 {
-        let n = h.len().min(r.len()).min(t.len());
-        let chunks = n / 8;
-        let (ph, pr, pt) = (h.as_ptr(), r.as_ptr(), t.as_ptr());
-        let mut lo = _mm_setzero_ps();
-        let mut hi = _mm_setzero_ps();
-        for i in 0..chunks {
-            let h0 = _mm_loadu_ps(ph.add(i * 8));
-            let h1 = _mm_loadu_ps(ph.add(i * 8 + 4));
-            let r0 = _mm_loadu_ps(pr.add(i * 8));
-            let r1 = _mm_loadu_ps(pr.add(i * 8 + 4));
-            let t0 = _mm_loadu_ps(pt.add(i * 8));
-            let t1 = _mm_loadu_ps(pt.add(i * 8 + 4));
-            lo = _mm_add_ps(lo, abs128(_mm_sub_ps(_mm_add_ps(h0, r0), t0)));
-            hi = _mm_add_ps(hi, abs128(_mm_sub_ps(_mm_add_ps(h1, r1), t1)));
-        }
-        let mut tail = 0.0f32;
-        for i in chunks * 8..n {
-            tail += (h[i] + r[i] - t[i]).abs();
-        }
-        combine128(lo, hi) + tail
-    }
-
-    #[target_feature(enable = "sse4.1")]
-    unsafe fn l1_beats_sse41(a: &[f32], b: &[f32], extra: f32, bound: f32) -> bool {
-        let n = a.len().min(b.len());
-        let chunks = n / 8;
-        let (pa, pb) = (a.as_ptr(), b.as_ptr());
-        let mut lo = _mm_setzero_ps();
-        let mut hi = _mm_setzero_ps();
-        let mut pending = 0usize;
-        for i in 0..chunks {
-            let a0 = _mm_loadu_ps(pa.add(i * 8));
-            let a1 = _mm_loadu_ps(pa.add(i * 8 + 4));
-            let b0 = _mm_loadu_ps(pb.add(i * 8));
-            let b1 = _mm_loadu_ps(pb.add(i * 8 + 4));
-            lo = _mm_add_ps(lo, abs128(_mm_sub_ps(a0, b0)));
-            hi = _mm_add_ps(hi, abs128(_mm_sub_ps(a1, b1)));
-            pending += 1;
-            if pending == EXIT_STRIDE {
-                pending = 0;
-                if combine128(lo, hi) + extra >= bound {
-                    return false;
-                }
-            }
-        }
-        let mut tail = 0.0f32;
-        for i in chunks * 8..n {
-            tail += (a[i] - b[i]).abs();
-        }
-        (combine128(lo, hi) + tail) + extra < bound
-    }
-
-    #[target_feature(enable = "sse4.1")]
-    unsafe fn translation_beats_sse41(
-        h: &[f32],
-        r: &[f32],
-        t: &[f32],
-        extra: f32,
-        bound: f32,
-    ) -> bool {
-        let n = h.len().min(r.len()).min(t.len());
-        let chunks = n / 8;
-        let (ph, pr, pt) = (h.as_ptr(), r.as_ptr(), t.as_ptr());
-        let mut lo = _mm_setzero_ps();
-        let mut hi = _mm_setzero_ps();
-        let mut pending = 0usize;
-        for i in 0..chunks {
-            let h0 = _mm_loadu_ps(ph.add(i * 8));
-            let h1 = _mm_loadu_ps(ph.add(i * 8 + 4));
-            let r0 = _mm_loadu_ps(pr.add(i * 8));
-            let r1 = _mm_loadu_ps(pr.add(i * 8 + 4));
-            let t0 = _mm_loadu_ps(pt.add(i * 8));
-            let t1 = _mm_loadu_ps(pt.add(i * 8 + 4));
-            lo = _mm_add_ps(lo, abs128(_mm_sub_ps(_mm_add_ps(h0, r0), t0)));
-            hi = _mm_add_ps(hi, abs128(_mm_sub_ps(_mm_add_ps(h1, r1), t1)));
-            pending += 1;
-            if pending == EXIT_STRIDE {
-                pending = 0;
-                if combine128(lo, hi) + extra >= bound {
-                    return false;
-                }
-            }
-        }
-        let mut tail = 0.0f32;
-        for i in chunks * 8..n {
-            tail += (h[i] + r[i] - t[i]).abs();
-        }
-        (combine128(lo, hi) + tail) + extra < bound
-    }
-
-    /// The 128-bit SAD path (`psadbw` is SSE2, gated at the table's
-    /// SSE4.1 level for one coherent tier).
-    #[target_feature(enable = "sse4.1")]
-    unsafe fn sad_i8_sse41(a: &[i8], b: &[i8]) -> u32 {
-        let n = a.len().min(b.len());
-        let (pa, pb) = (a.as_ptr(), b.as_ptr());
-        let flip = _mm_set1_epi8(-128);
-        let mut total = 0u64;
-        let mut i = 0usize;
-        while i + 16 <= n {
-            let va = _mm_loadu_si128(pa.add(i) as *const __m128i);
-            let vb = _mm_loadu_si128(pb.add(i) as *const __m128i);
-            let sad = _mm_sad_epu8(_mm_xor_si128(va, flip), _mm_xor_si128(vb, flip));
-            let s = _mm_add_epi64(sad, _mm_unpackhi_epi64(sad, sad));
-            total += _mm_cvtsi128_si64(s) as u64;
-            i += 16;
-        }
-        let mut rest = 0u32;
-        while i < n {
-            rest += a[i].abs_diff(b[i]) as u32;
-            i += 1;
-        }
-        total as u32 + rest
     }
 
     /// Multiply both qwords of `x` up the message by the distance `keys`
@@ -1782,8 +1974,8 @@ mod tests {
         );
         for feature in [
             "avx512f=",
+            "avx512bw=",
             "avx2=",
-            "sse4.1=",
             "forced_scalar=",
             "pclmulqdq=",
         ] {

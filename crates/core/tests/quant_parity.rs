@@ -21,10 +21,12 @@
 //! 5. **Fresh tables only** — a `QuantEvalModel` built before the model
 //!    changed is refused with a typed error, never used.
 
+use pkgm_core::eval::summarize_ranks;
 use pkgm_core::eval_kernels::{
-    quantized_rank_heads, quantized_rank_heads_with_stats, quantized_rank_relations,
-    quantized_rank_relations_with_stats, quantized_rank_tails, quantized_rank_tails_with_stats,
-    reference_rank_heads, reference_rank_relations, reference_rank_tails,
+    fused_rank_heads, fused_rank_relations, fused_rank_tails, quantized_rank_heads,
+    quantized_rank_heads_with_stats, quantized_rank_relations, quantized_rank_relations_with_stats,
+    quantized_rank_tails, quantized_rank_tails_with_stats, reference_rank_heads,
+    reference_rank_relations, reference_rank_tails,
 };
 use pkgm_core::{
     serialize, snapshot_to_ss3_bytes, EvalError, KnowledgeService, PkgmConfig, PkgmModel,
@@ -350,6 +352,95 @@ fn prune_stats_match_golden_counts() {
             );
         }
     }
+}
+
+/// FNV-1a over the ranks as little-endian `u64`s.
+fn rank_digest(ranks: &[usize]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &r in ranks {
+        for b in (r as u64).to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// The ranks themselves are pinned, not just fused ≡ quantized ≡
+/// reference: at d = 64, 40 test triples (two full tail chunks of 16 and
+/// a partial one of 8) and three candidate tiles, every direction's raw
+/// and filtered per-triple ranks hash to the digests the scan produced
+/// before its tails moved into lanes, and the filtered MRR and Hits@10
+/// keep their exact `f64` bits. A kernel change that stays self-consistent
+/// but moves a rank shows up here.
+#[test]
+fn ranks_match_golden_digests() {
+    type Ranker =
+        fn(&PkgmModel, &QuantEvalModel, &[Triple], Option<&TripleStore>) -> [Vec<usize>; 2];
+    let store = random_store(4242, 600, 6, 40);
+    let test = random_test_triples(&store, 99, 40);
+    let model = PkgmModel::new(
+        store.n_entities() as usize,
+        store.n_relations() as usize,
+        PkgmConfig::new(64).with_seed(77),
+    );
+    let qmodel = QuantEvalModel::build(&model);
+    let rankers: [Ranker; 3] = [
+        |m, q, t, f| {
+            [
+                fused_rank_tails(m, t, f).unwrap(),
+                quantized_rank_tails(m, q, t, f).unwrap(),
+            ]
+        },
+        |m, q, t, f| {
+            [
+                fused_rank_heads(m, t, f).unwrap(),
+                quantized_rank_heads(m, q, t, f).unwrap(),
+            ]
+        },
+        |m, q, t, f| {
+            [
+                fused_rank_relations(m, t, f).unwrap(),
+                quantized_rank_relations(m, q, t, f).unwrap(),
+            ]
+        },
+    ];
+    // Per direction [tails, heads, relations]: raw digest, filtered digest,
+    // filtered MRR bits, filtered Hits@10 bits.
+    let golden: [(u64, u64, u64, u64); 3] = [
+        (
+            0x321ed4aefdfaae4f,
+            0xdf52e91e444746e9,
+            0x3f8e10f7ca73cad5,
+            0x3f9999999999999a,
+        ),
+        (
+            0x019f17decd4f4c69,
+            0xb1c81575fc412b02,
+            0x3f995a6c08ae0646,
+            0x3fa999999999999a,
+        ),
+        (
+            0x062780573378e201,
+            0x1103774751b3ea46,
+            0x3fdb555555555553,
+            0x3ff0000000000000,
+        ),
+    ];
+    let got = rankers.map(|rank| {
+        let [raw, filtered] = [None, Some(&store)].map(|filter| {
+            let [fused, quant] = rank(&model, &qmodel, &test, filter);
+            assert_eq!(fused, quant, "fused and quantized ranks differ");
+            fused
+        });
+        let report = summarize_ranks(&filtered, &[10]);
+        (
+            rank_digest(&raw),
+            rank_digest(&filtered),
+            report.mrr.to_bits(),
+            report.hits_at(10).expect("Hits@10 requested").to_bits(),
+        )
+    });
+    assert_eq!(got, golden, "[tails, heads, relations]");
 }
 
 /// Tables built before more training describe rows the model no longer

@@ -1,7 +1,7 @@
 //! Parity suite for the runtime-dispatched SIMD kernels.
 //!
 //! The contract: every primitive in the detected dispatch table
-//! (AVX-512/AVX2/SSE4.1 on hosts that have them, scalar elsewhere)
+//! (AVX-512/AVX2 on hosts that have them, scalar elsewhere)
 //! computes the **bit-identical** function of its inputs as the portable
 //! scalar twin — same lane order, same fixed combine, same early-exit
 //! cadence. Covered deliberately:
@@ -36,7 +36,10 @@ use pkgm_core::eval_kernels::{
     quantized_rank_tails_with_stats_sliced, reference_rank_heads, reference_rank_relations,
     reference_rank_tails, QuantEvalModel,
 };
-use pkgm_core::simd::{self, scalar, Projection, RunScan, SimdDispatch, SimdLevel};
+use pkgm_core::quant::LaneQueries;
+use pkgm_core::simd::{
+    self, scalar, LaneRow, LaneScan, Projection, RunScan, SimdDispatch, SimdLevel, QUERY_LANES,
+};
 use pkgm_core::{PkgmConfig, PkgmModel, QuantScanTable};
 use pkgm_store::{EntityId, RelationId, StoreBuilder, Triple, TripleStore};
 use proptest::prelude::*;
@@ -232,9 +235,9 @@ fn random_extras(rng: &mut SmallRng, n: usize) -> Vec<f32> {
         .collect()
 }
 
-/// `run_beats` at every level ≡ the loop over `scalar::l1_beats` (tails)
-/// and `scalar::translation_beats` (heads: `c + r − t`; relations: the
-/// twin's `h + c − t`, the same IEEE sums) for one run of `n` rows.
+/// `run_beats` at every level ≡ the loop over `scalar::translation_beats`
+/// (heads: `c + r − t`; relations: the twin's `h + c − t`, the same IEEE
+/// sums) for one run of `n` rows.
 fn check_run_beats(
     rng: &mut SmallRng,
     d: usize,
@@ -245,15 +248,10 @@ fn check_run_beats(
     let rows = random_vec(rng, n * d, subnormal);
     let extra = random_extras(rng, n);
     let row = |i: usize| &rows[i * d..(i + 1) * d];
-    let l1: Vec<f32> = (0..n).map(|i| scalar::blocked_l1(&a, row(i))).collect();
     let tr: Vec<f32> = (0..n)
         .map(|i| scalar::blocked_l1_translation(row(i), &a, &b) + extra[i])
         .collect();
-    let bounds = [run_bounds(&l1), run_bounds(&tr)].concat();
-    for bound in bounds {
-        let want_l1 = (0..n)
-            .filter(|&i| scalar::l1_beats(&a, row(i), 0.0, bound))
-            .count();
+    for bound in run_bounds(&tr) {
         let want_heads = (0..n)
             .filter(|&i| scalar::translation_beats(row(i), &a, &b, extra[i], bound))
             .count();
@@ -262,20 +260,7 @@ fn check_run_beats(
             .count();
         prop_assert!(want_heads == want_relations, "c + h ≠ h + c at d={}", d);
         for simd in SimdDispatch::all_supported() {
-            let l1 = RunScan::L1 {
-                base: &a,
-                rows: &rows,
-                n,
-            };
-            prop_assert!(
-                (simd.run_beats)(l1, bound) == want_l1,
-                "{} L1 run diverged at d={} n={} bound={}",
-                simd.level.name(),
-                d,
-                n,
-                bound
-            );
-            let tr = RunScan::Translation {
+            let tr = RunScan {
                 a: &a,
                 b: &b,
                 extra: &extra,
@@ -459,6 +444,201 @@ fn check_prune_run(
     Ok(())
 }
 
+/// `n` lane-scan candidates: ids drawn from `0..n_rows` (repeats allowed),
+/// each live in a random subset of the first `valid` lanes — empty, full
+/// and one-lane masks included — or, now and then, of all sixteen.
+fn random_cands(rng: &mut SmallRng, n: usize, n_rows: u32, valid: usize) -> Vec<(u32, u16)> {
+    let valid_mask = ((1u32 << valid) - 1) as u16;
+    (0..n)
+        .map(|_| {
+            let mask = match rng.gen_range(0..8u32) {
+                0 => 0,
+                1 => valid_mask,
+                2 => 1 << rng.gen_range(0..valid),
+                3 => rng.gen::<u16>(),
+                _ => rng.gen::<u16>() & valid_mask,
+            };
+            (rng.gen_range(0..n_rows), mask)
+        })
+        .collect()
+}
+
+/// One bound per lane, each drawn from that lane's list.
+fn lane_bounds(rng: &mut SmallRng, per_lane: &[Vec<f32>]) -> [f32; QUERY_LANES] {
+    std::array::from_fn(|s| per_lane[s][rng.gen_range(0..per_lane[s].len())])
+}
+
+/// The phase-1 knife edge of `(q, query_err)` against row `id`: the last
+/// bound `prunes` still prunes at and the first it keeps, found by
+/// bisection over positive f32 bit patterns (`prunes` is monotone in the
+/// bound). `None` when even a zero bound is kept.
+fn prune_edge(table: &QuantScanTable, q: &[i8], id: u32, query_err: f32) -> Option<[f32; 2]> {
+    let prunes = |bits: u32| table.prunes(q, id, query_err, f32::from_bits(bits));
+    if !prunes(0) {
+        return None;
+    }
+    let (mut lo, mut hi) = (0u32, f32::INFINITY.to_bits());
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if prunes(mid) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    Some([f32::from_bits(lo), f32::from_bits(hi)])
+}
+
+/// `lanes_beats` at every level ≡ the loop over `scalar::l1_beats` for
+/// `n` candidates of a 40-row table: 1–16 lanes holding queries (the rest
+/// zero, as in a partial chunk), arbitrary live masks, counts added to
+/// what the array already held.
+fn check_lanes_beats(
+    rng: &mut SmallRng,
+    d: usize,
+    n: usize,
+    subnormal: bool,
+) -> Result<(), TestCaseError> {
+    const ROWS: usize = 40;
+    let valid = rng.gen_range(1..=QUERY_LANES);
+    let queries: Vec<Vec<f32>> = (0..QUERY_LANES)
+        .map(|s| {
+            if s < valid {
+                random_vec(rng, d, subnormal)
+            } else {
+                vec![0.0; d]
+            }
+        })
+        .collect();
+    let x: Vec<LaneRow> = (0..d)
+        .map(|j| LaneRow(std::array::from_fn(|s| queries[s][j])))
+        .collect();
+    let table = random_vec(rng, ROWS * d, subnormal);
+    let row = |id: u32| &table[id as usize * d..(id as usize + 1) * d];
+    let cands = random_cands(rng, n, ROWS as u32, valid);
+    // Per lane, the bounds of its exact distances: ties, every exit depth,
+    // `±∞`, `±0` and NaN.
+    let per_lane: Vec<Vec<f32>> = queries
+        .iter()
+        .map(|q| {
+            let exact: Vec<f32> = cands
+                .iter()
+                .map(|&(id, _)| scalar::blocked_l1(q, row(id)))
+                .collect();
+            run_bounds(&exact)
+        })
+        .collect();
+    for _ in 0..6 {
+        let bounds = lane_bounds(rng, &per_lane);
+        let mut want = [3usize; QUERY_LANES];
+        for &(id, live) in &cands {
+            for (s, q) in queries.iter().enumerate() {
+                if live & (1 << s) != 0 && scalar::l1_beats(q, row(id), 0.0, bounds[s]) {
+                    want[s] += 1;
+                }
+            }
+        }
+        for simd in SimdDispatch::all_supported() {
+            let mut got = [3usize; QUERY_LANES];
+            let scan = LaneScan {
+                x: &x,
+                bounds: &bounds,
+                table: &table,
+                cands: &cands,
+            };
+            (simd.lanes_beats)(scan, &mut got);
+            prop_assert!(
+                got == want,
+                "{} lanes_beats diverged at d={} n={} lanes={} bounds={:?}: {:?} vs {:?}",
+                simd.level.name(),
+                d,
+                n,
+                valid,
+                bounds,
+                got,
+                want
+            );
+        }
+    }
+    Ok(())
+}
+
+/// `lanes_prune` at every level ≡ the loop over `QuantScanTable::prunes`
+/// per live (candidate, lane) pair: same pair count, same survivors with
+/// the same lanes in the same order, appended to what the buffer already
+/// held. The table's two escape rows are always among the candidates.
+fn check_lanes_prune(
+    rng: &mut SmallRng,
+    rows: &[f32],
+    table: &QuantScanTable,
+    n: usize,
+) -> Result<(), TestCaseError> {
+    let d = table.row_len();
+    let valid = rng.gen_range(1..=QUERY_LANES);
+    let mut qs = vec![vec![0i8; d]; QUERY_LANES];
+    let mut errs = [0.0f32; QUERY_LANES];
+    let mut xs = vec![vec![0.0f32; d]; QUERY_LANES];
+    for s in 0..valid {
+        xs[s] = random_vec(rng, d, false);
+        errs[s] = table.quantize_query(&xs[s], &mut qs[s], rng.gen_range(0.0f32..0.1));
+    }
+    let mut cands = random_cands(rng, n, 300, valid);
+    if let [first, .., last] = &mut cands[..] {
+        (first.0, last.0) = (7, 140);
+    }
+    // Per lane, the bounds of its exact distances plus the knife edges of a
+    // few candidates, where only the `SUM_SHAVE` margin decides.
+    let per_lane: Vec<Vec<f32>> = (0..QUERY_LANES)
+        .map(|s| {
+            let exact: Vec<f32> = cands
+                .iter()
+                .map(|&(id, _)| scalar::blocked_l1(&xs[s], &rows[id as usize * d..][..d]))
+                .collect();
+            let edges = cands
+                .iter()
+                .take(4)
+                .filter_map(|&(id, _)| prune_edge(table, &qs[s], id, errs[s]));
+            [run_bounds(&exact), edges.flatten().collect()].concat()
+        })
+        .collect();
+    let mut block = LaneQueries::default();
+    for _ in 0..6 {
+        let bounds = lane_bounds(rng, &per_lane);
+        block.reset(d);
+        for s in 0..QUERY_LANES {
+            block.set_lane(s, &qs[s], errs[s], bounds[s]);
+        }
+        let mut want = vec![(u32::MAX, 0u16)];
+        let mut counted = 0u64;
+        for &(id, live) in &cands {
+            let mut keep = 0u16;
+            for s in (0..QUERY_LANES).filter(|&s| live & (1 << s) != 0) {
+                counted += 1;
+                if !table.prunes(&qs[s], id, errs[s], bounds[s]) {
+                    keep |= 1 << s;
+                }
+            }
+            if keep != 0 {
+                want.push((id, keep));
+            }
+        }
+        for simd in SimdDispatch::all_supported() {
+            let mut got = vec![(u32::MAX, 0u16)];
+            let n_counted = (simd.lanes_prune)(table.lanes(&block, &cands), &mut got);
+            prop_assert!(
+                n_counted == counted && got == want,
+                "{} lanes_prune diverged at d={} n={} lanes={} bounds={:?}",
+                simd.level.name(),
+                d,
+                n,
+                valid,
+                bounds
+            );
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -474,6 +654,7 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x7E57);
         for &n in RUN_LENS {
             check_run_beats(&mut rng, d, n, subnormal)?;
+            check_lanes_beats(&mut rng, d, n, subnormal)?;
         }
         for n in [0usize, 1, 2, 5, 9, 15, 16, 17, 33] {
             check_projection(&mut rng, d.min(40), n, subnormal)?;
@@ -482,19 +663,23 @@ proptest! {
             let (rows, table) = scan_table(&mut rng, d);
             for &n in RUN_LENS {
                 check_prune_run(&mut rng, &rows, &table, n)?;
+                check_lanes_prune(&mut rng, &rows, &table, n)?;
             }
         }
     }
 }
 
 /// The run entries at every dim 0–129 (lane tails, ragged quantization
-/// blocks, projection row remainders), on short runs.
+/// blocks, projection row remainders), on short runs and one whole tile.
 #[test]
 fn run_entries_match_at_every_dim() {
     let mut rng = SmallRng::seed_from_u64(0xD1A5);
     for d in 0..130 {
         for n in [0, 1, 4, 5, 9] {
             check_run_beats(&mut rng, d, n, d % 3 == 0).unwrap();
+        }
+        for n in [0, 1, 17, 256] {
+            check_lanes_beats(&mut rng, d, n, d % 3 == 0).unwrap();
         }
         for n in [1, 5, 17] {
             check_projection(&mut rng, d, n, d % 3 == 0).unwrap();
@@ -506,6 +691,7 @@ fn run_entries_match_at_every_dim() {
             let tile = if d % 32 == 0 { 256 } else { 9 };
             for n in [0, 3, 4, tile] {
                 check_prune_run(&mut rng, &rows, &table, n).unwrap();
+                check_lanes_prune(&mut rng, &rows, &table, n).unwrap();
             }
         }
     }
@@ -664,24 +850,23 @@ fn sliced_ranks_equal_reference_across_many_tiles() {
 
 /// The dispatch level sanity: forced-scalar runs report Scalar, and on
 /// x86-64 hosts with AVX2 the detected table is the AVX2 one, or the
-/// AVX-512 one where the host also has `avx512f` (this is the
-/// assertion CI's `simd-smoke` job leans on from the outside via the
-/// `pkgm simd` log line).
+/// AVX-512 one where the host also has `avx512f` and `avx512bw` (this is
+/// the assertion CI's `simd-smoke` job leans on from the outside via the
+/// `pkgm simd` log line). Hosts without AVX2 get the scalar twins.
 #[test]
 fn dispatch_level_is_consistent_with_host() {
     let detected = SimdDispatch::detected();
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx2") {
-            let wide = std::arch::is_x86_feature_detected!("avx512f");
+            let wide = std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("avx512bw");
             let level = if wide {
                 SimdLevel::Avx512
             } else {
                 SimdLevel::Avx2
             };
             assert_eq!(detected.level, level);
-        } else if std::arch::is_x86_feature_detected!("sse4.1") {
-            assert_eq!(detected.level, SimdLevel::Sse41);
         } else {
             assert_eq!(detected.level, SimdLevel::Scalar);
         }
