@@ -1370,6 +1370,83 @@ mod tests {
         }
     }
 
+    /// FNV-1a 64 over `bytes`.
+    fn fnv64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// The SS3 bytes of every writer path, pinned by digest: a change to
+    /// the encoders must leave files `cmp`-equal to older builds'.
+    #[test]
+    fn ss3_bytes_match_golden_digests() {
+        // A built table with three outlier rows, so quantizing keeps
+        // escape rows; written and reopened to get a snapshot of it.
+        let built = ServiceSnapshot::build(&service_n(200));
+        let row_len = 2 * built.dim();
+        let mut table = built.dense_table().unwrap().to_vec();
+        for id in [5usize, 50, 120] {
+            table[id * row_len + 3] = 40.0;
+        }
+        let path = temp_path("golden-dense");
+        let n_rows = built.n_rows() as u64;
+        let mut w =
+            Ss3DenseWriter::create(&path, built.dim(), built.k(), n_rows, ShardSpec::default())
+                .unwrap();
+        w.write_rows(&table).unwrap();
+        w.finish().unwrap();
+        let snap = open_mapped_snapshot(&path, true).unwrap();
+        std::fs::remove_file(&path).ok();
+
+        let digest = |s: &ServiceSnapshot| fnv64(&snapshot_to_ss3_bytes(s).unwrap());
+        let mut got = vec![("built", digest(&built)), ("dense", digest(&snap))];
+        let ranges = shard_ranges(snap.n_rows() as u64, 3);
+        for &(spec, len) in &ranges {
+            got.push(("dense shard", digest(&snap.shard_slice(spec, len).unwrap())));
+        }
+        let quant = snapshot_to_ss3_bytes(&snap.quantize()).unwrap();
+        assert!(parse_header(&quant).unwrap().n_exact > 0, "escape rows");
+        got.push(("quantized", fnv64(&quant)));
+        let (spec, len) = ranges[1];
+        let shard =
+            snapshot_to_ss3_bytes(&snap.shard_slice(spec, len).unwrap().quantize()).unwrap();
+        assert!(parse_header(&shard).unwrap().n_exact > 0, "escape rows");
+        got.push(("quantized shard", fnv64(&shard)));
+
+        let (spec, len) = ranges[0];
+        let rows = &table[spec.row_start as usize * row_len..];
+        let path = temp_path("golden-qwriter");
+        let mut w = Ss3QuantWriter::create(&path, snap.dim(), snap.k(), len, spec).unwrap();
+        let mut off = 0usize;
+        for chunk in [7usize, 1, 30].iter().cycle() {
+            if off == len as usize {
+                break;
+            }
+            let n = (*chunk).min(len as usize - off);
+            w.write_rows(&rows[off * row_len..(off + n) * row_len])
+                .unwrap();
+            off += n;
+        }
+        w.finish(|id, out| out.copy_from_slice(&rows[id as usize * row_len..][..row_len]))
+            .unwrap();
+        got.push(("quant writer file", fnv64(&std::fs::read(&path).unwrap())));
+        std::fs::remove_file(&path).ok();
+
+        let want = vec![
+            ("built", 0x5e37_4f0b_7ef8_b456),
+            ("dense", 0xa080_0640_36ec_2b8f),
+            ("dense shard", 0x202c_7674_b7fb_878a),
+            ("dense shard", 0xe19f_e704_60a6_ea59),
+            ("dense shard", 0xf4e0_15a3_da37_3455),
+            ("quantized", 0xcb8b_e8f6_fff2_ad04),
+            ("quantized shard", 0xe540_a808_b055_b261),
+            ("quant writer file", 0x7778_8a24_3ba7_1d4d),
+        ];
+        let hex: Vec<_> = got.iter().map(|(n, d)| format!("{n}: {d:#018x}")).collect();
+        assert_eq!(got, want, "{hex:#?}");
+    }
+
     #[test]
     fn sharded_lookups_translate_global_ids() {
         let snap = ServiceSnapshot::build(&service_n(40));
