@@ -44,7 +44,8 @@
 //!   entry points) for deployment-style fan-out to many downstream
 //!   consumers;
 //! * [`snapshot`] — every entity's condensed service precomputed into one
-//!   contiguous table for O(1) zero-compute serving;
+//!   contiguous table for O(1) zero-compute serving, as views over one
+//!   [`snapshot3`] `PKGMSS3` image, heap-resident or memory-mapped;
 //! * [`protocol`] — the daemon's length-prefixed binary wire format, with
 //!   total decoding into typed errors;
 //! * [`batcher`] — dynamic batching with bounded queues and shed-not-stall
@@ -115,7 +116,7 @@ pub use negative::{CorruptedPair, Corruption, NegativeSampler};
 pub use netcheck::{ChaosProxy, NetFault, NetFaultPlan};
 pub use ooc::{OocConfig, OocError, OocReport, OocTrainer, SyntheticTriples, TripleSource};
 pub use protocol::{DeadlineStage, ProtocolError, Request, Response};
-pub use quant::{QuantScanTable, QuantTable, QUANT_BLOCK};
+pub use quant::{QuantScanTable, QUANT_BLOCK};
 pub use retry::{RetryClient, RetryPolicy};
 pub use router::{RouterError, RouterStats, ShardMap, ShardRouter, Supervisor};
 pub use service::{KnowledgeService, ServiceScratch};

@@ -14,15 +14,27 @@
 //!   with `munmap`. Advised `MADV_RANDOM` because snapshot lookups are
 //!   point reads, not scans; `MADV_DONTNEED` when a retired table should
 //!   leave the resident set before its last reader lets go.
-//! * **Heap** — the file read into an 8-byte-aligned buffer. Used on
-//!   non-unix targets, when the mapping syscall fails, or when forced
-//!   (tests, or the `PKGM_NO_MMAP` environment variable) so every code
-//!   path runs anywhere.
+//! * **Heap** — an owned 8-byte-aligned buffer: a file read in (on
+//!   non-unix targets, when the mapping syscall fails, or when forced by
+//!   tests or the `PKGM_NO_MMAP` environment variable), or the image an
+//!   in-memory snapshot build writes, or a copy of bytes to decode. The
+//!   writers in [`crate::snapshot3`] fill it through
+//!   [`MmapRegion::heap_bytes_mut`].
 //!
 //! The buffer alignment matters: snapshot sections are reinterpreted as
-//! `&[f32]`/`&[u32]` slices, so the fallback stores `Vec<u64>` (8-byte
+//! `&[f32]`/`&[u32]` slices, so the heap backing stores `Vec<u64>` (8-byte
 //! aligned) rather than `Vec<u8>` (1-byte aligned). Mapped memory is
 //! page-aligned by definition.
+//!
+//! ## Mapped files are immutable
+//!
+//! A mapping shares the file's pages. A published `PKGMSS3` file is never
+//! written again: it is replaced only by writing a new file and renaming
+//! it over the old path (every writer here does exactly that), which
+//! leaves the old inode, and every mapping of it, intact until the last
+//! reader drops it. Rewriting or truncating a mapped file in place is not
+//! a typed error: a read past a truncation raises `SIGBUS`, and a read of
+//! a rewritten page sees torn bytes that no CRC re-checks.
 
 use std::fs::File;
 use std::io::Read;
@@ -69,8 +81,9 @@ pub struct MmapRegion {
     backing: Backing,
 }
 
-// The mapping is read-only for its whole lifetime and owned uniquely by
-// this struct, so sharing references across threads is safe.
+// SAFETY: both backings are owned uniquely by this struct. A mapping is
+// read-only for its whole lifetime, and a heap buffer is written only
+// through `&mut self`, so threads sharing a reference only read.
 unsafe impl Send for MmapRegion {}
 unsafe impl Sync for MmapRegion {}
 
@@ -94,15 +107,54 @@ impl MmapRegion {
             }
         }
         // Fallback: read into an 8-byte-aligned buffer.
-        let words = len.div_ceil(8);
-        let mut buf = vec![0u64; words];
-        // View the word buffer as bytes for the read. Safe: u64 has no
-        // invalid bit patterns and the buffer is exclusively owned.
-        let bytes = unsafe { std::slice::from_raw_parts_mut(buf.as_mut_ptr() as *mut u8, len) };
-        file.read_exact(bytes)?;
-        Ok(Self {
+        let mut region = Self::heap(len, len);
+        file.read_exact(region.heap_bytes_mut())?;
+        Ok(region)
+    }
+
+    /// A zeroed heap region of `len` bytes with room reserved for
+    /// `capacity`, so [`Self::grow_heap`] up to it never moves the bytes.
+    pub(crate) fn heap(len: usize, capacity: usize) -> Self {
+        let mut buf = Vec::with_capacity(capacity.max(len).div_ceil(8));
+        buf.resize(len.div_ceil(8), 0u64);
+        Self {
             backing: Backing::Heap { buf, len },
-        })
+        }
+    }
+
+    /// A heap region holding a copy of `bytes`.
+    pub(crate) fn copy_of(bytes: &[u8]) -> Self {
+        let mut region = Self::heap(bytes.len(), bytes.len());
+        region.heap_bytes_mut().copy_from_slice(bytes);
+        region
+    }
+
+    /// Extend a heap region with zeros to `len` bytes (never shrinks).
+    ///
+    /// # Panics
+    /// On a mapping.
+    pub(crate) fn grow_heap(&mut self, new_len: usize) {
+        let Backing::Heap { buf, len } = &mut self.backing else {
+            panic!("a mapping cannot grow");
+        };
+        if new_len > *len {
+            buf.resize(new_len.div_ceil(8), 0);
+            *len = new_len;
+        }
+    }
+
+    /// The bytes of a heap region, writable.
+    ///
+    /// # Panics
+    /// On a mapping: mapped files are immutable (see the module docs).
+    pub(crate) fn heap_bytes_mut(&mut self) -> &mut [u8] {
+        let Backing::Heap { buf, len } = &mut self.backing else {
+            panic!("mapped bytes are read-only");
+        };
+        // SAFETY: `buf` owns at least `len` initialized bytes (`len.div_ceil(8)`
+        // words), u8 has no invalid bit patterns and alignment 1, and the
+        // buffer stays exclusively borrowed for the slice's lifetime.
+        unsafe { std::slice::from_raw_parts_mut(buf.as_mut_ptr().cast::<u8>(), *len) }
     }
 
     #[cfg(unix)]
@@ -237,6 +289,20 @@ mod tests {
         assert_eq!(heap.bytes().len(), 4097);
         assert_eq!(heap.bytes().as_ptr() as usize % 8, 0);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn heap_regions_grow_in_place_with_zeros() {
+        let mut region = MmapRegion::heap(5, 4096);
+        region.heap_bytes_mut().copy_from_slice(&[1, 2, 3, 4, 5]);
+        let base = region.bytes().as_ptr();
+        region.grow_heap(4096);
+        assert_eq!(region.bytes().as_ptr(), base, "within capacity: no move");
+        assert_eq!(&region.bytes()[..6], &[1, 2, 3, 4, 5, 0]);
+        assert!(region.bytes()[5..].iter().all(|&b| b == 0));
+        region.grow_heap(3);
+        assert_eq!(region.bytes().len(), 4096, "never shrinks");
+        assert_eq!(MmapRegion::copy_of(&[9; 13]).bytes(), &[9; 13]);
     }
 
     #[test]

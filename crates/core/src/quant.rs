@@ -12,18 +12,17 @@
 //! (the `quant_parity` suite pins this) while memory traffic per pruned
 //! candidate drops ~4×.
 //!
-//! Two table shapes, two jobs:
+//! One table shape, [`QuantScanTable`], with **per-block scales shared by
+//! every row**: because scales are shared, a query vector is quantized
+//! *once* and candidate bounds reduce to integer absolute-difference sums
+//! (`Σ_b s_b · Σ_{i∈b} |q_x − q_c|`), which is what makes the phase-1 scan
+//! cheap.
 //!
-//! * [`QuantTable`] — **per-(row, block)** scales, the accurate form used
-//!   by quantized serving snapshots (`PKGMSS3`): each row quantizes
-//!   against its own per-block max, and [`QuantTable::max_abs_err`]
-//!   reports the measured per-row reconstruction error, giving the
-//!   documented certificate `l1_q(h,t) − d·err_h − d·err_t ≤ l1_f32(h,t)`.
-//! * [`QuantScanTable`] — **per-block scales shared by every row**, the
-//!   kernel-facing form: because scales are shared, a query vector is
-//!   quantized *once* and candidate bounds reduce to integer
-//!   absolute-difference sums (`Σ_b s_b · Σ_{i∈b} |q_x − q_c|`), which is
-//!   what makes the phase-1 scan cheap.
+//! Quantized serving snapshots (`PKGMSS3`) quantize each row against its
+//! own per-block max instead, through [`quantize_row`] (the snapshot
+//! writer's one per-row loop), and reconstruct through
+//! [`dequantize_row_into`]; the row's measured error certifies
+//! `|x_i − dequant_i| ≤ row_err` for every element.
 //!
 //! ## Why the lower bound is sound in f32, not just on paper
 //!
@@ -107,188 +106,49 @@ fn n_blocks(row_len: usize, block: usize) -> usize {
     row_len.div_ceil(block)
 }
 
-/// Deterministically reconstruct one row from raw quantized storage
-/// (`q_i · s_block`). Shared by [`QuantTable::dequantize_into`] and the
-/// memory-mapped snapshot path, which reads `data`/`scales` straight out
-/// of an on-disk section — both must produce bit-identical floats, so
-/// there is exactly one reconstruction loop.
-pub(crate) fn dequantize_row_into(
-    data: &[i8],
-    scales: &[f32],
-    row_len: usize,
+/// Quantize one row blockwise, symmetric int8 against each block's own
+/// max: push each block's scale (`amax / 127`, 0 for an all-zero block) to
+/// `scales` and the row's values to `out`, and return the row's certified
+/// error — the measured `max_i |x_i − q_i·s|`, inflated by [`ERR_INFLATE`]
+/// so it upper-bounds the real error despite f32 rounding.
+pub(crate) fn quantize_row(
+    row: &[f32],
     block: usize,
-    row: usize,
-    out: &mut [f32],
-) {
-    assert_eq!(out.len(), row_len, "output must be one row");
-    let nb = n_blocks(row_len, block);
-    let q = &data[row * row_len..(row + 1) * row_len];
-    let scales = &scales[row * nb..(row + 1) * nb];
-    for (b, (qc, oc)) in q.chunks(block).zip(out.chunks_mut(block)).enumerate() {
-        let s = scales[b];
+    scales: &mut Vec<f32>,
+    out: &mut Vec<i8>,
+) -> f32 {
+    let mut err = 0.0f32;
+    for chunk in row.chunks(block) {
+        let amax = chunk.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
+        let (scale, inv) = if amax > 0.0 {
+            (amax / 127.0, 127.0 / amax)
+        } else {
+            (0.0, 0.0)
+        };
+        scales.push(scale);
+        for &x in chunk {
+            let q = quantize_one(x, inv);
+            out.push(q);
+            err = err.max((x - q as f32 * scale).abs());
+        }
+    }
+    err * ERR_INFLATE
+}
+
+/// Deterministically reconstruct the quantized row `q` (`q_i · s_block`,
+/// one scale per `block` values) into `out`: the one reconstruction loop
+/// of every quantized snapshot, resident or mapped.
+pub(crate) fn dequantize_row_into(q: &[i8], scales: &[f32], block: usize, out: &mut [f32]) {
+    assert_eq!(out.len(), q.len(), "output must be one row");
+    assert_eq!(
+        scales.len(),
+        n_blocks(q.len(), block),
+        "one scale per block"
+    );
+    for ((qc, oc), &s) in q.chunks(block).zip(out.chunks_mut(block)).zip(scales) {
         for (&qv, o) in qc.iter().zip(oc) {
             *o = qv as f32 * s;
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// QuantTable — per-(row, block) scales (snapshot storage form)
-// ---------------------------------------------------------------------------
-
-/// A row-major i8 table with independent symmetric scales per (row, block)
-/// and a measured per-row reconstruction error bound.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuantTable {
-    row_len: usize,
-    block: usize,
-    n_rows: usize,
-    /// `n_rows × row_len` quantized values.
-    data: Vec<i8>,
-    /// `n_rows × n_blocks` scales (`s = amax / 127`, 0 for all-zero blocks).
-    scales: Vec<f32>,
-    /// Per-row measured `max_i |x_i − q_i·s|`, inflated by [`ERR_INFLATE`]
-    /// so it upper-bounds the real error despite f32 rounding.
-    row_err: Vec<f32>,
-}
-
-impl QuantTable {
-    /// Quantize a row-major f32 table (`rows.len()` must be a whole number
-    /// of `row_len`-sized rows; `row_len` must be positive).
-    pub fn quantize_table(rows: &[f32], row_len: usize) -> Self {
-        assert!(row_len > 0, "row_len must be positive");
-        assert_eq!(rows.len() % row_len, 0, "table must be whole rows");
-        let n_rows = rows.len() / row_len;
-        let block = QUANT_BLOCK.min(row_len);
-        let nb = n_blocks(row_len, block);
-        let mut data = Vec::with_capacity(rows.len());
-        let mut scales = Vec::with_capacity(n_rows * nb);
-        let mut row_err = Vec::with_capacity(n_rows);
-        for row in rows.chunks_exact(row_len) {
-            let mut err = 0.0f32;
-            for chunk in row.chunks(block) {
-                let amax = chunk.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
-                let (scale, inv) = if amax > 0.0 {
-                    (amax / 127.0, 127.0 / amax)
-                } else {
-                    (0.0, 0.0)
-                };
-                scales.push(scale);
-                for &x in chunk {
-                    let q = quantize_one(x, inv);
-                    data.push(q);
-                    err = err.max((x - q as f32 * scale).abs());
-                }
-            }
-            row_err.push(err * ERR_INFLATE);
-        }
-        Self {
-            row_len,
-            block,
-            n_rows,
-            data,
-            scales,
-            row_err,
-        }
-    }
-
-    /// Reassemble a table from stored parts (the resident `PKGMSS3`
-    /// loader). Lengths must agree and every scale and row error must be
-    /// finite and nonnegative: stored bytes are untrusted, and a flipped
-    /// sign bit is an error here, not a silently wrong table.
-    pub fn from_parts(
-        row_len: usize,
-        block: usize,
-        data: Vec<i8>,
-        scales: Vec<f32>,
-        row_err: Vec<f32>,
-    ) -> Result<Self, String> {
-        if row_len == 0 || block == 0 || block > row_len {
-            return Err(format!("bad quant shape: row_len {row_len}, block {block}"));
-        }
-        if !data.len().is_multiple_of(row_len) {
-            return Err("quant data is not whole rows".into());
-        }
-        let n_rows = data.len() / row_len;
-        let nb = n_blocks(row_len, block);
-        if scales.len() != n_rows * nb {
-            return Err(format!(
-                "expected {} scales, found {}",
-                n_rows * nb,
-                scales.len()
-            ));
-        }
-        if row_err.len() != n_rows {
-            return Err(format!(
-                "expected {n_rows} row errors, found {}",
-                row_err.len()
-            ));
-        }
-        if let Some(v) = scales
-            .iter()
-            .chain(&row_err)
-            .find(|v| !(v.is_finite() && **v >= 0.0))
-        {
-            return Err(format!(
-                "quantization scale or row error {v} is not a finite nonnegative value"
-            ));
-        }
-        Ok(Self {
-            row_len,
-            block,
-            n_rows,
-            data,
-            scales,
-            row_err,
-        })
-    }
-
-    /// Row length in elements.
-    pub fn row_len(&self) -> usize {
-        self.row_len
-    }
-
-    /// Block size in elements.
-    pub fn block(&self) -> usize {
-        self.block
-    }
-
-    /// Number of rows.
-    pub fn n_rows(&self) -> usize {
-        self.n_rows
-    }
-
-    /// The quantized payload (`n_rows × row_len`).
-    pub fn data(&self) -> &[i8] {
-        &self.data
-    }
-
-    /// The per-(row, block) scales (`n_rows × n_blocks`, row-major).
-    pub fn scales(&self) -> &[f32] {
-        &self.scales
-    }
-
-    /// The per-row inflated reconstruction errors.
-    pub fn row_errs(&self) -> &[f32] {
-        &self.row_err
-    }
-
-    /// Certified per-element reconstruction error of `row`:
-    /// `|x_i − dequant_i| ≤ max_abs_err(row)` for every element, so
-    /// `l1_q(h,t) − d·err_h − d·err_t ≤ l1_f32(h,t)` — the pruning lower
-    /// bound in its per-row form.
-    pub fn max_abs_err(&self, row: usize) -> f32 {
-        self.row_err[row]
-    }
-
-    /// Deterministically reconstruct `row` into `out` (`q_i · s_block`).
-    pub fn dequantize_into(&self, row: usize, out: &mut [f32]) {
-        dequantize_row_into(&self.data, &self.scales, self.row_len, self.block, row, out);
-    }
-
-    /// Bytes of quantized storage (payload + scales + per-row errors).
-    pub fn storage_bytes(&self) -> usize {
-        self.data.len() + 4 * self.scales.len() + 4 * self.row_err.len()
     }
 }
 
@@ -853,21 +713,36 @@ mod tests {
     /// twin so there is exactly one statement of it in the crate.
     use crate::simd::scalar::blocked_l1;
 
+    /// `rows` quantized row by row: (payload, scales, row errors).
+    fn quantize_rows(rows: &[f32], row_len: usize) -> (Vec<i8>, Vec<f32>, Vec<f32>) {
+        let block = QUANT_BLOCK.min(row_len);
+        let (mut data, mut scales) = (Vec::new(), Vec::new());
+        let errs = rows
+            .chunks_exact(row_len)
+            .map(|row| quantize_row(row, block, &mut scales, &mut data))
+            .collect();
+        (data, scales, errs)
+    }
+
     #[test]
-    fn quant_table_roundtrip_error_is_certified() {
+    fn quantize_row_error_is_certified() {
         let mut rng = SmallRng::seed_from_u64(1);
         for row_len in [1usize, 3, 8, 32, 33, 64, 128] {
             let rows = random_rows(&mut rng, 7, row_len, 2.0);
-            let qt = QuantTable::quantize_table(&rows, row_len);
-            assert_eq!(qt.n_rows(), 7);
+            let (data, scales, errs) = quantize_rows(&rows, row_len);
+            assert_eq!(data.len(), rows.len());
+            assert_eq!(scales.len(), 7 * row_len.div_ceil(QUANT_BLOCK.min(row_len)));
             let mut out = vec![0.0f32; row_len];
+            let block = QUANT_BLOCK.min(row_len);
+            let nb = row_len.div_ceil(block);
             for r in 0..7 {
-                qt.dequantize_into(r, &mut out);
-                let err = qt.max_abs_err(r);
+                let (q, s) = (&data[r * row_len..][..row_len], &scales[r * nb..][..nb]);
+                dequantize_row_into(q, s, block, &mut out);
                 for (o, x) in out.iter().zip(&rows[r * row_len..(r + 1) * row_len]) {
                     assert!(
-                        (o - x).abs() <= err,
-                        "row {r}: |{o} - {x}| > certified {err}"
+                        (o - x).abs() <= errs[r],
+                        "row {r}: |{o} - {x}| > certified {}",
+                        errs[r]
                     );
                 }
             }
@@ -877,31 +752,13 @@ mod tests {
     #[test]
     fn zero_rows_quantize_to_zero_scale_and_zero_error() {
         let rows = vec![0.0f32; 3 * 40];
-        let qt = QuantTable::quantize_table(&rows, 40);
-        assert!(qt.scales().iter().all(|&s| s == 0.0));
-        assert!(qt.data().iter().all(|&q| q == 0));
-        assert_eq!(qt.max_abs_err(1), 0.0);
+        let (data, scales, errs) = quantize_rows(&rows, 40);
+        assert!(scales.iter().all(|&s| s == 0.0));
+        assert!(data.iter().all(|&q| q == 0));
+        assert_eq!(errs[1], 0.0);
         let mut out = vec![9.0f32; 40];
-        qt.dequantize_into(2, &mut out);
+        dequantize_row_into(&data[80..], &scales[4..], QUANT_BLOCK, &mut out);
         assert!(out.iter().all(|&x| x == 0.0));
-    }
-
-    #[test]
-    fn from_parts_rejects_mismatched_shapes() {
-        assert!(QuantTable::from_parts(0, 1, vec![], vec![], vec![]).is_err());
-        assert!(QuantTable::from_parts(4, 8, vec![0; 8], vec![0.0; 2], vec![0.0; 2]).is_err());
-        assert!(QuantTable::from_parts(4, 4, vec![0; 7], vec![0.0; 2], vec![0.0; 2]).is_err());
-        assert!(QuantTable::from_parts(4, 4, vec![0; 8], vec![0.0; 3], vec![0.0; 2]).is_err());
-        assert!(QuantTable::from_parts(4, 4, vec![0; 8], vec![0.0; 2], vec![0.0; 3]).is_err());
-        assert!(QuantTable::from_parts(4, 4, vec![0; 8], vec![0.0; 2], vec![0.0; 2]).is_ok());
-        for bad in [f32::NAN, -1.0, f32::INFINITY] {
-            assert!(
-                QuantTable::from_parts(4, 4, vec![0; 8], vec![bad, 0.0], vec![0.0; 2]).is_err()
-            );
-            assert!(
-                QuantTable::from_parts(4, 4, vec![0; 8], vec![0.0; 2], vec![0.0, bad]).is_err()
-            );
-        }
     }
 
     #[test]
@@ -1003,13 +860,7 @@ mod tests {
     fn storage_is_about_a_quarter_of_f32() {
         let rows = vec![0.5f32; 1000 * 64];
         let f32_bytes = rows.len() * 4;
-        let qt = QuantTable::quantize_table(&rows, 64);
         let st = QuantScanTable::from_rows(&rows, 64);
-        assert!(
-            qt.storage_bytes() < f32_bytes * 3 / 10,
-            "{}",
-            qt.storage_bytes()
-        );
         assert!(
             st.storage_bytes() < f32_bytes * 3 / 10,
             "{}",

@@ -234,7 +234,9 @@ pub fn read_service_file(
     service_from_bytes(&payload).map_err(|e| corrupt(path, e))
 }
 
-/// Atomically write `snapshot` to `path` as a `PKGMSS3` file.
+/// Atomically write `snapshot` to `path` as a `PKGMSS3` file: its image,
+/// as it is (a snapshot *is* its `PKGMSS3` bytes), replacing any file at
+/// `path` by rename, so a process serving the old file keeps its rows.
 ///
 /// `PKGMSS3` is deliberately *not* wrapped in the `PKGMAF1` container:
 /// the 28-byte container header would shift every section off its page
@@ -245,8 +247,8 @@ pub fn write_snapshot_ss3_file(
     path: &Path,
     snapshot: &ServiceSnapshot,
 ) -> Result<(), ArtifactError> {
-    let bytes = crate::snapshot3::snapshot_to_ss3_bytes(snapshot).map_err(|e| corrupt(path, e))?;
-    io.write_atomic(path, &bytes)
+    let bytes = snapshot.ss3_bytes().map_err(|e| corrupt(path, e))?;
+    io.write_atomic(path, bytes)
 }
 
 /// Open a `PKGMSS3` snapshot file memory-mapped for zero-copy serving

@@ -647,20 +647,17 @@ mod tests {
         assert_every_path_serves(retired, &ids, |id| exact(&mapped, id));
         drop(mapped);
         std::fs::remove_file(&path).unwrap();
-        // Quantized: a verbatim escape row and dequantized rows.
+        // Quantized: a verbatim escape row (an outlier) and dequantized rows.
         let (escape, plain) = (17u32, 18u32);
-        let table = dense.dense_table().expect("dense snapshot");
         let row_len = 2 * svc.dim();
-        let quant = ServiceSnapshot::from_quantized_parts(
-            svc.dim(),
-            svc.k(),
-            crate::quant::QuantTable::quantize_table(table, row_len),
-            vec![escape],
-            table[escape as usize * row_len..][..row_len].to_vec(),
-        )
-        .unwrap();
-        assert_eq!(bits(&exact(&quant, escape)), bits(&exact(&dense, escape)));
-        assert_ne!(bits(&exact(&quant, plain)), bits(&exact(&dense, plain)));
+        let mut table = dense.dense_table().expect("dense snapshot").to_vec();
+        table[escape as usize * row_len] = 50.0;
+        let outlier =
+            ServiceSnapshot::from_rows(svc.dim(), svc.k(), ShardSpec::default(), &table).unwrap();
+        let quant = outlier.quantize();
+        assert_eq!(quant.quant_rows().expect("quantized").0, &[escape]);
+        assert_eq!(bits(&exact(&quant, escape)), bits(&exact(&outlier, escape)));
+        assert_ne!(bits(&exact(&quant, plain)), bits(&exact(&outlier, plain)));
         let cached = CachedService::new(quant.clone(), 16);
         assert_every_path_serves(cached, &[escape, plain, 3, escape], |id| exact(&quant, id));
         // Every stored row is the model's condensed service bit for bit.

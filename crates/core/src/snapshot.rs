@@ -7,42 +7,48 @@
 //! pre-training (or via `pkgm snapshot`), ship the bytes, and answer
 //! condensed-service queries with a row slice.
 //!
+//! A snapshot is a view over `PKGMSS3` bytes ([`crate::snapshot3`]): one
+//! image plus its parsed header, with each storage shape a set of section
+//! offsets computed once. A build writes the image into an 8-byte-aligned
+//! heap buffer through the same writers that stream files, an open maps
+//! the file, and a decode copies bytes into a heap buffer; a row read is
+//! the same pointer arithmetic in every case, and writing a snapshot out
+//! writes its image as it is.
+//!
 //! ## Quantized snapshots
 //!
 //! At the paper's scale (142.6M items × 2·64 floats ≈ 68 GiB) the dense
 //! table dominates a serving host's RAM. [`ServiceSnapshot::quantize`]
-//! converts the table to a [`QuantTable`] — blockwise symmetric int8 with
-//! per-(row, block) scales — at ~29% of the dense bytes, keeping a small
-//! set of worst-quantizing rows verbatim in f32 so no lookup degrades
-//! badly. Quantized lookups dequantize deterministically
-//! (`q_i · s_block`, fixed order), so a quantized snapshot written to
-//! `PKGMSS3` ([`crate::snapshot3`]) and reopened — mapped or resident —
-//! reproduces [`ServiceSnapshot::lookup_exact`] outputs bit-for-bit.
+//! converts the table to blockwise symmetric int8 with per-(row, block)
+//! scales at ~29% of the dense bytes, keeping a small set of
+//! worst-quantizing rows verbatim in f32 so no lookup degrades badly.
+//! Quantized lookups dequantize deterministically (`q_i · s_block`, fixed
+//! order), so a quantized snapshot written out and reopened — mapped or
+//! resident — reproduces [`ServiceSnapshot::lookup_exact`] outputs
+//! bit-for-bit.
 
 use std::borrow::Cow;
+use std::sync::Arc;
 
+use crate::mmap::MmapRegion;
 use crate::model::PkgmModel;
-use crate::quant::QuantTable;
+use crate::quant;
+use crate::serialize::SerializeError;
 use crate::service::{condense_into, KnowledgeService, ServiceScratch};
-use crate::snapshot3::{MappedDense, MappedQuant};
+use crate::snapshot3::{
+    view, Header, Plain, Ss3DenseWriter, Ss3QuantWriter, SEC_DENSE_F32, SEC_EXACT_IDS_U32,
+    SEC_EXACT_ROWS_F32, SEC_FALLBACK_F32, SEC_QDATA_I8, SEC_ROWERR_F32, SEC_SCALES_F32,
+};
 use pkgm_store::{EntityId, KeyRelationSelector};
 use rayon::prelude::*;
 
 /// Rows per rayon task when building the table.
 const BUILD_CHUNK: usize = 128;
 
-/// Cap on verbatim f32 rows kept by [`ServiceSnapshot::quantize`], as a
-/// divisor of the row count: at most `n_rows / EXACT_ROW_DIVISOR` rows.
-pub(crate) const EXACT_ROW_DIVISOR: usize = 64;
-
-/// Rows whose measured quantization error exceeds this multiple of the
-/// median row error are candidates for verbatim storage.
-pub(crate) const EXACT_ERR_FACTOR: f32 = 4.0;
-
-/// How a snapshot's row storage is held in the process.
+/// How a snapshot's image is held in the process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnapshotBacking {
-    /// Rows in owned heap memory: a fresh build, or a fully-validated
+    /// An owned heap image: a fresh build, or a fully-validated
     /// `PKGMSS3` decode.
     Resident,
     /// Rows served zero-copy out of an [`crate::mmap::MmapRegion`] over a
@@ -89,156 +95,61 @@ impl ShardSpec {
     pub fn is_whole_table(&self) -> bool {
         self.n_shards == 1 && self.row_start == 0
     }
-}
 
-/// Row storage behind a snapshot: the dense f32 table or its quantized
-/// form plus verbatim escape rows, each either owned (resident) or
-/// served zero-copy out of a mapped `PKGMSS3` region.
-#[derive(Debug, Clone)]
-pub(crate) enum Storage {
-    Dense(Vec<f32>),
-    Quantized(QuantizedRows),
-    MappedDense(MappedDense),
-    MappedQuantized(MappedQuant),
-}
-
-/// Quantized condensed table plus the verbatim f32 rows kept for the
-/// worst-quantizing entities.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct QuantizedRows {
-    quant: QuantTable,
-    /// Sorted entity ids whose rows are stored verbatim (served from
-    /// `exact_rows` instead of dequantization).
-    exact_ids: Vec<u32>,
-    /// `exact_ids.len() × 2d` verbatim rows, parallel to `exact_ids`.
-    exact_rows: Vec<f32>,
-}
-
-impl QuantizedRows {
-    /// Assemble quantized storage from untrusted parts: the escape rows
-    /// must match the escape ids, which [`check_exact_ids`] vets.
-    pub(crate) fn new(
-        quant: QuantTable,
-        exact_ids: Vec<u32>,
-        exact_rows: Vec<f32>,
-    ) -> Result<Self, String> {
-        if exact_rows.len() != exact_ids.len() * quant.row_len() {
+    /// Errors unless this is shard `k` of `n` with `k < n`, and its
+    /// `n_rows` rows from `row_start` stay inside the u32 entity-id space.
+    pub(crate) fn check(&self, n_rows: u64) -> Result<(), String> {
+        if self.n_shards == 0 || self.shard_id >= self.n_shards {
             return Err(format!(
-                "expected {} exact-row floats, found {}",
-                exact_ids.len() * quant.row_len(),
-                exact_rows.len()
+                "invalid shard spec: shard {} of {}",
+                self.shard_id, self.n_shards
             ));
         }
-        check_exact_ids(&exact_ids, quant.n_rows())?;
-        Ok(Self {
-            quant,
-            exact_ids,
-            exact_rows,
-        })
-    }
-
-    /// Serve row `id` into `out` (exact if escaped, else dequantized).
-    fn row_into(&self, id: usize, out: &mut [f32]) {
-        let row_len = self.quant.row_len();
-        if let Ok(e) = self.exact_ids.binary_search(&(id as u32)) {
-            out.copy_from_slice(&self.exact_rows[e * row_len..(e + 1) * row_len]);
-        } else {
-            self.quant.dequantize_into(id, out);
+        match self.row_start.checked_add(n_rows) {
+            Some(end) if end <= u64::from(u32::MAX) + 1 => Ok(()),
+            _ => Err("shard row range exceeds the u32 id space".into()),
         }
     }
 }
 
-/// Escape ids must be strictly increasing (lookups binary-search them) and
-/// name rows of an `n_rows`-row table.
-pub(crate) fn check_exact_ids(ids: &[u32], n_rows: usize) -> Result<(), String> {
-    if !ids.windows(2).all(|w| w[0] < w[1]) {
-        return Err("exact-row ids are not strictly increasing".into());
-    }
-    match ids.last() {
-        Some(&last) if last as usize >= n_rows => {
-            Err(format!("exact-row id {last} beyond the {n_rows}-row table"))
-        }
-        _ => Ok(()),
-    }
+/// The storage shape of a snapshot's sections.
+#[derive(Debug, Clone, Copy)]
+enum Storage {
+    /// One `n_rows × 2d` f32 table.
+    Dense,
+    /// int8 rows with per-(row, `block`) scales, plus verbatim escape rows.
+    Quantized { block: usize },
 }
 
 /// Table of condensed service vectors, one `2d` row per entity — dense
-/// f32 or int8-quantized with verbatim escape rows, resident in heap
-/// memory or memory-mapped from a `PKGMSS3` file.
+/// f32 or int8-quantized with verbatim escape rows — as views over one
+/// `PKGMSS3` image, resident in heap memory or memory-mapped from a file.
 #[derive(Debug, Clone)]
 pub struct ServiceSnapshot {
-    dim: usize,
-    k: usize,
+    image: Arc<MmapRegion>,
+    header: Header,
     storage: Storage,
-    /// Column-wise mean of the *served* rows (zeros for an empty table):
-    /// the degraded-mode answer for ids beyond the table. Computed when a
-    /// table is built; `PKGMSS3` stores it as a section, so no load ever
-    /// scans the table for it.
-    fallback: Vec<f32>,
-    /// Which global entity-id range this table covers.
-    shard: ShardSpec,
+    /// Byte offset of each section in the image, by section kind,
+    /// computed once when the views are built.
+    at: [usize; 8],
+    backing: SnapshotBacking,
 }
 
-/// Snapshots compare by *served content* — dim, k, shard range, fallback
-/// row, and the logical row storage (dense table, or quantized parts) —
-/// regardless of backing, so a mapped `PKGMSS3` equals the resident
-/// snapshot it was written from.
+/// Snapshots compare by *served content* — dim, k, shard range, shape and
+/// the bytes of every section — regardless of backing, so a mapped
+/// `PKGMSS3` equals the resident snapshot it was written from.
 impl PartialEq for ServiceSnapshot {
     fn eq(&self, other: &Self) -> bool {
-        if self.dim != other.dim
-            || self.k != other.k
-            || self.shard != other.shard
-            || self.fallback != other.fallback
-        {
-            return false;
-        }
-        match (self.dense_table(), other.dense_table()) {
-            (Some(a), Some(b)) => return a == b,
-            (None, None) => {}
-            _ => return false,
-        }
-        match (self.quant_slices(), other.quant_slices()) {
-            (Some(a), Some(b)) => {
-                a.block == b.block
-                    && a.data == b.data
-                    && a.scales == b.scales
-                    && a.row_errs == b.row_errs
-                    && a.exact_ids == b.exact_ids
-                    && a.exact_rows == b.exact_rows
-            }
-            _ => false,
-        }
+        let (a, b) = (&self.header, &other.header);
+        let shape = |h: &Header| Header {
+            sections: Vec::new(),
+            ..h.clone()
+        };
+        shape(a) == shape(b)
+            && a.sections.iter().zip(&b.sections).all(|(x, y)| {
+                Header::body(self.image.bytes(), x) == Header::body(other.image.bytes(), y)
+            })
     }
-}
-
-/// Raw quantized storage slices, valid for both resident and mapped
-/// backings — the serialization inputs.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct QuantSlices<'a> {
-    pub data: &'a [i8],
-    pub scales: &'a [f32],
-    pub row_errs: &'a [f32],
-    pub block: usize,
-    pub exact_ids: &'a [u32],
-    pub exact_rows: &'a [f32],
-}
-
-/// Column-wise mean of a row-major table (zeros when there are no rows).
-fn mean_row(rows: &[f32], row_len: usize) -> Vec<f32> {
-    let mut mean = vec![0.0f32; row_len];
-    let n_rows = rows.len().checked_div(row_len).unwrap_or(0);
-    if n_rows == 0 {
-        return mean;
-    }
-    for row in rows.chunks_exact(row_len) {
-        for (m, &x) in mean.iter_mut().zip(row) {
-            *m += x;
-        }
-    }
-    for m in &mut mean {
-        *m /= n_rows as f32;
-    }
-    mean
 }
 
 /// The condensed rows of model entities `0..rows.len() / 2d` into `rows`, in
@@ -265,119 +176,116 @@ pub(crate) fn condensed_rows_into(
         });
 }
 
-/// Column-wise mean of the rows a [`QuantizedRows`] storage *serves*
-/// (dequantized or exact), in the same accumulation order as
-/// [`mean_row`] — quantize-then-save and load-from-parts must both call
-/// this so the fallback row reproduces bitwise.
-fn mean_served_row(q: &QuantizedRows, row_len: usize) -> Vec<f32> {
-    let n_rows = q.quant.n_rows();
-    let mut mean = vec![0.0f32; row_len];
-    if n_rows == 0 {
-        return mean;
-    }
-    let mut row = vec![0.0f32; row_len];
-    for id in 0..n_rows {
-        q.row_into(id, &mut row);
-        for (m, &x) in mean.iter_mut().zip(&row) {
-            *m += x;
-        }
-    }
-    for m in &mut mean {
-        *m /= n_rows as f32;
-    }
-    mean
-}
-
 impl ServiceSnapshot {
     /// Precompute the condensed service of every entity in `service`'s
-    /// model, in parallel with per-thread scratch buffers.
+    /// model, in parallel with per-thread scratch buffers, straight into
+    /// the table section of a resident image.
     pub fn build(service: &KnowledgeService) -> Self {
-        let d = service.dim();
-        let row_len = 2 * d;
-        let n = service.model().n_entities();
-        let mut rows = vec![0.0f32; n * row_len];
         let (model, selector) = (service.model(), service.selector());
-        condensed_rows_into(model, service.mats_t(), selector, 0, &mut rows);
-        let fallback = mean_row(&rows, row_len);
-        Self {
-            dim: d,
-            k: service.k(),
-            storage: Storage::Dense(rows),
-            fallback,
-            shard: ShardSpec::default(),
-        }
+        let n = model.n_entities() as u64;
+        let mut w = Ss3DenseWriter::resident(service.dim(), service.k(), n, ShardSpec::default())
+            .expect("entity ids are u32");
+        w.fill_rows(|rows| condensed_rows_into(model, service.mats_t(), selector, 0, rows));
+        w.into_snapshot()
     }
 
-    /// A whole-table dense snapshot of `rows`, its fallback the rows' mean.
-    pub(crate) fn from_parts(dim: usize, k: usize, rows: Vec<f32>) -> Self {
-        assert!(dim > 0, "snapshot dim must be positive");
-        assert_eq!(
-            rows.len() % (2 * dim),
-            0,
-            "snapshot table must be whole rows"
-        );
-        let fallback = mean_row(&rows, 2 * dim);
-        Self {
-            dim,
-            k,
-            storage: Storage::Dense(rows),
-            fallback,
-            shard: ShardSpec::default(),
-        }
-    }
-
-    /// A whole-table quantized snapshot of its parts, its fallback the
-    /// served rows' mean. Shape mismatches are errors, not panics.
-    #[cfg(test)]
-    pub(crate) fn from_quantized_parts(
+    /// A resident dense snapshot of `rows` covering `shard`, its fallback
+    /// the rows' mean.
+    pub(crate) fn from_rows(
         dim: usize,
         k: usize,
-        quant: QuantTable,
-        exact_ids: Vec<u32>,
-        exact_rows: Vec<f32>,
+        shard: ShardSpec,
+        rows: &[f32],
     ) -> Result<Self, String> {
-        if dim == 0 || quant.row_len() != 2 * dim {
+        let n_rows = rows.len() / (2 * dim);
+        let mut w = Ss3DenseWriter::resident(dim, k, n_rows as u64, shard)?;
+        w.write_rows(rows).map_err(|e| e.to_string())?;
+        Ok(w.into_snapshot())
+    }
+
+    /// The views over `image`, whose header is `header` — the one view
+    /// builder of every constructor. The header must describe the image:
+    /// a writer's own, or one [`crate::snapshot3`] validated against it.
+    pub(crate) fn from_image(
+        image: Arc<MmapRegion>,
+        header: Header,
+        backing: SnapshotBacking,
+    ) -> Self {
+        if cfg!(target_endian = "big") {
+            panic!("PKGMSS3 views read little-endian words in place");
+        }
+        let storage = match header.quantized {
+            true => Storage::Quantized {
+                block: header.block as usize,
+            },
+            false => Storage::Dense,
+        };
+        let mut at = [0; 8];
+        for s in &header.sections {
+            at[s.kind as usize] = s.offset as usize;
+        }
+        Self {
+            image,
+            header,
+            storage,
+            at,
+            backing,
+        }
+    }
+
+    /// The values no CRC policy covers: escape ids must be strictly
+    /// increasing (lookups binary-search them) and name rows of the table,
+    /// and with `scan_table` (a resident decode, which trusts nothing)
+    /// every scale and row error must be finite and nonnegative.
+    pub(crate) fn check_values(&self, scan_table: bool) -> Result<(), String> {
+        let Storage::Quantized { block } = self.storage else {
+            return Ok(());
+        };
+        let ids = self.exact_ids();
+        if !ids.windows(2).all(|w| w[0] < w[1]) {
+            return Err("exact-row ids are not strictly increasing".into());
+        }
+        if let Some(&last) = ids.last().filter(|&&id| id as usize >= self.n_rows()) {
             return Err(format!(
-                "quantized rows are {} long, expected {}",
-                quant.row_len(),
-                2 * dim
+                "exact-row id {last} beyond the {}-row table",
+                self.n_rows()
             ));
         }
-        let q = QuantizedRows::new(quant, exact_ids, exact_rows)?;
-        let fallback = mean_served_row(&q, 2 * dim);
-        Ok(Self::from_storage(
-            dim,
-            k,
-            Storage::Quantized(q),
-            fallback,
-            ShardSpec::default(),
-        ))
+        if !scan_table {
+            return Ok(());
+        }
+        let n_scales = self.n_rows() * self.row_len().div_ceil(block);
+        let scales: &[f32] = self.sec(SEC_SCALES_F32, 0, n_scales);
+        let errs = self.sec(SEC_ROWERR_F32, 0, self.n_rows());
+        match scales
+            .iter()
+            .chain(errs)
+            .find(|v| !(v.is_finite() && **v >= 0.0))
+        {
+            Some(v) => Err(format!(
+                "quantization scale or row error {v} is not a finite nonnegative value"
+            )),
+            None => Ok(()),
+        }
     }
 
     /// Mark this snapshot as shard `shard.shard_id` of `shard.n_shards`,
-    /// covering global ids `[shard.row_start, row_start + n_rows)` — the
-    /// builder-side step before writing per-shard `PKGMSS3` files.
-    pub fn with_shard(mut self, shard: ShardSpec) -> Result<Self, String> {
-        if shard.n_shards == 0 || shard.shard_id >= shard.n_shards {
-            return Err(format!(
-                "invalid shard spec: shard {} of {}",
-                shard.shard_id, shard.n_shards
-            ));
-        }
-        let end = shard.row_start.checked_add(self.n_rows() as u64);
-        if end.is_none_or(|e| e > u64::from(u32::MAX) + 1) {
-            return Err("shard row range exceeds the u32 id space".into());
-        }
-        self.shard = shard;
-        Ok(self)
+    /// covering global ids `[shard.row_start, row_start + n_rows)`: a
+    /// resident copy of the image under the new header.
+    pub fn with_shard(self, shard: ShardSpec) -> Result<Self, String> {
+        shard.check(self.n_rows() as u64)?;
+        let mut header = self.header.clone();
+        header.shard = shard;
+        let image = MmapRegion::copy_of(&self.image.bytes()[..header.image_len()]);
+        Ok(header.seal_image(image))
     }
 
     /// Extract one entity-range shard from a whole, dense table: rows
     /// `[shard.row_start, row_start + len)` become a new dense snapshot
     /// carrying `shard`, with its fallback recomputed over the shard's
-    /// own rows (matching what [`crate::Ss3DenseWriter`] stores).
+    /// own rows.
     pub fn shard_slice(&self, shard: ShardSpec, len: u64) -> Result<ServiceSnapshot, String> {
-        if !self.shard.is_whole_table() {
+        if !self.shard().is_whole_table() {
             return Err("cannot re-shard an already-sharded snapshot".into());
         }
         let table = self.dense_table().ok_or_else(|| {
@@ -398,131 +306,80 @@ impl ServiceSnapshot {
         if len == 0 {
             return Err("a shard must cover at least one row".into());
         }
-        let row_len = 2 * self.dim;
-        let rows = table[shard.row_start as usize * row_len..end as usize * row_len].to_vec();
-        ServiceSnapshot::from_parts(self.dim, self.k, rows).with_shard(shard)
+        let row_len = self.row_len();
+        let rows = &table[shard.row_start as usize * row_len..end as usize * row_len];
+        Self::from_rows(self.dim(), self.k(), shard, rows)
     }
 
-    /// Assemble a snapshot directly from validated storage and its stored
-    /// fallback row — both `PKGMSS3` loaders, so mapped and resident
-    /// backings serve identical degraded-mode bytes.
-    pub(crate) fn from_storage(
-        dim: usize,
-        k: usize,
-        storage: Storage,
-        fallback: Vec<f32>,
-        shard: ShardSpec,
-    ) -> Self {
-        assert_eq!(fallback.len(), 2 * dim, "fallback must be one row");
-        Self {
-            dim,
-            k,
-            storage,
-            fallback,
-            shard,
-        }
-    }
-
-    /// The quantized form of this snapshot: the condensed table as a
-    /// blockwise int8 [`QuantTable`], with the worst-quantizing rows
-    /// (error > [`EXACT_ERR_FACTOR`]× the median, capped at
-    /// `n_rows / `[`EXACT_ROW_DIVISOR`]) kept verbatim in f32. Already
-    /// quantized snapshots are returned as-is.
+    /// The quantized form of this snapshot, streamed through
+    /// [`Ss3QuantWriter`]: blockwise int8 rows with the worst-quantizing
+    /// ones kept verbatim in f32. Already quantized snapshots are returned
+    /// as-is.
     pub fn quantize(&self) -> ServiceSnapshot {
-        let row_len = 2 * self.dim;
-        let rows: &[f32] = match &self.storage {
-            Storage::Quantized(_) | Storage::MappedQuantized(_) => return self.clone(),
-            Storage::Dense(rows) => rows,
-            Storage::MappedDense(m) => m.table(),
+        let Some(table) = self.dense_table() else {
+            return self.clone();
         };
-        let quant = QuantTable::quantize_table(rows, row_len);
-        let errs = quant.row_errs();
-        let mut sorted = errs.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite quant errors"));
-        let median = sorted.get(sorted.len() / 2).copied().unwrap_or(0.0);
-        let mut escapes: Vec<u32> = (0..quant.n_rows() as u32)
-            .filter(|&i| errs[i as usize] > EXACT_ERR_FACTOR * median)
-            .collect();
-        // Worst offenders first (ties by id for determinism), capped.
-        escapes.sort_by(|&a, &b| {
-            errs[b as usize]
-                .partial_cmp(&errs[a as usize])
-                .expect("finite quant errors")
-                .then(a.cmp(&b))
-        });
-        escapes.truncate(quant.n_rows() / EXACT_ROW_DIVISOR);
-        escapes.sort_unstable();
-        let mut exact_rows = Vec::with_capacity(escapes.len() * row_len);
-        for &id in &escapes {
-            exact_rows.extend_from_slice(&rows[id as usize * row_len..][..row_len]);
-        }
-        let q = QuantizedRows {
-            quant,
-            exact_ids: escapes,
-            exact_rows,
-        };
-        let fallback = mean_served_row(&q, row_len);
-        ServiceSnapshot {
-            dim: self.dim,
-            k: self.k,
-            storage: Storage::Quantized(q),
-            fallback,
-            shard: self.shard,
-        }
+        let row_len = self.row_len();
+        let mut w =
+            Ss3QuantWriter::resident(self.dim(), self.k(), self.n_rows() as u64, self.shard())
+                .expect("a valid snapshot's shard");
+        w.write_rows(table).expect("heap image writes do not fail");
+        w.into_snapshot(|id, out| out.copy_from_slice(&table[id as usize * row_len..][..row_len]))
     }
 
     /// Embedding dimension `d` (rows are `2d` long).
     pub fn dim(&self) -> usize {
-        self.dim
+        self.header.dim as usize
+    }
+
+    fn row_len(&self) -> usize {
+        2 * self.dim()
     }
 
     /// Key relations per item the source service used.
     pub fn k(&self) -> usize {
-        self.k
+        self.header.k as usize
     }
 
     /// Number of entity rows in the table.
     pub fn n_rows(&self) -> usize {
-        match &self.storage {
-            Storage::Dense(rows) => rows.len() / (2 * self.dim),
-            Storage::Quantized(q) => q.quant.n_rows(),
-            Storage::MappedDense(m) => m.n_rows(),
-            Storage::MappedQuantized(m) => m.n_rows(),
-        }
+        self.header.n_rows as usize
     }
 
     /// Whether rows are stored int8-quantized.
     pub fn is_quantized(&self) -> bool {
-        matches!(
-            self.storage,
-            Storage::Quantized(_) | Storage::MappedQuantized(_)
-        )
+        self.header.quantized
     }
 
-    /// How the row storage is held: [`SnapshotBacking::Resident`] heap
-    /// memory or a [`SnapshotBacking::Mapped`] `PKGMSS3` region.
+    /// How the image is held: [`SnapshotBacking::Resident`] heap memory
+    /// or a [`SnapshotBacking::Mapped`] `PKGMSS3` file.
     pub fn backing(&self) -> SnapshotBacking {
-        match &self.storage {
-            Storage::Dense(_) | Storage::Quantized(_) => SnapshotBacking::Resident,
-            Storage::MappedDense(_) | Storage::MappedQuantized(_) => SnapshotBacking::Mapped,
-        }
+        self.backing
     }
 
     /// Give a mapped table's resident pages back to the kernel; a no-op
-    /// for heap storage. Lookups stay bit-identical (the next read faults
+    /// for heap images. Lookups stay bit-identical (the next read faults
     /// the same bytes back in), so a retired generation can shed its
     /// pages while its last in-flight batches still read it.
     pub(crate) fn release_mapped_pages(&self) {
-        match &self.storage {
-            Storage::MappedDense(m) => m.region.release_resident(),
-            Storage::MappedQuantized(m) => m.region.release_resident(),
-            Storage::Dense(_) | Storage::Quantized(_) => {}
+        self.image.release_resident();
+    }
+
+    /// The snapshot's `PKGMSS3` image, which is what writing it out
+    /// writes. Errors on an empty table — a zero-row shard is never valid
+    /// on disk.
+    pub(crate) fn ss3_bytes(&self) -> Result<&[u8], SerializeError> {
+        if self.n_rows() == 0 {
+            return Err(SerializeError::Corrupt(
+                "refusing to write a zero-row PKGMSS3 shard".into(),
+            ));
         }
+        Ok(&self.image.bytes()[..self.header.image_len()])
     }
 
     /// The global entity-id range this snapshot covers.
     pub fn shard(&self) -> ShardSpec {
-        self.shard
+        self.header.shard
     }
 
     /// True when global id `id` falls inside this snapshot's shard range
@@ -534,7 +391,7 @@ impl ServiceSnapshot {
 
     /// Translate a global entity id to this shard's local row index.
     fn local_row(&self, id: u32) -> Option<usize> {
-        let local = (id as u64).checked_sub(self.shard.row_start)?;
+        let local = (id as u64).checked_sub(self.header.shard.row_start)?;
         if (local as usize) < self.n_rows() {
             Some(local as usize)
         } else {
@@ -543,23 +400,45 @@ impl ServiceSnapshot {
     }
 
     /// Bytes of logical row storage (the `bytes_per_entity` bench basis;
-    /// excludes the fallback row). For mapped backings this counts the
-    /// on-disk section bytes served through the mapping, not process RSS.
+    /// excludes the fallback row): the image's row sections. For mapped
+    /// backings this counts the on-disk bytes served through the mapping,
+    /// not process RSS.
     pub fn storage_bytes(&self) -> usize {
-        match &self.storage {
-            Storage::Dense(rows) => 4 * rows.len(),
-            Storage::Quantized(q) => {
-                q.quant.storage_bytes() + 4 * q.exact_ids.len() + 4 * q.exact_rows.len()
-            }
-            Storage::MappedDense(m) => 4 * m.table().len(),
-            Storage::MappedQuantized(m) => {
-                m.data().len()
-                    + 4 * m.scales().len()
-                    + 4 * m.row_errs().len()
-                    + 4 * m.exact_ids().len()
-                    + 4 * m.exact_rows_f32().len()
-            }
+        let sections = self.header.sections.iter();
+        let rows = sections.filter(|s| s.kind != SEC_FALLBACK_F32);
+        rows.map(|s| s.len as usize).sum()
+    }
+
+    /// `n` values of the section of `kind`, from its `first`-th.
+    fn sec<T: Plain>(&self, kind: u32, first: usize, n: usize) -> &[T] {
+        let at = self.at[kind as usize] + first * std::mem::size_of::<T>();
+        view(self.image.bytes(), at, n)
+    }
+
+    /// The sorted escape ids (none for a dense table).
+    fn exact_ids(&self) -> &[u32] {
+        self.sec(SEC_EXACT_IDS_U32, 0, self.header.n_exact as usize)
+    }
+
+    /// Local row `id` when it is stored as f32 (dense, or a verbatim
+    /// escape row); else the block length to dequantize it with.
+    fn stored_row(&self, id: usize) -> Result<&[f32], usize> {
+        let row_len = self.row_len();
+        match self.storage {
+            Storage::Dense => Ok(self.sec(SEC_DENSE_F32, id * row_len, row_len)),
+            Storage::Quantized { block } => match self.exact_ids().binary_search(&(id as u32)) {
+                Ok(e) => Ok(self.sec(SEC_EXACT_ROWS_F32, e * row_len, row_len)),
+                Err(_) => Err(block),
+            },
         }
+    }
+
+    /// Dequantize local row `id` of a quantized table into `out`.
+    fn dequantize_into(&self, block: usize, id: usize, out: &mut [f32]) {
+        let (row_len, nb) = (self.row_len(), self.row_len().div_ceil(block));
+        let data = self.sec(SEC_QDATA_I8, id * row_len, row_len);
+        let scales = self.sec(SEC_SCALES_F32, id * nb, nb);
+        quant::dequantize_row_into(data, scales, block, out);
     }
 
     /// O(1) condensed-service lookup; `None` for ids beyond the table.
@@ -568,34 +447,15 @@ impl ServiceSnapshot {
     /// dequantize into an owned buffer. Allocation-sensitive callers
     /// should use [`ServiceSnapshot::lookup_exact`] with a reused buffer.
     pub fn condensed(&self, item: EntityId) -> Option<Cow<'_, [f32]>> {
-        let row_len = 2 * self.dim;
         let id = self.local_row(item.0)?;
-        match &self.storage {
-            Storage::Dense(rows) => Some(Cow::Borrowed(&rows[id * row_len..(id + 1) * row_len])),
-            Storage::MappedDense(m) => {
-                Some(Cow::Borrowed(&m.table()[id * row_len..(id + 1) * row_len]))
+        Some(match self.stored_row(id) {
+            Ok(row) => Cow::Borrowed(row),
+            Err(block) => {
+                let mut out = vec![0.0f32; self.row_len()];
+                self.dequantize_into(block, id, &mut out);
+                Cow::Owned(out)
             }
-            Storage::Quantized(q) => {
-                if let Ok(e) = q.exact_ids.binary_search(&(id as u32)) {
-                    Some(Cow::Borrowed(&q.exact_rows[e * row_len..(e + 1) * row_len]))
-                } else {
-                    let mut out = vec![0.0f32; row_len];
-                    q.quant.dequantize_into(id, &mut out);
-                    Some(Cow::Owned(out))
-                }
-            }
-            Storage::MappedQuantized(m) => {
-                if let Ok(e) = m.exact_ids().binary_search(&(id as u32)) {
-                    Some(Cow::Borrowed(
-                        &m.exact_rows_f32()[e * row_len..(e + 1) * row_len],
-                    ))
-                } else {
-                    let mut out = vec![0.0f32; row_len];
-                    m.dequantize_into(id, &mut out);
-                    Some(Cow::Owned(out))
-                }
-            }
-        }
+        })
     }
 
     /// Degraded-mode lookup: the entity's row if the id is in range, else
@@ -604,7 +464,7 @@ impl ServiceSnapshot {
     pub fn condensed_or_fallback(&self, item: EntityId) -> (Cow<'_, [f32]>, bool) {
         match self.condensed(item) {
             Some(row) => (row, false),
-            None => (Cow::Borrowed(&self.fallback[..]), true),
+            None => (Cow::Borrowed(self.fallback_row()), true),
         }
     }
 
@@ -614,10 +474,10 @@ impl ServiceSnapshot {
     /// the table writes the fallback row and returns `false` (degraded).
     ///
     /// "Exact" is the serialization contract: the bytes written here are
-    /// a pure function of the snapshot's stored parts, so a `PKGMSS3`
-    /// round-trip reproduces them bit-for-bit.
+    /// a pure function of the snapshot's image, so a `PKGMSS3` round-trip
+    /// reproduces them bit-for-bit.
     pub fn lookup_exact(&self, item: EntityId, out: &mut Vec<f32>) -> bool {
-        out.resize(2 * self.dim, 0.0);
+        out.resize(self.row_len(), 0.0);
         self.row_into(item, out)
     }
 
@@ -627,23 +487,13 @@ impl ServiceSnapshot {
     /// # Panics
     /// If `out.len() != 2 * self.dim()`.
     pub fn row_into(&self, item: EntityId, out: &mut [f32]) -> bool {
-        let row_len = 2 * self.dim;
-        let id = match self.local_row(item.0) {
-            Some(local) => local,
-            None => {
-                out.copy_from_slice(&self.fallback);
-                return false;
-            }
+        let Some(id) = self.local_row(item.0) else {
+            out.copy_from_slice(self.fallback_row());
+            return false;
         };
-        match &self.storage {
-            Storage::Dense(rows) => {
-                out.copy_from_slice(&rows[id * row_len..(id + 1) * row_len]);
-            }
-            Storage::MappedDense(m) => {
-                out.copy_from_slice(&m.table()[id * row_len..(id + 1) * row_len]);
-            }
-            Storage::Quantized(q) => q.row_into(id, out),
-            Storage::MappedQuantized(m) => m.row_into(id, out),
+        match self.stored_row(id) {
+            Ok(row) => out.copy_from_slice(row),
+            Err(block) => self.dequantize_into(block, id, out),
         }
         true
     }
@@ -651,52 +501,22 @@ impl ServiceSnapshot {
     /// The fallback served for out-of-range ids: the column-wise mean of
     /// every served row (all zeros for an empty table). A `2d` slice.
     pub fn fallback_row(&self) -> &[f32] {
-        &self.fallback
+        self.sec(SEC_FALLBACK_F32, 0, self.row_len())
     }
 
     /// The contiguous row-major f32 table (`n_rows × 2d`), when rows are
     /// stored dense (resident or mapped); `None` for quantized snapshots.
     pub fn dense_table(&self) -> Option<&[f32]> {
-        match &self.storage {
-            Storage::Dense(rows) => Some(rows),
-            Storage::MappedDense(m) => Some(m.table()),
-            Storage::Quantized(_) | Storage::MappedQuantized(_) => None,
-        }
+        let n = self.n_rows() * self.row_len();
+        (!self.is_quantized()).then(|| self.sec(SEC_DENSE_F32, 0, n))
     }
 
-    /// The resident quantized parts (table, sorted escape ids, escape
-    /// rows). `None` for dense *and* for mapped-quantized storage — use
-    /// [`ServiceSnapshot::quant_slices`] for backing-agnostic access.
+    /// A quantized table's sorted escape ids and per-row certified errors
+    /// (`|x_i − served_i| ≤ err` for every element of a dequantized row).
     #[cfg(test)]
-    pub(crate) fn quant_parts(&self) -> Option<(&QuantTable, &[u32], &[f32])> {
-        match &self.storage {
-            Storage::Quantized(q) => Some((&q.quant, &q.exact_ids, &q.exact_rows)),
-            _ => None,
-        }
-    }
-
-    /// Raw quantized storage slices for either backing — the `PKGMSS3`
-    /// serialization inputs. `None` for dense storage.
-    pub(crate) fn quant_slices(&self) -> Option<QuantSlices<'_>> {
-        match &self.storage {
-            Storage::Dense(_) | Storage::MappedDense(_) => None,
-            Storage::Quantized(q) => Some(QuantSlices {
-                data: q.quant.data(),
-                scales: q.quant.scales(),
-                row_errs: q.quant.row_errs(),
-                block: q.quant.block(),
-                exact_ids: &q.exact_ids,
-                exact_rows: &q.exact_rows,
-            }),
-            Storage::MappedQuantized(m) => Some(QuantSlices {
-                data: m.data(),
-                scales: m.scales(),
-                row_errs: m.row_errs(),
-                block: m.block(),
-                exact_ids: m.exact_ids(),
-                exact_rows: m.exact_rows_f32(),
-            }),
-        }
+    pub(crate) fn quant_rows(&self) -> Option<(&[u32], &[f32])> {
+        let errs = || self.sec(SEC_ROWERR_F32, 0, self.n_rows());
+        self.is_quantized().then(|| (self.exact_ids(), errs()))
     }
 }
 
@@ -821,7 +641,9 @@ mod tests {
             quant.storage_bytes(),
             dense.storage_bytes()
         );
-        let (qt, ids, _) = quant.quant_parts().expect("quantized parts");
+        // The certificate: every served element is within its row's
+        // stored error of the dense value, and escape rows are exact.
+        let (ids, errs) = quant.quant_rows().expect("quantized rows");
         let mut buf = Vec::new();
         for i in 0..quant.n_rows() as u32 {
             assert!(quant.lookup_exact(EntityId(i), &mut buf));
@@ -829,7 +651,7 @@ mod tests {
             let tol = if ids.binary_search(&i).is_ok() {
                 0.0
             } else {
-                qt.max_abs_err(i as usize)
+                errs[i as usize]
             };
             for (q, o) in buf.iter().zip(&orig[..]) {
                 assert!((q - o).abs() <= tol, "row {i}: |{q} - {o}| > {tol}");
@@ -843,13 +665,12 @@ mod tests {
         let quant = ServiceSnapshot::build(&svc).quantize();
         assert_eq!(quant.quantize(), quant);
         let dense = ServiceSnapshot::build(&svc);
-        let (_, ids, rows) = quant.quant_parts().expect("quantized parts");
+        let (ids, _) = quant.quant_rows().expect("quantized rows");
         assert!(ids.windows(2).all(|w| w[0] < w[1]), "escape ids sorted");
-        let row_len = 2 * quant.dim();
-        for (e, &id) in ids.iter().enumerate() {
+        for &id in ids {
             assert_eq!(
-                &rows[e * row_len..(e + 1) * row_len],
-                &dense.condensed(EntityId(id)).expect("dense row")[..]
+                quant.condensed(EntityId(id)).expect("escape row"),
+                dense.condensed(EntityId(id)).expect("dense row")
             );
         }
     }
@@ -869,17 +690,17 @@ mod tests {
         assert!(quant.dense_table().is_none());
     }
 
-    /// An explicitly constructed escape set: escaped rows serve the
-    /// verbatim f32 bytes (borrowed), all other rows dequantize (owned).
+    /// A table with one outlier row: quantizing keeps it verbatim, served
+    /// as borrowed f32 bytes, while every other row dequantizes (owned).
     #[test]
     fn escape_rows_are_served_verbatim() {
         let row_len = 16;
-        let rows: Vec<f32> = (0..4 * row_len).map(|i| (i as f32 * 0.37).sin()).collect();
-        let qt = QuantTable::quantize_table(&rows, row_len);
-        let exact_ids = vec![2u32];
-        let exact_rows = rows[2 * row_len..3 * row_len].to_vec();
-        let snap =
-            ServiceSnapshot::from_quantized_parts(8, 2, qt.clone(), exact_ids, exact_rows).unwrap();
+        let mut rows: Vec<f32> = (0..70 * row_len).map(|i| (i as f32 * 0.37).sin()).collect();
+        rows[2 * row_len + 5] = 50.0;
+        let snap = ServiceSnapshot::from_rows(8, 2, ShardSpec::default(), &rows)
+            .unwrap()
+            .quantize();
+        assert_eq!(snap.quant_rows().expect("quantized").0, &[2]);
         let mut buf = Vec::new();
         assert!(snap.lookup_exact(EntityId(2), &mut buf));
         assert_eq!(buf.as_slice(), &rows[2 * row_len..3 * row_len]);
@@ -889,50 +710,13 @@ mod tests {
         }
         match snap.condensed(EntityId(1)).expect("in range") {
             Cow::Owned(r) => {
+                let (mut q, mut scales) = (Vec::new(), Vec::new());
+                quant::quantize_row(&rows[row_len..2 * row_len], row_len, &mut scales, &mut q);
                 let mut expect = vec![0.0f32; row_len];
-                qt.dequantize_into(1, &mut expect);
+                quant::dequantize_row_into(&q, &scales, row_len, &mut expect);
                 assert_eq!(r, expect);
             }
             Cow::Borrowed(_) => panic!("quantized row should dequantize into an owned buffer"),
         }
-    }
-
-    #[test]
-    fn from_quantized_parts_rejects_broken_shapes() {
-        let quant = ServiceSnapshot::build(&service_n(100)).quantize();
-        let (qt, ids, rows) = quant.quant_parts().expect("quantized parts");
-        let (qt, ids, rows) = (qt.clone(), ids.to_vec(), rows.to_vec());
-        let d = quant.dim();
-        let k = quant.k();
-        let rebuilt =
-            ServiceSnapshot::from_quantized_parts(d, k, qt.clone(), ids.clone(), rows.clone())
-                .expect("valid parts");
-        assert_eq!(rebuilt, quant);
-        // Wrong dim for the quant table's row length.
-        assert!(ServiceSnapshot::from_quantized_parts(
-            d + 1,
-            k,
-            qt.clone(),
-            ids.clone(),
-            rows.clone()
-        )
-        .is_err());
-        // Exact rows not matching the id count (one stray float).
-        let mut stray = rows.clone();
-        stray.push(0.0);
-        assert!(
-            ServiceSnapshot::from_quantized_parts(d, k, qt.clone(), ids.clone(), stray).is_err()
-        );
-        // Unsorted and out-of-range escape ids.
-        if ids.len() >= 2 {
-            let mut bad = ids.clone();
-            bad.swap(0, 1);
-            assert!(
-                ServiceSnapshot::from_quantized_parts(d, k, qt.clone(), bad, rows.clone()).is_err()
-            );
-        }
-        let bad = vec![quant.n_rows() as u32];
-        let bad_rows = vec![0.0f32; 2 * d];
-        assert!(ServiceSnapshot::from_quantized_parts(d, k, qt, bad, bad_rows).is_err());
     }
 }

@@ -1,11 +1,10 @@
-//! `PKGMSS3` — the alignment-aware, section-offset snapshot layout, and
-//! the one on-disk format of a serving table.
+//! `PKGMSS3` — the alignment-aware, section-offset snapshot layout: the
+//! one on-disk format of a serving table, and its in-memory form too.
 //!
-//! It replaced the `PKGMSS1`/`PKGMSS2` row streams, whose every load
-//! decoded the whole table into heap memory: at the paper's 142.6M-item
-//! scale that is a serving node that spends minutes faulting a 68 GiB
-//! table into RAM it may not have. `PKGMSS3` instead lays the table out so
-//! the on-disk bytes *are* the serving format:
+//! Decoding a whole table into heap memory at every load would, at the
+//! paper's 142.6M-item scale, fault a 68 GiB table into RAM a serving node
+//! may not have. `PKGMSS3` lays the table out so the bytes *are* the
+//! serving format:
 //!
 //! ```text
 //! offset  size  field
@@ -28,22 +27,32 @@
 //! Dense files carry sections `[DENSE_F32, FALLBACK_F32]`; quantized files
 //! `[QDATA_I8, SCALES_F32, ROWERR_F32, EXACT_IDS_U32, EXACT_ROWS_F32,
 //! FALLBACK_F32]` (escape ids are shard-local row indices). Because every
-//! section starts on a page boundary, mapping the file and reinterpreting a
-//! section as `&[f32]`/`&[u32]`/`&[i8]` is alignment-sound, and a row
-//! lookup is pointer arithmetic into the mapping — no per-row decode, no
-//! heap copy. The fallback (mean served row) is stored as its own section
-//! so a mapped open never scans the table.
+//! section starts on a page boundary, reinterpreting a section as
+//! `&[f32]`/`&[u32]`/`&[i8]` is alignment-sound, and a
+//! [`ServiceSnapshot`] is a set of such views over one image: a row lookup
+//! is pointer arithmetic into it, whether the image is an `mmap` of an
+//! opened file or the 8-byte-aligned heap buffer a build wrote. The
+//! fallback (mean served row) is stored as its own section so an open
+//! never scans the table.
+//!
+//! One encoder: [`Ss3DenseWriter`] and [`Ss3QuantWriter`] stream rows into
+//! a shard file or into a heap image (a resident snapshot). One reader:
+//! [`open_mapped_snapshot`] and [`snapshot_from_bytes`] build the same
+//! views, and differ only in the backing and in how much they verify.
 //!
 //! Integrity: the header CRC and section bounds/alignment are always
-//! verified at open. Section CRCs are verified eagerly only for sections
-//! smaller than [`SS3_EAGER_CRC_LIMIT`] — checksumming a multi-GiB table
-//! would defeat the O(1) startup this format exists for — while the
-//! resident decoder ([`snapshot_from_bytes`]) verifies everything.
-//! Files are written raw (no `PKGMAF1` container: its 28-byte header would
-//! break page alignment relative to the file start); the magic keeps
-//! loaders unambiguous.
+//! verified at open, and so is the order of the escape ids. Section CRCs
+//! are verified eagerly only for sections smaller than
+//! [`SS3_EAGER_CRC_LIMIT`] — checksumming a multi-GiB table would defeat
+//! the O(1) startup this format exists for — while a resident decode
+//! ([`snapshot_from_bytes`]) verifies every section and every quantized
+//! value. Files are written raw (no `PKGMAF1` container: its 28-byte
+//! header would break page alignment relative to the file start); the
+//! magic keeps loaders unambiguous.
+//!
+//! The views read little-endian words in place, so a big-endian host gets
+//! a typed error from every open rather than a second, decoding reader.
 
-use std::borrow::Cow;
 use std::fs::File;
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -52,9 +61,9 @@ use std::sync::Arc;
 use crate::artifact::{crc32, crc32_update, ArtifactError};
 use crate::le;
 use crate::mmap::MmapRegion;
-use crate::quant::{self, QuantTable};
+use crate::quant;
 use crate::serialize::SerializeError;
-use crate::snapshot::{check_exact_ids, QuantizedRows, ServiceSnapshot, ShardSpec, Storage};
+use crate::snapshot::{ServiceSnapshot, ShardSpec, SnapshotBacking};
 
 /// Leading bytes of every `PKGMSS3` snapshot file.
 pub const SS3_MAGIC: &[u8; 8] = b"PKGMSS3\0";
@@ -70,21 +79,29 @@ const HEADER_FIXED: usize = 64;
 const SECTION_ENTRY: usize = 24;
 /// Mapped opens verify CRCs eagerly only for sections smaller than this;
 /// larger sections rely on the always-verified header CRC + bounds checks
-/// (the resident decoder verifies every section regardless of size).
+/// (a resident decode verifies every section regardless of size).
 pub const SS3_EAGER_CRC_LIMIT: u64 = 1 << 20;
 /// Sanity ceiling on a stored quantization block size: blocks are
 /// [`quant::QUANT_BLOCK`]-sized today, and anything huge in this field
 /// means corrupt bytes, not a future format.
 const MAX_BLOCK: u32 = 4096;
 
+/// Cap on verbatim f32 rows a quantized table keeps, as a divisor of the
+/// row count: at most `n_rows / EXACT_ROW_DIVISOR` rows.
+const EXACT_ROW_DIVISOR: usize = 64;
+
+/// Rows whose measured quantization error exceeds this multiple of the
+/// median row error are candidates for verbatim storage.
+const EXACT_ERR_FACTOR: f32 = 4.0;
+
 // Section kinds.
-const SEC_DENSE_F32: u32 = 1;
-const SEC_FALLBACK_F32: u32 = 2;
-const SEC_QDATA_I8: u32 = 3;
-const SEC_SCALES_F32: u32 = 4;
-const SEC_ROWERR_F32: u32 = 5;
-const SEC_EXACT_IDS_U32: u32 = 6;
-const SEC_EXACT_ROWS_F32: u32 = 7;
+pub(crate) const SEC_DENSE_F32: u32 = 1;
+pub(crate) const SEC_FALLBACK_F32: u32 = 2;
+pub(crate) const SEC_QDATA_I8: u32 = 3;
+pub(crate) const SEC_SCALES_F32: u32 = 4;
+pub(crate) const SEC_ROWERR_F32: u32 = 5;
+pub(crate) const SEC_EXACT_IDS_U32: u32 = 6;
+pub(crate) const SEC_EXACT_ROWS_F32: u32 = 7;
 
 const DENSE_KINDS: [u32; 2] = [SEC_DENSE_F32, SEC_FALLBACK_F32];
 const QUANT_KINDS: [u32; 6] = [
@@ -100,6 +117,10 @@ fn corrupt(what: impl Into<String>) -> SerializeError {
     SerializeError::Corrupt(what.into())
 }
 
+fn invalid_input(what: impl Into<String>) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidInput, what.into())
+}
+
 fn align_page(off: u64) -> u64 {
     off.div_ceil(PAGE) * PAGE
 }
@@ -108,43 +129,39 @@ fn align_page(off: u64) -> u64 {
 // Header
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, Copy)]
-struct Section {
-    kind: u32,
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Section {
+    pub(crate) kind: u32,
     crc: u32,
-    offset: u64,
-    len: u64,
+    pub(crate) offset: u64,
+    pub(crate) len: u64,
 }
 
-#[derive(Debug, Clone)]
-struct Header {
-    quantized: bool,
-    dim: u32,
-    k: u32,
-    n_rows: u64,
-    shard: ShardSpec,
-    block: u32,
-    n_exact: u64,
-    sections: Vec<Section>,
+/// A `PKGMSS3` header: validated by [`parse_header`] for bytes read in,
+/// or filled in by a writer as it seals its image.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Header {
+    pub(crate) quantized: bool,
+    pub(crate) dim: u32,
+    pub(crate) k: u32,
+    pub(crate) n_rows: u64,
+    pub(crate) shard: ShardSpec,
+    pub(crate) block: u32,
+    pub(crate) n_exact: u64,
+    pub(crate) sections: Vec<Section>,
 }
 
 impl Header {
-    fn row_len(&self) -> usize {
-        2 * self.dim as usize
+    /// The bytes of `section` within the validated image `bytes`.
+    pub(crate) fn body<'a>(bytes: &'a [u8], section: &Section) -> &'a [u8] {
+        &bytes[section.offset as usize..(section.offset + section.len) as usize]
     }
 
-    /// The section of `kind` (validation guarantees presence/uniqueness).
-    fn section(&self, kind: u32) -> &Section {
+    /// Bytes of the image: through the end of its last section.
+    pub(crate) fn image_len(&self) -> usize {
         self.sections
-            .iter()
-            .find(|s| s.kind == kind)
-            .expect("validated section present")
-    }
-
-    /// The bytes of the section of `kind` within the validated `bytes`.
-    fn body<'a>(&self, bytes: &'a [u8], kind: u32) -> &'a [u8] {
-        let s = self.section(kind);
-        &bytes[s.offset as usize..(s.offset + s.len) as usize]
+            .last()
+            .map_or(0, |s| (s.offset + s.len) as usize)
     }
 
     fn encode(&self) -> Vec<u8> {
@@ -172,6 +189,15 @@ impl Header {
         let crc = crc32(&out);
         out.extend_from_slice(&crc.to_le_bytes());
         out
+    }
+
+    /// Encode this header over the first page of the heap image `image`
+    /// (grown to the full image length) and view the result.
+    pub(crate) fn seal_image(self, mut image: MmapRegion) -> ServiceSnapshot {
+        image.grow_heap(self.image_len());
+        let head = self.encode();
+        image.heap_bytes_mut()[..head.len()].copy_from_slice(&head);
+        ServiceSnapshot::from_image(Arc::new(image), self, SnapshotBacking::Resident)
     }
 }
 
@@ -209,9 +235,11 @@ fn parse_header(bytes: &[u8]) -> Result<Header, SerializeError> {
     let dim = get_u32(bytes, 16);
     let k = get_u32(bytes, 20);
     let n_rows = get_u64(bytes, 24);
-    let row_start = get_u64(bytes, 32);
-    let n_shards = get_u32(bytes, 40);
-    let shard_id = get_u32(bytes, 44);
+    let shard = ShardSpec {
+        row_start: get_u64(bytes, 32),
+        n_shards: get_u32(bytes, 40),
+        shard_id: get_u32(bytes, 44),
+    };
     let block = get_u32(bytes, 48);
     let n_sections = get_u32(bytes, 52) as usize;
     let n_exact = get_u64(bytes, 56);
@@ -222,17 +250,7 @@ fn parse_header(bytes: &[u8]) -> Result<Header, SerializeError> {
     if n_rows == 0 {
         return Err(corrupt("PKGMSS3 shard has zero rows"));
     }
-    if n_shards == 0 || shard_id >= n_shards {
-        return Err(corrupt(format!(
-            "invalid shard spec: shard {shard_id} of {n_shards}"
-        )));
-    }
-    // Entity ids are u32: the shard's global range must fit.
-    let row_end = row_start
-        .checked_add(n_rows)
-        .filter(|&e| e <= u64::from(u32::MAX) + 1)
-        .ok_or_else(|| corrupt("shard row range exceeds the u32 id space"))?;
-    let _ = row_end;
+    shard.check(n_rows).map_err(corrupt)?;
     let row_len = 2 * dim as u64;
     let expected_kinds: &[u32] = if quantized {
         &QUANT_KINDS
@@ -334,7 +352,7 @@ fn parse_header(bytes: &[u8]) -> Result<Header, SerializeError> {
         min_next_offset = align_page(end).max(PAGE);
         sections.push(s);
     }
-    // Sections must be decodable on this host (usize indexing).
+    // Sections must be addressable on this host (usize indexing).
     if usize::try_from(file_len).is_err() {
         return Err(corrupt("file too large for this host"));
     }
@@ -343,11 +361,7 @@ fn parse_header(bytes: &[u8]) -> Result<Header, SerializeError> {
         dim,
         k,
         n_rows,
-        shard: ShardSpec {
-            n_shards,
-            shard_id,
-            row_start,
-        },
+        shard,
         block,
         n_exact,
         sections,
@@ -380,8 +394,7 @@ fn verify_section_crcs(
         if eager_limit.is_some_and(|limit| s.len >= limit) {
             continue;
         }
-        let body = &bytes[s.offset as usize..(s.offset + s.len) as usize];
-        let actual = crc32(body);
+        let actual = crc32(Header::body(bytes, s));
         if actual != s.crc {
             return Err(corrupt(format!(
                 "section kind {} CRC mismatch: stored {:#010x}, computed {actual:#010x}",
@@ -393,235 +406,76 @@ fn verify_section_crcs(
 }
 
 // ---------------------------------------------------------------------------
-// Zero-copy section views
+// Section views
 // ---------------------------------------------------------------------------
 
-/// Reinterpret a section as `&[f32]`. Sound: sections are page-aligned and
-/// the region base is at least 8-byte aligned, every u32 bit pattern is a
-/// valid f32, and the length was validated against the file size.
-fn f32_section(bytes: &[u8], offset: usize, n: usize) -> &[f32] {
-    let body = &bytes[offset..offset + 4 * n];
-    debug_assert_eq!(body.as_ptr() as usize % 4, 0);
-    unsafe { std::slice::from_raw_parts(body.as_ptr() as *const f32, n) }
+/// A value type sections are read as: no padding, and every bit pattern
+/// is a valid value.
+pub(crate) trait Plain: Copy {}
+impl Plain for f32 {}
+impl Plain for u32 {}
+impl Plain for i8 {}
+
+/// `n` values of `T` at byte `offset` of an image. Sections start on page
+/// boundaries of an image at least 8-byte aligned, so an offset that stays
+/// a multiple of `T`'s size within a section passes the alignment assert.
+pub(crate) fn view<T: Plain>(bytes: &[u8], offset: usize, n: usize) -> &[T] {
+    let body = &bytes[offset..offset + n * std::mem::size_of::<T>()];
+    assert!(body.as_ptr().cast::<T>().is_aligned(), "misaligned view");
+    // SAFETY: `body` holds `n · size_of::<T>()` initialized bytes, aligned
+    // for `T` (asserted), borrowed for the result's lifetime, and every bit
+    // pattern is a valid `T` (`Plain`).
+    unsafe { std::slice::from_raw_parts(body.as_ptr().cast(), n) }
 }
 
-fn u32_section(bytes: &[u8], offset: usize, n: usize) -> &[u32] {
-    let body = &bytes[offset..offset + 4 * n];
-    debug_assert_eq!(body.as_ptr() as usize % 4, 0);
-    unsafe { std::slice::from_raw_parts(body.as_ptr() as *const u32, n) }
+/// [`view`] of a heap image being written.
+fn view_mut<T: Plain>(bytes: &mut [u8], offset: usize, n: usize) -> &mut [T] {
+    let body = &mut bytes[offset..offset + n * std::mem::size_of::<T>()];
+    assert!(body.as_ptr().cast::<T>().is_aligned(), "misaligned view");
+    // SAFETY: as for `view`, and `body` stays exclusively borrowed, so
+    // writes of valid `T`s leave the bytes initialized.
+    unsafe { std::slice::from_raw_parts_mut(body.as_mut_ptr().cast(), n) }
 }
-
-fn i8_section(bytes: &[u8], offset: usize, n: usize) -> &[i8] {
-    let body = &bytes[offset..offset + n];
-    unsafe { std::slice::from_raw_parts(body.as_ptr() as *const i8, n) }
-}
-
-/// Dense rows served straight out of a mapped `PKGMSS3` region.
-#[derive(Debug, Clone)]
-pub(crate) struct MappedDense {
-    pub(crate) region: Arc<MmapRegion>,
-    table_off: usize,
-    n_rows: usize,
-    row_len: usize,
-}
-
-impl MappedDense {
-    pub(crate) fn table(&self) -> &[f32] {
-        f32_section(
-            self.region.bytes(),
-            self.table_off,
-            self.n_rows * self.row_len,
-        )
-    }
-
-    pub(crate) fn n_rows(&self) -> usize {
-        self.n_rows
-    }
-}
-
-/// Quantized rows (data/scales/errors/escapes) served straight out of a
-/// mapped `PKGMSS3` region, dequantizing through the same loop as the
-/// resident [`QuantTable`] so both backings produce bit-identical floats.
-#[derive(Debug, Clone)]
-pub(crate) struct MappedQuant {
-    pub(crate) region: Arc<MmapRegion>,
-    row_len: usize,
-    block: usize,
-    n_rows: usize,
-    n_exact: usize,
-    data_off: usize,
-    scales_off: usize,
-    errs_off: usize,
-    ids_off: usize,
-    exact_off: usize,
-}
-
-impl MappedQuant {
-    pub(crate) fn data(&self) -> &[i8] {
-        i8_section(
-            self.region.bytes(),
-            self.data_off,
-            self.n_rows * self.row_len,
-        )
-    }
-
-    pub(crate) fn scales(&self) -> &[f32] {
-        let nb = self.row_len.div_ceil(self.block);
-        f32_section(self.region.bytes(), self.scales_off, self.n_rows * nb)
-    }
-
-    pub(crate) fn row_errs(&self) -> &[f32] {
-        f32_section(self.region.bytes(), self.errs_off, self.n_rows)
-    }
-
-    pub(crate) fn exact_ids(&self) -> &[u32] {
-        u32_section(self.region.bytes(), self.ids_off, self.n_exact)
-    }
-
-    pub(crate) fn exact_rows_f32(&self) -> &[f32] {
-        f32_section(
-            self.region.bytes(),
-            self.exact_off,
-            self.n_exact * self.row_len,
-        )
-    }
-
-    pub(crate) fn block(&self) -> usize {
-        self.block
-    }
-
-    pub(crate) fn n_rows(&self) -> usize {
-        self.n_rows
-    }
-
-    /// Serve local row `id` (exact escape if present, else dequantized) —
-    /// the mapped twin of `QuantizedRows::row_into`.
-    pub(crate) fn row_into(&self, id: usize, out: &mut [f32]) {
-        if let Ok(e) = self.exact_ids().binary_search(&(id as u32)) {
-            out.copy_from_slice(&self.exact_rows_f32()[e * self.row_len..(e + 1) * self.row_len]);
-        } else {
-            self.dequantize_into(id, out);
-        }
-    }
-
-    pub(crate) fn dequantize_into(&self, row: usize, out: &mut [f32]) {
-        quant::dequantize_row_into(
-            self.data(),
-            self.scales(),
-            self.row_len,
-            self.block,
-            row,
-            out,
-        );
-    }
-}
-
-// ---------------------------------------------------------------------------
-// One-shot writer (bytes in memory)
-// ---------------------------------------------------------------------------
 
 fn i8s_as_bytes(xs: &[i8]) -> &[u8] {
-    unsafe { std::slice::from_raw_parts(xs.as_ptr() as *const u8, xs.len()) }
-}
-
-/// Serialize `snapshot` (either backing) into `PKGMSS3` bytes. Errors on
-/// an empty table — a zero-row shard is never valid on disk.
-pub fn snapshot_to_ss3_bytes(snapshot: &ServiceSnapshot) -> Result<Vec<u8>, SerializeError> {
-    if snapshot.n_rows() == 0 {
-        return Err(corrupt("refusing to write a zero-row PKGMSS3 shard"));
-    }
-    let fallback = le::as_bytes(snapshot.fallback_row());
-    let bodies: Vec<(u32, Cow<'_, [u8]>)> = if let Some(q) = snapshot.quant_slices() {
-        vec![
-            (SEC_QDATA_I8, Cow::Borrowed(i8s_as_bytes(q.data))),
-            (SEC_SCALES_F32, le::as_bytes(q.scales)),
-            (SEC_ROWERR_F32, le::as_bytes(q.row_errs)),
-            (SEC_EXACT_IDS_U32, le::as_bytes(q.exact_ids)),
-            (SEC_EXACT_ROWS_F32, le::as_bytes(q.exact_rows)),
-            (SEC_FALLBACK_F32, fallback),
-        ]
-    } else {
-        let table = snapshot.dense_table().expect("dense snapshot");
-        vec![
-            (SEC_DENSE_F32, le::as_bytes(table)),
-            (SEC_FALLBACK_F32, fallback),
-        ]
-    };
-
-    let mut sections = Vec::with_capacity(bodies.len());
-    let mut offset = PAGE;
-    for (kind, body) in &bodies {
-        sections.push(Section {
-            kind: *kind,
-            crc: crc32(body),
-            offset,
-            len: body.len() as u64,
-        });
-        offset = align_page(offset + body.len() as u64);
-    }
-    let header = Header {
-        quantized: snapshot.is_quantized(),
-        dim: snapshot.dim() as u32,
-        k: snapshot.k() as u32,
-        n_rows: snapshot.n_rows() as u64,
-        shard: snapshot.shard(),
-        block: snapshot.quant_slices().map_or(0, |q| q.block as u32),
-        n_exact: snapshot
-            .quant_slices()
-            .map_or(0, |q| q.exact_ids.len() as u64),
-        sections: sections.clone(),
-    };
-    let last = sections.last().expect("at least two sections");
-    let total = (last.offset + last.len) as usize;
-    let mut out = vec![0u8; total];
-    let hbytes = header.encode();
-    out[..hbytes.len()].copy_from_slice(&hbytes);
-    for (s, (_, body)) in sections.iter().zip(&bodies) {
-        out[s.offset as usize..s.offset as usize + body.len()].copy_from_slice(body);
-    }
-    Ok(out)
+    // SAFETY: i8 and u8 have the same size, alignment and valid values.
+    unsafe { std::slice::from_raw_parts(xs.as_ptr().cast(), xs.len()) }
 }
 
 // ---------------------------------------------------------------------------
-// Resident decode (full verification)
+// The reader
 // ---------------------------------------------------------------------------
 
-/// Decode `PKGMSS3` bytes into a fully resident snapshot, verifying the
-/// header CRC, **every** section CRC and the quantized values (finite
-/// nonnegative scales and row errors, sorted in-range escape ids) — the
-/// trust-nothing path. The stored fallback section is served as is.
+/// Validate the image in `region` and build its views: the header always,
+/// section CRCs all (`Resident`) or below [`SS3_EAGER_CRC_LIMIT`]
+/// (`Mapped`), then the values no CRC policy covers
+/// ([`ServiceSnapshot::check_values`]).
+fn open_region(
+    region: MmapRegion,
+    backing: SnapshotBacking,
+) -> Result<ServiceSnapshot, SerializeError> {
+    if cfg!(target_endian = "big") {
+        return Err(corrupt(
+            "PKGMSS3 is served as little-endian words in place; this host is big-endian",
+        ));
+    }
+    let header = parse_header(region.bytes())?;
+    let resident = backing == SnapshotBacking::Resident;
+    let eager_limit = (!resident).then_some(SS3_EAGER_CRC_LIMIT);
+    verify_section_crcs(region.bytes(), &header, eager_limit)?;
+    let snapshot = ServiceSnapshot::from_image(Arc::new(region), header, backing);
+    snapshot.check_values(resident).map_err(corrupt)?;
+    Ok(snapshot)
+}
+
+/// Decode `PKGMSS3` bytes into a resident snapshot: copy them into a heap
+/// image, then verify the header CRC, **every** section CRC and the
+/// quantized values (finite nonnegative scales and row errors, sorted
+/// in-range escape ids) — the trust-nothing path. The stored fallback
+/// section is served as is.
 pub fn snapshot_from_bytes(bytes: &[u8]) -> Result<ServiceSnapshot, SerializeError> {
-    let header = parse_header(bytes)?;
-    verify_section_crcs(bytes, &header, None)?;
-    let section = |kind| header.body(bytes, kind);
-    let storage = if header.quantized {
-        let data = section(SEC_QDATA_I8).iter().map(|&b| b as i8).collect();
-        let table = QuantTable::from_parts(
-            header.row_len(),
-            header.block as usize,
-            data,
-            le::to_vec(section(SEC_SCALES_F32)),
-            le::to_vec(section(SEC_ROWERR_F32)),
-        )
-        .map_err(corrupt)?;
-        let ids = le::to_vec(section(SEC_EXACT_IDS_U32));
-        let exact_rows = le::to_vec(section(SEC_EXACT_ROWS_F32));
-        Storage::Quantized(QuantizedRows::new(table, ids, exact_rows).map_err(corrupt)?)
-    } else {
-        Storage::Dense(le::to_vec(section(SEC_DENSE_F32)))
-    };
-    Ok(ServiceSnapshot::from_storage(
-        header.dim as usize,
-        header.k as usize,
-        storage,
-        le::to_vec(section(SEC_FALLBACK_F32)),
-        header.shard,
-    ))
+    open_region(MmapRegion::copy_of(bytes), SnapshotBacking::Resident)
 }
-
-// ---------------------------------------------------------------------------
-// Mapped open
-// ---------------------------------------------------------------------------
 
 fn corrupt_at(path: &Path, e: SerializeError) -> ArtifactError {
     ArtifactError::Corrupt {
@@ -634,6 +488,7 @@ fn corrupt_at(path: &Path, e: SerializeError) -> ArtifactError {
 /// fallback where mapping is unavailable), validate the header and small
 /// sections, and serve rows by pointer arithmetic into the region. Work
 /// done here is O(header + small sections), independent of table size.
+/// The file must stay as it is while open (see [`crate::mmap`]).
 ///
 /// `force_heap` skips the `mmap` syscall (tests exercise the fallback);
 /// the `PKGM_NO_MMAP` environment variable does the same globally.
@@ -650,57 +505,17 @@ pub fn open_mapped_snapshot(
             path: path.to_path_buf(),
         });
     }
-    if cfg!(target_endian = "big") {
-        // Zero-copy reinterpretation assumes little-endian storage; decode
-        // resident instead so the file still serves correctly.
-        return snapshot_from_bytes(region.bytes()).map_err(|e| corrupt_at(path, e));
-    }
-    let header = parse_header(region.bytes()).map_err(|e| corrupt_at(path, e))?;
-    verify_section_crcs(region.bytes(), &header, Some(SS3_EAGER_CRC_LIMIT))
-        .map_err(|e| corrupt_at(path, e))?;
-    let fallback = le::to_vec(header.body(region.bytes(), SEC_FALLBACK_F32));
-    let dim = header.dim as usize;
-    let k = header.k as usize;
-    let row_len = header.row_len();
-    let n_rows = header.n_rows as usize;
-    let region = Arc::new(region);
-    let storage = if header.quantized {
-        let m = MappedQuant {
-            region: Arc::clone(&region),
-            row_len,
-            block: header.block as usize,
-            n_rows,
-            n_exact: header.n_exact as usize,
-            data_off: header.section(SEC_QDATA_I8).offset as usize,
-            scales_off: header.section(SEC_SCALES_F32).offset as usize,
-            errs_off: header.section(SEC_ROWERR_F32).offset as usize,
-            ids_off: header.section(SEC_EXACT_IDS_U32).offset as usize,
-            exact_off: header.section(SEC_EXACT_ROWS_F32).offset as usize,
-        };
-        // Escape-id ordering is what makes binary_search sound; it is
-        // cheap to check (≤ n_exact reads) and not covered by the lazy
-        // CRC policy for large files.
-        check_exact_ids(m.exact_ids(), n_rows).map_err(|e| corrupt_at(path, corrupt(e)))?;
-        Storage::MappedQuantized(m)
-    } else {
-        Storage::MappedDense(MappedDense {
-            region: Arc::clone(&region),
-            table_off: header.section(SEC_DENSE_F32).offset as usize,
-            n_rows,
-            row_len,
-        })
-    };
-    Ok(ServiceSnapshot::from_storage(
-        dim,
-        k,
-        storage,
-        fallback,
-        header.shard,
-    ))
+    open_region(region, SnapshotBacking::Mapped).map_err(|e| corrupt_at(path, e))
+}
+
+/// Serialize `snapshot` into `PKGMSS3` bytes: a copy of its image. Errors
+/// on an empty table — a zero-row shard is never valid on disk.
+pub fn snapshot_to_ss3_bytes(snapshot: &ServiceSnapshot) -> Result<Vec<u8>, SerializeError> {
+    snapshot.ss3_bytes().map(<[u8]>::to_vec)
 }
 
 // ---------------------------------------------------------------------------
-// Streaming writers
+// The writers
 // ---------------------------------------------------------------------------
 
 /// A shard file being streamed: written under a temp name next to `dest`,
@@ -716,35 +531,13 @@ impl ShardFile {
     /// Validate a shard of `n_rows` rows (must be > 0) covering global ids
     /// `[shard.row_start, shard.row_start + n_rows)`, and open its temp
     /// file with the cursor on the first section: the header is written
-    /// last, once every section CRC is known. The gap stays zero (file
-    /// holes read back as zeros), matching the one-shot writer's padding.
+    /// last, once every section CRC is known. The gaps stay zero (file
+    /// holes read back as zeros).
     fn create(dest: &Path, n_rows: u64, shard: ShardSpec) -> std::io::Result<Self> {
-        use std::io::{Error, ErrorKind};
         if n_rows == 0 {
-            return Err(Error::new(
-                ErrorKind::InvalidInput,
-                "refusing to write a zero-row PKGMSS3 shard",
-            ));
+            return Err(invalid_input("refusing to write a zero-row PKGMSS3 shard"));
         }
-        if shard.n_shards == 0 || shard.shard_id >= shard.n_shards {
-            return Err(Error::new(
-                ErrorKind::InvalidInput,
-                format!(
-                    "invalid shard spec: shard {} of {}",
-                    shard.shard_id, shard.n_shards
-                ),
-            ));
-        }
-        if shard
-            .row_start
-            .checked_add(n_rows)
-            .is_none_or(|e| e > u64::from(u32::MAX) + 1)
-        {
-            return Err(Error::new(
-                ErrorKind::InvalidInput,
-                "shard row range exceeds the u32 id space",
-            ));
-        }
+        shard.check(n_rows).map_err(invalid_input)?;
         if let Some(parent) = dest.parent() {
             if !parent.as_os_str().is_empty() {
                 std::fs::create_dir_all(parent)?;
@@ -753,7 +546,7 @@ impl ShardFile {
         let file_name = dest
             .file_name()
             .and_then(|n| n.to_str())
-            .ok_or_else(|| Error::new(ErrorKind::InvalidInput, "destination has no file name"))?;
+            .ok_or_else(|| invalid_input("destination has no file name"))?;
         let tmp = dest.with_file_name(format!(".{file_name}.tmp.{}", std::process::id()));
         // Read + write: the quantized writer re-reads its streamed payload.
         let mut file = std::fs::OpenOptions::new()
@@ -775,10 +568,12 @@ impl ShardFile {
         self.file.as_mut().expect("shard file not yet published")
     }
 
-    /// Write `header` over the first page, fsync, atomically rename into
-    /// place, and best-effort fsync the directory so the rename is durable.
+    /// Write `header` over the first page, end the file at its last
+    /// section, fsync, atomically rename into place, and best-effort fsync
+    /// the directory so the rename is durable.
     fn publish(mut self, header: &Header) -> std::io::Result<()> {
         let mut file = self.file.take().expect("shard file not yet published");
+        file.set_len(header.image_len() as u64)?;
         file.seek(SeekFrom::Start(0))?;
         file.write_all(&header.encode())?;
         file.sync_all()?;
@@ -808,176 +603,228 @@ impl Drop for ShardFile {
     }
 }
 
-/// Rows in `floats` for a writer that has `written` of `n_rows` rows:
-/// whole `row_len`-float rows, never more than declared.
-fn rows_in(floats: usize, row_len: usize, written: u64, n_rows: u64) -> std::io::Result<u64> {
-    use std::io::{Error, ErrorKind};
-    if !floats.is_multiple_of(row_len) {
-        return Err(Error::new(
-            ErrorKind::InvalidInput,
-            "rows must be whole multiples of 2*dim floats",
-        ));
-    }
-    let n = (floats / row_len) as u64;
-    if written + n > n_rows {
-        return Err(Error::new(
-            ErrorKind::InvalidInput,
-            format!("shard declared {n_rows} rows, writing more"),
-        ));
-    }
-    Ok(n)
+/// Where a writer puts its image: a shard file, or a heap image that
+/// becomes a resident snapshot. Either way the payload streams in from
+/// byte [`PAGE`] and the header lands last.
+enum Sink {
+    File(ShardFile),
+    Heap { image: MmapRegion, at: usize },
 }
 
-/// Errors unless all `n_rows` declared rows were written.
-fn all_rows_written(written: u64, n_rows: u64) -> std::io::Result<()> {
-    if written == n_rows {
-        return Ok(());
-    }
-    Err(std::io::Error::new(
-        std::io::ErrorKind::InvalidInput,
-        format!("shard declared {n_rows} rows, only {written} written"),
-    ))
-}
-
-/// Streams a dense `PKGMSS3` shard to disk row-by-row without holding the
-/// table in memory: rows are written (and CRC'd, and mean-accumulated)
-/// as they arrive, the fallback + header land in [`Ss3DenseWriter::finish`],
-/// and the file is published with the same temp + fsync + rename dance as
-/// every other artifact. The bytes produced are identical to
-/// [`snapshot_to_ss3_bytes`] on the same rows.
-pub struct Ss3DenseWriter {
-    out: ShardFile,
-    dim: u32,
-    k: u32,
-    shard: ShardSpec,
-    n_rows: u64,
-    rows_written: u64,
-    row_len: usize,
-    /// Pre-finalized CRC state of the dense section.
-    crc_state: u32,
-    /// Running column sums for the fallback (same accumulation order as
-    /// `snapshot::mean_row`, so the stored fallback is bit-identical to a
-    /// resident build over the same rows).
-    mean: Vec<f32>,
-}
-
-impl Ss3DenseWriter {
-    /// Start a dense shard of exactly `n_rows` rows (must be > 0) covering
-    /// global ids `[shard.row_start, shard.row_start + n_rows)`.
-    pub fn create(
-        dest: &Path,
-        dim: usize,
-        k: usize,
-        n_rows: u64,
-        shard: ShardSpec,
-    ) -> std::io::Result<Self> {
-        Ok(Self {
-            out: ShardFile::create(dest, n_rows, shard)?,
-            dim: dim as u32,
-            k: k as u32,
-            shard,
-            n_rows,
-            rows_written: 0,
-            row_len: 2 * dim,
-            crc_state: !0u32,
-            mean: vec![0.0f32; 2 * dim],
-        })
+impl Sink {
+    /// A heap image with room reserved for `capacity` bytes.
+    fn heap(capacity: usize) -> Self {
+        Sink::Heap {
+            image: MmapRegion::heap(PAGE as usize, capacity),
+            at: PAGE as usize,
+        }
     }
 
-    /// Append whole rows (`rows.len()` must be a multiple of `2·dim`).
-    pub fn write_rows(&mut self, rows: &[f32]) -> std::io::Result<()> {
-        let n = rows_in(rows.len(), self.row_len, self.rows_written, self.n_rows)?;
-        let bytes = le::as_bytes(rows);
-        self.out.file().write_all(&bytes)?;
-        self.crc_state = crc32_update(self.crc_state, &bytes);
-        for row in rows.chunks_exact(self.row_len) {
-            for (m, &x) in self.mean.iter_mut().zip(row) {
-                *m += x;
+    /// Write `bytes` at `at` of a heap image, growing it as needed.
+    fn put(image: &mut MmapRegion, at: usize, bytes: &[u8]) {
+        image.grow_heap(at + bytes.len());
+        image.heap_bytes_mut()[at..at + bytes.len()].copy_from_slice(bytes);
+    }
+
+    /// Append payload bytes.
+    fn append(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        match self {
+            Sink::File(out) => out.file().write_all(bytes),
+            Sink::Heap { image, at } => {
+                Self::put(image, *at, bytes);
+                *at += bytes.len();
+                Ok(())
             }
         }
+    }
+
+    /// Write a section body at `offset`.
+    fn write_at(&mut self, offset: u64, bytes: &[u8]) -> std::io::Result<()> {
+        match self {
+            Sink::File(out) => {
+                let file = out.file();
+                file.seek(SeekFrom::Start(offset))?;
+                file.write_all(bytes)
+            }
+            Sink::Heap { image, .. } => {
+                Self::put(image, offset as usize, bytes);
+                Ok(())
+            }
+        }
+    }
+
+    /// Call `f` with each of the first `n_rows` payload rows of `row_len`
+    /// bytes, in order: one sequential re-read of a file, or a walk over
+    /// the heap image.
+    fn for_each_payload_row(
+        &mut self,
+        n_rows: usize,
+        row_len: usize,
+        mut f: impl FnMut(usize, &[i8]),
+    ) -> std::io::Result<()> {
+        use std::io::Read;
+        match self {
+            Sink::File(out) => {
+                let file = out.file();
+                file.seek(SeekFrom::Start(PAGE))?;
+                let mut reader = std::io::BufReader::with_capacity(1 << 20, file);
+                let mut row = vec![0u8; row_len];
+                for id in 0..n_rows {
+                    reader.read_exact(&mut row)?;
+                    f(id, view(&row, 0, row_len));
+                }
+            }
+            Sink::Heap { image, .. } => {
+                let payload: &[i8] = view(image.bytes(), PAGE as usize, n_rows * row_len);
+                for id in 0..n_rows {
+                    f(id, &payload[id * row_len..][..row_len]);
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// What both writers share: the sink, the header being filled in, and the
+/// running CRC of the streamed payload section.
+struct Stream {
+    sink: Sink,
+    header: Header,
+    rows_written: u64,
+    /// Pre-finalized CRC state of the payload section.
+    crc_state: u32,
+}
+
+impl Stream {
+    fn new(sink: Sink, dim: usize, k: usize, n_rows: u64, shard: ShardSpec, block: usize) -> Self {
+        let header = Header {
+            quantized: block != 0,
+            dim: dim as u32,
+            k: k as u32,
+            n_rows,
+            shard,
+            block: block as u32,
+            n_exact: 0,
+            sections: Vec::new(),
+        };
+        Self {
+            sink,
+            header,
+            rows_written: 0,
+            crc_state: !0u32,
+        }
+    }
+
+    fn row_len(&self) -> usize {
+        2 * self.header.dim as usize
+    }
+
+    /// Rows in `floats`: whole rows, never more than declared.
+    fn rows_in(&self, floats: usize) -> std::io::Result<u64> {
+        if !floats.is_multiple_of(self.row_len()) {
+            return Err(invalid_input(
+                "rows must be whole multiples of 2*dim floats",
+            ));
+        }
+        let n = (floats / self.row_len()) as u64;
+        if self.rows_written + n > self.header.n_rows {
+            return Err(invalid_input(format!(
+                "shard declared {} rows, writing more",
+                self.header.n_rows
+            )));
+        }
+        Ok(n)
+    }
+
+    /// Append the payload bytes of `n` rows.
+    fn append(&mut self, bytes: &[u8], n: u64) -> std::io::Result<()> {
+        self.sink.append(bytes)?;
+        self.crc_state = crc32_update(self.crc_state, bytes);
         self.rows_written += n;
         Ok(())
     }
 
-    /// Write the fallback section and header, fsync, and atomically rename
-    /// into place. Errors if fewer rows than declared were written.
-    pub fn finish(mut self) -> std::io::Result<()> {
-        all_rows_written(self.rows_written, self.n_rows)?;
-        let dense_len = self.n_rows * self.row_len as u64 * 4;
-        let fb_off = align_page(PAGE + dense_len);
-        let mut fallback = std::mem::take(&mut self.mean);
-        for m in &mut fallback {
-            *m /= self.n_rows as f32;
+    /// Errors unless all declared rows were written.
+    fn all_rows_written(&self) -> std::io::Result<()> {
+        if self.rows_written == self.header.n_rows {
+            return Ok(());
         }
-        let fb_bytes = le::as_bytes(&fallback);
-        let file = self.out.file();
-        file.seek(SeekFrom::Start(fb_off))?;
-        file.write_all(&fb_bytes)?;
-        let header = Header {
-            quantized: false,
-            dim: self.dim,
-            k: self.k,
-            n_rows: self.n_rows,
-            shard: self.shard,
-            block: 0,
-            n_exact: 0,
-            sections: vec![
-                Section {
-                    kind: SEC_DENSE_F32,
-                    crc: !self.crc_state,
-                    offset: PAGE,
-                    len: dense_len,
-                },
-                Section {
-                    kind: SEC_FALLBACK_F32,
-                    crc: crc32(&fb_bytes),
-                    offset: fb_off,
-                    len: fb_bytes.len() as u64,
-                },
-            ],
-        };
-        self.out.publish(&header)
+        Err(invalid_input(format!(
+            "shard declared {} rows, only {} written",
+            self.header.n_rows, self.rows_written
+        )))
+    }
+
+    /// Lay out the `payload_len`-byte payload section at [`PAGE`] and
+    /// `bodies` page-aligned after it, write the bodies, then publish: a
+    /// file renamed into place (`None`), or a resident snapshot.
+    fn seal(
+        mut self,
+        payload_kind: u32,
+        payload_len: u64,
+        bodies: &[(u32, &[u8])],
+    ) -> std::io::Result<Option<ServiceSnapshot>> {
+        self.all_rows_written()?;
+        let mut sections = vec![Section {
+            kind: payload_kind,
+            crc: !self.crc_state,
+            offset: PAGE,
+            len: payload_len,
+        }];
+        let mut offset = align_page(PAGE + payload_len);
+        for &(kind, body) in bodies {
+            sections.push(Section {
+                kind,
+                crc: crc32(body),
+                offset,
+                len: body.len() as u64,
+            });
+            self.sink.write_at(offset, body)?;
+            offset = align_page(offset + body.len() as u64);
+        }
+        self.header.sections = sections;
+        match self.sink {
+            Sink::File(out) => out.publish(&self.header).map(|()| None),
+            Sink::Heap { image, .. } => Ok(Some(self.header.seal_image(image))),
+        }
     }
 }
 
-/// Streams a **quantized** `PKGMSS3` shard to disk without ever holding
-/// the dense f32 table: each incoming row is blockwise-int8 quantized with
-/// the exact per-row loop of [`QuantTable::quantize_table`] and its i8
-/// payload appended to the file immediately. Only per-row metadata stays
-/// resident (one error f32 and `ceil(2d/block)` scale f32s per row — a few
-/// percent of the dense bytes).
-///
-/// [`Ss3QuantWriter::finish`] then replays
-/// [`ServiceSnapshot::quantize`]'s escape selection over the buffered
-/// errors (median threshold, worst-first cap), pulls the escapes' verbatim
-/// f32 rows back from the caller, and recomputes the fallback by
-/// re-reading the quantized payload in one sequential pass — the same
-/// ascending served-row accumulation as the resident build. The resulting
-/// file is **byte-identical** to `snapshot_to_ss3_bytes` of
-/// `shard.quantize()` on the same rows, so int8 shards still map zero-copy
-/// through [`open_mapped_snapshot`].
-pub struct Ss3QuantWriter {
-    out: ShardFile,
-    dim: u32,
-    k: u32,
-    shard: ShardSpec,
-    n_rows: u64,
-    rows_written: u64,
-    row_len: usize,
-    block: usize,
-    /// Pre-finalized CRC state of the QDATA section.
-    crc_state: u32,
-    /// Per-block scales, `n_blocks(row_len, block)` per row.
-    scales: Vec<f32>,
-    /// Per-row measured error (inflated), the escape-selection input.
-    row_errs: Vec<f32>,
-    /// Quantized bytes of the `write_rows` call in flight, kept between
-    /// calls so a row-at-a-time caller does not allocate per row.
-    qbuf: Vec<u8>,
+/// The snapshot a heap-image writer sealed.
+fn sealed_snapshot(sealed: std::io::Result<Option<ServiceSnapshot>>) -> ServiceSnapshot {
+    sealed
+        .expect("heap image writes do not fail")
+        .expect("a heap image seals into a snapshot")
 }
 
-impl Ss3QuantWriter {
-    /// Start a quantized shard of exactly `n_rows` rows (must be > 0)
+/// Add `row` into the running column sums `sums`.
+fn add_row(sums: &mut [f32], row: &[f32]) {
+    for (m, &x) in sums.iter_mut().zip(row) {
+        *m += x;
+    }
+}
+
+/// Turn column sums over `n_rows` rows into their mean (zeros when there
+/// are no rows): every stored fallback row is this, over the rows in id
+/// order.
+fn into_mean(mut sums: Vec<f32>, n_rows: u64) -> Vec<f32> {
+    sums.iter_mut().for_each(|m| *m /= n_rows.max(1) as f32);
+    sums
+}
+
+/// Streams a dense `PKGMSS3` shard row by row without holding the table:
+/// rows are written (and CRC'd, and mean-accumulated) as they arrive, and
+/// the fallback + header land in [`Ss3DenseWriter::finish`]. A file is
+/// published with the same temp + fsync + rename dance as every other
+/// artifact; a heap image becomes a resident snapshot.
+pub struct Ss3DenseWriter {
+    stream: Stream,
+    /// Running column sums of the rows, for the fallback.
+    sums: Vec<f32>,
+}
+
+impl Ss3DenseWriter {
+    /// Start a dense shard file of exactly `n_rows` rows (must be > 0)
     /// covering global ids `[shard.row_start, shard.row_start + n_rows)`.
     pub fn create(
         dest: &Path,
@@ -986,184 +833,253 @@ impl Ss3QuantWriter {
         n_rows: u64,
         shard: ShardSpec,
     ) -> std::io::Result<Self> {
-        let out = ShardFile::create(dest, n_rows, shard)?;
-        let row_len = 2 * dim;
-        let block = crate::quant::QUANT_BLOCK.min(row_len);
-        let nb = row_len.div_ceil(block);
-        Ok(Self {
-            out,
-            dim: dim as u32,
-            k: k as u32,
-            shard,
-            n_rows,
-            rows_written: 0,
-            row_len,
+        let sink = Sink::File(ShardFile::create(dest, n_rows, shard)?);
+        Ok(Self::new(sink, dim, k, n_rows, shard))
+    }
+
+    /// Start a dense heap image, sized for the whole table up front.
+    pub(crate) fn resident(
+        dim: usize,
+        k: usize,
+        n_rows: u64,
+        shard: ShardSpec,
+    ) -> Result<Self, String> {
+        shard.check(n_rows)?;
+        let table = n_rows * 2 * dim as u64 * 4;
+        let capacity = align_page(PAGE + table) as usize + 2 * dim * 4;
+        Ok(Self::new(Sink::heap(capacity), dim, k, n_rows, shard))
+    }
+
+    fn new(sink: Sink, dim: usize, k: usize, n_rows: u64, shard: ShardSpec) -> Self {
+        Self {
+            stream: Stream::new(sink, dim, k, n_rows, shard, 0),
+            sums: vec![0.0f32; 2 * dim],
+        }
+    }
+
+    /// Append whole rows (`rows.len()` must be a multiple of `2·dim`).
+    pub fn write_rows(&mut self, rows: &[f32]) -> std::io::Result<()> {
+        let n = self.stream.rows_in(rows.len())?;
+        self.stream.append(&le::as_bytes(rows), n)?;
+        for row in rows.chunks_exact(self.stream.row_len()) {
+            add_row(&mut self.sums, row);
+        }
+        Ok(())
+    }
+
+    /// Write every row of a heap image in place: `fill` gets the whole
+    /// `n_rows × 2d` table section, which is then CRC'd and summed as if
+    /// `write_rows` had appended it.
+    ///
+    /// # Panics
+    /// On a file writer, or once rows were written.
+    pub(crate) fn fill_rows(&mut self, fill: impl FnOnce(&mut [f32])) {
+        let row_len = self.stream.row_len();
+        let n = self.stream.header.n_rows;
+        let len = n as usize * row_len;
+        let Sink::Heap { image, at } = &mut self.stream.sink else {
+            panic!("only a heap image fills in place");
+        };
+        assert_eq!(self.stream.rows_written, 0, "fill_rows writes every row");
+        image.grow_heap(*at + 4 * len);
+        fill(view_mut(image.heap_bytes_mut(), *at, len));
+        let table: &[f32] = view(image.bytes(), *at, len);
+        self.stream.crc_state = crc32_update(self.stream.crc_state, &le::as_bytes(table));
+        for row in table.chunks_exact(row_len) {
+            add_row(&mut self.sums, row);
+        }
+        *at += 4 * len;
+        self.stream.rows_written = n;
+    }
+
+    /// Write the fallback section and header, fsync, and atomically rename
+    /// into place. Errors if fewer rows than declared were written.
+    pub fn finish(self) -> std::io::Result<()> {
+        self.seal().map(drop)
+    }
+
+    /// Seal a heap image into its resident snapshot.
+    ///
+    /// # Panics
+    /// On a file writer, or unless every declared row was written.
+    pub(crate) fn into_snapshot(self) -> ServiceSnapshot {
+        sealed_snapshot(self.seal())
+    }
+
+    fn seal(self) -> std::io::Result<Option<ServiceSnapshot>> {
+        let h = &self.stream.header;
+        let table_len = h.n_rows * self.stream.row_len() as u64 * 4;
+        let fallback = into_mean(self.sums, h.n_rows);
+        self.stream.seal(
+            SEC_DENSE_F32,
+            table_len,
+            &[(SEC_FALLBACK_F32, &le::as_bytes(&fallback))],
+        )
+    }
+}
+
+/// The escape rows of a quantized table with per-row errors `errs`: rows
+/// whose error exceeds [`EXACT_ERR_FACTOR`]× the median, worst first (ties
+/// by id), capped at `n_rows / `[`EXACT_ROW_DIVISOR`], in ascending order.
+fn select_escapes(errs: &[f32]) -> Vec<u32> {
+    let mut sorted = errs.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite quant errors"));
+    let median = sorted.get(sorted.len() / 2).copied().unwrap_or(0.0);
+    let mut escapes: Vec<u32> = (0..errs.len() as u32)
+        .filter(|&i| errs[i as usize] > EXACT_ERR_FACTOR * median)
+        .collect();
+    escapes.sort_by(|&a, &b| {
+        errs[b as usize]
+            .partial_cmp(&errs[a as usize])
+            .expect("finite quant errors")
+            .then(a.cmp(&b))
+    });
+    escapes.truncate(errs.len() / EXACT_ROW_DIVISOR);
+    escapes.sort_unstable();
+    escapes
+}
+
+/// Streams a **quantized** `PKGMSS3` shard without ever holding the dense
+/// f32 table: each incoming row is blockwise-int8 quantized by
+/// [`quant::quantize_row`] and its i8 payload appended immediately. Only
+/// per-row metadata stays resident (one error f32 and `ceil(2d/block)`
+/// scale f32s per row — a few percent of the dense bytes).
+///
+/// [`Ss3QuantWriter::finish`] then selects the escape rows over the
+/// buffered errors (median threshold, worst-first cap), pulls their
+/// verbatim f32 rows back from the caller, and computes the fallback by
+/// re-reading the quantized payload in one sequential pass — the mean of
+/// the *served* rows, in id order.
+pub struct Ss3QuantWriter {
+    stream: Stream,
+    block: usize,
+    /// Per-block scales, `ceil(2d / block)` per row.
+    scales: Vec<f32>,
+    /// Per-row certified error, the escape-selection input.
+    row_errs: Vec<f32>,
+    /// Quantized values of the `write_rows` call in flight, kept between
+    /// calls so a row-at-a-time caller does not allocate per row.
+    qbuf: Vec<i8>,
+}
+
+impl Ss3QuantWriter {
+    /// Start a quantized shard file of exactly `n_rows` rows (must be > 0)
+    /// covering global ids `[shard.row_start, shard.row_start + n_rows)`.
+    pub fn create(
+        dest: &Path,
+        dim: usize,
+        k: usize,
+        n_rows: u64,
+        shard: ShardSpec,
+    ) -> std::io::Result<Self> {
+        let sink = Sink::File(ShardFile::create(dest, n_rows, shard)?);
+        Ok(Self::new(sink, dim, k, n_rows, shard))
+    }
+
+    /// Start a quantized heap image, with room reserved for the most
+    /// escape rows it can keep.
+    pub(crate) fn resident(
+        dim: usize,
+        k: usize,
+        n_rows: u64,
+        shard: ShardSpec,
+    ) -> Result<Self, String> {
+        shard.check(n_rows)?;
+        let (n, row_len) = (n_rows as usize, 2 * dim);
+        let nb = row_len.div_ceil(quant::QUANT_BLOCK.min(row_len));
+        let words = n * nb + n + (n / EXACT_ROW_DIVISOR) * (1 + row_len) + row_len;
+        let capacity = 6 * PAGE as usize + n * row_len + 4 * words;
+        Ok(Self::new(Sink::heap(capacity), dim, k, n_rows, shard))
+    }
+
+    fn new(sink: Sink, dim: usize, k: usize, n_rows: u64, shard: ShardSpec) -> Self {
+        let block = quant::QUANT_BLOCK.min(2 * dim);
+        let nb = (2 * dim).div_ceil(block);
+        Self {
+            stream: Stream::new(sink, dim, k, n_rows, shard, block),
             block,
-            crc_state: !0u32,
             scales: Vec::with_capacity((n_rows as usize).saturating_mul(nb)),
             row_errs: Vec::with_capacity(n_rows as usize),
             qbuf: Vec::new(),
-        })
+        }
     }
 
     /// Quantize and append whole rows (`rows.len()` must be a multiple of
-    /// `2·dim`), using the exact arithmetic of
-    /// [`QuantTable::quantize_table`] so the streamed payload is
-    /// bit-identical to a one-shot quantization of the same table.
+    /// `2·dim`).
     pub fn write_rows(&mut self, rows: &[f32]) -> std::io::Result<()> {
-        let n = rows_in(rows.len(), self.row_len, self.rows_written, self.n_rows)?;
-        let mut bytes = std::mem::take(&mut self.qbuf);
-        bytes.clear();
-        bytes.reserve(rows.len());
-        for row in rows.chunks_exact(self.row_len) {
-            let mut err = 0.0f32;
-            for chunk in row.chunks(self.block) {
-                let amax = chunk.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
-                let (scale, inv) = if amax > 0.0 {
-                    (amax / 127.0, 127.0 / amax)
-                } else {
-                    (0.0, 0.0)
-                };
-                self.scales.push(scale);
-                for &x in chunk {
-                    let q = (x * inv).round().clamp(-127.0, 127.0) as i8;
-                    bytes.push(q as u8);
-                    err = err.max((x - q as f32 * scale).abs());
-                }
-            }
-            self.row_errs.push(err * quant::ERR_INFLATE);
+        let n = self.stream.rows_in(rows.len())?;
+        let mut q = std::mem::take(&mut self.qbuf);
+        q.clear();
+        q.reserve(rows.len());
+        for row in rows.chunks_exact(self.stream.row_len()) {
+            let err = quant::quantize_row(row, self.block, &mut self.scales, &mut q);
+            self.row_errs.push(err);
         }
-        self.out.file().write_all(&bytes)?;
-        self.crc_state = crc32_update(self.crc_state, &bytes);
-        self.qbuf = bytes;
-        self.rows_written += n;
+        self.stream.append(i8s_as_bytes(&q), n)?;
+        self.qbuf = q;
         Ok(())
     }
 
     /// Select escape rows, fetch their verbatim f32 rows from `exact_row`
-    /// (called with ascending shard-local row ids), rebuild the served-row
+    /// (called with ascending shard-local row ids), compute the served-row
     /// fallback in one sequential re-read of the quantized payload, then
     /// write the metadata sections + header, fsync and atomically rename.
-    pub fn finish(mut self, mut exact_row: impl FnMut(u64, &mut [f32])) -> std::io::Result<()> {
-        use std::io::Read;
-        all_rows_written(self.rows_written, self.n_rows)?;
-        let file = self.out.file();
-        let n_rows = self.n_rows as usize;
-        let row_len = self.row_len;
+    pub fn finish(self, exact_row: impl FnMut(u64, &mut [f32])) -> std::io::Result<()> {
+        self.seal(exact_row).map(drop)
+    }
+
+    /// Seal a heap image into its resident snapshot.
+    ///
+    /// # Panics
+    /// On a file writer, or unless every declared row was written.
+    pub(crate) fn into_snapshot(self, exact_row: impl FnMut(u64, &mut [f32])) -> ServiceSnapshot {
+        sealed_snapshot(self.seal(exact_row))
+    }
+
+    fn seal(
+        mut self,
+        mut exact_row: impl FnMut(u64, &mut [f32]),
+    ) -> std::io::Result<Option<ServiceSnapshot>> {
+        self.stream.all_rows_written()?;
+        let n_rows = self.stream.header.n_rows;
+        let row_len = self.stream.row_len();
         let nb = row_len.div_ceil(self.block);
-
-        // Escape selection — the exact algorithm of
-        // ServiceSnapshot::quantize: median threshold, worst offenders
-        // first (ties by id), capped, stored ascending.
-        let errs = &self.row_errs;
-        let mut sorted = errs.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite quant errors"));
-        let median = sorted.get(sorted.len() / 2).copied().unwrap_or(0.0);
-        let mut escapes: Vec<u32> = (0..n_rows as u32)
-            .filter(|&i| errs[i as usize] > crate::snapshot::EXACT_ERR_FACTOR * median)
-            .collect();
-        escapes.sort_by(|&a, &b| {
-            errs[b as usize]
-                .partial_cmp(&errs[a as usize])
-                .expect("finite quant errors")
-                .then(a.cmp(&b))
-        });
-        escapes.truncate(n_rows / crate::snapshot::EXACT_ROW_DIVISOR);
-        escapes.sort_unstable();
+        let escapes = select_escapes(&self.row_errs);
         let mut exact_rows = vec![0.0f32; escapes.len() * row_len];
-        for (e, &id) in escapes.iter().enumerate() {
-            exact_row(id as u64, &mut exact_rows[e * row_len..(e + 1) * row_len]);
+        for (&id, out) in escapes.iter().zip(exact_rows.chunks_exact_mut(row_len)) {
+            exact_row(u64::from(id), out);
         }
 
-        // Fallback: the same ascending accumulation over *served* rows as
-        // snapshot::mean_served_row, re-reading the quantized payload
-        // sequentially instead of holding the dense table.
-        let mut mean = vec![0.0f32; row_len];
+        let (scales, block) = (&self.scales, self.block);
+        let mut sums = vec![0.0f32; row_len];
         let mut row = vec![0.0f32; row_len];
-        let mut qrow_u8 = vec![0u8; row_len];
-        let mut qrow = vec![0i8; row_len];
-        file.seek(SeekFrom::Start(PAGE))?;
-        {
-            let mut reader = std::io::BufReader::with_capacity(1 << 20, &mut *file);
-            let mut next_escape = 0usize;
-            for id in 0..n_rows {
-                reader.read_exact(&mut qrow_u8)?;
-                let served: &[f32] =
-                    if next_escape < escapes.len() && escapes[next_escape] as usize == id {
-                        let s = &exact_rows[next_escape * row_len..(next_escape + 1) * row_len];
-                        next_escape += 1;
-                        s
-                    } else {
-                        for (q, &b) in qrow.iter_mut().zip(&qrow_u8) {
-                            *q = b as i8;
-                        }
-                        quant::dequantize_row_into(
-                            &qrow,
-                            &self.scales[id * nb..(id + 1) * nb],
-                            row_len,
-                            self.block,
-                            0,
-                            &mut row,
-                        );
-                        &row
-                    };
-                for (m, &x) in mean.iter_mut().zip(served) {
-                    *m += x;
+        let mut next_escape = 0usize;
+        self.stream
+            .sink
+            .for_each_payload_row(n_rows as usize, row_len, |id, q| {
+                if escapes.get(next_escape) == Some(&(id as u32)) {
+                    add_row(&mut sums, &exact_rows[next_escape * row_len..][..row_len]);
+                    next_escape += 1;
+                } else {
+                    let scales = &scales[id * nb..(id + 1) * nb];
+                    quant::dequantize_row_into(q, scales, block, &mut row);
+                    add_row(&mut sums, &row);
                 }
-            }
-        }
-        for m in &mut mean {
-            *m /= n_rows as f32;
-        }
+            })?;
+        let fallback = into_mean(sums, n_rows);
 
-        // Metadata sections, laid out exactly like the one-shot writer.
-        let scales_b = le::as_bytes(&self.scales);
-        let errs_b = le::as_bytes(&self.row_errs);
-        let ids_b = le::as_bytes(&escapes);
-        let exact_b = le::as_bytes(&exact_rows);
-        let fb_b = le::as_bytes(&mean);
-
-        let qdata_len = self.n_rows * row_len as u64;
-        let mut sections = vec![Section {
-            kind: SEC_QDATA_I8,
-            crc: !self.crc_state,
-            offset: PAGE,
-            len: qdata_len,
-        }];
-        let mut offset = align_page(PAGE + qdata_len);
-        for (kind, body) in [
-            (SEC_SCALES_F32, &scales_b),
-            (SEC_ROWERR_F32, &errs_b),
-            (SEC_EXACT_IDS_U32, &ids_b),
-            (SEC_EXACT_ROWS_F32, &exact_b),
-            (SEC_FALLBACK_F32, &fb_b),
-        ] {
-            sections.push(Section {
-                kind,
-                crc: crc32(body),
-                offset,
-                len: body.len() as u64,
-            });
-            file.seek(SeekFrom::Start(offset))?;
-            file.write_all(body)?;
-            offset = align_page(offset + body.len() as u64);
-        }
-        // Match the one-shot byte length exactly: no padding after the
-        // final section.
-        let last = sections.last().expect("six sections");
-        file.set_len(last.offset + last.len)?;
-
-        let header = Header {
-            quantized: true,
-            dim: self.dim,
-            k: self.k,
-            n_rows: self.n_rows,
-            shard: self.shard,
-            block: self.block as u32,
-            n_exact: escapes.len() as u64,
-            sections,
-        };
-        self.out.publish(&header)
+        self.stream.header.n_exact = escapes.len() as u64;
+        self.stream.seal(
+            SEC_QDATA_I8,
+            n_rows * row_len as u64,
+            &[
+                (SEC_SCALES_F32, &le::as_bytes(&self.scales)),
+                (SEC_ROWERR_F32, &le::as_bytes(&self.row_errs)),
+                (SEC_EXACT_IDS_U32, &le::as_bytes(&escapes)),
+                (SEC_EXACT_ROWS_F32, &le::as_bytes(&exact_rows)),
+                (SEC_FALLBACK_F32, &le::as_bytes(&fallback)),
+            ],
+        )
     }
 }
 
@@ -1299,77 +1215,6 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    #[test]
-    fn streaming_writer_matches_one_shot_bytes() {
-        let snap = ServiceSnapshot::build(&service_n(33));
-        let expect = snapshot_to_ss3_bytes(&snap).unwrap();
-        let table = snap.dense_table().unwrap();
-        let row_len = 2 * snap.dim();
-        let path = temp_path("stream");
-        let mut w = Ss3DenseWriter::create(
-            &path,
-            snap.dim(),
-            snap.k(),
-            snap.n_rows() as u64,
-            ShardSpec::default(),
-        )
-        .unwrap();
-        // Deliberately ragged chunk sizes.
-        let mut off = 0;
-        for chunk in [5usize, 1, 20, 7].iter().cycle() {
-            if off == snap.n_rows() {
-                break;
-            }
-            let n = (*chunk).min(snap.n_rows() - off);
-            w.write_rows(&table[off * row_len..(off + n) * row_len])
-                .unwrap();
-            off += n;
-        }
-        w.finish().unwrap();
-        let got = std::fs::read(&path).unwrap();
-        assert_eq!(got, expect, "streamed bytes must equal one-shot bytes");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn streaming_quant_writer_matches_one_shot_bytes() {
-        // Sharded so escape ids / row_start handling is exercised too.
-        let snap = ServiceSnapshot::build(&service_n(90));
-        let table = snap.dense_table().unwrap().to_vec();
-        let row_len = 2 * snap.dim();
-        for (spec, len) in shard_ranges(snap.n_rows() as u64, 3) {
-            let shard = snap.shard_slice(spec, len).unwrap();
-            let expect = snapshot_to_ss3_bytes(&shard.quantize()).unwrap();
-            let shard_rows = &table[spec.row_start as usize * row_len..][..len as usize * row_len];
-            let path = temp_path(&format!("qstream{}", spec.shard_id));
-            let mut w = Ss3QuantWriter::create(&path, snap.dim(), snap.k(), len, spec).unwrap();
-            let mut off = 0usize;
-            for chunk in [3usize, 11, 1, 8].iter().cycle() {
-                if off == len as usize {
-                    break;
-                }
-                let n = (*chunk).min(len as usize - off);
-                w.write_rows(&shard_rows[off * row_len..(off + n) * row_len])
-                    .unwrap();
-                off += n;
-            }
-            w.finish(|id, out| {
-                out.copy_from_slice(&shard_rows[id as usize * row_len..][..row_len]);
-            })
-            .unwrap();
-            let got = std::fs::read(&path).unwrap();
-            assert_eq!(
-                got, expect,
-                "streamed quantized shard {} must equal one-shot bytes",
-                spec.shard_id
-            );
-            // And the streamed file still maps zero-copy.
-            let mapped = open_mapped_snapshot(&path, false).unwrap();
-            assert_eq!(mapped, shard.quantize());
-            std::fs::remove_file(&path).ok();
-        }
-    }
-
     /// FNV-1a 64 over `bytes`.
     fn fnv64(bytes: &[u8]) -> u64 {
         bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
@@ -1501,22 +1346,55 @@ mod tests {
         bytes[..hbytes.len()].copy_from_slice(&hbytes);
     }
 
+    /// Stored values no CRC vouches for: each patched section is re-signed,
+    /// so only the value checks can object. Scales and row errors are
+    /// scanned by the resident decode; escape ids, which lookups
+    /// binary-search, by every open.
     #[test]
     fn resident_decode_rejects_invalid_quantized_values() {
-        let snap = ServiceSnapshot::build(&service_n(40)).quantize();
+        let built = ServiceSnapshot::build(&service_n(200));
+        let row_len = 2 * built.dim();
+        let mut table = built.dense_table().unwrap().to_vec();
+        for id in [5usize, 50, 120] {
+            table[id * row_len + 3] = 40.0;
+        }
+        let snap = ServiceSnapshot::from_rows(built.dim(), built.k(), ShardSpec::default(), &table)
+            .unwrap()
+            .quantize();
+        assert_eq!(snap.quant_rows().unwrap().0, &[5, 50, 120]);
         let bytes = snapshot_to_ss3_bytes(&snap).unwrap();
         let header = parse_header(&bytes).unwrap();
+        let section = |kind| header.sections.iter().find(|s| s.kind == kind).unwrap();
+        let body = |kind| Header::body(&bytes, section(kind)).to_vec();
+        let patched = |kind, body: &[u8]| {
+            let mut bad = bytes.clone();
+            patch_section(&mut bad, kind, body);
+            bad
+        };
         for kind in [SEC_SCALES_F32, SEC_ROWERR_F32] {
             for val in [f32::NAN, -1.0f32, f32::INFINITY] {
-                let mut body = header.body(&bytes, kind).to_vec();
-                body[..4].copy_from_slice(&val.to_le_bytes());
-                let mut bad = bytes.clone();
-                patch_section(&mut bad, kind, &body);
+                let mut bad = body(kind);
+                bad[..4].copy_from_slice(&val.to_le_bytes());
                 assert!(
-                    crate::serialize::snapshot_from_bytes(&bad).is_err(),
+                    snapshot_from_bytes(&patched(kind, &bad)).is_err(),
                     "section {kind} value {val}"
                 );
             }
+        }
+        let n = snap.n_rows() as u32;
+        for (ids, why) in [
+            ([50u32, 5, 120], "unsorted"),
+            ([5, 5, 120], "repeated"),
+            ([5, 50, n], "out of range"),
+        ] {
+            let bad = patched(SEC_EXACT_IDS_U32, &le::as_bytes(&ids));
+            assert!(snapshot_from_bytes(&bad).is_err(), "{why} escape ids");
+            let path = temp_path("escape-ids");
+            std::fs::write(&path, &bad).unwrap();
+            for force_heap in [false, true] {
+                assert!(open_mapped_snapshot(&path, force_heap).is_err(), "{why}");
+            }
+            std::fs::remove_file(&path).ok();
         }
     }
 
@@ -1544,7 +1422,8 @@ mod tests {
 
     #[test]
     fn zero_row_snapshots_are_rejected() {
-        let snap = ServiceSnapshot::from_parts(4, 2, Vec::new());
+        let snap = ServiceSnapshot::from_rows(4, 2, ShardSpec::default(), &[]).unwrap();
+        assert_eq!(snap.fallback_row(), &[0.0; 8], "an empty table's mean");
         assert!(snapshot_to_ss3_bytes(&snap).is_err());
         assert!(Ss3DenseWriter::create(&temp_path("zero"), 4, 2, 0, ShardSpec::default()).is_err());
     }

@@ -5,7 +5,8 @@
 //! heap fallback) and the fully-resident decoder — and never as panics.
 //! A second property pins backing interchange: a snapshot written as
 //! `PKGMSS3` answers `lookup_exact` bit-identically to the in-memory
-//! table, whichever backing serves it.
+//! table, whichever backing serves it. A third pins the mapped-file
+//! contract: files are replaced by rename, never rewritten in place.
 
 mod common;
 
@@ -13,10 +14,10 @@ use common::{
     find_section, lookup_bits, probe_ids, resign_header, HEADER_FIXED, OFF_N_SECTIONS,
     SECTION_ENTRY,
 };
-use pkgm_core::serialize::snapshot_from_bytes;
+use pkgm_core::serialize::{snapshot_from_bytes, write_snapshot_ss3_file};
 use pkgm_core::{
     open_mapped_snapshot, snapshot_to_ss3_bytes, KnowledgeService, PkgmConfig, PkgmModel,
-    ServiceSnapshot,
+    ServiceSnapshot, StdIo,
 };
 use pkgm_store::{EntityId, KeyRelationSelector, StoreBuilder};
 use proptest::prelude::*;
@@ -25,10 +26,16 @@ use std::path::PathBuf;
 // PKGMSS3 fixed-header field offsets (see snapshot3.rs layout docs).
 const OFF_VERSION: usize = 8;
 const OFF_FLAGS: usize = 12;
+const OFF_DIM: usize = 16;
 const OFF_N_ROWS: usize = 24;
 const OFF_ROW_START: usize = 32;
 const OFF_N_SHARDS: usize = 40;
+const OFF_BLOCK: usize = 48;
 const SEC_FALLBACK_F32: u32 = 2;
+const SEC_QDATA_I8: u32 = 3;
+const SEC_SCALES_F32: u32 = 4;
+const SEC_ROWERR_F32: u32 = 5;
+const SEC_EXACT_ROWS_F32: u32 = 7;
 
 fn fixture(seed: u64) -> ServiceSnapshot {
     let mut b = StoreBuilder::new();
@@ -207,6 +214,68 @@ fn degenerate_headers_are_rejected() {
     let mut bad = full;
     bad[..8].copy_from_slice(b"PKGMZZZ\0");
     assert_rejected_everywhere("magic.ss3", &bad, "a wrong magic");
+}
+
+/// A quantized file whose header disagrees with its own shape: a block of
+/// 0 or wider than a row, a zero dim or one the sections do not fit, a
+/// payload that is not whole rows, one scale or row error too few, and a
+/// stray float of escape rows. Each header is re-signed, so only the
+/// shape checks object.
+#[test]
+fn quantized_shape_headers_are_rejected() {
+    let full = ss3_bytes(&fixture(13).quantize());
+    let set_u32 = |off: usize, v: u32| {
+        let mut bad = full.clone();
+        bad[off..off + 4].copy_from_slice(&v.to_le_bytes());
+        resign_header(&mut bad);
+        bad
+    };
+    let dim = u32::from_le_bytes(full[OFF_DIM..OFF_DIM + 4].try_into().unwrap());
+    assert_rejected_everywhere("qblock0.ss3", &set_u32(OFF_BLOCK, 0), "a zero quant block");
+    let wide = set_u32(OFF_BLOCK, 2 * dim + 1);
+    assert_rejected_everywhere("qwide.ss3", &wide, "a block wider than a row");
+    let dim_up = set_u32(OFF_DIM, dim + 1);
+    assert_rejected_everywhere("qdim.ss3", &dim_up, "a dim the sections do not fit");
+    assert_rejected_everywhere("qdim0.ss3", &set_u32(OFF_DIM, 0), "a zero dim");
+    for (kind, delta, why) in [
+        (SEC_QDATA_I8, -1i64, "a payload that is not whole rows"),
+        (SEC_SCALES_F32, -4, "one scale too few"),
+        (SEC_ROWERR_F32, -4, "one row error too few"),
+        (
+            SEC_EXACT_ROWS_F32,
+            4,
+            "escape rows that do not match the escape ids",
+        ),
+    ] {
+        let (entry, _, len) = find_section(&full, kind);
+        let mut bad = full.clone();
+        let len = (len as i64 + delta) as u64;
+        bad[entry + 16..entry + 24].copy_from_slice(&len.to_le_bytes());
+        resign_header(&mut bad);
+        assert_rejected_everywhere("qshape.ss3", &bad, why);
+    }
+}
+
+/// A published file is replaced only by rename: a snapshot open on the
+/// old file keeps serving its rows bit for bit after
+/// `write_snapshot_ss3_file` puts a different table at the same path, and
+/// a fresh open serves the new one.
+#[test]
+fn replacing_a_mapped_file_by_rename_keeps_open_snapshots_intact() {
+    let (old, new) = (fixture(21), fixture(22).quantize());
+    let ids = probe_ids(&old);
+    let path = tmpfile("replaced.ss3");
+    write_snapshot_ss3_file(&StdIo, &path, &old).unwrap();
+    for force_heap in [false, true] {
+        let open = open_mapped_snapshot(&path, force_heap).unwrap();
+        write_snapshot_ss3_file(&StdIo, &path, &new).unwrap();
+        assert_eq!(lookup_bits(&open, &ids), lookup_bits(&old, &ids));
+        let fresh = open_mapped_snapshot(&path, force_heap).unwrap();
+        assert_eq!(lookup_bits(&fresh, &ids), lookup_bits(&new, &ids));
+        assert_ne!(lookup_bits(&new, &ids), lookup_bits(&old, &ids));
+        write_snapshot_ss3_file(&StdIo, &path, &old).unwrap();
+    }
+    let _ = std::fs::remove_file(&path);
 }
 
 proptest! {
