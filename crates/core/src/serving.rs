@@ -253,7 +253,7 @@ impl CachedService {
     }
 
     /// Mark this generation as swapped out and release its mapped table's
-    /// resident pages (a no-op for heap storage). Lookups still serve the
+    /// resident pages (a no-op for a heap image). Lookups still serve the
     /// same bits; each later miss releases the pages it faulted in again,
     /// so a retired mapped table holds no memory while its last in-flight
     /// batches drain.
