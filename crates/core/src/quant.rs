@@ -866,5 +866,15 @@ mod tests {
             "{}",
             st.storage_bytes()
         );
+        // The quantized snapshot's rows: payload, per-(row, block) scales
+        // and row errors (no escape rows in a uniform table).
+        let shard = crate::snapshot::ShardSpec::default();
+        let snap = crate::snapshot::ServiceSnapshot::from_rows(32, 0, shard, &rows).unwrap();
+        let q = snap.quantize();
+        assert!(
+            q.storage_bytes() < f32_bytes * 3 / 10,
+            "{}",
+            q.storage_bytes()
+        );
     }
 }

@@ -112,15 +112,6 @@ impl ShardSpec {
     }
 }
 
-/// The storage shape of a snapshot's sections.
-#[derive(Debug, Clone, Copy)]
-enum Storage {
-    /// One `n_rows × 2d` f32 table.
-    Dense,
-    /// int8 rows with per-(row, `block`) scales, plus verbatim escape rows.
-    Quantized { block: usize },
-}
-
 /// Table of condensed service vectors, one `2d` row per entity — dense
 /// f32 or int8-quantized with verbatim escape rows — as views over one
 /// `PKGMSS3` image, resident in heap memory or memory-mapped from a file.
@@ -128,7 +119,6 @@ enum Storage {
 pub struct ServiceSnapshot {
     image: Arc<MmapRegion>,
     header: Header,
-    storage: Storage,
     /// Byte offset of each section in the image, by section kind,
     /// computed once when the views are built.
     at: [usize; 8],
@@ -214,12 +204,6 @@ impl ServiceSnapshot {
         if cfg!(target_endian = "big") {
             panic!("PKGMSS3 views read little-endian words in place");
         }
-        let storage = match header.quantized {
-            true => Storage::Quantized {
-                block: header.block as usize,
-            },
-            false => Storage::Dense,
-        };
         let mut at = [0; 8];
         for s in &header.sections {
             at[s.kind as usize] = s.offset as usize;
@@ -227,7 +211,6 @@ impl ServiceSnapshot {
         Self {
             image,
             header,
-            storage,
             at,
             backing,
         }
@@ -238,9 +221,10 @@ impl ServiceSnapshot {
     /// and with `scan_table` (a resident decode, which trusts nothing)
     /// every scale and row error must be finite and nonnegative.
     pub(crate) fn check_values(&self, scan_table: bool) -> Result<(), String> {
-        let Storage::Quantized { block } = self.storage else {
+        if !self.header.quantized {
             return Ok(());
-        };
+        }
+        let block = self.header.block as usize;
         let ids = self.exact_ids();
         if !ids.windows(2).all(|w| w[0] < w[1]) {
             return Err("exact-row ids are not strictly increasing".into());
@@ -267,17 +251,6 @@ impl ServiceSnapshot {
             )),
             None => Ok(()),
         }
-    }
-
-    /// Mark this snapshot as shard `shard.shard_id` of `shard.n_shards`,
-    /// covering global ids `[shard.row_start, row_start + n_rows)`: a
-    /// resident copy of the image under the new header.
-    pub fn with_shard(self, shard: ShardSpec) -> Result<Self, String> {
-        shard.check(self.n_rows() as u64)?;
-        let mut header = self.header.clone();
-        header.shard = shard;
-        let image = MmapRegion::copy_of(&self.image.bytes()[..header.image_len()]);
-        Ok(header.seal_image(image))
     }
 
     /// Extract one entity-range shard from a whole, dense table: rows
@@ -424,12 +397,12 @@ impl ServiceSnapshot {
     /// escape row); else the block length to dequantize it with.
     fn stored_row(&self, id: usize) -> Result<&[f32], usize> {
         let row_len = self.row_len();
-        match self.storage {
-            Storage::Dense => Ok(self.sec(SEC_DENSE_F32, id * row_len, row_len)),
-            Storage::Quantized { block } => match self.exact_ids().binary_search(&(id as u32)) {
-                Ok(e) => Ok(self.sec(SEC_EXACT_ROWS_F32, e * row_len, row_len)),
-                Err(_) => Err(block),
-            },
+        if !self.header.quantized {
+            return Ok(self.sec(SEC_DENSE_F32, id * row_len, row_len));
+        }
+        match self.exact_ids().binary_search(&(id as u32)) {
+            Ok(e) => Ok(self.sec(SEC_EXACT_ROWS_F32, e * row_len, row_len)),
+            Err(_) => Err(self.header.block as usize),
         }
     }
 

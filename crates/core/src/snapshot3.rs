@@ -190,15 +190,6 @@ impl Header {
         out.extend_from_slice(&crc.to_le_bytes());
         out
     }
-
-    /// Encode this header over the first page of the heap image `image`
-    /// (grown to the full image length) and view the result.
-    pub(crate) fn seal_image(self, mut image: MmapRegion) -> ServiceSnapshot {
-        image.grow_heap(self.image_len());
-        let head = self.encode();
-        image.heap_bytes_mut()[..head.len()].copy_from_slice(&head);
-        ServiceSnapshot::from_image(Arc::new(image), self, SnapshotBacking::Resident)
-    }
 }
 
 fn get_u32(bytes: &[u8], off: usize) -> u32 {
@@ -409,12 +400,19 @@ fn verify_section_crcs(
 // Section views
 // ---------------------------------------------------------------------------
 
-/// A value type sections are read as: no padding, and every bit pattern
-/// is a valid value.
-pub(crate) trait Plain: Copy {}
-impl Plain for f32 {}
-impl Plain for u32 {}
-impl Plain for i8 {}
+/// A value type sections are read as.
+///
+/// # Safety
+///
+/// An implementor has no padding and no invalid bit patterns: [`view`]
+/// reinterprets any initialized bytes as values of it.
+pub(crate) unsafe trait Plain: Copy {}
+// SAFETY: an f32 is 4 bytes with no padding; every bit pattern is a value.
+unsafe impl Plain for f32 {}
+// SAFETY: a u32 is 4 bytes with no padding; every bit pattern is a value.
+unsafe impl Plain for u32 {}
+// SAFETY: an i8 is one byte; every bit pattern is a value.
+unsafe impl Plain for i8 {}
 
 /// `n` values of `T` at byte `offset` of an image. Sections start on page
 /// boundaries of an image at least 8-byte aligned, so an offset that stays
@@ -785,7 +783,19 @@ impl Stream {
         self.header.sections = sections;
         match self.sink {
             Sink::File(out) => out.publish(&self.header).map(|()| None),
-            Sink::Heap { image, .. } => Ok(Some(self.header.seal_image(image))),
+            Sink::Heap { mut image, .. } => {
+                // The header goes over the image's first page, grown to the
+                // full image length.
+                image.grow_heap(self.header.image_len());
+                let head = self.header.encode();
+                image.heap_bytes_mut()[..head.len()].copy_from_slice(&head);
+                let image = Arc::new(image);
+                Ok(Some(ServiceSnapshot::from_image(
+                    image,
+                    self.header,
+                    SnapshotBacking::Resident,
+                )))
+            }
         }
     }
 }
