@@ -8,7 +8,7 @@
 //! pkgm generate   --preset small --seed 42 --out kg.tsv
 //! pkgm train      --preset small --seed 42 --dim 32 --epochs 8 --k 10 --out svc.bin
 //!                 [--checkpoint-dir ckpts] [--checkpoint-every 1] [--keep-last 3]
-//!                 [--resume ckpts]
+//!                 [--resume ckpts] [--telemetry t.jsonl]
 //! pkgm train      --preset small --mem-budget 1000000 --out svc.bin
 //!                 [--ooc-dir d] [--snapshot-out base]   # out-of-core blocks
 //! pkgm train      --synthetic 2000000 --entities 1000000 --mem-budget 50000000 \
@@ -43,10 +43,10 @@ mod args;
 
 use args::Args;
 use pkgm_core::{
-    eval, fault, load_latest_checkpoint, serialize, CheckpointConfig, Daemon, DaemonClient,
+    eval, fault, load_latest_checkpoint, obs, serialize, CheckpointConfig, Daemon, DaemonClient,
     DaemonConfig, KnowledgeService, OocConfig, OocReport, OocTrainer, PkgmConfig, PkgmModel,
     RetryPolicy, ServiceSnapshot, ShardRouter, StdIo, Supervisor, SyntheticTriples, TrainConfig,
-    Trainer, TripleSource,
+    TrainRecord, Trainer, TripleSource,
 };
 use pkgm_store::{EntityId, KgStats};
 use pkgm_synth::{Catalog, CatalogConfig};
@@ -505,6 +505,9 @@ fn pretrain(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     };
 
     eprintln!("[pkgm] pre-training d={dim} epochs={epochs} lr={lr} margin={margin}…");
+    if args.get("telemetry").is_some() {
+        trainer.record_telemetry();
+    }
     let first_epoch = trainer.epochs_done();
     let report = match &ckpt_dir {
         Some(dir) => {
@@ -517,6 +520,7 @@ fn pretrain(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         }
         None => trainer.train(&mut model, &catalog.store),
     };
+    write_telemetry(args, &trainer.take_records())?;
     for (i, e) in report.epochs.iter().enumerate() {
         eprintln!(
             "[pkgm] epoch {}: mean loss {:.4}, violations {:.1}%",
@@ -544,6 +548,18 @@ fn pretrain(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         std::fs::metadata(out)?.len() as f64 / (1024.0 * 1024.0),
         report.wall_secs
     );
+    Ok(())
+}
+
+/// `records` as JSONL into `--telemetry FILE`, when the flag is given.
+fn write_telemetry(args: &Args, records: &[TrainRecord]) -> Result<(), Box<dyn std::error::Error>> {
+    if let Some(path) = args.get("telemetry") {
+        std::fs::write(path, obs::to_jsonl(records))?;
+        eprintln!(
+            "[pkgm] wrote {} telemetry record(s) to {path}",
+            records.len()
+        );
+    }
     Ok(())
 }
 
@@ -620,7 +636,7 @@ fn ooc_pretrain(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         };
         let dir = PathBuf::from(args.require("ooc-dir")?);
         let mut trainer = ooc_open(dir, model_cfg, train, mem_budget, &source)?;
-        let report = run_ooc(&mut trainer, &source)?;
+        let report = run_ooc(args, &mut trainer, &source)?;
         if let Some(out) = args.get("report-out") {
             std::fs::write(out, serde_json::to_string_pretty(&report)?)?;
             eprintln!("[pkgm] wrote {out}");
@@ -635,7 +651,7 @@ fn ooc_pretrain(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from(format!("{out}.ooc")));
     let mut trainer = ooc_open(dir, model_cfg, train, mem_budget, &catalog.store)?;
-    let report = run_ooc(&mut trainer, &catalog.store)?;
+    let report = run_ooc(args, &mut trainer, &catalog.store)?;
     if let Some(why) = &report.halted {
         // Same contract as the resident path: never write a garbage
         // service. The partition files are the warm-start recovery point.
@@ -691,9 +707,10 @@ fn ooc_open<S: TripleSource + ?Sized>(
 }
 
 /// Run the out-of-core trainer to its epoch target, echoing per-epoch
-/// stats. A mid-epoch resume reports a partial first entry covering only
-/// the blocks it ran.
+/// stats (and writing `--telemetry`). A mid-epoch resume reports a partial
+/// first entry covering only the blocks it ran.
 fn run_ooc<S: TripleSource + ?Sized>(
+    args: &Args,
     trainer: &mut OocTrainer,
     source: &S,
 ) -> Result<OocReport, Box<dyn std::error::Error>> {
@@ -705,7 +722,11 @@ fn run_ooc<S: TripleSource + ?Sized>(
         trainer.config().train.epochs
     );
     let first = trainer.epochs_done();
+    if args.get("telemetry").is_some() {
+        trainer.record_telemetry();
+    }
     let report = trainer.train(source)?;
+    write_telemetry(args, &trainer.take_records())?;
     for (i, e) in report.epochs.iter().enumerate() {
         eprintln!(
             "[pkgm] epoch {}: mean loss {:.4}, violations {:.1}%",
@@ -1035,6 +1056,8 @@ fn print_help() {
          \u{20}              [--checkpoint-every 1] [--keep-last 3] [--resume D]\n\
          \u{20}              [--parallel false] [--chunk-size N  # pin the gradient\n\
          \u{20}              chunk layout for cross-host bit-reproducible runs]\n\
+         \u{20}              [--telemetry t.jsonl  # one line per epoch (and per\n\
+         \u{20}              out-of-core block): wall seconds per phase, loss]\n\
          \u{20}              (alias: pretrain; --resume restarts from the latest\n\
          \u{20}              valid checkpoint in D and checkpoints back into it)\n\
          \u{20}              [--mem-budget BYTES  # out-of-core: page the embedding\n\

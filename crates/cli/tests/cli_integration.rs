@@ -289,6 +289,72 @@ fn checkpoint_resume_matches_straight_run() {
 }
 
 #[test]
+fn telemetry_writes_one_line_per_epoch_and_moves_no_model_byte() {
+    let dir = tmpdir("telemetry");
+    let (with, without, lines) = (dir.join("a.bin"), dir.join("b.bin"), dir.join("t.jsonl"));
+    let base = [
+        "train",
+        "--preset",
+        "tiny",
+        "--seed",
+        "9",
+        "--dim",
+        "8",
+        "--epochs",
+        "3",
+        "--k",
+        "3",
+        "--checkpoint-dir",
+    ];
+    for (out, ckpts, extra) in [
+        (
+            &with,
+            dir.join("ckpt-a"),
+            vec!["--telemetry", lines.to_str().unwrap()],
+        ),
+        (&without, dir.join("ckpt-b"), vec![]),
+    ] {
+        let run = pkgm()
+            .args(base)
+            .arg(&ckpts)
+            .args(["--out", out.to_str().unwrap()])
+            .args(extra)
+            .output()
+            .unwrap();
+        assert!(
+            run.status.success(),
+            "stderr: {}",
+            String::from_utf8_lossy(&run.stderr)
+        );
+    }
+    assert_eq!(
+        std::fs::read(&with).unwrap(),
+        std::fs::read(&without).unwrap(),
+        "telemetry changed the trained model"
+    );
+
+    let text = std::fs::read_to_string(&lines).unwrap();
+    let records: Vec<pkgm_core::TrainRecord> = text
+        .lines()
+        .map(|l| serde_json::from_str(l).expect("every line parses"))
+        .collect();
+    assert_eq!(records.len(), 3, "one record per epoch:\n{text}");
+    for (epoch, r) in records.iter().enumerate() {
+        assert_eq!((r.epoch, r.block), (epoch, None), "{r:?}");
+        assert_eq!(r.pairs, records[0].pairs);
+        assert!(r.phases_s().iter().all(|&p| p >= 0.0), "{r:?}");
+        assert!(r.commit_s > 0.0, "every epoch writes a checkpoint: {r:?}");
+        let sum: f64 = r.phases_s().iter().sum();
+        assert!(
+            sum >= 0.95 * r.wall_s && sum <= r.wall_s,
+            "phases cover {sum} of {} s",
+            r.wall_s
+        );
+    }
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
 fn resume_from_empty_dir_warns_and_starts_fresh() {
     let dir = tmpdir("ckpt-fresh");
     let svc = dir.join("svc.bin");

@@ -71,6 +71,8 @@
 //!   entity-range shard daemons, merges rows back into request order,
 //!   follows typed `WrongShard` redirects with bounded map refreshes, and
 //!   supervises one spawned daemon per `.shardKofN` file;
+//! * [`obs`] — training telemetry: wall time per phase (gradients, Adam,
+//!   commit, page-in) per epoch and per out-of-core block;
 //! * [`ooc`] — out-of-core pre-training: streamed triple sources, an
 //!   entity-range partitioned embedding table paged under an explicit
 //!   memory budget, and the block training schedule (bit-identical to the
@@ -91,6 +93,7 @@ pub mod mmap;
 pub mod model;
 pub mod negative;
 pub mod netcheck;
+pub mod obs;
 pub mod ooc;
 pub mod protocol;
 pub mod quant;
@@ -114,6 +117,7 @@ pub use kernels::{ChunkGrads, TrainScratch};
 pub use model::{PkgmConfig, PkgmModel};
 pub use negative::{CorruptedPair, Corruption, NegativeSampler};
 pub use netcheck::{ChaosProxy, NetFault, NetFaultPlan};
+pub use obs::TrainRecord;
 pub use ooc::{OocConfig, OocError, OocReport, OocTrainer, SyntheticTriples, TripleSource};
 pub use protocol::{DeadlineStage, ProtocolError, Request, Response};
 pub use quant::{QuantScanTable, QUANT_BLOCK};

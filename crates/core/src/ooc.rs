@@ -69,6 +69,7 @@ use crate::kernels::TrainScratch;
 use crate::le;
 use crate::model::{PkgmConfig, PkgmModel};
 use crate::negative::{CorruptedPair, Corruption};
+use crate::obs::{Phase, PhaseClock, TrainRecord};
 use crate::snapshot::{condensed_rows_into, ShardSpec};
 use crate::snapshot3::{shard_ranges, Ss3DenseWriter};
 use crate::trainer::{diverged, EpochStats, TrainConfig, Trainer};
@@ -444,6 +445,11 @@ pub struct OocTrainer {
     /// The one buffer every partition and resident commit is framed in
     /// (see the module docs); released when [`OocTrainer::train`] returns.
     commit_buf: Vec<u8>,
+    /// The open epoch and block telemetry records (off unless
+    /// [`OocTrainer::record_telemetry`]).
+    clock: PhaseClock,
+    block_clock: PhaseClock,
+    records: Vec<TrainRecord>,
 }
 
 impl OocTrainer {
@@ -479,6 +485,9 @@ impl OocTrainer {
             v_mat: Vec::new(),
             scratches: Vec::new(),
             commit_buf: Vec::new(),
+            clock: PhaseClock::default(),
+            block_clock: PhaseClock::default(),
+            records: Vec::new(),
         };
 
         // Streamed init: same single RNG and draw order as PkgmModel::new.
@@ -578,7 +587,24 @@ impl OocTrainer {
             v_mat,
             scratches: Vec::new(),
             commit_buf: Vec::new(),
+            clock: PhaseClock::default(),
+            block_clock: PhaseClock::default(),
+            records: Vec::new(),
         })
+    }
+
+    /// Record one [`TrainRecord`] per block and one per epoch that
+    /// [`OocTrainer::train`] runs from now on (read them with
+    /// [`OocTrainer::take_records`]). Without this call no clock is read.
+    pub fn record_telemetry(&mut self) {
+        self.clock = PhaseClock::on();
+        self.block_clock = PhaseClock::on();
+    }
+
+    /// The telemetry records so far, in the order they closed (an epoch's
+    /// blocks, then the epoch), leaving none behind.
+    pub fn take_records(&mut self) -> Vec<TrainRecord> {
+        mem::take(&mut self.records)
     }
 
     /// Partition plan: `(row_start, n_rows)` per partition.
@@ -629,20 +655,24 @@ impl OocTrainer {
         let mut partial_epoch = self.blocks_done > 0;
         while self.epochs_done < total {
             let epoch = self.epochs_done;
+            self.clock.reopen();
             let stats = self.train_epoch(source, epoch as u64, &mut blocks_run)?;
             if !partial_epoch {
                 if let Some(reason) = diverged(stats.mean_loss, best_loss) {
                     halted = Some(format!("epoch {}: {reason}", epoch + 1));
+                    self.records.extend(self.clock.close(epoch, None, &stats));
                     epochs.push(stats);
                     break;
                 }
                 best_loss = best_loss.min(stats.mean_loss.max(1e-3));
             }
             partial_epoch = false;
-            epochs.push(stats);
             self.epochs_done = epoch + 1;
             self.blocks_done = 0;
             self.save_resident()?;
+            self.clock.lap(Phase::Commit);
+            self.records.extend(self.clock.close(epoch, None, &stats));
+            epochs.push(stats);
         }
         self.commit_buf = Vec::new();
         Ok(OocReport {
@@ -689,6 +719,7 @@ impl OocTrainer {
                 .map(|(id, b)| (id / p, id % p, b))
                 .collect()
         };
+        self.clock.lap(Phase::Grads);
 
         let batch_size = self.cfg.train.batch_size.max(1);
         let mut total_loss = 0.0f64;
@@ -704,6 +735,7 @@ impl OocTrainer {
                 continue;
             }
             let next_gen = self.gen + 1;
+            self.block_clock.reopen();
             let (loss, violations, pairs) =
                 self.train_block(source, *pi, *pj, idxs, epoch, batch_idx, next_gen)?;
             batch_idx += n_batches;
@@ -714,21 +746,21 @@ impl OocTrainer {
             self.gen = next_gen;
             self.blocks_done = block_idx + 1;
             self.save_resident()?;
+            self.block_clock.lap(Phase::Commit);
+            let stats = EpochStats::from_totals(loss, violations, pairs);
+            if let Some(rec) = self
+                .block_clock
+                .close(epoch as usize, Some(block_idx), &stats)
+            {
+                self.clock.absorb(&rec);
+                self.records.push(rec);
+            }
         }
-
-        Ok(EpochStats {
-            mean_loss: if total_pairs > 0 {
-                (total_loss / total_pairs as f64) as f32
-            } else {
-                0.0
-            },
-            violation_rate: if total_pairs > 0 {
-                total_violations as f32 / total_pairs as f32
-            } else {
-                0.0
-            },
-            pairs: total_pairs,
-        })
+        Ok(EpochStats::from_totals(
+            total_loss,
+            total_violations,
+            total_pairs,
+        ))
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -768,6 +800,7 @@ impl OocTrainer {
                 Some((&mut m_ent[ni..], &mut v_ent[ni..])),
             )?;
         }
+        self.block_clock.lap(Phase::PageIn);
 
         let mut model = PkgmModel {
             cfg: self.cfg.model.clone(),
@@ -786,6 +819,7 @@ impl OocTrainer {
         bt.v_mat = mem::take(&mut self.v_mat);
         bt.t = self.t;
         bt.scratches = mem::take(&mut self.scratches);
+        bt.clock = mem::take(&mut self.block_clock);
 
         let triples: Vec<Triple> = idxs
             .iter()
@@ -801,6 +835,8 @@ impl OocTrainer {
                 }
             }
         };
+
+        bt.clock.lap(Phase::Grads);
 
         // The resident minibatch loop, on block-local ids: same per-batch
         // seeds, chunk layout, kernels and Adam step.
@@ -818,6 +854,7 @@ impl OocTrainer {
 
         self.t = bt.t;
         self.scratches = mem::take(&mut bt.scratches);
+        self.block_clock = mem::take(&mut bt.clock);
         self.m_rel = mem::take(&mut bt.m_rel);
         self.v_rel = mem::take(&mut bt.v_rel);
         self.m_mat = mem::take(&mut bt.m_mat);
@@ -846,6 +883,7 @@ impl OocTrainer {
                 &bt.v_ent[ni..],
             )?;
         }
+        self.block_clock.lap(Phase::Commit);
         Ok((loss, violations, pairs))
     }
 
@@ -1318,6 +1356,58 @@ mod tests {
         assert_eq!(bits(&straight.mats), bits(&resumed.mats));
         let _ = std::fs::remove_dir_all(&dir_a);
         let _ = std::fs::remove_dir_all(&dir_b);
+    }
+
+    #[test]
+    fn telemetry_records_every_block_and_moves_no_byte() {
+        let s = store(60, 3);
+        let budget = 3 * 8 * 4 * 40; // 2 partitions x 20 rows per block
+        let run = |tag: &str, telemetry: bool| {
+            let dir = tmp_dir(tag);
+            let mut tr = OocTrainer::new(
+                &s,
+                OocConfig {
+                    model: PkgmConfig::new(8).with_seed(11),
+                    train: TrainConfig {
+                        epochs: 2,
+                        ..train_cfg()
+                    },
+                    mem_budget: budget,
+                    dir: dir.clone(),
+                },
+            )
+            .unwrap();
+            if telemetry {
+                tr.record_telemetry();
+            }
+            let report = tr.train(&s).unwrap();
+            let model = tr.assemble_model().unwrap();
+            let _ = std::fs::remove_dir_all(&dir);
+            (report, tr.take_records(), model)
+        };
+        let (report, records, on) = run("telemetry-on", true);
+        let (_, silent, off) = run("telemetry-off", false);
+        assert!(silent.is_empty());
+        assert_eq!(bits(&on.ent), bits(&off.ent));
+        assert_eq!(bits(&on.mats), bits(&off.mats));
+
+        let (blocks, epochs): (Vec<_>, Vec<_>) = records.iter().partition(|r| r.block.is_some());
+        assert!(report.n_partitions >= 2);
+        assert_eq!(blocks.len(), report.blocks, "one record per block");
+        assert_eq!(epochs.len(), 2, "one record per epoch");
+        for b in &blocks {
+            assert!(b.commit_s > 0.0 && b.page_in_s > 0.0, "{b:?}");
+            assert!(b.grads_s > 0.0 && b.adam_s > 0.0, "{b:?}");
+            assert!(b.phases_s().iter().sum::<f64>() <= b.wall_s, "{b:?}");
+        }
+        for (e, stats) in epochs.iter().zip(&report.epochs) {
+            let mine = blocks.iter().filter(|b| b.epoch == e.epoch);
+            let pairs: usize = mine.clone().map(|b| b.pairs).sum();
+            assert_eq!((pairs, e.pairs), (stats.pairs, stats.pairs));
+            let commit: f64 = mine.map(|b| b.commit_s).sum();
+            assert!(e.commit_s > commit, "the epoch's own resident commit adds");
+            assert!(e.phases_s().iter().sum::<f64>() <= e.wall_s, "{e:?}");
+        }
     }
 
     #[test]

@@ -42,6 +42,7 @@ use crate::artifact::{self, ArtifactError, ArtifactIo, ArtifactKind};
 use crate::kernels::{accumulate_chunk, SlotBlock, TrainScratch, MIN_CHUNK_SIZE};
 use crate::model::{normalize_row, PkgmModel};
 use crate::negative::{CorruptedPair, NegativeSampler};
+use crate::obs::{Phase, PhaseClock, TrainRecord};
 use crate::serialize::{model_from_bytes, model_to_bytes, SerializeError};
 use bytes::{Buf, BufMut, BytesMut};
 use pkgm_store::TripleStore;
@@ -120,6 +121,25 @@ pub struct EpochStats {
     pub violation_rate: f32,
     /// Pairs processed.
     pub pairs: usize,
+}
+
+impl EpochStats {
+    /// Stats of `pairs` pairs with summed hinge loss `loss`, `violations`
+    /// of them violating the margin.
+    pub(crate) fn from_totals(loss: f64, violations: usize, pairs: usize) -> Self {
+        if pairs == 0 {
+            return EpochStats {
+                mean_loss: 0.0,
+                violation_rate: 0.0,
+                pairs,
+            };
+        }
+        EpochStats {
+            mean_loss: (loss / pairs as f64) as f32,
+            violation_rate: violations as f32 / pairs as f32,
+            pairs,
+        }
+    }
 }
 
 /// Full training report.
@@ -209,6 +229,9 @@ pub struct Trainer {
     /// One scratch per chunk of a batch, reused across batches: each holds
     /// its chunk's gradient rows until the Adam step has read them.
     pub(crate) scratches: Vec<TrainScratch>,
+    /// The open telemetry record (off unless [`Trainer::record_telemetry`]).
+    pub(crate) clock: PhaseClock,
+    records: Vec<TrainRecord>,
 }
 
 const BETA1: f32 = 0.9;
@@ -250,7 +273,21 @@ impl Trainer {
             t: 0,
             epochs_done: 0,
             scratches: Vec::new(),
+            clock: PhaseClock::default(),
+            records: Vec::new(),
         }
+    }
+
+    /// Record one [`TrainRecord`] per epoch that [`Trainer::train`] or
+    /// [`Trainer::train_with_checkpoints`] runs from now on (read them
+    /// with [`Trainer::take_records`]). Without this call no clock is read.
+    pub fn record_telemetry(&mut self) {
+        self.clock = PhaseClock::on();
+    }
+
+    /// The telemetry records so far, oldest first, leaving none behind.
+    pub fn take_records(&mut self) -> Vec<TrainRecord> {
+        std::mem::take(&mut self.records)
     }
 
     /// Adam steps taken so far.
@@ -300,23 +337,27 @@ impl Trainer {
         let mut best_loss = f32::INFINITY;
         while self.epochs_done < total {
             let epoch = self.epochs_done;
+            self.clock.reopen();
             let stats = self.train_epoch(model, store, epoch as u64);
             // NaN / divergence guard: stop before persisting (or keeping)
             // garbage parameters. The last good checkpoint stays on disk.
             if let Some(reason) = diverged(stats.mean_loss, best_loss) {
                 halted = Some(format!("epoch {}: {reason}", epoch + 1));
+                self.records.extend(self.clock.close(epoch, None, &stats));
                 epochs.push(stats);
                 break;
             }
             best_loss = best_loss.min(stats.mean_loss.max(1e-3));
-            epochs.push(stats);
             self.epochs_done = epoch + 1;
             if let Some((cfg, io)) = ckpt {
                 let every = cfg.every.max(1);
                 if self.epochs_done.is_multiple_of(every) || self.epochs_done == total {
                     self.write_checkpoint(io, cfg, model)?;
+                    self.clock.lap(Phase::Commit);
                 }
             }
+            self.records.extend(self.clock.close(epoch, None, &stats));
+            epochs.push(stats);
         }
         Ok(TrainReport {
             epochs,
@@ -336,6 +377,7 @@ impl Trainer {
         let mut order: Vec<u32> = (0..store.len() as u32).collect();
         let mut rng = SmallRng::seed_from_u64(self.cfg.seed ^ (epoch << 32) ^ 0x5EED);
         order.shuffle(&mut rng);
+        self.clock.lap(Phase::Grads);
 
         let mut total_loss = 0.0f64;
         let mut total_violations = 0usize;
@@ -354,20 +396,7 @@ impl Trainer {
             total_violations += violations;
             total_pairs += pairs;
         }
-
-        EpochStats {
-            mean_loss: if total_pairs > 0 {
-                (total_loss / total_pairs as f64) as f32
-            } else {
-                0.0
-            },
-            violation_rate: if total_pairs > 0 {
-                total_violations as f32 / total_pairs as f32
-            } else {
-                0.0
-            },
-            pairs: total_pairs,
-        }
+        EpochStats::from_totals(total_loss, total_violations, total_pairs)
     }
 
     /// One minibatch: each chunk of `batch` accumulates into its own
@@ -421,6 +450,7 @@ impl Trainer {
         } else {
             scratches.chunks_mut(1).enumerate().for_each(chunk_grads);
         }
+        self.clock.lap(Phase::Grads);
 
         let (mut loss, mut violations, mut pairs) = (0.0f64, 0usize, 0usize);
         for sc in &self.scratches[..n_chunks] {
@@ -434,6 +464,7 @@ impl Trainer {
             1
         };
         self.adam_step(model, n_chunks, parts);
+        self.clock.lap(Phase::Adam);
         (loss, violations, pairs)
     }
 
@@ -569,7 +600,6 @@ impl Trainer {
         Ok((
             model,
             Trainer {
-                cfg,
                 m_ent,
                 v_ent,
                 m_rel,
@@ -578,7 +608,7 @@ impl Trainer {
                 v_mat,
                 t,
                 epochs_done,
-                scratches: Vec::new(),
+                ..Trainer::without_state(cfg)
             },
         ))
     }
