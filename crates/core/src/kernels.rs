@@ -31,6 +31,11 @@
 //!   single-accumulator `pkgm_dot` reduction is a serial f32 add chain the
 //!   compiler must not reassociate, so it runs at add *latency*, not
 //!   multiply throughput; independent lanes break the chain and vectorize.
+//! * **One body per level** — the pass is written once and compiled per
+//!   [`SimdLevel`](crate::simd::SimdLevel) by [`crate::simd::at_level`]:
+//!   at AVX2 and AVX-512 its row updates run at that width and each
+//!   projection row inlines the AVX2 `kernel_dot` body instead of making
+//!   one dispatched call.
 //! * **Exact cancellation** — a tail corruption shares `(h, r)` with its
 //!   positive, so every relation-module gradient term of the pair cancels
 //!   identically (`+x` and `−x` with bit-equal `x`). The kernels combine
@@ -67,6 +72,7 @@
 
 use crate::model::PkgmModel;
 use crate::negative::{CorruptedPair, Corruption};
+use crate::simd::{self, LevelBody, RowDot, SimdDispatch};
 
 /// Sparse gradients for one chunk of training pairs, index-sorted: the
 /// exported form of a [`TrainScratch`].
@@ -339,22 +345,12 @@ pub fn relation_blocked_order_into(pairs: &[CorruptedPair], order: &mut Vec<u32>
 /// the inputs — the *same* function on every [`crate::simd`] dispatch
 /// level (just a *different* deterministic function than `pkgm_dot`).
 ///
-/// Used by [`fused_chunk_grads`] and [`reference_chunk_grads`] — both twins
-/// share this ordering, which is what keeps them bit-equal.
+/// [`reference_chunk_grads`] calls it dispatched per row; [`fused_chunk_grads`]
+/// runs the same function through its level's [`RowDot`] — both twins share
+/// this ordering, which is what keeps them bit-equal.
 pub(crate) use crate::simd::kernel_dot;
 
-/// Row-major `d×d` matrix–vector product via [`kernel_dot`], the kernels'
-/// counterpart of [`PkgmModel::service_r_into`]'s projection (which keeps
-/// `pkgm_dot` order for the serving path).
-#[inline]
-fn project_rows(m: &[f32], hv: &[f32], out: &mut [f32]) {
-    let d = hv.len();
-    for i in 0..d {
-        out[i] = kernel_dot(&m[i * d..(i + 1) * d], hv);
-    }
-}
-
-#[inline]
+#[inline(always)]
 fn sgn(x: f32) -> f32 {
     if x > 0.0 {
         1.0
@@ -366,12 +362,13 @@ fn sgn(x: f32) -> f32 {
 }
 
 // The backward pass's `d`-wide row updates. Zipped slices carry no bounds
-// checks, so these loops vectorize at baseline x86-64; each element is
-// still one correctly rounded multiply and add, exactly the op order of
-// the indexed loops in [`reference_chunk_grads`].
+// checks, so these loops vectorize at the width of the level wrapper they
+// are inlined into (see [`simd::at_level`]); each element is still one
+// correctly rounded multiply and add, exactly the op order of the indexed
+// loops in [`reference_chunk_grads`].
 
 /// `y += a·x` over equal-length rows.
-#[inline]
+#[inline(always)]
 fn add_scaled(y: &mut [f32], a: f32, x: &[f32]) {
     debug_assert_eq!(y.len(), x.len());
     for (y, &x) in y.iter_mut().zip(x) {
@@ -380,7 +377,7 @@ fn add_scaled(y: &mut [f32], a: f32, x: &[f32]) {
 }
 
 /// `y −= a·x` over equal-length rows.
-#[inline]
+#[inline(always)]
 fn sub_scaled(y: &mut [f32], a: f32, x: &[f32]) {
     debug_assert_eq!(y.len(), x.len());
     for (y, &x) in y.iter_mut().zip(x) {
@@ -389,7 +386,7 @@ fn sub_scaled(y: &mut [f32], a: f32, x: &[f32]) {
 }
 
 /// `y += a·x − b·z` over equal-length rows.
-#[inline]
+#[inline(always)]
 fn add_scaled_diff(y: &mut [f32], a: f32, x: &[f32], b: f32, z: &[f32]) {
     debug_assert!(y.len() == x.len() && y.len() == z.len());
     for ((y, &x), &z) in y.iter_mut().zip(x).zip(z) {
@@ -399,7 +396,7 @@ fn add_scaled_diff(y: &mut [f32], a: f32, x: &[f32], b: f32, z: &[f32]) {
 
 /// `‖a + b − c‖₁` in index order — the triple-module score, bit-identical
 /// to [`PkgmModel::score_triple`].
-#[inline]
+#[inline(always)]
 fn l1_translation(a: &[f32], b: &[f32], c: &[f32]) -> f32 {
     let mut s = 0.0;
     for i in 0..a.len() {
@@ -417,8 +414,8 @@ pub(crate) use crate::simd::l1_dist;
 
 /// Corrupted-side relation-module score with a sound early exit.
 ///
-/// Computes `f_t + Σ_i |(M·hv)[i] − rv[i]|` row by row in the exact order of
-/// [`project_rows`] + [`l1_dist`], but returns `None` as soon
+/// Computes `f_t + Σ_i |(M·hv)[i] − rv[i]|` row by row (row `i` a
+/// [`kernel_dot`], summed by [`l1_dist`]'s serial order), but returns `None` as soon
 /// as the running score `f_t + partial` reaches `threshold` (`f_pos +
 /// margin`). The exit is exact, not approximate: every L1 term is
 /// nonnegative and IEEE-754 round-to-nearest addition is monotone, so the
@@ -427,8 +424,8 @@ pub(crate) use crate::simd::l1_dist;
 /// downstream needs the rest of its projection. On `Some(f_neg)`, `out`
 /// holds the complete projection and `f_neg` is bit-identical to the
 /// unconditional computation.
-#[inline]
-fn residual_score_early_exit(
+#[inline(always)]
+fn residual_score_early_exit<D: RowDot>(
     m: &[f32],
     hv: &[f32],
     rv: &[f32],
@@ -442,7 +439,7 @@ fn residual_score_early_exit(
     let d = rv.len();
     let mut res = 0.0f32;
     for i in 0..d {
-        let p = kernel_dot(&m[i * d..(i + 1) * d], hv);
+        let p = D::dot(&m[i * d..(i + 1) * d], hv);
         out[i] = p;
         res += (p - rv[i]).abs();
         if f_t + res >= threshold {
@@ -467,7 +464,20 @@ pub fn fused_chunk_grads(
     pairs: &[CorruptedPair],
     margin: f32,
 ) -> ChunkGrads {
-    accumulate_chunk(model, scratch, pairs, margin);
+    fused_chunk_grads_at(simd::active(), model, scratch, pairs, margin)
+}
+
+/// [`fused_chunk_grads`] compiled for `table`'s level (see
+/// [`simd::at_level`]) instead of the active one: every level returns the
+/// same bits, which the parity suites check level by level.
+pub fn fused_chunk_grads_at(
+    table: &SimdDispatch,
+    model: &PkgmModel,
+    scratch: &mut TrainScratch,
+    pairs: &[CorruptedPair],
+    margin: f32,
+) -> ChunkGrads {
+    accumulate_chunk(table, model, scratch, pairs, margin);
     let d = model.dim();
     ChunkGrads {
         ent: scratch.ent.export(d),
@@ -479,10 +489,54 @@ pub fn fused_chunk_grads(
     }
 }
 
-/// [`fused_chunk_grads`] without the export: the chunk's gradient rows,
+/// [`fused_chunk_grads_at`] without the export: the chunk's gradient rows,
 /// loss and counts stay in `scratch` (ids sorted, see
 /// [`TrainScratch::grads`]) until its next chunk.
 pub(crate) fn accumulate_chunk(
+    table: &SimdDispatch,
+    model: &PkgmModel,
+    scratch: &mut TrainScratch,
+    pairs: &[CorruptedPair],
+    margin: f32,
+) {
+    simd::at_level(
+        table,
+        ChunkPass {
+            model,
+            scratch,
+            pairs,
+            margin,
+        },
+    )
+}
+
+/// One chunk's gradient pass, as the [`LevelBody`] [`accumulate_chunk`]
+/// compiles per level.
+struct ChunkPass<'a> {
+    model: &'a PkgmModel,
+    scratch: &'a mut TrainScratch,
+    pairs: &'a [CorruptedPair],
+    margin: f32,
+}
+
+impl LevelBody for ChunkPass<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<D: RowDot>(self) {
+        let ChunkPass {
+            model,
+            scratch,
+            pairs,
+            margin,
+        } = self;
+        accumulate::<D>(model, scratch, pairs, margin);
+    }
+}
+
+/// The body of [`accumulate_chunk`], projection rows by `D`.
+#[inline(always)]
+fn accumulate<D: RowDot>(
     model: &PkgmModel,
     scratch: &mut TrainScratch,
     pairs: &[CorruptedPair],
@@ -525,7 +579,10 @@ pub(crate) fn accumulate_chunk(
         let t = model.ent(pos.tail);
 
         if rel_on && cached != Some((pos.head.0, pos.relation.0)) {
-            project_rows(model.mat(pos.relation), h, mh);
+            let m = model.mat(pos.relation);
+            for i in 0..d {
+                mh[i] = D::dot(&m[i * d..(i + 1) * d], h);
+            }
             f_r_pos = l1_dist(mh, rv);
             cached = Some((pos.head.0, pos.relation.0));
         }
@@ -547,7 +604,7 @@ pub(crate) fn accumulate_chunk(
                 let f_t = l1_translation(h2, rv, t);
                 if rel_on {
                     let m = model.mat(pos.relation);
-                    match residual_score_early_exit(m, h2, rv, f_t, threshold, mh_neg) {
+                    match residual_score_early_exit::<D>(m, h2, rv, f_t, threshold, mh_neg) {
                         Some(f_neg) => f_neg,
                         None => continue,
                     }
@@ -560,7 +617,7 @@ pub(crate) fn accumulate_chunk(
                 let f_t = l1_translation(h, rv2, t);
                 if rel_on {
                     let m2 = model.mat(neg.relation);
-                    match residual_score_early_exit(m2, h, rv2, f_t, threshold, mh_neg) {
+                    match residual_score_early_exit::<D>(m2, h, rv2, f_t, threshold, mh_neg) {
                         Some(f_neg) => f_neg,
                         None => continue,
                     }

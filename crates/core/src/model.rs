@@ -188,6 +188,7 @@ impl PkgmModel {
     }
 
     /// `S_T` written into a caller-provided buffer.
+    #[inline(always)]
     pub fn service_t_into(&self, h: EntityId, r: RelationId, out: &mut [f32]) {
         let hv = self.ent(h);
         let rv = self.rel(r);
@@ -254,8 +255,10 @@ impl PkgmModel {
 
 /// Scale one embedding row onto the unit L2 ball if it lies outside. The
 /// result depends on this row alone, so the trainer applies it right after
-/// the row's own Adam update.
-#[inline]
+/// the row's own Adam update. The sum of squares is a serial fold, which
+/// the compiler never reassociates; the division is elementwise and
+/// vectorizes at the width of the trainer's level wrapper.
+#[inline(always)]
 pub(crate) fn normalize_row(row: &mut [f32]) {
     let norm: f32 = row.iter().map(|x| x * x).sum::<f32>().sqrt();
     if norm > 1.0 {
@@ -280,7 +283,10 @@ pub(crate) fn pkgm_dot(a: &[f32], b: &[f32]) -> f32 {
 /// `S_R(h, r) = M_r·h − r` in column order from `mt = Mᵀ_r`: `out = −0.0;
 /// out += Mᵀ_r[j]·h[j] for j in order; out −= r`. Each lane runs exactly
 /// [`pkgm_dot`]'s serial chain, so the result is bit-identical to
-/// [`PkgmModel::service_r_into`], and the loop vectorizes at baseline x86-64.
+/// [`PkgmModel::service_r_into`]. The lanes are independent, so the loop
+/// vectorizes at the width of the level wrapper the table build inlines it
+/// into (`snapshot::condensed_rows_into`, [`crate::simd::at_level`]).
+#[inline(always)]
 pub(crate) fn service_r_cols_into(mt: &[f32], hv: &[f32], rv: &[f32], out: &mut [f32]) {
     let d = out.len();
     out.fill(DOT_START);
@@ -297,6 +303,7 @@ pub(crate) fn service_r_cols_into(mt: &[f32], hv: &[f32], rv: &[f32], out: &mut 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simd::{self, LevelBody, RowDot, SimdDispatch};
 
     fn model() -> PkgmModel {
         PkgmModel::new(10, 3, PkgmConfig::new(8).with_seed(1))
@@ -394,6 +401,24 @@ mod tests {
         );
     }
 
+    /// [`service_r_cols_into`] as a [`LevelBody`], to run it compiled at
+    /// each level.
+    struct Cols<'a> {
+        mt: &'a [f32],
+        hv: &'a [f32],
+        rv: &'a [f32],
+        out: &'a mut [f32],
+    }
+
+    impl LevelBody for Cols<'_> {
+        type Output = ();
+
+        #[inline(always)]
+        fn run<D: RowDot>(self) {
+            service_r_cols_into(self.mt, self.hv, self.rv, self.out);
+        }
+    }
+
     #[test]
     fn column_order_service_r_matches_row_order_bitwise() {
         let tiny = f32::MIN_POSITIVE;
@@ -435,9 +460,13 @@ mod tests {
                     let (h, r) = (EntityId(h), RelationId(r));
                     m.service_r_into(h, r, &mut want);
                     let mt = &mats_t[r.index() * dd..(r.index() + 1) * dd];
-                    service_r_cols_into(mt, m.ent(h), m.rel(r), &mut got);
-                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(bits(&got), bits(&want), "d={d} h={h:?} r={r:?}");
+                    for table in SimdDispatch::all_supported() {
+                        let (hv, rv, out) = (m.ent(h), m.rel(r), &mut got[..]);
+                        simd::at_level(table, Cols { mt, hv, rv, out });
+                        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        let level = table.level;
+                        assert_eq!(bits(&got), bits(&want), "d={d} h={h:?} r={r:?} {level:?}");
+                    }
                 }
             }
         }

@@ -943,7 +943,8 @@ impl OocTrainer {
             block.n_entities = len as usize;
             rows.clear();
             rows.resize(len as usize * 2 * d, 0.0);
-            condensed_rows_into(&block, &mats_t, selector, start as u32, &mut rows);
+            let table = crate::simd::active();
+            condensed_rows_into(table, &block, &mats_t, selector, start as u32, &mut rows);
             let path = shard_file_path(base, k as u32, n_shards);
             let spec = ShardSpec {
                 n_shards,

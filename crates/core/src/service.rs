@@ -259,7 +259,9 @@ impl KnowledgeService {
 
 /// The condensed row `(1/k) Σ_{r ∈ rels} [S_T(h, r) ; S_R(h, r)]` of model
 /// row `h` into `out`, with `S_R` from `mats_t`, the
-/// [`PkgmModel::transposed_mats`] of `model`.
+/// [`PkgmModel::transposed_mats`] of `model`. Elementwise throughout, so
+/// the table build's level wrapper runs it at full width.
+#[inline(always)]
 pub(crate) fn condense_into(
     model: &PkgmModel,
     mats_t: &[f32],
@@ -276,9 +278,12 @@ pub(crate) fn condense_into(
         model.service_t_into(h, r, &mut scratch.t);
         let mt = &mats_t[r.index() * d * d..(r.index() + 1) * d * d];
         service_r_cols_into(mt, model.ent(h), model.rel(r), &mut scratch.r);
-        for i in 0..d {
-            out[i] += scratch.t[i] / k;
-            out[d + i] += scratch.r[i] / k;
+        let (ot, or) = out.split_at_mut(d);
+        for (o, &t) in ot.iter_mut().zip(&scratch.t[..d]) {
+            *o += t / k;
+        }
+        for (o, &r) in or.iter_mut().zip(&scratch.r[..d]) {
+            *o += r / k;
         }
     }
 }

@@ -646,6 +646,61 @@ impl Projection<'_> {
 }
 
 // ---------------------------------------------------------------------------
+// Loop bodies compiled once per level
+// ---------------------------------------------------------------------------
+
+/// The [`kernel_dot`] a [`LevelBody`] runs per matrix row, fixed at
+/// compile time: [`scalar::kernel_dot`] at [`SimdLevel::Scalar`], the AVX2
+/// body, inlined, at both wide levels. Same function, same lane order.
+pub(crate) trait RowDot {
+    /// [`kernel_dot`] of `a` and `b`.
+    fn dot(a: &[f32], b: &[f32]) -> f32;
+}
+
+impl RowDot for scalar::Dot {
+    #[inline(always)]
+    fn dot(a: &[f32], b: &[f32]) -> f32 {
+        scalar::kernel_dot(a, b)
+    }
+}
+
+/// A hot loop that has no dispatch-table entry, written once: [`at_level`]
+/// runs [`LevelBody::run`] inside one `#[target_feature]` wrapper per
+/// [`SimdLevel`], so the compiler vectorizes the same source at each
+/// level's width. `run` and everything it calls on the hot path must be
+/// `#[inline(always)]`: a function that is not inlined into the wrapper
+/// runs at baseline width.
+pub(crate) trait LevelBody {
+    /// What the loop returns.
+    type Output;
+    /// The loop, with `D` its per-row dot.
+    fn run<D: RowDot>(self) -> Self::Output;
+}
+
+/// Run `body` compiled for `table`'s level, never above what the host has
+/// ([`SimdDispatch::detected`]): the baseline build at scalar (also the
+/// `PKGM_FORCE_SCALAR` path), with `avx2` enabled at AVX2, and with
+/// `avx2,avx512f,avx512bw` at AVX-512 — only the features `detected`
+/// checks. Every level computes the same bits: a body's loops are
+/// elementwise (one multiply, then one add, per element), its serial folds
+/// stay serial because the compiler never reassociates them, rustc never
+/// contracts a multiply and an add into an FMA, packed `sqrt` and `div`
+/// round like their scalar forms, and [`RowDot`] keeps `kernel_dot`'s lane
+/// order (DESIGN.md §12).
+pub(crate) fn at_level<B: LevelBody>(table: &SimdDispatch, body: B) -> B::Output {
+    #[cfg(target_arch = "x86_64")]
+    match table.level.min(SimdDispatch::detected().level) {
+        // SAFETY: `detected` found every feature the wrapper enables.
+        SimdLevel::Avx512 => return unsafe { x86::at_avx512(body) },
+        SimdLevel::Avx2 => return unsafe { x86::at_avx2(body) },
+        SimdLevel::Scalar => {}
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = table;
+    body.run::<scalar::Dot>()
+}
+
+// ---------------------------------------------------------------------------
 // Scalar twins (the portable contract arithmetic)
 // ---------------------------------------------------------------------------
 
@@ -656,6 +711,9 @@ impl Projection<'_> {
 /// name them explicitly.
 pub mod scalar {
     use super::{LaneScan, Projection, PruneLanes, PruneRun, RunScan, EXIT_STRIDE, QUERY_LANES};
+
+    /// [`super::RowDot`] by [`kernel_dot`]: the scalar level's row dot.
+    pub(crate) struct Dot;
 
     /// The fixed tree-shaped lane combine shared by every eight-lane
     /// primitive (and reproduced by the SIMD horizontal reductions).
@@ -993,6 +1051,39 @@ mod x86 {
         ..AVX2
     };
 
+    /// [`super::RowDot`] by the AVX2 `kernel_dot` body. Private to this
+    /// module: only [`at_avx2`] and [`at_avx512`] instantiate a body with
+    /// it, and both run with AVX2 enabled.
+    struct Avx2Dot;
+
+    impl super::RowDot for Avx2Dot {
+        #[inline(always)]
+        fn dot(a: &[f32], b: &[f32]) -> f32 {
+            // SAFETY: inlined only into `at_avx2` / `at_avx512`, which
+            // enable AVX2.
+            unsafe { kernel_dot_body(a, b) }
+        }
+    }
+
+    /// `body` compiled with AVX2.
+    ///
+    /// # Safety
+    /// AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn at_avx2<B: super::LevelBody>(body: B) -> B::Output {
+        body.run::<Avx2Dot>()
+    }
+
+    /// `body` compiled with AVX-512 (the row dot stays the AVX2 body: a
+    /// 512-bit register would change its lane order).
+    ///
+    /// # Safety
+    /// AVX2, AVX-512F and AVX-512BW.
+    #[target_feature(enable = "avx2,avx512f,avx512bw")]
+    pub(super) unsafe fn at_avx512<B: super::LevelBody>(body: B) -> B::Output {
+        body.run::<Avx2Dot>()
+    }
+
     /// Clear the sign bit of every lane — bit-identical to `f32::abs`
     /// per lane (NaN payloads included).
     #[inline]
@@ -1036,6 +1127,17 @@ mod x86 {
 
     #[target_feature(enable = "avx2")]
     unsafe fn kernel_dot_avx2(a: &[f32], b: &[f32]) -> f32 {
+        kernel_dot_body(a, b)
+    }
+
+    /// [`kernel_dot_avx2`]'s body, always inlined: the wide
+    /// [`super::at_level`] wrappers run it in place of one dispatched call
+    /// per projection row.
+    ///
+    /// # Safety
+    /// AVX2, which the inlining caller must enable.
+    #[inline(always)]
+    unsafe fn kernel_dot_body(a: &[f32], b: &[f32]) -> f32 {
         let n = a.len().min(b.len());
         let chunks = n / 8;
         let (pa, pb) = (a.as_ptr(), b.as_ptr());

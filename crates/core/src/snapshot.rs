@@ -35,6 +35,7 @@ use crate::model::PkgmModel;
 use crate::quant;
 use crate::serialize::SerializeError;
 use crate::service::{condense_into, KnowledgeService, ServiceScratch};
+use crate::simd::{self, LevelBody, RowDot, SimdDispatch};
 use crate::snapshot3::{
     view, Header, Plain, Ss3DenseWriter, Ss3QuantWriter, SEC_DENSE_F32, SEC_EXACT_IDS_U32,
     SEC_EXACT_ROWS_F32, SEC_FALLBACK_F32, SEC_QDATA_I8, SEC_ROWERR_F32, SEC_SCALES_F32,
@@ -143,10 +144,12 @@ impl PartialEq for ServiceSnapshot {
 }
 
 /// The condensed rows of model entities `0..rows.len() / 2d` into `rows`, in
-/// [`BUILD_CHUNK`]-row tasks across the rayon pool; model row `local` serves
-/// global entity `first + local`. `mats_t` is [`PkgmModel::transposed_mats`]
-/// of `model`. Rows are independent, so the split never shows in a bit.
+/// [`BUILD_CHUNK`]-row tasks across the rayon pool, each compiled for
+/// `table`'s level ([`simd::at_level`]); model row `local` serves global
+/// entity `first + local`. `mats_t` is [`PkgmModel::transposed_mats`] of
+/// `model`. Rows are independent, so the split never shows in a bit.
 pub(crate) fn condensed_rows_into(
+    table: &SimdDispatch,
     model: &PkgmModel,
     mats_t: &[f32],
     selector: &KeyRelationSelector,
@@ -157,13 +160,51 @@ pub(crate) fn condensed_rows_into(
     rows.par_chunks_mut(2 * d * BUILD_CHUNK)
         .enumerate()
         .for_each(|(ci, block)| {
-            let mut scratch = ServiceScratch::new(d);
-            for (j, row) in block.chunks_exact_mut(2 * d).enumerate() {
-                let local = u32::try_from(ci * BUILD_CHUNK + j).expect("entity count fits u32");
-                let (h, rels) = (EntityId(local), selector.for_item(EntityId(first + local)));
-                condense_into(model, mats_t, h, rels, selector.k(), &mut scratch, row);
-            }
+            let local = u32::try_from(ci * BUILD_CHUNK).expect("entity count fits u32");
+            let task = BuildTask {
+                model,
+                mats_t,
+                selector,
+                local,
+                first,
+                block,
+            };
+            simd::at_level(table, task);
         });
+}
+
+/// One [`BUILD_CHUNK`] of [`condensed_rows_into`]: the rows of model
+/// entities `local..` into `block`.
+struct BuildTask<'a> {
+    model: &'a PkgmModel,
+    mats_t: &'a [f32],
+    selector: &'a KeyRelationSelector,
+    local: u32,
+    first: u32,
+    block: &'a mut [f32],
+}
+
+impl LevelBody for BuildTask<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<D: RowDot>(self) {
+        let d = self.model.dim();
+        let mut scratch = ServiceScratch::new(d);
+        for (local, row) in (self.local..).zip(self.block.chunks_exact_mut(2 * d)) {
+            let rels = self.selector.for_item(EntityId(self.first + local));
+            let (model, k) = (self.model, self.selector.k());
+            condense_into(
+                model,
+                self.mats_t,
+                EntityId(local),
+                rels,
+                k,
+                &mut scratch,
+                row,
+            );
+        }
+    }
 }
 
 impl ServiceSnapshot {
@@ -175,7 +216,8 @@ impl ServiceSnapshot {
         let n = model.n_entities() as u64;
         let mut w = Ss3DenseWriter::resident(service.dim(), service.k(), n, ShardSpec::default())
             .expect("entity ids are u32");
-        w.fill_rows(|rows| condensed_rows_into(model, service.mats_t(), selector, 0, rows));
+        let mats_t = service.mats_t();
+        w.fill_rows(|rows| condensed_rows_into(simd::active(), model, mats_t, selector, 0, rows));
         w.into_snapshot()
     }
 
@@ -500,6 +542,10 @@ mod tests {
     use pkgm_store::{KeyRelationSelector, StoreBuilder};
 
     fn service_n(n: u32) -> KnowledgeService {
+        service_nd(n, 8)
+    }
+
+    fn service_nd(n: u32, d: usize) -> KnowledgeService {
         let mut b = StoreBuilder::new();
         for i in 0..n {
             b.add_raw(i, 0, n + i % 3);
@@ -511,7 +557,7 @@ mod tests {
         let model = PkgmModel::new(
             store.n_entities() as usize,
             store.n_relations() as usize,
-            PkgmConfig::new(8).with_seed(3),
+            PkgmConfig::new(d).with_seed(3),
         );
         KnowledgeService::new(model, sel)
     }
@@ -534,30 +580,43 @@ mod tests {
         }
     }
 
+    /// Every level's build (and `build` itself) writes the rows of the
+    /// row-order loop, over more than one [`BUILD_CHUNK`] task and at dims
+    /// with and without an eight-lane tail.
     #[test]
     fn built_rows_match_the_row_order_condense_loop() {
-        let svc = service_n(40);
-        let snap = ServiceSnapshot::build(&svc);
-        let d = svc.dim();
-        let (mut t, mut r) = (vec![0.0f32; d], vec![0.0f32; d]);
-        let mut out = vec![0.0f32; 2 * d];
-        for item in 0..snap.n_rows() as u32 {
-            let item = EntityId(item);
-            // `condensed_service_into` as it was before `S_R` went column
-            // order: `service_r_into` per key relation.
-            let k = svc.k() as f32;
-            out.fill(0.0);
-            for &rel in svc.selector().for_item(item) {
-                svc.model().service_t_into(item, rel, &mut t);
-                svc.model().service_r_into(item, rel, &mut r);
-                for i in 0..d {
-                    out[i] += t[i] / k;
-                    out[d + i] += r[i] / k;
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for d in [8, 13] {
+            let svc = service_nd(300, d);
+            let (model, selector) = (svc.model(), svc.selector());
+            let n = model.n_entities();
+            let (mut t, mut r) = (vec![0.0f32; d], vec![0.0f32; d]);
+            let mut want = vec![0.0f32; n * 2 * d];
+            for (item, out) in want.chunks_exact_mut(2 * d).enumerate() {
+                let item = EntityId(item as u32);
+                // `condensed_service_into` as it was before `S_R` went
+                // column order: `service_r_into` per key relation.
+                let k = svc.k() as f32;
+                for &rel in selector.for_item(item) {
+                    model.service_t_into(item, rel, &mut t);
+                    model.service_r_into(item, rel, &mut r);
+                    for i in 0..d {
+                        out[i] += t[i] / k;
+                        out[d + i] += r[i] / k;
+                    }
                 }
             }
-            let row = snap.condensed(item).expect("row in range");
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&row), bits(&out), "row {item:?}");
+            let snap = ServiceSnapshot::build(&svc);
+            assert_eq!(
+                bits(snap.dense_table().expect("dense")),
+                bits(&want),
+                "d={d}"
+            );
+            for table in SimdDispatch::all_supported() {
+                let mut rows = vec![f32::NAN; n * 2 * d];
+                condensed_rows_into(table, model, svc.mats_t(), selector, 0, &mut rows);
+                assert_eq!(bits(&rows), bits(&want), "d={d} {:?}", table.level);
+            }
         }
     }
 

@@ -44,6 +44,7 @@ use crate::model::{normalize_row, PkgmModel};
 use crate::negative::{CorruptedPair, NegativeSampler};
 use crate::obs::{Phase, PhaseClock, TrainRecord};
 use crate::serialize::{model_from_bytes, model_to_bytes, SerializeError};
+use crate::simd::{self, LevelBody, RowDot, SimdDispatch};
 use bytes::{Buf, BufMut, BytesMut};
 use pkgm_store::TripleStore;
 use rand::rngs::SmallRng;
@@ -232,6 +233,8 @@ pub struct Trainer {
     /// The open telemetry record (off unless [`Trainer::record_telemetry`]).
     pub(crate) clock: PhaseClock,
     records: Vec<TrainRecord>,
+    /// The level the gradient pass and the Adam step are compiled for.
+    simd: &'static SimdDispatch,
 }
 
 const BETA1: f32 = 0.9;
@@ -275,7 +278,16 @@ impl Trainer {
             scratches: Vec::new(),
             clock: PhaseClock::default(),
             records: Vec::new(),
+            simd: simd::active(),
         }
+    }
+
+    /// Run the gradient pass and the Adam step compiled for `table`'s
+    /// level (see [`simd::at_level`]) instead of [`simd::active`]'s. Every
+    /// level trains the same bits; the parity suites train at each one.
+    pub fn with_simd(mut self, table: &'static SimdDispatch) -> Self {
+        self.simd = table;
+        self
     }
 
     /// Record one [`TrainRecord`] per epoch that [`Trainer::train`] or
@@ -431,14 +443,14 @@ impl Trainer {
         // Corruptions are drawn in original chunk order *before* the kernel
         // relation-blocks the pairs, so the RNG stream is exactly what the
         // old per-pair loop consumed for the same chunk layout.
-        let frozen: &PkgmModel = model;
+        let (frozen, table): (&PkgmModel, _) = (model, self.simd);
         let chunk_grads = |(ci, sc): (usize, &mut [TrainScratch])| {
             let sc = &mut sc[0];
             let chunk = &batch[ci * chunk_size..((ci + 1) * chunk_size).min(batch.len())];
             let mut rng = SmallRng::seed_from_u64(seed ^ ci as u64);
             let mut pairs = std::mem::take(&mut sc.pairs);
             sample(chunk, negatives, &mut rng, &mut pairs);
-            accumulate_chunk(frozen, sc, &pairs, margin);
+            accumulate_chunk(table, frozen, sc, &pairs, margin);
             sc.pairs = pairs;
         };
         let scratches = &mut self.scratches[..n_chunks];
@@ -481,7 +493,6 @@ impl Trainer {
         let bc2 = 1.0 - BETA2.powi(self.t as i32);
         let lr_t = self.cfg.lr * bc2.sqrt() / bc1;
         let d = model.cfg.dim;
-        let normalize = self.cfg.normalize_entities;
         let Trainer {
             m_ent,
             v_ent,
@@ -490,26 +501,30 @@ impl Trainer {
             m_mat,
             v_mat,
             scratches,
+            simd: table,
+            cfg,
             ..
         } = self;
         let [ge, gr, gm] = [0, 1, 2].map(|b| {
             let grads = scratches[..n_chunks].iter().map(|c| c.grads()[b]);
             grads.collect::<Vec<&SlotBlock>>()
         });
-        let rows = |grads, width, w, m, v| AdamRows {
+        let rows = |grads, width, w, m, v, normalize| AdamRows {
             grads,
             width,
             first: 0,
             w,
             m,
             v,
+            lr_t,
+            normalize,
         };
         let blocks = [
-            rows(&ge, d, &mut model.ent, m_ent, v_ent),
-            rows(&gr, d, &mut model.rel, m_rel, v_rel),
-            rows(&gm, d * d, &mut model.mats, m_mat, v_mat),
+            rows(&ge, d, &mut model.ent, m_ent, v_ent, cfg.normalize_entities),
+            rows(&gr, d, &mut model.rel, m_rel, v_rel, false),
+            rows(&gm, d * d, &mut model.mats, m_mat, v_mat, false),
         ];
-        adam_parts(blocks, parts.max(1), lr_t, normalize);
+        adam_parts(table, blocks, parts.max(1));
     }
 
     // --- checkpointing ------------------------------------------------------
@@ -743,8 +758,9 @@ pub(crate) fn diverged(mean_loss: f32, best: f32) -> Option<String> {
 }
 
 /// One parameter block's share of an Adam step: the parameter and moment
-/// slices that start at row `first`, and the block's gradient rows from
-/// every chunk of the batch, in chunk order.
+/// slices that start at row `first`, the block's gradient rows from every
+/// chunk of the batch, in chunk order, the step's learning rate, and
+/// whether each updated row is projected onto the unit ball.
 struct AdamRows<'a> {
     grads: &'a [&'a SlotBlock],
     width: usize,
@@ -752,6 +768,8 @@ struct AdamRows<'a> {
     w: &'a mut [f32],
     m: &'a mut [f32],
     v: &'a mut [f32],
+    lr_t: f32,
+    normalize: bool,
 }
 
 impl AdamRows<'_> {
@@ -771,16 +789,24 @@ impl AdamRows<'_> {
             w,
             m,
             v,
+            lr_t: self.lr_t,
+            normalize: self.normalize,
         };
         (
             part(self.first, w0, m0, v0),
             part(self.first + cut, w1, m1, v1),
         )
     }
+}
+
+/// The Adam leaf, compiled per level by [`adam_parts`].
+impl LevelBody for AdamRows<'_> {
+    type Output = ();
 
     /// Walk the sorted union of the chunks' ids in range; sum each id's
     /// rows in chunk order and update its parameter row.
-    fn step(self, lr_t: f32, normalize: bool) {
+    #[inline(always)]
+    fn run<D: RowDot>(self) {
         let end = self.first + self.w.len() / self.width;
         let from = |ids: &[u32]| ids.partition_point(|&id| (id as usize) < self.first);
         let mut rest: Vec<&[u32]> = self
@@ -809,8 +835,14 @@ impl AdamRows<'_> {
             let off = (id as usize - self.first) * self.width;
             let row = off..off + self.width;
             let w = &mut self.w[row.clone()];
-            adam_update(w, &sum, &mut self.m[row.clone()], &mut self.v[row], lr_t);
-            if normalize {
+            adam_update(
+                w,
+                &sum,
+                &mut self.m[row.clone()],
+                &mut self.v[row],
+                self.lr_t,
+            );
+            if self.normalize {
                 normalize_row(w);
             }
         }
@@ -819,29 +851,29 @@ impl AdamRows<'_> {
 
 /// Run the entity, relation and matrix blocks of one Adam step as `parts`
 /// contiguous id ranges, halving recursively through [`rayon::join`]. Each
-/// block is cut at the same share of its rows. Only the entity block is
-/// normalized.
-fn adam_parts(blocks: [AdamRows<'_>; 3], parts: usize, lr_t: f32, normalize: bool) {
+/// block is cut at the same share of its rows, and each leaf runs compiled
+/// for `table`'s level ([`simd::at_level`]).
+fn adam_parts(table: &SimdDispatch, blocks: [AdamRows<'_>; 3], parts: usize) {
     if parts <= 1 {
-        let [ent, rel, mat] = blocks;
-        ent.step(lr_t, normalize);
-        rel.step(lr_t, false);
-        mat.step(lr_t, false);
+        for rows in blocks {
+            simd::at_level(table, rows);
+        }
         return;
     }
     let left = parts / 2;
     let [(e0, e1), (r0, r1), (m0, m1)] = blocks.map(|b| b.split(left, parts));
     rayon::join(
-        || adam_parts([e0, r0, m0], left, lr_t, normalize),
-        || adam_parts([e1, r1, m1], parts - left, lr_t, normalize),
+        || adam_parts(table, [e0, r0, m0], left),
+        || adam_parts(table, [e1, r1, m1], parts - left),
     );
 }
 
 /// One row's Adam update. The equal-length reslices are checked once,
 /// before the loop, and the zipped loop body carries no bounds checks, so
-/// it vectorizes; packed `sqrtps` / `divps` round exactly like their scalar
-/// forms, so every element is bit-identical at any width.
-#[inline]
+/// it vectorizes at the width of the level wrapper it is inlined into;
+/// packed `sqrt` / `div` round exactly like their scalar forms, so every
+/// element is bit-identical at any width.
+#[inline(always)]
 fn adam_update(w: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32], lr_t: f32) {
     let n = w.len();
     for (((w, &g), m), v) in w.iter_mut().zip(&g[..n]).zip(&mut m[..n]).zip(&mut v[..n]) {

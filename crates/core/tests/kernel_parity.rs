@@ -2,11 +2,13 @@
 //!
 //! Three layers of guarantee, strongest first:
 //!
-//! 1. **Bit-exactness vs. the naive path** — [`fused_chunk_grads`] must
-//!    match [`reference_chunk_grads`] (per-pair `model.score` calls, fresh
-//!    matvecs, no caching, no scratch) to *exact* f32 equality on randomized
-//!    graphs, dimensions, margins and negative counts. Any caching or
-//!    blocking bug that perturbs a single rounding step fails here.
+//! 1. **Bit-exactness vs. the naive path** — [`fused_chunk_grads_at`]
+//!    must match [`reference_chunk_grads`] (per-pair `model.score` calls,
+//!    fresh matvecs, no caching, no scratch) to *exact* f32 equality on
+//!    randomized graphs, dimensions, margins and negative counts, compiled
+//!    at every level the host supports
+//!    ([`SimdDispatch::all_supported`]). Any caching or blocking bug that
+//!    perturbs a single rounding step fails here.
 //! 2. **Serial ≡ parallel** — `train_epoch` with `cfg.parallel` on and off
 //!    produces bit-identical models and optimizer state: chunk layout is
 //!    computed the same way in both paths and per-chunk gradients merge in
@@ -16,9 +18,13 @@
 //!    (`pkgm_dot` order, so ulp-approximate), which shares no code with
 //!    the kernels.
 
-use pkgm_core::kernels::{fused_chunk_grads, reference_chunk_grads, ChunkGrads, TrainScratch};
+use pkgm_core::kernels::{
+    fused_chunk_grads, fused_chunk_grads_at, reference_chunk_grads, ChunkGrads, TrainScratch,
+};
 use pkgm_core::serialize::model_to_bytes;
-use pkgm_core::{CorruptedPair, NegativeSampler, PkgmConfig, PkgmModel, TrainConfig, Trainer};
+use pkgm_core::{
+    CorruptedPair, NegativeSampler, PkgmConfig, PkgmModel, SimdDispatch, TrainConfig, Trainer,
+};
 use pkgm_store::{StoreBuilder, TripleStore};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -85,16 +91,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Fused kernels are bit-identical to the naive per-pair score/gradient
-    /// path across random graphs, dims, margins and corruption mixes.
+    /// path across random graphs, dims, margins and corruption mixes, at
+    /// every level.
     #[test]
     fn fused_is_bitwise_equal_to_naive_path(
         seed in 0u64..1_000_000,
-        dim_sel in 0usize..3,
+        dim_sel in 0usize..4,
         negatives in 1usize..4,
         margin_q in 1u32..9,
         rel_prob_q in 0u32..6,
     ) {
-        let dim = [3, 8, 13][dim_sel];
+        let dim = [3, 8, 13, 64][dim_sel];
         let margin = margin_q as f32 * 0.5;
         let relation_prob = rel_prob_q as f64 * 0.2; // 0.0 ..= 1.0
         let store = random_store(seed, 24, 5, 9);
@@ -104,13 +111,15 @@ proptest! {
             PkgmConfig::new(dim).with_seed(seed ^ 0xA5),
         );
         let pairs = random_pairs(&store, seed ^ 0x77, negatives, relation_prob);
-        let mut scratch = TrainScratch::new(&model);
-        let fused = fused_chunk_grads(&model, &mut scratch, &pairs, margin);
         let reference = reference_chunk_grads(&model, &pairs, margin);
-        assert_bitwise_eq(&fused, &reference)?;
-        // A second pass through the same scratch must not leak state.
-        let again = fused_chunk_grads(&model, &mut scratch, &pairs, margin);
-        assert_bitwise_eq(&again, &reference)?;
+        let mut scratch = TrainScratch::new(&model);
+        for table in SimdDispatch::all_supported() {
+            let fused = fused_chunk_grads_at(table, &model, &mut scratch, &pairs, margin);
+            assert_bitwise_eq(&fused, &reference)?;
+            // Another pass through the same scratch must not leak state.
+            let again = fused_chunk_grads_at(table, &model, &mut scratch, &pairs, margin);
+            assert_bitwise_eq(&again, &reference)?;
+        }
     }
 
     /// The TransE ablation (relation module off) takes the same contract.
@@ -126,10 +135,13 @@ proptest! {
             PkgmConfig::transe(8).with_seed(seed),
         );
         let pairs = random_pairs(&store, seed ^ 0x31, negatives, 0.2);
+        let reference = reference_chunk_grads(&model, &pairs, 4.0);
         let mut scratch = TrainScratch::new(&model);
-        let fused = fused_chunk_grads(&model, &mut scratch, &pairs, 4.0);
-        assert_bitwise_eq(&fused, &reference_chunk_grads(&model, &pairs, 4.0))?;
-        prop_assert!(fused.mat.is_empty());
+        for table in SimdDispatch::all_supported() {
+            let fused = fused_chunk_grads_at(table, &model, &mut scratch, &pairs, 4.0);
+            assert_bitwise_eq(&fused, &reference)?;
+            prop_assert!(fused.mat.is_empty());
+        }
     }
 
     /// The fused kernel agrees with the margin loss `Σ [f(pos) + γ − f(neg)]₊`

@@ -2,7 +2,7 @@
 
 use pkgm_core::{
     eval, serialize, CachedService, KnowledgeService, NegativeSampler, PkgmConfig, PkgmModel,
-    ServiceSnapshot, TrainConfig, Trainer,
+    ServiceSnapshot, SimdDispatch, TrainConfig, Trainer,
 };
 use pkgm_store::{EntityId, KeyRelationSelector, RelationId, StoreBuilder, Triple, TripleStore};
 use pkgm_synth::{Catalog, CatalogConfig};
@@ -66,6 +66,56 @@ fn training_is_deterministic_in_serial_mode() {
     assert_eq!(a.ent(EntityId(0)), b.ent(EntityId(0)));
     assert_eq!(a.rel(RelationId(0)), b.rel(RelationId(0)));
     assert_eq!(a.mat(RelationId(1)), b.mat(RelationId(1)));
+}
+
+/// FNV-1a of the serialized model: one identity per trained model.
+fn model_fnv64(model: &PkgmModel) -> u64 {
+    serialize::model_to_bytes(model)
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// The gradient pass and the Adam step compiled at each level the host
+/// supports train one model: one `model_fnv64`, at dims with and without a
+/// tail past the last eight-lane chunk, relation module on and off.
+#[test]
+fn every_simd_level_trains_the_same_model() {
+    let catalog = Catalog::generate(&CatalogConfig::tiny(21));
+    let store = &catalog.store;
+    for cfg in [
+        PkgmConfig::new(13).with_seed(4),
+        PkgmConfig::new(16).with_seed(5),
+        PkgmConfig::transe(16).with_seed(6),
+    ] {
+        let digests: Vec<u64> = SimdDispatch::all_supported()
+            .into_iter()
+            .map(|table| {
+                let mut model = PkgmModel::new(
+                    store.n_entities() as usize,
+                    store.n_relations() as usize,
+                    cfg.clone(),
+                );
+                let train = TrainConfig {
+                    epochs: 2,
+                    batch_size: 96,
+                    lr: 0.02,
+                    chunk_size: Some(32),
+                    ..TrainConfig::default()
+                };
+                Trainer::new(&model, train)
+                    .with_simd(table)
+                    .train(&mut model, store);
+                model_fnv64(&model)
+            })
+            .collect();
+        assert!(
+            digests.windows(2).all(|w| w[0] == w[1]),
+            "levels trained different models at d={}: {digests:x?}",
+            cfg.dim
+        );
+    }
 }
 
 #[test]
