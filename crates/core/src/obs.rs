@@ -1,13 +1,13 @@
 //! Training telemetry: where an epoch's (or an out-of-core block's) wall
 //! time goes, phase by phase.
 //!
-//! A trainer holds a [`PhaseClock`] per open record. Off (the default) the
+//! A trainer holds a `PhaseClock` per open record. Off (the default) the
 //! clock is `None` and no method reads the time, so a run without
 //! telemetry does exactly the work it did before the clock existed. On, it
-//! runs in laps: [`PhaseClock::lap`] charges the time since the previous
-//! lap (or the record's open) to one [`Phase`], so the phases partition
+//! runs in laps: `PhaseClock::lap` charges the time since the previous
+//! lap (or the record's open) to one `Phase`, so the phases partition
 //! the record's wall time up to its last lap and no stretch of the loop
-//! goes unattributed. [`PhaseClock::close`] turns the sums into one
+//! goes unattributed. `PhaseClock::close` turns the sums into one
 //! [`TrainRecord`]: the resident [`crate::Trainer`] closes one per epoch,
 //! the [`crate::OocTrainer`] one per block and one per epoch. `pkgm train
 //! --telemetry FILE` writes them as JSONL ([`to_jsonl`]).
@@ -22,7 +22,7 @@ use std::time::Instant;
 
 /// Where a trainer's wall time goes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Phase {
+pub(crate) enum Phase {
     /// The epoch shuffle (and out-of-core bucketing), corruption sampling
     /// and the fused gradient pass.
     Grads,
@@ -48,13 +48,14 @@ pub struct TrainRecord {
     pub block: Option<usize>,
     /// Wall seconds from the record's open to its close.
     pub wall_s: f64,
-    /// Seconds in [`Phase::Grads`].
+    /// Seconds in the shuffle (and out-of-core bucketing), corruption
+    /// sampling and the fused gradient pass.
     pub grads_s: f64,
-    /// Seconds in [`Phase::Adam`].
+    /// Seconds in the Adam step, entity normalization included.
     pub adam_s: f64,
-    /// Seconds in [`Phase::Commit`].
+    /// Seconds writing checkpoints, or partition and resident commits.
     pub commit_s: f64,
-    /// Seconds in [`Phase::PageIn`].
+    /// Seconds reading partitions (out-of-core only).
     pub page_in_s: f64,
     /// Mean hinge loss per pair.
     pub mean_loss: f32,
@@ -65,7 +66,7 @@ pub struct TrainRecord {
 }
 
 impl TrainRecord {
-    /// The four phase times, in [`Phase`] order.
+    /// The four phase times: gradients, Adam, commit, page-in.
     pub fn phases_s(&self) -> [f64; N_PHASES] {
         [self.grads_s, self.adam_s, self.commit_s, self.page_in_s]
     }
@@ -81,11 +82,11 @@ struct Open {
 /// The clock of one open record: `None` when telemetry is off, and then
 /// no method reads the time.
 #[derive(Debug, Clone, Default)]
-pub struct PhaseClock(Option<Open>);
+pub(crate) struct PhaseClock(Option<Open>);
 
 impl PhaseClock {
     /// A running clock with an open record.
-    pub fn on() -> Self {
+    pub(crate) fn on() -> Self {
         let now = Instant::now();
         PhaseClock(Some(Open {
             opened: now,
@@ -94,20 +95,15 @@ impl PhaseClock {
         }))
     }
 
-    /// Whether telemetry is on.
-    pub fn is_on(&self) -> bool {
-        self.0.is_some()
-    }
-
     /// Open a new record now, dropping the phase sums.
-    pub fn reopen(&mut self) {
-        if self.is_on() {
+    pub(crate) fn reopen(&mut self) {
+        if self.0.is_some() {
             *self = Self::on();
         }
     }
 
     /// Charge the time since the previous lap (or the open) to `phase`.
-    pub fn lap(&mut self, phase: Phase) {
+    pub(crate) fn lap(&mut self, phase: Phase) {
         if let Some(open) = &mut self.0 {
             let now = Instant::now();
             open.spent[phase as usize] += (now - open.last_lap).as_secs_f64();
@@ -118,7 +114,7 @@ impl PhaseClock {
     /// Add a closed record's phase times to this one (a block's to its
     /// epoch's) and start the next lap now: the closed record already
     /// accounts for the time since this clock's previous lap.
-    pub fn absorb(&mut self, rec: &TrainRecord) {
+    pub(crate) fn absorb(&mut self, rec: &TrainRecord) {
         if let Some(open) = &mut self.0 {
             for (s, x) in open.spent.iter_mut().zip(rec.phases_s()) {
                 *s += x;
@@ -129,7 +125,7 @@ impl PhaseClock {
 
     /// Close the open record with `stats` and open the next one; `None`
     /// when off.
-    pub fn close(
+    pub(crate) fn close(
         &mut self,
         epoch: usize,
         block: Option<usize>,
@@ -182,7 +178,7 @@ mod tests {
         let mut clock = PhaseClock::default();
         clock.lap(Phase::Grads);
         clock.reopen();
-        assert!(!clock.is_on());
+        assert!(clock.0.is_none());
         assert!(clock.close(0, None, &stats()).is_none());
     }
 

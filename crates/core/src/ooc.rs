@@ -53,6 +53,15 @@
 //! A crash between a partition write and the resident commit leaves that
 //! partition stamped one generation ahead; [`OocTrainer::resume`] detects
 //! the mismatch at load time and refuses to silently re-apply the block.
+//! That is the **commit window**: it opens when a block's first partition
+//! file is renamed into place and closes when the resident file is. A kill
+//! inside it does not lose one block but the run — resume refuses the
+//! state and training restarts from init. The window is most of a block's
+//! `commit_s` in the [`crate::obs`] telemetry (partition create, write,
+//! fsync, rename and directory fsync, then the resident commit): ≈ 0.5 s of
+//! a ≈ 1.6 s epoch of 22 blocks at the benchmark's `pretrain-ooc`
+//! configuration on a 2-vCPU host. A kill anywhere else loses at most the
+//! one in-flight block.
 
 use std::fmt;
 use std::mem;
@@ -629,8 +638,11 @@ impl OocTrainer {
 
     /// Train until `cfg.train.epochs` epochs are done, resuming from the
     /// persisted epoch/block cursor. Every block commits its partitions and
-    /// then the resident state, so a kill at any block boundary loses at
-    /// most one in-flight block.
+    /// then the resident state. A kill outside that commit window loses at
+    /// most the one in-flight block, which resume replays; a kill inside it
+    /// (a partition already renamed into place, the resident file not yet)
+    /// leaves a partition a generation ahead, and resume refuses the state:
+    /// training restarts from init (see the module docs).
     pub fn train<S: TripleSource + ?Sized>(&mut self, source: &S) -> Result<OocReport, OocError> {
         if source.n_entities() as u64 != self.n_entities
             || source.n_relations() as u64 != self.n_relations

@@ -47,7 +47,10 @@
 //!
 //! The binary itself stays portable: it builds for the baseline x86-64
 //! target (no `-C target-cpu=native`) and lights up the wide paths only on
-//! hosts that have them.
+//! hosts that have them. Three loops that have no table entry — the
+//! training gradient pass, the Adam leaf and the `S_R` table build — run
+//! wide too: each is a [`LevelBody`] written once, which [`at_level`]
+//! compiles inside one `#[target_feature]` wrapper per level.
 //!
 //! ## Why SIMD and scalar are bit-identical, not just close
 //!
