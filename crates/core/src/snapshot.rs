@@ -189,20 +189,19 @@ impl LevelBody for BuildTask<'_> {
 
     #[inline(always)]
     fn run<D: RowDot>(self) {
-        let d = self.model.dim();
+        let BuildTask {
+            model,
+            mats_t,
+            selector,
+            local,
+            first,
+            block,
+        } = self;
+        let d = model.dim();
         let mut scratch = ServiceScratch::new(d);
-        for (local, row) in (self.local..).zip(self.block.chunks_exact_mut(2 * d)) {
-            let rels = self.selector.for_item(EntityId(self.first + local));
-            let (model, k) = (self.model, self.selector.k());
-            condense_into(
-                model,
-                self.mats_t,
-                EntityId(local),
-                rels,
-                k,
-                &mut scratch,
-                row,
-            );
+        for (local, row) in (local..).zip(block.chunks_exact_mut(2 * d)) {
+            let (h, rels) = (EntityId(local), selector.for_item(EntityId(first + local)));
+            condense_into(model, mats_t, h, rels, selector.k(), &mut scratch, row);
         }
     }
 }

@@ -443,7 +443,8 @@ impl Trainer {
         // Corruptions are drawn in original chunk order *before* the kernel
         // relation-blocks the pairs, so the RNG stream is exactly what the
         // old per-pair loop consumed for the same chunk layout.
-        let (frozen, table): (&PkgmModel, _) = (model, self.simd);
+        let frozen: &PkgmModel = model;
+        let table = self.simd;
         let chunk_grads = |(ci, sc): (usize, &mut [TrainScratch])| {
             let sc = &mut sc[0];
             let chunk = &batch[ci * chunk_size..((ci + 1) * chunk_size).min(batch.len())];
