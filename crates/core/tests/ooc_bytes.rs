@@ -15,10 +15,15 @@
 //! * a single flipped byte anywhere in a partition or the resident file is
 //!   reported as the typed artifact error before any value is decoded.
 //!
-//! One `#[test]`: the thread count is a process-wide environment variable,
-//! so the sections must not run beside each other.
+//! One `#[test]` for all of that: the thread count is a process-wide
+//! environment variable, so the sections must not run beside each other.
+//! A second pins the digests of every `ooc-*.pkgm` file and of the trained
+//! model, so a change to how the trainer commits (its framing, its order,
+//! its threads) cannot move a byte unnoticed; those bytes do not depend on
+//! the thread count.
 
 use pkgm_core::artifact::{self, ArtifactError, ArtifactKind, HEADER_LEN};
+use pkgm_core::serialize::model_to_bytes;
 use pkgm_core::{
     snapshot_to_ss3_bytes, KnowledgeService, OocConfig, OocError, OocTrainer, PkgmConfig,
     ServiceSnapshot, ShardSpec, TrainConfig,
@@ -262,4 +267,43 @@ fn ooc_files_are_canonical_thread_invariant_and_checked() {
     for dir in [dir_1, dir_2, fresh] {
         let _ = std::fs::remove_dir_all(dir);
     }
+}
+
+/// FNV-1a: one identity per file.
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+#[test]
+fn ooc_bytes_match_golden_digests() {
+    let catalog = Catalog::generate(&CatalogConfig::tiny(7));
+    let dir = scratch("golden");
+    let mut trainer = OocTrainer::new(&catalog.store, config(&catalog, &dir)).unwrap();
+    let report = trainer.train(&catalog.store).unwrap();
+    assert!(report.halted.is_none() && report.blocks > trainer.n_partitions());
+    let mut got: Vec<(String, u64)> = files_under(&dir.join("ooc"))
+        .iter()
+        .map(|(name, bytes)| (name.display().to_string(), fnv64(bytes)))
+        .collect();
+    let model = trainer.assemble_model().unwrap();
+    got.push(("model".into(), fnv64(&model_to_bytes(&model))));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let want = [
+        ("ooc-manifest.pkgm", 0x2118_b159_4b2f_9388),
+        ("ooc-part-00000of00004.pkgm", 0xc4d0_a93c_a088_86eb),
+        ("ooc-part-00001of00004.pkgm", 0xed9b_067a_b773_c9cd),
+        ("ooc-part-00002of00004.pkgm", 0x899c_9a5f_eaf9_8cc9),
+        ("ooc-part-00003of00004.pkgm", 0xbbb1_7346_0087_9d48),
+        ("ooc-resident.pkgm", 0x3ef0_8771_d445_486d),
+        ("model", 0xc3f5_c063_b30d_8227),
+    ];
+    let want: Vec<(String, u64)> = want.iter().map(|&(n, d)| (n.to_string(), d)).collect();
+    let hex: Vec<_> = got
+        .iter()
+        .map(|(n, d)| format!("(\"{n}\", {d:#018x}),"))
+        .collect();
+    assert_eq!(got, want, "{hex:#?}");
 }
