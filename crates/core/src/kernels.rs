@@ -394,6 +394,51 @@ fn add_scaled_diff(y: &mut [f32], a: f32, x: &[f32], b: f32, z: &[f32]) {
     }
 }
 
+/// `y += x` over equal-length rows.
+#[inline(always)]
+fn add_row(y: &mut [f32], x: &[f32]) {
+    debug_assert_eq!(y.len(), x.len());
+    for (y, &x) in y.iter_mut().zip(x) {
+        *y += x;
+    }
+}
+
+/// `y −= x` over equal-length rows.
+#[inline(always)]
+fn sub_row(y: &mut [f32], x: &[f32]) {
+    debug_assert_eq!(y.len(), x.len());
+    for (y, &x) in y.iter_mut().zip(x) {
+        *y -= x;
+    }
+}
+
+/// `y += a − b` over equal-length rows.
+#[inline(always)]
+fn add_diff(y: &mut [f32], a: &[f32], b: &[f32]) {
+    debug_assert!(y.len() == a.len() && y.len() == b.len());
+    for ((y, &a), &b) in y.iter_mut().zip(a).zip(b) {
+        *y += a - b;
+    }
+}
+
+/// `s = sgn(a + b − c)` over equal-length rows: the triple-module sign.
+#[inline(always)]
+fn sign_translation_into(s: &mut [f32], a: &[f32], b: &[f32], c: &[f32]) {
+    debug_assert!(s.len() == a.len() && s.len() == b.len() && s.len() == c.len());
+    for (((s, &a), &b), &c) in s.iter_mut().zip(a).zip(b).zip(c) {
+        *s = sgn(a + b - c);
+    }
+}
+
+/// `u = sgn(p − r)` over equal-length rows: the relation-module sign.
+#[inline(always)]
+fn sign_diff_into(u: &mut [f32], p: &[f32], r: &[f32]) {
+    debug_assert!(u.len() == p.len() && u.len() == r.len());
+    for ((u, &p), &r) in u.iter_mut().zip(p).zip(r) {
+        *u = sgn(p - r);
+    }
+}
+
 /// `‖a + b − c‖₁` in index order — the triple-module score, bit-identical
 /// to [`PkgmModel::score_triple`].
 #[inline(always)]
@@ -635,47 +680,25 @@ fn accumulate<D: RowDot>(
         violations += 1;
 
         // --- Triple module: pos side (+s to h and r, −s to t) ------------
-        for i in 0..d {
-            s[i] = sgn(h[i] + rv[i] - t[i]);
-        }
+        sign_translation_into(s, h, rv, t);
         let gh = ent.range(pos.head.0, d);
-        let g = &mut ent.grads[gh];
-        for i in 0..d {
-            g[i] += s[i];
-        }
+        add_row(&mut ent.grads[gh], s);
         let gr = rel.range(pos.relation.0, d);
-        let g = &mut rel.grads[gr];
-        for i in 0..d {
-            g[i] += s[i];
-        }
+        add_row(&mut rel.grads[gr], s);
         let gt = ent.range(pos.tail.0, d);
-        let g = &mut ent.grads[gt];
-        for i in 0..d {
-            g[i] -= s[i];
-        }
+        sub_row(&mut ent.grads[gt], s);
 
         // --- Triple module: neg side (−s' to h' and r', +s' to t') -------
         let h2 = model.ent(neg.head);
         let rv2 = model.rel(neg.relation);
         let t2 = model.ent(neg.tail);
-        for i in 0..d {
-            s[i] = sgn(h2[i] + rv2[i] - t2[i]);
-        }
+        sign_translation_into(s, h2, rv2, t2);
         let gh = ent.range(neg.head.0, d);
-        let g = &mut ent.grads[gh];
-        for i in 0..d {
-            g[i] -= s[i];
-        }
+        sub_row(&mut ent.grads[gh], s);
         let gr = rel.range(neg.relation.0, d);
-        let g = &mut rel.grads[gr];
-        for i in 0..d {
-            g[i] -= s[i];
-        }
+        sub_row(&mut rel.grads[gr], s);
         let gt = ent.range(neg.tail.0, d);
-        let g = &mut ent.grads[gt];
-        for i in 0..d {
-            g[i] += s[i];
-        }
+        add_row(&mut ent.grads[gt], s);
 
         // --- Relation module, pair-combined per destination row ----------
         if !rel_on || matches!(slot, Corruption::Tail) {
@@ -684,24 +707,17 @@ fn accumulate<D: RowDot>(
             // exact zero. Skipping it is a no-op by construction.
             continue;
         }
-        for i in 0..d {
-            u_pos[i] = sgn(mh[i] - rv[i]);
-        }
+        sign_diff_into(u_pos, mh, rv);
         let m = model.mat(pos.relation);
         match slot {
             Corruption::Tail => unreachable!("handled above"),
             Corruption::Head => {
                 // Same relation r, corrupted head h'. Destinations r and
                 // M_r are shared → combined; h and h' are distinct rows.
-                for i in 0..d {
-                    u_neg[i] = sgn(mh_neg[i] - rv[i]);
-                }
+                sign_diff_into(u_neg, mh_neg, rv);
+                // ∂f_R/∂r = −u: pair grad = (−u_pos) − (−u_neg).
                 let gr = rel.range(pos.relation.0, d);
-                let g = &mut rel.grads[gr];
-                for i in 0..d {
-                    // ∂f_R/∂r = −u: pair grad = (−u_pos) − (−u_neg).
-                    g[i] += u_neg[i] - u_pos[i];
-                }
+                add_diff(&mut rel.grads[gr], u_neg, u_pos);
                 let gh = ent.range(pos.head.0, d);
                 let gh2 = ent.range(neg.head.0, d);
                 let gm = mat.range(pos.relation.0, dd);
@@ -764,19 +780,11 @@ fn accumulate<D: RowDot>(
                 // Same head h, corrupted relation r'. Destination h is
                 // shared → combined; r/r' and M_r/M_r' are distinct.
                 let rv2 = model.rel(neg.relation);
-                for i in 0..d {
-                    u_neg[i] = sgn(mh_neg[i] - rv2[i]);
-                }
+                sign_diff_into(u_neg, mh_neg, rv2);
                 let gr = rel.range(pos.relation.0, d);
-                let g = &mut rel.grads[gr];
-                for i in 0..d {
-                    g[i] -= u_pos[i];
-                }
+                sub_row(&mut rel.grads[gr], u_pos);
                 let gr2 = rel.range(neg.relation.0, d);
-                let g = &mut rel.grads[gr2];
-                for i in 0..d {
-                    g[i] += u_neg[i];
-                }
+                add_row(&mut rel.grads[gr2], u_neg);
                 // comb = M_rᵀ·u_pos − M_r'ᵀ·u_neg, then h += comb.
                 comb.fill(0.0);
                 for i in 0..d {
@@ -791,10 +799,7 @@ fn accumulate<D: RowDot>(
                     }
                 }
                 let gh = ent.range(pos.head.0, d);
-                let g = &mut ent.grads[gh];
-                for i in 0..d {
-                    g[i] += comb[i];
-                }
+                add_row(&mut ent.grads[gh], comb);
                 let gm = mat.range(pos.relation.0, dd);
                 let gmat = &mut mat.grads[gm];
                 for i in 0..d {
