@@ -344,12 +344,45 @@ fn telemetry_writes_one_line_per_epoch_and_moves_no_model_byte() {
         assert_eq!(r.pairs, records[0].pairs);
         assert!(r.phases_s().iter().all(|&p| p >= 0.0), "{r:?}");
         assert!(r.commit_s > 0.0, "every epoch writes a checkpoint: {r:?}");
+        assert_eq!(r.write_s, 0.0, "no writer thread: {r:?}");
         let sum: f64 = r.phases_s().iter().sum();
         assert!(
             sum >= 0.95 * r.wall_s && sum <= r.wall_s,
             "phases cover {sum} of {} s",
             r.wall_s
         );
+    }
+
+    // Out of core: one line per block, then one per epoch, and the epoch
+    // lines carry the writer thread's busy seconds beside the phases.
+    let ooc_lines = dir.join("ooc.jsonl");
+    let run = pkgm()
+        .args(&base[..base.len() - 1])
+        .args(["--mem-budget", "8000", "--chunk-size", "64", "--ooc-dir"])
+        .arg(dir.join("t.ooc"))
+        .args(["--out", dir.join("ooc.bin").to_str().unwrap()])
+        .args(["--telemetry", ooc_lines.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(
+        run.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    let text = std::fs::read_to_string(&ooc_lines).unwrap();
+    let records: Vec<pkgm_core::TrainRecord> = text
+        .lines()
+        .map(|l| serde_json::from_str(l).expect("every line parses"))
+        .collect();
+    let epochs: Vec<_> = records.iter().filter(|r| r.block.is_none()).collect();
+    assert_eq!(epochs.len(), 3, "one record per epoch:\n{text}");
+    assert!(records.len() > 3 * 2, "block records too:\n{text}");
+    for e in epochs {
+        let blocks = records
+            .iter()
+            .filter(|r| r.block.is_some() && r.epoch == e.epoch);
+        let written: f64 = blocks.map(|b| b.write_s).sum();
+        assert!(e.write_s > written && written > 0.0, "{e:?}");
     }
     std::fs::remove_dir_all(dir).ok();
 }

@@ -12,6 +12,11 @@
 //! the [`crate::OocTrainer`] one per block and one per epoch. `pkgm train
 //! --telemetry FILE` writes them as JSONL ([`to_jsonl`]).
 //!
+//! The out-of-core trainer's writer thread commits files while the loop
+//! trains, so its busy time is not a phase of the loop: a record carries
+//! it beside the phases as `write_s`, the writer's seconds for the commits
+//! the record waited for.
+//!
 //! Timing never changes what is computed: the clock is read between
 //! phases, never inside a kernel, and the model bytes are the same with
 //! telemetry on or off.
@@ -28,8 +33,8 @@ pub(crate) enum Phase {
     Grads,
     /// The Adam step, entity normalization included.
     Adam,
-    /// Checkpoint writes (resident), or partition and resident commits
-    /// (out-of-core).
+    /// Checkpoint writes (resident), or framing partition and resident
+    /// commits and waiting for the writer thread (out-of-core).
     Commit,
     /// Partition reads (out-of-core only).
     PageIn,
@@ -53,10 +58,16 @@ pub struct TrainRecord {
     pub grads_s: f64,
     /// Seconds in the Adam step, entity normalization included.
     pub adam_s: f64,
-    /// Seconds writing checkpoints, or partition and resident commits.
+    /// Seconds writing checkpoints, or framing partition and resident
+    /// commits and waiting for the writer thread (out-of-core).
     pub commit_s: f64,
     /// Seconds reading partitions (out-of-core only).
     pub page_in_s: f64,
+    /// Out-of-core only, and not a phase (the writer thread runs beside
+    /// the loop): the writer's busy seconds on the commits this record
+    /// waited for. A block waits for the block before it; an epoch for all
+    /// of its own commits, its closing resident commit included.
+    pub write_s: f64,
     /// Mean hinge loss per pair.
     pub mean_loss: f32,
     /// Fraction of pairs violating the margin.
@@ -77,6 +88,7 @@ struct Open {
     opened: Instant,
     last_lap: Instant,
     spent: [f64; N_PHASES],
+    written: f64,
 }
 
 /// The clock of one open record: `None` when telemetry is off, and then
@@ -92,7 +104,13 @@ impl PhaseClock {
             opened: now,
             last_lap: now,
             spent: [0.0; N_PHASES],
+            written: 0.0,
         }))
+    }
+
+    /// True when telemetry is on.
+    pub(crate) fn is_on(&self) -> bool {
+        self.0.is_some()
     }
 
     /// Open a new record now, dropping the phase sums.
@@ -111,14 +129,22 @@ impl PhaseClock {
         }
     }
 
-    /// Add a closed record's phase times to this one (a block's to its
-    /// epoch's) and start the next lap now: the closed record already
-    /// accounts for the time since this clock's previous lap.
+    /// Charge `secs` of the writer thread's time to the open record.
+    pub(crate) fn wrote(&mut self, secs: f64) {
+        if let Some(open) = &mut self.0 {
+            open.written += secs;
+        }
+    }
+
+    /// Add a closed record's phase and writer times to this one (a block's
+    /// to its epoch's) and start the next lap now: the closed record
+    /// already accounts for the time since this clock's previous lap.
     pub(crate) fn absorb(&mut self, rec: &TrainRecord) {
         if let Some(open) = &mut self.0 {
             for (s, x) in open.spent.iter_mut().zip(rec.phases_s()) {
                 *s += x;
             }
+            open.written += rec.write_s;
             open.last_lap = Instant::now();
         }
     }
@@ -141,6 +167,7 @@ impl PhaseClock {
             adam_s,
             commit_s,
             page_in_s,
+            write_s: open.written,
             mean_loss: stats.mean_loss,
             violation_rate: stats.violation_rate,
             pairs: stats.pairs,
@@ -177,8 +204,9 @@ mod tests {
     fn an_off_clock_records_nothing() {
         let mut clock = PhaseClock::default();
         clock.lap(Phase::Grads);
+        clock.wrote(1.0);
         clock.reopen();
-        assert!(clock.0.is_none());
+        assert!(!clock.is_on());
         assert!(clock.close(0, None, &stats()).is_none());
     }
 
@@ -189,7 +217,9 @@ mod tests {
         nap();
         clock.lap(Phase::Adam);
         clock.lap(Phase::Commit);
+        clock.wrote(0.5);
         let rec = clock.close(3, Some(1), &stats()).expect("on");
+        assert_eq!(rec.write_s, 0.5);
         assert!(rec.adam_s >= 0.002 && rec.wall_s >= rec.adam_s + rec.commit_s);
         assert!(rec.commit_s >= 0.0 && rec.grads_s == 0.0 && rec.page_in_s == 0.0);
         assert_eq!((rec.epoch, rec.block, rec.pairs), (3, Some(1), 8));
@@ -198,10 +228,15 @@ mod tests {
         nap();
         epoch.absorb(&rec);
         epoch.lap(Phase::Grads);
+        epoch.wrote(0.25);
         let next = clock.close(3, Some(2), &stats()).expect("on");
-        assert_eq!(next.adam_s, 0.0, "close reopens with zero sums");
+        assert_eq!(
+            (next.adam_s, next.write_s),
+            (0.0, 0.0),
+            "close reopens with zero sums"
+        );
         let whole = epoch.close(3, None, &stats()).expect("on");
-        assert_eq!(whole.adam_s, rec.adam_s);
+        assert_eq!((whole.adam_s, whole.write_s), (rec.adam_s, 0.75));
         assert!(whole.grads_s < 0.002, "absorb starts the next lap");
     }
 

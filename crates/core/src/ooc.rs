@@ -42,13 +42,42 @@
 //! * `ooc-manifest.pkgm` — static config (model/train hyper-parameters,
 //!   the partition plan) as JSON.
 //!
-//! Partition and resident files are framed **in place**: the trainer keeps
-//! one commit buffer, serializes a payload straight behind a reserved
-//! artifact header ([`artifact::frame_begin`]), checksums it where it lies
-//! ([`artifact::frame_seal`]) and hands that buffer to `write_atomic` —
-//! the same bytes [`artifact::encode`] would produce, without a second and
-//! third copy of every block's state. Loading verifies the frame on the
-//! bytes as read and decodes straight into the block's tables.
+//! ## Write-behind commits
+//!
+//! One writer thread, scoped to [`OocTrainer::new`] and
+//! [`OocTrainer::train`] (joined on every path), commits every file. The
+//! loop frames a block's commit **in place** — each payload serialized
+//! straight behind a reserved artifact header ([`artifact::frame_begin`])
+//! and checksummed where it lies ([`artifact::frame_seal`]), the same
+//! bytes [`artifact::encode`] would produce — and hands the set over: the
+//! block's partition file(s) first, then the resident file. The writer
+//! replaces them in that order with `write_atomic` (create, write, fsync,
+//! rename, directory fsync) while the next block pages in and trains.
+//!
+//! * **One set in flight.** Before the loop frames the next commit it waits
+//!   for the set in flight and reuses its buffers: two partition frames
+//!   and a resident frame, never one pool (a partition frame would grow to
+//!   the resident's size). So every file outside the set in flight is
+//!   complete on disk, and a block reads it from there; a partition whose
+//!   newest frame is still in flight is decoded from that frame, through
+//!   the same [`artifact::decode`] checks.
+//! * **Failure.** The writer stops at the first failed write and writes
+//!   nothing after it; `train` returns that error once the writer is
+//!   drained.
+//!
+//! The writer commits exactly the files, bytes and order the loop would
+//! commit itself, so the sequence of states on disk — what resume, the
+//! generation check and the commit window below can observe — is the same
+//! as with synchronous commits; only the loop no longer waits on each one.
+//!
+//! ## Generations and the commit window
+//!
+//! A partition file is stamped with the generation of the block that
+//! wrote it. The trainer remembers the generation it last wrote to each
+//! partition and a load must find exactly that stamp, so a stale file put
+//! back behind its back is refused; a partition not yet written in this
+//! process (after [`OocTrainer::resume`]) must be at most the resident
+//! file's generation.
 //!
 //! A crash between a partition write and the resident commit leaves that
 //! partition stamped one generation ahead; [`OocTrainer::resume`] detects
@@ -56,16 +85,19 @@
 //! That is the **commit window**: it opens when a block's first partition
 //! file is renamed into place and closes when the resident file is. A kill
 //! inside it does not lose one block but the run — resume refuses the
-//! state and training restarts from init. The window is most of a block's
-//! `commit_s` in the [`crate::obs`] telemetry (partition create, write,
-//! fsync, rename and directory fsync, then the resident commit): ≈ 0.5 s of
-//! a ≈ 1.6 s epoch of 22 blocks at the benchmark's `pretrain-ooc`
-//! configuration on a 2-vCPU host. A kill anywhere else loses at most the
-//! one in-flight block.
+//! state and training restarts from init. The window is the writer's
+//! `write_s` in the [`crate::obs`] telemetry (partition create, write,
+//! fsync, rename and directory fsync, then the resident commit): ≈ 0.5 s
+//! per ≈ 1.2 s epoch of 22 blocks at the benchmark's `pretrain-ooc`
+//! configuration on a 2-vCPU host — off the loop's critical path, but as
+//! wide as when the loop committed each file itself. A kill anywhere else
+//! loses at most two blocks: the one training and the one whose commit is
+//! in flight.
 
 use std::fmt;
 use std::mem;
 use std::path::{Path, PathBuf};
+use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
 use rand::rngs::SmallRng;
@@ -440,6 +472,9 @@ pub struct OocTrainer {
     /// stamp is authoritative, so a partition stamped ahead marks an
     /// interrupted commit.
     gen: u64,
+    /// The generation this process last framed into each partition, which
+    /// a load must find exactly; `None` until then (after a resume).
+    written: Vec<Option<u64>>,
     t: u64,
     epochs_done: usize,
     blocks_done: usize,
@@ -451,9 +486,9 @@ pub struct OocTrainer {
     v_mat: Vec<f32>,
     /// The block trainers' per-chunk scratches, kept across blocks.
     scratches: Vec<TrainScratch>,
-    /// The one buffer every partition and resident commit is framed in
-    /// (see the module docs); released when [`OocTrainer::train`] returns.
-    commit_buf: Vec<u8>,
+    /// Where the writer commits and pages read: the filesystem, or a fault
+    /// plan in tests.
+    io: Arc<dyn ArtifactIo + Send + Sync>,
     /// The open epoch and block telemetry records (off unless
     /// [`OocTrainer::record_telemetry`]).
     clock: PhaseClock,
@@ -481,6 +516,7 @@ impl OocTrainer {
             cfg,
             n_entities,
             n_relations,
+            written: vec![None; parts.len()],
             parts,
             gen: 0,
             t: 0,
@@ -493,47 +529,56 @@ impl OocTrainer {
             m_mat: Vec::new(),
             v_mat: Vec::new(),
             scratches: Vec::new(),
-            commit_buf: Vec::new(),
+            io: Arc::new(StdIo),
             clock: PhaseClock::default(),
             block_clock: PhaseClock::default(),
             records: Vec::new(),
         };
 
         // Streamed init: same single RNG and draw order as PkgmModel::new.
-        let mut rng = SmallRng::seed_from_u64(me.cfg.model.seed ^ 0x9E37_79B9);
-        let bound = 6.0 / (d as f64).sqrt();
-        for k in 0..me.parts.len() {
-            let (start, len) = me.parts[k];
-            let n = len as usize * d;
-            let mut ent = vec![0.0f32; n];
-            for x in ent.iter_mut() {
-                *x = rng.gen_range(-bound..bound) as f32;
+        // Each partition is one commit, written while the next is drawn.
+        let io = Arc::clone(&me.io);
+        with_writer(&*io, false, |writer| {
+            let mut rng = SmallRng::seed_from_u64(me.cfg.model.seed ^ 0x9E37_79B9);
+            let bound = 6.0 / (d as f64).sqrt();
+            for k in 0..me.parts.len() {
+                let n = me.parts[k].1 as usize * d;
+                let mut ent = vec![0.0f32; n];
+                for x in ent.iter_mut() {
+                    *x = rng.gen_range(-bound..bound) as f32;
+                }
+                let zeros = vec![0.0f32; n];
+                writer.wait()?;
+                me.frame_partition(writer, k, 0, &ent, &zeros, &zeros);
+                writer.hand_over()?;
             }
-            let zeros = vec![0.0f32; n];
-            me.write_partition_raw(k, 0, start, len, &ent, &zeros, &zeros)?;
-        }
-        me.rel = (0..n_relations as usize * d)
-            .map(|_| rng.gen_range(-bound..bound) as f32)
-            .collect();
-        if me.cfg.model.relation_module {
-            let nr = n_relations as usize;
-            let mut m = vec![0.0f32; nr * d * d];
-            for r in 0..nr {
-                for i in 0..d {
-                    for j in 0..d {
-                        let noise =
-                            rng.gen_range(-me.cfg.model.init_noise..me.cfg.model.init_noise) as f32;
-                        m[r * d * d + i * d + j] = noise + if i == j { 1.0 } else { 0.0 };
+            me.rel = (0..n_relations as usize * d)
+                .map(|_| rng.gen_range(-bound..bound) as f32)
+                .collect();
+            if me.cfg.model.relation_module {
+                let nr = n_relations as usize;
+                let mut m = vec![0.0f32; nr * d * d];
+                for r in 0..nr {
+                    for i in 0..d {
+                        for j in 0..d {
+                            let noise = rng
+                                .gen_range(-me.cfg.model.init_noise..me.cfg.model.init_noise)
+                                as f32;
+                            m[r * d * d + i * d + j] = noise + if i == j { 1.0 } else { 0.0 };
+                        }
                     }
                 }
+                me.mats = m;
+                me.m_mat = vec![0.0; nr * d * d];
+                me.v_mat = vec![0.0; nr * d * d];
             }
-            me.mats = m;
-            me.m_mat = vec![0.0; nr * d * d];
-            me.v_mat = vec![0.0; nr * d * d];
-        }
-
-        me.write_manifest()?;
-        me.save_resident()?;
+            writer.wait()?;
+            me.frame_manifest(writer)?;
+            writer.hand_over()?;
+            writer.wait()?;
+            me.frame_resident(writer);
+            writer.hand_over()
+        })?;
         Ok(me)
     }
 
@@ -583,6 +628,7 @@ impl OocTrainer {
             },
             n_entities: manifest.n_entities,
             n_relations: manifest.n_relations,
+            written: vec![None; manifest.partitions.len()],
             parts: manifest.partitions,
             gen,
             t,
@@ -595,7 +641,7 @@ impl OocTrainer {
             m_mat,
             v_mat,
             scratches: Vec::new(),
-            commit_buf: Vec::new(),
+            io: Arc::new(StdIo),
             clock: PhaseClock::default(),
             block_clock: PhaseClock::default(),
             records: Vec::new(),
@@ -638,10 +684,14 @@ impl OocTrainer {
 
     /// Train until `cfg.train.epochs` epochs are done, resuming from the
     /// persisted epoch/block cursor. Every block commits its partitions and
-    /// then the resident state. A kill outside that commit window loses at
-    /// most the one in-flight block, which resume replays; a kill inside it
-    /// (a partition already renamed into place, the resident file not yet)
-    /// leaves a partition a generation ahead, and resume refuses the state:
+    /// then the resident state, on a writer thread while the next block
+    /// trains; each epoch waits for its last commits before it closes, and
+    /// `train` returns only once the writer has drained, with the first
+    /// failed write if there was one. A kill outside the commit window
+    /// loses at most two blocks — the one training and the one being
+    /// committed — which resume replays; a kill inside it (a partition
+    /// already renamed into place, the resident file not yet) leaves a
+    /// partition a generation ahead, and resume refuses the state:
     /// training restarts from init (see the module docs).
     pub fn train<S: TripleSource + ?Sized>(&mut self, source: &S) -> Result<OocReport, OocError> {
         if source.n_entities() as u64 != self.n_entities
@@ -665,28 +715,38 @@ impl OocTrainer {
         // they cover only the remaining blocks, so the divergence guard
         // (which compares full-epoch means) skips that epoch.
         let mut partial_epoch = self.blocks_done > 0;
-        while self.epochs_done < total {
-            let epoch = self.epochs_done;
-            self.clock.reopen();
-            let stats = self.train_epoch(source, epoch as u64, &mut blocks_run)?;
-            if !partial_epoch {
-                if let Some(reason) = diverged(stats.mean_loss, best_loss) {
-                    halted = Some(format!("epoch {}: {reason}", epoch + 1));
-                    self.records.extend(self.clock.close(epoch, None, &stats));
-                    epochs.push(stats);
-                    break;
+        let io = Arc::clone(&self.io);
+        with_writer(&*io, self.clock.is_on(), |writer| {
+            while self.epochs_done < total {
+                let epoch = self.epochs_done;
+                self.clock.reopen();
+                let stats = self.train_epoch(source, writer, epoch as u64, &mut blocks_run)?;
+                // The epoch's last block lands before its record closes.
+                let mut written = writer.wait()?;
+                if !partial_epoch {
+                    if let Some(reason) = diverged(stats.mean_loss, best_loss) {
+                        halted = Some(format!("epoch {}: {reason}", epoch + 1));
+                        self.clock.lap(Phase::Commit);
+                        self.clock.wrote(written);
+                        self.records.extend(self.clock.close(epoch, None, &stats));
+                        epochs.push(stats);
+                        break;
+                    }
+                    best_loss = best_loss.min(stats.mean_loss.max(1e-3));
                 }
-                best_loss = best_loss.min(stats.mean_loss.max(1e-3));
+                partial_epoch = false;
+                self.epochs_done = epoch + 1;
+                self.blocks_done = 0;
+                self.frame_resident(writer);
+                writer.hand_over()?;
+                written += writer.wait()?;
+                self.clock.lap(Phase::Commit);
+                self.clock.wrote(written);
+                self.records.extend(self.clock.close(epoch, None, &stats));
+                epochs.push(stats);
             }
-            partial_epoch = false;
-            self.epochs_done = epoch + 1;
-            self.blocks_done = 0;
-            self.save_resident()?;
-            self.clock.lap(Phase::Commit);
-            self.records.extend(self.clock.close(epoch, None, &stats));
-            epochs.push(stats);
-        }
-        self.commit_buf = Vec::new();
+            Ok(())
+        })?;
         Ok(OocReport {
             epochs,
             n_partitions: self.parts.len(),
@@ -704,6 +764,7 @@ impl OocTrainer {
     fn train_epoch<S: TripleSource + ?Sized>(
         &mut self,
         source: &S,
+        writer: &mut Writer,
         epoch: u64,
         blocks_run: &mut usize,
     ) -> Result<EpochStats, OocError> {
@@ -749,7 +810,7 @@ impl OocTrainer {
             let next_gen = self.gen + 1;
             self.block_clock.reopen();
             let (loss, violations, pairs) =
-                self.train_block(source, *pi, *pj, idxs, epoch, batch_idx, next_gen)?;
+                self.train_block(source, writer, *pi, *pj, idxs, epoch, batch_idx, next_gen)?;
             batch_idx += n_batches;
             total_loss += loss;
             total_violations += violations;
@@ -757,7 +818,8 @@ impl OocTrainer {
             *blocks_run += 1;
             self.gen = next_gen;
             self.blocks_done = block_idx + 1;
-            self.save_resident()?;
+            self.frame_resident(writer);
+            writer.hand_over()?;
             self.block_clock.lap(Phase::Commit);
             let stats = EpochStats::from_totals(loss, violations, pairs);
             if let Some(rec) = self
@@ -779,6 +841,7 @@ impl OocTrainer {
     fn train_block<S: TripleSource + ?Sized>(
         &mut self,
         source: &S,
+        writer: &mut Writer,
         pi: usize,
         pj: usize,
         idxs: &[u32],
@@ -802,12 +865,14 @@ impl OocTrainer {
         let mut v_ent = vec![0.0f32; block_entities * d];
         self.load_partition_into(
             pi,
+            writer.in_flight_frame(pi),
             &mut ent[..ni],
             Some((&mut m_ent[..ni], &mut v_ent[..ni])),
         )?;
         if pj != pi {
             self.load_partition_into(
                 pj,
+                writer.in_flight_frame(pj),
                 &mut ent[ni..],
                 Some((&mut m_ent[ni..], &mut v_ent[ni..])),
             )?;
@@ -874,28 +939,14 @@ impl OocTrainer {
         self.rel = mem::take(&mut model.rel);
         self.mats = mem::take(&mut model.mats);
 
-        self.write_partition_raw(
-            pi,
-            next_gen,
-            si,
-            li,
-            &model.ent[..ni],
-            &bt.m_ent[..ni],
-            &bt.v_ent[..ni],
-        )?;
+        // The block before hands its buffers back before this one frames.
+        let written = writer.wait()?;
+        self.block_clock.wrote(written);
+        let (ent, m_ent, v_ent) = (&model.ent, &bt.m_ent, &bt.v_ent);
+        self.frame_partition(writer, pi, next_gen, &ent[..ni], &m_ent[..ni], &v_ent[..ni]);
         if pj != pi {
-            let (sj, lj) = self.parts[pj];
-            self.write_partition_raw(
-                pj,
-                next_gen,
-                sj,
-                lj,
-                &model.ent[ni..],
-                &bt.m_ent[ni..],
-                &bt.v_ent[ni..],
-            )?;
+            self.frame_partition(writer, pj, next_gen, &ent[ni..], &m_ent[ni..], &v_ent[ni..]);
         }
-        self.block_clock.lap(Phase::Commit);
         Ok((loss, violations, pairs))
     }
 
@@ -906,7 +957,7 @@ impl OocTrainer {
         let mut ent = vec![0.0f32; self.n_entities as usize * d];
         for (k, &(start, len)) in self.parts.iter().enumerate() {
             let rows = start as usize * d..(start + len) as usize * d;
-            self.load_partition_into(k, &mut ent[rows], None)?;
+            self.load_partition_into(k, None, &mut ent[rows], None)?;
         }
         Ok(PkgmModel {
             cfg: self.cfg.model.clone(),
@@ -951,7 +1002,7 @@ impl OocTrainer {
         let mut rows: Vec<f32> = Vec::new();
         for (k, &(start, len)) in self.parts.iter().enumerate() {
             block.ent.resize(len as usize * d, 0.0);
-            self.load_partition_into(k, &mut block.ent, None)?;
+            self.load_partition_into(k, None, &mut block.ent, None)?;
             block.n_entities = len as usize;
             rows.clear();
             rows.resize(len as usize * 2 * d, 0.0);
@@ -977,43 +1028,53 @@ impl OocTrainer {
             .join(format!("ooc-part-{:05}of{:05}.pkgm", k, self.parts.len()))
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn write_partition_raw(
+    /// Frame partition `k` at generation `gen` into the writer's next set.
+    fn frame_partition(
         &mut self,
+        writer: &mut Writer,
         k: usize,
         gen: u64,
-        start: u64,
-        len: u64,
         ent: &[f32],
         m: &[f32],
         v: &[f32],
-    ) -> Result<(), OocError> {
-        let path = self.partition_path(k);
-        let buf = &mut self.commit_buf;
-        artifact::frame_begin(buf, 32 + (ent.len() + m.len() + v.len()) * 4);
-        for stamp in [gen, start, len, self.cfg.model.dim as u64] {
-            buf.extend_from_slice(&stamp.to_le_bytes());
-        }
-        le::extend(buf, ent);
-        le::extend(buf, m);
-        le::extend(buf, v);
-        commit_frame(&path, buf)
+    ) {
+        let (start, len) = self.parts[k];
+        let dim = self.cfg.model.dim as u64;
+        self.written[k] = Some(gen);
+        let payload_len = 32 + (ent.len() + m.len() + v.len()) * 4;
+        writer.frame(self.partition_path(k), Some(k), payload_len, |buf| {
+            for stamp in [gen, start, len, dim] {
+                buf.extend_from_slice(&stamp.to_le_bytes());
+            }
+            le::extend(buf, ent);
+            le::extend(buf, m);
+            le::extend(buf, v);
+        });
     }
 
-    /// Read partition `k`, verify its frame, plan stamps and generation,
-    /// and decode its entity rows into `ent` — and its Adam moments into
-    /// `moments` when given (evaluation and snapshot emission need only the
-    /// rows). The checksum covers the whole file either way, and is
-    /// verified before a single value is decoded.
+    /// Verify partition `k`'s frame — `frame` when its newest frame is in
+    /// flight, else the file — its plan stamps and generation, and decode
+    /// its entity rows into `ent` and its Adam moments into `moments` when
+    /// given (evaluation and snapshot emission need only the rows). The
+    /// checksum covers the whole frame either way, and is verified before
+    /// a single value is decoded.
     fn load_partition_into(
         &self,
         k: usize,
+        frame: Option<&[u8]>,
         ent: &mut [f32],
         moments: Option<(&mut [f32], &mut [f32])>,
     ) -> Result<(), OocError> {
         let path = self.partition_path(k);
-        let bytes = StdIo.read(&path)?;
-        let payload = artifact::decode(&path, ArtifactKind::Checkpoint, &bytes)?;
+        let read;
+        let bytes = match frame {
+            Some(frame) => frame,
+            None => {
+                read = self.io.read(&path)?;
+                &read
+            }
+        };
+        let payload = artifact::decode(&path, ArtifactKind::Checkpoint, bytes)?;
         let mut r = Reader::new(payload, &path);
         let gen = r.u64()?;
         let start = r.u64()?;
@@ -1035,6 +1096,13 @@ impl OocTrainer {
                 self.gen
             )));
         }
+        if let Some(want) = self.written[k].filter(|&want| want != gen) {
+            return Err(OocError::State(format!(
+                "{}: partition generation {gen}, but this trainer last wrote generation {want} — \
+                 the file was replaced by a stale copy",
+                path.display()
+            )));
+        }
         assert_eq!(
             ent.len(),
             len as usize * self.cfg.model.dim,
@@ -1053,7 +1121,7 @@ impl OocTrainer {
         r.done()
     }
 
-    fn write_manifest(&self) -> Result<(), OocError> {
+    fn frame_manifest(&self, writer: &mut Writer) -> Result<(), OocError> {
         let manifest = Manifest {
             version: MANIFEST_VERSION,
             n_entities: self.n_entities,
@@ -1065,16 +1133,13 @@ impl OocTrainer {
         };
         let json = serde_json::to_vec(&manifest)
             .map_err(|e| OocError::State(format!("manifest encode: {e}")))?;
-        artifact::write_artifact(
-            &StdIo,
-            &self.cfg.dir.join(MANIFEST_FILE),
-            ArtifactKind::Checkpoint,
-            &json,
-        )?;
+        let path = self.cfg.dir.join(MANIFEST_FILE);
+        writer.frame(path, None, json.len(), |buf| buf.extend_from_slice(&json));
         Ok(())
     }
 
-    fn save_resident(&mut self) -> Result<(), OocError> {
+    /// Frame the resident state and the cursor into the writer's next set.
+    fn frame_resident(&self, writer: &mut Writer) {
         let tables = [
             &self.rel,
             &self.mats,
@@ -1083,29 +1148,160 @@ impl OocTrainer {
             &self.m_mat,
             &self.v_mat,
         ];
-        let buf = &mut self.commit_buf;
-        artifact::frame_begin(buf, 32 + tables.iter().map(|t| t.len() * 4).sum::<usize>());
-        for cursor in [
+        let cursor = [
             self.gen,
             self.t,
             self.epochs_done as u64,
             self.blocks_done as u64,
-        ] {
-            buf.extend_from_slice(&cursor.to_le_bytes());
-        }
-        for table in tables {
-            le::extend(buf, table);
-        }
-        commit_frame(&self.cfg.dir.join(RESIDENT_FILE), buf)
+        ];
+        let payload_len = 32 + tables.iter().map(|t| t.len() * 4).sum::<usize>();
+        let path = self.cfg.dir.join(RESIDENT_FILE);
+        writer.frame(path, None, payload_len, |buf| {
+            for c in cursor {
+                buf.extend_from_slice(&c.to_le_bytes());
+            }
+            for table in tables {
+                le::extend(buf, table);
+            }
+        });
     }
 }
 
-/// Seal the checkpoint frame built in `frame` (see
-/// [`artifact::frame_begin`]) and publish it atomically at `path`.
-fn commit_frame(path: &Path, frame: &mut [u8]) -> Result<(), OocError> {
-    artifact::frame_seal(ArtifactKind::Checkpoint, frame);
-    StdIo.write_atomic(path, frame)?;
-    Ok(())
+/// A sealed checkpoint frame and the file it replaces.
+struct Frame {
+    path: PathBuf,
+    /// The partition it holds; `None` for the resident file and the
+    /// manifest.
+    part: Option<usize>,
+    bytes: Vec<u8>,
+}
+
+/// One commit, in the order it is written.
+type FrameSet = Arc<Vec<Frame>>;
+
+/// The writer's reply to a set: its busy seconds (0 when untimed), or the
+/// failed write it stopped at.
+type Written = Result<f64, ArtifactError>;
+
+/// The loop's end of the writer thread (see the module docs): the set
+/// being framed, the one set in flight, and the buffers of the set before.
+struct Writer {
+    sets: mpsc::Sender<FrameSet>,
+    replies: mpsc::Receiver<Written>,
+    next: Vec<Frame>,
+    in_flight: Option<FrameSet>,
+    spare_parts: Vec<Vec<u8>>,
+    spare_resident: Vec<u8>,
+}
+
+impl Writer {
+    /// Wait until the set in flight is on disk and take its buffers back.
+    /// Returns the writer's busy seconds on it, or its first failed write.
+    fn wait(&mut self) -> Result<f64, OocError> {
+        let Some(set) = self.in_flight.take() else {
+            return Ok(0.0);
+        };
+        let written = self
+            .replies
+            .recv()
+            .map_err(|_| OocError::State("the commit writer stopped".into()))?;
+        let frames = Arc::into_inner(set).expect("the writer drops a set before replying");
+        for frame in frames {
+            match frame.part {
+                Some(_) => self.spare_parts.push(frame.bytes),
+                None => self.spare_resident = frame.bytes,
+            }
+        }
+        Ok(written?)
+    }
+
+    /// Frame a `payload_len`-byte checkpoint payload, written by `fill`,
+    /// for `path` into the next set — into a buffer of its own kind.
+    fn frame(
+        &mut self,
+        path: PathBuf,
+        part: Option<usize>,
+        payload_len: usize,
+        fill: impl FnOnce(&mut Vec<u8>),
+    ) {
+        let mut bytes = match part {
+            Some(_) => self.spare_parts.pop().unwrap_or_default(),
+            None => mem::take(&mut self.spare_resident),
+        };
+        artifact::frame_begin(&mut bytes, payload_len);
+        fill(&mut bytes);
+        artifact::frame_seal(ArtifactKind::Checkpoint, &mut bytes);
+        self.next.push(Frame { path, part, bytes });
+    }
+
+    /// Hand the framed set to the writer thread; the set before must have
+    /// been waited for.
+    fn hand_over(&mut self) -> Result<(), OocError> {
+        assert!(self.in_flight.is_none(), "one set in flight at a time");
+        let set = Arc::new(mem::take(&mut self.next));
+        self.sets
+            .send(Arc::clone(&set))
+            .map_err(|_| OocError::State("the commit writer stopped".into()))?;
+        self.in_flight = Some(set);
+        Ok(())
+    }
+
+    /// Partition `k`'s frame if the set in flight holds it.
+    fn in_flight_frame(&self, k: usize) -> Option<&[u8]> {
+        let set = self.in_flight.as_ref()?;
+        set.iter().find(|f| f.part == Some(k)).map(|f| &f.bytes[..])
+    }
+}
+
+/// Run `body` beside a writer thread that commits its frame sets through
+/// `io`, timing each set when `timed`. The thread is scoped: it is joined
+/// on every path, after the set in flight has landed or failed. A failed
+/// write is the error returned, over any error `body` met after it.
+fn with_writer<T>(
+    io: &(dyn ArtifactIo + Send + Sync),
+    timed: bool,
+    body: impl FnOnce(&mut Writer) -> Result<T, OocError>,
+) -> Result<T, OocError> {
+    let (sets, to_write) = mpsc::channel();
+    let (written, replies) = mpsc::channel();
+    std::thread::scope(|scope| {
+        std::thread::Builder::new()
+            .name("pkgm-ooc-writer".into())
+            .spawn_scoped(scope, move || write_sets(io, to_write, written, timed))?;
+        let mut writer = Writer {
+            sets,
+            replies,
+            next: Vec::new(),
+            in_flight: None,
+            spare_parts: Vec::new(),
+            spare_resident: Vec::new(),
+        };
+        let out = body(&mut writer);
+        writer.wait()?;
+        out
+    })
+}
+
+/// The writer thread: commit each set's frames in order, reply, and stop
+/// at the first failed write, writing nothing after it.
+fn write_sets(
+    io: &dyn ArtifactIo,
+    sets: mpsc::Receiver<FrameSet>,
+    replies: mpsc::Sender<Written>,
+    timed: bool,
+) {
+    for set in sets {
+        let started = timed.then(Instant::now);
+        let done = set
+            .iter()
+            .try_for_each(|f| io.write_atomic(&f.path, &f.bytes));
+        drop(set);
+        let failed = done.is_err();
+        let reply = done.map(|()| started.map_or(0.0, |t| t.elapsed().as_secs_f64()));
+        if replies.send(reply).is_err() || failed {
+            return;
+        }
+    }
 }
 
 struct Reader<'a> {
@@ -1166,6 +1362,7 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{Fault, FaultPlan, FaultyIo};
     use pkgm_store::StoreBuilder;
 
     fn store(n_items: u32, n_rel: u32) -> TripleStore {
@@ -1414,12 +1611,18 @@ mod tests {
             assert!(b.phases_s().iter().sum::<f64>() <= b.wall_s, "{b:?}");
         }
         for (e, stats) in epochs.iter().zip(&report.epochs) {
-            let mine = blocks.iter().filter(|b| b.epoch == e.epoch);
-            let pairs: usize = mine.clone().map(|b| b.pairs).sum();
+            let mine: Vec<_> = blocks.iter().filter(|b| b.epoch == e.epoch).collect();
+            let pairs: usize = mine.iter().map(|b| b.pairs).sum();
             assert_eq!((pairs, e.pairs), (stats.pairs, stats.pairs));
-            let commit: f64 = mine.map(|b| b.commit_s).sum();
+            let commit: f64 = mine.iter().map(|b| b.commit_s).sum();
             assert!(e.commit_s > commit, "the epoch's own resident commit adds");
             assert!(e.phases_s().iter().sum::<f64>() <= e.wall_s, "{e:?}");
+            // A block waits for the commit of the block before it; the
+            // epoch for its last block's and its own resident commit.
+            assert_eq!(mine[0].write_s, 0.0, "{:?}", mine[0]);
+            assert!(mine[1..].iter().all(|b| b.write_s > 0.0), "{mine:?}");
+            let written: f64 = mine.iter().map(|b| b.write_s).sum();
+            assert!(e.write_s > written, "{e:?}");
         }
     }
 
@@ -1439,15 +1642,178 @@ mod tests {
         .unwrap();
         // Forge a partition stamped one generation ahead of the resident
         // commit — the signature of a block interrupted mid-commit.
-        let (start, len) = ooc.parts[0];
-        let n = len as usize * 8;
+        let n = ooc.parts[0].1 as usize * 8;
         let (mut ent, mut m, mut v) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
-        ooc.load_partition_into(0, &mut ent, Some((&mut m, &mut v)))
+        ooc.load_partition_into(0, None, &mut ent, Some((&mut m, &mut v)))
             .unwrap();
-        ooc.write_partition_raw(0, ooc.gen + 1, start, len, &ent, &m, &v)
-            .unwrap();
-        let err = ooc.load_partition_into(0, &mut ent, None).unwrap_err();
-        assert!(matches!(err, OocError::State(_)), "got {err}");
+        let io = Arc::clone(&ooc.io);
+        with_writer(&*io, false, |w| {
+            ooc.frame_partition(w, 0, ooc.gen + 1, &ent, &m, &v);
+            w.hand_over()
+        })
+        .unwrap();
+        let ooc = OocTrainer::resume(&dir).unwrap();
+        let err = ooc
+            .load_partition_into(0, None, &mut ent, None)
+            .unwrap_err();
+        assert!(err.to_string().contains("ahead"), "got {err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A 60-item store over two or more partitions, trained for two epochs.
+    fn paged(tag: &str) -> (TripleStore, OocTrainer, PathBuf) {
+        let s = store(60, 3);
+        let dir = tmp_dir(tag);
+        let tr = OocTrainer::new(
+            &s,
+            OocConfig {
+                model: PkgmConfig::new(8).with_seed(11),
+                train: TrainConfig {
+                    epochs: 2,
+                    ..train_cfg()
+                },
+                mem_budget: 3 * 8 * 4 * 40, // 2 partitions x 20 rows per block
+                dir: dir.clone(),
+            },
+        )
+        .unwrap();
+        assert!(tr.n_partitions() >= 2);
+        (s, tr, dir)
+    }
+
+    /// The epoch's blocks as `(pi, pj)`, in schedule order.
+    fn schedule(tr: &OocTrainer, s: &TripleStore) -> Vec<(usize, usize)> {
+        let buckets: std::collections::BTreeSet<_> = s
+            .triples()
+            .iter()
+            .map(|t| (tr.part_of(t.head.0), tr.part_of(t.tail.0)))
+            .collect();
+        buckets.into_iter().collect()
+    }
+
+    /// File names in the order they were committed.
+    #[derive(Default)]
+    struct Recorded(std::sync::Mutex<Vec<String>>);
+
+    impl ArtifactIo for Recorded {
+        fn write_atomic(&self, path: &Path, bytes: &[u8]) -> Result<(), ArtifactError> {
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            self.0.lock().unwrap().push(name);
+            StdIo.write_atomic(path, bytes)
+        }
+        fn read(&self, path: &Path) -> Result<Vec<u8>, ArtifactError> {
+            StdIo.read(path)
+        }
+        fn remove(&self, path: &Path) -> Result<(), ArtifactError> {
+            StdIo.remove(path)
+        }
+        fn list(&self, dir: &Path) -> Result<Vec<PathBuf>, ArtifactError> {
+            StdIo.list(dir)
+        }
+    }
+
+    #[test]
+    fn commits_land_block_by_block_partitions_first() {
+        let (s, mut tr, dir) = paged("order");
+        let log = Arc::new(Recorded::default());
+        tr.io = log.clone();
+        tr.train(&s).unwrap();
+        let part = |k: usize| format!("ooc-part-{k:05}of{:05}.pkgm", tr.n_partitions());
+        let mut want = Vec::new();
+        for _ in 0..2 {
+            for (pi, pj) in schedule(&tr, &s) {
+                want.push(part(pi));
+                if pj != pi {
+                    want.push(part(pj));
+                }
+                want.push(RESIDENT_FILE.to_string());
+            }
+            want.push(RESIDENT_FILE.to_string());
+        }
+        assert_eq!(*log.0.lock().unwrap(), want);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_stale_partition_put_back_mid_run_is_refused() {
+        let (s, mut tr, dir) = paged("stale");
+        let path = tr.partition_path(0);
+        let init = std::fs::read(&path).unwrap();
+        tr.cfg.train.epochs = 1;
+        tr.train(&s).unwrap();
+        // Generation 0 is at most the committed generation: only the
+        // generation this trainer wrote tells the old file from the new.
+        std::fs::write(&path, &init).unwrap();
+        tr.cfg.train.epochs = 2;
+        let err = tr.train(&s).unwrap_err();
+        assert!(
+            matches!(&err, OocError::State(m) if m.contains("stale")),
+            "got {err}"
+        );
+        assert!(tr.assemble_model().is_err());
+        // A resumed trainer has written nothing, so it can only check `≤`.
+        assert!(OocTrainer::resume(&dir).unwrap().assemble_model().is_ok());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Train [`paged`] with block 3's first partition write (`resident:
+    /// false`) or its resident write failing, after which more blocks
+    /// train. Returns the error's directory, the failed write's index and
+    /// the writes attempted.
+    fn fail_block_write(tag: &str, resident: bool) -> (PathBuf, u64, u64) {
+        let (s, mut tr, dir) = paged(tag);
+        let blocks = schedule(&tr, &s);
+        assert!(blocks.len() > 4, "a block trains after the failed one");
+        let writes = |&(pi, pj): &(usize, usize)| if pi == pj { 2 } else { 3 };
+        let first: u64 = blocks[..3].iter().map(writes).sum();
+        let nth = if resident {
+            first + writes(&blocks[3]) - 1
+        } else {
+            first
+        };
+        let faulty = Arc::new(FaultyIo::new(
+            FaultPlan::new().with_fault(nth, Fault::FailWrite),
+        ));
+        tr.io = faulty.clone();
+        let err = tr.train(&s).unwrap_err();
+        assert!(
+            matches!(err, OocError::Artifact(ArtifactError::Injected { .. })),
+            "got {err}"
+        );
+        assert_eq!(faulty.injected(), 1);
+        (dir, nth, faulty.writes())
+    }
+
+    #[test]
+    fn a_failed_partition_write_stops_the_writer_and_resume_replays_the_block() {
+        let (s, mut straight, dir_a) = paged("straight-run");
+        straight.train(&s).unwrap();
+        let want = straight.assemble_model().unwrap();
+
+        let (dir_b, nth, writes) = fail_block_write("fail-part", false);
+        assert_eq!(writes, nth + 1, "no write after the failed one");
+        let mut resumed = OocTrainer::resume(&dir_b).unwrap();
+        assert_eq!((resumed.epochs_done, resumed.blocks_done), (0, 3));
+        resumed.train(&s).unwrap();
+        let got = resumed.assemble_model().unwrap();
+        assert_eq!(bits(&got.ent), bits(&want.ent));
+        assert_eq!(bits(&got.rel), bits(&want.rel));
+        assert_eq!(bits(&got.mats), bits(&want.mats));
+        let _ = std::fs::remove_dir_all(&dir_a);
+        let _ = std::fs::remove_dir_all(&dir_b);
+    }
+
+    #[test]
+    fn a_failed_resident_write_leaves_the_block_ahead_of_the_committed_state() {
+        let (dir, nth, writes) = fail_block_write("fail-resident", true);
+        assert_eq!(writes, nth + 1, "no write after the failed one");
+        let mut resumed = OocTrainer::resume(&dir).unwrap();
+        assert_eq!((resumed.epochs_done, resumed.blocks_done), (0, 3));
+        let err = resumed.train(&store(60, 3)).unwrap_err();
+        assert!(
+            matches!(&err, OocError::State(m) if m.contains("ahead of the committed state")),
+            "got {err}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
