@@ -1652,7 +1652,6 @@ mod tests {
             w.hand_over()
         })
         .unwrap();
-        let ooc = OocTrainer::resume(&dir).unwrap();
         let err = ooc
             .load_partition_into(0, None, &mut ent, None)
             .unwrap_err();
