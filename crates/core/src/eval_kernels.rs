@@ -61,9 +61,9 @@
 //! tile is laid out once per call rather than once per group; relation
 //! ranking makes the same call the other way round, a block of query heads
 //! against every relation. The projection is most of a head query's cost:
-//! AVX2 takes four rows of `M_r` against two candidates per step, AVX-512
-//! sixteen candidates in the lanes of one register, and every (candidate,
-//! row) dot keeps `kernel_dot`'s lane order and combine. Pruning on the
+//! the wide levels run the candidates in the lanes of a register, eight at
+//! AVX2 and sixteen at AVX-512, and every (candidate, row) dot keeps
+//! `kernel_dot`'s lane order and combine. Pruning on the
 //! translation half first does not pay:
 //! on a trained model most candidates' translation score alone stays
 //! below the true head's joint score, so `f_R` has to be computed in full

@@ -6,6 +6,9 @@
 //! int8 absolute-difference sum behind `quant::prunes` ([`sad_i8`]) and
 //! the CRC32 under every artifact, snapshot section and wire frame
 //! ([`crc32_update`]) — has exactly one **scalar twin** (in [`scalar`]).
+//! The five f32 primitives read their slices' common length, and their
+//! blocked order is written once per register width: `scalar::fold8` over
+//! eight accumulators and `x86::fold256` over one `f32x8` register.
 //!
 //! The link-prediction kernels do not call those primitives once per
 //! candidate. They call five **run entries**, each over many candidates:
@@ -35,11 +38,12 @@
 //!
 //! * **AVX-512** when `is_x86_feature_detected!` finds `avx512f` and
 //!   `avx512bw` as well as `avx2`: the AVX2 table with its three lane
-//!   entries replaced — [`project_run`] with one candidate per lane,
-//!   [`lanes_beats`] and [`lanes_prune`] with one query per lane of one
-//!   512-bit register (DESIGN.md §11);
-//! * **AVX2** when `is_x86_feature_detected!("avx2")`, its lane entries
-//!   running the sixteen queries as two eight-lane halves;
+//!   entries widened to one 512-bit register — [`project_run`] with sixteen
+//!   candidates in the lanes, [`lanes_beats`] and [`lanes_prune`] with the
+//!   sixteen queries (DESIGN.md §11);
+//! * **AVX2** when `is_x86_feature_detected!("avx2")`, the same lane
+//!   bodies over eight lanes: [`project_run`] eight candidates per register,
+//!   the lane entries the sixteen queries as two halves;
 //! * the portable scalar twins otherwise, on non-x86 targets, or when the
 //!   `PKGM_FORCE_SCALAR` environment variable is set (any value but `0`);
 //! * independently of the float level, the CRC entry is the carry-less
@@ -66,15 +70,15 @@
 //! `(a₄+a₅)+(a₆+a₇)` in the high half, one add joins them. IEEE addition
 //! is commutative, so `hadd`'s `a₁+a₀` is the scalar `a₀+a₁` bit for bit.
 //! Three `hadd`s combine four accumulators into one `f32x4` the same way,
-//! which is how the run entries reduce four candidates (or four matrix
-//! rows) per exit check. The lane entries never combine horizontally:
-//! each lane is one query (or one projected candidate), its eight
-//! accumulators are eight registers, and the `combine8` tree is seven
-//! vertical adds in the tree's own order. So for every input the SIMD
-//! result is the *same deterministic function* as the scalar twin, bit for
-//! bit; `tests/simd_parity.rs` enforces this at every level the host
-//! supports ([`SimdDispatch::all_supported`]) across non-lane-multiple
-//! dims, subnormals, and early-exit abandon points.
+//! which is how [`run_beats`] reduces four candidates per exit check. The
+//! lane bodies never combine horizontally: each lane is one query (or one
+//! projected candidate), its eight accumulators are eight registers, and
+//! the `combine8` tree is seven vertical adds in the tree's own order. So
+//! for every input the SIMD result is the *same deterministic function* as
+//! the scalar twin, bit for bit; `tests/simd_parity.rs` enforces this at
+//! every level the host supports ([`SimdDispatch::all_supported`]) across
+//! non-lane-multiple dims, unequal slice lengths, subnormals, and
+//! early-exit abandon points.
 //!
 //! The early-exit comparators keep their cadence: the partial lane sums
 //! are combined and compared against the bound every
@@ -386,7 +390,8 @@ pub fn describe() -> String {
 /// accumulators break the chain and the fixed tree combine makes the
 /// result a deterministic function of the inputs — the *same* function on
 /// every dispatch level. Both training-kernel twins share this ordering,
-/// which is what keeps them bit-equal. Slices must be equally long.
+/// which is what keeps them bit-equal. Every level reads the slices'
+/// common length.
 #[inline]
 pub fn kernel_dot(a: &[f32], b: &[f32]) -> f32 {
     (active().kernel_dot)(a, b)
@@ -469,9 +474,9 @@ pub fn prune_run(run: PruneRun<'_>, survivors: &mut Vec<u32>) -> u64 {
 /// Fill `out[i·n + c]` with the relation-module residual
 /// `‖M_i·h_c − r_i‖₁` of matrix `i` and candidate `c` (see
 /// [`Projection`]), or `f32::INFINITY` once its partial sum reaches
-/// `caps[i]`, dispatched once per tile. AVX2 computes four matrix rows per
-/// step against two candidates, sharing each row load; AVX-512 runs
-/// sixteen candidates in the lanes of one register.
+/// `caps[i]`, dispatched once per tile. The wide levels run the candidates
+/// in the lanes of a register, eight at AVX2 and sixteen at AVX-512, so
+/// each matrix element is broadcast once per block of candidates.
 ///
 /// # Panics
 /// If the slices do not hold `k = caps.len()` matrices and
@@ -725,122 +730,93 @@ pub mod scalar {
         ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
     }
 
-    /// Scalar twin of [`super::kernel_dot`].
-    #[inline]
-    pub fn kernel_dot(a: &[f32], b: &[f32]) -> f32 {
+    /// The eight-lane blocked order every per-candidate twin shares:
+    /// `acc[j] += term(chunk, j)` per chunk of eight, in chunk order; with
+    /// `exit = Some((extra, bound))`, `None` as soon as `combine8 + extra`
+    /// reaches `bound` at an [`EXIT_STRIDE`] check; then the serial tail
+    /// over the `rest_len` elements of `rest`, and `combine8 + tail`.
+    #[inline(always)]
+    fn fold8<C>(
+        chunks: impl Iterator<Item = C>,
+        (rest, rest_len): (C, usize),
+        term: impl Fn(&C, usize) -> f32,
+        exit: Option<(f32, f32)>,
+    ) -> Option<f32> {
         let mut acc = [0.0f32; 8];
-        let mut ca = a.chunks_exact(8);
-        let mut cb = b.chunks_exact(8);
-        for (xa, xb) in (&mut ca).zip(&mut cb) {
-            for j in 0..8 {
-                acc[j] += xa[j] * xb[j];
+        for (c, chunk) in chunks.enumerate() {
+            for (j, acc) in acc.iter_mut().enumerate() {
+                *acc += term(&chunk, j);
+            }
+            if let Some((extra, bound)) = exit {
+                if (c + 1) % EXIT_STRIDE == 0 && combine8(&acc) + extra >= bound {
+                    return None;
+                }
             }
         }
         let mut tail = 0.0f32;
-        for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
-            tail += x * y;
+        for j in 0..rest_len {
+            tail += term(&rest, j);
         }
-        combine8(&acc) + tail
+        Some(combine8(&acc) + tail)
+    }
+
+    /// Scalar twin of [`super::kernel_dot`], over the slices' common
+    /// length (as every primitive here).
+    #[inline]
+    pub fn kernel_dot(a: &[f32], b: &[f32]) -> f32 {
+        let n = a.len().min(b.len());
+        let (a, b) = (a[..n].chunks_exact(8), b[..n].chunks_exact(8));
+        let rest = ((a.remainder(), b.remainder()), n % 8);
+        fold8(a.zip(b), rest, |(a, b), j| a[j] * b[j], None)
+            .expect("runs to the end without a bound")
+    }
+
+    /// [`fold8`] of `|a − b|`.
+    #[inline(always)]
+    fn l1(a: &[f32], b: &[f32], exit: Option<(f32, f32)>) -> Option<f32> {
+        let n = a.len().min(b.len());
+        let (a, b) = (a[..n].chunks_exact(8), b[..n].chunks_exact(8));
+        let rest = ((a.remainder(), b.remainder()), n % 8);
+        fold8(a.zip(b), rest, |(a, b), j| (a[j] - b[j]).abs(), exit)
+    }
+
+    /// [`fold8`] of `|h + r − t|`.
+    #[inline(always)]
+    fn translation(h: &[f32], r: &[f32], t: &[f32], exit: Option<(f32, f32)>) -> Option<f32> {
+        let n = h.len().min(r.len()).min(t.len());
+        let [h, r, t] = [h, r, t].map(|x| x[..n].chunks_exact(8));
+        let rest = ((h.remainder(), r.remainder(), t.remainder()), n % 8);
+        let chunks = h.zip(r).zip(t).map(|((h, r), t)| (h, r, t));
+        fold8(
+            chunks,
+            rest,
+            |(h, r, t), j| (h[j] + r[j] - t[j]).abs(),
+            exit,
+        )
     }
 
     /// Scalar twin of [`super::blocked_l1`].
     #[inline]
     pub fn blocked_l1(a: &[f32], b: &[f32]) -> f32 {
-        let mut acc = [0.0f32; 8];
-        let mut ca = a.chunks_exact(8);
-        let mut cb = b.chunks_exact(8);
-        for (xa, xb) in (&mut ca).zip(&mut cb) {
-            for j in 0..8 {
-                acc[j] += (xa[j] - xb[j]).abs();
-            }
-        }
-        let mut tail = 0.0f32;
-        for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
-            tail += (x - y).abs();
-        }
-        combine8(&acc) + tail
+        l1(a, b, None).expect("runs to the end without a bound")
     }
 
     /// Scalar twin of [`super::blocked_l1_translation`].
     #[inline]
     pub fn blocked_l1_translation(h: &[f32], r: &[f32], t: &[f32]) -> f32 {
-        let mut acc = [0.0f32; 8];
-        let mut ch = h.chunks_exact(8);
-        let mut cr = r.chunks_exact(8);
-        let mut ct = t.chunks_exact(8);
-        for ((xh, xr), xt) in (&mut ch).zip(&mut cr).zip(&mut ct) {
-            for j in 0..8 {
-                acc[j] += (xh[j] + xr[j] - xt[j]).abs();
-            }
-        }
-        let mut tail = 0.0f32;
-        for ((x, y), z) in ch
-            .remainder()
-            .iter()
-            .zip(cr.remainder())
-            .zip(ct.remainder())
-        {
-            tail += (x + y - z).abs();
-        }
-        combine8(&acc) + tail
+        translation(h, r, t, None).expect("runs to the end without a bound")
     }
 
     /// Scalar twin of [`super::l1_beats`].
     #[inline]
     pub fn l1_beats(a: &[f32], b: &[f32], extra: f32, bound: f32) -> bool {
-        let mut acc = [0.0f32; 8];
-        let mut ca = a.chunks_exact(8);
-        let mut cb = b.chunks_exact(8);
-        let mut pending = 0usize;
-        for (xa, xb) in (&mut ca).zip(&mut cb) {
-            for j in 0..8 {
-                acc[j] += (xa[j] - xb[j]).abs();
-            }
-            pending += 1;
-            if pending == EXIT_STRIDE {
-                pending = 0;
-                if combine8(&acc) + extra >= bound {
-                    return false;
-                }
-            }
-        }
-        let mut tail = 0.0f32;
-        for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
-            tail += (x - y).abs();
-        }
-        (combine8(&acc) + tail) + extra < bound
+        l1(a, b, Some((extra, bound))).is_some_and(|l1| l1 + extra < bound)
     }
 
     /// Scalar twin of [`super::translation_beats`].
     #[inline]
     pub fn translation_beats(h: &[f32], r: &[f32], t: &[f32], extra: f32, bound: f32) -> bool {
-        let mut acc = [0.0f32; 8];
-        let mut ch = h.chunks_exact(8);
-        let mut cr = r.chunks_exact(8);
-        let mut ct = t.chunks_exact(8);
-        let mut pending = 0usize;
-        for ((xh, xr), xt) in (&mut ch).zip(&mut cr).zip(&mut ct) {
-            for j in 0..8 {
-                acc[j] += (xh[j] + xr[j] - xt[j]).abs();
-            }
-            pending += 1;
-            if pending == EXIT_STRIDE {
-                pending = 0;
-                if combine8(&acc) + extra >= bound {
-                    return false;
-                }
-            }
-        }
-        let mut tail = 0.0f32;
-        for ((x, y), z) in ch
-            .remainder()
-            .iter()
-            .zip(cr.remainder())
-            .zip(ct.remainder())
-        {
-            tail += (x + y - z).abs();
-        }
-        (combine8(&acc) + tail) + extra < bound
+        translation(h, r, t, Some((extra, bound))).is_some_and(|l1| l1 + extra < bound)
     }
 
     /// Scalar twin of [`super::run_beats`]: [`translation_beats`] on every
@@ -1128,12 +1104,38 @@ mod x86 {
         )
     }
 
-    #[target_feature(enable = "avx2")]
-    unsafe fn kernel_dot_avx2(a: &[f32], b: &[f32]) -> f32 {
-        kernel_dot_body(a, b)
+    /// [`scalar::fold8`] on one `__m256`: lane `j` of `chunk(i)` is the
+    /// term of element `i + j`, added per chunk in chunk order; with
+    /// `exit = Some((extra, bound))`, `None` as soon as [`combine256`] plus
+    /// `extra` reaches `bound` at an [`EXIT_STRIDE`] check; then the serial
+    /// `tail(i)` over the last `n % 8` elements, and `combine256 + tail`.
+    ///
+    /// # Safety
+    /// AVX2, which the inlining caller must enable.
+    #[inline(always)]
+    unsafe fn fold256(
+        n: usize,
+        chunk: impl Fn(usize) -> __m256,
+        tail: impl Fn(usize) -> f32,
+        exit: Option<(f32, f32)>,
+    ) -> Option<f32> {
+        let mut acc = _mm256_setzero_ps();
+        for c in 0..n / 8 {
+            acc = _mm256_add_ps(acc, chunk(c * 8));
+            if let Some((extra, bound)) = exit {
+                if (c + 1) % EXIT_STRIDE == 0 && combine256(acc) + extra >= bound {
+                    return None;
+                }
+            }
+        }
+        let mut rest = 0.0f32;
+        for i in n / 8 * 8..n {
+            rest += tail(i);
+        }
+        Some(combine256(acc) + rest)
     }
 
-    /// [`kernel_dot_avx2`]'s body, always inlined: the wide
+    /// The AVX2 `kernel_dot`, always inlined: the wide
     /// [`super::at_level`] wrappers run it in place of one dispatched call
     /// per projection row.
     ///
@@ -1141,83 +1143,66 @@ mod x86 {
     /// AVX2, which the inlining caller must enable.
     #[inline(always)]
     unsafe fn kernel_dot_body(a: &[f32], b: &[f32]) -> f32 {
-        let n = a.len().min(b.len());
-        let chunks = n / 8;
         let (pa, pb) = (a.as_ptr(), b.as_ptr());
-        let mut acc = _mm256_setzero_ps();
-        for i in 0..chunks {
-            let va = _mm256_loadu_ps(pa.add(i * 8));
-            let vb = _mm256_loadu_ps(pb.add(i * 8));
-            acc = _mm256_add_ps(acc, _mm256_mul_ps(va, vb));
-        }
-        let mut tail = 0.0f32;
-        for i in chunks * 8..n {
-            tail += a[i] * b[i];
-        }
-        combine256(acc) + tail
+        let chunk = |i| _mm256_mul_ps(_mm256_loadu_ps(pa.add(i)), _mm256_loadu_ps(pb.add(i)));
+        fold256(a.len().min(b.len()), chunk, |i| a[i] * b[i], None)
+            .expect("runs to the end without a bound")
+    }
+
+    /// [`fold256`] of `|a − b|`.
+    ///
+    /// # Safety
+    /// AVX2, which the inlining caller must enable.
+    #[inline(always)]
+    unsafe fn l1(a: &[f32], b: &[f32], exit: Option<(f32, f32)>) -> Option<f32> {
+        let (pa, pb) = (a.as_ptr(), b.as_ptr());
+        let chunk = |i| {
+            abs256(_mm256_sub_ps(
+                _mm256_loadu_ps(pa.add(i)),
+                _mm256_loadu_ps(pb.add(i)),
+            ))
+        };
+        fold256(a.len().min(b.len()), chunk, |i| (a[i] - b[i]).abs(), exit)
+    }
+
+    /// [`fold256`] of `|h + r − t|`.
+    ///
+    /// # Safety
+    /// AVX2, which the inlining caller must enable.
+    #[inline(always)]
+    unsafe fn translation(
+        h: &[f32],
+        r: &[f32],
+        t: &[f32],
+        exit: Option<(f32, f32)>,
+    ) -> Option<f32> {
+        let (ph, pr, pt) = (h.as_ptr(), r.as_ptr(), t.as_ptr());
+        let chunk = |i| {
+            let sum = _mm256_add_ps(_mm256_loadu_ps(ph.add(i)), _mm256_loadu_ps(pr.add(i)));
+            abs256(_mm256_sub_ps(sum, _mm256_loadu_ps(pt.add(i))))
+        };
+        let n = h.len().min(r.len()).min(t.len());
+        fold256(n, chunk, |i| (h[i] + r[i] - t[i]).abs(), exit)
+    }
+
+    #[target_feature(enable = "avx2")]
+    unsafe fn kernel_dot_avx2(a: &[f32], b: &[f32]) -> f32 {
+        kernel_dot_body(a, b)
     }
 
     #[target_feature(enable = "avx2")]
     unsafe fn blocked_l1_avx2(a: &[f32], b: &[f32]) -> f32 {
-        let n = a.len().min(b.len());
-        let chunks = n / 8;
-        let (pa, pb) = (a.as_ptr(), b.as_ptr());
-        let mut acc = _mm256_setzero_ps();
-        for i in 0..chunks {
-            let va = _mm256_loadu_ps(pa.add(i * 8));
-            let vb = _mm256_loadu_ps(pb.add(i * 8));
-            acc = _mm256_add_ps(acc, abs256(_mm256_sub_ps(va, vb)));
-        }
-        let mut tail = 0.0f32;
-        for i in chunks * 8..n {
-            tail += (a[i] - b[i]).abs();
-        }
-        combine256(acc) + tail
+        l1(a, b, None).expect("runs to the end without a bound")
     }
 
     #[target_feature(enable = "avx2")]
     unsafe fn blocked_l1_translation_avx2(h: &[f32], r: &[f32], t: &[f32]) -> f32 {
-        let n = h.len().min(r.len()).min(t.len());
-        let chunks = n / 8;
-        let (ph, pr, pt) = (h.as_ptr(), r.as_ptr(), t.as_ptr());
-        let mut acc = _mm256_setzero_ps();
-        for i in 0..chunks {
-            let vh = _mm256_loadu_ps(ph.add(i * 8));
-            let vr = _mm256_loadu_ps(pr.add(i * 8));
-            let vt = _mm256_loadu_ps(pt.add(i * 8));
-            acc = _mm256_add_ps(acc, abs256(_mm256_sub_ps(_mm256_add_ps(vh, vr), vt)));
-        }
-        let mut tail = 0.0f32;
-        for i in chunks * 8..n {
-            tail += (h[i] + r[i] - t[i]).abs();
-        }
-        combine256(acc) + tail
+        translation(h, r, t, None).expect("runs to the end without a bound")
     }
 
     #[target_feature(enable = "avx2")]
     unsafe fn l1_beats_avx2(a: &[f32], b: &[f32], extra: f32, bound: f32) -> bool {
-        let n = a.len().min(b.len());
-        let chunks = n / 8;
-        let (pa, pb) = (a.as_ptr(), b.as_ptr());
-        let mut acc = _mm256_setzero_ps();
-        let mut pending = 0usize;
-        for i in 0..chunks {
-            let va = _mm256_loadu_ps(pa.add(i * 8));
-            let vb = _mm256_loadu_ps(pb.add(i * 8));
-            acc = _mm256_add_ps(acc, abs256(_mm256_sub_ps(va, vb)));
-            pending += 1;
-            if pending == EXIT_STRIDE {
-                pending = 0;
-                if combine256(acc) + extra >= bound {
-                    return false;
-                }
-            }
-        }
-        let mut tail = 0.0f32;
-        for i in chunks * 8..n {
-            tail += (a[i] - b[i]).abs();
-        }
-        (combine256(acc) + tail) + extra < bound
+        l1(a, b, Some((extra, bound))).is_some_and(|l1| l1 + extra < bound)
     }
 
     #[target_feature(enable = "avx2")]
@@ -1228,29 +1213,7 @@ mod x86 {
         extra: f32,
         bound: f32,
     ) -> bool {
-        let n = h.len().min(r.len()).min(t.len());
-        let chunks = n / 8;
-        let (ph, pr, pt) = (h.as_ptr(), r.as_ptr(), t.as_ptr());
-        let mut acc = _mm256_setzero_ps();
-        let mut pending = 0usize;
-        for i in 0..chunks {
-            let vh = _mm256_loadu_ps(ph.add(i * 8));
-            let vr = _mm256_loadu_ps(pr.add(i * 8));
-            let vt = _mm256_loadu_ps(pt.add(i * 8));
-            acc = _mm256_add_ps(acc, abs256(_mm256_sub_ps(_mm256_add_ps(vh, vr), vt)));
-            pending += 1;
-            if pending == EXIT_STRIDE {
-                pending = 0;
-                if combine256(acc) + extra >= bound {
-                    return false;
-                }
-            }
-        }
-        let mut tail = 0.0f32;
-        for i in chunks * 8..n {
-            tail += (h[i] + r[i] - t[i]).abs();
-        }
-        (combine256(acc) + tail) + extra < bound
+        translation(h, r, t, Some((extra, bound))).is_some_and(|l1| l1 + extra < bound)
     }
 
     /// `Σ |a − b|` over i8 via `vpsadbw`: XOR with `0x80` biases both
@@ -1454,223 +1417,20 @@ mod x86 {
                 .survivors_with(survivors, |a, b| sad_i8_avx2(a, b))
     }
 
-    /// Four rows of one matrix (`m`, row stride `d`) against `K` vectors:
-    /// lane `r` of result `k` is `kernel_dot(M_r, h[k])`. Every (row,
-    /// vector) pair keeps its own eight-lane accumulator and serial tail;
-    /// each row load serves all `K` vectors and [`combine256x4`] reduces
-    /// the four rows of a vector at once.
-    ///
-    /// # Safety
-    /// AVX2; `m` readable for `4·d` floats and every `h[k]` for `d`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn dot4_avx2<const K: usize>(
-        m: *const f32,
-        d: usize,
-        h: [*const f32; K],
-    ) -> [__m128; K] {
-        let chunks = d / 8;
-        let mut acc = [[_mm256_setzero_ps(); 4]; K];
-        for i in 0..chunks {
-            let rows = [
-                _mm256_loadu_ps(m.add(i * 8)),
-                _mm256_loadu_ps(m.add(d + i * 8)),
-                _mm256_loadu_ps(m.add(2 * d + i * 8)),
-                _mm256_loadu_ps(m.add(3 * d + i * 8)),
-            ];
-            for (acc, &hk) in acc.iter_mut().zip(&h) {
-                let vh = _mm256_loadu_ps(hk.add(i * 8));
-                for (acc, &row) in acc.iter_mut().zip(&rows) {
-                    *acc = _mm256_add_ps(*acc, _mm256_mul_ps(row, vh));
-                }
-            }
-        }
-        let mut dots = [_mm_setzero_ps(); K];
-        for ((dot, acc), &hk) in dots.iter_mut().zip(acc).zip(&h) {
-            let mut tail = [0.0f32; 4];
-            for (r, t) in tail.iter_mut().enumerate() {
-                for j in chunks * 8..d {
-                    *t += *m.add(r * d + j) * *hk.add(j);
-                }
-            }
-            *dot = _mm_add_ps(combine256x4(acc), _mm_loadu_ps(tail.as_ptr()));
-        }
-        dots
-    }
-
-    /// Add `terms` to a residual still under the cap, serially, checking
-    /// after each term; a residual that reaches the cap goes out.
-    #[inline]
-    fn add_capped(res: &mut f32, live: &mut bool, terms: &[f32], cap: f32) {
-        if !*live {
-            return;
-        }
-        for &t in terms {
-            *res += t;
-            if *res >= cap {
-                *live = false;
-                return;
-            }
-        }
-    }
-
-    /// Capped residuals `‖M·h[k] − r‖₁` of `K` vectors under one matrix:
-    /// four rows per [`dot4_avx2`] step and the rows left over by
-    /// [`kernel_dot_avx2`], every term added in row order with the cap
-    /// checked after each — the contract loop's arithmetic and exits.
-    ///
-    /// # Safety
-    /// AVX2; `m` holds `d × d` floats and every `h[k]` `d`, `d = r.len()`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn residuals_avx2<const K: usize>(
-        m: &[f32],
-        r: &[f32],
-        h: [&[f32]; K],
-        cap: f32,
-    ) -> [f32; K] {
-        let d = r.len();
-        debug_assert!(m.len() == d * d && h.iter().all(|h| h.len() == d));
-        let hp = h.map(<[f32]>::as_ptr);
-        let mut res = [0.0f32; K];
-        let mut live = [true; K];
-        let mut row = 0usize;
-        while row + 4 <= d && live.contains(&true) {
-            let dots = dot4_avx2::<K>(m.as_ptr().add(row * d), d, hp);
-            let rv = _mm_loadu_ps(r.as_ptr().add(row));
-            for ((res, live), dot) in res.iter_mut().zip(&mut live).zip(dots) {
-                let mut terms = [0.0f32; 4];
-                _mm_storeu_ps(terms.as_mut_ptr(), abs128(_mm_sub_ps(dot, rv)));
-                add_capped(res, live, &terms, cap);
-            }
-            row += 4;
-        }
-        while row < d && live.contains(&true) {
-            for ((res, live), hk) in res.iter_mut().zip(&mut live).zip(h) {
-                let term = (kernel_dot_avx2(super::row(m, d, row), hk) - r[row]).abs();
-                add_capped(res, live, &[term], cap);
-            }
-            row += 1;
-        }
-        for (res, live) in res.iter_mut().zip(live) {
-            if !live {
-                *res = f32::INFINITY;
-            }
-        }
-        res
-    }
-
-    /// `super::project_run`: per matrix, the candidates in pairs sharing
-    /// every `M` row load ([`residuals_avx2`]).
-    ///
-    /// # Safety
-    /// AVX2. (Every slice handed to [`residuals_avx2`] has the length
-    /// `Projection::checked_shape` verifies on entry.)
-    #[target_feature(enable = "avx2")]
-    unsafe fn project_run_avx2(p: Projection<'_>, out: &mut [f32]) {
-        let (n, d) = p.checked_shape(out.len());
-        for (i, out) in out.chunks_exact_mut(n.max(1)).enumerate() {
-            let (m, r, cap) = p.matrix(i, d);
-            let mut pairs = out.chunks_exact_mut(2);
-            for (c, pair) in (&mut pairs).enumerate() {
-                let h = [super::row(p.hs, d, 2 * c), super::row(p.hs, d, 2 * c + 1)];
-                pair.copy_from_slice(&residuals_avx2(m, r, h, cap));
-            }
-            if let [last] = pairs.into_remainder() {
-                [*last] = residuals_avx2(m, r, [super::row(p.hs, d, n - 1)], cap);
-            }
-        }
-    }
-
-    /// Capped residuals `‖M·h_c − r‖₁` of a lane-major block
-    /// (`x[j·16 + c]` is element `j` of candidate `c`), one candidate per
-    /// lane. Per row a lane runs `kernel_dot` (accumulator `j mod 8` in
-    /// chunk order, the `combine8` tree, `+ tail`), then the serial
-    /// residual and the ordered `res ≥ cap` (never true for NaN) into a
-    /// sticky mask; masked lanes come out `+∞`. No lane combines
-    /// horizontally.
-    ///
-    /// # Safety
-    /// AVX-512F; `m` readable for `d × d` floats and `x` for `16·d`,
-    /// `d = r.len()`.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn residuals16_avx512(m: *const f32, r: &[f32], cap: f32, x: *const f32) -> __m512 {
-        let d = r.len();
-        let chunks = d / 8;
-        let cap = _mm512_set1_ps(cap);
-        let mut res = _mm512_setzero_ps();
-        let mut out: __mmask16 = 0;
-        for (row, &rk) in r.iter().enumerate() {
-            let m = m.add(row * d);
-            let term =
-                |j: usize| _mm512_mul_ps(_mm512_set1_ps(*m.add(j)), _mm512_loadu_ps(x.add(j * 16)));
-            let mut acc = [_mm512_setzero_ps(); 8];
-            for q in 0..chunks {
-                for (k, acc) in acc.iter_mut().enumerate() {
-                    *acc = _mm512_add_ps(*acc, term(q * 8 + k));
-                }
-            }
-            let mut tail = _mm512_setzero_ps();
-            for j in chunks * 8..d {
-                tail = _mm512_add_ps(tail, term(j));
-            }
-            let [a0, a1, a2, a3, a4, a5, a6, a7] = acc;
-            let dot = _mm512_add_ps(
-                _mm512_add_ps(_mm512_add_ps(a0, a1), _mm512_add_ps(a2, a3)),
-                _mm512_add_ps(_mm512_add_ps(a4, a5), _mm512_add_ps(a6, a7)),
-            );
-            let dot = _mm512_add_ps(dot, tail);
-            res = _mm512_add_ps(res, _mm512_abs_ps(_mm512_sub_ps(dot, _mm512_set1_ps(rk))));
-            out |= _mm512_cmp_ps_mask::<_CMP_GE_OQ>(res, cap);
-            if out == 0xFFFF {
-                break;
-            }
-        }
-        _mm512_mask_mov_ps(res, out, _mm512_set1_ps(f32::INFINITY))
-    }
-
-    /// `super::project_run` with sixteen candidates in the lanes: each
-    /// block of 16 is copied once into lane-major scratch and every matrix
-    /// runs over it ([`residuals16_avx512`]). A last block of fewer than 16
-    /// stores only its own lanes.
-    ///
-    /// # Safety
-    /// AVX-512F. (Every load is within the slices
-    /// `Projection::checked_shape` verifies on entry.)
-    #[target_feature(enable = "avx512f")]
-    unsafe fn project_run_avx512(p: Projection<'_>, out: &mut [f32]) {
-        let (n, d) = p.checked_shape(out.len());
-        let mut lanes = vec![0.0f32; 16 * d];
-        for c0 in (0..n).step_by(16) {
-            let width = (n - c0).min(16);
-            for c in 0..width {
-                for (j, &x) in super::row(p.hs, d, c0 + c).iter().enumerate() {
-                    lanes[j * 16 + c] = x;
-                }
-            }
-            let store = ((1u32 << width) - 1) as __mmask16;
-            for i in 0..p.caps.len() {
-                let (m, r, cap) = p.matrix(i, d);
-                let res = residuals16_avx512(m.as_ptr(), r, cap, lanes.as_ptr());
-                _mm512_mask_storeu_ps(out.as_mut_ptr().add(i * n + c0), store, res);
-            }
-        }
-    }
-
     /// A register of f32 lanes — sixteen (`__m512`) or eight (`__m256`) —
     /// over which the lane bodies [`lanes_beats_with`] and
     /// [`lanes_prune_with`] are written once. Mask bit `s` is lane `s`.
     ///
     /// # Safety
-    /// Every method needs its impl's CPU features. `load` reads `N` floats
-    /// at `p`; `block_sads` reads the four 8-byte groups of `N` queries from
+    /// Every method needs its impl's CPU features. `load` reads and `store`
+    /// writes `N` floats at `p`; `block_sads` reads the four 8-byte groups of `N` queries from
     /// `q` on (groups `8·QUERY_LANES` bytes apart) and 32 bytes at `row`.
     trait F32Lanes: Copy {
         /// Lanes per register.
         const N: usize;
         unsafe fn splat(x: f32) -> Self;
         unsafe fn load(p: *const f32) -> Self;
+        unsafe fn store(self, p: *mut f32);
         unsafe fn add(self, o: Self) -> Self;
         unsafe fn sub(self, o: Self) -> Self;
         unsafe fn mul(self, o: Self) -> Self;
@@ -1694,6 +1454,11 @@ mod x86 {
         #[target_feature(enable = "avx512f")]
         unsafe fn load(p: *const f32) -> Self {
             _mm512_loadu_ps(p)
+        }
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn store(self, p: *mut f32) {
+            _mm512_storeu_ps(p, self)
         }
         #[inline]
         #[target_feature(enable = "avx512f")]
@@ -1750,6 +1515,11 @@ mod x86 {
         #[target_feature(enable = "avx2")]
         unsafe fn load(p: *const f32) -> Self {
             _mm256_loadu_ps(p)
+        }
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn store(self, p: *mut f32) {
+            _mm256_storeu_ps(p, self)
         }
         #[inline]
         #[target_feature(enable = "avx2")]
@@ -1810,6 +1580,16 @@ mod x86 {
         (row.add(8 * g).cast::<u64>().read_unaligned() ^ 0x8080_8080_8080_8080) as i64
     }
 
+    /// `scalar::combine8` of eight registers, lane by lane:
+    /// `((a₀+a₁)+(a₂+a₃)) + ((a₄+a₅)+(a₆+a₇))` in seven vertical adds.
+    ///
+    /// # Safety
+    /// `V`'s CPU features.
+    #[inline(always)]
+    unsafe fn combine8<V: F32Lanes>([a0, a1, a2, a3, a4, a5, a6, a7]: [V; 8]) -> V {
+        a0.add(a1).add(a2.add(a3)).add(a4.add(a5).add(a6.add(a7)))
+    }
+
     /// The `live` lanes of one `V` whose query beats its bound against one
     /// candidate `row`: lane `s` performs `scalar::l1_beats(query_s, row,
     /// 0.0, bound_s)` — eight accumulators (`j mod 8`) in chunk order over
@@ -1827,9 +1607,6 @@ mod x86 {
         let d = row.len();
         let term = |j: usize| V::load(x.add(j * QUERY_LANES)).sub(V::splat(row[j])).abs();
         let zero = V::splat(0.0);
-        let combine8 = |[a0, a1, a2, a3, a4, a5, a6, a7]: [V; 8]| {
-            a0.add(a1).add(a2.add(a3)).add(a4.add(a5).add(a6.add(a7)))
-        };
         let mut acc = [zero; 8];
         let mut alive = live;
         for c in 0..d / 8 {
@@ -1942,6 +1719,102 @@ mod x86 {
         counted
     }
 
+    /// Capped residuals `‖M·h_c − r‖₁` of a lane-major block of `V::N`
+    /// candidates (`x[j·N + c]` is element `j` of candidate `c`), one per
+    /// lane. Per row a lane runs `kernel_dot` (accumulator `j mod 8` in
+    /// chunk order, the [`combine8`] tree, `+ tail`), then the serial
+    /// residual and the ordered `res ≥ cap` (never true for NaN) into a
+    /// sticky mask, until every `live` lane is out. Returns the residuals
+    /// and that mask. No lane combines horizontally.
+    ///
+    /// # Safety
+    /// `V`'s CPU features; `m` readable for `d × d` floats and `x` for
+    /// `N·d`, `d = r.len()`.
+    #[inline(always)]
+    unsafe fn residuals_lanes<V: F32Lanes>(
+        m: *const f32,
+        r: &[f32],
+        cap: f32,
+        x: *const f32,
+        live: u16,
+    ) -> (V, u16) {
+        let d = r.len();
+        let zero = V::splat(0.0);
+        let mut res = zero;
+        let mut out = 0;
+        for (row, &rk) in r.iter().enumerate() {
+            let m = m.add(row * d);
+            let term = |j: usize| V::splat(*m.add(j)).mul(V::load(x.add(j * V::N)));
+            let mut acc = [zero; 8];
+            for c in 0..d / 8 {
+                for (k, acc) in acc.iter_mut().enumerate() {
+                    *acc = acc.add(term(c * 8 + k));
+                }
+            }
+            let mut tail = zero;
+            for j in d / 8 * 8..d {
+                tail = tail.add(term(j));
+            }
+            res = res.add(combine8(acc).add(tail).sub(V::splat(rk)).abs());
+            out |= res.cmp::<_CMP_GE_OQ>(V::splat(cap));
+            if out & live == live {
+                break;
+            }
+        }
+        (res, out)
+    }
+
+    /// `super::project_run` with `V::N` candidates in the lanes: each block
+    /// is copied once into lane-major scratch and every matrix runs over it
+    /// ([`residuals_lanes`]); a lane out at its cap stores `+∞`, and a last
+    /// block of fewer than `N` stores only its own lanes.
+    ///
+    /// # Safety
+    /// `V`'s CPU features. (Every load is within the slices
+    /// `Projection::checked_shape` verifies on entry.)
+    #[inline(always)]
+    unsafe fn project_lanes<V: F32Lanes>(p: Projection<'_>, out: &mut [f32]) {
+        let (n, d) = p.checked_shape(out.len());
+        let mut x = vec![0.0f32; V::N * d];
+        let mut lanes = [0.0f32; QUERY_LANES];
+        for c0 in (0..n).step_by(V::N) {
+            let width = (n - c0).min(V::N);
+            for c in 0..width {
+                for (j, &h) in super::row(p.hs, d, c0 + c).iter().enumerate() {
+                    x[j * V::N + c] = h;
+                }
+            }
+            let live = ((1u32 << width) - 1) as u16;
+            for i in 0..p.caps.len() {
+                let (m, r, cap) = p.matrix(i, d);
+                let (res, capped) = residuals_lanes::<V>(m.as_ptr(), r, cap, x.as_ptr(), live);
+                res.store(lanes.as_mut_ptr());
+                for s in super::lanes(capped) {
+                    lanes[s] = f32::INFINITY;
+                }
+                out[i * n + c0..][..width].copy_from_slice(&lanes[..width]);
+            }
+        }
+    }
+
+    /// `super::project_run` on AVX2: eight candidates per register.
+    ///
+    /// # Safety
+    /// AVX2.
+    #[target_feature(enable = "avx2")]
+    unsafe fn project_run_avx2(p: Projection<'_>, out: &mut [f32]) {
+        project_lanes::<__m256>(p, out)
+    }
+
+    /// `super::project_run` with sixteen candidates in one register.
+    ///
+    /// # Safety
+    /// AVX-512F.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn project_run_avx512(p: Projection<'_>, out: &mut [f32]) {
+        project_lanes::<__m512>(p, out)
+    }
+
     /// `super::lanes_beats` on AVX2: two halves of eight lanes.
     ///
     /// # Safety
@@ -1976,13 +1849,6 @@ mod x86 {
     #[target_feature(enable = "avx512f,avx512bw")]
     unsafe fn lanes_prune_avx512(p: PruneLanes<'_>, survivors: &mut Vec<(u32, u16)>) -> u64 {
         lanes_prune_with::<__m512>(p, survivors)
-    }
-
-    /// Clear the sign bit of every lane (the 128-bit [`abs256`]).
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn abs128(v: __m128) -> __m128 {
-        _mm_and_ps(v, _mm_castsi128_ps(_mm_set1_epi32(0x7fff_ffff)))
     }
 
     /// Multiply both qwords of `x` up the message by the distance `keys`

@@ -86,7 +86,8 @@ fn random_i8(rng: &mut SmallRng, n: usize) -> Vec<i8> {
 }
 
 /// Assert every primitive of `simd` matches the scalar twins bitwise on
-/// one input set.
+/// one input set (the slices may differ in length: every primitive reads
+/// their common length).
 fn assert_primitives_match(
     simd: &SimdDispatch,
     a: &[f32],
@@ -116,7 +117,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Detected-table f32 primitives ≡ scalar twins, bit for bit, across
-    /// lane-boundary dims and subnormal inputs.
+    /// lane-boundary dims and subnormal inputs, and on slices of unequal
+    /// length.
     #[test]
     fn f32_primitives_match_scalar_bitwise(
         seed in 0u64..1_000_000,
@@ -130,23 +132,25 @@ proptest! {
             let c = random_vec(&mut rng, d, subnormal);
             for simd in SimdDispatch::all_supported() {
                 assert_primitives_match(simd, &a, &b, &c)?;
+                assert_primitives_match(simd, &a, &b[..d * 3 / 4], &c[..d / 2])?;
             }
         }
     }
 
     /// Early-exit comparators take identical decisions across a dense
     /// bound sweep — including the bit-equal knife edge and bounds that
-    /// abandon at each EXIT_STRIDE checkpoint.
+    /// abandon at each EXIT_STRIDE checkpoint — on equal slices and on
+    /// slices of unequal length.
     #[test]
     fn beats_decisions_match_scalar(
         seed in 0u64..1_000_000,
         extra in 0.0f32..2.0,
     ) {
         let mut rng = SmallRng::seed_from_u64(seed ^ 0xBEA7);
-        for &d in DIMS {
+        for (&d, ragged) in DIMS.iter().flat_map(|d| [(d, false), (d, true)]) {
             let a = random_vec(&mut rng, d, false);
-            let b = random_vec(&mut rng, d, false);
-            let c = random_vec(&mut rng, d, false);
+            let b = random_vec(&mut rng, if ragged { d * 3 / 4 } else { d }, false);
+            let c = random_vec(&mut rng, if ragged { d / 2 } else { d }, false);
             let exact_l1 = scalar::blocked_l1(&a, &b) + extra;
             let exact_tr = scalar::blocked_l1_translation(&a, &b, &c) + extra;
             // Fractions 0..=1.3 of the exact value hit every abandonment
@@ -656,7 +660,7 @@ proptest! {
             check_run_beats(&mut rng, d, n, subnormal)?;
             check_lanes_beats(&mut rng, d, n, subnormal)?;
         }
-        for n in [0usize, 1, 2, 5, 9, 15, 16, 17, 33] {
+        for n in [0usize, 1, 2, 5, 7, 8, 9, 15, 16, 17, 33] {
             check_projection(&mut rng, d.min(40), n, subnormal)?;
         }
         if d > 0 {
@@ -681,7 +685,7 @@ fn run_entries_match_at_every_dim() {
         for n in [0, 1, 17, 256] {
             check_lanes_beats(&mut rng, d, n, d % 3 == 0).unwrap();
         }
-        for n in [1, 5, 17] {
+        for n in [1, 5, 7, 8, 17] {
             check_projection(&mut rng, d, n, d % 3 == 0).unwrap();
         }
         if d > 0 {
