@@ -354,7 +354,8 @@ fn telemetry_writes_one_line_per_epoch_and_moves_no_model_byte() {
     }
 
     // Out of core: one line per block, then one per epoch, and the epoch
-    // lines carry the writer thread's busy seconds beside the phases.
+    // lines carry the writer thread's busy seconds and bytes beside the
+    // phases.
     let ooc_lines = dir.join("ooc.jsonl");
     let run = pkgm()
         .args(&base[..base.len() - 1])
@@ -378,11 +379,16 @@ fn telemetry_writes_one_line_per_epoch_and_moves_no_model_byte() {
     assert_eq!(epochs.len(), 3, "one record per epoch:\n{text}");
     assert!(records.len() > 3 * 2, "block records too:\n{text}");
     for e in epochs {
-        let blocks = records
+        let blocks: Vec<_> = records
             .iter()
-            .filter(|r| r.block.is_some() && r.epoch == e.epoch);
-        let written: f64 = blocks.map(|b| b.write_s).sum();
+            .filter(|r| r.block.is_some() && r.epoch == e.epoch)
+            .collect();
+        let written: f64 = blocks.iter().map(|b| b.write_s).sum();
         assert!(e.write_s > written && written > 0.0, "{e:?}");
+        // The epoch hands over its blocks' page-outs and commits, then
+        // its closing commit.
+        let handed: u64 = blocks.iter().map(|b| b.write_bytes).sum();
+        assert!(e.write_bytes > handed && handed > 0, "{e:?}");
     }
     std::fs::remove_dir_all(dir).ok();
 }

@@ -147,7 +147,7 @@ impl ServiceHolder {
     /// the generation replacement, and the increments still landing from
     /// in-flight batches are folded as a delta once the old generation
     /// quiesces. Totals are monotone throughout; only increments arriving
-    /// after a (pathological, see [`SWAP_QUIESCE_TIMEOUT`]) quiesce
+    /// after a (pathological, see `SWAP_QUIESCE_TIMEOUT`) quiesce
     /// timeout can be dropped.
     pub fn swap(&self, next: CachedService) {
         {
@@ -204,14 +204,14 @@ impl ServiceHolder {
         self.swaps.load(Ordering::Acquire)
     }
 
-    /// Swaps whose quiesce wait hit [`SWAP_QUIESCE_TIMEOUT`] and folded
+    /// Swaps whose quiesce wait hit `SWAP_QUIESCE_TIMEOUT` and folded
     /// stats anyway (late increments dropped).
     pub fn quiesce_timeouts(&self) -> u64 {
         self.quiesce_timeouts.load(Ordering::Relaxed)
     }
 
     /// Whether a hot-swap has been quiescing longer than
-    /// [`SWAP_QUIESCE_TIMEOUT`] — the readiness probe's "swap wedged"
+    /// `SWAP_QUIESCE_TIMEOUT` — the readiness probe's "swap wedged"
     /// signal.
     pub fn wedged(&self) -> bool {
         self.swap_track

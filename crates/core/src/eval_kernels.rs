@@ -481,7 +481,7 @@ where
 /// Triples are processed in chunks of [`QUERY_LANES`], one per lane, so the
 /// entity table streams through cache once per chunk and every candidate
 /// row is read once for the whole chunk; candidates are scanned in
-/// ascending id order in [`CANDIDATE_TILE`]-sized tiles, with the known
+/// ascending id order in `CANDIDATE_TILE`-sized tiles, with the known
 /// tails and the true tail masked out per lane. Work fans out over
 /// `chunks × candidate-slices` (one slice per rayon thread), so all cores
 /// contribute even when `|test|` is small.
@@ -885,7 +885,7 @@ pub fn fused_rank_relations(
 
 /// [`fused_rank_relations`] with an explicit candidate-slice count; ranks
 /// are bit-identical for every `n_slices`. (Relation tables are usually
-/// smaller than one [`CANDIDATE_TILE`], in which case slicing degenerates
+/// smaller than one `CANDIDATE_TILE`, in which case slicing degenerates
 /// to one range and parallelism comes from the head blocks alone.)
 pub fn fused_rank_relations_sliced(
     model: &PkgmModel,

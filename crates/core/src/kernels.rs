@@ -32,7 +32,7 @@
 //!   compiler must not reassociate, so it runs at add *latency*, not
 //!   multiply throughput; independent lanes break the chain and vectorize.
 //! * **One body per level** — the pass is written once and compiled per
-//!   [`SimdLevel`](crate::simd::SimdLevel) by [`crate::simd::at_level`]:
+//!   [`SimdLevel`](crate::simd::SimdLevel) by `crate::simd::at_level`:
 //!   at AVX2 and AVX-512 its row updates run at that width and each
 //!   projection row inlines the AVX2 `kernel_dot` body instead of making
 //!   one dispatched call.
@@ -513,7 +513,7 @@ pub fn fused_chunk_grads(
 }
 
 /// [`fused_chunk_grads`] compiled for `table`'s level (see
-/// [`simd::at_level`]) instead of the active one: every level returns the
+/// `simd::at_level`) instead of the active one: every level returns the
 /// same bits, which the parity suites check level by level.
 pub fn fused_chunk_grads_at(
     table: &SimdDispatch,

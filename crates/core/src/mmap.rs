@@ -19,7 +19,7 @@
 //!   tests or the `PKGM_NO_MMAP` environment variable), or the image an
 //!   in-memory snapshot build writes, or a copy of bytes to decode. The
 //!   writers in [`crate::snapshot3`] fill it through
-//!   [`MmapRegion::heap_bytes_mut`].
+//!   `MmapRegion::heap_bytes_mut`.
 //!
 //! The buffer alignment matters: snapshot sections are reinterpreted as
 //! `&[f32]`/`&[u32]` slices, so the heap backing stores `Vec<u64>` (8-byte

@@ -2,8 +2,8 @@
 //!
 //! [`fault`](crate::fault) proves the *disk* recovery story; this module
 //! proves the *wire* one. A deterministic in-process [`ChaosProxy`] sits
-//! between a real [`DaemonClient`](crate::daemon::DaemonClient) and a real
-//! [`Daemon`](crate::daemon::Daemon) and plays a scripted
+//! between a real [`DaemonClient`] and a real
+//! [`Daemon`] and plays a scripted
 //! [`NetFaultPlan`] — dropped frames, mid-frame truncations (resets),
 //! delays, single-bit corruption, slowloris dribbles — keyed by frame
 //! index per direction, so every scenario is reproducible from a seed.

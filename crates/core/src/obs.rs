@@ -15,7 +15,8 @@
 //! The out-of-core trainer's writer thread commits files while the loop
 //! trains, so its busy time is not a phase of the loop: a record carries
 //! it beside the phases as `write_s`, the writer's seconds for the commits
-//! the record waited for.
+//! the record waited for, and `write_bytes`, the bytes of the frames the
+//! record handed to the writer.
 //!
 //! Timing never changes what is computed: the clock is read between
 //! phases, never inside a kernel, and the model bytes are the same with
@@ -33,7 +34,7 @@ pub(crate) enum Phase {
     Grads,
     /// The Adam step, entity normalization included.
     Adam,
-    /// Checkpoint writes (resident), or framing partition and resident
+    /// Checkpoint writes (resident), or framing page-outs and
     /// commits and waiting for the writer thread (out-of-core).
     Commit,
     /// Partition reads (out-of-core only).
@@ -58,16 +59,20 @@ pub struct TrainRecord {
     pub grads_s: f64,
     /// Seconds in the Adam step, entity normalization included.
     pub adam_s: f64,
-    /// Seconds writing checkpoints, or framing partition and resident
+    /// Seconds writing checkpoints, or framing page-outs and
     /// commits and waiting for the writer thread (out-of-core).
     pub commit_s: f64,
     /// Seconds reading partitions (out-of-core only).
     pub page_in_s: f64,
     /// Out-of-core only, and not a phase (the writer thread runs beside
     /// the loop): the writer's busy seconds on the commits this record
-    /// waited for. A block waits for the block before it; an epoch for all
-    /// of its own commits, its closing resident commit included.
+    /// waited for: a block, for the set in flight before it hands over its
+    /// own; an epoch, for its blocks' and its closing commit.
     pub write_s: f64,
+    /// Out-of-core only: the bytes of the frames this record handed to the
+    /// writer — a block's page-outs or commit, an epoch's blocks plus its
+    /// closing commit. A block that neither pages out nor commits reads 0.
+    pub write_bytes: u64,
     /// Mean hinge loss per pair.
     pub mean_loss: f32,
     /// Fraction of pairs violating the margin.
@@ -89,6 +94,7 @@ struct Open {
     last_lap: Instant,
     spent: [f64; N_PHASES],
     written: f64,
+    bytes: u64,
 }
 
 /// The clock of one open record: `None` when telemetry is off, and then
@@ -105,6 +111,7 @@ impl PhaseClock {
             last_lap: now,
             spent: [0.0; N_PHASES],
             written: 0.0,
+            bytes: 0,
         }))
     }
 
@@ -129,10 +136,12 @@ impl PhaseClock {
         }
     }
 
-    /// Charge `secs` of the writer thread's time to the open record.
-    pub(crate) fn wrote(&mut self, secs: f64) {
+    /// Charge `secs` of the writer thread's time and `bytes` handed to it
+    /// to the open record.
+    pub(crate) fn wrote(&mut self, secs: f64, bytes: u64) {
         if let Some(open) = &mut self.0 {
             open.written += secs;
+            open.bytes += bytes;
         }
     }
 
@@ -145,6 +154,7 @@ impl PhaseClock {
                 *s += x;
             }
             open.written += rec.write_s;
+            open.bytes += rec.write_bytes;
             open.last_lap = Instant::now();
         }
     }
@@ -168,6 +178,7 @@ impl PhaseClock {
             commit_s,
             page_in_s,
             write_s: open.written,
+            write_bytes: open.bytes,
             mean_loss: stats.mean_loss,
             violation_rate: stats.violation_rate,
             pairs: stats.pairs,
@@ -204,7 +215,7 @@ mod tests {
     fn an_off_clock_records_nothing() {
         let mut clock = PhaseClock::default();
         clock.lap(Phase::Grads);
-        clock.wrote(1.0);
+        clock.wrote(1.0, 8);
         clock.reopen();
         assert!(!clock.is_on());
         assert!(clock.close(0, None, &stats()).is_none());
@@ -217,9 +228,9 @@ mod tests {
         nap();
         clock.lap(Phase::Adam);
         clock.lap(Phase::Commit);
-        clock.wrote(0.5);
+        clock.wrote(0.5, 100);
         let rec = clock.close(3, Some(1), &stats()).expect("on");
-        assert_eq!(rec.write_s, 0.5);
+        assert_eq!((rec.write_s, rec.write_bytes), (0.5, 100));
         assert!(rec.adam_s >= 0.002 && rec.wall_s >= rec.adam_s + rec.commit_s);
         assert!(rec.commit_s >= 0.0 && rec.grads_s == 0.0 && rec.page_in_s == 0.0);
         assert_eq!((rec.epoch, rec.block, rec.pairs), (3, Some(1), 8));
@@ -228,15 +239,18 @@ mod tests {
         nap();
         epoch.absorb(&rec);
         epoch.lap(Phase::Grads);
-        epoch.wrote(0.25);
+        epoch.wrote(0.25, 20);
         let next = clock.close(3, Some(2), &stats()).expect("on");
         assert_eq!(
-            (next.adam_s, next.write_s),
-            (0.0, 0.0),
+            (next.adam_s, next.write_s, next.write_bytes),
+            (0.0, 0.0, 0),
             "close reopens with zero sums"
         );
         let whole = epoch.close(3, None, &stats()).expect("on");
-        assert_eq!((whole.adam_s, whole.write_s), (rec.adam_s, 0.75));
+        assert_eq!(
+            (whole.adam_s, whole.write_s, whole.write_bytes),
+            (rec.adam_s, 0.75, 120)
+        );
         assert!(whole.grads_s < 0.002, "absorb starts the next lap");
     }
 

@@ -12,8 +12,8 @@
 //! bucket is one **block**: its two partitions (entity rows + Adam moments)
 //! are loaded, a block-local [`Trainer`] replays the resident minibatch
 //! loop over the bucket's triples (same per-batch seeds, same chunk layout,
-//! same fused kernels, same Adam step counter `t`), and the updated rows
-//! are paged back out before the next block loads.
+//! same fused kernels, same Adam step counter `t`), and the partitions
+//! the next block does not use are paged back out.
 //!
 //! ## Equivalence contract
 //!
@@ -33,28 +33,61 @@
 //! Everything lives in `OocConfig::dir` as atomic, CRC-checked
 //! [`crate::artifact`] files (kind [`ArtifactKind::Checkpoint`]):
 //!
-//! * `ooc-part-{K:05}of{N:05}.pkgm` — one partition: entity rows + Adam
-//!   `m`/`v` moments, stamped with the generation that last wrote it;
+//! * `ooc-part-{K:05}of{N:05}.g{G:05}.pkgm` — partition `K` as generation
+//!   `G` paged it out: entity rows + Adam `m`/`v` moments, stamped with
+//!   `G`. Each page-out writes a new generation's file, so no write ever
+//!   touches a file the committed state names;
 //! * `ooc-resident.pkgm` — the small always-resident state (relation
-//!   embeddings, transfer matrices, their moments, the Adam step counter
-//!   and the epoch/block cursor), written **after** the partitions of each
-//!   block commit;
+//!   embeddings, transfer matrices, their moments), the Adam step counter,
+//!   the epoch/block cursor and the **live table**: the generation of each
+//!   partition's live file. Its rename plus the directory fsync is the
+//!   only commit;
 //! * `ooc-manifest.pkgm` — static config (model/train hyper-parameters,
-//!   the partition plan) as JSON.
+//!   the partition plan) as JSON, written last by [`OocTrainer::new`], so
+//!   a directory without it holds no run.
+//!
+//! ## Commits at partition swaps
+//!
+//! A partition that the next block also uses stays in memory (moved within
+//! the block's buffers at most): no page-out, no page-in. When a partition
+//! leaves:
+//!
+//! * if it is not the **anchor** — the loaded partition in memory longest
+//!   (the block's first on a tie) — it is paged out to a shadow file, and
+//!   nothing commits;
+//! * when the anchor leaves, the block commits: every loaded partition is
+//!   paged out, then the resident file (cursor and live table) is written;
+//! * the epoch's last block commits with the epoch close, in one resident
+//!   write; a divergence halt commits what it trained with the cursor at
+//!   the epoch's end.
+//!
+//! Once a commit lands, the writer deletes the partition files it
+//! superseded. [`OocTrainer::resume`] opens exactly the files the resident
+//! file names, and deletes every other partition file (the shadows and
+//! temporary files of an interrupted run). Every load checks for the exact
+//! generation the live table names, so a stale file put back is refused.
+//!
+//! **What a kill loses:** the blocks since the last commit, plus the commit
+//! in flight — never the run. The blocks since a commit all hold its
+//! anchor, so they are at most that partition's row and column buckets:
+//! ≤ 2P − 1 blocks, and 3 at the benchmark's `pretrain-ooc` schedule.
+//! Resume replays them bit for bit.
 //!
 //! ## Write-behind commits
 //!
 //! One writer thread, scoped to [`OocTrainer::new`] and
-//! [`OocTrainer::train`] (joined on every path), commits every file. The
-//! loop frames a block's commit **in place** — each payload serialized
-//! straight behind a reserved artifact header ([`artifact::frame_begin`])
-//! and checksummed where it lies ([`artifact::frame_seal`]), the same
-//! bytes [`artifact::encode`] would produce — and hands the set over: the
-//! block's partition file(s) first, then the resident file. The writer
-//! replaces them in that order with `write_atomic` (create, write, fsync,
-//! rename, directory fsync) while the next block pages in and trains.
+//! [`OocTrainer::train`] (joined on every path), writes every file. The
+//! loop frames a page-out or a commit **in place** — each payload
+//! serialized straight behind a reserved artifact header
+//! ([`artifact::frame_begin`]) and checksummed where it lies
+//! ([`artifact::frame_seal`]), the same bytes [`artifact::encode`] would
+//! produce — and hands the set over: a shadow partition file, or a commit's
+//! partition files and then the resident file. The writer replaces them in
+//! that order with `write_atomic` (create, write, fsync, rename, directory
+//! fsync), then deletes what a commit superseded, while the next block
+//! trains.
 //!
-//! * **One set in flight.** Before the loop frames the next commit it waits
+//! * **One set in flight.** Before the loop frames the next set it waits
 //!   for the set in flight and reuses its buffers: two partition frames
 //!   and a resident frame, never one pool (a partition frame would grow to
 //!   the resident's size). So every file outside the set in flight is
@@ -63,36 +96,7 @@
 //!   the same [`artifact::decode`] checks.
 //! * **Failure.** The writer stops at the first failed write and writes
 //!   nothing after it; `train` returns that error once the writer is
-//!   drained.
-//!
-//! The writer commits exactly the files, bytes and order the loop would
-//! commit itself, so the sequence of states on disk — what resume, the
-//! generation check and the commit window below can observe — is the same
-//! as with synchronous commits; only the loop no longer waits on each one.
-//!
-//! ## Generations and the commit window
-//!
-//! A partition file is stamped with the generation of the block that
-//! wrote it. The trainer remembers the generation it last wrote to each
-//! partition and a load must find exactly that stamp, so a stale file put
-//! back behind its back is refused; a partition not yet written in this
-//! process (after [`OocTrainer::resume`]) must be at most the resident
-//! file's generation.
-//!
-//! A crash between a partition write and the resident commit leaves that
-//! partition stamped one generation ahead; [`OocTrainer::resume`] detects
-//! the mismatch at load time and refuses to silently re-apply the block.
-//! That is the **commit window**: it opens when a block's first partition
-//! file is renamed into place and closes when the resident file is. A kill
-//! inside it does not lose one block but the run — resume refuses the
-//! state and training restarts from init. The window is the writer's
-//! `write_s` in the [`crate::obs`] telemetry (partition create, write,
-//! fsync, rename and directory fsync, then the resident commit): ≈ 0.5 s
-//! per ≈ 1.2 s epoch of 22 blocks at the benchmark's `pretrain-ooc`
-//! configuration on a 2-vCPU host — off the loop's critical path, but as
-//! wide as when the loop committed each file itself. A kill anywhere else
-//! loses at most two blocks: the one training and the one whose commit is
-//! in flight.
+//!   drained. The state on disk is then the last commit that landed.
 
 use std::fmt;
 use std::mem;
@@ -118,7 +122,8 @@ use pkgm_store::{EntityId, KeyRelationSelector, RelationId, Triple, TripleStore}
 
 const MANIFEST_FILE: &str = "ooc-manifest.pkgm";
 const RESIDENT_FILE: &str = "ooc-resident.pkgm";
-const MANIFEST_VERSION: u32 = 1;
+/// 2: generation-named partition files and the resident live table.
+const MANIFEST_VERSION: u32 = 2;
 
 /// A streamed source of training triples: random access by index, id-space
 /// bounds, and membership (for filtered negative sampling) — everything the
@@ -345,18 +350,6 @@ struct BlockSpace {
 }
 
 impl BlockSpace {
-    fn one(start: u64, len: u64) -> Self {
-        Self {
-            segs: [(start, len), (start + len, 0)],
-        }
-    }
-
-    fn two(s0: u64, l0: u64, s1: u64, l1: u64) -> Self {
-        Self {
-            segs: [(s0, l0), (s1, l1)],
-        }
-    }
-
     fn n_local(&self) -> u64 {
         self.segs[0].1 + self.segs[1].1
     }
@@ -458,23 +451,37 @@ impl OocSampler {
     }
 }
 
+/// The partitions in memory — the last block's, until the next one lays
+/// its own out — with their rows and Adam moments back to back in layout
+/// order: the block-local id space.
+#[derive(Default)]
+struct Paged {
+    parts: Vec<usize>,
+    /// The loaded partition in memory longest; its leaving commits.
+    anchor: Option<usize>,
+    ent: Vec<f32>,
+    m: Vec<f32>,
+    v: Vec<f32>,
+}
+
 /// The out-of-core trainer: an entity-range partitioned embedding table on
 /// disk, block-scheduled training under [`OocConfig::mem_budget`], and
-/// per-block warm-start checkpointing. See the module docs for the
-/// equivalence contract.
+/// commits at partition swaps. See the module docs for the equivalence
+/// contract and for what a kill can lose.
 pub struct OocTrainer {
     cfg: OocConfig,
     n_entities: u64,
     n_relations: u64,
     parts: Vec<(u64, u64)>,
-    /// Monotone commit counter: bumped once per block. Partition files are
-    /// stamped with the generation that wrote them; the resident file's
-    /// stamp is authoritative, so a partition stamped ahead marks an
-    /// interrupted commit.
+    /// Monotone block counter: a partition paged out after a block is
+    /// written under, and stamped with, that block's generation.
     gen: u64,
-    /// The generation this process last framed into each partition, which
-    /// a load must find exactly; `None` until then (after a resume).
-    written: Vec<Option<u64>>,
+    /// The generation of each partition's live file: the newest framed.
+    live: Vec<u64>,
+    /// Partition files superseded since the last commit, deleted once the
+    /// next commit lands.
+    superseded: Vec<PathBuf>,
+    paged: Paged,
     t: u64,
     epochs_done: usize,
     blocks_done: usize,
@@ -501,8 +508,16 @@ impl OocTrainer {
     /// layout, stream the model init partition-by-partition to disk (one
     /// RNG, identical draw order to [`PkgmModel::new`] — the assembled
     /// table is bit-identical to a resident init with the same seed), and
-    /// persist the manifest + resident state.
+    /// persist the resident state, then the manifest.
     pub fn new<S: TripleSource + ?Sized>(source: &S, cfg: OocConfig) -> Result<Self, OocError> {
+        Self::new_with_io(source, cfg, Arc::new(StdIo))
+    }
+
+    fn new_with_io<S: TripleSource + ?Sized>(
+        source: &S,
+        cfg: OocConfig,
+        io: Arc<dyn ArtifactIo + Send + Sync>,
+    ) -> Result<Self, OocError> {
         let n_entities = TripleSource::n_entities(source) as u64;
         let n_relations = TripleSource::n_relations(source) as u64;
         if n_entities == 0 || n_relations == 0 || source.is_empty() {
@@ -516,9 +531,11 @@ impl OocTrainer {
             cfg,
             n_entities,
             n_relations,
-            written: vec![None; parts.len()],
+            live: vec![0; parts.len()],
             parts,
             gen: 0,
+            superseded: Vec::new(),
+            paged: Paged::default(),
             t: 0,
             epochs_done: 0,
             blocks_done: 0,
@@ -529,14 +546,14 @@ impl OocTrainer {
             m_mat: Vec::new(),
             v_mat: Vec::new(),
             scratches: Vec::new(),
-            io: Arc::new(StdIo),
+            io,
             clock: PhaseClock::default(),
             block_clock: PhaseClock::default(),
             records: Vec::new(),
         };
 
         // Streamed init: same single RNG and draw order as PkgmModel::new.
-        // Each partition is one commit, written while the next is drawn.
+        // Each partition is one set, written while the next is drawn.
         let io = Arc::clone(&me.io);
         with_writer(&*io, false, |writer| {
             let mut rng = SmallRng::seed_from_u64(me.cfg.model.seed ^ 0x9E37_79B9);
@@ -549,8 +566,8 @@ impl OocTrainer {
                 }
                 let zeros = vec![0.0f32; n];
                 writer.wait()?;
-                me.frame_partition(writer, k, 0, &ent, &zeros, &zeros);
-                writer.hand_over()?;
+                me.frame_partition(writer, k, &ent, &zeros, &zeros);
+                writer.hand_over(Vec::new())?;
             }
             me.rel = (0..n_relations as usize * d)
                 .map(|_| rng.gen_range(-bound..bound) as f32)
@@ -573,17 +590,19 @@ impl OocTrainer {
                 me.v_mat = vec![0.0; nr * d * d];
             }
             writer.wait()?;
-            me.frame_manifest(writer)?;
-            writer.hand_over()?;
-            writer.wait()?;
             me.frame_resident(writer);
-            writer.hand_over()
+            writer.hand_over(Vec::new())?;
+            writer.wait()?;
+            me.frame_manifest(writer)?;
+            writer.hand_over(Vec::new()).map(drop)
         })?;
         Ok(me)
     }
 
-    /// Reopen existing out-of-core state for a warm-start resume. Partition
-    /// generation stamps are validated lazily as blocks load them.
+    /// Reopen existing out-of-core state for a warm-start resume: the
+    /// partition files the resident file's live table names (checked as
+    /// blocks load them). Every other partition file in the directory is
+    /// left over from blocks after the last commit, and is deleted.
     pub fn resume(dir: &Path) -> Result<Self, OocError> {
         let payload =
             artifact::read_artifact(&StdIo, &dir.join(MANIFEST_FILE), ArtifactKind::Checkpoint)?;
@@ -611,6 +630,9 @@ impl OocTrainer {
         let t = r.u64()?;
         let epochs_done = r.u64()? as usize;
         let blocks_done = r.u64()? as usize;
+        let live = (0..manifest.partitions.len())
+            .map(|_| r.u64())
+            .collect::<Result<Vec<_>, _>>()?;
         let rel = r.f32s(nr * d)?;
         let mats = r.f32s(mat_len)?;
         let m_rel = r.f32s(nr * d)?;
@@ -619,7 +641,7 @@ impl OocTrainer {
         let v_mat = r.f32s(mat_len)?;
         r.done()?;
 
-        Ok(Self {
+        let me = Self {
             cfg: OocConfig {
                 model: manifest.model,
                 train: manifest.train,
@@ -628,9 +650,11 @@ impl OocTrainer {
             },
             n_entities: manifest.n_entities,
             n_relations: manifest.n_relations,
-            written: vec![None; manifest.partitions.len()],
             parts: manifest.partitions,
             gen,
+            live,
+            superseded: Vec::new(),
+            paged: Paged::default(),
             t,
             epochs_done,
             blocks_done,
@@ -645,7 +669,18 @@ impl OocTrainer {
             clock: PhaseClock::default(),
             block_clock: PhaseClock::default(),
             records: Vec::new(),
-        })
+        };
+        let named: Vec<PathBuf> = (0..me.parts.len())
+            .map(|k| me.partition_path(k, me.live[k]))
+            .collect();
+        for path in StdIo.list(dir)? {
+            let name = path.file_name().unwrap_or_default().to_string_lossy();
+            let ours = name.starts_with("ooc-part-") || name.starts_with(".ooc-");
+            if ours && !named.contains(&path) {
+                StdIo.remove(&path)?;
+            }
+        }
+        Ok(me)
     }
 
     /// Record one [`TrainRecord`] per block and one per epoch that
@@ -683,16 +718,13 @@ impl OocTrainer {
     }
 
     /// Train until `cfg.train.epochs` epochs are done, resuming from the
-    /// persisted epoch/block cursor. Every block commits its partitions and
-    /// then the resident state, on a writer thread while the next block
-    /// trains; each epoch waits for its last commits before it closes, and
-    /// `train` returns only once the writer has drained, with the first
-    /// failed write if there was one. A kill outside the commit window
-    /// loses at most two blocks — the one training and the one being
-    /// committed — which resume replays; a kill inside it (a partition
-    /// already renamed into place, the resident file not yet) leaves a
-    /// partition a generation ahead, and resume refuses the state:
-    /// training restarts from init (see the module docs).
+    /// persisted epoch/block cursor. Blocks commit at partition swaps (when
+    /// the anchor leaves; see the module docs), on a writer thread while
+    /// the next block trains; each epoch closes with a commit of its last
+    /// block and waits for it, and `train` returns only once the writer has
+    /// drained (superseded files deleted), with the first failed write if
+    /// there was one. A kill loses at most the blocks since the last commit
+    /// plus the commit in flight, which resume replays bit for bit.
     pub fn train<S: TripleSource + ?Sized>(&mut self, source: &S) -> Result<OocReport, OocError> {
         if source.n_entities() as u64 != self.n_entities
             || source.n_relations() as u64 != self.n_relations
@@ -716,37 +748,42 @@ impl OocTrainer {
         // (which compares full-epoch means) skips that epoch.
         let mut partial_epoch = self.blocks_done > 0;
         let io = Arc::clone(&self.io);
-        with_writer(&*io, self.clock.is_on(), |writer| {
+        let trained = with_writer(&*io, self.clock.is_on(), |writer| {
             while self.epochs_done < total {
                 let epoch = self.epochs_done;
                 self.clock.reopen();
                 let stats = self.train_epoch(source, writer, epoch as u64, &mut blocks_run)?;
-                // The epoch's last block lands before its record closes.
-                let mut written = writer.wait()?;
-                if !partial_epoch {
-                    if let Some(reason) = diverged(stats.mean_loss, best_loss) {
-                        halted = Some(format!("epoch {}: {reason}", epoch + 1));
-                        self.clock.lap(Phase::Commit);
-                        self.clock.wrote(written);
-                        self.records.extend(self.clock.close(epoch, None, &stats));
-                        epochs.push(stats);
-                        break;
+                let halt = (!partial_epoch)
+                    .then(|| diverged(stats.mean_loss, best_loss))
+                    .flatten();
+                if halt.is_none() {
+                    if !partial_epoch {
+                        best_loss = best_loss.min(stats.mean_loss.max(1e-3));
                     }
-                    best_loss = best_loss.min(stats.mean_loss.max(1e-3));
+                    self.epochs_done = epoch + 1;
+                    self.blocks_done = 0;
                 }
                 partial_epoch = false;
-                self.epochs_done = epoch + 1;
-                self.blocks_done = 0;
-                self.frame_resident(writer);
-                writer.hand_over()?;
-                written += writer.wait()?;
+                // The last block commits with the epoch close (a halt keeps
+                // the cursor at the epoch's end) and lands before the
+                // record closes.
+                let (waited, bytes) = self.swap_out(writer, None)?;
+                let landed = writer.wait()?;
                 self.clock.lap(Phase::Commit);
-                self.clock.wrote(written);
+                self.clock.wrote(waited + landed, bytes);
                 self.records.extend(self.clock.close(epoch, None, &stats));
                 epochs.push(stats);
+                if let Some(reason) = halt {
+                    halted = Some(format!("epoch {}: {reason}", epoch + 1));
+                    break;
+                }
             }
             Ok(())
-        })?;
+        });
+        // Nothing stays paged in between calls: the next reads what the
+        // last commit named.
+        self.paged = Paged::default();
+        trained?;
         Ok(OocReport {
             epochs,
             n_partitions: self.parts.len(),
@@ -807,19 +844,20 @@ impl OocTrainer {
                 batch_idx += n_batches;
                 continue;
             }
-            let next_gen = self.gen + 1;
             self.block_clock.reopen();
+            self.gen += 1;
             let (loss, violations, pairs) =
-                self.train_block(source, writer, *pi, *pj, idxs, epoch, batch_idx, next_gen)?;
+                self.train_block(source, writer, *pi, *pj, idxs, epoch, batch_idx)?;
             batch_idx += n_batches;
             total_loss += loss;
             total_violations += violations;
             total_pairs += pairs;
             *blocks_run += 1;
-            self.gen = next_gen;
             self.blocks_done = block_idx + 1;
-            self.frame_resident(writer);
-            writer.hand_over()?;
+            if let Some((ni, nj, _)) = groups.get(block_idx + 1) {
+                let (waited, bytes) = self.swap_out(writer, Some([*ni, *nj]))?;
+                self.block_clock.wrote(waited, bytes);
+            }
             self.block_clock.lap(Phase::Commit);
             let stats = EpochStats::from_totals(loss, violations, pairs);
             if let Some(rec) = self
@@ -841,55 +879,37 @@ impl OocTrainer {
     fn train_block<S: TripleSource + ?Sized>(
         &mut self,
         source: &S,
-        writer: &mut Writer,
+        writer: &Writer,
         pi: usize,
         pj: usize,
         idxs: &[u32],
         epoch: u64,
         batch_start: u64,
-        next_gen: u64,
     ) -> Result<(f64, usize, usize), OocError> {
-        let d = self.cfg.model.dim;
         let (si, li) = self.parts[pi];
-        let space = if pi == pj {
-            BlockSpace::one(si, li)
+        let second = if pi == pj {
+            (si + li, 0)
         } else {
-            let (sj, lj) = self.parts[pj];
-            BlockSpace::two(si, li, sj, lj)
+            self.parts[pj]
         };
-
-        let block_entities = space.n_local() as usize;
-        let ni = li as usize * d;
-        let mut ent = vec![0.0f32; block_entities * d];
-        let mut m_ent = vec![0.0f32; block_entities * d];
-        let mut v_ent = vec![0.0f32; block_entities * d];
-        self.load_partition_into(
-            pi,
-            writer.in_flight_frame(pi),
-            &mut ent[..ni],
-            Some((&mut m_ent[..ni], &mut v_ent[..ni])),
-        )?;
-        if pj != pi {
-            self.load_partition_into(
-                pj,
-                writer.in_flight_frame(pj),
-                &mut ent[ni..],
-                Some((&mut m_ent[ni..], &mut v_ent[ni..])),
-            )?;
-        }
+        let space = BlockSpace {
+            segs: [(si, li), second],
+        };
+        self.page_in(writer, pi, pj)?;
         self.block_clock.lap(Phase::PageIn);
 
+        let block_entities = space.n_local() as usize;
         let mut model = PkgmModel {
             cfg: self.cfg.model.clone(),
             n_entities: block_entities,
             n_relations: self.n_relations as usize,
-            ent,
+            ent: mem::take(&mut self.paged.ent),
             rel: mem::take(&mut self.rel),
             mats: mem::take(&mut self.mats),
         };
         let mut bt = Trainer::without_state(self.cfg.train.clone());
-        bt.m_ent = m_ent;
-        bt.v_ent = v_ent;
+        bt.m_ent = mem::take(&mut self.paged.m);
+        bt.v_ent = mem::take(&mut self.paged.v);
         bt.m_rel = mem::take(&mut self.m_rel);
         bt.v_rel = mem::take(&mut self.v_rel);
         bt.m_mat = mem::take(&mut self.m_mat);
@@ -938,16 +958,97 @@ impl OocTrainer {
         self.v_mat = mem::take(&mut bt.v_mat);
         self.rel = mem::take(&mut model.rel);
         self.mats = mem::take(&mut model.mats);
-
-        // The block before hands its buffers back before this one frames.
-        let written = writer.wait()?;
-        self.block_clock.wrote(written);
-        let (ent, m_ent, v_ent) = (&model.ent, &bt.m_ent, &bt.v_ent);
-        self.frame_partition(writer, pi, next_gen, &ent[..ni], &m_ent[..ni], &v_ent[..ni]);
-        if pj != pi {
-            self.frame_partition(writer, pj, next_gen, &ent[ni..], &m_ent[ni..], &v_ent[ni..]);
-        }
+        self.paged.ent = mem::take(&mut model.ent);
+        self.paged.m = mem::take(&mut bt.m_ent);
+        self.paged.v = mem::take(&mut bt.v_ent);
         Ok((loss, violations, pairs))
+    }
+
+    /// Lay block `(pi, pj)`'s partitions out in memory, `pi`'s rows first:
+    /// a partition the last block held stays (moved at most), the others
+    /// page in. A partition the last block held and this one does not was
+    /// paged out or committed when that block ended.
+    fn page_in(&mut self, writer: &Writer, pi: usize, pj: usize) -> Result<(), OocError> {
+        let want = if pi == pj { vec![pi] } else { vec![pi, pj] };
+        let mut paged = mem::take(&mut self.paged);
+        let old = mem::replace(&mut paged.parts, want.clone());
+        let kept: Vec<usize> = want.iter().copied().filter(|k| old.contains(k)).collect();
+        paged.anchor = (paged.anchor.filter(|a| kept.contains(a)))
+            .or(kept.first().copied())
+            .or(Some(pi));
+        let total = self.rows_of(&want, pj).end;
+        for buf in [&mut paged.ent, &mut paged.m, &mut paged.v] {
+            match kept[..] {
+                [first, _] if first != old[0] => buf.rotate_left(self.rows_of(&old, first).start),
+                [k] => {
+                    let (from, to) = (self.rows_of(&old, k), self.rows_of(&want, k));
+                    buf.resize(buf.len().max(to.end), 0.0);
+                    buf.copy_within(from, to.start);
+                }
+                _ => {}
+            }
+            buf.resize(total, 0.0);
+        }
+        for &k in want.iter().filter(|k| !kept.contains(k)) {
+            let at = self.rows_of(&want, k);
+            self.load_partition_into(
+                k,
+                writer.in_flight_frame(k),
+                &mut paged.ent[at.clone()],
+                Some((&mut paged.m[at.clone()], &mut paged.v[at])),
+            )?;
+        }
+        self.paged = paged;
+        Ok(())
+    }
+
+    /// Where partition `k`'s rows sit in a block laid out as `layout`.
+    fn rows_of(&self, layout: &[usize], k: usize) -> std::ops::Range<usize> {
+        let rows = |k: usize| self.parts[k].1 as usize * self.cfg.model.dim;
+        let at = if layout[0] == k { 0 } else { rows(layout[0]) };
+        at..at + rows(k)
+    }
+
+    /// End a block: page out the loaded partitions that block `next` does
+    /// not use, each to a shadow file — or commit, when the anchor is among
+    /// them or no block follows in the epoch (`None`): page out every
+    /// loaded partition, then the resident state with the cursor and the
+    /// live table, after which the writer deletes the superseded files.
+    /// Returns the writer's seconds waited for and the bytes handed to it.
+    fn swap_out(
+        &mut self,
+        writer: &mut Writer,
+        next: Option<[usize; 2]>,
+    ) -> Result<(f64, u64), OocError> {
+        let stays = |k: &usize| next.is_some_and(|n| n.contains(k));
+        let commit = !self.paged.anchor.is_some_and(|a| stays(&a));
+        let leaving: Vec<usize> = (self.paged.parts.iter().copied())
+            .filter(|k| commit || !stays(k))
+            .collect();
+        if leaving.is_empty() && !commit {
+            return Ok((0.0, 0));
+        }
+        let waited = writer.wait()?;
+        for k in leaving {
+            self.page_out(writer, k);
+        }
+        let mut superseded = Vec::new();
+        if commit {
+            self.frame_resident(writer);
+            superseded = mem::take(&mut self.superseded);
+        }
+        Ok((waited, writer.hand_over(superseded)?))
+    }
+
+    /// Frame loaded partition `k` as generation `self.gen`'s file, the new
+    /// live one.
+    fn page_out(&mut self, writer: &mut Writer, k: usize) {
+        let old = mem::replace(&mut self.live[k], self.gen);
+        assert!(old < self.gen, "a page-out never rewrites a live file");
+        self.superseded.push(self.partition_path(k, old));
+        let at = self.rows_of(&self.paged.parts, k);
+        let p = &self.paged;
+        self.frame_partition(writer, k, &p.ent[at.clone()], &p.m[at.clone()], &p.v[at]);
     }
 
     /// Load every partition and assemble the full resident model — for
@@ -1022,27 +1123,22 @@ impl OocTrainer {
         Ok(out_paths)
     }
 
-    fn partition_path(&self, k: usize) -> PathBuf {
+    /// Partition `k`'s file as generation `gen` wrote it.
+    fn partition_path(&self, k: usize, gen: u64) -> PathBuf {
+        let n = self.parts.len();
         self.cfg
             .dir
-            .join(format!("ooc-part-{:05}of{:05}.pkgm", k, self.parts.len()))
+            .join(format!("ooc-part-{k:05}of{n:05}.g{gen:05}.pkgm"))
     }
 
-    /// Frame partition `k` at generation `gen` into the writer's next set.
-    fn frame_partition(
-        &mut self,
-        writer: &mut Writer,
-        k: usize,
-        gen: u64,
-        ent: &[f32],
-        m: &[f32],
-        v: &[f32],
-    ) {
+    /// Frame partition `k` as its live generation's file into the writer's
+    /// next set.
+    fn frame_partition(&self, writer: &mut Writer, k: usize, ent: &[f32], m: &[f32], v: &[f32]) {
         let (start, len) = self.parts[k];
+        let gen = self.live[k];
         let dim = self.cfg.model.dim as u64;
-        self.written[k] = Some(gen);
         let payload_len = 32 + (ent.len() + m.len() + v.len()) * 4;
-        writer.frame(self.partition_path(k), Some(k), payload_len, |buf| {
+        writer.frame(self.partition_path(k, gen), Some(k), payload_len, |buf| {
             for stamp in [gen, start, len, dim] {
                 buf.extend_from_slice(&stamp.to_le_bytes());
             }
@@ -1052,12 +1148,12 @@ impl OocTrainer {
         });
     }
 
-    /// Verify partition `k`'s frame — `frame` when its newest frame is in
-    /// flight, else the file — its plan stamps and generation, and decode
-    /// its entity rows into `ent` and its Adam moments into `moments` when
-    /// given (evaluation and snapshot emission need only the rows). The
-    /// checksum covers the whole frame either way, and is verified before
-    /// a single value is decoded.
+    /// Verify partition `k`'s live file — or `frame` when its newest frame
+    /// is in flight — its plan stamps and its generation, which must be
+    /// exactly the live table's, and decode its entity rows into `ent` and
+    /// its Adam moments into `moments` when given (evaluation and snapshot
+    /// emission need only the rows). The checksum covers the whole frame
+    /// either way, and is verified before a single value is decoded.
     fn load_partition_into(
         &self,
         k: usize,
@@ -1065,7 +1161,7 @@ impl OocTrainer {
         ent: &mut [f32],
         moments: Option<(&mut [f32], &mut [f32])>,
     ) -> Result<(), OocError> {
-        let path = self.partition_path(k);
+        let path = self.partition_path(k, self.live[k]);
         let read;
         let bytes = match frame {
             Some(frame) => frame,
@@ -1088,19 +1184,12 @@ impl OocTrainer {
                 self.cfg.model.dim
             )));
         }
-        if gen > self.gen {
+        if gen != self.live[k] {
             return Err(OocError::State(format!(
-                "{}: partition generation {gen} is ahead of the committed state ({}) — \
-                 an interrupted block left mixed state; restart training from init",
-                path.display(),
-                self.gen
-            )));
-        }
-        if let Some(want) = self.written[k].filter(|&want| want != gen) {
-            return Err(OocError::State(format!(
-                "{}: partition generation {gen}, but this trainer last wrote generation {want} — \
+                "{}: partition generation {gen}, but the live table names generation {} — \
                  the file was replaced by a stale copy",
-                path.display()
+                path.display(),
+                self.live[k]
             )));
         }
         assert_eq!(
@@ -1138,7 +1227,8 @@ impl OocTrainer {
         Ok(())
     }
 
-    /// Frame the resident state and the cursor into the writer's next set.
+    /// Frame the resident state, the cursor and the live table into the
+    /// writer's next set.
     fn frame_resident(&self, writer: &mut Writer) {
         let tables = [
             &self.rel,
@@ -1154,10 +1244,11 @@ impl OocTrainer {
             self.epochs_done as u64,
             self.blocks_done as u64,
         ];
-        let payload_len = 32 + tables.iter().map(|t| t.len() * 4).sum::<usize>();
+        let payload_len = 8 * (cursor.len() + self.live.len())
+            + tables.iter().map(|t| t.len() * 4).sum::<usize>();
         let path = self.cfg.dir.join(RESIDENT_FILE);
         writer.frame(path, None, payload_len, |buf| {
-            for c in cursor {
+            for c in cursor.iter().chain(&self.live) {
                 buf.extend_from_slice(&c.to_le_bytes());
             }
             for table in tables {
@@ -1176,8 +1267,12 @@ struct Frame {
     bytes: Vec<u8>,
 }
 
-/// One commit, in the order it is written.
+/// One set, in the order it is written.
 type FrameSet = Arc<Vec<Frame>>;
+
+/// What the loop hands the writer: a set, and the files to delete once it
+/// has landed (those a commit supersedes).
+type Handed = (FrameSet, Vec<PathBuf>);
 
 /// The writer's reply to a set: its busy seconds (0 when untimed), or the
 /// failed write it stopped at.
@@ -1186,7 +1281,7 @@ type Written = Result<f64, ArtifactError>;
 /// The loop's end of the writer thread (see the module docs): the set
 /// being framed, the one set in flight, and the buffers of the set before.
 struct Writer {
-    sets: mpsc::Sender<FrameSet>,
+    sets: mpsc::Sender<Handed>,
     replies: mpsc::Receiver<Written>,
     next: Vec<Frame>,
     in_flight: Option<FrameSet>,
@@ -1234,16 +1329,18 @@ impl Writer {
         self.next.push(Frame { path, part, bytes });
     }
 
-    /// Hand the framed set to the writer thread; the set before must have
-    /// been waited for.
-    fn hand_over(&mut self) -> Result<(), OocError> {
+    /// Hand the framed set to the writer thread, with the files to delete
+    /// once it lands; the set before must have been waited for. Returns
+    /// the set's bytes.
+    fn hand_over(&mut self, superseded: Vec<PathBuf>) -> Result<u64, OocError> {
         assert!(self.in_flight.is_none(), "one set in flight at a time");
         let set = Arc::new(mem::take(&mut self.next));
+        let bytes = set.iter().map(|f| f.bytes.len() as u64).sum();
         self.sets
-            .send(Arc::clone(&set))
+            .send((Arc::clone(&set), superseded))
             .map_err(|_| OocError::State("the commit writer stopped".into()))?;
         self.in_flight = Some(set);
-        Ok(())
+        Ok(bytes)
     }
 
     /// Partition `k`'s frame if the set in flight holds it.
@@ -1282,19 +1379,20 @@ fn with_writer<T>(
     })
 }
 
-/// The writer thread: commit each set's frames in order, reply, and stop
-/// at the first failed write, writing nothing after it.
+/// The writer thread: write each set's frames in order, delete what it
+/// superseded, reply, and stop at the first failure, writing nothing after
+/// it.
 fn write_sets(
     io: &dyn ArtifactIo,
-    sets: mpsc::Receiver<FrameSet>,
+    sets: mpsc::Receiver<Handed>,
     replies: mpsc::Sender<Written>,
     timed: bool,
 ) {
-    for set in sets {
+    for (set, superseded) in sets {
         let started = timed.then(Instant::now);
-        let done = set
-            .iter()
-            .try_for_each(|f| io.write_atomic(&f.path, &f.bytes));
+        let done = (set.iter())
+            .try_for_each(|f| io.write_atomic(&f.path, &f.bytes))
+            .and_then(|()| superseded.iter().try_for_each(|p| io.remove(p)));
         drop(set);
         let failed = done.is_err();
         let reply = done.map(|()| started.map_or(0.0, |t| t.elapsed().as_secs_f64()));
@@ -1568,41 +1666,73 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir_b);
     }
 
+    /// A 60-item store over four partitions — blocks (0,2), (0,3), (1,2),
+    /// (1,3), (2,2), (2,3): shadow page-outs, commits, and a partition
+    /// kept across blocks and epochs — trained for two epochs.
+    fn paged(tag: &str) -> (TripleStore, OocTrainer, PathBuf) {
+        let s = store(60, 3);
+        let dir = tmp_dir(tag);
+        let tr = OocTrainer::new(&s, paged_cfg(&dir)).unwrap();
+        assert_eq!(tr.n_partitions(), 4);
+        (s, tr, dir)
+    }
+
+    fn paged_cfg(dir: &Path) -> OocConfig {
+        OocConfig {
+            model: PkgmConfig::new(8).with_seed(11),
+            train: TrainConfig {
+                epochs: 2,
+                ..train_cfg()
+            },
+            mem_budget: 3 * 8 * 4 * 46, // 4 partitions x 23 rows, 2 per block
+            dir: dir.to_path_buf(),
+        }
+    }
+
+    /// The epoch's blocks as `(pi, pj)`, in schedule order.
+    fn schedule(tr: &OocTrainer, s: &TripleStore) -> Vec<(usize, usize)> {
+        let buckets: std::collections::BTreeSet<_> = s
+            .triples()
+            .iter()
+            .map(|t| (tr.part_of(t.head.0), tr.part_of(t.tail.0)))
+            .collect();
+        buckets.into_iter().collect()
+    }
+
+    /// Every file under `dir`, by name.
+    fn files_in(dir: &Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+        (StdIo.list(dir).unwrap().into_iter())
+            .map(|p| {
+                let name = p.file_name().unwrap().to_string_lossy().into_owned();
+                (name, std::fs::read(&p).unwrap())
+            })
+            .collect()
+    }
+
     #[test]
     fn telemetry_records_every_block_and_moves_no_byte() {
-        let s = store(60, 3);
-        let budget = 3 * 8 * 4 * 40; // 2 partitions x 20 rows per block
         let run = |tag: &str, telemetry: bool| {
-            let dir = tmp_dir(tag);
-            let mut tr = OocTrainer::new(
-                &s,
-                OocConfig {
-                    model: PkgmConfig::new(8).with_seed(11),
-                    train: TrainConfig {
-                        epochs: 2,
-                        ..train_cfg()
-                    },
-                    mem_budget: budget,
-                    dir: dir.clone(),
-                },
-            )
-            .unwrap();
+            let (s, mut tr, dir) = paged(tag);
             if telemetry {
                 tr.record_telemetry();
             }
             let report = tr.train(&s).unwrap();
             let model = tr.assemble_model().unwrap();
+            let resident = std::fs::metadata(dir.join(RESIDENT_FILE)).unwrap().len();
+            let blocks = schedule(&tr, &s);
+            let frames: Vec<u64> = (tr.parts.iter())
+                .map(|&(_, rows)| (artifact::HEADER_LEN + 32) as u64 + rows * 8 * 12)
+                .collect();
             let _ = std::fs::remove_dir_all(&dir);
-            (report, tr.take_records(), model)
+            (report, tr.take_records(), model, blocks, (frames, resident))
         };
-        let (report, records, on) = run("telemetry-on", true);
-        let (_, silent, off) = run("telemetry-off", false);
+        let (report, records, on, schedule, (frame, resident)) = run("telemetry-on", true);
+        let (_, silent, off, _, _) = run("telemetry-off", false);
         assert!(silent.is_empty());
         assert_eq!(bits(&on.ent), bits(&off.ent));
         assert_eq!(bits(&on.mats), bits(&off.mats));
 
         let (blocks, epochs): (Vec<_>, Vec<_>) = records.iter().partition(|r| r.block.is_some());
-        assert!(report.n_partitions >= 2);
         assert_eq!(blocks.len(), report.blocks, "one record per block");
         assert_eq!(epochs.len(), 2, "one record per epoch");
         for b in &blocks {
@@ -1617,10 +1747,19 @@ mod tests {
             let commit: f64 = mine.iter().map(|b| b.commit_s).sum();
             assert!(e.commit_s > commit, "the epoch's own resident commit adds");
             assert!(e.phases_s().iter().sum::<f64>() <= e.wall_s, "{e:?}");
-            // A block waits for the commit of the block before it; the
-            // epoch for its last block's and its own resident commit.
-            assert_eq!(mine[0].write_s, 0.0, "{:?}", mine[0]);
-            assert!(mine[1..].iter().all(|b| b.write_s > 0.0), "{mine:?}");
+            // A block hands the writer bytes only when a partition leaves
+            // (the last block's commit is the epoch's); the epoch waits
+            // for every set.
+            for (b, pair) in mine.iter().zip(schedule.windows(2)) {
+                let [(pi, pj), (ni, nj)] = [pair[0], pair[1]];
+                let leaves = [pi, pj].iter().any(|k| ![ni, nj].contains(k));
+                assert_eq!(b.write_bytes > 0, leaves, "{b:?}");
+            }
+            assert_eq!(mine.last().unwrap().write_bytes, 0);
+            let (pi, pj) = *schedule.last().unwrap();
+            let closing = frame[pi] + frame[pj] + resident;
+            let handed: u64 = mine.iter().map(|b| b.write_bytes).sum();
+            assert_eq!(e.write_bytes, handed + closing, "{e:?}");
             let written: f64 = mine.iter().map(|b| b.write_s).sum();
             assert!(e.write_s > written, "{e:?}");
         }
@@ -1630,7 +1769,7 @@ mod tests {
     fn stale_generation_is_detected() {
         let s = store(30, 3);
         let dir = tmp_dir("gen");
-        let mut ooc = OocTrainer::new(
+        let ooc = OocTrainer::new(
             &s,
             OocConfig {
                 model: PkgmConfig::new(8).with_seed(3),
@@ -1640,70 +1779,41 @@ mod tests {
             },
         )
         .unwrap();
-        // Forge a partition stamped one generation ahead of the resident
-        // commit — the signature of a block interrupted mid-commit.
-        let n = ooc.parts[0].1 as usize * 8;
-        let (mut ent, mut m, mut v) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
-        ooc.load_partition_into(0, None, &mut ent, Some((&mut m, &mut v)))
-            .unwrap();
-        let io = Arc::clone(&ooc.io);
-        with_writer(&*io, false, |w| {
-            ooc.frame_partition(w, 0, ooc.gen + 1, &ent, &m, &v);
-            w.hand_over()
-        })
-        .unwrap();
-        let err = ooc
-            .load_partition_into(0, None, &mut ent, None)
-            .unwrap_err();
-        assert!(err.to_string().contains("ahead"), "got {err}");
+        // Restamp the live file one generation ahead: only the stamp
+        // differs, and the checksum covers it.
+        let path = ooc.partition_path(0, ooc.live[0]);
+        let bytes = std::fs::read(&path).unwrap();
+        let mut payload = artifact::decode(&path, ArtifactKind::Checkpoint, &bytes)
+            .unwrap()
+            .to_vec();
+        payload[..8].copy_from_slice(&(ooc.live[0] + 1).to_le_bytes());
+        std::fs::write(&path, artifact::encode(ArtifactKind::Checkpoint, &payload)).unwrap();
+        let err = ooc.assemble_model().unwrap_err();
+        assert!(err.to_string().contains("generation 1"), "got {err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A 60-item store over two or more partitions, trained for two epochs.
-    fn paged(tag: &str) -> (TripleStore, OocTrainer, PathBuf) {
-        let s = store(60, 3);
-        let dir = tmp_dir(tag);
-        let tr = OocTrainer::new(
-            &s,
-            OocConfig {
-                model: PkgmConfig::new(8).with_seed(11),
-                train: TrainConfig {
-                    epochs: 2,
-                    ..train_cfg()
-                },
-                mem_budget: 3 * 8 * 4 * 40, // 2 partitions x 20 rows per block
-                dir: dir.clone(),
-            },
-        )
-        .unwrap();
-        assert!(tr.n_partitions() >= 2);
-        (s, tr, dir)
-    }
-
-    /// The epoch's blocks as `(pi, pj)`, in schedule order.
-    fn schedule(tr: &OocTrainer, s: &TripleStore) -> Vec<(usize, usize)> {
-        let buckets: std::collections::BTreeSet<_> = s
-            .triples()
-            .iter()
-            .map(|t| (tr.part_of(t.head.0), tr.part_of(t.tail.0)))
-            .collect();
-        buckets.into_iter().collect()
-    }
-
-    /// File names in the order they were committed.
+    /// File names in the order they were written, and removed (`-name`).
     #[derive(Default)]
     struct Recorded(std::sync::Mutex<Vec<String>>);
 
+    impl Recorded {
+        fn log(&self, path: &Path, sign: &str) {
+            let name = path.file_name().unwrap().to_string_lossy();
+            self.0.lock().unwrap().push(format!("{sign}{name}"));
+        }
+    }
+
     impl ArtifactIo for Recorded {
         fn write_atomic(&self, path: &Path, bytes: &[u8]) -> Result<(), ArtifactError> {
-            let name = path.file_name().unwrap().to_string_lossy().into_owned();
-            self.0.lock().unwrap().push(name);
+            self.log(path, "");
             StdIo.write_atomic(path, bytes)
         }
         fn read(&self, path: &Path) -> Result<Vec<u8>, ArtifactError> {
             StdIo.read(path)
         }
         fn remove(&self, path: &Path) -> Result<(), ArtifactError> {
+            self.log(path, "-");
             StdIo.remove(path)
         }
         fn list(&self, dir: &Path) -> Result<Vec<PathBuf>, ArtifactError> {
@@ -1712,37 +1822,73 @@ mod tests {
     }
 
     #[test]
-    fn commits_land_block_by_block_partitions_first() {
+    fn commits_land_at_partition_swaps_and_never_rewrite_a_live_file() {
         let (s, mut tr, dir) = paged("order");
         let log = Arc::new(Recorded::default());
         tr.io = log.clone();
         tr.train(&s).unwrap();
-        let part = |k: usize| format!("ooc-part-{k:05}of{:05}.pkgm", tr.n_partitions());
-        let mut want = Vec::new();
-        for _ in 0..2 {
-            for (pi, pj) in schedule(&tr, &s) {
-                want.push(part(pi));
-                if pj != pi {
-                    want.push(part(pj));
-                }
-                want.push(RESIDENT_FILE.to_string());
-            }
-            want.push(RESIDENT_FILE.to_string());
-        }
-        assert_eq!(*log.0.lock().unwrap(), want);
+        let part = |k: usize, g: u64| format!("ooc-part-{k:05}of00004.g{g:05}.pkgm");
+        let gone = |k: usize, g: u64| format!("-{}", part(k, g));
+        let res = || RESIDENT_FILE.to_string();
+        #[rustfmt::skip]
+        let want = [
+            // (0,2): 2 leaves, and 0 is the anchor — a shadow file.
+            part(2, 1),
+            // (0,3): the anchor leaves — a commit, then what it supersedes
+            // is deleted.
+            part(0, 2), part(3, 2), res(), gone(2, 0), gone(0, 0), gone(3, 0),
+            // (1,2): a shadow; (1,3): a commit.
+            part(2, 3),
+            part(1, 4), part(3, 4), res(), gone(2, 1), gone(1, 0), gone(3, 2),
+            // (2,2): 2 stays, nothing is written. (2,3): the epoch closes.
+            part(2, 6), part(3, 6), res(), gone(2, 3), gone(3, 4),
+            // Epoch 2. (0,2) keeps 2 from the close, in memory longest: it
+            // anchors, and its leaving commits.
+            part(0, 7), part(2, 7), res(), gone(0, 2), gone(2, 6),
+            part(0, 8), part(3, 8), res(), gone(0, 7), gone(3, 6),
+            part(2, 9),
+            part(1, 10), part(3, 10), res(), gone(2, 7), gone(1, 4), gone(3, 8),
+            part(2, 12), part(3, 12), res(), gone(2, 9), gone(3, 10),
+        ];
+        let got = log.0.lock().unwrap().clone();
+        assert_eq!(got, want);
+        // Every partition file is written once; every one superseded is
+        // gone, and the resident file names the four left.
+        let writes: Vec<_> = got.iter().filter(|n| n.starts_with("ooc-part")).collect();
+        let unique: std::collections::BTreeSet<_> = writes.iter().collect();
+        assert_eq!(unique.len(), writes.len());
+        let left: Vec<String> = files_in(&dir).into_keys().collect();
+        let mut named: Vec<String> = (0..4).map(|k| part(k, tr.live[k])).collect();
+        named.extend([MANIFEST_FILE.to_string(), res()]);
+        named.sort();
+        assert_eq!(left, named);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_divergence_halt_commits_what_it_trained() {
+        let (s, mut tr, dir) = paged("halt");
+        tr.cfg.train.lr = f32::INFINITY;
+        let report = tr.train(&s).unwrap();
+        assert!(report.halted.is_some(), "{report:?}");
+        // The halted epoch's last block is on disk, cursor at its end.
+        let resumed = OocTrainer::resume(&dir).unwrap();
+        let n_blocks = schedule(&tr, &s).len();
+        assert_eq!((resumed.epochs_done, resumed.blocks_done), (0, n_blocks));
+        assert_eq!((resumed.gen, &resumed.live), (tr.gen, &tr.live));
+        assert_eq!(bits(&resumed.rel), bits(&tr.rel));
+        assert!(resumed.assemble_model().is_ok());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn a_stale_partition_put_back_mid_run_is_refused() {
         let (s, mut tr, dir) = paged("stale");
-        let path = tr.partition_path(0);
-        let init = std::fs::read(&path).unwrap();
+        let init = std::fs::read(tr.partition_path(0, 0)).unwrap();
         tr.cfg.train.epochs = 1;
         tr.train(&s).unwrap();
-        // Generation 0 is at most the committed generation: only the
-        // generation this trainer wrote tells the old file from the new.
-        std::fs::write(&path, &init).unwrap();
+        // A well-formed file of the wrong generation at the live name.
+        std::fs::write(tr.partition_path(0, tr.live[0]), &init).unwrap();
         tr.cfg.train.epochs = 2;
         let err = tr.train(&s).unwrap_err();
         assert!(
@@ -1750,69 +1896,137 @@ mod tests {
             "got {err}"
         );
         assert!(tr.assemble_model().is_err());
-        // A resumed trainer has written nothing, so it can only check `≤`.
-        assert!(OocTrainer::resume(&dir).unwrap().assemble_model().is_ok());
+        // A resumed trainer checks the generation its live table names.
+        let resumed = OocTrainer::resume(&dir).unwrap();
+        assert!(resumed.assemble_model().is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Train [`paged`] with block 3's first partition write (`resident:
-    /// false`) or its resident write failing, after which more blocks
-    /// train. Returns the error's directory, the failed write's index and
-    /// the writes attempted.
-    fn fail_block_write(tag: &str, resident: bool) -> (PathBuf, u64, u64) {
-        let (s, mut tr, dir) = paged(tag);
-        let blocks = schedule(&tr, &s);
-        assert!(blocks.len() > 4, "a block trains after the failed one");
-        let writes = |&(pi, pj): &(usize, usize)| if pi == pj { 2 } else { 3 };
-        let first: u64 = blocks[..3].iter().map(writes).sum();
-        let nth = if resident {
-            first + writes(&blocks[3]) - 1
-        } else {
-            first
-        };
-        let faulty = Arc::new(FaultyIo::new(
-            FaultPlan::new().with_fault(nth, Fault::FailWrite),
-        ));
-        tr.io = faulty.clone();
-        let err = tr.train(&s).unwrap_err();
-        assert!(
-            matches!(err, OocError::Artifact(ArtifactError::Injected { .. })),
-            "got {err}"
-        );
-        assert_eq!(faulty.injected(), 1);
-        (dir, nth, faulty.writes())
-    }
-
-    #[test]
-    fn a_failed_partition_write_stops_the_writer_and_resume_replays_the_block() {
-        let (s, mut straight, dir_a) = paged("straight-run");
-        straight.train(&s).unwrap();
-        let want = straight.assemble_model().unwrap();
-
-        let (dir_b, nth, writes) = fail_block_write("fail-part", false);
-        assert_eq!(writes, nth + 1, "no write after the failed one");
-        let mut resumed = OocTrainer::resume(&dir_b).unwrap();
-        assert_eq!((resumed.epochs_done, resumed.blocks_done), (0, 3));
-        resumed.train(&s).unwrap();
-        let got = resumed.assemble_model().unwrap();
-        assert_eq!(bits(&got.ent), bits(&want.ent));
-        assert_eq!(bits(&got.rel), bits(&want.rel));
-        assert_eq!(bits(&got.mats), bits(&want.mats));
-        let _ = std::fs::remove_dir_all(&dir_a);
-        let _ = std::fs::remove_dir_all(&dir_b);
-    }
-
-    #[test]
-    fn a_failed_resident_write_leaves_the_block_ahead_of_the_committed_state() {
-        let (dir, nth, writes) = fail_block_write("fail-resident", true);
-        assert_eq!(writes, nth + 1, "no write after the failed one");
-        let mut resumed = OocTrainer::resume(&dir).unwrap();
-        assert_eq!((resumed.epochs_done, resumed.blocks_done), (0, 3));
-        let err = resumed.train(&store(60, 3)).unwrap_err();
-        assert!(
-            matches!(&err, OocError::State(m) if m.contains("ahead of the committed state")),
-            "got {err}"
+    /// The straight run of [`paged`]: its model, the files it leaves and
+    /// the number of writes, `OocTrainer::new`'s included.
+    fn straight(tag: &str) -> (PkgmModel, std::collections::BTreeMap<String, Vec<u8>>, u64) {
+        let s = store(60, 3);
+        let dir = tmp_dir(tag);
+        let counted = Arc::new(FaultyIo::new(FaultPlan::new()));
+        let mut tr = OocTrainer::new_with_io(&s, paged_cfg(&dir), counted.clone()).unwrap();
+        tr.train(&s).unwrap();
+        let out = (
+            tr.assemble_model().unwrap(),
+            files_in(&dir),
+            counted.writes(),
         );
         let _ = std::fs::remove_dir_all(&dir);
+        out
+    }
+
+    /// Run [`paged`] with `fault` at write `nth` (`OocTrainer::new`'s
+    /// writes first), then recover from disk as `pkgm train` does — resume
+    /// when the manifest landed, else start over — on the real filesystem.
+    /// Returns the first run's outcome and writes attempted, and the
+    /// recovered model and files.
+    #[allow(clippy::type_complexity)]
+    fn crash_and_recover(
+        tag: &str,
+        nth: u64,
+        fault: Fault,
+    ) -> (
+        Result<(), OocError>,
+        u64,
+        Result<(PkgmModel, std::collections::BTreeMap<String, Vec<u8>>), OocError>,
+    ) {
+        let s = store(60, 3);
+        let dir = tmp_dir(tag);
+        let faulty = Arc::new(FaultyIo::new(FaultPlan::new().with_fault(nth, fault)));
+        let first = OocTrainer::new_with_io(&s, paged_cfg(&dir), faulty.clone())
+            .and_then(|mut tr| tr.train(&s).map(drop));
+        assert_eq!(faulty.injected(), 1, "write {nth}");
+        let recovered = (|| {
+            let mut tr = if dir.join(MANIFEST_FILE).exists() {
+                OocTrainer::resume(&dir)?
+            } else {
+                OocTrainer::new(&s, paged_cfg(&dir))?
+            };
+            tr.train(&s)?;
+            Ok((tr.assemble_model()?, files_in(&dir)))
+        })();
+        let _ = std::fs::remove_dir_all(&dir);
+        (first, faulty.writes(), recovered)
+    }
+
+    fn assert_same_model(got: &PkgmModel, want: &PkgmModel, what: &str) {
+        assert_eq!(bits(&got.ent), bits(&want.ent), "{what}");
+        assert_eq!(bits(&got.rel), bits(&want.rel), "{what}");
+        assert_eq!(bits(&got.mats), bits(&want.mats), "{what}");
+    }
+
+    #[test]
+    fn a_failed_write_anywhere_resumes_to_the_uninterrupted_bits() {
+        let (want, want_files, n_writes) = straight("straight-sweep");
+        assert!(n_writes > 20, "{n_writes} writes");
+        for nth in 0..n_writes {
+            let (first, writes, recovered) = crash_and_recover("sweep", nth, Fault::FailWrite);
+            assert!(
+                matches!(
+                    first,
+                    Err(OocError::Artifact(ArtifactError::Injected { .. }))
+                ),
+                "write {nth}: {first:?}"
+            );
+            assert_eq!(writes, nth + 1, "no write after the failed one");
+            let (got, files) = recovered.unwrap_or_else(|e| panic!("write {nth}: {e}"));
+            assert_same_model(&got, &want, &format!("write {nth}"));
+            assert!(files == want_files, "write {nth}: the files left differ");
+        }
+    }
+
+    #[test]
+    fn torn_and_flipped_writes_end_in_a_typed_error_or_the_same_bits() {
+        let (want, want_files, n_writes) = straight("straight-torn");
+        let faults = [
+            Fault::TornWrite { keep: 100 },
+            Fault::FlipBit { byte: 100, bit: 3 },
+        ];
+        let mut refused = [0; 2];
+        for nth in 0..n_writes {
+            for (i, fault) in faults.into_iter().enumerate() {
+                let what = format!("{fault:?} at write {nth}");
+                match crash_and_recover("torn", nth, fault).2 {
+                    Ok((got, files)) => {
+                        assert_same_model(&got, &want, &what);
+                        assert!(files == want_files, "{what}: the files left differ");
+                    }
+                    Err(e) => {
+                        assert!(matches!(e, OocError::Artifact(_)), "{what}: {e}");
+                        refused[i] += 1;
+                    }
+                }
+            }
+        }
+        // A torn or flipped live file is refused (the final resident
+        // file, say); a torn shadow is deleted on resume.
+        assert!(
+            refused.iter().all(|&n| n > 0 && n < n_writes),
+            "{refused:?}"
+        );
+    }
+
+    #[test]
+    fn a_failed_resident_write_resumes_to_identical_bits() {
+        let (s, mut tr, dir) = paged("resident-order");
+        let log = Arc::new(Recorded::default());
+        tr.io = log.clone();
+        tr.train(&s).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        // `new` writes 4 partitions, the resident file and the manifest;
+        // the first resident write after them is the first block commit.
+        let log = log.0.lock().unwrap();
+        let writes = log.iter().filter(|n| !n.starts_with('-'));
+        let nth = 6 + writes.take_while(|n| *n != RESIDENT_FILE).count() as u64;
+        let (want, want_files, _) = straight("straight-resident");
+        let (first, _, recovered) = crash_and_recover("fail-resident", nth, Fault::FailWrite);
+        assert!(first.is_err());
+        let (got, files) = recovered.unwrap();
+        assert_same_model(&got, &want, "resident commit");
+        assert!(files == want_files);
     }
 }

@@ -19,9 +19,9 @@
 //! cheap.
 //!
 //! Quantized serving snapshots (`PKGMSS3`) quantize each row against its
-//! own per-block max instead, through [`quantize_row`] (the snapshot
+//! own per-block max instead, through `quantize_row` (the snapshot
 //! writer's one per-row loop), and reconstruct through
-//! [`dequantize_row_into`]; the row's measured error certifies
+//! `dequantize_row_into`; the row's measured error certifies
 //! `|x_i − dequant_i| ≤ row_err` for every element.
 //!
 //! ## Why the lower bound is sound in f32, not just on paper
@@ -39,8 +39,8 @@
 //!    is a rounded version of the real L1, low by at most ~20·ε relative.
 //!
 //! All three are absorbed by explicit slack: candidate and query errors
-//! are *measured* at quantization time and inflated by [`ERR_INFLATE`],
-//! and the accumulated quantized sum is shaved by [`SUM_SHAVE`] — two
+//! are *measured* at quantization time and inflated by `ERR_INFLATE`,
+//! and the accumulated quantized sum is shaved by `SUM_SHAVE` — two
 //! orders of magnitude more than the worst rounding drift, and negligible
 //! against the measured rounding errors that dominate the bound. The
 //! resulting guarantee, tested adversarially in `quant_parity`, is
@@ -54,7 +54,7 @@
 //! max-based shared scale would let one outlier row crush everyone else's
 //! resolution (and with it the bound's tightness — a useless-but-sound
 //! bound prunes nothing). [`QuantScanTable`] therefore sets each block's
-//! scale at the [`SCAN_SCALE_QUANTILE`] of the per-row block maxima and
+//! scale at the `SCAN_SCALE_QUANTILE` of the per-row block maxima and
 //! marks the few rows above it as **escapes** (`row_err = +∞`): their
 //! lower bound is `−∞`, so they always survive to the exact phase-2
 //! rescore — correct by construction, and rare enough not to matter for
@@ -160,7 +160,7 @@ pub(crate) fn dequantize_row_into(q: &[i8], scales: &[f32], block: usize, out: &
 /// so a query quantizes once and per-candidate lower bounds reduce to
 /// integer absolute-difference sums.
 ///
-/// Block scales sit at the [`SCAN_SCALE_QUANTILE`] of the per-row block
+/// Block scales sit at the `SCAN_SCALE_QUANTILE` of the per-row block
 /// maxima; the few rows above a block's scale are escapes whose lower
 /// bound is `−∞` (always rescored exactly). Each served row carries its
 /// *measured* quantization error sum, so the bound's slack tracks the
@@ -279,7 +279,7 @@ impl QuantScanTable {
     /// subtract — possibly negative.
     ///
     /// In-range coordinates contribute their measured rounding error
-    /// `|x_i − q_i·s_b|` (inflated by [`ERR_INFLATE`]). Out-of-range
+    /// `|x_i − q_i·s_b|` (inflated by `ERR_INFLATE`). Out-of-range
     /// coordinates clamp to `±127` and contribute a *bonus* instead: every
     /// non-escape candidate has `|c_i| ≤ 127·s_b` there, so
     /// `|x_i − c_i| ≥ (|x_i| − 127·s_b) + |x̂_i − ĉ_i| − |c_i − ĉ_i|` —
@@ -362,7 +362,7 @@ impl QuantScanTable {
     /// The test is algebraically `lower_bound(q, row, query_err) ≥ bound`,
     /// rearranged so the threshold is precomputed and each block can
     /// decide. The rearrangement adds a couple of f32 roundings (~ε·bound),
-    /// orders of magnitude inside the [`SUM_SHAVE`] budget, so a `true`
+    /// orders of magnitude inside the `SUM_SHAVE` budget, so a `true`
     /// still certifies that the exact blocked L1 reaches `bound`.
     ///
     /// The kernels decide whole runs through `simd::prune_run` and lane

@@ -473,7 +473,7 @@ pub fn discover_shard_files(base: &Path) -> Result<Vec<PathBuf>, RouterError> {
 impl Supervisor {
     /// Spawn `daemon_bin daemon serve --snapshot` for every shard file,
     /// each on an ephemeral port with an addr file, and block until every
-    /// daemon passes its readiness probe (or [`SPAWN_TIMEOUT`] expires).
+    /// daemon passes its readiness probe (or `SPAWN_TIMEOUT` expires).
     pub fn spawn(daemon_bin: &Path, shard_files: &[PathBuf]) -> Result<Self, RouterError> {
         let mut daemons = Vec::with_capacity(shard_files.len());
         let pid = std::process::id();

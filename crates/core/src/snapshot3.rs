@@ -951,7 +951,7 @@ fn select_escapes(errs: &[f32]) -> Vec<u32> {
 
 /// Streams a **quantized** `PKGMSS3` shard without ever holding the dense
 /// f32 table: each incoming row is blockwise-int8 quantized by
-/// [`quant::quantize_row`] and its i8 payload appended immediately. Only
+/// `quant::quantize_row` and its i8 payload appended immediately. Only
 /// per-row metadata stays resident (one error f32 and `ceil(2d/block)`
 /// scale f32s per row — a few percent of the dense bytes).
 ///

@@ -283,7 +283,7 @@ impl Trainer {
     }
 
     /// Run the gradient pass and the Adam step compiled for `table`'s
-    /// level (see [`simd::at_level`]) instead of [`simd::active`]'s. Every
+    /// level (see `simd::at_level`) instead of [`simd::active`]'s. Every
     /// level trains the same bits; the parity suites train at each one.
     pub fn with_simd(mut self, table: &'static SimdDispatch) -> Self {
         self.simd = table;

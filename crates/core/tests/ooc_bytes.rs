@@ -17,7 +17,8 @@
 //!
 //! One `#[test]` for all of that: the thread count is a process-wide
 //! environment variable, so the sections must not run beside each other.
-//! A second pins the digests of every `ooc-*.pkgm` file and of the trained
+//! A second pins the names and digests of every `ooc-*.pkgm` file left on
+//! disk (the live partition files are named by generation) and of the trained
 //! model, so a change to how the trainer commits (its framing, its order,
 //! its threads) cannot move a byte unnoticed; those bytes do not depend on
 //! the thread count.
@@ -101,6 +102,24 @@ fn run(
         .unwrap();
     assert_eq!(shards.len(), trainer.n_partitions());
     trainer
+}
+
+/// Partition `k` of `n`'s one live file in `dir`: the trainer deletes the
+/// files a commit supersedes.
+fn live_part(dir: &Path, k: usize, n: usize) -> PathBuf {
+    let prefix = format!("ooc-part-{k:05}of{n:05}.g");
+    let mut found = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| {
+            p.file_name()
+                .unwrap()
+                .to_string_lossy()
+                .starts_with(&prefix)
+        });
+    let path = found.next().expect("a live partition file");
+    assert!(found.next().is_none(), "one file per partition");
+    path
 }
 
 /// The IEEE CRC32, one message bit per step.
@@ -210,8 +229,8 @@ fn ooc_files_are_canonical_thread_invariant_and_checked() {
     }
     assert_eq!(framed, parts.len() + 2, "partitions + resident + manifest");
     for (k, &(start, len)) in parts.iter().enumerate() {
-        let name = format!("ooc/ooc-part-{k:05}of{:05}.pkgm", parts.len());
-        let payload = &files[Path::new(&name)][HEADER_LEN..];
+        let live = live_part(&dir_1.join("ooc"), k, parts.len());
+        let payload = &files[live.strip_prefix(&dir_1).unwrap()][HEADER_LEN..];
         let n_values = len as usize * DIM;
         for (i, stamp) in [start, len, DIM as u64].into_iter().enumerate() {
             assert_eq!(payload[8 + 8 * i..16 + 8 * i], stamp.to_le_bytes());
@@ -248,7 +267,10 @@ fn ooc_files_are_canonical_thread_invariant_and_checked() {
     std::env::set_var("RAYON_NUM_THREADS", "1");
     drop(OocTrainer::new(&catalog.store, config(&catalog, &fresh)).unwrap());
     every_flipped_byte_is_caught(
-        &fresh.join(format!("ooc/ooc-part-00000of{:05}.pkgm", parts.len())),
+        &fresh.join(format!(
+            "ooc/ooc-part-00000of{:05}.g00000.pkgm",
+            parts.len()
+        )),
         || {
             OocTrainer::resume(&fresh.join("ooc"))
                 .unwrap()
@@ -256,10 +278,9 @@ fn ooc_files_are_canonical_thread_invariant_and_checked() {
                 .err()
         },
     );
-    every_flipped_byte_is_caught(
-        &ooc_dir.join(format!("ooc-part-{last:05}of{:05}.pkgm", parts.len())),
-        || trainer.assemble_model().err(),
-    );
+    every_flipped_byte_is_caught(&live_part(&ooc_dir, last, parts.len()), || {
+        trainer.assemble_model().err()
+    });
     every_flipped_byte_is_caught(&ooc_dir.join("ooc-resident.pkgm"), || {
         OocTrainer::resume(&ooc_dir).err()
     });
@@ -292,12 +313,12 @@ fn ooc_bytes_match_golden_digests() {
     let _ = std::fs::remove_dir_all(&dir);
 
     let want = [
-        ("ooc-manifest.pkgm", 0x2118_b159_4b2f_9388),
-        ("ooc-part-00000of00004.pkgm", 0xc4d0_a93c_a088_86eb),
-        ("ooc-part-00001of00004.pkgm", 0xed9b_067a_b773_c9cd),
-        ("ooc-part-00002of00004.pkgm", 0x899c_9a5f_eaf9_8cc9),
-        ("ooc-part-00003of00004.pkgm", 0xbbb1_7346_0087_9d48),
-        ("ooc-resident.pkgm", 0x3ef0_8771_d445_486d),
+        ("ooc-manifest.pkgm", 0xc076_c786_cd5f_3765),
+        ("ooc-part-00000of00004.g00009.pkgm", 0xc4d0_a93c_a088_86eb),
+        ("ooc-part-00001of00004.g00012.pkgm", 0xed9b_067a_b773_c9cd),
+        ("ooc-part-00002of00004.g00011.pkgm", 0x899c_9a5f_eaf9_8cc9),
+        ("ooc-part-00003of00004.g00012.pkgm", 0xbbb1_7346_0087_9d48),
+        ("ooc-resident.pkgm", 0x5710_838d_9a6e_4ed6),
         ("model", 0xc3f5_c063_b30d_8227),
     ];
     let want: Vec<(String, u64)> = want.iter().map(|&(n, d)| (n.to_string(), d)).collect();
