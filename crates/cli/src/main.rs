@@ -7,8 +7,8 @@
 //! pkgm stats      --preset small --seed 42
 //! pkgm generate   --preset small --seed 42 --out kg.tsv
 //! pkgm train      --preset small --seed 42 --dim 32 --epochs 8 --k 10 --out svc.bin
-//!                 [--checkpoint-dir ckpts] [--checkpoint-every 1] [--keep-last 3]
-//!                 [--resume ckpts] [--telemetry t.jsonl]
+//!                 [--ooc-dir d]   # crash-safe: rerun the same command to resume
+//!                 [--telemetry t.jsonl]
 //! pkgm train      --preset small --mem-budget 1000000 --out svc.bin
 //!                 [--ooc-dir d] [--snapshot-out base]   # out-of-core blocks
 //! pkgm train      --synthetic 2000000 --entities 1000000 --mem-budget 50000000 \
@@ -35,18 +35,17 @@
 //! ```
 //!
 //! All artifacts are written atomically (temp file + fsync + rename) and
-//! CRC32-checksummed: models, services and checkpoints inside the `PKGMAF1`
-//! container, serving snapshots as `PKGMSS3` files. Loads of corrupt,
-//! truncated or unframed files fail with typed errors.
+//! CRC32-checksummed: models, services and out-of-core training state
+//! inside the `PKGMAF1` container, serving snapshots as `PKGMSS3` files.
+//! Loads of corrupt, truncated or unframed files fail with typed errors.
 
 mod args;
 
 use args::Args;
 use pkgm_core::{
-    eval, fault, load_latest_checkpoint, obs, serialize, CheckpointConfig, Daemon, DaemonClient,
-    DaemonConfig, KnowledgeService, OocConfig, OocReport, OocTrainer, PkgmConfig, PkgmModel,
-    RetryPolicy, ServiceSnapshot, ShardRouter, StdIo, Supervisor, SyntheticTriples, TrainConfig,
-    TrainRecord, Trainer, TripleSource,
+    eval, fault, obs, serialize, Daemon, DaemonClient, DaemonConfig, KnowledgeService, OocConfig,
+    OocReport, OocTrainer, PkgmConfig, PkgmModel, RetryPolicy, ServiceSnapshot, ShardRouter, StdIo,
+    Supervisor, SyntheticTriples, TrainConfig, TrainRecord, Trainer, TripleSource,
 };
 use pkgm_store::{EntityId, KgStats};
 use pkgm_synth::{Catalog, CatalogConfig};
@@ -448,107 +447,65 @@ fn generate(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn pretrain(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
-    // `--mem-budget BYTES` switches to the out-of-core trainer: the
-    // embedding table lives in entity-range partition files and is paged
-    // in (at most two partitions per block) under the budget.
-    if args.get("mem-budget").is_some() || args.get("synthetic").is_some() {
+    // The resident checkpoint flags are gone; a script still passing one
+    // must not train without the crash safety it asked for.
+    for flag in ["checkpoint-dir", "checkpoint-every", "keep-last", "resume"] {
+        if args.get(flag).is_some() {
+            return Err(format!(
+                "--{flag} was removed: pass --ooc-dir DIR to train crash-safe \
+                 (rerunning the same command resumes from DIR)"
+            )
+            .into());
+        }
+    }
+    // `--ooc-dir` trains crash-safe through the out-of-core trainer, and
+    // `--mem-budget BYTES` pages the embedding table under the budget (at
+    // most two partitions per block).
+    if ["ooc-dir", "mem-budget", "synthetic"]
+        .iter()
+        .any(|flag| args.get(flag).is_some())
+    {
         return ooc_pretrain(args);
     }
     let catalog = catalog_from(args)?;
     let dim: usize = args.get_or("dim", 32)?;
     let epochs: usize = args.get_or("epochs", 8)?;
     let k: usize = args.get_or("k", 10)?;
-    let lr: f32 = args.get_or("lr", 5e-3)?;
-    let margin: f32 = args.get_or("margin", 4.0)?;
     let out = args.require("out")?;
-    let io = StdIo;
-
-    // --resume DIR implies checkpointing into the same directory.
-    let resume_dir = args.get("resume").map(PathBuf::from);
-    let ckpt_dir = args
-        .get("checkpoint-dir")
-        .map(PathBuf::from)
-        .or_else(|| resume_dir.clone());
-
-    let (mut model, mut trainer) = match &resume_dir {
-        Some(dir) => {
-            let scan = load_latest_checkpoint(&io, dir)?;
-            for (path, why) in &scan.skipped {
-                eprintln!(
-                    "[pkgm] warning: skipping invalid checkpoint {}: {why}",
-                    path.display()
-                );
-            }
-            match scan.resumed {
-                Some(state) => {
-                    eprintln!(
-                        "[pkgm] resuming from {} (epoch {} of {epochs})",
-                        state.path.display(),
-                        state.trainer.epochs_done()
-                    );
-                    let mut trainer = state.trainer;
-                    // The checkpoint's config wins (bit-exact resume); only
-                    // the epoch target is taken from the command line.
-                    trainer.cfg.epochs = epochs;
-                    (state.model, trainer)
-                }
-                None => {
-                    eprintln!(
-                        "[pkgm] warning: no valid checkpoint in {}, starting fresh",
-                        dir.display()
-                    );
-                    fresh_trainer(args, &catalog, dim, epochs, lr, margin)?
-                }
-            }
-        }
-        None => fresh_trainer(args, &catalog, dim, epochs, lr, margin)?,
-    };
-
-    eprintln!("[pkgm] pre-training d={dim} epochs={epochs} lr={lr} margin={margin}…");
+    let seed: u64 = args.get_or("seed", 42)?;
+    let mut model = PkgmModel::new(
+        catalog.store.n_entities() as usize,
+        catalog.store.n_relations() as usize,
+        PkgmConfig::new(dim).with_seed(seed),
+    );
+    let cfg = train_config(args, epochs, seed)?;
+    eprintln!(
+        "[pkgm] pre-training d={dim} epochs={epochs} lr={} margin={}…",
+        cfg.lr, cfg.margin
+    );
+    let mut trainer = Trainer::new(&model, cfg);
     if args.get("telemetry").is_some() {
         trainer.record_telemetry();
     }
-    let first_epoch = trainer.epochs_done();
-    let report = match &ckpt_dir {
-        Some(dir) => {
-            let ckpt = CheckpointConfig {
-                dir: dir.clone(),
-                every: args.get_or("checkpoint-every", 1)?,
-                keep_last: args.get_or("keep-last", 3)?,
-            };
-            trainer.train_with_checkpoints(&mut model, &catalog.store, &ckpt, &io)?
-        }
-        None => trainer.train(&mut model, &catalog.store),
-    };
+    let report = trainer.train(&mut model, &catalog.store);
     write_telemetry(args, &trainer.take_records())?;
     for (i, e) in report.epochs.iter().enumerate() {
         eprintln!(
             "[pkgm] epoch {}: mean loss {:.4}, violations {:.1}%",
-            first_epoch + i + 1,
+            i + 1,
             e.mean_loss,
             e.violation_rate * 100.0
         );
     }
     if let Some(why) = &report.halted {
-        // The guard tripped: refuse to write a garbage service. The last
-        // good checkpoint (if any) is the recovery point.
-        return Err(format!(
-            "training halted without writing {out}: {why}{}",
-            ckpt_dir
-                .as_deref()
-                .map(|d| format!(" (last good checkpoint in {})", d.display()))
-                .unwrap_or_default()
-        )
-        .into());
+        // The guard tripped: refuse to write a garbage service.
+        return Err(format!("training halted without writing {out}: {why}").into());
     }
-    let service = KnowledgeService::new(model, catalog.key_relation_selector(k));
-    serialize::write_service_file(&io, std::path::Path::new(out), &service)?;
-    println!(
-        "wrote service snapshot to {out} ({:.1} MiB, {:.1}s)",
-        std::fs::metadata(out)?.len() as f64 / (1024.0 * 1024.0),
-        report.wall_secs
-    );
-    Ok(())
+    write_service(
+        out,
+        KnowledgeService::new(model, catalog.key_relation_selector(k)),
+        report.wall_secs,
+    )
 }
 
 /// `records` as JSONL into `--telemetry FILE`, when the flag is given.
@@ -563,25 +520,16 @@ fn write_telemetry(args: &Args, records: &[TrainRecord]) -> Result<(), Box<dyn s
     Ok(())
 }
 
-/// A model + trainer initialized from scratch (no checkpoint to resume).
-fn fresh_trainer(
+/// The training hyper-parameters the command line sets.
+fn train_config(
     args: &Args,
-    catalog: &Catalog,
-    dim: usize,
     epochs: usize,
-    lr: f32,
-    margin: f32,
-) -> Result<(PkgmModel, Trainer), Box<dyn std::error::Error>> {
-    let seed: u64 = args.get_or("seed", 42)?;
-    let model = PkgmModel::new(
-        catalog.store.n_entities() as usize,
-        catalog.store.n_relations() as usize,
-        PkgmConfig::new(dim).with_seed(seed),
-    );
-    let cfg = TrainConfig {
+    seed: u64,
+) -> Result<TrainConfig, Box<dyn std::error::Error>> {
+    Ok(TrainConfig {
         epochs,
-        lr,
-        margin,
+        lr: args.get_or("lr", 5e-3)?,
+        margin: args.get_or("margin", 4.0)?,
         seed,
         parallel: args.get_or("parallel", true)?,
         // Serial and parallel runs of the same chunk layout are
@@ -591,38 +539,45 @@ fn fresh_trainer(
         // and thread count.
         chunk_size: args.get("chunk-size").map(str::parse).transpose()?,
         ..TrainConfig::default()
-    };
-    let trainer = Trainer::new(&model, cfg);
-    Ok((model, trainer))
+    })
 }
 
-/// Out-of-core pre-training (`train --mem-budget BYTES`): the embedding
-/// table lives in entity-range partition files under `--ooc-dir`, with at
-/// most two partitions resident per training block. One partition (the
-/// budget fits everything) is bit-identical to the resident trainer;
-/// multi-partition runs are seed-deterministic and resume from the
-/// persisted block cursor after a kill.
+/// Write `service` to `out` and report its size.
+fn write_service(
+    out: &str,
+    service: KnowledgeService,
+    wall_secs: f64,
+) -> Result<(), Box<dyn std::error::Error>> {
+    serialize::write_service_file(&StdIo, std::path::Path::new(out), &service)?;
+    println!(
+        "wrote service snapshot to {out} ({:.1} MiB, {wall_secs:.1}s)",
+        std::fs::metadata(out)?.len() as f64 / (1024.0 * 1024.0),
+    );
+    Ok(())
+}
+
+/// Crash-safe pre-training through the out-of-core trainer (`train
+/// --ooc-dir D`, `--mem-budget BYTES`): the embedding table lives in
+/// entity-range partition files under `--ooc-dir`, with at most two
+/// partitions resident per training block, and training commits to it as
+/// it goes. Without `--mem-budget` the budget is the whole table: one
+/// partition, bit-identical to the resident trainer, committing once per
+/// epoch. Rerunning the same command after a kill resumes from the last
+/// commit (its predecessor if that one fails its checks); `--epochs` is
+/// the target, everything else comes from the manifest in `D`.
 ///
 /// `--synthetic N` trains on N streamed deterministic triples over
 /// `--entities`/`--relations` id spaces — no catalog, no service output;
 /// this is the 1M+-entity regime the RSS-budget bench exercises.
 fn ooc_pretrain(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
-    let mem_budget: usize = args
-        .require("mem-budget")?
-        .parse()
-        .map_err(|_| "bad value for --mem-budget (bytes)")?;
+    let mem_budget: Option<usize> = args
+        .get("mem-budget")
+        .map(|b| b.parse().map_err(|_| "bad value for --mem-budget (bytes)"))
+        .transpose()?;
     let dim: usize = args.get_or("dim", 32)?;
     let epochs: usize = args.get_or("epochs", 8)?;
     let seed: u64 = args.get_or("seed", 42)?;
-    let train = TrainConfig {
-        epochs,
-        lr: args.get_or("lr", 5e-3)?,
-        margin: args.get_or("margin", 4.0)?,
-        seed,
-        parallel: args.get_or("parallel", true)?,
-        chunk_size: args.get("chunk-size").map(str::parse).transpose()?,
-        ..TrainConfig::default()
-    };
+    let train = train_config(args, epochs, seed)?;
     let model_cfg = PkgmConfig::new(dim).with_seed(seed);
 
     if let Some(n_triples) = args.get("synthetic") {
@@ -653,9 +608,13 @@ fn ooc_pretrain(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let mut trainer = ooc_open(dir, model_cfg, train, mem_budget, &catalog.store)?;
     let report = run_ooc(args, &mut trainer, &catalog.store)?;
     if let Some(why) = &report.halted {
-        // Same contract as the resident path: never write a garbage
-        // service. The partition files are the warm-start recovery point.
-        return Err(format!("training halted without writing {out}: {why}").into());
+        // Never write a garbage service. The halted epoch committed
+        // nothing: the last commit is the recovery point.
+        return Err(format!(
+            "training halted without writing {out}: {why} (last commit in {})",
+            trainer.config().dir.display()
+        )
+        .into());
     }
     let k: usize = args.get_or("k", 10)?;
     let selector = catalog.key_relation_selector(k);
@@ -670,37 +629,46 @@ fn ooc_pretrain(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     // catalogs that fit RAM, which is exactly where a resident service is
     // wanted (eval, the parity gates).
     let model = trainer.assemble_model()?;
-    let service = KnowledgeService::new(model, selector);
-    serialize::write_service_file(&StdIo, std::path::Path::new(out), &service)?;
-    println!(
-        "wrote service snapshot to {out} ({:.1} MiB, {:.1}s)",
-        std::fs::metadata(out)?.len() as f64 / (1024.0 * 1024.0),
-        report.wall_secs
-    );
-    Ok(())
+    write_service(
+        out,
+        KnowledgeService::new(model, selector),
+        report.wall_secs,
+    )
 }
 
 /// Open out-of-core state in `dir`: resume the manifest if one exists (the
-/// persisted config wins — bit-exact continuation), else initialize fresh.
+/// persisted config wins, bar the epoch target — bit-exact continuation),
+/// else initialize fresh under `mem_budget`, by default the whole table.
 fn ooc_open<S: TripleSource + ?Sized>(
     dir: PathBuf,
     model: PkgmConfig,
     train: TrainConfig,
-    mem_budget: usize,
+    mem_budget: Option<usize>,
     source: &S,
 ) -> Result<OocTrainer, Box<dyn std::error::Error>> {
     // The manifest name is part of the on-disk contract (see `ooc`'s docs).
     if dir.join("ooc-manifest.pkgm").exists() {
+        let mut trainer = OocTrainer::resume(&dir)?;
+        for (path, why) in trainer.take_skipped() {
+            eprintln!("[pkgm] warning: skipping commit {}: {why}", path.display());
+        }
         eprintln!(
-            "[pkgm] resuming out-of-core state in {} (its recorded config wins)",
+            "[pkgm] resuming out-of-core state in {} (its recorded config wins, \
+             --epochs sets the target)",
             dir.display()
         );
-        return Ok(OocTrainer::resume(&dir)?);
+        trainer.set_epochs(train.epochs);
+        return Ok(trainer);
     }
+    eprintln!(
+        "[pkgm] no out-of-core state in {}: starting fresh",
+        dir.display()
+    );
+    let table = source.n_entities() as usize * 3 * model.dim * 4;
     let cfg = OocConfig {
         model,
         train,
-        mem_budget,
+        mem_budget: mem_budget.unwrap_or(table),
         dir,
     };
     Ok(OocTrainer::new(source, cfg)?)
@@ -1052,21 +1020,23 @@ fn print_help() {
          \u{20}  stats       --preset tiny|small|bench --seed N\n\
          \u{20}  generate    --preset P --seed N --out kg.tsv [--items-out items.json]\n\
          \u{20}  train       --preset P --seed N --dim 32 --epochs 8 --k 10 [--lr 0.005]\n\
-         \u{20}              [--margin 4] --out service.bin [--checkpoint-dir D]\n\
-         \u{20}              [--checkpoint-every 1] [--keep-last 3] [--resume D]\n\
+         \u{20}              [--margin 4] --out service.bin (alias: pretrain)\n\
+         \u{20}              [--ooc-dir D  # crash-safe: commit training state to D;\n\
+         \u{20}              the same command after a kill resumes from the last\n\
+         \u{20}              commit, to --epochs, with D's recorded config]\n\
          \u{20}              [--parallel false] [--chunk-size N  # pin the gradient\n\
          \u{20}              chunk layout for cross-host bit-reproducible runs]\n\
          \u{20}              [--telemetry t.jsonl  # one line per epoch (and per\n\
          \u{20}              out-of-core block): wall seconds per phase, loss]\n\
-         \u{20}              (alias: pretrain; --resume restarts from the latest\n\
-         \u{20}              valid checkpoint in D and checkpoints back into it)\n\
          \u{20}              [--mem-budget BYTES  # out-of-core: page the embedding\n\
-         \u{20}              table in entity-range blocks under the budget; state in\n\
-         \u{20}              --ooc-dir (default {{out}}.ooc) resumes after a kill;\n\
-         \u{20}              --snapshot-out base streams per-partition PKGMSS3 shards]\n\
-         \u{20}              [--synthetic N --entities E --relations R --mem-budget B\n\
-         \u{20}              --ooc-dir D [--report-out r.json]  # train on N streamed\n\
-         \u{20}              deterministic triples, no catalog or service output]\n\
+         \u{20}              table in entity-range blocks under the budget (default\n\
+         \u{20}              the whole table); state in --ooc-dir (default\n\
+         \u{20}              {{out}}.ooc); --snapshot-out base streams per-partition\n\
+         \u{20}              PKGMSS3 shards]\n\
+         \u{20}              [--synthetic N --entities E --relations R --ooc-dir D\n\
+         \u{20}              [--mem-budget B] [--report-out r.json]  # train on N\n\
+         \u{20}              streamed deterministic triples, no catalog or service\n\
+         \u{20}              output]\n\
          \u{20}  serve       --preset P --seed N --service service.bin --item 0\n\
          \u{20}              [--snapshot serving.snap  # dense or quantized]\n\
          \u{20}  snapshot    --service service.bin --out serving.snap — page-aligned\n\

@@ -206,80 +206,53 @@ fn pretrain_serve_eval_roundtrip() {
     std::fs::remove_dir_all(dir).ok();
 }
 
+fn train_tiny(seed: &str, epochs: &str) -> Command {
+    let mut cmd = pkgm();
+    cmd.args(["train", "--preset", "tiny", "--seed", seed, "--dim", "8"])
+        .args(["--k", "3", "--epochs", epochs]);
+    cmd
+}
+
+fn assert_ok(out: &std::process::Output) {
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
 #[test]
 fn checkpoint_resume_matches_straight_run() {
     let dir = tmpdir("ckpt-resume");
-    // --parallel false: a fixed gradient order is what makes the straight
-    // and resumed runs comparable bit-for-bit.
-    let base: Vec<String> = [
-        "train",
-        "--preset",
-        "tiny",
-        "--seed",
-        "6",
-        "--dim",
-        "8",
-        "--k",
-        "3",
-        "--parallel",
-        "false",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
-
-    // Straight 4-epoch run.
+    // Straight 4-epoch run, resident.
     let svc_a = dir.join("a.bin");
-    let out = pkgm()
-        .args(&base)
-        .args(["--epochs", "4", "--out", svc_a.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
+    assert_ok(
+        &train_tiny("6", "4")
+            .arg("--out")
+            .arg(&svc_a)
+            .output()
+            .unwrap(),
     );
 
-    // 2 epochs with checkpoints, then resume to 4.
+    // 2 epochs committed to --ooc-dir, then the same directory to 4: the
+    // command line's --epochs is the target.
     let svc_b = dir.join("b.bin");
     let ckpts = dir.join("ckpts");
-    let out = pkgm()
-        .args(&base)
-        .args([
-            "--epochs",
-            "2",
-            "--out",
-            svc_b.to_str().unwrap(),
-            "--checkpoint-dir",
-            ckpts.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(ckpts.join("ckpt-00002.pkgm").exists());
-    let out = pkgm()
-        .args(&base)
-        .args([
-            "--epochs",
-            "4",
-            "--out",
-            svc_b.to_str().unwrap(),
-            "--resume",
-            ckpts.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(String::from_utf8_lossy(&out.stderr).contains("resuming from"));
+    for epochs in ["2", "4"] {
+        let out = train_tiny("6", epochs)
+            .arg("--out")
+            .arg(&svc_b)
+            .arg("--ooc-dir")
+            .arg(&ckpts)
+            .output()
+            .unwrap();
+        assert_ok(&out);
+        let resumed = String::from_utf8_lossy(&out.stderr).contains("resuming");
+        assert_eq!(resumed, epochs == "4");
+        // One partition: each epoch commits once.
+        let committed = format!("ooc-resident.g0000{epochs}.pkgm");
+        assert!(ckpts.join(committed).exists());
+    }
 
     // Same artifact bytes: the resumed run is bit-for-bit the straight run.
     let a = std::fs::read(&svc_a).unwrap();
@@ -289,44 +262,107 @@ fn checkpoint_resume_matches_straight_run() {
 }
 
 #[test]
+fn retired_checkpoint_flags_are_refused() {
+    let dir = tmpdir("retired");
+    let svc = dir.join("svc.bin");
+    for flag in [
+        "--checkpoint-dir",
+        "--checkpoint-every",
+        "--keep-last",
+        "--resume",
+    ] {
+        let out = train_tiny("7", "1")
+            .arg("--out")
+            .arg(&svc)
+            .args([flag, "1"])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(flag) && err.contains("--ooc-dir"), "{err}");
+        assert!(!svc.exists(), "{flag}: trained anyway");
+    }
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn killed_after_a_commit_resumes_to_the_straight_bytes() {
+    use std::os::unix::process::ExitStatusExt;
+    let dir = tmpdir("kill");
+    // One partition (a commit per epoch), and a paging budget (commits at
+    // partition swaps).
+    for (tag, extra) in [
+        ("p1", vec![]),
+        ("paged", vec!["--mem-budget", "8000", "--chunk-size", "64"]),
+    ] {
+        let run = |name: &str| {
+            let mut cmd = train_tiny("5", "300");
+            cmd.args(&extra)
+                .arg("--ooc-dir")
+                .arg(dir.join(format!("{tag}-{name}.ooc")))
+                .arg("--out")
+                .arg(dir.join(format!("{tag}-{name}.bin")));
+            cmd
+        };
+        assert_ok(&run("straight").output().unwrap());
+
+        // Kill once a second commit has landed: `new`'s and one more.
+        let ooc = dir.join(format!("{tag}-killed.ooc"));
+        let mut child = run("killed")
+            .stderr(std::process::Stdio::null())
+            .spawn()
+            .unwrap();
+        let committed = || {
+            let files = std::fs::read_dir(&ooc).into_iter().flatten();
+            let names = files.map(|e| e.unwrap().file_name().to_string_lossy().into_owned());
+            names.filter(|n| n.starts_with("ooc-resident.g")).count()
+        };
+        while committed() < 2 {
+            assert!(child.try_wait().unwrap().is_none(), "{tag}: exited first");
+            std::thread::sleep(std::time::Duration::from_micros(200));
+        }
+        child.kill().unwrap();
+        let status = child.wait().unwrap();
+        assert_eq!(
+            status.signal(),
+            Some(9),
+            "{tag}: the run ended before the kill"
+        );
+        assert!(!dir.join(format!("{tag}-killed.bin")).exists());
+
+        let out = run("killed").output().unwrap();
+        assert_ok(&out);
+        assert!(String::from_utf8_lossy(&out.stderr).contains("resuming"));
+        let straight = std::fs::read(dir.join(format!("{tag}-straight.bin"))).unwrap();
+        let resumed = std::fs::read(dir.join(format!("{tag}-killed.bin"))).unwrap();
+        assert!(straight == resumed, "{tag}: resumed service differs");
+    }
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
 fn telemetry_writes_one_line_per_epoch_and_moves_no_model_byte() {
     let dir = tmpdir("telemetry");
     let (with, without, lines) = (dir.join("a.bin"), dir.join("b.bin"), dir.join("t.jsonl"));
-    let base = [
-        "train",
-        "--preset",
-        "tiny",
-        "--seed",
-        "9",
-        "--dim",
-        "8",
-        "--epochs",
-        "3",
-        "--k",
-        "3",
-        "--checkpoint-dir",
-    ];
-    for (out, ckpts, extra) in [
-        (
-            &with,
-            dir.join("ckpt-a"),
-            vec!["--telemetry", lines.to_str().unwrap()],
-        ),
-        (&without, dir.join("ckpt-b"), vec![]),
-    ] {
-        let run = pkgm()
-            .args(base)
-            .arg(&ckpts)
-            .args(["--out", out.to_str().unwrap()])
-            .args(extra)
+    // With telemetry, committing to --ooc-dir at P = 1; without either,
+    // resident: the same model bytes.
+    let run = train_tiny("9", "3")
+        .arg("--out")
+        .arg(&with)
+        .arg("--ooc-dir")
+        .arg(dir.join("a.ooc"))
+        .arg("--telemetry")
+        .arg(&lines)
+        .output()
+        .unwrap();
+    assert_ok(&run);
+    assert_ok(
+        &train_tiny("9", "3")
+            .arg("--out")
+            .arg(&without)
             .output()
-            .unwrap();
-        assert!(
-            run.status.success(),
-            "stderr: {}",
-            String::from_utf8_lossy(&run.stderr)
-        );
-    }
+            .unwrap(),
+    );
     assert_eq!(
         std::fs::read(&with).unwrap(),
         std::fs::read(&without).unwrap(),
@@ -338,13 +374,15 @@ fn telemetry_writes_one_line_per_epoch_and_moves_no_model_byte() {
         .lines()
         .map(|l| serde_json::from_str(l).expect("every line parses"))
         .collect();
-    assert_eq!(records.len(), 3, "one record per epoch:\n{text}");
-    for (epoch, r) in records.iter().enumerate() {
+    // One partition: each epoch is one block, then the epoch's line.
+    assert_eq!(records.len(), 6, "{text}");
+    let epochs: Vec<_> = records.iter().filter(|r| r.block.is_none()).collect();
+    for (epoch, r) in epochs.iter().enumerate() {
         assert_eq!((r.epoch, r.block), (epoch, None), "{r:?}");
-        assert_eq!(r.pairs, records[0].pairs);
+        assert_eq!(r.pairs, epochs[0].pairs);
         assert!(r.phases_s().iter().all(|&p| p >= 0.0), "{r:?}");
-        assert!(r.commit_s > 0.0, "every epoch writes a checkpoint: {r:?}");
-        assert_eq!(r.write_s, 0.0, "no writer thread: {r:?}");
+        assert!(r.commit_s > 0.0, "every epoch commits: {r:?}");
+        assert!(r.write_s > 0.0 && r.write_bytes > 0, "{r:?}");
         let sum: f64 = r.phases_s().iter().sum();
         assert!(
             sum >= 0.95 * r.wall_s && sum <= r.wall_s,
@@ -353,23 +391,17 @@ fn telemetry_writes_one_line_per_epoch_and_moves_no_model_byte() {
         );
     }
 
-    // Out of core: one line per block, then one per epoch, and the epoch
-    // lines carry the writer thread's busy seconds and bytes beside the
-    // phases.
+    // Paging: one line per block, then one per epoch, and the epoch lines
+    // carry the writer thread's busy seconds and bytes beside the phases.
     let ooc_lines = dir.join("ooc.jsonl");
-    let run = pkgm()
-        .args(&base[..base.len() - 1])
+    let run = train_tiny("9", "3")
         .args(["--mem-budget", "8000", "--chunk-size", "64", "--ooc-dir"])
         .arg(dir.join("t.ooc"))
         .args(["--out", dir.join("ooc.bin").to_str().unwrap()])
         .args(["--telemetry", ooc_lines.to_str().unwrap()])
         .output()
         .unwrap();
-    assert!(
-        run.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&run.stderr)
-    );
+    assert_ok(&run);
     let text = std::fs::read_to_string(&ooc_lines).unwrap();
     let records: Vec<pkgm_core::TrainRecord> = text
         .lines()
@@ -397,31 +429,14 @@ fn telemetry_writes_one_line_per_epoch_and_moves_no_model_byte() {
 fn resume_from_empty_dir_warns_and_starts_fresh() {
     let dir = tmpdir("ckpt-fresh");
     let svc = dir.join("svc.bin");
-    let out = pkgm()
-        .args([
-            "train",
-            "--preset",
-            "tiny",
-            "--seed",
-            "7",
-            "--dim",
-            "8",
-            "--epochs",
-            "1",
-            "--k",
-            "3",
-            "--out",
-            svc.to_str().unwrap(),
-            "--resume",
-            dir.join("nonexistent").to_str().unwrap(),
-        ])
+    let out = train_tiny("7", "1")
+        .arg("--out")
+        .arg(&svc)
+        .arg("--ooc-dir")
+        .arg(dir.join("nonexistent"))
         .output()
         .unwrap();
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    assert_ok(&out);
     assert!(String::from_utf8_lossy(&out.stderr).contains("starting fresh"));
     assert!(svc.exists());
     std::fs::remove_dir_all(dir).ok();

@@ -358,7 +358,8 @@ pub trait ArtifactIo {
     /// Read the whole file at `path`.
     fn read(&self, path: &Path) -> Result<Vec<u8>, ArtifactError>;
 
-    /// Delete the file at `path` (used by rolling checkpoint retention).
+    /// Delete the file at `path` (used when an out-of-core commit retires
+    /// the files its predecessor superseded, and by resume).
     fn remove(&self, path: &Path) -> Result<(), ArtifactError>;
 
     /// List the files directly inside `dir`.

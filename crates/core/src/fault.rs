@@ -15,25 +15,27 @@
 //!   panics — each scenario runs under `catch_unwind`), except flips in
 //!   the unchecksummed zero padding of a `PKGMSS3` file, which must leave
 //!   the served snapshot unchanged;
-//! * a kill during a checkpoint write costs at most one checkpoint interval:
-//!   resume restarts from the previous valid checkpoint and reaches the
-//!   same parameters bit-for-bit as an uninterrupted run;
+//! * a torn write of an out-of-core commit ([`crate::ooc`], one partition)
+//!   costs at most that commit: resume falls back to the previous commit
+//!   and reaches the same parameters bit-for-bit as an uninterrupted run;
 //! * degraded-mode serving answers unknown ids with fallback vectors.
 
 use crate::artifact::{ArtifactError, ArtifactIo, StdIo};
 use crate::model::{PkgmConfig, PkgmModel};
+use crate::ooc::{OocConfig, OocTrainer};
 use crate::serialize;
 use crate::service::KnowledgeService;
 use crate::serving::CachedService;
 use crate::snapshot::ServiceSnapshot;
 use crate::snapshot3::{is_padding, snapshot_to_ss3_bytes};
-use crate::trainer::{load_latest_checkpoint, CheckpointConfig, TrainConfig, Trainer};
+use crate::trainer::{TrainConfig, Trainer};
 use pkgm_store::{EntityId, KeyRelationSelector, StoreBuilder, TripleStore};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// One scripted failure, applied to a single `write_atomic` call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -373,59 +375,55 @@ pub fn run_faultcheck(dir: &Path, seed: u64) -> FaultCheckReport {
     });
 
     report.run("kill-during-checkpoint-resumes", || {
-        let ckpt_dir = dir.join("fc-ckpts");
-        std::fs::remove_dir_all(&ckpt_dir).ok();
-        let fresh_model = || {
-            PkgmModel::new(
-                store.n_entities() as usize,
-                store.n_relations() as usize,
-                PkgmConfig::new(8).with_seed(seed ^ 1),
-            )
-        };
+        let ooc_dir = dir.join("fc-ooc");
+        std::fs::remove_dir_all(&ooc_dir).ok();
+        let model_cfg = PkgmConfig::new(8).with_seed(seed ^ 1);
         let total_epochs = 6;
-        let ckpt = CheckpointConfig {
-            dir: ckpt_dir.clone(),
-            every: 1,
-            keep_last: 3,
+        let cfg = OocConfig {
+            model: model_cfg.clone(),
+            train: quick_train_cfg(seed, total_epochs),
+            // The whole table fits: one partition, P = 1.
+            mem_budget: usize::MAX,
+            dir: ooc_dir.clone(),
         };
 
-        // Reference: uninterrupted run.
-        let mut m_ref = fresh_model();
-        let mut t_ref = Trainer::new(&m_ref, quick_train_cfg(seed, total_epochs));
-        t_ref.train(&mut m_ref, &store);
+        // Reference: an uninterrupted resident run, the same bits at P = 1.
+        let mut m_ref = PkgmModel::new(
+            store.n_entities() as usize,
+            store.n_relations() as usize,
+            model_cfg,
+        );
+        Trainer::new(&m_ref, quick_train_cfg(seed, total_epochs)).train(&mut m_ref, &store);
 
-        // Interrupted run: the 4th checkpoint write is torn mid-file.
-        let mut m = fresh_model();
-        let mut t = Trainer::new(&m, quick_train_cfg(seed, total_epochs));
-        let faulty = FaultyIo::new(FaultPlan::new().with_fault(3, Fault::TornWrite { keep: 40 }));
-        let crashed = t.train_with_checkpoints(&mut m, &store, &ckpt, &faulty);
+        // Interrupted run: `new` writes three files, then each epoch
+        // commits its partition file and its resident file. The 4th
+        // commit's resident write (write 10) is torn mid-file.
+        let plan = FaultPlan::new().with_fault(10, Fault::TornWrite { keep: 40 });
+        let faulty = Arc::new(FaultyIo::new(plan));
+        let crashed =
+            OocTrainer::new_with_io(&store, cfg, faulty).and_then(|mut t| t.train(&store));
         if crashed.is_ok() {
-            return Err("training survived a torn checkpoint write".into());
+            return Err("training survived a torn commit write".into());
         }
-        drop((m, t)); // the process is gone
 
-        // Restart: the torn ckpt-00004 must be skipped, ckpt-00003 loads.
-        let scan = load_latest_checkpoint(&io, &ckpt_dir).map_err(|e| e.to_string())?;
-        let resumed = scan
-            .resumed
-            .ok_or("no valid checkpoint survived the crash")?;
-        if resumed.trainer.epochs_done() != 3 {
+        // Restart: the torn 4th commit must be skipped, the 3rd opens.
+        let mut resumed = OocTrainer::resume(&ooc_dir).map_err(|e| e.to_string())?;
+        let skipped = resumed.take_skipped();
+        if resumed.epochs_done() != 3 {
             return Err(format!(
-                "expected resume at epoch 3, got {} (skipped: {:?})",
-                resumed.trainer.epochs_done(),
-                scan.skipped
+                "expected resume at epoch 3, got {} (skipped: {skipped:?})",
+                resumed.epochs_done()
             ));
         }
-        if scan.skipped.is_empty() {
-            return Err("torn checkpoint was not detected".into());
+        if skipped.is_empty() {
+            return Err("torn commit was not detected".into());
         }
-        let (mut m2, mut t2) = (resumed.model, resumed.trainer);
-        t2.train_with_checkpoints(&mut m2, &store, &ckpt, &io)
-            .map_err(|e| e.to_string())?;
+        resumed.train(&store).map_err(|e| e.to_string())?;
+        let m2 = resumed.assemble_model().map_err(|e| e.to_string())?;
         if m2.ent != m_ref.ent || m2.rel != m_ref.rel || m2.mats != m_ref.mats {
             return Err("resumed run diverged from uninterrupted run".into());
         }
-        Ok("kill at checkpoint 4/6 → resumed from 3, final params bit-identical".into())
+        Ok("kill at commit 4/6 → resumed from 3, final params bit-identical".into())
     });
 
     report.run("failed-write-keeps-previous-artifact", || {

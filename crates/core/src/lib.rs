@@ -58,7 +58,8 @@
 //! * [`serialize`] — compact binary snapshots of trained models, services
 //!   and serving tables (the tables as [`snapshot3`] `PKGMSS3` files);
 //! * [`artifact`] — atomic (temp + fsync + rename), CRC32-checksummed,
-//!   versioned on-disk container for models, services and checkpoints;
+//!   versioned on-disk container for models, services and out-of-core
+//!   training state;
 //! * [`fault`] — deterministic fault-injection ([`fault::FaultPlan`] /
 //!   [`fault::FaultyIo`]) and the `pkgm faultcheck` recovery battery;
 //! * [`retry`] — the client-side resilience policy: jittered exponential
@@ -76,7 +77,8 @@
 //! * [`ooc`] — out-of-core pre-training: streamed triple sources, an
 //!   entity-range partitioned embedding table paged under an explicit
 //!   memory budget, and the block training schedule (bit-identical to the
-//!   resident trainer when one block holds everything).
+//!   resident trainer when one block holds everything), committed to disk
+//!   so a killed run resumes: the one crash-safe way to train.
 
 pub mod artifact;
 pub mod baselines;
@@ -130,7 +132,4 @@ pub use snapshot::{ServiceSnapshot, ShardSpec, SnapshotBacking};
 pub use snapshot3::{
     open_mapped_snapshot, shard_ranges, snapshot_to_ss3_bytes, Ss3DenseWriter, Ss3QuantWriter,
 };
-pub use trainer::{
-    load_latest_checkpoint, CheckpointConfig, CheckpointScan, ResumeState, TrainConfig, TrainError,
-    TrainReport, Trainer,
-};
+pub use trainer::{TrainConfig, TrainReport, Trainer};

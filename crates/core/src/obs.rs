@@ -34,8 +34,8 @@ pub(crate) enum Phase {
     Grads,
     /// The Adam step, entity normalization included.
     Adam,
-    /// Checkpoint writes (resident), or framing page-outs and
-    /// commits and waiting for the writer thread (out-of-core).
+    /// Framing page-outs and commits and waiting for the writer thread
+    /// (out-of-core only: the resident trainer writes nothing).
     Commit,
     /// Partition reads (out-of-core only).
     PageIn,
@@ -59,8 +59,8 @@ pub struct TrainRecord {
     pub grads_s: f64,
     /// Seconds in the Adam step, entity normalization included.
     pub adam_s: f64,
-    /// Seconds writing checkpoints, or framing page-outs and
-    /// commits and waiting for the writer thread (out-of-core).
+    /// Seconds framing page-outs and commits and waiting for the writer
+    /// thread (out-of-core only).
     pub commit_s: f64,
     /// Seconds reading partitions (out-of-core only).
     pub page_in_s: f64,

@@ -31,17 +31,18 @@
 //! ## On-disk state
 //!
 //! Everything lives in `OocConfig::dir` as atomic, CRC-checked
-//! [`crate::artifact`] files (kind [`ArtifactKind::Checkpoint`]):
+//! [`crate::artifact`] files (kind [`ArtifactKind::Checkpoint`]). Every
+//! file but the manifest is named by a generation, and no write ever
+//! touches a file a commit names:
 //!
 //! * `ooc-part-{K:05}of{N:05}.g{G:05}.pkgm` — partition `K` as generation
 //!   `G` paged it out: entity rows + Adam `m`/`v` moments, stamped with
-//!   `G`. Each page-out writes a new generation's file, so no write ever
-//!   touches a file the committed state names;
-//! * `ooc-resident.pkgm` — the small always-resident state (relation
-//!   embeddings, transfer matrices, their moments), the Adam step counter,
-//!   the epoch/block cursor and the **live table**: the generation of each
-//!   partition's live file. Its rename plus the directory fsync is the
-//!   only commit;
+//!   `G`;
+//! * `ooc-resident.g{G:05}.pkgm` — the commit at generation `G`: the small
+//!   always-resident state (relation embeddings, transfer matrices, their
+//!   moments), the Adam step counter, the epoch/block cursor and the
+//!   **live table**, the generation of each partition's live file. Its
+//!   rename plus the directory fsync is the only commit point;
 //! * `ooc-manifest.pkgm` — static config (model/train hyper-parameters,
 //!   the partition plan) as JSON, written last by [`OocTrainer::new`], so
 //!   a directory without it holds no run.
@@ -58,20 +59,24 @@
 //! * when the anchor leaves, the block commits: every loaded partition is
 //!   paged out, then the resident file (cursor and live table) is written;
 //! * the epoch's last block commits with the epoch close, in one resident
-//!   write; a divergence halt commits what it trained with the cursor at
-//!   the epoch's end.
+//!   write. A divergence halt commits nothing: the last commit (at `P > 1`
+//!   maybe one inside the halted epoch) stays the recovery point.
 //!
-//! Once a commit lands, the writer deletes the partition files it
-//! superseded. [`OocTrainer::resume`] opens exactly the files the resident
-//! file names, and deletes every other partition file (the shadows and
-//! temporary files of an interrupted run). Every load checks for the exact
-//! generation the live table names, so a stale file put back is refused.
+//! **Every commit keeps its predecessor.** Once commit `n + 1` lands, the
+//! writer deletes the files commit `n` superseded and commit `n − 1`'s
+//! resident file; until then commit `n`'s files stay whole on disk.
+//! [`OocTrainer::resume`] opens the newest commit whose resident file and
+//! every partition file it names pass the page-in checks (checksum, kind,
+//! exact generation), else its predecessor, and deletes every file the
+//! chosen commit does not name. A stale file put back is refused.
 //!
 //! **What a kill loses:** the blocks since the last commit, plus the commit
 //! in flight — never the run. The blocks since a commit all hold its
 //! anchor, so they are at most that partition's row and column buckets:
-//! ≤ 2P − 1 blocks, and 3 at the benchmark's `pretrain-ooc` schedule.
-//! Resume replays them bit for bit.
+//! ≤ 2P − 1 blocks, and 3 at the benchmark's `pretrain-ooc` schedule (one
+//! epoch at `P = 1`, the whole table under the budget). A commit whose files are torn or flipped costs one
+//! commit more: resume falls back to its predecessor. Resume replays what
+//! was lost bit for bit.
 //!
 //! ## Write-behind commits
 //!
@@ -84,8 +89,8 @@
 //! produce — and hands the set over: a shadow partition file, or a commit's
 //! partition files and then the resident file. The writer replaces them in
 //! that order with `write_atomic` (create, write, fsync, rename, directory
-//! fsync), then deletes what a commit superseded, while the next block
-//! trains.
+//! fsync), then deletes what the commit before it superseded, while the
+//! next block trains.
 //!
 //! * **One set in flight.** Before the loop frames the next set it waits
 //!   for the set in flight and reuses its buffers: two partition frames
@@ -121,9 +126,8 @@ use crate::trainer::{diverged, EpochStats, TrainConfig, Trainer};
 use pkgm_store::{EntityId, KeyRelationSelector, RelationId, Triple, TripleStore};
 
 const MANIFEST_FILE: &str = "ooc-manifest.pkgm";
-const RESIDENT_FILE: &str = "ooc-resident.pkgm";
-/// 2: generation-named partition files and the resident live table.
-const MANIFEST_VERSION: u32 = 2;
+/// 3: generation-named resident files, each commit keeping its predecessor.
+const MANIFEST_VERSION: u32 = 3;
 
 /// A streamed source of training triples: random access by index, id-space
 /// bounds, and membership (for filtered negative sampling) — everything the
@@ -478,9 +482,15 @@ pub struct OocTrainer {
     gen: u64,
     /// The generation of each partition's live file: the newest framed.
     live: Vec<u64>,
-    /// Partition files superseded since the last commit, deleted once the
-    /// next commit lands.
+    /// The generation of the last commit: its resident file's.
+    committed: u64,
+    /// Partition files superseded since the last commit.
     superseded: Vec<PathBuf>,
+    /// The files the last commit superseded, and its predecessor's resident
+    /// file: deleted once the next commit lands.
+    retired: Vec<PathBuf>,
+    /// The commits [`OocTrainer::resume`] skipped, and why.
+    skipped: Vec<(PathBuf, OocError)>,
     paged: Paged,
     t: u64,
     epochs_done: usize,
@@ -513,7 +523,7 @@ impl OocTrainer {
         Self::new_with_io(source, cfg, Arc::new(StdIo))
     }
 
-    fn new_with_io<S: TripleSource + ?Sized>(
+    pub(crate) fn new_with_io<S: TripleSource + ?Sized>(
         source: &S,
         cfg: OocConfig,
         io: Arc<dyn ArtifactIo + Send + Sync>,
@@ -528,28 +538,10 @@ impl OocTrainer {
         std::fs::create_dir_all(&cfg.dir)?;
 
         let mut me = Self {
-            cfg,
-            n_entities,
-            n_relations,
-            live: vec![0; parts.len()],
-            parts,
-            gen: 0,
-            superseded: Vec::new(),
-            paged: Paged::default(),
-            t: 0,
-            epochs_done: 0,
-            blocks_done: 0,
-            rel: Vec::new(),
-            mats: Vec::new(),
             m_rel: vec![0.0; n_relations as usize * d],
             v_rel: vec![0.0; n_relations as usize * d],
-            m_mat: Vec::new(),
-            v_mat: Vec::new(),
-            scratches: Vec::new(),
             io,
-            clock: PhaseClock::default(),
-            block_clock: PhaseClock::default(),
-            records: Vec::new(),
+            ..Self::empty(cfg, n_entities, n_relations, parts)
         };
 
         // Streamed init: same single RNG and draw order as PkgmModel::new.
@@ -599,10 +591,42 @@ impl OocTrainer {
         Ok(me)
     }
 
+    /// A trainer over `parts` at generation 0, with no parameters.
+    fn empty(cfg: OocConfig, n_entities: u64, n_relations: u64, parts: Vec<(u64, u64)>) -> Self {
+        Self {
+            cfg,
+            n_entities,
+            n_relations,
+            live: vec![0; parts.len()],
+            parts,
+            gen: 0,
+            committed: 0,
+            superseded: Vec::new(),
+            retired: Vec::new(),
+            skipped: Vec::new(),
+            paged: Paged::default(),
+            t: 0,
+            epochs_done: 0,
+            blocks_done: 0,
+            rel: Vec::new(),
+            mats: Vec::new(),
+            m_rel: Vec::new(),
+            v_rel: Vec::new(),
+            m_mat: Vec::new(),
+            v_mat: Vec::new(),
+            scratches: Vec::new(),
+            io: Arc::new(StdIo),
+            clock: PhaseClock::default(),
+            block_clock: PhaseClock::default(),
+            records: Vec::new(),
+        }
+    }
+
     /// Reopen existing out-of-core state for a warm-start resume: the
-    /// partition files the resident file's live table names (checked as
-    /// blocks load them). Every other partition file in the directory is
-    /// left over from blocks after the last commit, and is deleted.
+    /// newest commit whose resident file and every partition file its live
+    /// table names pass the page-in checks, else its predecessor (the
+    /// commits skipped, and why, are in [`OocTrainer::take_skipped`]).
+    /// Every file the chosen commit does not name is deleted.
     pub fn resume(dir: &Path) -> Result<Self, OocError> {
         let payload =
             artifact::read_artifact(&StdIo, &dir.join(MANIFEST_FILE), ArtifactKind::Checkpoint)?;
@@ -614,19 +638,57 @@ impl OocTrainer {
                 manifest.version
             )));
         }
+        let files = StdIo.list(dir)?;
+        let mut gens: Vec<u64> = files.iter().filter_map(|p| resident_gen(p)).collect();
+        gens.sort_unstable();
+        let mut skipped = Vec::new();
+        for gen in gens.into_iter().rev() {
+            match Self::open_commit(&manifest, dir, gen) {
+                Err(e) => skipped.push((resident_path(dir, gen), e)),
+                Ok(mut me) => {
+                    // Every file of ours the commit does not name goes: the
+                    // later commit skipped, the predecessor, shadows and
+                    // temporaries.
+                    let mut named: Vec<PathBuf> = (0..me.parts.len())
+                        .map(|k| me.partition_path(k, me.live[k]))
+                        .collect();
+                    named.push(resident_path(dir, gen));
+                    for path in files {
+                        let name = path.file_name().unwrap_or_default().to_string_lossy();
+                        let ours = ["ooc-part-", "ooc-resident.", ".ooc-"];
+                        if ours.iter().any(|p| name.starts_with(p)) && !named.contains(&path) {
+                            StdIo.remove(&path)?;
+                        }
+                    }
+                    me.skipped = skipped;
+                    return Ok(me);
+                }
+            }
+        }
+        // Nothing is deleted: the newest commit's error says why.
+        Err(skipped.into_iter().next().map_or_else(
+            || OocError::State(format!("{}: no commit", dir.display())),
+            |(_, e)| e,
+        ))
+    }
+
+    /// The state commit `gen` left in `dir`, once its resident file and
+    /// every partition file it names have passed the page-in checks.
+    fn open_commit(manifest: &Manifest, dir: &Path, gen: u64) -> Result<Self, OocError> {
         let d = manifest.model.dim;
         let nr = manifest.n_relations as usize;
-        let mat_len = if manifest.model.relation_module {
-            nr * d * d
-        } else {
-            0
-        };
-
-        let resident_path = dir.join(RESIDENT_FILE);
-        let bytes = StdIo.read(&resident_path)?;
-        let payload = artifact::decode(&resident_path, ArtifactKind::Checkpoint, &bytes)?;
-        let mut r = Reader::new(payload, &resident_path);
-        let gen = r.u64()?;
+        let mat_len = nr * d * d * manifest.model.relation_module as usize;
+        let path = resident_path(dir, gen);
+        let bytes = StdIo.read(&path)?;
+        let payload = artifact::decode(&path, ArtifactKind::Checkpoint, &bytes)?;
+        let mut r = Reader::new(payload, &path);
+        let stamp = r.u64()?;
+        if stamp != gen {
+            return Err(OocError::State(format!(
+                "{}: stamped g{stamp}",
+                path.display()
+            )));
+        }
         let t = r.u64()?;
         let epochs_done = r.u64()? as usize;
         let blocks_done = r.u64()? as usize;
@@ -641,20 +703,17 @@ impl OocTrainer {
         let v_mat = r.f32s(mat_len)?;
         r.done()?;
 
+        let cfg = OocConfig {
+            model: manifest.model.clone(),
+            train: manifest.train.clone(),
+            mem_budget: manifest.mem_budget as usize,
+            dir: dir.to_path_buf(),
+        };
+        let (n_entities, n_relations) = (manifest.n_entities, manifest.n_relations);
         let me = Self {
-            cfg: OocConfig {
-                model: manifest.model,
-                train: manifest.train,
-                mem_budget: manifest.mem_budget as usize,
-                dir: dir.to_path_buf(),
-            },
-            n_entities: manifest.n_entities,
-            n_relations: manifest.n_relations,
-            parts: manifest.partitions,
             gen,
             live,
-            superseded: Vec::new(),
-            paged: Paged::default(),
+            committed: gen,
             t,
             epochs_done,
             blocks_done,
@@ -664,23 +723,28 @@ impl OocTrainer {
             v_rel,
             m_mat,
             v_mat,
-            scratches: Vec::new(),
-            io: Arc::new(StdIo),
-            clock: PhaseClock::default(),
-            block_clock: PhaseClock::default(),
-            records: Vec::new(),
+            ..Self::empty(cfg, n_entities, n_relations, manifest.partitions.clone())
         };
-        let named: Vec<PathBuf> = (0..me.parts.len())
-            .map(|k| me.partition_path(k, me.live[k]))
-            .collect();
-        for path in StdIo.list(dir)? {
-            let name = path.file_name().unwrap_or_default().to_string_lossy();
-            let ours = name.starts_with("ooc-part-") || name.starts_with(".ooc-");
-            if ours && !named.contains(&path) {
-                StdIo.remove(&path)?;
-            }
+        for k in 0..me.parts.len() {
+            let path = me.partition_path(k, me.live[k]);
+            let bytes = me.io.read(&path)?;
+            let mut r = me.open_partition(k, &path, &bytes)?;
+            r.take(me.parts[k].1 as usize * d * 12)?;
+            r.done()?;
         }
         Ok(me)
+    }
+
+    /// The commits [`OocTrainer::resume`] skipped, newest first: each one's
+    /// resident file and the check it failed, leaving none behind.
+    pub fn take_skipped(&mut self) -> Vec<(PathBuf, OocError)> {
+        mem::take(&mut self.skipped)
+    }
+
+    /// Set the epoch target. Everything else a resumed trainer runs with
+    /// comes from its manifest.
+    pub fn set_epochs(&mut self, epochs: usize) {
+        self.cfg.train.epochs = epochs;
     }
 
     /// Record one [`TrainRecord`] per block and one per epoch that
@@ -722,9 +786,9 @@ impl OocTrainer {
     /// the anchor leaves; see the module docs), on a writer thread while
     /// the next block trains; each epoch closes with a commit of its last
     /// block and waits for it, and `train` returns only once the writer has
-    /// drained (superseded files deleted), with the first failed write if
-    /// there was one. A kill loses at most the blocks since the last commit
-    /// plus the commit in flight, which resume replays bit for bit.
+    /// drained, with the first failed write if there was one. A kill loses
+    /// at most the blocks since the last commit plus the commit in flight,
+    /// which resume replays bit for bit.
     pub fn train<S: TripleSource + ?Sized>(&mut self, source: &S) -> Result<OocReport, OocError> {
         if source.n_entities() as u64 != self.n_entities
             || source.n_relations() as u64 != self.n_relations
@@ -749,34 +813,28 @@ impl OocTrainer {
         let mut partial_epoch = self.blocks_done > 0;
         let io = Arc::clone(&self.io);
         let trained = with_writer(&*io, self.clock.is_on(), |writer| {
-            while self.epochs_done < total {
+            while self.epochs_done < total && halted.is_none() {
                 let epoch = self.epochs_done;
                 self.clock.reopen();
                 let stats = self.train_epoch(source, writer, epoch as u64, &mut blocks_run)?;
-                let halt = (!partial_epoch)
-                    .then(|| diverged(stats.mean_loss, best_loss))
-                    .flatten();
-                if halt.is_none() {
-                    if !partial_epoch {
-                        best_loss = best_loss.min(stats.mean_loss.max(1e-3));
-                    }
+                if !mem::take(&mut partial_epoch) {
+                    let reason = diverged(stats.mean_loss, best_loss);
+                    halted = reason.map(|why| format!("epoch {}: {why}", epoch + 1));
+                    best_loss = best_loss.min(stats.mean_loss.max(1e-3));
+                }
+                // A halt commits nothing: the last commit stays the recovery
+                // point. Else the last block commits with the epoch close,
+                // and lands before the record closes.
+                if halted.is_none() {
                     self.epochs_done = epoch + 1;
                     self.blocks_done = 0;
+                    let (waited, bytes) = self.swap_out(writer, None)?;
+                    let landed = writer.wait()?;
+                    self.clock.lap(Phase::Commit);
+                    self.clock.wrote(waited + landed, bytes);
                 }
-                partial_epoch = false;
-                // The last block commits with the epoch close (a halt keeps
-                // the cursor at the epoch's end) and lands before the
-                // record closes.
-                let (waited, bytes) = self.swap_out(writer, None)?;
-                let landed = writer.wait()?;
-                self.clock.lap(Phase::Commit);
-                self.clock.wrote(waited + landed, bytes);
                 self.records.extend(self.clock.close(epoch, None, &stats));
                 epochs.push(stats);
-                if let Some(reason) = halt {
-                    halted = Some(format!("epoch {}: {reason}", epoch + 1));
-                    break;
-                }
             }
             Ok(())
         });
@@ -1013,7 +1071,8 @@ impl OocTrainer {
     /// not use, each to a shadow file — or commit, when the anchor is among
     /// them or no block follows in the epoch (`None`): page out every
     /// loaded partition, then the resident state with the cursor and the
-    /// live table, after which the writer deletes the superseded files.
+    /// live table, after which the writer deletes the files the last commit
+    /// superseded and its predecessor's resident file.
     /// Returns the writer's seconds waited for and the bytes handed to it.
     fn swap_out(
         &mut self,
@@ -1032,12 +1091,18 @@ impl OocTrainer {
         for k in leaving {
             self.page_out(writer, k);
         }
-        let mut superseded = Vec::new();
+        let mut retired = Vec::new();
         if commit {
+            assert!(
+                self.gen > self.committed,
+                "a commit never rewrites a live file"
+            );
             self.frame_resident(writer);
-            superseded = mem::take(&mut self.superseded);
+            let last = mem::replace(&mut self.committed, self.gen);
+            self.superseded.push(resident_path(&self.cfg.dir, last));
+            retired = mem::replace(&mut self.retired, mem::take(&mut self.superseded));
         }
-        Ok((waited, writer.hand_over(superseded)?))
+        Ok((waited, writer.hand_over(retired)?))
     }
 
     /// Frame loaded partition `k` as generation `self.gen`'s file, the new
@@ -1149,11 +1214,9 @@ impl OocTrainer {
     }
 
     /// Verify partition `k`'s live file — or `frame` when its newest frame
-    /// is in flight — its plan stamps and its generation, which must be
-    /// exactly the live table's, and decode its entity rows into `ent` and
-    /// its Adam moments into `moments` when given (evaluation and snapshot
-    /// emission need only the rows). The checksum covers the whole frame
-    /// either way, and is verified before a single value is decoded.
+    /// is in flight — and decode its entity rows into `ent` and its Adam
+    /// moments into `moments` when given (evaluation and snapshot emission
+    /// need only the rows).
     fn load_partition_into(
         &self,
         k: usize,
@@ -1170,8 +1233,37 @@ impl OocTrainer {
                 &read
             }
         };
-        let payload = artifact::decode(&path, ArtifactKind::Checkpoint, bytes)?;
-        let mut r = Reader::new(payload, &path);
+        let mut r = self.open_partition(k, &path, bytes)?;
+        assert_eq!(
+            ent.len(),
+            self.parts[k].1 as usize * self.cfg.model.dim,
+            "destination must hold exactly the partition's rows"
+        );
+        r.f32s_into(ent)?;
+        match moments {
+            Some((m, v)) => {
+                r.f32s_into(m)?;
+                r.f32s_into(v)?;
+            }
+            None => {
+                r.take(ent.len().saturating_mul(8))?;
+            }
+        }
+        r.done()
+    }
+
+    /// Check `bytes`, partition `k`'s file at `path`: the frame, the plan
+    /// stamps and the generation, which must be exactly the live table's.
+    /// Returns a reader at its rows. The checksum covers the whole frame,
+    /// and is verified before a single value is decoded.
+    fn open_partition<'a>(
+        &self,
+        k: usize,
+        path: &'a Path,
+        bytes: &'a [u8],
+    ) -> Result<Reader<'a>, OocError> {
+        let payload = artifact::decode(path, ArtifactKind::Checkpoint, bytes)?;
+        let mut r = Reader::new(payload, path);
         let gen = r.u64()?;
         let start = r.u64()?;
         let len = r.u64()?;
@@ -1192,22 +1284,7 @@ impl OocTrainer {
                 self.live[k]
             )));
         }
-        assert_eq!(
-            ent.len(),
-            len as usize * self.cfg.model.dim,
-            "destination must hold exactly the partition's rows"
-        );
-        r.f32s_into(ent)?;
-        match moments {
-            Some((m, v)) => {
-                r.f32s_into(m)?;
-                r.f32s_into(v)?;
-            }
-            None => {
-                r.take(ent.len().saturating_mul(8))?;
-            }
-        }
-        r.done()
+        Ok(r)
     }
 
     fn frame_manifest(&self, writer: &mut Writer) -> Result<(), OocError> {
@@ -1246,7 +1323,7 @@ impl OocTrainer {
         ];
         let payload_len = 8 * (cursor.len() + self.live.len())
             + tables.iter().map(|t| t.len() * 4).sum::<usize>();
-        let path = self.cfg.dir.join(RESIDENT_FILE);
+        let path = resident_path(&self.cfg.dir, self.gen);
         writer.frame(path, None, payload_len, |buf| {
             for c in cursor.iter().chain(&self.live) {
                 buf.extend_from_slice(&c.to_le_bytes());
@@ -1256,6 +1333,17 @@ impl OocTrainer {
             }
         });
     }
+}
+
+/// The resident file of the commit at generation `gen`.
+fn resident_path(dir: &Path, gen: u64) -> PathBuf {
+    dir.join(format!("ooc-resident.g{gen:05}.pkgm"))
+}
+
+/// The generation of a resident file, from its name.
+fn resident_gen(path: &Path) -> Option<u64> {
+    let name = path.file_name()?.to_str()?.strip_prefix("ooc-resident.g")?;
+    name.strip_suffix(".pkgm")?.parse().ok()
 }
 
 /// A sealed checkpoint frame and the file it replaces.
@@ -1718,7 +1806,8 @@ mod tests {
             }
             let report = tr.train(&s).unwrap();
             let model = tr.assemble_model().unwrap();
-            let resident = std::fs::metadata(dir.join(RESIDENT_FILE)).unwrap().len();
+            let resident = resident_path(&dir, tr.committed);
+            let resident = std::fs::metadata(resident).unwrap().len();
             let blocks = schedule(&tr, &s);
             let frames: Vec<u64> = (tr.parts.iter())
                 .map(|&(_, rows)| (artifact::HEADER_LEN + 32) as u64 + rows * 8 * 12)
@@ -1829,55 +1918,72 @@ mod tests {
         tr.train(&s).unwrap();
         let part = |k: usize, g: u64| format!("ooc-part-{k:05}of00004.g{g:05}.pkgm");
         let gone = |k: usize, g: u64| format!("-{}", part(k, g));
-        let res = || RESIDENT_FILE.to_string();
+        let res = |g: u64| format!("ooc-resident.g{g:05}.pkgm");
+        let gone_res = |g: u64| format!("-{}", res(g));
         #[rustfmt::skip]
         let want = [
             // (0,2): 2 leaves, and 0 is the anchor — a shadow file.
             part(2, 1),
-            // (0,3): the anchor leaves — a commit, then what it supersedes
-            // is deleted.
-            part(0, 2), part(3, 2), res(), gone(2, 0), gone(0, 0), gone(3, 0),
-            // (1,2): a shadow; (1,3): a commit.
+            // (0,3): the anchor leaves — a commit. `new`'s commit is its
+            // predecessor, and stays whole.
+            part(0, 2), part(3, 2), res(2),
+            // (1,2): a shadow; (1,3): a commit, and what the commit before
+            // it superseded is deleted, with `new`'s resident file.
             part(2, 3),
-            part(1, 4), part(3, 4), res(), gone(2, 1), gone(1, 0), gone(3, 2),
+            part(1, 4), part(3, 4), res(4), gone(2, 0), gone(0, 0), gone(3, 0), gone_res(0),
             // (2,2): 2 stays, nothing is written. (2,3): the epoch closes.
-            part(2, 6), part(3, 6), res(), gone(2, 3), gone(3, 4),
+            part(2, 6), part(3, 6), res(6), gone(2, 1), gone(1, 0), gone(3, 2), gone_res(2),
             // Epoch 2. (0,2) keeps 2 from the close, in memory longest: it
             // anchors, and its leaving commits.
-            part(0, 7), part(2, 7), res(), gone(0, 2), gone(2, 6),
-            part(0, 8), part(3, 8), res(), gone(0, 7), gone(3, 6),
+            part(0, 7), part(2, 7), res(7), gone(2, 3), gone(3, 4), gone_res(4),
+            part(0, 8), part(3, 8), res(8), gone(0, 2), gone(2, 6), gone_res(6),
             part(2, 9),
-            part(1, 10), part(3, 10), res(), gone(2, 7), gone(1, 4), gone(3, 8),
-            part(2, 12), part(3, 12), res(), gone(2, 9), gone(3, 10),
+            part(1, 10), part(3, 10), res(10), gone(0, 7), gone(3, 6), gone_res(7),
+            part(2, 12), part(3, 12), res(12), gone(2, 7), gone(1, 4), gone(3, 8), gone_res(8),
         ];
         let got = log.0.lock().unwrap().clone();
         assert_eq!(got, want);
-        // Every partition file is written once; every one superseded is
-        // gone, and the resident file names the four left.
-        let writes: Vec<_> = got.iter().filter(|n| n.starts_with("ooc-part")).collect();
+        // Every file is written once. The last commit names the four
+        // partition files left and its resident file; its predecessor's
+        // files stay beside them.
+        let writes: Vec<_> = got.iter().filter(|n| !n.starts_with('-')).collect();
         let unique: std::collections::BTreeSet<_> = writes.iter().collect();
         assert_eq!(unique.len(), writes.len());
         let left: Vec<String> = files_in(&dir).into_keys().collect();
         let mut named: Vec<String> = (0..4).map(|k| part(k, tr.live[k])).collect();
-        named.extend([MANIFEST_FILE.to_string(), res()]);
+        named.extend([MANIFEST_FILE.to_string(), res(12)]);
+        named.extend([part(2, 9), part(3, 10), res(10)]);
         named.sort();
         assert_eq!(left, named);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn a_divergence_halt_commits_what_it_trained() {
-        let (s, mut tr, dir) = paged("halt");
+    fn a_divergence_halt_commits_nothing() {
+        // One partition: the epoch close is the only commit.
+        let s = store(40, 4);
+        let dir = tmp_dir("halt");
+        let mut tr = OocTrainer::new(&s, one_part_cfg(&dir)).unwrap();
+        tr.set_epochs(1);
+        tr.train(&s).unwrap();
+        let good = tr.assemble_model().unwrap();
+        let committed = files_in(&dir);
         tr.cfg.train.lr = f32::INFINITY;
-        let report = tr.train(&s).unwrap();
-        assert!(report.halted.is_some(), "{report:?}");
-        // The halted epoch's last block is on disk, cursor at its end.
+        tr.set_epochs(2);
+        assert!(tr.train(&s).unwrap().halted.is_some());
+        assert!(files_in(&dir) == committed, "the halted epoch wrote");
         let resumed = OocTrainer::resume(&dir).unwrap();
-        let n_blocks = schedule(&tr, &s).len();
-        assert_eq!((resumed.epochs_done, resumed.blocks_done), (0, n_blocks));
-        assert_eq!((resumed.gen, &resumed.live), (tr.gen, &tr.live));
-        assert_eq!(bits(&resumed.rel), bits(&tr.rel));
-        assert!(resumed.assemble_model().is_ok());
+        assert_eq!(resumed.epochs_done, 1);
+        assert_same_model(&resumed.assemble_model().unwrap(), &good, "halt");
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // Four partitions: the commits inside the halted epoch landed, its
+        // close did not (blocks (0,3) and (1,3) commit, (2,3) closes).
+        let (s, mut tr, dir) = paged("halt-paged");
+        tr.cfg.train.lr = f32::INFINITY;
+        assert!(tr.train(&s).unwrap().halted.is_some());
+        let resumed = OocTrainer::resume(&dir).unwrap();
+        assert_eq!((resumed.epochs_done, resumed.blocks_done), (0, 4));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1896,58 +2002,88 @@ mod tests {
             "got {err}"
         );
         assert!(tr.assemble_model().is_err());
-        // A resumed trainer checks the generation its live table names.
-        let resumed = OocTrainer::resume(&dir).unwrap();
-        assert!(resumed.assemble_model().is_err());
+        // Resume checks the generation each commit's live table names: the
+        // last commit and its predecessor both name the replaced file.
+        let err = OocTrainer::resume(&dir).err().expect("no commit opens");
+        assert!(
+            matches!(&err, OocError::State(m) if m.contains("stale")),
+            "got {err}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The straight run of [`paged`]: its model, the files it leaves and
-    /// the number of writes, `OocTrainer::new`'s included.
-    fn straight(tag: &str) -> (PkgmModel, std::collections::BTreeMap<String, Vec<u8>>, u64) {
+    /// [`paged_cfg`] with the whole table in one partition, for six
+    /// epochs: one commit per epoch.
+    fn one_part_cfg(dir: &Path) -> OocConfig {
+        OocConfig {
+            train: TrainConfig {
+                epochs: 6,
+                ..train_cfg()
+            },
+            mem_budget: usize::MAX,
+            ..paged_cfg(dir)
+        }
+    }
+
+    type Files = std::collections::BTreeMap<String, Vec<u8>>;
+
+    /// Where a run ends: its model, the files it leaves, and the files a
+    /// resume of them keeps (the last commit's).
+    struct End {
+        model: PkgmModel,
+        files: Files,
+        committed: Files,
+    }
+
+    fn end(tr: &OocTrainer, dir: &Path) -> Result<End, OocError> {
+        let (model, files) = (tr.assemble_model()?, files_in(dir));
+        OocTrainer::resume(dir)?;
+        let committed = files_in(dir);
+        Ok(End {
+            model,
+            files,
+            committed,
+        })
+    }
+
+    /// The straight run of `cfg` over the 60-item store: where it ends,
+    /// and the number of writes, `OocTrainer::new`'s included.
+    fn straight(tag: &str, cfg: fn(&Path) -> OocConfig) -> (End, u64) {
         let s = store(60, 3);
         let dir = tmp_dir(tag);
         let counted = Arc::new(FaultyIo::new(FaultPlan::new()));
-        let mut tr = OocTrainer::new_with_io(&s, paged_cfg(&dir), counted.clone()).unwrap();
+        let mut tr = OocTrainer::new_with_io(&s, cfg(&dir), counted.clone()).unwrap();
         tr.train(&s).unwrap();
-        let out = (
-            tr.assemble_model().unwrap(),
-            files_in(&dir),
-            counted.writes(),
-        );
+        let out = (end(&tr, &dir).unwrap(), counted.writes());
         let _ = std::fs::remove_dir_all(&dir);
         out
     }
 
-    /// Run [`paged`] with `fault` at write `nth` (`OocTrainer::new`'s
-    /// writes first), then recover from disk as `pkgm train` does — resume
-    /// when the manifest landed, else start over — on the real filesystem.
-    /// Returns the first run's outcome and writes attempted, and the
-    /// recovered model and files.
-    #[allow(clippy::type_complexity)]
+    /// Run `cfg` with `fault` at write `nth` (`OocTrainer::new`'s writes
+    /// first), then recover from disk as `pkgm train` does — resume when
+    /// the manifest landed, else start over — on the real filesystem.
+    /// Returns the first run's outcome and writes attempted, and where the
+    /// recovered run ends.
     fn crash_and_recover(
         tag: &str,
+        cfg: fn(&Path) -> OocConfig,
         nth: u64,
         fault: Fault,
-    ) -> (
-        Result<(), OocError>,
-        u64,
-        Result<(PkgmModel, std::collections::BTreeMap<String, Vec<u8>>), OocError>,
-    ) {
+    ) -> (Result<(), OocError>, u64, Result<End, OocError>) {
         let s = store(60, 3);
         let dir = tmp_dir(tag);
         let faulty = Arc::new(FaultyIo::new(FaultPlan::new().with_fault(nth, fault)));
-        let first = OocTrainer::new_with_io(&s, paged_cfg(&dir), faulty.clone())
+        let first = OocTrainer::new_with_io(&s, cfg(&dir), faulty.clone())
             .and_then(|mut tr| tr.train(&s).map(drop));
         assert_eq!(faulty.injected(), 1, "write {nth}");
         let recovered = (|| {
             let mut tr = if dir.join(MANIFEST_FILE).exists() {
                 OocTrainer::resume(&dir)?
             } else {
-                OocTrainer::new(&s, paged_cfg(&dir))?
+                OocTrainer::new(&s, cfg(&dir))?
             };
             tr.train(&s)?;
-            Ok((tr.assemble_model()?, files_in(&dir)))
+            end(&tr, &dir)
         })();
         let _ = std::fs::remove_dir_all(&dir);
         (first, faulty.writes(), recovered)
@@ -1961,10 +2097,11 @@ mod tests {
 
     #[test]
     fn a_failed_write_anywhere_resumes_to_the_uninterrupted_bits() {
-        let (want, want_files, n_writes) = straight("straight-sweep");
+        let (want, n_writes) = straight("straight-sweep", paged_cfg);
         assert!(n_writes > 20, "{n_writes} writes");
         for nth in 0..n_writes {
-            let (first, writes, recovered) = crash_and_recover("sweep", nth, Fault::FailWrite);
+            let (first, writes, recovered) =
+                crash_and_recover("sweep", paged_cfg, nth, Fault::FailWrite);
             assert!(
                 matches!(
                     first,
@@ -1973,15 +2110,18 @@ mod tests {
                 "write {nth}: {first:?}"
             );
             assert_eq!(writes, nth + 1, "no write after the failed one");
-            let (got, files) = recovered.unwrap_or_else(|e| panic!("write {nth}: {e}"));
-            assert_same_model(&got, &want, &format!("write {nth}"));
-            assert!(files == want_files, "write {nth}: the files left differ");
+            let got = recovered.unwrap_or_else(|e| panic!("write {nth}: {e}"));
+            assert_same_model(&got.model, &want.model, &format!("write {nth}"));
+            assert!(
+                got.files == want.files,
+                "write {nth}: the files left differ"
+            );
         }
     }
 
     #[test]
     fn torn_and_flipped_writes_end_in_a_typed_error_or_the_same_bits() {
-        let (want, want_files, n_writes) = straight("straight-torn");
+        let (want, n_writes) = straight("straight-torn", paged_cfg);
         let faults = [
             Fault::TornWrite { keep: 100 },
             Fault::FlipBit { byte: 100, bit: 3 },
@@ -1990,10 +2130,13 @@ mod tests {
         for nth in 0..n_writes {
             for (i, fault) in faults.into_iter().enumerate() {
                 let what = format!("{fault:?} at write {nth}");
-                match crash_and_recover("torn", nth, fault).2 {
-                    Ok((got, files)) => {
-                        assert_same_model(&got, &want, &what);
-                        assert!(files == want_files, "{what}: the files left differ");
+                match crash_and_recover("torn", paged_cfg, nth, fault).2 {
+                    // A flipped file of the retained predecessor is never
+                    // read again, and resume deletes it: compare the files
+                    // the last commit names.
+                    Ok(got) => {
+                        assert_same_model(&got.model, &want.model, &what);
+                        assert!(got.committed == want.committed, "{what}: the files differ");
                     }
                     Err(e) => {
                         assert!(matches!(e, OocError::Artifact(_)), "{what}: {e}");
@@ -2002,12 +2145,52 @@ mod tests {
                 }
             }
         }
-        // A torn or flipped live file is refused (the final resident
-        // file, say); a torn shadow is deleted on resume.
+        // A file that both commits on disk name is refused when torn or
+        // flipped (a partition no block has paged out since, say, or
+        // `new`'s manifest); a torn shadow is deleted on resume, and a torn
+        // newest commit falls back to its predecessor.
+        eprintln!(
+            "refused of {n_writes}: torn {}, flipped {}",
+            refused[0], refused[1]
+        );
         assert!(
             refused.iter().all(|&n| n > 0 && n < n_writes),
             "{refused:?}"
         );
+    }
+
+    #[test]
+    fn every_fault_after_new_resumes_one_partition_to_the_uninterrupted_bits() {
+        let (want, n_writes) = straight("straight-p1", one_part_cfg);
+        // `new` writes the partition, the resident file and the manifest;
+        // each epoch then commits the partition and a resident file. The
+        // last commit and its predecessor are left.
+        assert_eq!(n_writes, 3 + 2 * 6);
+        let names: Vec<&str> = want.files.keys().map(String::as_str).collect();
+        assert_eq!(
+            names,
+            [
+                "ooc-manifest.pkgm",
+                "ooc-part-00000of00001.g00005.pkgm",
+                "ooc-part-00000of00001.g00006.pkgm",
+                "ooc-resident.g00005.pkgm",
+                "ooc-resident.g00006.pkgm",
+            ]
+        );
+        let faults = [
+            Fault::FailWrite,
+            Fault::TornWrite { keep: 100 },
+            Fault::FlipBit { byte: 100, bit: 3 },
+        ];
+        for nth in 3..n_writes {
+            for fault in faults {
+                let what = format!("{fault:?} at write {nth}");
+                let got = crash_and_recover("sweep-p1", one_part_cfg, nth, fault).2;
+                let got = got.unwrap_or_else(|e| panic!("{what}: {e}"));
+                assert_same_model(&got.model, &want.model, &what);
+                assert!(got.committed == want.committed, "{what}: the files differ");
+            }
+        }
     }
 
     #[test]
@@ -2021,12 +2204,15 @@ mod tests {
         // the first resident write after them is the first block commit.
         let log = log.0.lock().unwrap();
         let writes = log.iter().filter(|n| !n.starts_with('-'));
-        let nth = 6 + writes.take_while(|n| *n != RESIDENT_FILE).count() as u64;
-        let (want, want_files, _) = straight("straight-resident");
-        let (first, _, recovered) = crash_and_recover("fail-resident", nth, Fault::FailWrite);
+        let nth = 6 + writes
+            .take_while(|n| !n.starts_with("ooc-resident."))
+            .count() as u64;
+        let (want, _) = straight("straight-resident", paged_cfg);
+        let (first, _, recovered) =
+            crash_and_recover("fail-resident", paged_cfg, nth, Fault::FailWrite);
         assert!(first.is_err());
-        let (got, files) = recovered.unwrap();
-        assert_same_model(&got, &want, "resident commit");
-        assert!(files == want_files);
+        let got = recovered.unwrap();
+        assert_same_model(&got.model, &want.model, "resident commit");
+        assert!(got.files == want.files);
     }
 }

@@ -29,8 +29,9 @@
 //! RNG is derived fresh from `(cfg.seed, epoch, batch_idx, chunk_idx)`, and
 //! per-chunk gradients merge in ascending chunk order whether or not
 //! `cfg.parallel` is set — so serial and parallel runs of the same chunk
-//! layout produce **bit-identical** models, and a checkpoint resume replays
-//! the exact stream it would have seen uninterrupted.
+//! layout produce **bit-identical** models, and an out-of-core resume
+//! ([`crate::ooc`]) replays the exact stream it would have seen
+//! uninterrupted.
 //!
 //! The chunk layout is part of that contract. `cfg.chunk_size = Some(n)`
 //! pins it explicitly; `None` adapts to `batch_len / rayon threads`
@@ -38,21 +39,17 @@
 //! process but may differ across machines — pin it when bit-equality across
 //! differently-sized hosts matters.
 
-use crate::artifact::{self, ArtifactError, ArtifactIo, ArtifactKind};
 use crate::kernels::{accumulate_chunk, SlotBlock, TrainScratch, MIN_CHUNK_SIZE};
 use crate::model::{normalize_row, PkgmModel};
 use crate::negative::{CorruptedPair, NegativeSampler};
 use crate::obs::{Phase, PhaseClock, TrainRecord};
-use crate::serialize::{model_from_bytes, model_to_bytes, SerializeError};
 use crate::simd::{self, LevelBody, RowDot, SimdDispatch};
-use bytes::{Buf, BufMut, BytesMut};
 use pkgm_store::TripleStore;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::path::{Path, PathBuf};
 
 /// Training hyper-parameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -76,11 +73,10 @@ pub struct TrainConfig {
     /// Compute batch gradients, and run the Adam step, in parallel with
     /// rayon.
     pub parallel: bool,
-    /// Minibatch chunk size for gradient workers. `None` (the default, and
-    /// what pre-existing checkpoints decode to) adapts to
-    /// `batch_len / rayon threads`, floored at
+    /// Minibatch chunk size for gradient workers. `None` (the default)
+    /// adapts to `batch_len / rayon threads`, floored at
     /// [`MIN_CHUNK_SIZE`]. The layout seeds the per-chunk corruption RNGs,
-    /// so it is part of the checkpoint-equivalence contract: resuming with a
+    /// so it is part of the resume-equivalence contract: resuming with a
     /// different chunk size (or, under `None`, a different thread count)
     /// changes which negatives are drawn — pin `Some(n)` where bit-equality
     /// across hosts matters.
@@ -146,70 +142,14 @@ impl EpochStats {
 /// Full training report.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TrainReport {
-    /// Stats per epoch, in order (only the epochs run in this call — a
-    /// resumed run reports its own epochs, not the checkpointed ones).
+    /// Stats per epoch, in order (only the epochs run in this call).
     pub epochs: Vec<EpochStats>,
     /// Total wall-clock seconds.
     pub wall_secs: f64,
     /// `Some(reason)` if the NaN / loss-divergence guard stopped training
-    /// early. The model holds the last epoch's (possibly bad) parameters,
-    /// but no checkpoint of them was written — resume restarts from the
-    /// last good checkpoint.
+    /// early. The model holds the last epoch's (possibly bad) parameters;
+    /// [`Trainer::epochs_done`] stays before that epoch.
     pub halted: Option<String>,
-}
-
-/// Checkpointing policy for [`Trainer::train_with_checkpoints`].
-#[derive(Debug, Clone)]
-pub struct CheckpointConfig {
-    /// Directory receiving `ckpt-{epoch}.pkgm` files (created if missing).
-    pub dir: PathBuf,
-    /// Write a checkpoint every this many epochs (clamped to ≥ 1); the
-    /// final epoch is always checkpointed.
-    pub every: usize,
-    /// Rolling retention: keep at most this many newest checkpoints
-    /// (clamped to ≥ 1). Older ones are deleted after each write.
-    pub keep_last: usize,
-}
-
-impl CheckpointConfig {
-    /// Checkpoint into `dir` after every epoch, keeping the last three.
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        Self {
-            dir: dir.into(),
-            every: 1,
-            keep_last: 3,
-        }
-    }
-}
-
-/// Failures from checkpointed training. Epoch math and gradient work are
-/// infallible; only artifact I/O can fail.
-#[derive(Debug)]
-pub enum TrainError {
-    /// Writing or pruning a checkpoint failed.
-    Artifact(ArtifactError),
-}
-
-impl std::fmt::Display for TrainError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TrainError::Artifact(e) => write!(f, "checkpoint I/O failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for TrainError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            TrainError::Artifact(e) => Some(e),
-        }
-    }
-}
-
-impl From<ArtifactError> for TrainError {
-    fn from(e: ArtifactError) -> Self {
-        TrainError::Artifact(e)
-    }
 }
 
 /// Lazy row-wise Adam state for the three parameter blocks.
@@ -243,7 +183,7 @@ const EPS: f32 = 1e-8;
 
 /// Halt when an epoch's mean loss exceeds this multiple of the best (lowest,
 /// floored) mean loss seen so far in the run — the parameters are diverging
-/// and further checkpoints would persist garbage.
+/// and a commit would persist garbage.
 const DIVERGENCE_FACTOR: f32 = 100.0;
 
 impl Trainer {
@@ -290,9 +230,9 @@ impl Trainer {
         self
     }
 
-    /// Record one [`TrainRecord`] per epoch that [`Trainer::train`] or
-    /// [`Trainer::train_with_checkpoints`] runs from now on (read them
-    /// with [`Trainer::take_records`]). Without this call no clock is read.
+    /// Record one [`TrainRecord`] per epoch that [`Trainer::train`] runs
+    /// from now on (read them with [`Trainer::take_records`]). Without this
+    /// call no clock is read.
     pub fn record_telemetry(&mut self) {
         self.clock = PhaseClock::on();
     }
@@ -307,75 +247,43 @@ impl Trainer {
         self.t
     }
 
-    /// Epochs completed so far (nonzero after a checkpoint resume).
+    /// Epochs completed so far: a later [`Trainer::train`] call with a
+    /// larger `cfg.epochs` continues from here.
     pub fn epochs_done(&self) -> usize {
         self.epochs_done
     }
 
-    /// Run up to `cfg.epochs` total passes over the store's triples (a
-    /// resumed trainer continues from [`Trainer::epochs_done`]), stopping
-    /// early if the NaN / divergence guard trips.
+    /// Run up to `cfg.epochs` total passes over the store's triples,
+    /// continuing from [`Trainer::epochs_done`], stopping early if the NaN
+    /// / divergence guard trips. The trainer keeps nothing on disk: train
+    /// through [`crate::OocTrainer`] to survive a kill.
     pub fn train(&mut self, model: &mut PkgmModel, store: &TripleStore) -> TrainReport {
-        self.run(model, store, None)
-            .expect("training without checkpoints performs no I/O")
-    }
-
-    /// Like [`Trainer::train`], but emit an atomic, checksummed
-    /// `ckpt-{epoch}.pkgm` artifact into `ckpt.dir` every `ckpt.every`
-    /// epochs (and after the final epoch), pruning to the newest
-    /// `ckpt.keep_last`. A `kill -9` at any point loses at most one
-    /// checkpoint interval: [`load_latest_checkpoint`] restarts from the
-    /// newest valid artifact.
-    pub fn train_with_checkpoints(
-        &mut self,
-        model: &mut PkgmModel,
-        store: &TripleStore,
-        ckpt: &CheckpointConfig,
-        io: &dyn ArtifactIo,
-    ) -> Result<TrainReport, TrainError> {
-        self.run(model, store, Some((ckpt, io)))
-    }
-
-    fn run(
-        &mut self,
-        model: &mut PkgmModel,
-        store: &TripleStore,
-        ckpt: Option<(&CheckpointConfig, &dyn ArtifactIo)>,
-    ) -> Result<TrainReport, TrainError> {
         let start = std::time::Instant::now();
         let total = self.cfg.epochs;
         let mut epochs = Vec::with_capacity(total.saturating_sub(self.epochs_done));
         let mut halted = None;
         let mut best_loss = f32::INFINITY;
-        while self.epochs_done < total {
+        while self.epochs_done < total && halted.is_none() {
             let epoch = self.epochs_done;
             self.clock.reopen();
             let stats = self.train_epoch(model, store, epoch as u64);
-            // NaN / divergence guard: stop before persisting (or keeping)
-            // garbage parameters. The last good checkpoint stays on disk.
-            if let Some(reason) = diverged(stats.mean_loss, best_loss) {
-                halted = Some(format!("epoch {}: {reason}", epoch + 1));
-                self.records.extend(self.clock.close(epoch, None, &stats));
-                epochs.push(stats);
-                break;
-            }
-            best_loss = best_loss.min(stats.mean_loss.max(1e-3));
-            self.epochs_done = epoch + 1;
-            if let Some((cfg, io)) = ckpt {
-                let every = cfg.every.max(1);
-                if self.epochs_done.is_multiple_of(every) || self.epochs_done == total {
-                    self.write_checkpoint(io, cfg, model)?;
-                    self.clock.lap(Phase::Commit);
+            // NaN / divergence guard: the epoch cursor stays before the bad
+            // epoch.
+            match diverged(stats.mean_loss, best_loss) {
+                Some(reason) => halted = Some(format!("epoch {}: {reason}", epoch + 1)),
+                None => {
+                    best_loss = best_loss.min(stats.mean_loss.max(1e-3));
+                    self.epochs_done = epoch + 1;
                 }
             }
             self.records.extend(self.clock.close(epoch, None, &stats));
             epochs.push(stats);
         }
-        Ok(TrainReport {
+        TrainReport {
             epochs,
             wall_secs: start.elapsed().as_secs_f64(),
             halted,
-        })
+        }
     }
 
     /// One pass over the triples, in shuffled minibatches.
@@ -527,222 +435,6 @@ impl Trainer {
         ];
         adam_parts(table, blocks, parts.max(1));
     }
-
-    // --- checkpointing ------------------------------------------------------
-    //
-    // A checkpoint is everything needed to continue training bit-for-bit:
-    // the model parameters, the Adam moment vectors and step counter, the
-    // epoch cursor and the full `TrainConfig`. The RNG streams need no
-    // serialized state: every shuffle / corruption RNG is derived fresh from
-    // `(cfg.seed, epoch, batch, chunk)`, so `(cfg.seed, epochs_done)` *is*
-    // the complete RNG state at an epoch boundary.
-    //
-    // Payload layout (wrapped in an `ArtifactKind::Checkpoint` frame):
-    //
-    // ```text
-    // model                 model_to_bytes (self-delimiting)
-    // t                     u64   Adam steps taken
-    // epochs_done           u64
-    // cfg_len               u64
-    // cfg                   cfg_len bytes of TrainConfig JSON
-    // m_ent v_ent m_rel v_rel m_mat v_mat    f32s, lengths implied by model
-    // ```
-
-    /// Serialize this trainer plus `model` as a resumable checkpoint payload.
-    pub fn checkpoint_to_bytes(&self, model: &PkgmModel) -> bytes::Bytes {
-        let model_bytes = model_to_bytes(model);
-        let cfg_json = serde_json::to_vec(&self.cfg).expect("train config serializes");
-        let state_len = 2 * (self.m_ent.len() + self.m_rel.len() + self.m_mat.len());
-        let mut buf =
-            BytesMut::with_capacity(model_bytes.len() + 24 + cfg_json.len() + state_len * 4);
-        buf.put_slice(&model_bytes);
-        buf.put_u64_le(self.t);
-        buf.put_u64_le(self.epochs_done as u64);
-        buf.put_u64_le(cfg_json.len() as u64);
-        buf.put_slice(&cfg_json);
-        for block in [
-            &self.m_ent,
-            &self.v_ent,
-            &self.m_rel,
-            &self.v_rel,
-            &self.m_mat,
-            &self.v_mat,
-        ] {
-            for &x in block {
-                buf.put_f32_le(x);
-            }
-        }
-        buf.freeze()
-    }
-
-    /// Rebuild a model + trainer pair from checkpoint payload bytes.
-    /// Rejects truncated or size-inconsistent payloads with a typed error.
-    pub fn from_checkpoint_bytes(bytes: &[u8]) -> Result<(PkgmModel, Trainer), SerializeError> {
-        let (model, consumed) = model_from_bytes(bytes)?;
-        let mut b = &bytes[consumed..];
-        if b.len() < 24 {
-            return Err(SerializeError::Corrupt("truncated checkpoint state".into()));
-        }
-        let t = b.get_u64_le();
-        let epochs_done = b.get_u64_le() as usize;
-        let cfg_len = b.get_u64_le() as usize;
-        if b.remaining() < cfg_len {
-            return Err(SerializeError::Corrupt("truncated train config".into()));
-        }
-        let cfg: TrainConfig = serde_json::from_slice(&b[..cfg_len])
-            .map_err(|e| SerializeError::Corrupt(format!("train config json: {e}")))?;
-        b.advance(cfg_len);
-        let need = 2 * (model.ent.len() + model.rel.len() + model.mats.len());
-        if b.remaining() != need * 4 {
-            return Err(SerializeError::Corrupt(format!(
-                "expected {} optimizer state bytes, found {}",
-                need * 4,
-                b.remaining()
-            )));
-        }
-        let mut read_block = |n: usize| -> Vec<f32> {
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push(b.get_f32_le());
-            }
-            v
-        };
-        let m_ent = read_block(model.ent.len());
-        let v_ent = read_block(model.ent.len());
-        let m_rel = read_block(model.rel.len());
-        let v_rel = read_block(model.rel.len());
-        let m_mat = read_block(model.mats.len());
-        let v_mat = read_block(model.mats.len());
-        Ok((
-            model,
-            Trainer {
-                m_ent,
-                v_ent,
-                m_rel,
-                v_rel,
-                m_mat,
-                v_mat,
-                t,
-                epochs_done,
-                ..Trainer::without_state(cfg)
-            },
-        ))
-    }
-
-    /// Atomically write `ckpt.dir/ckpt-{epochs_done}.pkgm` and prune to the
-    /// newest `ckpt.keep_last` checkpoints.
-    pub fn write_checkpoint(
-        &self,
-        io: &dyn ArtifactIo,
-        ckpt: &CheckpointConfig,
-        model: &PkgmModel,
-    ) -> Result<PathBuf, ArtifactError> {
-        let path = checkpoint_path(&ckpt.dir, self.epochs_done);
-        artifact::write_artifact(
-            io,
-            &path,
-            ArtifactKind::Checkpoint,
-            &self.checkpoint_to_bytes(model),
-        )?;
-        // Rolling retention: delete all but the newest keep_last. A failed
-        // delete is not fatal to the training run's durability.
-        let mut found: Vec<(u64, PathBuf)> = io
-            .list(&ckpt.dir)?
-            .into_iter()
-            .filter_map(|p| checkpoint_epoch(&p).map(|e| (e, p)))
-            .collect();
-        found.sort();
-        let keep = ckpt.keep_last.max(1);
-        for (_, old) in found.iter().take(found.len().saturating_sub(keep)) {
-            io.remove(old)?;
-        }
-        Ok(path)
-    }
-}
-
-/// The canonical checkpoint file path for an epoch count.
-pub fn checkpoint_path(dir: &Path, epoch: usize) -> PathBuf {
-    dir.join(format!("ckpt-{epoch:05}.pkgm"))
-}
-
-/// Parse the epoch out of a `ckpt-{epoch}.pkgm` file name.
-fn checkpoint_epoch(path: &Path) -> Option<u64> {
-    path.file_name()?
-        .to_str()?
-        .strip_prefix("ckpt-")?
-        .strip_suffix(".pkgm")?
-        .parse()
-        .ok()
-}
-
-/// A model + trainer pair restored from the newest valid checkpoint.
-pub struct ResumeState {
-    /// The restored model parameters.
-    pub model: PkgmModel,
-    /// The restored optimizer + epoch cursor.
-    pub trainer: Trainer,
-    /// Which checkpoint file was loaded.
-    pub path: PathBuf,
-}
-
-/// Outcome of scanning a checkpoint directory.
-pub struct CheckpointScan {
-    /// The newest checkpoint that validated and decoded, if any.
-    pub resumed: Option<ResumeState>,
-    /// Checkpoints that failed validation, newest first, with the reason.
-    /// Corrupt files are skipped, never fatal: a torn newest checkpoint
-    /// falls back to the previous valid one.
-    pub skipped: Vec<(PathBuf, String)>,
-}
-
-/// Find and load the newest valid checkpoint in `dir`, skipping corrupt or
-/// truncated ones (recording why). A missing directory is an empty scan.
-pub fn load_latest_checkpoint(
-    io: &dyn ArtifactIo,
-    dir: &Path,
-) -> Result<CheckpointScan, ArtifactError> {
-    let entries = match io.list(dir) {
-        Ok(e) => e,
-        Err(_) if !dir.exists() => {
-            return Ok(CheckpointScan {
-                resumed: None,
-                skipped: Vec::new(),
-            })
-        }
-        Err(e) => return Err(e),
-    };
-    let mut found: Vec<(u64, PathBuf)> = entries
-        .into_iter()
-        .filter_map(|p| checkpoint_epoch(&p).map(|e| (e, p)))
-        .collect();
-    found.sort();
-    let mut skipped = Vec::new();
-    for (_, path) in found.into_iter().rev() {
-        let attempt = io.read(&path).and_then(|bytes| {
-            let payload = artifact::decode(&path, ArtifactKind::Checkpoint, &bytes)?;
-            Trainer::from_checkpoint_bytes(payload).map_err(|e| ArtifactError::Corrupt {
-                path: path.clone(),
-                what: e.to_string(),
-            })
-        });
-        match attempt {
-            Ok((model, trainer)) => {
-                return Ok(CheckpointScan {
-                    resumed: Some(ResumeState {
-                        model,
-                        trainer,
-                        path,
-                    }),
-                    skipped,
-                })
-            }
-            Err(e) => skipped.push((path, e.to_string())),
-        }
-    }
-    Ok(CheckpointScan {
-        resumed: None,
-        skipped,
-    })
 }
 
 /// Did this epoch's loss go bad enough to halt?
@@ -1063,168 +755,6 @@ mod tests {
                 .map(|e| e.mean_loss)
                 .collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn checkpoint_roundtrip_restores_everything() {
-        let store = toy_store();
-        let mut model = PkgmModel::new(
-            store.n_entities() as usize,
-            store.n_relations() as usize,
-            PkgmConfig::new(8).with_seed(9),
-        );
-        let mut trainer = Trainer::new(&model, quick_cfg(9));
-        trainer.train(&mut model, &store);
-        let bytes = trainer.checkpoint_to_bytes(&model);
-        let (m2, t2) = Trainer::from_checkpoint_bytes(&bytes).unwrap();
-        assert_eq!(m2.ent, model.ent);
-        assert_eq!(m2.mats, model.mats);
-        assert_eq!(t2.t, trainer.t);
-        assert_eq!(t2.epochs_done, trainer.epochs_done);
-        assert_eq!(t2.m_ent, trainer.m_ent);
-        assert_eq!(t2.v_mat, trainer.v_mat);
-        assert_eq!(t2.cfg.seed, trainer.cfg.seed);
-        // Truncations are typed errors, not panics.
-        for cut in [0, 8, bytes.len() / 2, bytes.len() - 1] {
-            assert!(Trainer::from_checkpoint_bytes(&bytes[..cut]).is_err());
-        }
-    }
-
-    #[test]
-    fn checkpoint_resume_is_bit_for_bit() {
-        let store = toy_store();
-        let fresh_model = || {
-            PkgmModel::new(
-                store.n_entities() as usize,
-                store.n_relations() as usize,
-                PkgmConfig::new(8).with_seed(10),
-            )
-        };
-        // Serial training is deterministic (parallel reduce order is not).
-        let cfg = TrainConfig {
-            epochs: 12,
-            ..quick_cfg(10)
-        };
-
-        // Straight through: 12 epochs.
-        let mut m_straight = fresh_model();
-        let mut t_straight = Trainer::new(&m_straight, cfg.clone());
-        t_straight.train(&mut m_straight, &store);
-
-        // Interrupted: 5 epochs, checkpoint to bytes ("kill"), restore,
-        // finish the remaining 7.
-        let mut m_part = fresh_model();
-        let mut t_part = Trainer::new(
-            &m_part,
-            TrainConfig {
-                epochs: 5,
-                ..cfg.clone()
-            },
-        );
-        t_part.train(&mut m_part, &store);
-        let bytes = t_part.checkpoint_to_bytes(&m_part);
-        drop((m_part, t_part)); // the "crash"
-
-        let (mut m_resumed, mut t_resumed) = Trainer::from_checkpoint_bytes(&bytes).unwrap();
-        assert_eq!(t_resumed.epochs_done(), 5);
-        t_resumed.cfg.epochs = 12;
-        let report = t_resumed.train(&mut m_resumed, &store);
-        assert_eq!(report.epochs.len(), 7);
-
-        // Bit-for-bit equality of every parameter block and the optimizer.
-        assert_eq!(m_resumed.ent, m_straight.ent);
-        assert_eq!(m_resumed.rel, m_straight.rel);
-        assert_eq!(m_resumed.mats, m_straight.mats);
-        assert_eq!(t_resumed.m_ent, t_straight.m_ent);
-        assert_eq!(t_resumed.v_ent, t_straight.v_ent);
-        assert_eq!(t_resumed.t, t_straight.t);
-    }
-
-    #[test]
-    fn rolling_retention_keeps_last_k() {
-        use crate::artifact::StdIo;
-        let dir = std::env::temp_dir().join(format!("pkgm-ckpt-test-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let store = toy_store();
-        let mut model = PkgmModel::new(
-            store.n_entities() as usize,
-            store.n_relations() as usize,
-            PkgmConfig::new(8).with_seed(11),
-        );
-        let cfg = TrainConfig {
-            epochs: 7,
-            ..quick_cfg(11)
-        };
-        let ckpt = CheckpointConfig {
-            dir: dir.clone(),
-            every: 1,
-            keep_last: 2,
-        };
-        let mut trainer = Trainer::new(&model, cfg);
-        trainer
-            .train_with_checkpoints(&mut model, &store, &ckpt, &StdIo)
-            .unwrap();
-        let kept: Vec<_> = StdIo
-            .list(&dir)
-            .unwrap()
-            .into_iter()
-            .filter(|p| checkpoint_epoch(p).is_some())
-            .collect();
-        assert_eq!(kept.len(), 2, "keep_last=2 must prune older: {kept:?}");
-        assert_eq!(kept.last().unwrap(), &checkpoint_path(&dir, 7));
-
-        let scan = load_latest_checkpoint(&StdIo, &dir).unwrap();
-        let resumed = scan.resumed.expect("latest checkpoint loads");
-        assert_eq!(resumed.trainer.epochs_done(), 7);
-        assert_eq!(resumed.model.ent, model.ent);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn corrupt_latest_checkpoint_falls_back_to_previous() {
-        use crate::artifact::StdIo;
-        let dir = std::env::temp_dir().join(format!("pkgm-ckpt-fb-test-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let store = toy_store();
-        let mut model = PkgmModel::new(
-            store.n_entities() as usize,
-            store.n_relations() as usize,
-            PkgmConfig::new(8).with_seed(12),
-        );
-        let ckpt = CheckpointConfig {
-            dir: dir.clone(),
-            every: 1,
-            keep_last: 3,
-        };
-        let cfg = TrainConfig {
-            epochs: 3,
-            ..quick_cfg(12)
-        };
-        let mut trainer = Trainer::new(&model, cfg);
-        trainer
-            .train_with_checkpoints(&mut model, &store, &ckpt, &StdIo)
-            .unwrap();
-        // Tear the newest checkpoint in half, as a crash mid-write would
-        // with a non-atomic writer.
-        let latest = checkpoint_path(&dir, 3);
-        let bytes = std::fs::read(&latest).unwrap();
-        std::fs::write(&latest, &bytes[..bytes.len() / 2]).unwrap();
-
-        let scan = load_latest_checkpoint(&StdIo, &dir).unwrap();
-        let resumed = scan.resumed.expect("previous checkpoint still valid");
-        assert_eq!(resumed.trainer.epochs_done(), 2);
-        assert_eq!(resumed.path, checkpoint_path(&dir, 2));
-        assert_eq!(scan.skipped.len(), 1);
-        assert_eq!(scan.skipped[0].0, latest);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn missing_checkpoint_dir_is_empty_scan() {
-        use crate::artifact::StdIo;
-        let scan = load_latest_checkpoint(&StdIo, Path::new("/nonexistent/pkgm-ckpts")).unwrap();
-        assert!(scan.resumed.is_none());
-        assert!(scan.skipped.is_empty());
     }
 
     /// `Trainer::apply` and `adam_update` as they were when the step ran

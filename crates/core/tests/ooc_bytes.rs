@@ -13,13 +13,14 @@
 //!   model;
 //! * all of it is identical between `RAYON_NUM_THREADS=1` and `2`;
 //! * a single flipped byte anywhere in a partition or the resident file is
-//!   reported as the typed artifact error before any value is decoded.
+//!   reported as the typed artifact error before any value is decoded (a
+//!   resume skips that commit for its predecessor, and says why).
 //!
 //! One `#[test]` for all of that: the thread count is a process-wide
 //! environment variable, so the sections must not run beside each other.
 //! A second pins the names and digests of every `ooc-*.pkgm` file left on
-//! disk (the live partition files are named by generation) and of the trained
-//! model, so a change to how the trainer commits (its framing, its order,
+//! disk (the files are named by generation, and the last commit's
+//! predecessor is kept beside it) and of the trained model, so a change to how the trainer commits (its framing, its order,
 //! its threads) cannot move a byte unnoticed; those bytes do not depend on
 //! the thread count.
 
@@ -104,22 +105,21 @@ fn run(
     trainer
 }
 
-/// Partition `k` of `n`'s one live file in `dir`: the trainer deletes the
-/// files a commit supersedes.
-fn live_part(dir: &Path, k: usize, n: usize) -> PathBuf {
-    let prefix = format!("ooc-part-{k:05}of{n:05}.g");
-    let mut found = std::fs::read_dir(dir)
+/// The newest of `prefix`'s files in `dir`: the live one, since each
+/// write takes a new generation (the last commit's predecessor keeps the
+/// older ones).
+fn newest(dir: &Path, prefix: &str) -> PathBuf {
+    std::fs::read_dir(dir)
         .unwrap()
         .map(|e| e.unwrap().path())
-        .filter(|p| {
-            p.file_name()
-                .unwrap()
-                .to_string_lossy()
-                .starts_with(&prefix)
-        });
-    let path = found.next().expect("a live partition file");
-    assert!(found.next().is_none(), "one file per partition");
-    path
+        .filter(|p| p.file_name().unwrap().to_string_lossy().starts_with(prefix))
+        .max()
+        .expect("a live file")
+}
+
+/// Partition `k` of `n`'s live file in `dir`.
+fn live_part(dir: &Path, k: usize, n: usize) -> PathBuf {
+    newest(dir, &format!("ooc-part-{k:05}of{n:05}.g"))
 }
 
 /// The IEEE CRC32, one message bit per step.
@@ -227,7 +227,9 @@ fn ooc_files_are_canonical_thread_invariant_and_checked() {
         assert!(artifact::encode(ArtifactKind::Checkpoint, payload) == *bytes);
         framed += 1;
     }
-    assert_eq!(framed, parts.len() + 2, "partitions + resident + manifest");
+    // The last commit's files and manifest, and what its predecessor
+    // keeps: at least one partition file and its resident file.
+    assert!(framed >= parts.len() + 4, "{framed} files");
     for (k, &(start, len)) in parts.iter().enumerate() {
         let live = live_part(&dir_1.join("ooc"), k, parts.len());
         let payload = &files[live.strip_prefix(&dir_1).unwrap()][HEADER_LEN..];
@@ -261,8 +263,8 @@ fn ooc_files_are_canonical_thread_invariant_and_checked() {
     // --- faults: every byte of a partition, of the resident file ----------
     let ooc_dir = dir_1.join("ooc");
     let last = parts.len() - 1;
-    // Partition 0 is the first page-in of a fresh epoch: `train` must stop
-    // there, before it commits anything.
+    // `new`'s commit has no predecessor: resume checks partition 0 and
+    // refuses it.
     let fresh = scratch("fresh");
     std::env::set_var("RAYON_NUM_THREADS", "1");
     drop(OocTrainer::new(&catalog.store, config(&catalog, &fresh)).unwrap());
@@ -271,21 +273,30 @@ fn ooc_files_are_canonical_thread_invariant_and_checked() {
             "ooc/ooc-part-00000of{:05}.g00000.pkgm",
             parts.len()
         )),
-        || {
-            OocTrainer::resume(&fresh.join("ooc"))
-                .unwrap()
-                .train(&catalog.store)
-                .err()
-        },
+        || OocTrainer::resume(&fresh.join("ooc")).err(),
     );
     every_flipped_byte_is_caught(&live_part(&ooc_dir, last, parts.len()), || {
         trainer.assemble_model().err()
     });
-    every_flipped_byte_is_caught(&ooc_dir.join("ooc-resident.pkgm"), || {
-        OocTrainer::resume(&ooc_dir).err()
+    // The last commit is skipped for its predecessor, and the reason is
+    // the typed error; the skip deletes the commit's files, so each probe
+    // works on a copy.
+    let resident = newest(&ooc_dir, "ooc-resident.g");
+    let copy = scratch("resident");
+    every_flipped_byte_is_caught(&resident, || {
+        let _ = std::fs::remove_dir_all(&copy);
+        std::fs::create_dir_all(&copy).unwrap();
+        for (name, bytes) in files_under(&ooc_dir) {
+            std::fs::write(copy.join(name), bytes).unwrap();
+        }
+        let mut resumed = OocTrainer::resume(&copy).ok()?;
+        let skipped = resumed.take_skipped();
+        assert_eq!(skipped.len(), 1);
+        assert!(resumed.epochs_done() < 2, "resumed past the skipped commit");
+        skipped.into_iter().next().map(|(_, e)| e)
     });
 
-    for dir in [dir_1, dir_2, fresh] {
+    for dir in [dir_1, dir_2, fresh, copy] {
         let _ = std::fs::remove_dir_all(dir);
     }
 }
@@ -312,13 +323,21 @@ fn ooc_bytes_match_golden_digests() {
     got.push(("model".into(), fnv64(&model_to_bytes(&model))));
     let _ = std::fs::remove_dir_all(&dir);
 
+    // The last commit (generation 12) names partition 0's g9 file, the
+    // other three partitions' newest and its resident file; its
+    // predecessor (generation 9) keeps the files commit 12 superseded and
+    // its own resident file.
     let want = [
-        ("ooc-manifest.pkgm", 0xc076_c786_cd5f_3765),
+        ("ooc-manifest.pkgm", 0x6b57_cbed_692c_71ee),
         ("ooc-part-00000of00004.g00009.pkgm", 0xc4d0_a93c_a088_86eb),
+        ("ooc-part-00001of00004.g00006.pkgm", 0x349a_3c23_aeb4_d5b8),
         ("ooc-part-00001of00004.g00012.pkgm", 0xed9b_067a_b773_c9cd),
+        ("ooc-part-00002of00004.g00008.pkgm", 0x0887_15c6_46e5_a855),
         ("ooc-part-00002of00004.g00011.pkgm", 0x899c_9a5f_eaf9_8cc9),
+        ("ooc-part-00003of00004.g00009.pkgm", 0x9407_74e9_21eb_77bd),
         ("ooc-part-00003of00004.g00012.pkgm", 0xbbb1_7346_0087_9d48),
-        ("ooc-resident.pkgm", 0x5710_838d_9a6e_4ed6),
+        ("ooc-resident.g00009.pkgm", 0x6958_e645_a71b_6fae),
+        ("ooc-resident.g00012.pkgm", 0x5710_838d_9a6e_4ed6),
         ("model", 0xc3f5_c063_b30d_8227),
     ];
     let want: Vec<(String, u64)> = want.iter().map(|&(n, d)| (n.to_string(), d)).collect();
