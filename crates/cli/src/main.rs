@@ -44,8 +44,8 @@ mod args;
 use args::Args;
 use pkgm_core::{
     eval, fault, obs, serialize, Daemon, DaemonClient, DaemonConfig, KnowledgeService, OocConfig,
-    OocReport, OocTrainer, PkgmConfig, PkgmModel, RetryPolicy, ServiceSnapshot, ShardRouter, StdIo,
-    Supervisor, SyntheticTriples, TrainConfig, TrainRecord, Trainer, TripleSource,
+    OocTrainer, PkgmConfig, PkgmModel, RetryPolicy, ServiceSnapshot, ShardRouter, StdIo,
+    Supervisor, SyntheticTriples, TrainConfig, TrainRecord, TrainReport, Trainer, TripleSource,
 };
 use pkgm_store::{EntityId, KgStats};
 use pkgm_synth::{Catalog, CatalogConfig};
@@ -681,7 +681,7 @@ fn run_ooc<S: TripleSource + ?Sized>(
     args: &Args,
     trainer: &mut OocTrainer,
     source: &S,
-) -> Result<OocReport, Box<dyn std::error::Error>> {
+) -> Result<TrainReport, Box<dyn std::error::Error>> {
     eprintln!(
         "[pkgm] out-of-core pre-training: {} partition(s) under {} B budget, epoch {} → {}…",
         trainer.n_partitions(),

@@ -120,7 +120,7 @@ pub use model::{PkgmConfig, PkgmModel};
 pub use negative::{CorruptedPair, Corruption, NegativeSampler};
 pub use netcheck::{ChaosProxy, NetFault, NetFaultPlan};
 pub use obs::TrainRecord;
-pub use ooc::{OocConfig, OocError, OocReport, OocTrainer, SyntheticTriples, TripleSource};
+pub use ooc::{OocConfig, OocError, OocTrainer, SyntheticTriples, TripleSource};
 pub use protocol::{DeadlineStage, ProtocolError, Request, Response};
 pub use quant::{QuantScanTable, QUANT_BLOCK};
 pub use retry::{RetryClient, RetryPolicy};

@@ -2,8 +2,14 @@
 //! the head or tail with a random entity, **or the relation with a random
 //! relation** (Eq. 4) — the relation corruption is what trains the relation
 //! module to push `‖M_r·h − r‖₁` *up* for relations `h` does not have.
+//!
+//! One sampler serves both trainers: it draws from any [`TripleSource`]'s id
+//! spaces, the whole store's for the resident trainer, or an out-of-core
+//! block's, whose entity ids are local to its two partitions and whose
+//! membership check maps them back to global ids ([`crate::ooc`]).
 
-use pkgm_store::{Triple, TripleStore};
+use crate::ooc::TripleSource;
+use pkgm_store::Triple;
 use rand::Rng;
 
 /// Which slot a corruption replaced.
@@ -31,7 +37,7 @@ pub struct CorruptedPair {
     pub slot: Corruption,
 }
 
-/// Uniform corruption sampler over a store's id spaces.
+/// Uniform corruption sampler over a triple source's id spaces.
 #[derive(Debug, Clone)]
 pub struct NegativeSampler {
     n_entities: u32,
@@ -45,12 +51,12 @@ pub struct NegativeSampler {
 }
 
 impl NegativeSampler {
-    /// Sampler matching a store's id spaces. Defaults: 20% relation
+    /// Sampler matching a source's id spaces. Defaults: 20% relation
     /// corruptions, filtered sampling on.
-    pub fn new(store: &TripleStore) -> Self {
+    pub fn new<S: TripleSource + ?Sized>(source: &S) -> Self {
         Self {
-            n_entities: store.n_entities(),
-            n_relations: store.n_relations(),
+            n_entities: source.n_entities(),
+            n_relations: source.n_relations(),
             relation_prob: 0.2,
             filtered: true,
         }
@@ -65,11 +71,11 @@ impl NegativeSampler {
 
     /// Corrupt `pos` into a negative. Returns the negative and which slot
     /// was replaced. With `filtered`, retries (bounded) until the result is
-    /// not a known positive in `store`.
-    pub fn corrupt(
+    /// not a known positive in `source`.
+    pub fn corrupt<S: TripleSource + ?Sized>(
         &self,
         pos: Triple,
-        store: &TripleStore,
+        source: &S,
         rng: &mut impl Rng,
     ) -> (Triple, Corruption) {
         for _ in 0..64 {
@@ -77,7 +83,7 @@ impl NegativeSampler {
             if neg == pos {
                 continue;
             }
-            if !self.filtered || !store.contains(neg) {
+            if !self.filtered || !source.contains(neg) {
                 return (neg, slot);
             }
         }
@@ -94,10 +100,10 @@ impl NegativeSampler {
     /// per-pair sampling loop for this batch API changes no random choices —
     /// the trainer's `(seed, epoch, batch, chunk)` determinism contract is
     /// untouched.
-    pub fn corrupt_batch_into(
+    pub fn corrupt_batch_into<S: TripleSource + ?Sized>(
         &self,
         positives: impl IntoIterator<Item = Triple>,
-        store: &TripleStore,
+        source: &S,
         negatives: usize,
         rng: &mut impl Rng,
         out: &mut Vec<CorruptedPair>,
@@ -105,7 +111,7 @@ impl NegativeSampler {
         out.clear();
         for pos in positives {
             for _ in 0..negatives {
-                let (neg, slot) = self.corrupt(pos, store, rng);
+                let (neg, slot) = self.corrupt(pos, source, rng);
                 out.push(CorruptedPair { pos, neg, slot });
             }
         }
@@ -132,7 +138,7 @@ impl NegativeSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pkgm_store::StoreBuilder;
+    use pkgm_store::{StoreBuilder, TripleStore};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 

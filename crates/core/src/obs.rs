@@ -8,9 +8,12 @@
 //! lap (or the record's open) to one `Phase`, so the phases partition
 //! the record's wall time up to its last lap and no stretch of the loop
 //! goes unattributed. `PhaseClock::close` turns the sums into one
-//! [`TrainRecord`]: the resident [`crate::Trainer`] closes one per epoch,
-//! the [`crate::OocTrainer`] one per block and one per epoch. `pkgm train
-//! --telemetry FILE` writes them as JSONL ([`to_jsonl`]).
+//! [`TrainRecord`]. A [`crate::Trainer`]'s clock holds the record of what
+//! it runs: [`crate::Trainer::train_epoch`] closes one per epoch, and in
+//! the [`crate::OocTrainer`], which runs its `Trainer` block by block, one
+//! per block. The out-of-core trainer's own clock holds the epoch's record,
+//! which absorbs its blocks' and adds the bucketing and the closing commit.
+//! `pkgm train --telemetry FILE` writes them as JSONL ([`to_jsonl`]).
 //!
 //! The out-of-core trainer's writer thread commits files while the loop
 //! trains, so its busy time is not a phase of the loop: a record carries

@@ -5,28 +5,32 @@
 //!
 //! ## The block schedule
 //!
-//! An epoch shuffles all triple indices with the *resident trainer's* RNG
-//! (`seed ^ (epoch << 32) ^ 0x5EED`), then stable-partitions them by the
+//! The out-of-core trainer is not a second trainer: it holds one resident
+//! [`Trainer`] (Adam moments, step counter `t`, scratches) and one block
+//! [`PkgmModel`] for its whole run. An epoch shuffles all triple indices
+//! with the `Trainer`'s shuffle, then stable-partitions them by the
 //! *bucket* `(part(head), part(tail))` — a counting sort that preserves the
 //! shuffled order within each bucket. Buckets run in ascending order; each
 //! bucket is one **block**: its two partitions (entity rows + Adam moments)
-//! are loaded, a block-local [`Trainer`] replays the resident minibatch
-//! loop over the bucket's triples (same per-batch seeds, same chunk layout,
-//! same fused kernels, same Adam step counter `t`), and the partitions
-//! the next block does not use are paged back out.
+//! are paged into the held model's and `Trainer`'s entity buffers, the
+//! `Trainer` runs the resident block loop (`Trainer::train_block`) over
+//! the bucket's indices on the block's view of the source (entity ids local
+//! to the two partitions, batches numbered on from the blocks before), and
+//! the partitions the next block does not use are paged back out.
 //!
 //! ## Equivalence contract
 //!
 //! * **One block** (the budget fits the whole table, `P = 1`): the bucket
 //!   sort is the identity, the block-local id space *is* the global id
-//!   space, and the corruption sampler consumes the identical RNG stream —
-//!   training is **bit-for-bit identical** to the resident [`Trainer`]
-//!   (asserted by `single_block_training_is_bit_identical_to_resident`).
+//!   space, and the one [`crate::NegativeSampler`] draws the identical RNG
+//!   stream — training is **bit-for-bit identical** to the resident
+//!   [`Trainer`] (asserted by
+//!   `single_block_training_is_bit_identical_to_resident`).
 //! * **Multiple blocks**: the schedule reorders minibatches across buckets
 //!   and corruption draws block-local negatives, so parameters differ from
 //!   resident training — but the run is **seed-deterministic** (same seeds
 //!   → same bits, including across kill/resume cycles) and gated on eval
-//!   parity with the resident trainer in `crates/core/tests/ooc_training.rs`.
+//!   parity with the resident trainer in `crates/core/tests/ooc_equivalence.rs`.
 //!
 //! ## On-disk state
 //!
@@ -110,20 +114,17 @@ use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
 use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::artifact::{self, ArtifactError, ArtifactIo, ArtifactKind, StdIo};
-use crate::kernels::TrainScratch;
 use crate::le;
 use crate::model::{PkgmConfig, PkgmModel};
-use crate::negative::{CorruptedPair, Corruption};
 use crate::obs::{Phase, PhaseClock, TrainRecord};
 use crate::snapshot::{condensed_rows_into, ShardSpec};
 use crate::snapshot3::{shard_ranges, Ss3DenseWriter};
-use crate::trainer::{diverged, EpochStats, TrainConfig, Trainer};
-use pkgm_store::{EntityId, KeyRelationSelector, RelationId, Triple, TripleStore};
+use crate::trainer::{drive, EpochStats, Totals, TrainConfig, TrainReport, Trainer};
+use pkgm_store::{KeyRelationSelector, Triple, TripleStore};
 
 const MANIFEST_FILE: &str = "ooc-manifest.pkgm";
 /// 3: generation-named resident files, each commit keeping its predecessor.
@@ -319,22 +320,6 @@ pub fn shard_file_path(base: &Path, shard_id: u32, n_shards: u32) -> PathBuf {
     }
 }
 
-/// Report from one [`OocTrainer::train`] call.
-#[derive(Debug, Clone, Serialize)]
-pub struct OocReport {
-    /// Stats per epoch touched by this call (a mid-epoch resume reports a
-    /// partial first entry covering only the blocks it ran).
-    pub epochs: Vec<EpochStats>,
-    /// Number of entity-range partitions in the plan.
-    pub n_partitions: usize,
-    /// Blocks executed by this call.
-    pub blocks: usize,
-    /// Total wall-clock seconds.
-    pub wall_secs: f64,
-    /// `Some(reason)` if the divergence guard stopped training early.
-    pub halted: Option<String>,
-}
-
 #[derive(Serialize, Deserialize)]
 struct Manifest {
     version: u32,
@@ -346,18 +331,17 @@ struct Manifest {
     partitions: Vec<(u64, u64)>,
 }
 
-/// Block-local ↔ global entity id translation for the (up to) two loaded
-/// partitions. Locals are `0..len_0` for the first segment and
-/// `len_0..len_0+len_1` for the second.
-struct BlockSpace {
+/// A block's view of the source: its triples with entity ids local to the
+/// block's (up to) two partitions — `0..len_0` for the first segment,
+/// `len_0..len_0 + len_1` for the second — and membership checked on the
+/// global ids. The resident [`crate::negative::NegativeSampler`] over this
+/// view draws block-local negatives.
+struct BlockView<'a, S: ?Sized> {
+    source: &'a S,
     segs: [(u64, u64); 2],
 }
 
-impl BlockSpace {
-    fn n_local(&self) -> u64 {
-        self.segs[0].1 + self.segs[1].1
-    }
-
+impl<S: ?Sized> BlockView<'_, S> {
     fn to_global(&self, local: u32) -> u32 {
         let l = local as u64;
         if l < self.segs[0].1 {
@@ -378,94 +362,47 @@ impl BlockSpace {
             (l0 + (g - s1)) as u32
         }
     }
+}
 
-    fn localize(&self, t: Triple) -> Triple {
-        Triple::from_raw(
-            self.to_local(t.head.0),
-            t.relation.0,
-            self.to_local(t.tail.0),
-        )
+impl<S: TripleSource + ?Sized> TripleSource for BlockView<'_, S> {
+    fn n_entities(&self) -> u32 {
+        (self.segs[0].1 + self.segs[1].1) as u32
     }
-
-    fn globalize(&self, t: Triple) -> Triple {
-        Triple::from_raw(
-            self.to_global(t.head.0),
-            t.relation.0,
-            self.to_global(t.tail.0),
-        )
+    fn n_relations(&self) -> u32 {
+        self.source.n_relations()
+    }
+    fn len(&self) -> usize {
+        self.source.len()
+    }
+    fn triple(&self, idx: usize) -> Triple {
+        map_entities(self.source.triple(idx), |e| self.to_local(e))
+    }
+    fn contains(&self, t: Triple) -> bool {
+        self.source.contains(map_entities(t, |e| self.to_global(e)))
     }
 }
 
-/// The block-local twin of [`crate::negative::NegativeSampler`]: identical
-/// branch structure and RNG consumption, but entity replacements draw from
-/// the block's local id space and the filtered-membership check translates
-/// back to global ids. With one all-covering block the two samplers consume
-/// identical RNG streams and produce identical corruptions.
-struct OocSampler {
-    n_entities: u32,
-    n_relations: u32,
-    relation_prob: f64,
-    filtered: bool,
-}
-
-impl OocSampler {
-    fn new(block_entities: u32, n_relations: u32) -> Self {
-        Self {
-            n_entities: block_entities,
-            n_relations,
-            relation_prob: 0.2,
-            filtered: true,
-        }
-    }
-
-    fn corrupt<S: TripleSource + ?Sized>(
-        &self,
-        pos: Triple,
-        source: &S,
-        space: &BlockSpace,
-        rng: &mut impl Rng,
-    ) -> (Triple, Corruption) {
-        for _ in 0..64 {
-            let (neg, slot) = self.corrupt_once(pos, rng);
-            if neg == pos {
-                continue;
-            }
-            if !self.filtered || !source.contains(space.globalize(neg)) {
-                return (neg, slot);
-            }
-        }
-        self.corrupt_once(pos, rng)
-    }
-
-    fn corrupt_once(&self, pos: Triple, rng: &mut impl Rng) -> (Triple, Corruption) {
-        let roll: f64 = rng.gen();
-        if roll < self.relation_prob && self.n_relations > 1 {
-            let mut t = pos;
-            t.relation = RelationId(rng.gen_range(0..self.n_relations));
-            (t, Corruption::Relation)
-        } else if rng.gen_bool(0.5) {
-            let mut t = pos;
-            t.head = EntityId(rng.gen_range(0..self.n_entities));
-            (t, Corruption::Head)
-        } else {
-            let mut t = pos;
-            t.tail = EntityId(rng.gen_range(0..self.n_entities));
-            (t, Corruption::Tail)
-        }
-    }
+/// `t` with both entity ids mapped through `f`.
+fn map_entities(t: Triple, f: impl Fn(u32) -> u32) -> Triple {
+    Triple::from_raw(f(t.head.0), t.relation.0, f(t.tail.0))
 }
 
 /// The partitions in memory — the last block's, until the next one lays
-/// its own out — with their rows and Adam moments back to back in layout
-/// order: the block-local id space.
+/// its own out — in layout order: their rows and Adam moments sit back to
+/// back, the block-local id space, in the held model's and `Trainer`'s
+/// entity buffers.
 #[derive(Default)]
 struct Paged {
     parts: Vec<usize>,
     /// The loaded partition in memory longest; its leaving commits.
     anchor: Option<usize>,
-    ent: Vec<f32>,
-    m: Vec<f32>,
-    v: Vec<f32>,
+}
+
+/// Partition `k`'s live file: its path and the stamps its payload opens
+/// with, `[generation, first row, rows, dim]`.
+struct PartFile {
+    path: PathBuf,
+    stamps: [u64; 4],
 }
 
 /// The out-of-core trainer: an entity-range partitioned embedding table on
@@ -475,7 +412,6 @@ struct Paged {
 pub struct OocTrainer {
     cfg: OocConfig,
     n_entities: u64,
-    n_relations: u64,
     parts: Vec<(u64, u64)>,
     /// Monotone block counter: a partition paged out after a block is
     /// written under, and stamped with, that block's generation.
@@ -492,25 +428,21 @@ pub struct OocTrainer {
     /// The commits [`OocTrainer::resume`] skipped, and why.
     skipped: Vec<(PathBuf, OocError)>,
     paged: Paged,
-    t: u64,
     epochs_done: usize,
     blocks_done: usize,
-    rel: Vec<f32>,
-    mats: Vec<f32>,
-    m_rel: Vec<f32>,
-    v_rel: Vec<f32>,
-    m_mat: Vec<f32>,
-    v_mat: Vec<f32>,
-    /// The block trainers' per-chunk scratches, kept across blocks.
-    scratches: Vec<TrainScratch>,
+    /// The run's one optimizer: the paged entity moments, the resident
+    /// relation and matrix moments, the step counter, the scratches, the
+    /// open block telemetry record and every record closed.
+    trainer: Trainer,
+    /// The block model: the paged entity rows, the resident relations and
+    /// transfer matrices.
+    model: PkgmModel,
     /// Where the writer commits and pages read: the filesystem, or a fault
     /// plan in tests.
     io: Arc<dyn ArtifactIo + Send + Sync>,
-    /// The open epoch and block telemetry records (off unless
+    /// The open epoch telemetry record (off unless
     /// [`OocTrainer::record_telemetry`]).
     clock: PhaseClock,
-    block_clock: PhaseClock,
-    records: Vec<TrainRecord>,
 }
 
 impl OocTrainer {
@@ -529,7 +461,7 @@ impl OocTrainer {
         io: Arc<dyn ArtifactIo + Send + Sync>,
     ) -> Result<Self, OocError> {
         let n_entities = TripleSource::n_entities(source) as u64;
-        let n_relations = TripleSource::n_relations(source) as u64;
+        let n_relations = TripleSource::n_relations(source) as usize;
         if n_entities == 0 || n_relations == 0 || source.is_empty() {
             return Err(OocError::State("empty triple source".into()));
         }
@@ -538,8 +470,6 @@ impl OocTrainer {
         std::fs::create_dir_all(&cfg.dir)?;
 
         let mut me = Self {
-            m_rel: vec![0.0; n_relations as usize * d],
-            v_rel: vec![0.0; n_relations as usize * d],
             io,
             ..Self::empty(cfg, n_entities, n_relations, parts)
         };
@@ -561,13 +491,12 @@ impl OocTrainer {
                 me.frame_partition(writer, k, &ent, &zeros, &zeros);
                 writer.hand_over(Vec::new())?;
             }
-            me.rel = (0..n_relations as usize * d)
+            me.model.rel = (0..n_relations * d)
                 .map(|_| rng.gen_range(-bound..bound) as f32)
                 .collect();
             if me.cfg.model.relation_module {
-                let nr = n_relations as usize;
-                let mut m = vec![0.0f32; nr * d * d];
-                for r in 0..nr {
+                let mut m = vec![0.0f32; n_relations * d * d];
+                for r in 0..n_relations {
                     for i in 0..d {
                         for j in 0..d {
                             let noise = rng
@@ -577,10 +506,9 @@ impl OocTrainer {
                         }
                     }
                 }
-                me.mats = m;
-                me.m_mat = vec![0.0; nr * d * d];
-                me.v_mat = vec![0.0; nr * d * d];
+                me.model.mats = m;
             }
+            me.trainer = Trainer::new(&me.model, me.cfg.train.clone());
             writer.wait()?;
             me.frame_resident(writer);
             writer.hand_over(Vec::new())?;
@@ -591,12 +519,22 @@ impl OocTrainer {
         Ok(me)
     }
 
-    /// A trainer over `parts` at generation 0, with no parameters.
-    fn empty(cfg: OocConfig, n_entities: u64, n_relations: u64, parts: Vec<(u64, u64)>) -> Self {
+    /// A trainer over `parts` at generation 0, with nothing paged in and
+    /// no resident parameters.
+    fn empty(cfg: OocConfig, n_entities: u64, n_relations: usize, parts: Vec<(u64, u64)>) -> Self {
+        let model = PkgmModel {
+            cfg: cfg.model.clone(),
+            n_entities: 0,
+            n_relations,
+            ent: Vec::new(),
+            rel: Vec::new(),
+            mats: Vec::new(),
+        };
         Self {
+            trainer: Trainer::new(&model, cfg.train.clone()),
+            model,
             cfg,
             n_entities,
-            n_relations,
             live: vec![0; parts.len()],
             parts,
             gen: 0,
@@ -605,20 +543,10 @@ impl OocTrainer {
             retired: Vec::new(),
             skipped: Vec::new(),
             paged: Paged::default(),
-            t: 0,
             epochs_done: 0,
             blocks_done: 0,
-            rel: Vec::new(),
-            mats: Vec::new(),
-            m_rel: Vec::new(),
-            v_rel: Vec::new(),
-            m_mat: Vec::new(),
-            v_mat: Vec::new(),
-            scratches: Vec::new(),
             io: Arc::new(StdIo),
             clock: PhaseClock::default(),
-            block_clock: PhaseClock::default(),
-            records: Vec::new(),
         }
     }
 
@@ -678,6 +606,13 @@ impl OocTrainer {
         let d = manifest.model.dim;
         let nr = manifest.n_relations as usize;
         let mat_len = nr * d * d * manifest.model.relation_module as usize;
+        let cfg = OocConfig {
+            model: manifest.model.clone(),
+            train: manifest.train.clone(),
+            mem_budget: manifest.mem_budget as usize,
+            dir: dir.to_path_buf(),
+        };
+        let mut me = Self::empty(cfg, manifest.n_entities, nr, manifest.partitions.clone());
         let path = resident_path(dir, gen);
         let bytes = StdIo.read(&path)?;
         let payload = artifact::decode(&path, ArtifactKind::Checkpoint, &bytes)?;
@@ -689,46 +624,31 @@ impl OocTrainer {
                 path.display()
             )));
         }
-        let t = r.u64()?;
-        let epochs_done = r.u64()? as usize;
-        let blocks_done = r.u64()? as usize;
-        let live = (0..manifest.partitions.len())
-            .map(|_| r.u64())
-            .collect::<Result<Vec<_>, _>>()?;
-        let rel = r.f32s(nr * d)?;
-        let mats = r.f32s(mat_len)?;
-        let m_rel = r.f32s(nr * d)?;
-        let v_rel = r.f32s(nr * d)?;
-        let m_mat = r.f32s(mat_len)?;
-        let v_mat = r.f32s(mat_len)?;
+        (me.gen, me.committed) = (gen, gen);
+        me.trainer.t = r.u64()?;
+        me.epochs_done = r.u64()? as usize;
+        me.blocks_done = r.u64()? as usize;
+        for live in me.live.iter_mut() {
+            *live = r.u64()?;
+        }
+        // The tables in `frame_resident`'s order.
+        let (model, tr) = (&mut me.model, &mut me.trainer);
+        let tables = [
+            (&mut model.rel, nr * d),
+            (&mut model.mats, mat_len),
+            (&mut tr.m_rel, nr * d),
+            (&mut tr.v_rel, nr * d),
+            (&mut tr.m_mat, mat_len),
+            (&mut tr.v_mat, mat_len),
+        ];
+        for (table, len) in tables {
+            *table = r.f32s(len)?;
+        }
         r.done()?;
-
-        let cfg = OocConfig {
-            model: manifest.model.clone(),
-            train: manifest.train.clone(),
-            mem_budget: manifest.mem_budget as usize,
-            dir: dir.to_path_buf(),
-        };
-        let (n_entities, n_relations) = (manifest.n_entities, manifest.n_relations);
-        let me = Self {
-            gen,
-            live,
-            committed: gen,
-            t,
-            epochs_done,
-            blocks_done,
-            rel,
-            mats,
-            m_rel,
-            v_rel,
-            m_mat,
-            v_mat,
-            ..Self::empty(cfg, n_entities, n_relations, manifest.partitions.clone())
-        };
         for k in 0..me.parts.len() {
-            let path = me.partition_path(k, me.live[k]);
-            let bytes = me.io.read(&path)?;
-            let mut r = me.open_partition(k, &path, &bytes)?;
+            let file = me.live_file(k);
+            let bytes = me.io.read(&file.path)?;
+            let mut r = file.open(&bytes)?;
             r.take(me.parts[k].1 as usize * d * 12)?;
             r.done()?;
         }
@@ -752,13 +672,13 @@ impl OocTrainer {
     /// [`OocTrainer::take_records`]). Without this call no clock is read.
     pub fn record_telemetry(&mut self) {
         self.clock = PhaseClock::on();
-        self.block_clock = PhaseClock::on();
+        self.trainer.record_telemetry();
     }
 
     /// The telemetry records so far, in the order they closed (an epoch's
     /// blocks, then the epoch), leaving none behind.
     pub fn take_records(&mut self) -> Vec<TrainRecord> {
-        mem::take(&mut self.records)
+        self.trainer.take_records()
     }
 
     /// Partition plan: `(row_start, n_rows)` per partition.
@@ -789,65 +709,42 @@ impl OocTrainer {
     /// drained, with the first failed write if there was one. A kill loses
     /// at most the blocks since the last commit plus the commit in flight,
     /// which resume replays bit for bit.
-    pub fn train<S: TripleSource + ?Sized>(&mut self, source: &S) -> Result<OocReport, OocError> {
-        if source.n_entities() as u64 != self.n_entities
-            || source.n_relations() as u64 != self.n_relations
-        {
+    pub fn train<S: TripleSource + ?Sized>(&mut self, source: &S) -> Result<TrainReport, OocError> {
+        let n_relations = self.model.n_relations as u32;
+        if source.n_entities() as u64 != self.n_entities || source.n_relations() != n_relations {
             return Err(OocError::State(format!(
                 "source id spaces ({} entities, {} relations) do not match the trained state ({}, {})",
                 source.n_entities(),
                 source.n_relations(),
                 self.n_entities,
-                self.n_relations
+                n_relations
             )));
         }
-        let start = Instant::now();
-        let total = self.cfg.train.epochs;
-        let mut epochs = Vec::new();
-        let mut halted = None;
-        let mut best_loss = f32::INFINITY;
-        let mut blocks_run = 0usize;
-        // A mid-epoch resume reports partial stats for its first epoch —
-        // they cover only the remaining blocks, so the divergence guard
-        // (which compares full-epoch means) skips that epoch.
-        let mut partial_epoch = self.blocks_done > 0;
+        // `cfg.train` may have changed since the last call (`set_epochs`).
+        self.trainer.cfg.clone_from(&self.cfg.train);
+        let epochs = self.epochs_done..self.cfg.train.epochs;
+        let partial = self.blocks_done > 0;
+        let mut blocks = 0;
         let io = Arc::clone(&self.io);
         let trained = with_writer(&*io, self.clock.is_on(), |writer| {
-            while self.epochs_done < total && halted.is_none() {
-                let epoch = self.epochs_done;
-                self.clock.reopen();
-                let stats = self.train_epoch(source, writer, epoch as u64, &mut blocks_run)?;
-                if !mem::take(&mut partial_epoch) {
-                    let reason = diverged(stats.mean_loss, best_loss);
-                    halted = reason.map(|why| format!("epoch {}: {why}", epoch + 1));
-                    best_loss = best_loss.min(stats.mean_loss.max(1e-3));
-                }
-                // A halt commits nothing: the last commit stays the recovery
-                // point. Else the last block commits with the epoch close,
-                // and lands before the record closes.
-                if halted.is_none() {
-                    self.epochs_done = epoch + 1;
-                    self.blocks_done = 0;
-                    let (waited, bytes) = self.swap_out(writer, None)?;
-                    let landed = writer.wait()?;
-                    self.clock.lap(Phase::Commit);
-                    self.clock.wrote(waited + landed, bytes);
-                }
-                self.records.extend(self.clock.close(epoch, None, &stats));
-                epochs.push(stats);
-            }
-            Ok(())
+            drive(
+                &mut (&mut *self, writer),
+                epochs,
+                partial,
+                |(me, writer), epoch| me.train_epoch(source, writer, epoch as u64, &mut blocks),
+                |(me, writer), epoch, stats, kept| me.close_epoch(writer, epoch, stats, kept),
+            )
         });
         // Nothing stays paged in between calls: the next reads what the
         // last commit named.
         self.paged = Paged::default();
-        trained?;
-        Ok(OocReport {
-            epochs,
+        self.model.ent = Vec::new();
+        self.trainer.m_ent = Vec::new();
+        self.trainer.v_ent = Vec::new();
+        Ok(TrainReport {
             n_partitions: self.parts.len(),
-            blocks: blocks_run,
-            wall_secs: start.elapsed().as_secs_f64(),
-            halted,
+            blocks,
+            ..trained?
         })
     }
 
@@ -856,6 +753,8 @@ impl OocTrainer {
         self.parts.partition_point(|&(start, len)| start + len <= g)
     }
 
+    /// One epoch's blocks, from the persisted block cursor, each closing
+    /// its own telemetry record into the epoch's.
     fn train_epoch<S: TripleSource + ?Sized>(
         &mut self,
         source: &S,
@@ -863,12 +762,10 @@ impl OocTrainer {
         epoch: u64,
         blocks_run: &mut usize,
     ) -> Result<EpochStats, OocError> {
-        // Identical shuffle to the resident trainer; the bucket grouping
-        // below is a *stable* partition of this order.
-        let mut order: Vec<u32> = (0..source.len() as u32).collect();
-        let mut rng = SmallRng::seed_from_u64(self.cfg.train.seed ^ (epoch << 32) ^ 0x5EED);
-        order.shuffle(&mut rng);
-
+        self.clock.reopen();
+        // The resident shuffle; the bucket grouping below is a *stable*
+        // partition of this order.
+        let order = self.trainer.epoch_order(source.len(), epoch);
         let p = self.parts.len();
         let groups: Vec<(usize, usize, Vec<u32>)> = if p == 1 {
             vec![(0, 0, order)]
@@ -890,9 +787,7 @@ impl OocTrainer {
         self.clock.lap(Phase::Grads);
 
         let batch_size = self.cfg.train.batch_size.max(1);
-        let mut total_loss = 0.0f64;
-        let mut total_violations = 0usize;
-        let mut total_pairs = 0usize;
+        let mut totals = Totals::default();
         let mut batch_idx = 0u64;
         for (block_idx, (pi, pj, idxs)) in groups.iter().enumerate() {
             let n_batches = idxs.len().div_ceil(batch_size) as u64;
@@ -902,124 +797,61 @@ impl OocTrainer {
                 batch_idx += n_batches;
                 continue;
             }
-            self.block_clock.reopen();
+            self.trainer.clock.reopen();
             self.gen += 1;
-            let (loss, violations, pairs) =
-                self.train_block(source, writer, *pi, *pj, idxs, epoch, batch_idx)?;
+            self.page_in(writer, *pi, *pj)?;
+            self.trainer.clock.lap(Phase::PageIn);
+            let (first, rows) = self.parts[*pi];
+            let second = if pi == pj {
+                (first + rows, 0)
+            } else {
+                self.parts[*pj]
+            };
+            let view = BlockView {
+                source,
+                segs: [(first, rows), second],
+            };
+            let block = (self.trainer).train_block(&mut self.model, &view, idxs, epoch, batch_idx);
             batch_idx += n_batches;
-            total_loss += loss;
-            total_violations += violations;
-            total_pairs += pairs;
+            totals += block;
             *blocks_run += 1;
             self.blocks_done = block_idx + 1;
             if let Some((ni, nj, _)) = groups.get(block_idx + 1) {
                 let (waited, bytes) = self.swap_out(writer, Some([*ni, *nj]))?;
-                self.block_clock.wrote(waited, bytes);
+                self.trainer.clock.wrote(waited, bytes);
             }
-            self.block_clock.lap(Phase::Commit);
-            let stats = EpochStats::from_totals(loss, violations, pairs);
-            if let Some(rec) = self
-                .block_clock
-                .close(epoch as usize, Some(block_idx), &stats)
-            {
+            self.trainer.clock.lap(Phase::Commit);
+            let stats = block.into();
+            if let Some(rec) = (self.trainer.clock).close(epoch as usize, Some(block_idx), &stats) {
                 self.clock.absorb(&rec);
-                self.records.push(rec);
+                self.trainer.records.push(rec);
             }
         }
-        Ok(EpochStats::from_totals(
-            total_loss,
-            total_violations,
-            total_pairs,
-        ))
+        Ok(totals.into())
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn train_block<S: TripleSource + ?Sized>(
+    /// Close epoch `epoch`: advance the cursor and commit its last block,
+    /// landed before the record closes, unless the guard halted it. A halt
+    /// commits nothing: the last commit (at `P > 1` maybe one inside the
+    /// halted epoch) stays the recovery point.
+    fn close_epoch(
         &mut self,
-        source: &S,
-        writer: &Writer,
-        pi: usize,
-        pj: usize,
-        idxs: &[u32],
-        epoch: u64,
-        batch_start: u64,
-    ) -> Result<(f64, usize, usize), OocError> {
-        let (si, li) = self.parts[pi];
-        let second = if pi == pj {
-            (si + li, 0)
-        } else {
-            self.parts[pj]
-        };
-        let space = BlockSpace {
-            segs: [(si, li), second],
-        };
-        self.page_in(writer, pi, pj)?;
-        self.block_clock.lap(Phase::PageIn);
-
-        let block_entities = space.n_local() as usize;
-        let mut model = PkgmModel {
-            cfg: self.cfg.model.clone(),
-            n_entities: block_entities,
-            n_relations: self.n_relations as usize,
-            ent: mem::take(&mut self.paged.ent),
-            rel: mem::take(&mut self.rel),
-            mats: mem::take(&mut self.mats),
-        };
-        let mut bt = Trainer::without_state(self.cfg.train.clone());
-        bt.m_ent = mem::take(&mut self.paged.m);
-        bt.v_ent = mem::take(&mut self.paged.v);
-        bt.m_rel = mem::take(&mut self.m_rel);
-        bt.v_rel = mem::take(&mut self.v_rel);
-        bt.m_mat = mem::take(&mut self.m_mat);
-        bt.v_mat = mem::take(&mut self.v_mat);
-        bt.t = self.t;
-        bt.scratches = mem::take(&mut self.scratches);
-        bt.clock = mem::take(&mut self.block_clock);
-
-        let triples: Vec<Triple> = idxs
-            .iter()
-            .map(|&i| space.localize(source.triple(i as usize)))
-            .collect();
-        let sampler = OocSampler::new(block_entities as u32, self.n_relations as u32);
-        let sample = |chunk: &[Triple], negatives, rng: &mut SmallRng, pairs: &mut Vec<_>| {
-            pairs.clear();
-            for &pos in chunk {
-                for _ in 0..negatives {
-                    let (neg, slot) = sampler.corrupt(pos, source, &space, rng);
-                    pairs.push(CorruptedPair { pos, neg, slot });
-                }
-            }
-        };
-
-        bt.clock.lap(Phase::Grads);
-
-        // The resident minibatch loop, on block-local ids: same per-batch
-        // seeds, chunk layout, kernels and Adam step.
-        let batch_size = bt.cfg.batch_size.max(1);
-        let mut loss = 0.0f64;
-        let mut violations = 0usize;
-        let mut pairs = 0usize;
-        for (k, batch) in triples.chunks(batch_size).enumerate() {
-            let batch_idx = batch_start + k as u64;
-            let (l, v, p) = bt.batch_step(&mut model, batch, epoch, batch_idx, &sample);
-            loss += l;
-            violations += v;
-            pairs += p;
+        writer: &mut Writer,
+        epoch: usize,
+        stats: &EpochStats,
+        kept: bool,
+    ) -> Result<(), OocError> {
+        if kept {
+            self.epochs_done = epoch + 1;
+            self.blocks_done = 0;
+            let (waited, bytes) = self.swap_out(writer, None)?;
+            let landed = writer.wait()?;
+            self.clock.lap(Phase::Commit);
+            self.clock.wrote(waited + landed, bytes);
         }
-
-        self.t = bt.t;
-        self.scratches = mem::take(&mut bt.scratches);
-        self.block_clock = mem::take(&mut bt.clock);
-        self.m_rel = mem::take(&mut bt.m_rel);
-        self.v_rel = mem::take(&mut bt.v_rel);
-        self.m_mat = mem::take(&mut bt.m_mat);
-        self.v_mat = mem::take(&mut bt.v_mat);
-        self.rel = mem::take(&mut model.rel);
-        self.mats = mem::take(&mut model.mats);
-        self.paged.ent = mem::take(&mut model.ent);
-        self.paged.m = mem::take(&mut bt.m_ent);
-        self.paged.v = mem::take(&mut bt.v_ent);
-        Ok((loss, violations, pairs))
+        let closed = self.clock.close(epoch, None, stats);
+        self.trainer.records.extend(closed);
+        Ok(())
     }
 
     /// Lay block `(pi, pj)`'s partitions out in memory, `pi`'s rows first:
@@ -1028,35 +860,41 @@ impl OocTrainer {
     /// paged out or committed when that block ended.
     fn page_in(&mut self, writer: &Writer, pi: usize, pj: usize) -> Result<(), OocError> {
         let want = if pi == pj { vec![pi] } else { vec![pi, pj] };
-        let mut paged = mem::take(&mut self.paged);
-        let old = mem::replace(&mut paged.parts, want.clone());
+        let old = mem::replace(&mut self.paged.parts, want.clone());
         let kept: Vec<usize> = want.iter().copied().filter(|k| old.contains(k)).collect();
-        paged.anchor = (paged.anchor.filter(|a| kept.contains(a)))
+        self.paged.anchor = (self.paged.anchor.filter(|a| kept.contains(a)))
             .or(kept.first().copied())
             .or(Some(pi));
+        // Two kept partitions swap places; one kept moves to its new rows.
+        let (swap, moved) = match kept[..] {
+            [first, _] if first != old[0] => (Some(self.rows_of(&old, first).start), None),
+            [k] => (None, Some((self.rows_of(&old, k), self.rows_of(&want, k)))),
+            _ => (None, None),
+        };
         let total = self.rows_of(&want, pj).end;
-        for buf in [&mut paged.ent, &mut paged.m, &mut paged.v] {
-            match kept[..] {
-                [first, _] if first != old[0] => buf.rotate_left(self.rows_of(&old, first).start),
-                [k] => {
-                    let (from, to) = (self.rows_of(&old, k), self.rows_of(&want, k));
-                    buf.resize(buf.len().max(to.end), 0.0);
-                    buf.copy_within(from, to.start);
-                }
-                _ => {}
+        let fresh: Vec<_> = (want.iter().filter(|k| !kept.contains(k)))
+            .map(|&k| (k, self.rows_of(&want, k), self.live_file(k)))
+            .collect();
+        let (model, trainer) = (&mut self.model, &mut self.trainer);
+        for buf in [&mut model.ent, &mut trainer.m_ent, &mut trainer.v_ent] {
+            if let Some(mid) = swap {
+                buf.rotate_left(mid);
+            }
+            if let Some((from, to)) = moved.clone() {
+                buf.resize(buf.len().max(to.end), 0.0);
+                buf.copy_within(from, to.start);
             }
             buf.resize(total, 0.0);
         }
-        for &k in want.iter().filter(|k| !kept.contains(k)) {
-            let at = self.rows_of(&want, k);
-            self.load_partition_into(
-                k,
+        model.n_entities = total / model.cfg.dim;
+        for (k, at, file) in fresh {
+            file.load_into(
+                &*self.io,
                 writer.in_flight_frame(k),
-                &mut paged.ent[at.clone()],
-                Some((&mut paged.m[at.clone()], &mut paged.v[at])),
+                &mut model.ent[at.clone()],
+                Some((&mut trainer.m_ent[at.clone()], &mut trainer.v_ent[at])),
             )?;
         }
-        self.paged = paged;
         Ok(())
     }
 
@@ -1112,8 +950,9 @@ impl OocTrainer {
         assert!(old < self.gen, "a page-out never rewrites a live file");
         self.superseded.push(self.partition_path(k, old));
         let at = self.rows_of(&self.paged.parts, k);
-        let p = &self.paged;
-        self.frame_partition(writer, k, &p.ent[at.clone()], &p.m[at.clone()], &p.v[at]);
+        let tr = &self.trainer;
+        let [ent, m, v] = [&self.model.ent, &tr.m_ent, &tr.v_ent].map(|b| &b[at.clone()]);
+        self.frame_partition(writer, k, ent, m, v);
     }
 
     /// Load every partition and assemble the full resident model — for
@@ -1123,15 +962,13 @@ impl OocTrainer {
         let mut ent = vec![0.0f32; self.n_entities as usize * d];
         for (k, &(start, len)) in self.parts.iter().enumerate() {
             let rows = start as usize * d..(start + len) as usize * d;
-            self.load_partition_into(k, None, &mut ent[rows], None)?;
+            self.live_file(k)
+                .load_into(&*self.io, None, &mut ent[rows], None)?;
         }
         Ok(PkgmModel {
-            cfg: self.cfg.model.clone(),
             n_entities: self.n_entities as usize,
-            n_relations: self.n_relations as usize,
             ent,
-            rel: self.rel.clone(),
-            mats: self.mats.clone(),
+            ..self.model.clone()
         })
     }
 
@@ -1155,12 +992,8 @@ impl OocTrainer {
         let n_shards = self.parts.len() as u32;
         let mut out_paths = Vec::with_capacity(self.parts.len());
         let mut block = PkgmModel {
-            cfg: self.cfg.model.clone(),
-            n_entities: 0,
-            n_relations: self.n_relations as usize,
             ent: Vec::new(),
-            rel: self.rel.clone(),
-            mats: self.mats.clone(),
+            ..self.model.clone()
         };
         let mats_t = block.transposed_mats();
         // One partition's condensed rows: with its entity rows, the whole
@@ -1168,7 +1001,8 @@ impl OocTrainer {
         let mut rows: Vec<f32> = Vec::new();
         for (k, &(start, len)) in self.parts.iter().enumerate() {
             block.ent.resize(len as usize * d, 0.0);
-            self.load_partition_into(k, None, &mut block.ent, None)?;
+            self.live_file(k)
+                .load_into(&*self.io, None, &mut block.ent, None)?;
             block.n_entities = len as usize;
             rows.clear();
             rows.resize(len as usize * 2 * d, 0.0);
@@ -1196,15 +1030,22 @@ impl OocTrainer {
             .join(format!("ooc-part-{k:05}of{n:05}.g{gen:05}.pkgm"))
     }
 
+    /// Partition `k`'s live file.
+    fn live_file(&self, k: usize) -> PartFile {
+        let (start, len) = self.parts[k];
+        PartFile {
+            path: self.partition_path(k, self.live[k]),
+            stamps: [self.live[k], start, len, self.cfg.model.dim as u64],
+        }
+    }
+
     /// Frame partition `k` as its live generation's file into the writer's
     /// next set.
     fn frame_partition(&self, writer: &mut Writer, k: usize, ent: &[f32], m: &[f32], v: &[f32]) {
-        let (start, len) = self.parts[k];
-        let gen = self.live[k];
-        let dim = self.cfg.model.dim as u64;
+        let PartFile { path, stamps } = self.live_file(k);
         let payload_len = 32 + (ent.len() + m.len() + v.len()) * 4;
-        writer.frame(self.partition_path(k, gen), Some(k), payload_len, |buf| {
-            for stamp in [gen, start, len, dim] {
+        writer.frame(path, Some(k), payload_len, |buf| {
+            for stamp in stamps {
                 buf.extend_from_slice(&stamp.to_le_bytes());
             }
             le::extend(buf, ent);
@@ -1213,85 +1054,11 @@ impl OocTrainer {
         });
     }
 
-    /// Verify partition `k`'s live file — or `frame` when its newest frame
-    /// is in flight — and decode its entity rows into `ent` and its Adam
-    /// moments into `moments` when given (evaluation and snapshot emission
-    /// need only the rows).
-    fn load_partition_into(
-        &self,
-        k: usize,
-        frame: Option<&[u8]>,
-        ent: &mut [f32],
-        moments: Option<(&mut [f32], &mut [f32])>,
-    ) -> Result<(), OocError> {
-        let path = self.partition_path(k, self.live[k]);
-        let read;
-        let bytes = match frame {
-            Some(frame) => frame,
-            None => {
-                read = self.io.read(&path)?;
-                &read
-            }
-        };
-        let mut r = self.open_partition(k, &path, bytes)?;
-        assert_eq!(
-            ent.len(),
-            self.parts[k].1 as usize * self.cfg.model.dim,
-            "destination must hold exactly the partition's rows"
-        );
-        r.f32s_into(ent)?;
-        match moments {
-            Some((m, v)) => {
-                r.f32s_into(m)?;
-                r.f32s_into(v)?;
-            }
-            None => {
-                r.take(ent.len().saturating_mul(8))?;
-            }
-        }
-        r.done()
-    }
-
-    /// Check `bytes`, partition `k`'s file at `path`: the frame, the plan
-    /// stamps and the generation, which must be exactly the live table's.
-    /// Returns a reader at its rows. The checksum covers the whole frame,
-    /// and is verified before a single value is decoded.
-    fn open_partition<'a>(
-        &self,
-        k: usize,
-        path: &'a Path,
-        bytes: &'a [u8],
-    ) -> Result<Reader<'a>, OocError> {
-        let payload = artifact::decode(path, ArtifactKind::Checkpoint, bytes)?;
-        let mut r = Reader::new(payload, path);
-        let gen = r.u64()?;
-        let start = r.u64()?;
-        let len = r.u64()?;
-        let dim = r.u64()?;
-        let (want_start, want_len) = self.parts[k];
-        if (start, len, dim as usize) != (want_start, want_len, self.cfg.model.dim) {
-            return Err(OocError::State(format!(
-                "{}: partition covers rows {start}+{len} dim {dim}, plan expects {want_start}+{want_len} dim {}",
-                path.display(),
-                self.cfg.model.dim
-            )));
-        }
-        if gen != self.live[k] {
-            return Err(OocError::State(format!(
-                "{}: partition generation {gen}, but the live table names generation {} — \
-                 the file was replaced by a stale copy",
-                path.display(),
-                self.live[k]
-            )));
-        }
-        Ok(r)
-    }
-
     fn frame_manifest(&self, writer: &mut Writer) -> Result<(), OocError> {
         let manifest = Manifest {
             version: MANIFEST_VERSION,
             n_entities: self.n_entities,
-            n_relations: self.n_relations,
+            n_relations: self.model.n_relations as u64,
             model: self.cfg.model.clone(),
             train: self.cfg.train.clone(),
             mem_budget: self.cfg.mem_budget as u64,
@@ -1307,17 +1074,18 @@ impl OocTrainer {
     /// Frame the resident state, the cursor and the live table into the
     /// writer's next set.
     fn frame_resident(&self, writer: &mut Writer) {
+        let tr = &self.trainer;
         let tables = [
-            &self.rel,
-            &self.mats,
-            &self.m_rel,
-            &self.v_rel,
-            &self.m_mat,
-            &self.v_mat,
+            &self.model.rel,
+            &self.model.mats,
+            &tr.m_rel,
+            &tr.v_rel,
+            &tr.m_mat,
+            &tr.v_mat,
         ];
         let cursor = [
             self.gen,
-            self.t,
+            tr.t,
             self.epochs_done as u64,
             self.blocks_done as u64,
         ];
@@ -1344,6 +1112,72 @@ fn resident_path(dir: &Path, gen: u64) -> PathBuf {
 fn resident_gen(path: &Path) -> Option<u64> {
     let name = path.file_name()?.to_str()?.strip_prefix("ooc-resident.g")?;
     name.strip_suffix(".pkgm")?.parse().ok()
+}
+
+impl PartFile {
+    /// Check `bytes`, this file's: the frame, the plan stamps and the
+    /// generation, which must be exactly the live table's. Returns a reader
+    /// at its rows. The checksum covers the whole frame, and is verified
+    /// before a single value is decoded.
+    fn open<'a>(&'a self, bytes: &'a [u8]) -> Result<Reader<'a>, OocError> {
+        let path = &self.path;
+        let payload = artifact::decode(path, ArtifactKind::Checkpoint, bytes)?;
+        let mut r = Reader::new(payload, path);
+        let [gen, start, len, dim] = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
+        let [live, want_start, want_len, want_dim] = self.stamps;
+        if (start, len, dim) != (want_start, want_len, want_dim) {
+            return Err(OocError::State(format!(
+                "{}: partition covers rows {start}+{len} dim {dim}, plan expects {want_start}+{want_len} dim {want_dim}",
+                path.display(),
+            )));
+        }
+        if gen != live {
+            return Err(OocError::State(format!(
+                "{}: partition generation {gen}, but the live table names generation {live} — \
+                 the file was replaced by a stale copy",
+                path.display(),
+            )));
+        }
+        Ok(r)
+    }
+
+    /// Verify this file through `io` — or `frame` when its newest frame is
+    /// in flight — and decode its entity rows into `ent` and its Adam
+    /// moments into `moments` when given (evaluation and snapshot emission
+    /// need only the rows).
+    fn load_into(
+        &self,
+        io: &dyn ArtifactIo,
+        frame: Option<&[u8]>,
+        ent: &mut [f32],
+        moments: Option<(&mut [f32], &mut [f32])>,
+    ) -> Result<(), OocError> {
+        let read;
+        let bytes = match frame {
+            Some(frame) => frame,
+            None => {
+                read = io.read(&self.path)?;
+                &read
+            }
+        };
+        let mut r = self.open(bytes)?;
+        assert_eq!(
+            ent.len() as u64,
+            self.stamps[2] * self.stamps[3],
+            "destination must hold exactly the partition's rows"
+        );
+        r.f32s_into(ent)?;
+        match moments {
+            Some((m, v)) => {
+                r.f32s_into(m)?;
+                r.f32s_into(v)?;
+            }
+            None => {
+                r.take(ent.len().saturating_mul(8))?;
+            }
+        }
+        r.done()
+    }
 }
 
 /// A sealed checkpoint frame and the file it replaces.
@@ -1666,40 +1500,65 @@ mod tests {
     #[test]
     fn single_block_training_is_bit_identical_to_resident() {
         let s = store(40, 4);
-        let model_cfg = PkgmConfig::new(8).with_seed(7);
-        let tcfg = train_cfg();
+        let base = train_cfg();
+        let cases = [
+            ("two negatives", PkgmConfig::new(8), base.clone()),
+            (
+                "one negative",
+                PkgmConfig::new(8),
+                TrainConfig {
+                    negatives: 1,
+                    ..base.clone()
+                },
+            ),
+            ("TransE", PkgmConfig::transe(8), base.clone()),
+            (
+                "adaptive parallel chunks",
+                PkgmConfig::new(8),
+                TrainConfig {
+                    chunk_size: None,
+                    parallel: true,
+                    ..base.clone()
+                },
+            ),
+        ];
+        for (what, model_cfg, tcfg) in cases {
+            let model_cfg = model_cfg.with_seed(7);
+            let mut resident = PkgmModel::new(
+                TripleSource::n_entities(&s) as usize,
+                TripleSource::n_relations(&s) as usize,
+                model_cfg.clone(),
+            );
+            let mut rt = Trainer::new(&resident, tcfg.clone());
+            let r_report = rt.train(&mut resident, &s);
 
-        let mut resident = PkgmModel::new(
-            TripleSource::n_entities(&s) as usize,
-            TripleSource::n_relations(&s) as usize,
-            model_cfg.clone(),
-        );
-        let mut rt = Trainer::new(&resident, tcfg.clone());
-        let r_report = rt.train(&mut resident, &s);
-
-        let dir = tmp_dir("p1");
-        let mut ooc = OocTrainer::new(
-            &s,
-            OocConfig {
+            let dir = tmp_dir("p1");
+            let cfg = OocConfig {
                 model: model_cfg,
-                train: tcfg,
+                train: tcfg.clone(),
                 mem_budget: usize::MAX,
                 dir: dir.clone(),
-            },
-        )
-        .unwrap();
-        assert_eq!(ooc.n_partitions(), 1);
-        let o_report = ooc.train(&s).unwrap();
-        let assembled = ooc.assemble_model().unwrap();
+            };
+            let mut ooc = OocTrainer::new(&s, cfg).unwrap();
+            assert_eq!(ooc.n_partitions(), 1);
+            let o_report = ooc.train(&s).unwrap();
+            let assembled = ooc.assemble_model().unwrap();
+            let _ = std::fs::remove_dir_all(&dir);
 
-        assert_eq!(bits(&assembled.ent), bits(&resident.ent));
-        assert_eq!(bits(&assembled.rel), bits(&resident.rel));
-        assert_eq!(bits(&assembled.mats), bits(&resident.mats));
-        for (a, b) in r_report.epochs.iter().zip(&o_report.epochs) {
-            assert_eq!(a.mean_loss.to_bits(), b.mean_loss.to_bits());
-            assert_eq!(a.pairs, b.pairs);
+            assert_same_model(&assembled, &resident, what);
+            let stats = |r: &TrainReport| -> Vec<(u32, u32, usize)> {
+                let bits = |e: &EpochStats| (e.mean_loss.to_bits(), e.violation_rate.to_bits());
+                r.epochs
+                    .iter()
+                    .map(|e| (bits(e).0, bits(e).1, e.pairs))
+                    .collect()
+            };
+            assert_eq!(r_report.epochs.len(), tcfg.epochs, "{what}");
+            assert_eq!(stats(&r_report), stats(&o_report), "{what}");
+            let shape = |r: &TrainReport| (r.n_partitions, r.blocks);
+            assert_eq!(shape(&r_report), (1, tcfg.epochs), "{what}");
+            assert_eq!(shape(&o_report), shape(&r_report), "{what}");
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -23,6 +23,17 @@
 //! 1 negative per edge, 2 epochs. Each chunk's gradient rows stay in that
 //! chunk's scratch until the Adam step, which sums them where they lie.
 //!
+//! ## One loop for both trainers
+//!
+//! An epoch shuffles the triple indices, then trains them as minibatches
+//! through `Trainer::train_block`: the resident trainer's epoch is one
+//! block over the whole store, and the out-of-core trainer
+//! ([`crate::ooc`]) makes the same call, through the one `Trainer` it
+//! holds for its run, for each block of its schedule, on the block's
+//! two-partition view. Both run their epochs through one epoch loop,
+//! `drive`, which holds the NaN / divergence guard and builds the one
+//! [`TrainReport`].
+//!
 //! ## Determinism & chunk-layout contract
 //!
 //! Training is a pure function of `(model seed, TrainConfig, store)`: every
@@ -30,8 +41,7 @@
 //! per-chunk gradients merge in ascending chunk order whether or not
 //! `cfg.parallel` is set — so serial and parallel runs of the same chunk
 //! layout produce **bit-identical** models, and an out-of-core resume
-//! ([`crate::ooc`]) replays the exact stream it would have seen
-//! uninterrupted.
+//! replays the exact stream it would have seen uninterrupted.
 //!
 //! The chunk layout is part of that contract. `cfg.chunk_size = Some(n)`
 //! pins it explicitly; `None` adapts to `batch_len / rayon threads`
@@ -41,8 +51,9 @@
 
 use crate::kernels::{accumulate_chunk, SlotBlock, TrainScratch, MIN_CHUNK_SIZE};
 use crate::model::{normalize_row, PkgmModel};
-use crate::negative::{CorruptedPair, NegativeSampler};
+use crate::negative::NegativeSampler;
 use crate::obs::{Phase, PhaseClock, TrainRecord};
+use crate::ooc::TripleSource;
 use crate::simd::{self, LevelBody, RowDot, SimdDispatch};
 use pkgm_store::TripleStore;
 use rand::rngs::SmallRng;
@@ -120,35 +131,51 @@ pub struct EpochStats {
     pub pairs: usize,
 }
 
-impl EpochStats {
-    /// Stats of `pairs` pairs with summed hinge loss `loss`, `violations`
-    /// of them violating the margin.
-    pub(crate) fn from_totals(loss: f64, violations: usize, pairs: usize) -> Self {
-        if pairs == 0 {
-            return EpochStats {
-                mean_loss: 0.0,
-                violation_rate: 0.0,
-                pairs,
-            };
-        }
+/// Summed hinge loss, margin violations and pairs, folded in order: chunks
+/// into a batch, batches into a block, blocks into an epoch.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Totals {
+    loss: f64,
+    violations: usize,
+    pairs: usize,
+}
+
+impl std::ops::AddAssign for Totals {
+    fn add_assign(&mut self, o: Self) {
+        self.loss += o.loss;
+        self.violations += o.violations;
+        self.pairs += o.pairs;
+    }
+}
+
+impl From<Totals> for EpochStats {
+    /// The means per pair; zeros when there are no pairs (nor loss).
+    fn from(t: Totals) -> Self {
+        let n = t.pairs.max(1);
         EpochStats {
-            mean_loss: (loss / pairs as f64) as f32,
-            violation_rate: violations as f32 / pairs as f32,
-            pairs,
+            mean_loss: (t.loss / n as f64) as f32,
+            violation_rate: t.violations as f32 / n as f32,
+            pairs: t.pairs,
         }
     }
 }
 
-/// Full training report.
+/// Full training report, of either trainer.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TrainReport {
-    /// Stats per epoch, in order (only the epochs run in this call).
+    /// Stats per epoch, in order (only the epochs run in this call; an
+    /// out-of-core resume mid-epoch reports a partial first entry covering
+    /// only the blocks it ran).
     pub epochs: Vec<EpochStats>,
+    /// Entity-range partitions in the plan: 1 for the resident trainer.
+    pub n_partitions: usize,
+    /// Blocks run by this call: one per epoch for the resident trainer.
+    pub blocks: usize,
     /// Total wall-clock seconds.
     pub wall_secs: f64,
     /// `Some(reason)` if the NaN / loss-divergence guard stopped training
     /// early. The model holds the last epoch's (possibly bad) parameters;
-    /// [`Trainer::epochs_done`] stays before that epoch.
+    /// the epoch cursor stays before that epoch.
     pub halted: Option<String>,
 }
 
@@ -156,9 +183,10 @@ pub struct TrainReport {
 pub struct Trainer {
     /// Training hyper-parameters.
     pub cfg: TrainConfig,
-    // Moment vectors, step counter and epoch cursor are crate-visible so
-    // the out-of-core block trainer ([`crate::ooc`]) can run a shard-pair
-    // block through the exact same Adam state it would have used resident.
+    // Moment vectors, step counter, scratches, telemetry and records are
+    // crate-visible: the out-of-core trainer ([`crate::ooc`]) holds one
+    // `Trainer` for its run, pages the entity moments of each block in and
+    // out of `m_ent` / `v_ent`, and commits the rest.
     pub(crate) m_ent: Vec<f32>,
     pub(crate) v_ent: Vec<f32>,
     pub(crate) m_rel: Vec<f32>,
@@ -170,9 +198,10 @@ pub struct Trainer {
     /// One scratch per chunk of a batch, reused across batches: each holds
     /// its chunk's gradient rows until the Adam step has read them.
     pub(crate) scratches: Vec<TrainScratch>,
-    /// The open telemetry record (off unless [`Trainer::record_telemetry`]).
+    /// The open telemetry record (off unless [`Trainer::record_telemetry`]):
+    /// an epoch's, or an out-of-core block's.
     pub(crate) clock: PhaseClock,
-    records: Vec<TrainRecord>,
+    pub(crate) records: Vec<TrainRecord>,
     /// The level the gradient pass and the Adam step are compiled for.
     simd: &'static SimdDispatch,
 }
@@ -190,29 +219,13 @@ impl Trainer {
     /// Allocate optimizer state sized to `model`.
     pub fn new(model: &PkgmModel, cfg: TrainConfig) -> Self {
         Self {
+            cfg,
             m_ent: vec![0.0; model.ent.len()],
             v_ent: vec![0.0; model.ent.len()],
             m_rel: vec![0.0; model.rel.len()],
             v_rel: vec![0.0; model.rel.len()],
             m_mat: vec![0.0; model.mats.len()],
             v_mat: vec![0.0; model.mats.len()],
-            ..Self::without_state(cfg)
-        }
-    }
-
-    /// A trainer with no optimizer state allocated: the out-of-core block
-    /// trainer ([`crate::ooc`]) moves a block's paged-in moments and step
-    /// counter into the crate-visible fields instead of zero-filling
-    /// buffers it would overwrite.
-    pub(crate) fn without_state(cfg: TrainConfig) -> Self {
-        Self {
-            cfg,
-            m_ent: Vec::new(),
-            v_ent: Vec::new(),
-            m_rel: Vec::new(),
-            v_rel: Vec::new(),
-            m_mat: Vec::new(),
-            v_mat: Vec::new(),
             t: 0,
             epochs_done: 0,
             scratches: Vec::new(),
@@ -230,9 +243,9 @@ impl Trainer {
         self
     }
 
-    /// Record one [`TrainRecord`] per epoch that [`Trainer::train`] runs
-    /// from now on (read them with [`Trainer::take_records`]). Without this
-    /// call no clock is read.
+    /// Record one [`TrainRecord`] per epoch that [`Trainer::train_epoch`]
+    /// runs from now on (read them with [`Trainer::take_records`]). Without
+    /// this call no clock is read.
     pub fn record_telemetry(&mut self) {
         self.clock = PhaseClock::on();
     }
@@ -258,81 +271,80 @@ impl Trainer {
     /// / divergence guard trips. The trainer keeps nothing on disk: train
     /// through [`crate::OocTrainer`] to survive a kill.
     pub fn train(&mut self, model: &mut PkgmModel, store: &TripleStore) -> TrainReport {
-        let start = std::time::Instant::now();
-        let total = self.cfg.epochs;
-        let mut epochs = Vec::with_capacity(total.saturating_sub(self.epochs_done));
-        let mut halted = None;
-        let mut best_loss = f32::INFINITY;
-        while self.epochs_done < total && halted.is_none() {
-            let epoch = self.epochs_done;
-            self.clock.reopen();
-            let stats = self.train_epoch(model, store, epoch as u64);
-            // NaN / divergence guard: the epoch cursor stays before the bad
-            // epoch.
-            match diverged(stats.mean_loss, best_loss) {
-                Some(reason) => halted = Some(format!("epoch {}: {reason}", epoch + 1)),
-                None => {
-                    best_loss = best_loss.min(stats.mean_loss.max(1e-3));
-                    self.epochs_done = epoch + 1;
-                }
-            }
-            self.records.extend(self.clock.close(epoch, None, &stats));
-            epochs.push(stats);
-        }
-        TrainReport {
+        let epochs = self.epochs_done..self.cfg.epochs;
+        let Ok(report) = drive::<_, std::convert::Infallible>(
+            self,
             epochs,
-            wall_secs: start.elapsed().as_secs_f64(),
-            halted,
-        }
+            false,
+            |me, epoch| Ok(me.train_epoch(model, store, epoch as u64)),
+            |me, epoch, _, kept| {
+                if kept {
+                    me.epochs_done = epoch + 1;
+                }
+                Ok(())
+            },
+        );
+        report
     }
 
-    /// One pass over the triples, in shuffled minibatches.
+    /// One pass over the triples, in shuffled minibatches: one block over
+    /// the whole store. Closes the epoch's telemetry record, if on.
     pub fn train_epoch(
         &mut self,
         model: &mut PkgmModel,
         store: &TripleStore,
         epoch: u64,
     ) -> EpochStats {
-        let sampler = NegativeSampler::new(store);
-        let mut order: Vec<u32> = (0..store.len() as u32).collect();
-        let mut rng = SmallRng::seed_from_u64(self.cfg.seed ^ (epoch << 32) ^ 0x5EED);
-        order.shuffle(&mut rng);
+        self.clock.reopen();
+        let order = self.epoch_order(store.len(), epoch);
         self.clock.lap(Phase::Grads);
-
-        let mut total_loss = 0.0f64;
-        let mut total_violations = 0usize;
-        let mut total_pairs = 0usize;
-
-        let triples = store.triples();
-        let sample = |chunk: &[u32], negatives, rng: &mut SmallRng, pairs: &mut _| {
-            let positives = chunk.iter().map(|&idx| triples[idx as usize]);
-            sampler.corrupt_batch_into(positives, store, negatives, rng, pairs);
-        };
-        let batch_size = self.cfg.batch_size.max(1);
-        for (batch_idx, batch) in order.chunks(batch_size).enumerate() {
-            let (loss, violations, pairs) =
-                self.batch_step(model, batch, epoch, batch_idx as u64, &sample);
-            total_loss += loss;
-            total_violations += violations;
-            total_pairs += pairs;
-        }
-        EpochStats::from_totals(total_loss, total_violations, total_pairs)
+        let stats = self.train_block(model, store, &order, epoch, 0).into();
+        self.records
+            .extend(self.clock.close(epoch as usize, None, &stats));
+        stats
     }
 
-    /// One minibatch: each chunk of `batch` accumulates into its own
-    /// scratch (across the rayon pool when `cfg.parallel` is set), then one
-    /// Adam step reads every chunk's rows. `sample(chunk, negatives, rng,
-    /// pairs)` corrupts a chunk: the one thing the resident and out-of-core
-    /// trainers do differently. Returns the summed loss, violating pairs
-    /// and pairs, each folded in chunk order from 0.
-    pub(crate) fn batch_step<T: Sync>(
+    /// Epoch `epoch`'s order of the triple indices `0..n`.
+    pub(crate) fn epoch_order(&self, n: usize, epoch: u64) -> Vec<u32> {
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        let mut rng = SmallRng::seed_from_u64(self.cfg.seed ^ (epoch << 32) ^ 0x5EED);
+        order.shuffle(&mut rng);
+        order
+    }
+
+    /// Train `idxs`, indices of `source`'s triples, in that order, as
+    /// minibatches numbered from `first_batch` (the number seeds a batch's
+    /// corruption streams). `model` holds `source`'s entity id space: the
+    /// whole table for the resident trainer, a block's two partitions for
+    /// the out-of-core one.
+    pub(crate) fn train_block<S: TripleSource + ?Sized>(
         &mut self,
         model: &mut PkgmModel,
-        batch: &[T],
+        source: &S,
+        idxs: &[u32],
+        epoch: u64,
+        first_batch: u64,
+    ) -> Totals {
+        let mut totals = Totals::default();
+        let batch_size = self.cfg.batch_size.max(1);
+        for (k, batch) in idxs.chunks(batch_size).enumerate() {
+            totals += self.batch_step(model, source, batch, epoch, first_batch + k as u64);
+        }
+        totals
+    }
+
+    /// One minibatch of `source`'s triple indices: each chunk of `batch`
+    /// corrupts its triples and accumulates into its own scratch (across the
+    /// rayon pool when `cfg.parallel` is set), then one Adam step reads
+    /// every chunk's rows. Returns the totals, folded in chunk order.
+    fn batch_step<S: TripleSource + ?Sized>(
+        &mut self,
+        model: &mut PkgmModel,
+        source: &S,
+        batch: &[u32],
         epoch: u64,
         batch_idx: u64,
-        sample: &(impl Fn(&[T], usize, &mut SmallRng, &mut Vec<CorruptedPair>) + Sync),
-    ) -> (f64, usize, usize) {
+    ) -> Totals {
         let margin = self.cfg.margin;
         let negatives = self.cfg.negatives.max(1);
         let seed = self.cfg.seed ^ (epoch << 40) ^ (batch_idx << 8);
@@ -351,6 +363,7 @@ impl Trainer {
         // Corruptions are drawn in original chunk order *before* the kernel
         // relation-blocks the pairs, so the RNG stream is exactly what the
         // old per-pair loop consumed for the same chunk layout.
+        let sampler = NegativeSampler::new(source);
         let frozen: &PkgmModel = model;
         let table = self.simd;
         let chunk_grads = |(ci, sc): (usize, &mut [TrainScratch])| {
@@ -358,7 +371,8 @@ impl Trainer {
             let chunk = &batch[ci * chunk_size..((ci + 1) * chunk_size).min(batch.len())];
             let mut rng = SmallRng::seed_from_u64(seed ^ ci as u64);
             let mut pairs = std::mem::take(&mut sc.pairs);
-            sample(chunk, negatives, &mut rng, &mut pairs);
+            let positives = chunk.iter().map(|&i| source.triple(i as usize));
+            sampler.corrupt_batch_into(positives, source, negatives, &mut rng, &mut pairs);
             accumulate_chunk(table, frozen, sc, &pairs, margin);
             sc.pairs = pairs;
         };
@@ -373,11 +387,13 @@ impl Trainer {
         }
         self.clock.lap(Phase::Grads);
 
-        let (mut loss, mut violations, mut pairs) = (0.0f64, 0usize, 0usize);
+        let mut totals = Totals::default();
         for sc in &self.scratches[..n_chunks] {
-            loss += sc.loss;
-            violations += sc.violations;
-            pairs += sc.n_pairs;
+            totals += Totals {
+                loss: sc.loss,
+                violations: sc.violations,
+                pairs: sc.n_pairs,
+            };
         }
         let parts = if self.cfg.parallel {
             rayon::current_num_threads()
@@ -386,7 +402,7 @@ impl Trainer {
         };
         self.adam_step(model, n_chunks, parts);
         self.clock.lap(Phase::Adam);
-        (loss, violations, pairs)
+        totals
     }
 
     /// One Adam step from the rows the first `n_chunks` scratches hold, cut
@@ -437,8 +453,48 @@ impl Trainer {
     }
 }
 
+/// The epoch loop of both trainers: train each epoch of `epochs` with
+/// `run`, then hand it to `close`, until the NaN / divergence guard trips.
+/// `close(state, epoch, stats, kept)` sees `kept == false` for the epoch
+/// that halts, and must leave the epoch cursor before it. A resumed partial
+/// epoch (`partial`) covers only the blocks left of it, so the guard, which
+/// compares full-epoch means, skips it. Reports one partition and one
+/// block per epoch; the out-of-core trainer overrides both.
+pub(crate) fn drive<T: ?Sized, E>(
+    state: &mut T,
+    epochs: std::ops::Range<usize>,
+    mut partial: bool,
+    mut run: impl FnMut(&mut T, usize) -> Result<EpochStats, E>,
+    mut close: impl FnMut(&mut T, usize, &EpochStats, bool) -> Result<(), E>,
+) -> Result<TrainReport, E> {
+    let start = std::time::Instant::now();
+    let mut epochs_run = Vec::with_capacity(epochs.len());
+    let mut halted = None;
+    let mut best = f32::INFINITY;
+    for epoch in epochs {
+        let stats = run(state, epoch)?;
+        if !std::mem::take(&mut partial) {
+            let why = diverged(stats.mean_loss, best);
+            halted = why.map(|why| format!("epoch {}: {why}", epoch + 1));
+            best = best.min(stats.mean_loss.max(1e-3));
+        }
+        close(state, epoch, &stats, halted.is_none())?;
+        epochs_run.push(stats);
+        if halted.is_some() {
+            break;
+        }
+    }
+    Ok(TrainReport {
+        n_partitions: 1,
+        blocks: epochs_run.len(),
+        epochs: epochs_run,
+        wall_secs: start.elapsed().as_secs_f64(),
+        halted,
+    })
+}
+
 /// Did this epoch's loss go bad enough to halt?
-pub(crate) fn diverged(mean_loss: f32, best: f32) -> Option<String> {
+fn diverged(mean_loss: f32, best: f32) -> Option<String> {
     if !mean_loss.is_finite() {
         return Some(format!("non-finite mean loss ({mean_loss})"));
     }
@@ -727,6 +783,44 @@ mod tests {
         let halted = report.halted.expect("NaN must halt training");
         assert!(halted.contains("non-finite"), "unexpected reason: {halted}");
         assert!(report.epochs.len() < 30, "guard must stop the run early");
+    }
+
+    #[test]
+    fn train_epoch_closes_the_records_train_writes() {
+        let store = toy_store();
+        let fresh = PkgmModel::new(
+            store.n_entities() as usize,
+            store.n_relations() as usize,
+            PkgmConfig::new(8).with_seed(9),
+        );
+        let cfg = TrainConfig {
+            epochs: 3,
+            ..quick_cfg(9)
+        };
+        let untimed = |r: TrainRecord| {
+            let stats = (r.mean_loss.to_bits(), r.violation_rate.to_bits(), r.pairs);
+            (r.epoch, r.block, r.write_bytes, stats)
+        };
+        let mut model = fresh.clone();
+        let mut trainer = Trainer::new(&model, cfg.clone());
+        trainer.record_telemetry();
+        trainer.train(&mut model, &store);
+        let want: Vec<_> = trainer.take_records().into_iter().map(untimed).collect();
+        assert_eq!(want.len(), 3);
+
+        let mut model = fresh.clone();
+        let mut trainer = Trainer::new(&model, cfg.clone());
+        trainer.record_telemetry();
+        for epoch in 0..3 {
+            trainer.train_epoch(&mut model, &store, epoch);
+        }
+        let got: Vec<_> = trainer.take_records().into_iter().map(untimed).collect();
+        assert_eq!(got, want);
+
+        let mut model = fresh;
+        let mut silent = Trainer::new(&model, cfg);
+        silent.train_epoch(&mut model, &store, 0);
+        assert!(silent.take_records().is_empty() && !silent.clock.is_on());
     }
 
     #[test]
