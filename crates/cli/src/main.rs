@@ -18,13 +18,11 @@
 //! pkgm snapshot   --synthetic 10000000 --dim 16 --seed 42 \
 //!                 --shards 8 --out big.snap         # streamed, O(1) memory
 //! pkgm eval      --preset small --seed 42 --service svc.bin --max-facts 300
-//! pkgm faultcheck [--dir scratch] [--seed 42]
-//! pkgm netcheck   [--seed 42]                             # network chaos battery
 //! pkgm daemon serve  --snapshot s.snap [--addr 127.0.0.1:7071]   # serves the file alone
 //!                    [--max-conns 1024] [--stall-timeout-ms 2000]
 //! pkgm daemon serve  --service svc.bin …   # builds the snapshot once, drops the model
 //! pkgm daemon reload --addr HOST:PORT --snapshot s.snap   # hot-swap, daemon-local path
-//! pkgm daemon lookup --addr HOST:PORT --items 0,1,2       # rows as bit patterns (CI diff)
+//! pkgm daemon lookup --addr HOST:PORT --items 0,1,2       # rows as bit patterns
 //! pkgm daemon stats  --addr HOST:PORT
 //! pkgm daemon health --addr HOST:PORT                     # liveness + restart counters
 //! pkgm daemon ready  --addr HOST:PORT                     # readiness gates, exit 1 if not
@@ -43,7 +41,7 @@ mod args;
 
 use args::Args;
 use pkgm_core::{
-    eval, fault, obs, serialize, Daemon, DaemonClient, DaemonConfig, KnowledgeService, OocConfig,
+    eval, obs, serialize, Daemon, DaemonClient, DaemonConfig, KnowledgeService, OocConfig,
     OocTrainer, PkgmConfig, PkgmModel, RetryPolicy, ServiceSnapshot, ShardRouter, StdIo,
     Supervisor, SyntheticTriples, TrainConfig, TrainRecord, TrainReport, Trainer, TripleSource,
 };
@@ -88,15 +86,14 @@ fn run(argv: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
         "serve" => serve(&args),
         "snapshot" => snapshot(&args),
         "eval" => evaluate(&args),
-        "faultcheck" => faultcheck(&args),
-        "netcheck" => netcheck(&args),
         "simd" => simd_info(),
         other => Err(format!("unknown subcommand: {other}").into()),
     }
 }
 
 /// Print the kernel dispatch report (the same line the daemon and the
-/// benches log, and CI's `simd-smoke` job asserts on).
+/// benchmark log, and `cross_process::dispatch_line_matches_the_host_cpu`
+/// asserts on).
 fn simd_info() -> Result<(), Box<dyn std::error::Error>> {
     println!("{}", pkgm_core::simd::describe());
     Ok(())
@@ -172,7 +169,7 @@ fn daemon_serve(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     eprintln!("[pkgm] {}", pkgm_core::simd::describe());
     let daemon = Daemon::start(addr, snap, cfg.clone())?;
     let local = daemon.local_addr();
-    // Scripts and CI start the daemon with `--addr 127.0.0.1:0` and read
+    // Scripts and tests start the daemon with `--addr 127.0.0.1:0` and read
     // the resolved ephemeral address back from this file.
     if let Some(path) = args.get("addr-file") {
         std::fs::write(path, local.to_string())?;
@@ -200,8 +197,8 @@ fn daemon_reload(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
 
 /// Look up items over the wire and print their rows as deterministic JSON:
 /// each float as its IEEE-754 bit pattern (u32), so two daemons serving the
-/// same table produce byte-identical output — the CI bit-exactness gate
-/// diffs this directly.
+/// same table produce byte-identical output — the cross-process tests
+/// compare this directly.
 fn daemon_lookup(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let items = parse_items(args.require("items")?)?;
     let rows = daemon_client(args)?.lookup(&items)?;
@@ -305,7 +302,7 @@ fn connect_router(
 }
 
 /// Route one batch lookup across the shard fleet and print it in the exact
-/// `daemon lookup` JSON shape — CI diffs the two outputs for bit-identity.
+/// `daemon lookup` JSON shape — the tests compare the two for bit-identity.
 fn router_route(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let addrs = router_addrs(args)?;
     let items = parse_items(args.require("items")?)?;
@@ -355,7 +352,7 @@ fn router_map(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
 /// Spawn one `pkgm daemon serve` per discovered `base.shard{K}of{N}` file
 /// and gate on every daemon's readiness probe. With `--items`, route one
 /// batch through the fleet, print it in `daemon lookup` shape, and tear the
-/// fleet down (the self-contained CI smoke); otherwise supervise until
+/// fleet down (self-contained, for tests and scripts); otherwise supervise until
 /// stdin closes.
 fn router_supervise(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let base = PathBuf::from(args.require("snapshot")?);
@@ -933,66 +930,6 @@ fn snapshot(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn faultcheck(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
-    let seed: u64 = args.get_or("seed", 42)?;
-    let dir = match args.get("dir") {
-        Some(d) => PathBuf::from(d),
-        None => std::env::temp_dir().join(format!("pkgm-faultcheck-{}", std::process::id())),
-    };
-    eprintln!(
-        "[pkgm] running fault-injection battery in {} (seed {seed})…",
-        dir.display()
-    );
-    let report = fault::run_faultcheck(&dir, seed);
-    for s in &report.scenarios {
-        println!(
-            "{} {:<36} {}",
-            if s.passed { "PASS" } else { "FAIL" },
-            s.name,
-            s.detail
-        );
-    }
-    let failed = report.scenarios.iter().filter(|s| !s.passed).count();
-    if failed > 0 {
-        // Not a usage error: report and exit nonzero without the help text.
-        eprintln!(
-            "faultcheck: {failed}/{} scenarios failed",
-            report.scenarios.len()
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "faultcheck: all {} scenarios passed",
-        report.scenarios.len()
-    );
-    Ok(())
-}
-
-fn netcheck(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
-    let seed: u64 = args.get_or("seed", 42)?;
-    eprintln!("[pkgm] running network chaos battery (seed {seed})…");
-    let report = pkgm_core::netcheck::run_netcheck(seed);
-    for s in &report.scenarios {
-        println!(
-            "{} {:<36} {}",
-            if s.passed { "PASS" } else { "FAIL" },
-            s.name,
-            s.detail
-        );
-    }
-    let failed = report.scenarios.iter().filter(|s| !s.passed).count();
-    if failed > 0 {
-        // Not a usage error: report and exit nonzero without the help text.
-        eprintln!(
-            "netcheck: {failed}/{} scenarios failed (seed {seed})",
-            report.scenarios.len()
-        );
-        std::process::exit(1);
-    }
-    println!("netcheck: all {} scenarios passed", report.scenarios.len());
-    Ok(())
-}
-
 fn evaluate(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let catalog = catalog_from(args)?;
     let service = load_service(args)?;
@@ -1046,11 +983,6 @@ fn print_help() {
          \u{20}              file each] [--synthetic N --dim 16 --seed 42  # stream N\n\
          \u{20}              deterministic rows with O(1) memory, no --service needed]\n\
          \u{20}  eval        --preset P --seed N --service service.bin [--max-facts 300]\n\
-         \u{20}  faultcheck  [--dir scratch] [--seed 42] — crash/corruption recovery battery\n\
-         \u{20}  netcheck    [--seed 42] — network chaos battery: a deterministic chaos\n\
-         \u{20}              proxy drops/truncates/delays/corrupts/slowloris-writes frames\n\
-         \u{20}              between a real client and daemon; asserts bit-exact successes,\n\
-         \u{20}              typed failures, no double-execution, watchdog recovery\n\
          \u{20}  simd        — print the runtime kernel dispatch line (detected\n\
          \u{20}              AVX-512/AVX2 level; PKGM_FORCE_SCALAR=1 pins the scalar twins)\n\
          \u{20}  daemon      serve --snapshot serving.snap | --service service.bin\n\
@@ -1069,8 +1001,8 @@ fn print_help() {
          \u{20}              snapshot (daemon-local PKGMSS3 path) under live traffic,\n\
          \u{20}              memory-mapped (zero-copy, O(header) open)\n\
          \u{20}  daemon lookup --addr HOST:PORT --items 0,1,2 — rows as IEEE-754 bit\n\
-         \u{20}              patterns in JSON (deterministic; CI diffs this for\n\
-         \u{20}              bit-exactness across backings); off-shard ids fail typed\n\
+         \u{20}              patterns in JSON (deterministic: byte-equal output\n\
+         \u{20}              means bit-equal rows across backings); off-shard ids fail typed\n\
          \u{20}  daemon stats --addr HOST:PORT — daemon counters as JSON\n\
          \u{20}  daemon health --addr HOST:PORT — liveness JSON (uptime, restarts)\n\
          \u{20}  daemon ready --addr HOST:PORT — readiness gates as JSON, exit 1 if not\n\

@@ -1,17 +1,9 @@
 //! End-to-end tests of the `pkgm` binary: generate → pretrain → serve → eval.
 
-use std::path::PathBuf;
+mod common;
+
+use common::{assert_ok, at, files_in, json, num, pkgm, pkgm_ok, run, spawn_daemon, stop, tmpdir};
 use std::process::Command;
-
-fn pkgm() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_pkgm"))
-}
-
-fn tmpdir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pkgm-cli-test-{name}-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 #[test]
 fn help_prints_usage() {
@@ -24,9 +16,12 @@ fn help_prints_usage() {
 
 #[test]
 fn unknown_subcommand_fails_with_help() {
-    let out = pkgm().arg("frobnicate").output().unwrap();
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown subcommand"));
+    // The fault and chaos batteries are tests, not verbs.
+    for verb in ["frobnicate", "faultcheck", "netcheck"] {
+        let out = pkgm().arg(verb).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{verb}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("unknown subcommand"));
+    }
 }
 
 #[test]
@@ -213,14 +208,6 @@ fn train_tiny(seed: &str, epochs: &str) -> Command {
     cmd
 }
 
-fn assert_ok(out: &std::process::Output) {
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-}
-
 #[test]
 fn checkpoint_resume_matches_straight_run() {
     let dir = tmpdir("ckpt-resume");
@@ -289,19 +276,44 @@ fn retired_checkpoint_flags_are_refused() {
 fn killed_after_a_commit_resumes_to_the_straight_bytes() {
     use std::os::unix::process::ExitStatusExt;
     let dir = tmpdir("kill");
-    // One partition (a commit per epoch), and a paging budget (commits at
-    // partition swaps).
-    for (tag, extra) in [
-        ("p1", vec![]),
-        ("paged", vec!["--mem-budget", "8000", "--chunk-size", "64"]),
+    let tiny = ["--preset", "tiny", "--seed", "5", "--dim", "8", "--k", "3"];
+    let tiny = [&tiny[..], &["--epochs", "300"]].concat();
+    // A streamed source at 1/100 of the triples and entities of a
+    // 4M-triple, 200k-entity run under an 8 MB budget: the same ten
+    // partitions, so every epoch pages and commits at partition swaps.
+    let synthetic = [
+        "--synthetic",
+        "40000",
+        "--entities",
+        "2000",
+        "--dim",
+        "16",
+        "--epochs",
+        "10",
+        "--mem-budget",
+        "80000",
+    ];
+    // One partition (a commit per epoch), a paging budget (commits at
+    // partition swaps), and the streamed source.
+    for (tag, args) in [
+        ("p1", tiny.clone()),
+        (
+            "paged",
+            [&tiny[..], &["--mem-budget", "8000", "--chunk-size", "64"]].concat(),
+        ),
+        ("synthetic", synthetic.to_vec()),
     ] {
         let run = |name: &str| {
-            let mut cmd = train_tiny("5", "300");
-            cmd.args(&extra)
+            let mut cmd = pkgm();
+            cmd.arg("train")
+                .args(&args)
                 .arg("--ooc-dir")
-                .arg(dir.join(format!("{tag}-{name}.ooc")))
-                .arg("--out")
-                .arg(dir.join(format!("{tag}-{name}.bin")));
+                .arg(dir.join(format!("{tag}-{name}.ooc")));
+            match tag {
+                "synthetic" => cmd.arg("--report-out"),
+                _ => cmd.arg("--out"),
+            };
+            cmd.arg(dir.join(format!("{tag}-{name}.out")));
             cmd
         };
         assert_ok(&run("straight").output().unwrap());
@@ -328,14 +340,26 @@ fn killed_after_a_commit_resumes_to_the_straight_bytes() {
             Some(9),
             "{tag}: the run ended before the kill"
         );
-        assert!(!dir.join(format!("{tag}-killed.bin")).exists());
+        assert!(!dir.join(format!("{tag}-killed.out")).exists());
 
         let out = run("killed").output().unwrap();
         assert_ok(&out);
         assert!(String::from_utf8_lossy(&out.stderr).contains("resuming"));
-        let straight = std::fs::read(dir.join(format!("{tag}-straight.bin"))).unwrap();
-        let resumed = std::fs::read(dir.join(format!("{tag}-killed.bin"))).unwrap();
-        assert!(straight == resumed, "{tag}: resumed service differs");
+        let read = |name: &str| std::fs::read(dir.join(format!("{tag}-{name}.out"))).unwrap();
+        let (straight, resumed) = (read("straight"), read("killed"));
+        if tag == "synthetic" {
+            let report = json(&String::from_utf8(resumed).unwrap());
+            assert_eq!(*at(&report, "halted"), serde_json::Value::Null);
+            assert!(num(&report, "n_partitions") >= 2, "{report:?}");
+        } else {
+            assert!(straight == resumed, "{tag}: resumed service differs");
+        }
+        // The directories end the same, byte for byte.
+        let files = |name: &str| files_in(&dir.join(format!("{tag}-{name}.ooc")));
+        assert!(
+            files("straight") == files("killed"),
+            "{tag}: the files differ"
+        );
     }
     std::fs::remove_dir_all(dir).ok();
 }
@@ -517,27 +541,6 @@ fn serve_degrades_gracefully_for_unknown_items() {
 }
 
 #[test]
-fn faultcheck_passes_and_reports_scenarios() {
-    let dir = tmpdir("faultcheck");
-    let out = pkgm()
-        .args(["faultcheck", "--dir", dir.to_str().unwrap(), "--seed", "42"])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "stdout: {}\nstderr: {}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("kill-during-checkpoint-resumes"));
-    assert!(text.contains("degraded-serving-no-panic"));
-    assert!(text.contains("all") && text.contains("scenarios passed"));
-    assert!(!text.contains("FAIL"));
-    std::fs::remove_dir_all(dir).ok();
-}
-
-#[test]
 fn missing_required_flag_is_reported() {
     let out = pkgm()
         .args(["pretrain", "--preset", "tiny"])
@@ -703,108 +706,58 @@ fn daemon_help_and_action_errors() {
 fn daemon_serve_reload_stats_stop_across_processes() {
     let dir = tmpdir("daemon-e2e");
     let svc = dir.join("svc.bin");
-    let out = pkgm()
-        .args([
-            "train", "--preset", "tiny", "--seed", "8", "--dim", "8", "--epochs", "1", "--k", "3",
-            "--out",
-        ])
-        .arg(&svc)
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    run(train_tiny("8", "1").arg("--out").arg(&svc));
     let snap = dir.join("serving.snap");
-    let out = pkgm()
+    run(pkgm()
         .args(["snapshot", "--service"])
         .arg(&svc)
         .arg("--out")
-        .arg(&snap)
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+        .arg(&snap));
 
-    // Serve on an ephemeral port, discovering it through --addr-file. The
-    // guard kills the child if any assertion below panics first.
-    struct KillOnDrop(std::process::Child);
-    impl Drop for KillOnDrop {
-        fn drop(&mut self) {
-            let _ = self.0.kill();
-        }
-    }
-    let serve = |source: &[&std::ffi::OsStr], name: &str| {
-        let addr_file = dir.join(name);
-        let daemon = KillOnDrop(
-            pkgm()
-                .args(["daemon", "serve"])
-                .args(source)
-                .args(["--addr", "127.0.0.1:0", "--addr-file"])
-                .arg(&addr_file)
-                .spawn()
-                .unwrap(),
-        );
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
-        loop {
-            if let Ok(addr) = std::fs::read_to_string(&addr_file) {
-                if !addr.is_empty() {
-                    break (daemon, addr);
-                }
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "daemon never wrote its address file"
-            );
-            std::thread::sleep(std::time::Duration::from_millis(20));
-        }
-    };
-    let (mut daemon, addr) = serve(&["--service".as_ref(), svc.as_ref()], "addr");
+    let mut built = pkgm();
+    built.args(["daemon", "serve", "--service"]).arg(&svc);
+    let (daemon, addr) = spawn_daemon(built, &dir.join("addr"));
     // A --snapshot daemon never opens --service: a path to no file is fine.
-    let missing = dir.join("no-such-service.bin");
-    let (mut from_snap, snap_addr) = serve(
-        &[
-            "--snapshot".as_ref(),
-            snap.as_ref(),
-            "--service".as_ref(),
-            missing.as_ref(),
-        ],
-        "snap-addr",
-    );
+    let mut mapped = pkgm();
+    mapped
+        .args(["daemon", "serve", "--snapshot"])
+        .arg(&snap)
+        .arg("--service")
+        .arg(dir.join("no-such-service.bin"));
+    let (from_snap, snap_addr) = spawn_daemon(mapped, &dir.join("snap-addr"));
 
-    let run = |args: &[&str]| {
-        let out = pkgm().args(args).output().unwrap();
-        let stdout = String::from_utf8_lossy(&out.stdout).to_string();
-        assert!(
-            out.status.success(),
-            "pkgm {args:?} failed\nstdout: {stdout}\nstderr: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        stdout
-    };
-
-    let stats = run(&["daemon", "stats", "--addr", &addr]);
-    let parsed: serde_json::Value = serde_json::from_str(&stats).unwrap();
-    assert_eq!(parsed.get("swaps").and_then(|v| v.as_u64()), Some(0));
+    // Liveness, readiness and a clean slate, read across processes;
+    // `daemon ready` exits nonzero when the daemon is not ready.
+    let health = json(&pkgm_ok(&["daemon", "health", "--addr", &addr]));
+    assert_eq!(at(&health, "status").as_str(), Some("ok"));
+    assert_eq!(num(&health, "worker_restarts"), 0);
+    let ready = json(&pkgm_ok(&["daemon", "ready", "--addr", &addr]));
+    assert_eq!(at(&ready, "ready").as_bool(), Some(true));
+    assert_eq!(at(&ready, "batcher_accepting").as_bool(), Some(true));
+    let stats = json(&pkgm_ok(&["daemon", "stats", "--addr", &addr]));
+    assert_eq!(num(&stats, "conns_rejected"), 0);
+    assert_eq!(num(&stats, "batch.expired_enqueue"), 0);
+    assert_eq!(num(&stats, "swaps"), 0);
 
     // The table built from --service and the --snapshot file serve the same
-    // bytes: items, a value entity, and an id past the table.
-    let rows = parsed
-        .get("snapshot")
-        .and_then(|s| s.get("rows"))
-        .and_then(|v| v.as_u64())
-        .unwrap();
-    let items = format!("0,1,2,{},{}", rows - 1, rows + 5);
-    let lookup = |addr: &str| run(&["daemon", "lookup", "--addr", addr, "--items", &items]);
-    assert_eq!(lookup(&addr), lookup(&snap_addr));
-    run(&["daemon", "stop", "--addr", &snap_addr]);
-    assert!(from_snap.0.wait().unwrap().success());
+    // bytes: items, a value entity (items are numbered first, so the last
+    // row is one: an all-zero row, a miss) and an id past the table (an
+    // all-zero row, degraded).
+    let rows = num(&stats, "snapshot.rows");
+    let items = format!("0,1,2,3,{},{}", rows - 1, rows + 5);
+    let lookup = |addr: &str| pkgm_ok(&["daemon", "lookup", "--addr", addr, "--items", &items]);
+    let served = lookup(&addr);
+    assert_eq!(served, lookup(&snap_addr));
+    let served = json(&served);
+    let zero_rows = &at(&served, "rows_bits").as_array().unwrap()[4..];
+    let bits = zero_rows.iter().flat_map(|r| r.as_array().unwrap());
+    assert!(bits.map(|b| b.as_u64()).all(|b| b == Some(0)));
+    let stats = json(&pkgm_ok(&["daemon", "stats", "--addr", &snap_addr]));
+    assert_eq!(num(&stats, "cache.degraded"), 1);
+    assert_eq!(num(&stats, "cache.misses"), 5);
+    stop(from_snap, &snap_addr);
 
-    let reload = run(&[
+    let reload = pkgm_ok(&[
         "daemon",
         "reload",
         "--addr",
@@ -812,12 +765,11 @@ fn daemon_serve_reload_stats_stop_across_processes() {
         "--snapshot",
         snap.to_str().unwrap(),
     ]);
-    let parsed: serde_json::Value = serde_json::from_str(&reload).unwrap();
-    assert_eq!(parsed.get("swaps").and_then(|v| v.as_u64()), Some(1));
-
-    let stopped = run(&["daemon", "stop", "--addr", &addr]);
-    assert!(stopped.contains("stopped"));
-    let status = daemon.0.wait().unwrap();
-    assert!(status.success(), "daemon exited nonzero: {status:?}");
+    let reload = json(&reload);
+    assert_eq!(num(&reload, "swaps"), 1);
+    assert!(num(&reload, "snapshot.rows") >= 1);
+    let stats = json(&pkgm_ok(&["daemon", "stats", "--addr", &addr]));
+    assert_eq!(num(&stats, "swaps"), 1);
+    stop(daemon, &addr);
     std::fs::remove_dir_all(dir).ok();
 }

@@ -20,9 +20,8 @@
 //!    [`encode`] does), so a payload is serialized, checksummed and written
 //!    from one buffer.
 //!
-//! All I/O goes through the [`ArtifactIo`] trait so the fault-injection
-//! harness in [`crate::fault`] can deterministically simulate crashes and
-//! corruption in tests and in the `pkgm faultcheck` CLI subcommand.
+//! All I/O goes through the [`ArtifactIo`] trait so the tests' fault
+//! injection can deterministically simulate crashes and corruption.
 //!
 //! ```text
 //! magic  "PKGMAF1\0"     8 bytes
@@ -157,8 +156,8 @@ pub enum ArtifactError {
         /// Decoder's description of the failure.
         what: String,
     },
-    /// A fault-injection plan deliberately failed this operation (tests and
-    /// `pkgm faultcheck` only).
+    /// A fault-injection plan deliberately failed this operation (tests
+    /// only).
     Injected {
         /// Path the faulted operation targeted.
         path: PathBuf,
@@ -347,8 +346,8 @@ pub fn decode<'a>(
 // --- I/O abstraction --------------------------------------------------------
 
 /// Filesystem operations the artifact layer needs, as a trait so the
-/// fault-injection harness ([`crate::fault::FaultyIo`]) can deterministically
-/// simulate crashes, torn writes and bit rot underneath real callers.
+/// tests' fault-injecting implementation can deterministically simulate
+/// crashes, torn writes and bit rot underneath real callers.
 pub trait ArtifactIo {
     /// Durably replace `path` with `bytes`: temp file + fsync + rename.
     /// After a crash at any point, `path` holds either its previous contents

@@ -60,14 +60,9 @@
 //! * [`artifact`] — atomic (temp + fsync + rename), CRC32-checksummed,
 //!   versioned on-disk container for models, services and out-of-core
 //!   training state;
-//! * [`fault`] — deterministic fault-injection ([`fault::FaultPlan`] /
-//!   [`fault::FaultyIo`]) and the `pkgm faultcheck` recovery battery;
 //! * [`retry`] — the client-side resilience policy: jittered exponential
 //!   backoff retrying only provably-unexecuted failures, under a deadline
 //!   budget, plus the [`retry::RetryClient`] wrapper over [`DaemonClient`];
-//! * [`netcheck`] — the network-layer chaos battery: a deterministic
-//!   in-process chaos proxy (dropped/truncated/delayed/corrupted frames,
-//!   mid-frame resets, slowloris writes) and the `pkgm netcheck` scenarios;
 //! * [`router`] — the shard-router tier: splits batch lookups across
 //!   entity-range shard daemons, merges rows back into request order,
 //!   follows typed `WrongShard` redirects with bounded map refreshes, and
@@ -86,7 +81,8 @@ pub mod batcher;
 pub mod daemon;
 pub mod eval;
 pub mod eval_kernels;
-pub mod fault;
+#[cfg(test)]
+mod fault;
 #[cfg(test)]
 mod gradient_check;
 pub mod kernels;
@@ -94,7 +90,6 @@ mod le;
 pub mod mmap;
 pub mod model;
 pub mod negative;
-pub mod netcheck;
 pub mod obs;
 pub mod ooc;
 pub mod protocol;
@@ -114,11 +109,9 @@ pub use batcher::{BatchRows, BatchStats, DynamicBatcher, SubmitError, WaitError}
 pub use daemon::{ClientError, Daemon, DaemonClient, DaemonConfig, ServiceHolder, ShardRedirect};
 pub use eval::{LinkPredictionReport, RelationExistenceReport};
 pub use eval_kernels::{EvalError, EvalScratch, EvalScratchPool, PruneStats, QuantEvalModel};
-pub use fault::{Fault, FaultCheckReport, FaultPlan, FaultyIo};
 pub use kernels::{ChunkGrads, TrainScratch};
 pub use model::{PkgmConfig, PkgmModel};
 pub use negative::{CorruptedPair, Corruption, NegativeSampler};
-pub use netcheck::{ChaosProxy, NetFault, NetFaultPlan};
 pub use obs::TrainRecord;
 pub use ooc::{OocConfig, OocError, OocTrainer, SyntheticTriples, TripleSource};
 pub use protocol::{DeadlineStage, ProtocolError, Request, Response};

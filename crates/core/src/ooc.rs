@@ -64,7 +64,10 @@
 //!   paged out, then the resident file (cursor and live table) is written;
 //! * the epoch's last block commits with the epoch close, in one resident
 //!   write. A divergence halt commits nothing: the last commit (at `P > 1`
-//!   maybe one inside the halted epoch) stays the recovery point.
+//!   maybe one inside the halted epoch) stays the recovery point. No
+//!   commit frames a non-finite value: framing checks every value it
+//!   copies, and once one is not finite the run halts, its page-outs land
+//!   as shadows and its resident file is never written.
 //!
 //! **Every commit keeps its predecessor.** Once commit `n + 1` lands, the
 //! writer deletes the files commit `n` superseded and commit `n − 1`'s
@@ -732,7 +735,11 @@ impl OocTrainer {
                 epochs,
                 partial,
                 |(me, writer), epoch| me.train_epoch(source, writer, epoch as u64, &mut blocks),
-                |(me, writer), epoch, stats, kept| me.close_epoch(writer, epoch, stats, kept),
+                |(me, writer), epoch, stats, kept| {
+                    me.close_epoch(writer, epoch, stats, kept && !writer.non_finite)?;
+                    let why = "a commit would frame a non-finite value";
+                    Ok((writer.non_finite).then(|| format!("epoch {}: {why}", epoch + 1)))
+                },
             )
         });
         // Nothing stays paged in between calls: the next reads what the
@@ -825,6 +832,9 @@ impl OocTrainer {
             if let Some(rec) = (self.trainer.clock).close(epoch as usize, Some(block_idx), &stats) {
                 self.clock.absorb(&rec);
                 self.trainer.records.push(rec);
+            }
+            if writer.non_finite {
+                break;
             }
         }
         Ok(totals.into())
@@ -936,9 +946,14 @@ impl OocTrainer {
                 "a commit never rewrites a live file"
             );
             self.frame_resident(writer);
-            let last = mem::replace(&mut self.committed, self.gen);
-            self.superseded.push(resident_path(&self.cfg.dir, last));
-            retired = mem::replace(&mut self.retired, mem::take(&mut self.superseded));
+            if writer.non_finite {
+                // Refused: the page-outs land as shadows no commit names.
+                writer.spare_resident = writer.next.pop().expect("framed").bytes;
+            } else {
+                let last = mem::replace(&mut self.committed, self.gen);
+                self.superseded.push(resident_path(&self.cfg.dir, last));
+                retired = mem::replace(&mut self.retired, mem::take(&mut self.superseded));
+            }
         }
         Ok((waited, writer.hand_over(retired)?))
     }
@@ -1048,9 +1063,9 @@ impl OocTrainer {
             for stamp in stamps {
                 buf.extend_from_slice(&stamp.to_le_bytes());
             }
-            le::extend(buf, ent);
-            le::extend(buf, m);
-            le::extend(buf, v);
+            [ent, m, v]
+                .into_iter()
+                .fold(true, |ok, xs| extend_finite(buf, xs) & ok)
         });
     }
 
@@ -1067,7 +1082,10 @@ impl OocTrainer {
         let json = serde_json::to_vec(&manifest)
             .map_err(|e| OocError::State(format!("manifest encode: {e}")))?;
         let path = self.cfg.dir.join(MANIFEST_FILE);
-        writer.frame(path, None, json.len(), |buf| buf.extend_from_slice(&json));
+        writer.frame(path, None, json.len(), |buf| {
+            buf.extend_from_slice(&json);
+            true
+        });
         Ok(())
     }
 
@@ -1096,11 +1114,20 @@ impl OocTrainer {
             for c in cursor.iter().chain(&self.live) {
                 buf.extend_from_slice(&c.to_le_bytes());
             }
-            for table in tables {
-                le::extend(buf, table);
-            }
+            tables
+                .into_iter()
+                .fold(true, |ok, xs| extend_finite(buf, xs) & ok)
         });
     }
+}
+
+/// Append `xs` to `buf` as little-endian bytes, and say whether every value
+/// is finite: checked a cache-sized piece at a time, right after its copy.
+fn extend_finite(buf: &mut Vec<u8>, xs: &[f32]) -> bool {
+    xs.chunks(4096).fold(true, |ok, piece| {
+        le::extend(buf, piece);
+        piece.iter().fold(ok, |ok, x| ok & x.is_finite())
+    })
 }
 
 /// The resident file of the commit at generation `gen`.
@@ -1209,6 +1236,9 @@ struct Writer {
     in_flight: Option<FrameSet>,
     spare_parts: Vec<Vec<u8>>,
     spare_resident: Vec<u8>,
+    /// Whether a frame of this run held a non-finite value. Sticky: a
+    /// commit would name it, so none may land after it.
+    non_finite: bool,
 }
 
 impl Writer {
@@ -1234,19 +1264,20 @@ impl Writer {
 
     /// Frame a `payload_len`-byte checkpoint payload, written by `fill`,
     /// for `path` into the next set — into a buffer of its own kind.
+    /// `fill` returns whether every value it wrote is finite.
     fn frame(
         &mut self,
         path: PathBuf,
         part: Option<usize>,
         payload_len: usize,
-        fill: impl FnOnce(&mut Vec<u8>),
+        fill: impl FnOnce(&mut Vec<u8>) -> bool,
     ) {
         let mut bytes = match part {
             Some(_) => self.spare_parts.pop().unwrap_or_default(),
             None => mem::take(&mut self.spare_resident),
         };
         artifact::frame_begin(&mut bytes, payload_len);
-        fill(&mut bytes);
+        self.non_finite |= !fill(&mut bytes);
         artifact::frame_seal(ArtifactKind::Checkpoint, &mut bytes);
         self.next.push(Frame { path, part, bytes });
     }
@@ -1294,6 +1325,7 @@ fn with_writer<T>(
             in_flight: None,
             spare_parts: Vec::new(),
             spare_resident: Vec::new(),
+            non_finite: false,
         };
         let out = body(&mut writer);
         writer.wait()?;
@@ -1836,13 +1868,22 @@ mod tests {
         assert_same_model(&resumed.assemble_model().unwrap(), &good, "halt");
         let _ = std::fs::remove_dir_all(&dir);
 
-        // Four partitions: the commits inside the halted epoch landed, its
-        // close did not (blocks (0,3) and (1,3) commit, (2,3) closes).
+        // Four partitions: the first block's values are already non-finite,
+        // so no commit of the halted epoch lands and resume opens `new`'s.
         let (s, mut tr, dir) = paged("halt-paged");
         tr.cfg.train.lr = f32::INFINITY;
         assert!(tr.train(&s).unwrap().halted.is_some());
         let resumed = OocTrainer::resume(&dir).unwrap();
-        assert_eq!((resumed.epochs_done, resumed.blocks_done), (0, 4));
+        assert_eq!((resumed.epochs_done, resumed.blocks_done), (0, 0));
+        let model = resumed.assemble_model().unwrap();
+        for (name, xs) in [
+            ("ent", &model.ent),
+            ("rel", &model.rel),
+            ("mats", &model.mats),
+        ] {
+            let bad = xs.iter().filter(|x| !x.is_finite()).count();
+            assert_eq!(bad, 0, "{bad} non-finite {name} values");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1886,12 +1927,14 @@ mod tests {
 
     type Files = std::collections::BTreeMap<String, Vec<u8>>;
 
-    /// Where a run ends: its model, the files it leaves, and the files a
-    /// resume of them keeps (the last commit's).
+    /// Where a run ends: its model, the files it leaves, the files a
+    /// resume of them keeps (the last commit's), and the commits skipped
+    /// when it resumed after a fault.
     struct End {
         model: PkgmModel,
         files: Files,
         committed: Files,
+        skipped: usize,
     }
 
     fn end(tr: &OocTrainer, dir: &Path) -> Result<End, OocError> {
@@ -1902,6 +1945,7 @@ mod tests {
             model,
             files,
             committed,
+            skipped: 0,
         })
     }
 
@@ -1941,8 +1985,12 @@ mod tests {
             } else {
                 OocTrainer::new(&s, cfg(&dir))?
             };
+            let skipped = tr.take_skipped().len();
             tr.train(&s)?;
-            end(&tr, &dir)
+            Ok(End {
+                skipped,
+                ..end(&tr, &dir)?
+            })
         })();
         let _ = std::fs::remove_dir_all(&dir);
         (first, faulty.writes(), recovered)
@@ -2044,8 +2092,17 @@ mod tests {
         for nth in 3..n_writes {
             for fault in faults {
                 let what = format!("{fault:?} at write {nth}");
-                let got = crash_and_recover("sweep-p1", one_part_cfg, nth, fault).2;
+                let (first, _, got) = crash_and_recover("sweep-p1", one_part_cfg, nth, fault);
                 let got = got.unwrap_or_else(|e| panic!("{what}: {e}"));
+                // A failed or torn write stops the run, and resume skips a
+                // torn resident file (each epoch writes its partition, then
+                // its resident file).
+                if !matches!(fault, Fault::FlipBit { .. }) {
+                    assert!(first.is_err(), "{what}: the run went on");
+                }
+                if matches!(fault, Fault::TornWrite { .. }) {
+                    assert_eq!(got.skipped as u64, (nth - 3) % 2, "{what}");
+                }
                 assert_same_model(&got.model, &want.model, &what);
                 assert!(got.committed == want.committed, "{what}: the files differ");
             }

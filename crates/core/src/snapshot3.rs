@@ -359,21 +359,6 @@ fn parse_header(bytes: &[u8]) -> Result<Header, SerializeError> {
     })
 }
 
-/// Whether byte `at` of the valid `PKGMSS3` file `bytes` is padding:
-/// outside the CRC'd header and every section, so no check covers it.
-pub(crate) fn is_padding(bytes: &[u8], at: usize) -> bool {
-    let Ok(header) = parse_header(bytes) else {
-        return false;
-    };
-    let at = at as u64;
-    let header_end = (HEADER_FIXED + header.sections.len() * SECTION_ENTRY + 4) as u64;
-    at >= header_end
-        && !header
-            .sections
-            .iter()
-            .any(|s| (s.offset..s.offset + s.len).contains(&at))
-}
-
 /// Verify section CRCs: all of them (`eager_limit = None`, the resident
 /// decoder), or only sections smaller than the limit (mapped opens).
 fn verify_section_crcs(

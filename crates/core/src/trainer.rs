@@ -281,7 +281,7 @@ impl Trainer {
                 if kept {
                     me.epochs_done = epoch + 1;
                 }
-                Ok(())
+                Ok(None)
             },
         );
         report
@@ -456,7 +456,8 @@ impl Trainer {
 /// The epoch loop of both trainers: train each epoch of `epochs` with
 /// `run`, then hand it to `close`, until the NaN / divergence guard trips.
 /// `close(state, epoch, stats, kept)` sees `kept == false` for the epoch
-/// that halts, and must leave the epoch cursor before it. A resumed partial
+/// that halts, and must leave the epoch cursor before it; it may halt the
+/// run itself by returning the reason. A resumed partial
 /// epoch (`partial`) covers only the blocks left of it, so the guard, which
 /// compares full-epoch means, skips it. Reports one partition and one
 /// block per epoch; the out-of-core trainer overrides both.
@@ -465,7 +466,7 @@ pub(crate) fn drive<T: ?Sized, E>(
     epochs: std::ops::Range<usize>,
     mut partial: bool,
     mut run: impl FnMut(&mut T, usize) -> Result<EpochStats, E>,
-    mut close: impl FnMut(&mut T, usize, &EpochStats, bool) -> Result<(), E>,
+    mut close: impl FnMut(&mut T, usize, &EpochStats, bool) -> Result<Option<String>, E>,
 ) -> Result<TrainReport, E> {
     let start = std::time::Instant::now();
     let mut epochs_run = Vec::with_capacity(epochs.len());
@@ -478,7 +479,8 @@ pub(crate) fn drive<T: ?Sized, E>(
             halted = why.map(|why| format!("epoch {}: {why}", epoch + 1));
             best = best.min(stats.mean_loss.max(1e-3));
         }
-        close(state, epoch, &stats, halted.is_none())?;
+        let refused = close(state, epoch, &stats, halted.is_none())?;
+        halted = halted.or(refused);
         epochs_run.push(stats);
         if halted.is_some() {
             break;

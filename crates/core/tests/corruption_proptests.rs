@@ -8,12 +8,16 @@
 //! single corrupted byte and *any* truncation is rejected on load.
 //!
 //! Serving snapshots are `PKGMSS3` files, checked through both loaders:
-//! a corrupted file is a typed error or serves exactly the original rows
-//! (a byte of the unchecksummed zero padding between sections).
+//! a corrupted file is a typed error, or serves exactly the original rows
+//! when the changed byte is in the unchecksummed zero padding between
+//! sections.
 
 mod common;
 
-use common::{find_section, lookup_bits, probe_ids, resign_header};
+use common::{
+    find_section, lookup_bits, probe_ids, resign_header, HEADER_FIXED, OFF_N_SECTIONS,
+    SECTION_ENTRY,
+};
 use pkgm_core::artifact::{self, crc32, ArtifactKind};
 use pkgm_core::serialize::{
     model_from_bytes, model_to_bytes, service_from_bytes, service_to_bytes, snapshot_from_bytes,
@@ -46,6 +50,23 @@ fn fixture() -> (PkgmModel, KnowledgeService, ServiceSnapshot) {
     let service = KnowledgeService::new(model.clone(), selector);
     let snapshot = ServiceSnapshot::build(&service);
     (model, service, snapshot)
+}
+
+/// Whether byte `at` of the valid `PKGMSS3` file `bytes` is padding: past
+/// the CRC'd header and section table, and in no section.
+fn is_padding(bytes: &[u8], at: usize) -> bool {
+    let word = |i: usize, n: usize| {
+        bytes[i..i + n]
+            .iter()
+            .rev()
+            .fold(0u64, |w, &b| w << 8 | b as u64)
+    };
+    let n_sections = word(OFF_N_SECTIONS, 4) as usize;
+    let in_section = (0..n_sections).any(|i| {
+        let e = HEADER_FIXED + i * SECTION_ENTRY;
+        (word(e + 8, 8)..word(e + 8, 8) + word(e + 16, 8)).contains(&(at as u64))
+    });
+    at >= HEADER_FIXED + n_sections * SECTION_ENTRY + 4 && !in_section
 }
 
 /// Truncation must error; one corrupted byte must not panic; garbage
@@ -101,8 +122,8 @@ fn check_framed(
 
 /// A `PKGMSS3` file cut to `cut` bytes, or with byte `at` set to `to`,
 /// through the resident decoder and the mapped open: a typed error, or
-/// (never for a cut) lookups bit-equal to the original over
-/// [`probe_ids`]. Any panic fails the test.
+/// (never for a cut, and for a changed byte only in padding) lookups
+/// bit-equal to the original over [`probe_ids`]. Any panic fails the test.
 fn check_ss3(
     snapshot: &ServiceSnapshot,
     cut: usize,
@@ -113,7 +134,8 @@ fn check_ss3(
     let ids = probe_ids(snapshot);
     let want = lookup_bits(snapshot, &ids);
     let mut mangled = bytes.clone();
-    mangled[at % bytes.len()] = to;
+    let at = at % bytes.len();
+    mangled[at] = to;
     let path = std::env::temp_dir().join(format!(
         "pkgm-corruption-{}-{at}-{to}.ss3",
         std::process::id()
@@ -127,6 +149,12 @@ fn check_ss3(
         for snap in loads.into_iter().flatten() {
             prop_assert!(!truncated, "a file cut to {} bytes loaded", b.len());
             prop_assert!(
+                bytes[at] == to || is_padding(&bytes, at),
+                "byte {} set to {} went undetected",
+                at,
+                to
+            );
+            prop_assert!(
                 lookup_bits(&snap, &ids) == want,
                 "byte {} set to {} changed a served row",
                 at,
@@ -136,6 +164,31 @@ fn check_ss3(
     }
     let _ = std::fs::remove_file(&path);
     Ok(())
+}
+
+/// Cuts and single flips at the layout edges, which random offsets may
+/// miss: inside the magic, inside the fixed header, at its end, in the
+/// section table and its CRC, at the first section, mid-file and the last
+/// byte. Both loaders reject every cut, and a flip anywhere but padding.
+#[test]
+fn snapshot_cuts_and_flips_at_the_layout_edges_are_caught() {
+    let (_, _, snapshot) = fixture();
+    let bytes = snapshot_to_ss3_bytes(&snapshot).unwrap();
+    let len = bytes.len();
+    let table_end = HEADER_FIXED + SECTION_ENTRY * (bytes[OFF_N_SECTIONS] as usize);
+    let edges = [
+        0,
+        1,
+        63,
+        64,
+        table_end - 1,
+        table_end,
+        table_end + 3,
+        table_end + 4,
+    ];
+    for at in edges.into_iter().chain([4096, len / 2, len - 1]) {
+        check_ss3(&snapshot, at, at, bytes[at] ^ 0x10).unwrap();
+    }
 }
 
 proptest! {

@@ -7,7 +7,8 @@ use pkgm_core::protocol::{self, Response};
 use pkgm_core::serialize;
 use pkgm_core::snapshot::ServiceSnapshot;
 use pkgm_core::{
-    ClientError, Daemon, DaemonClient, DaemonConfig, KnowledgeService, SnapshotBacking, StdIo,
+    ClientError, Daemon, DaemonClient, DaemonConfig, KnowledgeService, RetryClient, RetryPolicy,
+    SnapshotBacking, StdIo,
 };
 use pkgm_store::{EntityId, KeyRelationSelector, StoreBuilder};
 use std::io::Write;
@@ -697,6 +698,21 @@ fn deadline_lookups_round_trip_and_zero_budget_is_shed_typed() {
     assert!(expired >= 1, "expired-at-enqueue work must be counted");
     let rows = client.lookup(&items[..3]).unwrap();
     assert_eq!(rows.len(), 3);
+
+    // Through the retry layer a deadline miss is final and counted.
+    let mut rc = RetryClient::new(addr, RetryPolicy::default());
+    let err = rc
+        .lookup_with_deadline(&items, std::time::Duration::ZERO)
+        .expect_err("a zero budget cannot be served in time");
+    assert!(
+        matches!(err.last, ClientError::DeadlineExceeded(_)),
+        "{err}"
+    );
+    assert_eq!(
+        (rc.stats().deadline_misses, rc.stats().retries),
+        (1, 0),
+        "deadline failures are counted and never retried"
+    );
     client.shutdown().unwrap();
     daemon.wait();
 }
@@ -710,9 +726,15 @@ fn watchdog_restart_counters_surface_in_stats_over_the_wire() {
 
     daemon.inject_worker_panic();
     // Queued work survives the panic (the hook fires before dequeue), so
-    // this lookup is served by a surviving or respawned worker.
+    // this lookup is served, bit-exact, by a surviving or respawned worker.
     let rows = client.lookup(&[0, 1, 2]).unwrap();
-    assert_eq!(rows.len(), 3);
+    let snap = ServiceSnapshot::build(&svc);
+    let mut want = Vec::new();
+    for (id, row) in (0..3).zip(&rows) {
+        assert!(snap.lookup_exact(EntityId(id), &mut want));
+        let bits = |r: &[f32]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(row), bits(&want), "item {id}");
+    }
 
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
     loop {
